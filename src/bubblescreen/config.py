@@ -48,14 +48,47 @@ _DEFAULTS: dict = {
 }
 
 
+# Keys a config may set beyond those of _DEFAULTS, per section.
+_OPTIONAL_KEYS: dict = {"sweep": {"d_list"}}
+# A user's ``k`` section replaces the default {constant: 0.0}; this is its
+# other form.
+_LINEAR_AXIS_KEYS = {"name", "scale", "offset", "axis"}
+_REGIME_CELL_KEYS = {"omega_factor", "coupling_factor"}
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        if isinstance(val, dict) and isinstance(out.get(key), dict) and key != "k":
             out[key] = _merge(out[key], val)
         else:
             out[key] = val
     return out
+
+
+def _check_keys(data: dict) -> None:
+    """ConfigError for any key the package does not read (a typo, say)."""
+    def unknown(keys, allowed, where):
+        extra = sorted(set(keys) - set(allowed))
+        if extra:
+            raise ConfigError(f"unknown config key(s) {', '.join(extra)} in {where}")
+
+    unknown(data, _DEFAULTS, "the config root")
+    for section, default in _DEFAULTS.items():
+        if isinstance(default, dict) and section != "k":
+            if not isinstance(data[section], dict):
+                raise ConfigError(f"config section {section!r} must be a mapping")
+            unknown(data[section], set(default) | _OPTIONAL_KEYS.get(section, set()),
+                    f"section {section!r}")
+    spec = data["k"]
+    if not isinstance(spec, dict):
+        raise ConfigError("config section 'k' must be a mapping")
+    unknown(spec, {"constant"} if "constant" in spec else _LINEAR_AXIS_KEYS,
+            "section 'k'")
+    for cell in data["regimes"]["cells"]:
+        if not isinstance(cell, dict):
+            raise ConfigError("regimes.cells entries must be mappings")
+        unknown(cell, _REGIME_CELL_KEYS, "a regimes cell")
 
 
 @dataclass
@@ -135,6 +168,8 @@ class ExperimentConfig:
     # -- validation --------------------------------------------------------
     def validate(self) -> None:
         data = self.data
+        _check_keys(data)
+        self.k_function()
         if data["surface"]["kind"] not in ("disk", "sphere"):
             raise ConfigError(f"unknown surface kind {data['surface']['kind']!r}")
         if data["run"]["condition_violation"] not in ("error", "warn"):

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import EvaluationPointError, UsageError
 from .geometry import KFunction, Patchwork
 from .materials import PhysicalParams
-from .sources import PointSource, incident_eval, pulse_eval
-from .stepping import DelayNetwork, TimeGrid, Trace, retarded_superposition
+from .sources import PointSource, incident_eval
+from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
 
 
 # ---------------------------------------------------------------------------
@@ -103,39 +103,20 @@ def build_rule(patchwork: Patchwork, cluster_or_k) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 # Time-domain effective solver
 # ---------------------------------------------------------------------------
-class EffectiveSystem(DelayNetwork):
+class EffectiveSystem(RetardedNetwork):
     """Collocated screen equation as a delay network in U.
 
-    The instantaneous self term c_bar*density_i*self_i is absorbed into the
-    mass multiplying U_i''; the off-diagonal retarded terms carry the true
-    internodal delays.
+    The column weight is area * density * c_bar.  The instantaneous self term
+    c_bar*density_i*self_i is absorbed into the mass multiplying U_i''; the
+    off-diagonal retarded terms carry the true internodal delays.
     """
 
     def __init__(self, rule: QuadratureRule, params: PhysicalParams,
                  source: PointSource):
-        m = rule.m
         masses = params.omega_m_sq + params.c_bar * rule.density * rule.self_terms
-        diff = rule.nodes[:, None, :] - rule.nodes[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        off = ~np.eye(m, dtype=bool)
-        coupling = np.zeros((m, m))
-        colfac = rule.weights * rule.density * params.c_bar
-        coupling[off] = (np.broadcast_to(colfac, (m, m))[off]) / (4.0 * np.pi * dist[off])
-        delays = np.zeros((m, m))
-        delays[off] = dist[off] / params.c0
-
-        r_src = np.linalg.norm(rule.nodes - source.x0, axis=1)
-        amp = params.raw.rho_c / r_src
-        shift = r_src / params.c0
-        pulse = source.pulse
-
-        def forcing(t: float) -> np.ndarray:
-            return amp * pulse_eval(pulse, t - shift, 0)
-
-        super().__init__(masses, coupling, delays, forcing, shift)
+        super().__init__(rule.nodes, rule.weights * rule.density * params.c_bar,
+                         masses, params, source, order=0)
         self.rule = rule
-        self.params = params
-        self.source = source
 
 
 def solve_effective(rule: QuadratureRule, params: PhysicalParams,
@@ -198,9 +179,11 @@ def _second_derivative(f: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference f'' on a uniform grid.
 
     Five-point central stencil inside, six-point one-sided stencils at the two
-    nodes next to each end; arrays shorter than six samples fall back to the
-    second-order three-point rule.
+    nodes next to each end; arrays of three to five samples fall back to the
+    second-order three-point rule, and shorter ones raise ``UsageError``.
     """
+    if len(f) < 3:
+        raise UsageError("a second derivative needs at least 3 samples")
     d2 = np.empty_like(f)
     if len(f) >= 6:
         d2[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h**2)

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .effective import (EffectiveField, QuadratureRule, build_rule,
-                        effective_grid, solve_effective)
+from .effective import (EffectiveField, EffectiveSystem, QuadratureRule,
+                        build_rule, effective_grid)
 from .errors import ConfigError, UsageError
-from .foldy import assemble, default_grid, scattered_series, solve
+from .foldy import assemble, default_grid, scattered_series
 from .geometry import (BubbleCluster, Patchwork, build_surface,
                        counting_scaling_check, partition, place_bubbles)
 from .laplace_cq import CQScheme, cq_solve, resolvent_sweep
@@ -59,6 +59,7 @@ class OutputSession:
         self.command = command
         self.outputs: list[dict] = []
         self.timings: dict[str, float] = {}
+        self.march: dict[str, dict] = {}
 
     def __enter__(self):
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -103,6 +104,7 @@ class OutputSession:
             },
             "outputs": self.outputs,
             "timings_s": {k: round(v, 3) for k, v in self.timings.items()},
+            "march": self.march,
         }
         (self.dir / "run_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -190,13 +192,14 @@ def compare_fields(u_samples: np.ndarray, w_samples: np.ndarray,
 
 
 def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
+    """Bubble traces, probe fields and the march counters of the Foldy model."""
     opts = _run_opts(scene.config)
     system = assemble(scene.cluster, scene.params, scene.source, strict=opts["strict"])
     grid = default_grid(system, scene.config.horizon, opts["safety"], opts["h_max"])
-    traces = solve(system, grid)
+    traces = system.solve(grid)
     fields = scattered_series(traces, scene.cluster, scene.params,
                               scene.config.observation_points, t_out)
-    return traces, grid, fields
+    return traces, fields, system.march_counters(grid)
 
 
 def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
@@ -205,11 +208,12 @@ def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
     params = params or scene.params
     grid = effective_grid(scene.rule, params, scene.config.horizon,
                           opts["safety"], opts["h_max"])
-    trace = solve_effective(scene.rule, params, scene.source, grid)
+    system = EffectiveSystem(scene.rule, params, scene.source)
+    trace = system.solve(grid)
     field = EffectiveField(scene.rule, trace, params, scene.source)
     wsc = np.stack([field.scattered(p, t_out)
                     for p in scene.config.observation_points])
-    return trace, grid, wsc
+    return trace, wsc, system.march_counters(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,9 @@ def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
 # ---------------------------------------------------------------------------
 def run_validate(config: ExperimentConfig, outdir=None) -> int:
     with OutputSession(config, "validate", outdir) as session:
+        t0 = time.perf_counter()
         scene = build_scene(config)
+        session.timings["scene"] = time.perf_counter() - t0
         report = validate_conditions(scene.params, scene.cluster)
         session.write_text("validation_report.txt", report.to_text())
         session.write_csv("validation_report.csv",
@@ -231,9 +237,11 @@ def run_foldy(config: ExperimentConfig, outdir=None) -> int:
     with OutputSession(config, "foldy", outdir) as session:
         t0 = time.perf_counter()
         scene = build_scene(config)
+        t1 = time.perf_counter()
         t_out = output_lattice(config)
-        traces, grid, fields = _solve_foldy_scene(scene, t_out)
-        session.timings["solve"] = time.perf_counter() - t0
+        traces, fields, session.march["foldy"] = _solve_foldy_scene(scene, t_out)
+        session.timings["scene"] = t1 - t0
+        session.timings["solve"] = time.perf_counter() - t1
         rows = ((t, b, traces.value[i, b], traces.rate[i, b], traces.acc[i, b])
                 for b in range(scene.cluster.n)
                 for i, t in enumerate(traces.times))
@@ -249,9 +257,11 @@ def run_effective(config: ExperimentConfig, outdir=None) -> int:
     with OutputSession(config, "effective", outdir) as session:
         t0 = time.perf_counter()
         scene = build_scene(config)
+        t1 = time.perf_counter()
         t_out = output_lattice(config)
-        trace, grid, wsc = _solve_effective_scene(scene, t_out)
-        session.timings["solve"] = time.perf_counter() - t0
+        trace, wsc, session.march["effective"] = _solve_effective_scene(scene, t_out)
+        session.timings["scene"] = t1 - t0
+        session.timings["solve"] = time.perf_counter() - t1
         rows = ((t, n, trace.value[i, n], trace.rate[i, n], trace.acc[i, n])
                 for n in range(scene.rule.m)
                 for i, t in enumerate(trace.times))
@@ -272,12 +282,14 @@ def run_cq(config: ExperimentConfig, outdir=None) -> int:
     with OutputSession(config, "cq", outdir) as session:
         t0 = time.perf_counter()
         scene = build_scene(config)
+        t1 = time.perf_counter()
         opts = _run_opts(config)
         grid = effective_grid(scene.rule, scene.params, config.horizon,
                               opts["safety"], opts["h_max"])
         scheme = CQScheme.for_grid(grid)
         y = cq_solve(scene.rule, scene.params, scheme, scene.source)
-        session.timings["solve"] = time.perf_counter() - t0
+        session.timings["scene"] = t1 - t0
+        session.timings["solve"] = time.perf_counter() - t1
         rows = ((t, n, y[i, n]) for n in range(scene.rule.m)
                 for i, t in enumerate(grid.times))
         session.write_csv("cq_traces.csv", ["time", "node_id", "y"], rows)
@@ -298,10 +310,10 @@ def run_compare(config: ExperimentConfig, eps: float | None = None, outdir=None,
     scene = build_scene(config, eps)
     t_out = output_lattice(config)
     t0 = time.perf_counter()
-    _, _, u_sc = _solve_foldy_scene(scene, t_out)
+    _, u_sc, foldy_march = _solve_foldy_scene(scene, t_out)
     t_foldy = time.perf_counter() - t0
     t0 = time.perf_counter()
-    _, _, w_sc = _solve_effective_scene(scene, t_out)
+    _, w_sc, effective_march = _solve_effective_scene(scene, t_out)
     t_eff = time.perf_counter() - t0
     dt = t_out[1] - t_out[0]
     errs = compare_fields(u_sc, w_sc, dt)
@@ -311,6 +323,7 @@ def run_compare(config: ExperimentConfig, eps: float | None = None, outdir=None,
         "u_scale": float(np.max(np.abs(u_sc))),
         "_runtime_foldy": t_foldy, "_runtime_effective": t_eff,
         "_u": u_sc, "_w": w_sc, "_t_out": t_out,
+        "_march": {"foldy": foldy_march, "effective": effective_march},
     }
     if session is not None:
         rows = ((t, p, u_sc[p, i], w_sc[p, i])
@@ -324,6 +337,7 @@ def run_compare(config: ExperimentConfig, eps: float | None = None, outdir=None,
                             result["u_scale"])])
         session.timings["foldy"] = t_foldy
         session.timings["effective"] = t_eff
+        session.march.update(result["_march"])
     return result
 
 
@@ -348,11 +362,12 @@ def convergence_sweep(config: ExperimentConfig, outdir=None,
     ratios = [a / b for a, b in zip(eps_list[:-1], eps_list[1:])]
     if any(r < 1.5 for r in ratios):
         raise UsageError("eps values must decrease dyadically")
-    rows = []
+    rows, marches = [], {}
     for eps in eps_list:
         res = run_compare(config, eps=eps)
         rows.append({k: v for k, v in res.items() if not k.startswith("_")}
                     | {"runtime_s": res["_runtime_foldy"] + res["_runtime_effective"]})
+        marches[f"eps_{res['eps']}"] = res["_march"]
     errs = np.array([r["l2_err"] for r in rows])
     eps_arr = np.array([r["eps"] for r in rows])
     coef, lsq_res = np.polyfit(np.log(eps_arr), np.log(errs), 1, full=True)[0:2]
@@ -370,6 +385,7 @@ def convergence_sweep(config: ExperimentConfig, outdir=None,
                           [(slope, residual)])
         for i, r in enumerate(rows):
             session.timings[f"eps_{r['eps']}"] = r["runtime_s"]
+        session.march.update(marches)
     return result
 
 
@@ -396,7 +412,7 @@ def regime_sweep(config: ExperimentConfig, cells=None,
         fom = float(cell["omega_factor"])
         fcp = float(cell.get("coupling_factor", 1.0))
         params = scene.params.with_scaled_resonance(fom).with_scaled_coupling(fcp)
-        trace, _, wsc = _solve_effective_scene(scene, t_out, params=params)
+        trace, wsc, _ = _solve_effective_scene(scene, t_out, params=params)
         field = EffectiveField(scene.rule, trace, params, scene.source)
         w_total = np.stack([field.total(p, t_out) for p in trans_pts])
         proxy = float(np.sqrt((w_total[:, window] ** 2).sum() * dt))

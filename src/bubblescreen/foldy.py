@@ -19,39 +19,22 @@ import numpy as np
 from .errors import EvaluationPointError, SolvabilityError, UsageError
 from .geometry import BubbleCluster
 from .materials import PhysicalParams, validate_conditions
-from .sources import PointSource, pulse_eval
-from .stepping import DelayNetwork, TimeGrid, Trace, retarded_superposition
+from .sources import PointSource
+from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
 
 _CACHE_VERSION = 2
 
 
-class DelaySystem(DelayNetwork):
-    """Delay network specialized to the bubble cluster."""
+class DelaySystem(RetardedNetwork):
+    """Delay network specialized to the bubble cluster: column weight c_eps,
+    mass omega_m_sq, forcing d2/dt2 u_in."""
 
     def __init__(self, cluster: BubbleCluster, params: PhysicalParams,
                  source: PointSource):
-        n = cluster.n
-        diff = cluster.centers[:, None, :] - cluster.centers[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        off = ~np.eye(n, dtype=bool)
-        coupling = np.zeros((n, n))
-        coupling[off] = params.c_eps / (4.0 * np.pi * dist[off])
-        delays = np.zeros((n, n))
-        delays[off] = dist[off] / params.c0
-
-        r_src = np.linalg.norm(cluster.centers - source.x0, axis=1)
-        amp = params.raw.rho_c / r_src
-        shift = r_src / params.c0
-        pulse = source.pulse
-
-        def forcing(t: float) -> np.ndarray:
-            return amp * pulse_eval(pulse, t - shift, 2)
-
-        super().__init__(np.full(n, params.omega_m_sq), coupling, delays,
-                         forcing, shift)
+        super().__init__(cluster.centers, params.c_eps,
+                         np.full(cluster.n, params.omega_m_sq), params, source,
+                         order=2)
         self.cluster = cluster
-        self.params = params
-        self.source = source
 
 
 def assemble(cluster: BubbleCluster, params: PhysicalParams, source: PointSource,

@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's solver code paths: the Duhamel
 solution is built from cumulative Simpson quadrature of the sine-kernel
-convolution, and derivative checks use plain finite differences.
+convolution, and derivative checks use plain finite differences.  The one
+exception is ``reference_march``, the per-query march that the history plan
+of ``DelayNetwork.solve`` replaced, kept as its reference.
 """
 
 import numpy as np
@@ -78,3 +80,43 @@ def planar_grid(n: int, spacing: float) -> np.ndarray:
     idx = np.arange(n) - (n - 1) / 2.0
     xs, ys = np.meshgrid(idx * spacing, idx * spacing, indexing="ij")
     return np.stack([xs.ravel(), ys.ravel(), np.zeros(n * n)], axis=1)
+
+
+def reference_march(network, grid):
+    """The per-query RK4 march the history plan replaced: five delayed sums
+    per step, each interpolating the trace through ``network.accel_all``.
+
+    Returns a ``Trace`` for comparison with ``network.solve(grid)``.
+    """
+    from bubblescreen.stepping import Trace
+
+    n, h, steps = network.n, grid.h, grid.steps
+    times = grid.times
+    Y, V, A, S = (np.zeros((steps + 1, n)) for _ in range(4))
+    trace = Trace(times, Y, V, A, S, network.onset)
+    A[0] = network.accel_all(0.0, Y[0], trace)
+    for ns in range(steps):
+        t = times[ns]
+        y, v = Y[ns], V[ns]
+        k1v = network.accel_all(t, y, trace)
+        k1y = v
+        k2y = v + 0.5 * h * k1v
+        k2v = network.accel_all(t + 0.5 * h, y + 0.5 * h * k1y, trace)
+        k3y = v + 0.5 * h * k2v
+        k3v = network.accel_all(t + 0.5 * h, y + 0.5 * h * k2y, trace)
+        k4y = v + h * k3v
+        k4v = network.accel_all(t + h, y + h * k3y, trace)
+        Y[ns + 1] = y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        V[ns + 1] = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        mn = ns + 1
+        A[mn] = network.accel_all(times[mn], Y[mn], trace)
+        if mn >= 3:
+            S[mn] = (11 * A[mn] - 18 * A[mn - 1] + 9 * A[mn - 2] - 2 * A[mn - 3]) / (6 * h)
+            S[mn - 1] = (2 * A[mn] + 3 * A[mn - 1] - 6 * A[mn - 2] + A[mn - 3]) / (6 * h)
+        elif mn == 2:
+            S[2] = (3 * A[2] - 4 * A[1] + A[0]) / (2 * h)
+            S[1] = (A[2] - A[0]) / (2 * h)
+        else:
+            S[1] = (A[1] - A[0]) / h
+            S[0] = S[1]
+    return trace

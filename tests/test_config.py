@@ -1,0 +1,45 @@
+from pathlib import Path
+
+import pytest
+
+from bubblescreen import ExperimentConfig
+from bubblescreen.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", ["configs/default.yaml",
+                                  "perfbench/configs/sphere_cluster.yaml"])
+def test_committed_configs_load(path):
+    ExperimentConfig.load(ROOT / path)
+
+
+def test_user_k_section_replaces_default():
+    cfg = ExperimentConfig.from_dict({"k": {"name": "linear_axis", "scale": 4}})
+    assert cfg.data["k"] == {"name": "linear_axis", "scale": 4}
+    assert cfg.k_function().label == "linear_axis:4.0:0.5:2"
+    assert ExperimentConfig.from_dict({}).k_function().label == "constant:0.0"
+
+
+@pytest.mark.parametrize("raw", [
+    {"run": {"epss": 0.01}},
+    {"surface": {"areaa": 2.0}},
+    {"sead": 3},
+    {"k": {"constant": 1.0, "scale": 2.0}},
+    {"k": {"name": "linear_axis", "slope": 2.0}},
+    {"k": {"name": "quadratic"}},
+    {"regimes": {"cells": [{"omega_factor": 1.0, "coupling_facter": 2.0}]}},
+    {"pulse": 1.0},
+])
+def test_unknown_keys_rejected(raw):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_optional_keys_accepted():
+    eps_list = [1 / 64, 1 / 256, 1 / 1024]
+    cfg = ExperimentConfig.from_dict({
+        "sweep": {"eps_list": eps_list, "d_list": [e**0.5 for e in eps_list]},
+        "k": {"name": "linear_axis", "scale": 2.0, "offset": 0.25, "axis": 0},
+    })
+    assert cfg.k_function().label == "linear_axis:2.0:0.25:0"

@@ -211,6 +211,18 @@ class TestMemoryKernel:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 3.5)
 
+    def test_short_traces(self):
+        from bubblescreen.effective import _second_derivative
+        # three samples: the three-point rule, exact for a quadratic
+        t = np.array([0.0, 0.25, 0.5])
+        assert np.allclose(_second_derivative(t**2, 0.25), 2.0, rtol=1e-14)
+        with pytest.raises(UsageError):
+            _second_derivative(np.array([0.0, 1.0]), 0.5)
+        # a one-step grid has no second derivative to offer
+        one = TimeGrid.fit(0.5, 0.5)
+        with pytest.raises(UsageError):
+            memory_convolution(np.array([0.0, 1.0]), 1.0, one)
+
     def test_identity_second_order_refinement_on_solver_trace(self, params, disk_scene):
         rule = disk_scene["rule"]
         source = disk_scene["source"]
