@@ -54,6 +54,13 @@ _OPTIONAL_KEYS: dict = {"sweep": {"d_list"}}
 # other form.
 _LINEAR_AXIS_KEYS = {"name", "scale", "offset", "axis"}
 _REGIME_CELL_KEYS = {"omega_factor", "coupling_factor"}
+# The shape of every value a config may set: a number where the defaults hold
+# one (an int where they hold an int), and lists of those.
+_VALUE_SHAPES: dict = {
+    **_DEFAULTS,
+    "k": {"constant": 0.0, "name": "", "scale": 0.0, "offset": 0.0, "axis": 0},
+    "sweep": {**_DEFAULTS["sweep"], "d_list": [0.0]},
+}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -89,6 +96,33 @@ def _check_keys(data: dict) -> None:
         if not isinstance(cell, dict):
             raise ConfigError("regimes.cells entries must be mappings")
         unknown(cell, _REGIME_CELL_KEYS, "a regimes cell")
+
+
+def _check_values(shape, value, where: str = ""):
+    """``value`` with every number that ``shape`` calls for checked.
+
+    A string that parses as a number (YAML reads ``1e-3`` as one) is replaced
+    by the number; anything else raises ``ConfigError`` naming the key.
+    """
+    if isinstance(shape, dict):
+        return {key: _check_values(shape[key], val, f"{where}.{key}" if where else key)
+                if key in shape else val for key, val in value.items()}
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config value {where} must be a list, got {value!r}")
+        return [_check_values(shape[0], val, f"{where}[{i}]") for i, val in enumerate(value)]
+    if isinstance(shape, str) or (shape is None and value is None):
+        return value
+    kind = int if isinstance(shape, int) else float
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"config value {where} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}") from None
+    return number if isinstance(value, str) else value
 
 
 @dataclass
@@ -167,8 +201,8 @@ class ExperimentConfig:
 
     # -- validation --------------------------------------------------------
     def validate(self) -> None:
-        data = self.data
-        _check_keys(data)
+        _check_keys(self.data)
+        self.data = data = _check_values(_VALUE_SHAPES, self.data)
         self.k_function()
         if data["surface"]["kind"] not in ("disk", "sphere"):
             raise ConfigError(f"unknown surface kind {data['surface']['kind']!r}")
@@ -186,15 +220,11 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"regime violation: d={d} must equal sqrt(eps)={np.sqrt(e)}"
                     )
-        d_max = float(np.sqrt(max(eps_list + [self.eps])))
         obs = self.observation_points
         if obs.ndim != 2 or obs.shape[1] != 3:
             raise ConfigError("observation points must be a list of xyz triples")
-        # stand-off check needs the surface; done cheaply against the z=0 plane
-        # proxy for disks and exactly in build_scene for both kinds
         if float(data["run"]["step_safety"]) <= 0 or float(data["run"]["step_safety"]) > 0.5:
             raise ConfigError("run.step_safety must lie in (0, 0.5]")
-        self._d_max = d_max
 
     # -- hashing -----------------------------------------------------------
     def canonical_json(self) -> str:

@@ -163,10 +163,6 @@ class EffectiveField:
     def total(self, x, t, min_dist_factor: float = 2.0):
         return incident_eval(self.source, x, t, 0) + self.scattered(x, t, min_dist_factor)
 
-    def surface_trace(self, node: int) -> np.ndarray:
-        """W on Gamma at a node: U + omega_m_sq * U'' (no near-singular limit)."""
-        return self.trace.value[:, node] + self.params.omega_m_sq * self.trace.acc[:, node]
-
 
 # ---------------------------------------------------------------------------
 # Memory kernel

@@ -119,7 +119,7 @@ def circle_rect_area(x1: float, x2: float, y1: float, y2: float, r: float) -> fl
 # ---------------------------------------------------------------------------
 @dataclass
 class Patch:
-    """One surface patch: center on the surface, exact area, tangent frame.
+    """One surface patch: center on the surface and exact area.
 
     ``bounds`` carries the parameter box needed for intra-patch placement:
     disk -> (x0, y0, size); sphere collar -> (z_lo, z_hi, phi_lo, phi_hi);
@@ -128,7 +128,6 @@ class Patch:
 
     center: np.ndarray
     area: float
-    frame: np.ndarray  # (2, 3) tangent basis
     bounds: tuple
 
 
@@ -227,12 +226,10 @@ def _partition_disk(surface: SurfaceDescriptor, d: float) -> Patchwork:
         areas[k] += area
         assignments.append(((i, j), k, "merged"))
 
-    frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     patches = [
         Patch(
             center=np.array([cx, cy, 0.0]),
             area=float(a),
-            frame=frame,
             bounds=(interior[k][0] * d + ox, interior[k][1] * d + oy, d),
         )
         for k, ((cx, cy), a) in enumerate(zip(centers, areas))
@@ -271,15 +268,6 @@ def _sector_centroid(r: float, th_a: float, th_b: float, ph_a: float, ph_b: floa
     return c / nrm * r
 
 
-def _tangent_frame(center: np.ndarray) -> np.ndarray:
-    n = center / np.linalg.norm(center)
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(n, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return np.stack([e1, e2])
-
-
 def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
     r = surface.radius
     total = surface.total_area
@@ -299,9 +287,7 @@ def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
     counts = _collar_counts(ideal, m - 2)
 
     patches: list[Patch] = [
-        Patch(center=np.array([0.0, 0.0, r]), area=v,
-              frame=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-              bounds=("cap", 1.0, theta_cap))
+        Patch(center=np.array([0.0, 0.0, r]), area=v, bounds=("cap", 1.0, theta_cap))
     ]
     # collar boundaries recomputed from cumulative exact areas -> every patch
     # has area exactly v
@@ -317,15 +303,12 @@ def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
             ph_b = offset + 2.0 * np.pi * (k + 1) / n_i
             center = _sector_centroid(r, th_a, th_b, ph_a, ph_b)
             patches.append(
-                Patch(center=center, area=v, frame=_tangent_frame(center),
-                      bounds=(r * cos_lo, r * cos_hi, ph_a, ph_b))
+                Patch(center=center, area=v, bounds=(r * cos_lo, r * cos_hi, ph_a, ph_b))
             )
         used += n_i
         cos_hi = cos_lo
     patches.append(
-        Patch(center=np.array([0.0, 0.0, -r]), area=v,
-              frame=np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
-              bounds=("cap", -1.0, theta_cap))
+        Patch(center=np.array([0.0, 0.0, -r]), area=v, bounds=("cap", -1.0, theta_cap))
     )
     assignments = [((k,), k, "sector") for k in range(len(patches))]
     return Patchwork(surface=surface, d=d, patches=patches, cell_assignments=assignments)
@@ -368,10 +351,6 @@ class KFunction:
         if np.any(vals < 0):
             raise ConfigError("K must be nonnegative on the surface")
         return np.floor(vals).astype(int) + 1
-
-    def sup_plus_one(self, points: np.ndarray) -> float:
-        """Sampled sup of floor(K)+1 over the given surface points."""
-        return float(self.counts_at(points).max())
 
 
 @dataclass

@@ -51,13 +51,6 @@ def assemble_operator(rule: QuadratureRule, params: PhysicalParams,
     return a
 
 
-def single_layer_matrix(rule: QuadratureRule, params: PhysicalParams,
-                        s: complex) -> np.ndarray:
-    """Shat_s alone (for coercivity diagnostics)."""
-    a = assemble_operator(rule, params, s)
-    return (a - (params.omega_m_sq * s * s + 1.0) * np.eye(rule.m)) / (s * s)
-
-
 def weighted_norm(rule: QuadratureRule, v: np.ndarray) -> float:
     """Discrete L2(Gamma) norm with quadrature weights."""
     return float(np.sqrt((rule.weights * np.abs(v) ** 2).sum()))
@@ -99,14 +92,6 @@ def laplace_solve(rule: QuadratureRule, params: PhysicalParams, s: complex,
     bound = abs(s) / s.real * rn
     return LaplaceSolution(s=s, values=y, rhs_norm=rn, sol_norm=sn, bound=bound,
                            bound_ok=bool(sn <= bound * (1 + 1e-12)), residual=res)
-
-
-def coercivity_value(rule: QuadratureRule, params: PhysicalParams, s: complex,
-                     y: np.ndarray) -> float:
-    """Re( s * <Shat_s y, y>_w ); nonnegative for the continuous operator."""
-    smat = single_layer_matrix(rule, params, s)
-    q = np.sum(rule.weights * np.conj(y) * (smat @ y))
-    return float((s * q).real)
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,23 @@ where A is a purely geometric constant of the reference bubble shape,
 
     A = (1/|dB|) * integral_{dB x dB}  (x - y).nu_x / |x - y|  dsigma_x dsigma_y.
 
-For a ball of radius a the integrand reduces to |x - y| / (2a) and A = 2*vol(B),
-so omega_m_sq equals the coupling prefactor c_bar = vol(B)*rho_c/kappa_b_bar.
+For a ball of radius a the integrand reduces to |x - y| / (2a) and
+A = 8 pi a^2 / 3, which is 2*vol(B) for the unit reference ball; there
+omega_m_sq equals the coupling prefactor c_bar = vol(B)*rho_c/kappa_b_bar.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, GeometryError, ParameterError
+from .errors import GeometryError, ParameterError
 
 #: Classical magnetization-operator eigenvalue for a ball; used only inside the
 #: point-scatterer inversion condition and overridable through the config.
 DEFAULT_LAMBDA1_MAG = 1.0 / 3.0
-
-#: Gauss-Legendre refinement ladder for the double surface quadrature.
-_QUAD_LADDER = (8, 12, 16, 24, 32, 48, 64, 96)
 
 
 @dataclass(frozen=True)
@@ -129,58 +126,13 @@ class PhysicalParams:
         )
 
 
-def _sphere_pair_quadrature(radius: float, order: int) -> float:
-    """Tensor-product Gauss-Legendre value of the double surface integral.
+def geometric_constant(shape: ShapeDescriptor) -> float:
+    """The shape constant A of the reference ball in closed form, 8 pi a^2 / 3.
 
-    Uses the sphere reduction (x-y).nu_x/|x-y| = |x-y|/(2a), which removes the
-    diagonal singularity (the integrand vanishes continuously at x = y).
+    With the integrand |x - y| / (2a) and the mean chord 4a/3 between two
+    points of the sphere, A = |dB| * (4a/3) / (2a) = (2/3) |dB|.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(order)
-    theta = 0.5 * np.pi * (nodes + 1.0)
-    w_theta = 0.5 * np.pi * wts
-    phi = np.pi * (nodes + 1.0)
-    w_phi = np.pi * wts
-
-    a = radius
-    th, ph = np.meshgrid(theta, phi, indexing="ij")
-    pts = np.stack(
-        [a * np.sin(th) * np.cos(ph), a * np.sin(th) * np.sin(ph), a * np.cos(th)],
-        axis=-1,
-    ).reshape(-1, 3)
-    wsurf = (np.outer(w_theta * np.sin(theta), w_phi)).ravel() * a * a
-
-    # |x - y|^2 = 2 a^2 - 2 x.y on the sphere; Gram form keeps this BLAS-bound
-    total = 0.0
-    chunk = max(1, (1 << 24) // max(len(pts), 1))
-    for lo in range(0, len(pts), chunk):
-        gram = pts[lo:lo + chunk] @ pts.T
-        dist = np.sqrt(np.maximum(2.0 * a * a - 2.0 * gram, 0.0))
-        total += float(wsurf[lo:lo + chunk] @ dist @ wsurf)
-    return total / (2.0 * a) / (4.0 * np.pi * a * a)
-
-
-@lru_cache(maxsize=16)
-def geometric_constant(shape: ShapeDescriptor, order: int = 96, rtol: float = 1e-5) -> float:
-    """Compute the shape constant A by refined double surface quadrature.
-
-    Refines through a fixed Gauss-Legendre ladder capped at ``order`` until the
-    successive relative change drops below ``rtol``.  The integrand's diagonal
-    kink limits the tensor rule to algebraic convergence, so the default
-    tolerance is 1e-5 (comfortably inside the 1e-4 accuracy contract for the
-    ball identity A = 2*vol).
-    """
-    ladder = [n for n in _QUAD_LADDER if n <= order]
-    if not ladder:
-        raise AccuracyError(f"quadrature order {order} below minimum supported ({_QUAD_LADDER[0]})")
-    prev = None
-    for n in ladder:
-        val = _sphere_pair_quadrature(shape.radius, n)
-        if prev is not None and abs(val - prev) <= rtol * abs(val):
-            return val
-        prev = val
-    raise AccuracyError(
-        f"geometric constant did not converge to rtol={rtol} within order {ladder[-1]}"
-    )
+    return 2.0 * shape.surface_area / 3.0
 
 
 def derive_params(raw: RawMaterials, shape: ShapeDescriptor | None = None) -> PhysicalParams:

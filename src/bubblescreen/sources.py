@@ -137,8 +137,3 @@ def incident_eval(source: PointSource, x, t, time_deriv: int = 0):
         out = out[0]
         return float(out[0]) if scalar_t else out
     return out[:, 0] if scalar_t else out
-
-
-def stand_off_ok(source: PointSource, surface, d: float, factor: float = 5.0) -> bool:
-    """Check the source stand-off dist(x0, Gamma) >= factor * d."""
-    return float(surface.surface_distance(source.x0[None, :])[0]) >= factor * d

@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's solver code paths: the Duhamel
 solution is built from cumulative Simpson quadrature of the sine-kernel
-convolution, and derivative checks use plain finite differences.  The one
-exception is ``reference_march``, the per-query march that the history plan
-of ``DelayNetwork.solve`` replaced, kept as its reference.
+convolution, derivative checks use plain finite differences, and the shape
+constant of the ball is a tensor Gauss-Legendre double surface integral.  The
+one exception is ``reference_march``, the per-query march that the history
+plan of ``DelayNetwork.solve`` replaced, kept as its reference.
 """
 
 import numpy as np
@@ -80,6 +81,40 @@ def planar_grid(n: int, spacing: float) -> np.ndarray:
     idx = np.arange(n) - (n - 1) / 2.0
     xs, ys = np.meshgrid(idx * spacing, idx * spacing, indexing="ij")
     return np.stack([xs.ravel(), ys.ravel(), np.zeros(n * n)], axis=1)
+
+
+def sphere_pair_quadrature(radius: float, order: int) -> float:
+    """Tensor-product Gauss-Legendre value of the shape constant of a ball,
+
+        A = (1/|dB|) int_{dB x dB} (x - y).nu_x / |x - y| dsigma_x dsigma_y,
+
+    the independent check of the closed form A = 8 pi a^2 / 3.  Uses the sphere
+    reduction (x-y).nu_x/|x-y| = |x-y|/(2a), which removes the diagonal
+    singularity (the integrand vanishes continuously at x = y); the remaining
+    kink limits the tensor rule to algebraic convergence.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    theta = 0.5 * np.pi * (nodes + 1.0)
+    w_theta = 0.5 * np.pi * wts
+    phi = np.pi * (nodes + 1.0)
+    w_phi = np.pi * wts
+
+    a = radius
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    pts = np.stack(
+        [a * np.sin(th) * np.cos(ph), a * np.sin(th) * np.sin(ph), a * np.cos(th)],
+        axis=-1,
+    ).reshape(-1, 3)
+    wsurf = (np.outer(w_theta * np.sin(theta), w_phi)).ravel() * a * a
+
+    # |x - y|^2 = 2 a^2 - 2 x.y on the sphere; Gram form keeps this BLAS-bound
+    total = 0.0
+    chunk = max(1, (1 << 24) // max(len(pts), 1))
+    for lo in range(0, len(pts), chunk):
+        gram = pts[lo:lo + chunk] @ pts.T
+        dist = np.sqrt(np.maximum(2.0 * a * a - 2.0 * gram, 0.0))
+        total += float(wsurf[lo:lo + chunk] @ dist @ wsurf)
+    return total / (2.0 * a) / (4.0 * np.pi * a * a)
 
 
 def reference_march(network, grid):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,27 @@ def test_optional_keys_accepted():
         "k": {"name": "linear_axis", "scale": 2.0, "offset": 0.25, "axis": 0},
     })
     assert cfg.k_function().label == "linear_axis:2.0:0.25:0"
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"k": {"constant": "abc"}}, "k.constant"),
+    ({"run": {"T": "abc"}}, "run.T"),
+    ({"run": {"n_out": "12.5"}}, "run.n_out"),
+    ({"run": {"observation_points": [[0.0, 0.0, "x"]]}}, "run.observation_points[0][2]"),
+    ({"sweep": {"eps_list": 0.01}}, "sweep.eps_list"),
+    ({"regimes": {"cells": [{"omega_factor": None}]}}, "regimes.cells[0].omega_factor"),
+    ({"materials": {"rho_c": True}}, "materials.rho_c"),
+])
+def test_value_types_rejected(raw, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_numeric_strings_become_numbers():
+    # YAML 1.1 reads 1e-3 (no dot) as a string
+    cfg = ExperimentConfig.from_dict({"run": {"eps": "1e-3"}, "seed": "3",
+                                      "counting": {"d_list": ["0.25", 0.125]}})
+    assert cfg.data["run"]["eps"] == 1e-3
+    assert cfg.data["seed"] == 3
+    assert cfg.data["counting"]["d_list"] == [0.25, 0.125]
+    assert cfg.data["pulse"]["omega0"] is None

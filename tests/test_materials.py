@@ -4,17 +4,19 @@ import pytest
 from bubblescreen import (BubbleCluster, RawMaterials, ShapeDescriptor,
                           build_surface, derive_params, geometric_constant,
                           validate_conditions)
-from bubblescreen.errors import AccuracyError, GeometryError, ParameterError
+from bubblescreen.errors import GeometryError, ParameterError
 
-from oracles import brute_inverse_distance_sum, planar_grid
+from oracles import (brute_inverse_distance_sum, planar_grid,
+                     sphere_pair_quadrature)
 
 EIGHT_PI_THIRDS = 8.0 * np.pi / 3.0
 
 
 class TestGeometricConstant:
     def test_unit_sphere_value(self):
-        a = geometric_constant(ShapeDescriptor())
-        assert abs(a - EIGHT_PI_THIRDS) < 1e-4 * EIGHT_PI_THIRDS
+        # for the unit reference ball A = 2*vol(B) = 8 pi / 3
+        shape = ShapeDescriptor()
+        assert geometric_constant(shape) == pytest.approx(EIGHT_PI_THIRDS, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     def test_radius_scaling_is_quadratic(self, scale):
@@ -22,20 +24,25 @@ class TestGeometricConstant:
         # constant scales with the surface measure ratio a^4/a^2 = a^2
         a1 = geometric_constant(ShapeDescriptor())
         a2 = geometric_constant(ShapeDescriptor(radius=scale))
-        assert abs(a2 / a1 - scale**2) < 1e-4 * scale**2
+        assert a2 / a1 == pytest.approx(scale**2, rel=1e-14)
 
     def test_ball_identity_two_volumes(self):
+        # the closed form against the independent double surface quadrature
         shape = ShapeDescriptor()
         a = geometric_constant(shape)
-        assert abs(a - 2.0 * shape.volume) < 1e-4 * a
+        assert abs(sphere_pair_quadrature(1.0, 48) - a) < 1e-4 * a
+        assert a == 2.0 * shape.volume
 
-    def test_degenerate_order_guard(self):
-        with pytest.raises(AccuracyError):
-            geometric_constant(ShapeDescriptor(), order=0)
+    def test_closed_form_off_unit_radius(self):
+        # A = 8 pi a^2 / 3 is 2*vol(B) only at a = 1
+        a = geometric_constant(ShapeDescriptor(radius=2.0))
+        assert abs(sphere_pair_quadrature(2.0, 48) - a) < 1e-4 * a
 
-    def test_nonconvergent_refinement(self):
-        with pytest.raises(AccuracyError):
-            geometric_constant(ShapeDescriptor(radius=3.0), order=16, rtol=1e-12)
+    def test_oracle_converges_to_closed_form(self):
+        a = geometric_constant(ShapeDescriptor())
+        err24 = abs(sphere_pair_quadrature(1.0, 24) - a)
+        err48 = abs(sphere_pair_quadrature(1.0, 48) - a)
+        assert err48 < 0.5 * err24
 
 
 class TestDeriveParams:
