@@ -16,8 +16,8 @@ from .geometry import (BubbleCluster, KFunction, Patchwork, SurfaceDescriptor,
                        inverse_distance_sum, partition, place_bubbles)
 from .sources import PointSource, SourcePulse, incident_eval, pulse_eval
 from .stepping import DelayNetwork, TimeGrid, Trace
-from .foldy import (DelaySystem, acceleration, assemble, default_grid,
-                    scattered_field, scattered_series, solve)
+from .foldy import (DelaySystem, assemble, default_grid, scattered_field,
+                    scattered_series)
 from .effective import (EffectiveField, QuadratureRule, build_rule,
                         effective_grid, effective_scattered, jump_residual,
                         kernel_identity_residual, memory_convolution,
@@ -35,8 +35,8 @@ __all__ = [
     "partition", "place_bubbles",
     "PointSource", "SourcePulse", "incident_eval", "pulse_eval",
     "DelayNetwork", "TimeGrid", "Trace",
-    "DelaySystem", "acceleration", "assemble", "default_grid",
-    "scattered_field", "scattered_series", "solve",
+    "DelaySystem", "assemble", "default_grid", "scattered_field",
+    "scattered_series",
     "EffectiveField", "QuadratureRule", "build_rule", "effective_grid",
     "effective_scattered", "jump_residual", "kernel_identity_residual",
     "memory_convolution", "solve_effective",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationPointError, UsageError
-from .geometry import KFunction, Patchwork
+from .geometry import KFunction, Patchwork, min_pairwise_distance
 from .materials import PhysicalParams
 from .sources import PointSource, incident_eval
 from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
@@ -70,14 +70,6 @@ class QuadratureRule:
             normals=np.asarray(normals, dtype=float), spacing=float(spacing),
             area=float(weights.sum()) if area is None else float(area),
         )
-
-    def min_internode(self) -> float:
-        if self.m < 2:
-            return np.inf
-        diff = self.nodes[:, None, :] - self.nodes[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        dist[np.eye(self.m, dtype=bool)] = np.inf
-        return float(dist.min())
 
 
 def build_rule(patchwork: Patchwork, cluster_or_k) -> QuadratureRule:
@@ -127,7 +119,7 @@ def solve_effective(rule: QuadratureRule, params: PhysicalParams,
 
 def effective_grid(rule: QuadratureRule, params: PhysicalParams, T: float,
                    safety: float = 0.4, h_max: float = 0.05) -> TimeGrid:
-    dmin = rule.min_internode()
+    dmin = min_pairwise_distance(rule.nodes)
     target = min(h_max, safety * dmin / params.c0) if np.isfinite(dmin) else h_max
     return TimeGrid.fit(T, target)
 

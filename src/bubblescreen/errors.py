@@ -22,11 +22,11 @@ class UsageError(ConfigError):
 
 
 class GeometryError(BubblescreenError):
-    """Invalid cluster geometry (coincident centers, infeasible packing)."""
+    """Invalid cluster geometry (coincident centers, centers off the surface)."""
 
 
 class ResolutionError(ConfigError):
-    """Patch spacing too coarse for the requested surface."""
+    """Patch spacing too coarse for the requested surface or bubble count."""
 
 
 class SolverError(BubblescreenError):

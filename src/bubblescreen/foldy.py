@@ -53,17 +53,6 @@ def assemble(cluster: BubbleCluster, params: PhysicalParams, source: PointSource
     return DelaySystem(cluster, params, source)
 
 
-def acceleration(system: DelaySystem, m: int, t: float, state: np.ndarray,
-                 history: Trace) -> float:
-    """Y_m'' from the algebraic rearrangement of the delay system."""
-    return system.acceleration(m, t, state, history)
-
-
-def solve(system: DelaySystem, grid: TimeGrid) -> Trace:
-    """March the system with RK4; returns the dense bubble traces."""
-    return system.solve(grid)
-
-
 def default_grid(system: DelaySystem, T: float, safety: float = 0.4,
                  h_max: float = 0.05) -> TimeGrid:
     """Grid respecting the step bound h <= 0.5 * minimum delay."""

@@ -160,7 +160,7 @@ class Patchwork:
         if self.m * self.d**2 < 0.75 * self.surface.total_area or (
             self.m * self.d**2 > 1.25 * self.surface.total_area
         ):
-            raise GeometryError("patch count inconsistent with M ~ d^-2 regime")
+            raise ResolutionError("patch count inconsistent with M ~ d^-2 regime")
         if self.surface.kind == "sphere":
             if np.any(np.abs(areas - self.d**2) > 0.2 * self.d**2):
                 raise GeometryError("sphere patch areas beyond 20% of d^2")
@@ -394,12 +394,25 @@ def import_cluster_csv(path, eps: float, surface: SurfaceDescriptor) -> BubbleCl
     )
 
 
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """(n, n) matrix of |p_i - p_j|, accumulated one coordinate at a time.
+
+    No (n, n, 3) difference array is built.  The diagonal is exactly zero and
+    the matrix exactly symmetric, since (a - b)^2 == (b - a)^2 in floating
+    point.
+    """
+    pts = np.asarray(points, dtype=float)
+    d2 = np.subtract.outer(pts[:, 0], pts[:, 0]) ** 2
+    for k in range(1, pts.shape[1]):
+        d2 += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
+    return np.sqrt(d2, out=d2)
+
+
 def min_pairwise_distance(points: np.ndarray) -> float:
     if len(points) < 2:
         return float("inf")
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    dist[np.eye(len(points), dtype=bool)] = np.inf
+    dist = pairwise_distances(points)
+    np.fill_diagonal(dist, np.inf)
     return float(dist.min())
 
 
@@ -459,7 +472,7 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     d = patchwork.d
     n_max = int(counts.max())
     if 0.3 * d / np.sqrt(n_max) <= 2.0 * eps:
-        raise GeometryError(
+        raise ResolutionError(
             f"infeasible packing: {n_max} bubbles of scale eps={eps} in patches of size {d}"
         )
     all_pts, pids = [], []
@@ -511,7 +524,7 @@ def counting_bound(d: float, k: float) -> float:
 
 
 def max_anchor_sum(points: np.ndarray, k: float) -> float:
-    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    dist = pairwise_distances(points)
     np.fill_diagonal(dist, np.inf)
     return float((dist**-k).sum(axis=1).max())
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError, SolverError, UsageError
 from .effective import QuadratureRule
+from .geometry import pairwise_distances
 from .materials import PhysicalParams
 from .sources import PointSource, pulse_eval
 from .stepping import TimeGrid
@@ -39,8 +40,7 @@ def assemble_operator(rule: QuadratureRule, params: PhysicalParams,
     if s.real <= 0:
         raise ParameterError("Laplace frequency must have positive real part")
     m = rule.m
-    diff = rule.nodes[:, None, :] - rule.nodes[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = pairwise_distances(rule.nodes)
     np.fill_diagonal(dist, 1.0)
     colfac = rule.weights * rule.density * params.c_bar
     smat = colfac[None, :] * np.exp(-s * dist / params.c0) / (4.0 * np.pi * dist)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ParameterError
+from .geometry import pairwise_distances
 
 #: Classical magnetization-operator eigenvalue for a ball; used only inside the
 #: point-scatterer inversion condition and overridable through the config.
@@ -199,17 +200,13 @@ class ValidationReport:
 
 def max_anchor_interaction(centers: np.ndarray, c_eps: float) -> float:
     """max over anchors a of sum_{b != a} c_eps / (4 pi |z_a - z_b|)."""
-    n = len(centers)
-    if n < 2:
+    if len(centers) < 2:
         return 0.0
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    if np.any(dist[~np.eye(n, dtype=bool)] == 0.0):
+    dist = pairwise_distances(centers)
+    np.fill_diagonal(dist, np.inf)  # 1/inf adds an exact 0 for the anchor
+    if dist.min() == 0.0:
         raise GeometryError("coincident bubble centers")
-    inv = np.zeros_like(dist)
-    off = ~np.eye(n, dtype=bool)
-    inv[off] = 1.0 / dist[off]
-    sums = c_eps / (4.0 * np.pi) * inv.sum(axis=1)
+    sums = c_eps / (4.0 * np.pi) * (1.0 / dist).sum(axis=1)
     return float(sums.max())
 
 

@@ -43,6 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, SolverError, UsageError
+from .geometry import pairwise_distances
 from .sources import pulse_eval
 
 
@@ -222,10 +223,6 @@ class DelayNetwork:
                                   minlength=self.n)
         return (self.forcing(t) - y - delayed) / self.masses
 
-    def acceleration(self, m: int, t: float, state: np.ndarray, trace: Trace) -> float:
-        """Acceleration of oscillator m given the full state vector at time t."""
-        return float(self.accel_all(t, np.asarray(state, dtype=float), trace)[m])
-
     def _stage_plan(self, grid: TimeGrid, sigma: float) -> _StagePlan:
         """History plan for the delayed sum at t_n + sigma*h, n < steps."""
         n, h = self.n, grid.h
@@ -322,15 +319,10 @@ class RetardedNetwork(DelayNetwork):
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
                  params, source, order: int):
         nodes = np.asarray(nodes, dtype=float)
-        n = len(nodes)
-        diff = nodes[:, None, :] - nodes[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        off = ~np.eye(n, dtype=bool)
-        coupling = np.zeros((n, n))
-        weight = np.broadcast_to(np.asarray(col_weight, dtype=float), (n, n))
-        coupling[off] = weight[off] / (4.0 * np.pi * dist[off])
-        delays = np.zeros((n, n))
-        delays[off] = dist[off] / params.c0
+        dist = pairwise_distances(nodes)
+        delays = dist / params.c0
+        np.fill_diagonal(dist, np.inf)  # w_j / inf: an exact zero self-coupling
+        coupling = np.asarray(col_weight, dtype=float) / (4.0 * np.pi * dist)
 
         r_src = np.linalg.norm(nodes - source.x0, axis=1)
         amp = params.raw.rho_c / r_src

@@ -20,6 +20,8 @@ def test_validate_exits_zero(tmp_path):
     {"run": {"epss": 0.01}},
     {"k": {"constant": "abc"}},
     {"run": {"T": "abc"}},
+    {"run": {"eps": 0.0625}},   # d = 1/4: patch count outside M ~ d^-2
+    {"k": {"constant": 2}},     # three bubbles per patch do not fit at d = 1/8
 ])
 def test_config_errors_exit_two(tmp_path, raw, capsys):
     path = _config(tmp_path, raw)

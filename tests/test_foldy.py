@@ -2,28 +2,22 @@ import numpy as np
 import pytest
 
 from bubblescreen import (BubbleCluster, DelayNetwork, PointSource,
-                          SourcePulse, TimeGrid, acceleration, assemble,
-                          build_surface, default_grid, pulse_eval,
-                          scattered_field, solve)
+                          SourcePulse, TimeGrid, assemble, build_surface,
+                          default_grid, pulse_eval, scattered_field)
 from bubblescreen.errors import (ConfigError, EvaluationPointError,
                                  SolvabilityError)
 from bubblescreen.foldy import load_traces, save_traces
+from bubblescreen.geometry import min_pairwise_distance
 
 from oracles import duhamel_oscillator, planar_grid
 
 
 def make_cluster(centers, eps=1.0 / 64.0):
     centers = np.asarray(centers, dtype=float)
-    if len(centers) > 1:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        dist[np.eye(len(centers), dtype=bool)] = np.inf
-        d_min = float(dist.min())
-    else:
-        d_min = np.inf
     return BubbleCluster(centers=centers, patch_ids=np.arange(len(centers)),
                          counts=np.ones(len(centers), dtype=int), eps=eps,
-                         d_min=d_min, surface=build_surface("disk", 1.0))
+                         d_min=min_pairwise_distance(centers),
+                         surface=build_surface("disk", 1.0))
 
 
 def make_source(params, x0=(0.0, 0.0, 1.5), omega0=None, t_rise=1.0):
@@ -66,8 +60,8 @@ class TestAcceleration:
         cluster = make_cluster([[0, 0, 0], [0.3, 0, 0]])
         system = assemble(cluster, params, make_source(params))
         grid = TimeGrid.fit(1.0, 0.05)
-        trace = solve(system, grid)  # source front arrives after ~1.3
-        val = acceleration(system, 0, 0.5, np.zeros(2), trace)
+        trace = system.solve(grid)  # source front arrives after ~1.3
+        val = system.accel_all(0.5, np.zeros(2), trace)[0]
         assert val == 0.0
 
     def test_single_bubble_formula(self, params):
@@ -75,21 +69,21 @@ class TestAcceleration:
         source = make_source(params)
         system = assemble(cluster, params, source)
         grid = TimeGrid.fit(4.0, 0.01)
-        trace = solve(system, grid)
+        trace = system.solve(grid)
         t, y = 3.5, 0.37
         g = system.forcing(t)[0]
         expected = (g - y) / params.omega_m_sq
-        assert acceleration(system, 0, t, np.array([y]), trace) == pytest.approx(
+        assert system.accel_all(t, np.array([y]), trace)[0] == pytest.approx(
             expected, rel=1e-14)
 
     def test_symmetric_pair_equal(self, params):
         cluster = make_cluster([[0.3, 0, 0], [-0.3, 0, 0]])
         system = assemble(cluster, params, make_source(params, x0=(0, 0, 1.5)))
         grid = TimeGrid.fit(5.0, 0.05)
-        trace = solve(system, grid)
+        trace = system.solve(grid)
         state = np.array([0.11, 0.11])
-        a0 = acceleration(system, 0, 4.0, state, trace)
-        a1 = acceleration(system, 1, 4.0, state, trace)
+        a0 = system.accel_all(4.0, state, trace)[0]
+        a1 = system.accel_all(4.0, state, trace)[1]
         assert a0 == pytest.approx(a1, abs=1e-14)
 
 
@@ -106,7 +100,7 @@ class TestSolve:
         source = make_source(params, x0=(0, 0, 1.0))
         system = assemble(cluster, params, source)
         grid = TimeGrid.fit(6.0, 1e-3)
-        trace = solve(system, grid)
+        trace = system.solve(grid)
         r = np.linalg.norm(cluster.centers[0] - source.x0)
         g = pulse_eval(source.pulse, grid.times - r / params.c0, 2) / r
         ref = duhamel_oscillator(grid.times, g, params.omega_m_sq)
@@ -116,7 +110,7 @@ class TestSolve:
     def test_symmetric_bubbles_identical_traces(self, params):
         cluster = make_cluster([[0.3, 0.1, 0], [-0.3, 0.1, 0]])
         system = assemble(cluster, params, make_source(params, x0=(0, 0.2, 1.5)))
-        trace = solve(system, default_grid(system, 6.0))
+        trace = system.solve(default_grid(system, 6.0))
         assert np.abs(trace.value[:, 0] - trace.value[:, 1]).max() < 1e-10
 
     def test_causality_before_front(self, params):
@@ -124,7 +118,7 @@ class TestSolve:
         source = make_source(params, x0=(0, 0, 2.0))
         system = assemble(cluster, params, source)
         grid = TimeGrid.fit(6.0, 0.02)
-        trace = solve(system, grid)
+        trace = system.solve(grid)
         arrival = (np.linalg.norm(cluster.centers - source.x0, axis=1) / params.c0)
         for m in range(2):
             before = trace.times < arrival[m] - 1e-9
@@ -139,7 +133,7 @@ class TestSolve:
     def test_trace_exactly_zero_up_to_onset(self, params):
         cluster = make_cluster([[0.2, 0, 0], [-0.2, 0.1, 0]])
         source = make_source(params, x0=(0, 0, 2.0))
-        trace = solve(assemble(cluster, params, source), TimeGrid.fit(4.0, 0.02))
+        trace = assemble(cluster, params, source).solve(TimeGrid.fit(4.0, 0.02))
         onset = np.linalg.norm(cluster.centers - source.x0, axis=1) / params.c0
         assert np.array_equal(trace.onset, onset)
         cols = np.arange(2)
@@ -172,7 +166,7 @@ class TestSolve:
         sys_b = assemble(make_cluster(centers @ q.T), params,
                          make_source(params, x0=q @ x0))
         grid = TimeGrid.fit(5.0, 0.02)
-        ta, tb = solve(sys_a, grid), solve(sys_b, grid)
+        ta, tb = sys_a.solve(grid), sys_b.solve(grid)
         assert np.abs(ta.value - tb.value).max() < 1e-10
 
     def test_uncoupled_limit_matches_duhamel(self, params):
@@ -196,7 +190,7 @@ class TestSolve:
         cluster = make_cluster([[0, 0, 0], [0.1, 0, 0]])
         system = assemble(cluster, params, make_source(params))
         with pytest.raises(ConfigError):
-            solve(system, TimeGrid.fit(1.0, 0.09))
+            system.solve(TimeGrid.fit(1.0, 0.09))
 
 
 def _smooth_network(n=2):
@@ -243,7 +237,7 @@ class TestConvergenceOrder:
 class TestScatteredField:
     def test_zero_at_time_zero(self, params, disk_scene):
         system = assemble(disk_scene["cluster"], params, disk_scene["source"])
-        trace = solve(system, default_grid(system, 4.0))
+        trace = system.solve(default_grid(system, 4.0))
         val = scattered_field(trace, disk_scene["cluster"], params,
                               np.array([0, 0, -0.5]), 0.0)
         assert val == 0.0
@@ -252,7 +246,7 @@ class TestScatteredField:
         cluster = make_cluster([[0.2, 0, 0]])
         source = make_source(params, x0=(0, 0, 1.0))
         system = assemble(cluster, params, source)
-        trace = solve(system, TimeGrid.fit(6.0, 0.01))
+        trace = system.solve(TimeGrid.fit(6.0, 0.01))
         x = np.array([0.0, 0.5, -0.4])
         r = np.linalg.norm(x - cluster.centers[0])
         for t in (2.5, 4.0, 5.5):
@@ -264,7 +258,7 @@ class TestScatteredField:
     def test_too_close_rejected(self, params):
         cluster = make_cluster([[0.2, 0, 0]])
         system = assemble(cluster, params, make_source(params))
-        trace = solve(system, TimeGrid.fit(2.0, 0.01))
+        trace = system.solve(TimeGrid.fit(2.0, 0.01))
         with pytest.raises(EvaluationPointError):
             scattered_field(trace, cluster, params,
                             cluster.centers[0] + 1e-4, 1.0)
@@ -273,7 +267,7 @@ class TestScatteredField:
 def test_trace_cache_roundtrip(tmp_path, params):
     cluster = make_cluster([[0.3, 0, 0]])
     system = assemble(cluster, params, make_source(params))
-    trace = solve(system, TimeGrid.fit(2.0, 0.01))
+    trace = system.solve(TimeGrid.fit(2.0, 0.01))
     path = tmp_path / "traces.npz"
     save_traces(path, trace)
     back = load_traces(path)

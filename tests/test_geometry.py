@@ -3,10 +3,10 @@ import pytest
 
 from bubblescreen import (KFunction, build_surface, counting_scaling_check,
                           inverse_distance_sum, partition, place_bubbles)
-from bubblescreen.errors import (ConfigError, GeometryError, ResolutionError,
-                                 UsageError)
+from bubblescreen.errors import ConfigError, ResolutionError, UsageError
 from bubblescreen.geometry import (_GRID_SHIFT, circle_rect_area,
-                                   import_cluster_csv, min_pairwise_distance)
+                                   import_cluster_csv, min_pairwise_distance,
+                                   pairwise_distances)
 
 from oracles import brute_inverse_distance_sum, planar_grid
 
@@ -71,6 +71,11 @@ class TestPartition:
     def test_spacing_too_large(self, disk):
         with pytest.raises(ResolutionError):
             partition(disk, 2.0 * disk.radius)
+
+    def test_spacing_outside_count_regime(self, disk):
+        # d = 1/4 covers too little of the disk with whole cells
+        with pytest.raises(ResolutionError, match="M ~ d\\^-2"):
+            partition(disk, 0.25)
 
     def test_no_cell_claimed_twice(self, disk):
         pw = partition(disk, 0.1)
@@ -149,7 +154,7 @@ class TestPlacement:
 
     def test_infeasible_packing_rejected(self, disk):
         pw = partition(disk, 0.125)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ResolutionError):
             place_bubbles(pw, KFunction.constant(0.0), eps=0.1, seed=0)
 
     def test_negative_k_rejected(self, disk):
@@ -218,3 +223,23 @@ class TestCountingScaling:
 
 def test_min_pairwise_distance_single_point():
     assert min_pairwise_distance(np.zeros((1, 3))) == np.inf
+
+
+def _difference_array_distances(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)), np.linalg.norm(diff, axis=-1)
+
+
+@pytest.mark.parametrize("cloud", ["disk", "sphere", "random"])
+def test_pairwise_distances_match_difference_array(cloud):
+    if cloud == "random":
+        pts = np.random.default_rng(3).normal(size=(150, 3))
+    else:
+        k = 0.0 if cloud == "disk" else 1.0
+        pw = partition(build_surface(cloud, 1.0), 0.1)
+        pts = place_bubbles(pw, KFunction.constant(k), eps=1e-3, seed=5).centers
+    dist = pairwise_distances(pts)
+    for ref in _difference_array_distances(pts):
+        assert np.array_equal(dist, ref)
+    assert np.all(np.diag(dist) == 0.0)
+    assert np.array_equal(dist, dist.T)

@@ -5,6 +5,7 @@ from bubblescreen import (BubbleCluster, RawMaterials, ShapeDescriptor,
                           build_surface, derive_params, geometric_constant,
                           validate_conditions)
 from bubblescreen.errors import GeometryError, ParameterError
+from bubblescreen.geometry import min_pairwise_distance
 
 from oracles import (brute_inverse_distance_sum, planar_grid,
                      sphere_pair_quadrature)
@@ -91,13 +92,7 @@ class TestDeriveParams:
 
 def _manual_cluster(centers, counts=None, eps=1.0 / 64.0):
     centers = np.asarray(centers, dtype=float)
-    if len(centers) > 1:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt((diff**2).sum(-1))
-        dist[np.eye(len(centers), dtype=bool)] = np.inf
-        d_min = float(dist.min())
-    else:
-        d_min = np.inf
+    d_min = min_pairwise_distance(centers)
     counts = np.ones(len(centers), dtype=int) if counts is None else np.asarray(counts)
     return BubbleCluster(centers=centers, patch_ids=np.arange(len(centers)),
                          counts=counts, eps=eps, d_min=d_min,
