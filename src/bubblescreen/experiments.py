@@ -4,6 +4,10 @@ Every stage writes CSVs with a header row plus a JSON run manifest (config
 hash, seed, versions, output list).  Runtimes are recorded in the manifest
 only, keeping the CSVs bitwise reproducible for a fixed config and seed.
 Partial outputs are deleted if a stage fails.
+
+CSVs are written column-wise: a stage hands ``OutputSession.write_csv`` one
+array per column, and each column is converted to text once per block of
+rows (floats by ``repr``, so every value round-trips exactly).
 """
 
 from __future__ import annotations
@@ -35,14 +39,30 @@ OUTPUT_ROOT_ENV = "BUBBLESCREEN_OUT_ROOT"
 # ---------------------------------------------------------------------------
 # Output session: CSV writing, manifest, cleanup on failure
 # ---------------------------------------------------------------------------
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+# Rows converted to text at a time.  Every cell becomes a str object of about
+# 70 bytes, so larger blocks raise a stage's peak memory, not its speed.
+CSV_BLOCK_ROWS = 1024
+
+
+def _column_text(col: np.ndarray) -> list[str]:
+    """Cells of one column: repr for floats, 0/1 for bools, str otherwise."""
+    if col.dtype == np.bool_:
+        return [("0", "1")[v] for v in col.tolist()]
+    if col.dtype.kind == "f":
+        return list(map(repr, col.tolist()))
+    return list(map(str, col.tolist()))
+
+
+def _long_columns(times: np.ndarray, *fields: np.ndarray) -> list[np.ndarray]:
+    """Columns (time, id, *fields) of (ids, times) arrays, id-major: every
+    time of id 0, then of id 1, ..."""
+    n = fields[0].shape[0]
+    return [np.tile(times, n), np.repeat(np.arange(n), len(times)),
+            *(np.ravel(f) for f in fields)]
+
+
+def _dict_columns(rows: list[dict], keys) -> list[list]:
+    return [[r[k] for r in rows] for k in keys]
 
 
 class OutputSession:
@@ -76,15 +96,29 @@ class OutputSession:
         self._write_manifest()
         return False
 
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
+    def write_csv(self, name: str, header: list[str], columns) -> Path:
+        """Write one CSV from a header and one 1-D sequence per column.
+
+        The file is listed in ``outputs`` before it is opened, so a failure
+        while writing deletes it on ``__exit__``.
+        """
+        cols = [np.asarray(c) for c in columns]
+        if len(cols) != len(header) or any(c.ndim != 1 for c in cols):
+            raise UsageError(f"{name}: needs one 1-D column per header field "
+                             f"({len(header)}), got {len(cols)}")
+        lengths = {len(c) for c in cols}
+        if len(lengths) > 1:
+            raise UsageError(f"{name}: columns differ in length: {sorted(lengths)}")
+        count = lengths.pop() if lengths else 0
         path = self.dir / name
-        count = 0
+        entry = {"path": name, "rows": None}
+        self.outputs.append(entry)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-                count += 1
-        self.outputs.append({"path": name, "rows": count})
+            for lo in range(0, count, CSV_BLOCK_ROWS):
+                cells = [_column_text(c[lo:lo + CSV_BLOCK_ROWS]) for c in cols]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        entry["rows"] = count
         return path
 
     def write_text(self, name: str, text: str) -> Path:
@@ -226,8 +260,8 @@ def run_validate(config: ExperimentConfig, outdir=None) -> int:
         session.timings["scene"] = time.perf_counter() - t0
         report = validate_conditions(scene.params, scene.cluster)
         session.write_text("validation_report.txt", report.to_text())
-        session.write_csv("validation_report.csv",
-                          report.CSV_HEADER.split(","), [report.to_csv_row().split(",")])
+        session.write_csv("validation_report.csv", report.CSV_HEADER.split(","),
+                          [[cell] for cell in report.to_csv_row().split(",")])
         scene.cluster.export_csv(session.dir / "cluster.csv")
         session.outputs.append({"path": "cluster.csv", "rows": scene.cluster.n})
     return 0
@@ -242,14 +276,12 @@ def run_foldy(config: ExperimentConfig, outdir=None) -> int:
         traces, fields, session.march["foldy"] = _solve_foldy_scene(scene, t_out)
         session.timings["scene"] = t1 - t0
         session.timings["solve"] = time.perf_counter() - t1
-        rows = ((t, b, traces.value[i, b], traces.rate[i, b], traces.acc[i, b])
-                for b in range(scene.cluster.n)
-                for i, t in enumerate(traces.times))
         session.write_csv("foldy_traces.csv",
-                          ["time", "bubble_id", "y", "y_rate", "y_acc"], rows)
-        frows = ((t, p, fields[p, i])
-                 for p in range(len(fields)) for i, t in enumerate(t_out))
-        session.write_csv("foldy_field.csv", ["time", "probe_id", "u_sc"], frows)
+                          ["time", "bubble_id", "y", "y_rate", "y_acc"],
+                          _long_columns(traces.times, traces.value.T, traces.rate.T,
+                                        traces.acc.T))
+        session.write_csv("foldy_field.csv", ["time", "probe_id", "u_sc"],
+                          _long_columns(t_out, fields))
     return 0
 
 
@@ -262,19 +294,17 @@ def run_effective(config: ExperimentConfig, outdir=None) -> int:
         trace, wsc, session.march["effective"] = _solve_effective_scene(scene, t_out)
         session.timings["scene"] = t1 - t0
         session.timings["solve"] = time.perf_counter() - t1
-        rows = ((t, n, trace.value[i, n], trace.rate[i, n], trace.acc[i, n])
-                for n in range(scene.rule.m)
-                for i, t in enumerate(trace.times))
         session.write_csv("effective_traces.csv",
-                          ["time", "node_id", "u", "u_rate", "y"], rows)
-        frows = ((t, p, wsc[p, i]) for p in range(len(wsc)) for i, t in enumerate(t_out))
-        session.write_csv("effective_field.csv", ["time", "probe_id", "w_sc"], frows)
-        rule_rows = ((i, *scene.rule.nodes[i], scene.rule.weights[i],
-                      scene.rule.density[i], scene.rule.self_terms[i])
-                     for i in range(scene.rule.m))
+                          ["time", "node_id", "u", "u_rate", "y"],
+                          _long_columns(trace.times, trace.value.T, trace.rate.T,
+                                        trace.acc.T))
+        session.write_csv("effective_field.csv", ["time", "probe_id", "w_sc"],
+                          _long_columns(t_out, wsc))
+        rule = scene.rule
         session.write_csv("rule.csv",
                           ["node_id", "x", "y", "z", "weight", "density", "self_term"],
-                          rule_rows)
+                          [np.arange(rule.m), *rule.nodes.T, rule.weights,
+                           rule.density, rule.self_terms])
     return 0
 
 
@@ -290,18 +320,20 @@ def run_cq(config: ExperimentConfig, outdir=None) -> int:
         y = cq_solve(scene.rule, scene.params, scheme, scene.source)
         session.timings["scene"] = t1 - t0
         session.timings["solve"] = time.perf_counter() - t1
-        rows = ((t, n, y[i, n]) for n in range(scene.rule.m)
-                for i, t in enumerate(grid.times))
-        session.write_csv("cq_traces.csv", ["time", "node_id", "y"], rows)
+        session.write_csv("cq_traces.csv", ["time", "node_id", "y"],
+                          _long_columns(grid.times, y.T))
 
         rng = np.random.default_rng(config.seed)
         s_vals = rng.uniform(0.5, 4.0, 16) + 1j * rng.uniform(-4.0, 4.0, 16)
         rhs = [rng.normal(size=scene.rule.m) + 1j * rng.normal(size=scene.rule.m)
                for _ in s_vals]
         diag = resolvent_sweep(scene.rule, scene.params, s_vals, rhs)
-        session.write_csv("resolvent_diag.csv", list(diag[0].keys()),
-                          (list(r.values()) for r in diag))
+        session.write_csv("resolvent_diag.csv", list(diag[0]),
+                          _dict_columns(diag, diag[0]))
     return 0
+
+
+_ERROR_KEYS = ["eps", "d", "m_bubbles", "m_nodes", "sup_err", "l2_err", "u_scale"]
 
 
 def run_compare(config: ExperimentConfig, eps: float | None = None, outdir=None,
@@ -326,15 +358,10 @@ def run_compare(config: ExperimentConfig, eps: float | None = None, outdir=None,
         "_march": {"foldy": foldy_march, "effective": effective_march},
     }
     if session is not None:
-        rows = ((t, p, u_sc[p, i], w_sc[p, i])
-                for p in range(len(u_sc)) for i, t in enumerate(t_out))
-        session.write_csv("compare_fields.csv",
-                          ["time", "probe_id", "u_sc", "w_sc"], rows)
-        session.write_csv("compare_errors.csv",
-                          ["eps", "d", "m_bubbles", "m_nodes", "sup_err", "l2_err", "u_scale"],
-                          [(result["eps"], result["d"], result["m_bubbles"],
-                            result["m_nodes"], result["sup_err"], result["l2_err"],
-                            result["u_scale"])])
+        session.write_csv("compare_fields.csv", ["time", "probe_id", "u_sc", "w_sc"],
+                          _long_columns(t_out, u_sc, w_sc))
+        session.write_csv("compare_errors.csv", _ERROR_KEYS,
+                          _dict_columns([result], _ERROR_KEYS))
         session.timings["foldy"] = t_foldy
         session.timings["effective"] = t_eff
         session.march.update(result["_march"])
@@ -375,14 +402,9 @@ def convergence_sweep(config: ExperimentConfig, outdir=None,
     residual = float(lsq_res[0]) if np.size(lsq_res) else 0.0
     result = ComparisonResult(rows=rows, slope=slope, slope_residual=residual)
     if session is not None:
-        session.write_csv(
-            "sweep.csv",
-            ["eps", "d", "m_bubbles", "m_nodes", "sup_err", "l2_err", "u_scale"],
-            ((r["eps"], r["d"], r["m_bubbles"], r["m_nodes"], r["sup_err"],
-              r["l2_err"], r["u_scale"]) for r in rows),
-        )
+        session.write_csv("sweep.csv", _ERROR_KEYS, _dict_columns(rows, _ERROR_KEYS))
         session.write_csv("sweep_fit.csv", ["slope", "lsq_residual"],
-                          [(slope, residual)])
+                          [[slope], [residual]])
         for i, r in enumerate(rows):
             session.timings[f"eps_{r['eps']}"] = r["runtime_s"]
         session.march.update(marches)
@@ -422,8 +444,7 @@ def regime_sweep(config: ExperimentConfig, cells=None,
             "transmitted_proxy": proxy,
         })
     if session is not None:
-        session.write_csv("regimes.csv", list(rows[0].keys()),
-                          (list(r.values()) for r in rows))
+        session.write_csv("regimes.csv", list(rows[0]), _dict_columns(rows, rows[0]))
     return rows
 
 
@@ -435,11 +456,9 @@ def run_regimes(config: ExperimentConfig, outdir=None) -> list[dict]:
 def run_counting(config: ExperimentConfig, outdir=None) -> list[dict]:
     with OutputSession(config, "counting", outdir) as session:
         surface = build_surface(config.surface_kind, config.surface_area)
-        all_rows = []
-        for k in config.data["counting"]["k_exponents"]:
-            all_rows.extend(counting_scaling_check(
-                surface, config.data["counting"]["d_list"], float(k),
-                seed=config.seed))
-        session.write_csv("counting.csv", list(all_rows[0].keys()),
-                          (list(r.values()) for r in all_rows))
-        return all_rows
+        counting = config.data["counting"]
+        rows = counting_scaling_check(surface, counting["d_list"],
+                                      [float(k) for k in counting["k_exponents"]],
+                                      seed=config.seed)
+        session.write_csv("counting.csv", list(rows[0]), _dict_columns(rows, rows[0]))
+        return rows

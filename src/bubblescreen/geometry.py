@@ -523,23 +523,34 @@ def counting_bound(d: float, k: float) -> float:
     return d**-k
 
 
-def max_anchor_sum(points: np.ndarray, k: float) -> float:
+def max_anchor_sums(points: np.ndarray, k_list: Sequence[float]) -> list[float]:
+    """Largest inverse-distance sum over anchors, per k, from one distance matrix."""
     dist = pairwise_distances(points)
     np.fill_diagonal(dist, np.inf)
-    return float((dist**-k).sum(axis=1).max())
+    return [float((dist**-k).sum(axis=1).max()) for k in k_list]
 
 
 def counting_scaling_check(surface: SurfaceDescriptor, d_list: Sequence[float],
-                           k: float, seed: int = 0) -> list[dict]:
-    """Sweep d and tabulate max-anchor inverse-distance sums against the bound."""
-    d_list = list(d_list)
+                           k_list: Sequence[float], seed: int = 0) -> list[dict]:
+    """Sweep d and tabulate max-anchor inverse-distance sums against the bound.
+
+    Each d builds one scene and one distance matrix, shared by every exponent
+    in ``k_list``; rows are k-major (every d of the first k, then the next k).
+    """
+    d_list, k_list = list(d_list), list(k_list)
     if any(b >= a for a, b in zip(d_list[:-1], d_list[1:])):
         raise UsageError("d_list must be strictly decreasing")
-    rows = []
+    if not k_list:
+        raise UsageError("k_list must name at least one exponent")
+    sums = []
     for d in d_list:
         pw = partition(surface, d)
         cluster = place_bubbles(pw, KFunction.constant(0.0), eps=min(0.1 * d, 1e-3), seed=seed)
-        s = max_anchor_sum(cluster.centers, k)
-        b = counting_bound(d, k)
-        rows.append({"d": d, "k": k, "max_anchor_sum": s, "bound": b, "ratio": s / b})
+        sums.append(max_anchor_sums(cluster.centers, k_list))
+    rows = []
+    for i, k in enumerate(k_list):
+        for d, s in zip(d_list, sums):
+            b = counting_bound(d, k)
+            rows.append({"d": d, "k": k, "max_anchor_sum": s[i], "bound": b,
+                         "ratio": s[i] / b})
     return rows

@@ -24,7 +24,9 @@ a history plan once per grid -- flat gather indices and the Hermite weights
 premultiplied by the coupling -- and each delayed sum is four gathers from the
 acceleration and slope arrays plus one ``np.bincount``.  That the history has
 no gap (every query reads rows already computed) is checked once, when the
-plan is built.
+plan is built.  The forcing does not depend on the state either, so it is
+tabulated once per block of steps: ``forcing`` maps a (k, 1) column of stage
+times to (k, n) forces, or to anything that broadcasts to (k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing; a
 query at or before a column's onset returns exactly zero, so neither the march
@@ -45,6 +47,10 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, SolverError, UsageError
 from .geometry import pairwise_distances
 from .sources import pulse_eval
+
+# Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
+# steps of n oscillators at each of the two stage offsets.
+FORCING_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -180,10 +186,15 @@ class DelayNetwork:
     earlier either, provided onset_i <= onset_j + tau_ij for every coupled
     pair, which is checked here; the marched ``Trace`` returns exact zeros up
     to each onset.
+
+    ``forcing(t)`` returns f(t).  ``solve`` calls it once per block of steps
+    with a (k, 1) array of stage times and expects (k, n) forces or an array
+    that broadcasts to them; ``accel_all`` calls it with a scalar t and
+    expects (n,).
     """
 
     def __init__(self, masses: np.ndarray, coupling: np.ndarray,
-                 delays: np.ndarray, forcing: Callable[[float], np.ndarray],
+                 delays: np.ndarray, forcing: Callable[[np.ndarray], np.ndarray],
                  onset=None):
         self.masses = np.asarray(masses, dtype=float)
         self.coupling = np.asarray(coupling, dtype=float)
@@ -252,7 +263,8 @@ class DelayNetwork:
         The history plan for the two stage offsets (h/2 and h) is built here,
         once per grid: a step above tau_min/2 raises ``ConfigError`` and a
         plan that would read a row not yet computed raises ``SolverError``.
-        Each step then evaluates the forcing and the delayed sum twice.
+        Each step then evaluates the delayed sum twice, and the forcing is
+        tabulated at both stage times for a block of steps at a time.
         """
         if len(self._tpair) and grid.h > 0.5 * self.min_delay * (1 + 1e-12):
             raise ConfigError(
@@ -268,12 +280,23 @@ class DelayNetwork:
         A = np.zeros((steps + 1, n))
         S = np.zeros((steps + 1, n))
         acc, slope = A.reshape(-1), S.reshape(-1)
-        masses, forcing = self.masses, self.forcing
+        masses = self.masses
+
+        def tabulate(t):
+            """Forces at the times ``t``, one row per time."""
+            return np.broadcast_to(self.forcing(t[:, None]), (len(t), n))
+
         # every query at t = 0 lies before its column's onset
-        A[0] = (forcing(0.0) - Y[0]) / masses
+        A[0] = (tabulate(times[:1])[0] - Y[0]) / masses
+        block = max(1, FORCING_BLOCK // n)
         for ns in range(steps):
+            j = ns % block
+            if j == 0:
+                hi = min(ns + block, steps)
+                f_halves = tabulate(times[ns:hi] + 0.5 * h)
+                f_fulls = tabulate(times[ns + 1:hi + 1])
             y, v, k1v = Y[ns], V[ns], A[ns]
-            f_half = forcing(times[ns] + 0.5 * h)
+            f_half = f_halves[j]
             d_half = half.delayed_sum(ns, acc, slope)
             k2y = v + 0.5 * h * k1v
             k2v = (f_half - (y + 0.5 * h * v) - d_half) / masses
@@ -281,7 +304,7 @@ class DelayNetwork:
             k3v = (f_half - (y + 0.5 * h * k2y) - d_half) / masses
             k4y = v + h * k3v
             mn = ns + 1
-            f_full = forcing(times[mn])
+            f_full = f_fulls[j]
             d_full = full.delayed_sum(ns, acc, slope)
             k4v = (f_full - (y + h * k3y) - d_full) / masses
             Y[mn] = y + h / 6.0 * (v + 2 * k2y + 2 * k3y + k4y)
@@ -329,7 +352,7 @@ class RetardedNetwork(DelayNetwork):
         shift = r_src / params.c0
         pulse = source.pulse
 
-        def forcing(t: float) -> np.ndarray:
+        def forcing(t):
             return amp * pulse_eval(pulse, t - shift, order)
 
         super().__init__(masses, coupling, delays, forcing, shift)

@@ -4,8 +4,9 @@ These deliberately avoid the package's solver code paths: the Duhamel
 solution is built from cumulative Simpson quadrature of the sine-kernel
 convolution, derivative checks use plain finite differences, and the shape
 constant of the ball is a tensor Gauss-Legendre double surface integral.  The
-one exception is ``reference_march``, the per-query march that the history
-plan of ``DelayNetwork.solve`` replaced, kept as its reference.
+exceptions are ``reference_march``, the per-query march that the history plan
+of ``DelayNetwork.solve`` replaced, and ``csv_rows_text``, the per-cell CSV
+formatter that the column-wise writer replaced, each kept as its reference.
 """
 
 import numpy as np
@@ -155,3 +156,20 @@ def reference_march(network, grid):
             S[1] = (A[1] - A[0]) / h
             S[0] = S[1]
     return trace
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def csv_rows_text(header, rows) -> str:
+    """The CSV text of a header and row tuples, formatted one cell at a time."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"

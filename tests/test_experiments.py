@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from bubblescreen import ExperimentConfig
-from bubblescreen.experiments import run_foldy, run_validate
+from bubblescreen.errors import UsageError
+from bubblescreen.experiments import (CSV_BLOCK_ROWS, OutputSession, _long_columns,
+                                      run_foldy, run_validate)
+
+from oracles import csv_rows_text
 
 SMALL = {"run": {"T": 2.5, "n_out": 51}}
 
@@ -30,3 +35,87 @@ def test_validate_records_scene_timing(tmp_path):
     assert run_validate(ExperimentConfig.from_dict(SMALL), outdir=tmp_path) == 0
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert set(manifest["timings_s"]) == {"scene"}
+
+
+FLOATS = [0.0, -0.0, 5e-324, 1e300, -1e300, float("nan"), float("inf"),
+          float("-inf"), 0.1, 1.0 / 3.0, 2.5e-12, -7.0, 1e16, 123456789.125]
+
+
+def _mixed_columns(rows: int) -> tuple[list[str], list]:
+    """Columns of every kind the stages write, ``rows`` long."""
+    idx = range(rows)
+    columns = {
+        "py_bool": [i % 3 == 0 for i in idx],
+        "np_bool": [np.bool_(i % 2) for i in idx],
+        "py_int": [i * 7 - 3 for i in idx],
+        "np_int32": [np.int32(-i) for i in idx],
+        "np_int64": np.arange(rows, dtype=np.int64) * 1_000_003,
+        "py_float": [FLOATS[i % len(FLOATS)] for i in idx],
+        "np_float": np.array([FLOATS[(i + 5) % len(FLOATS)] for i in idx]),
+        "np_float32": np.linspace(-1.0, 1.0, rows, dtype=np.float32),
+        "text": [f"{i / 7.0!r}" for i in idx],
+    }
+    return list(columns), list(columns.values())
+
+
+@pytest.mark.parametrize("rows", [1, 17, CSV_BLOCK_ROWS + 3])
+def test_columns_written_as_the_row_formatter_did(tmp_path, rows):
+    header, columns = _mixed_columns(rows)
+    with OutputSession(ExperimentConfig.from_dict({}), "t", tmp_path) as session:
+        path = session.write_csv("mixed.csv", header, columns)
+        # one-row files written from scalars, as sweep_fit.csv is
+        fit = session.write_csv("fit.csv", ["slope", "lsq_residual"],
+                                [[np.float64(0.5065)], [1e-300]])
+    assert path.read_text() == csv_rows_text(header, zip(*columns))
+    assert fit.read_text() == csv_rows_text(["slope", "lsq_residual"],
+                                            [(np.float64(0.5065), 1e-300)])
+    assert session.outputs == [{"path": "mixed.csv", "rows": rows},
+                               {"path": "fit.csv", "rows": 1}]
+
+
+def test_long_layout_matches_row_loops(tmp_path):
+    rng = np.random.default_rng(2)
+    times = np.linspace(0.0, 1.0, 7)
+    trace = rng.normal(size=(len(times), 3))      # (times, nodes), as a Trace
+    field = rng.normal(size=(2, len(times)))      # (probes, times)
+    with OutputSession(ExperimentConfig.from_dict({}), "t", tmp_path) as session:
+        traces = session.write_csv("traces.csv", ["time", "node_id", "y"],
+                                   _long_columns(times, trace.T))
+        fields = session.write_csv("field.csv", ["time", "probe_id", "u"],
+                                   _long_columns(times, field))
+    assert traces.read_text() == csv_rows_text(
+        ["time", "node_id", "y"],
+        ((t, n, trace[i, n]) for n in range(3) for i, t in enumerate(times)))
+    assert fields.read_text() == csv_rows_text(
+        ["time", "probe_id", "u"],
+        ((t, p, field[p, i]) for p in range(2) for i, t in enumerate(times)))
+
+
+def test_ragged_columns_rejected_before_writing(tmp_path):
+    with OutputSession(ExperimentConfig.from_dict({}), "t", tmp_path) as session:
+        with pytest.raises(UsageError, match="differ in length"):
+            session.write_csv("ragged.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+        with pytest.raises(UsageError, match="1-D column"):
+            session.write_csv("short.csv", ["a", "b"], [[1.0, 2.0]])
+        assert session.outputs == []
+    assert not (tmp_path / "ragged.csv").exists()
+    assert not (tmp_path / "short.csv").exists()
+
+
+def test_failure_while_writing_deletes_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    seen = []
+
+    class Unprintable:
+        def __str__(self):
+            seen.append(path.exists())
+            raise RuntimeError("cannot format")
+
+    # the first block is written before the bad cell of the second is formatted
+    column = ["ok"] * CSV_BLOCK_ROWS + [Unprintable()]
+    with pytest.raises(RuntimeError, match="cannot format"):
+        with OutputSession(ExperimentConfig.from_dict({}), "t", tmp_path) as session:
+            session.write_csv("bad.csv", ["text"], [column])
+    assert seen == [True]
+    assert not path.exists()
+    assert not (tmp_path / "run_manifest.json").exists()

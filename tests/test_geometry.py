@@ -201,24 +201,32 @@ class TestInverseDistanceSums:
 
 class TestCountingScaling:
     def test_k1_quadruples_when_halved(self, disk):
-        rows = counting_scaling_check(disk, [0.125, 0.0625], 1.0)
+        rows = counting_scaling_check(disk, [0.125, 0.0625], [1.0])
         growth = rows[1]["max_anchor_sum"] / rows[0]["max_anchor_sum"]
         assert 2.0 < growth < 8.0
         ratios = [r["ratio"] for r in rows]
         assert max(ratios) / min(ratios) < 2.0
 
     def test_k3_octuples_when_halved(self, disk):
-        rows = counting_scaling_check(disk, [0.125, 0.0625], 3.0)
+        rows = counting_scaling_check(disk, [0.125, 0.0625], [3.0])
         growth = rows[1]["max_anchor_sum"] / rows[0]["max_anchor_sum"]
         assert 4.0 < growth < 16.0
 
     def test_single_d_one_row(self, disk):
-        rows = counting_scaling_check(disk, [0.125], 2.0)
+        rows = counting_scaling_check(disk, [0.125], [2.0])
         assert len(rows) == 1
 
     def test_increasing_list_rejected(self, disk):
         with pytest.raises(UsageError):
-            counting_scaling_check(disk, [0.0625, 0.125], 1.0)
+            counting_scaling_check(disk, [0.0625, 0.125], [1.0])
+
+    def test_exponents_share_scenes_in_k_major_rows(self, disk):
+        d_list = [0.125, 0.0625]
+        rows = counting_scaling_check(disk, d_list, [1.0, 3.0])
+        assert rows == (counting_scaling_check(disk, d_list, [1.0])
+                        + counting_scaling_check(disk, d_list, [3.0]))
+        with pytest.raises(UsageError):
+            counting_scaling_check(disk, d_list, [])
 
 
 def test_min_pairwise_distance_single_point():

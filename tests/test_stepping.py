@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from bubblescreen import (KFunction, TimeGrid, effective_grid, partition,
-                          place_bubbles)
+                          place_bubbles, stepping)
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ConfigError
 from bubblescreen.foldy import DelaySystem, default_grid
@@ -60,3 +62,38 @@ def test_march_counters(params, disk_scene):
     assert counters == {"n": n, "pairs": n * (n - 1), "steps": grid.steps,
                         "h": grid.h, "h_over_tau_min": grid.h / network.min_delay}
     assert counters["h_over_tau_min"] <= 0.5
+
+
+def _one_time_at_a_time(forcing):
+    """The network's forcing, evaluated at one scalar time per call."""
+    def per_time(t):
+        return np.stack([forcing(ti) for ti in np.ravel(t)])
+    return per_time
+
+
+@pytest.mark.parametrize("kind", ["foldy", "jittered", "ragged_blocks"])
+def test_block_forcing_matches_per_time_forcing(params, disk, disk_scene, kind,
+                                                monkeypatch):
+    network, grid = _networks(params, disk, disk_scene)[
+        "jittered" if kind == "ragged_blocks" else kind]
+    block = max(1, stepping.FORCING_BLOCK // network.n)
+    if kind == "ragged_blocks":
+        steps = 2 * block + 7   # two full blocks and a short one
+        grid = TimeGrid(T=steps * grid.h, h=grid.h, steps=steps)
+    per_time = copy.copy(network)
+    per_time.forcing = _one_time_at_a_time(network.forcing)
+    want = per_time.solve(grid)
+
+    calls = []
+    pulse_eval = stepping.pulse_eval
+
+    def counted(*args):
+        calls.append(args)
+        return pulse_eval(*args)
+
+    monkeypatch.setattr(stepping, "pulse_eval", counted)
+    got = network.solve(grid)
+    for name in FIELDS + ("acc_slope",):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # one call at t = 0, then one per stage offset and block
+    assert len(calls) == 1 + 2 * -(-grid.steps // block)
