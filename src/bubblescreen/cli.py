@@ -54,7 +54,10 @@ def _overrides_from_args(args) -> dict:
     if args.seed is not None:
         over["seed"] = args.seed
     if args.eps is not None:
-        over.setdefault("run", {})["eps"] = parse_override_list(args.eps)[0]
+        eps = parse_override_list(args.eps)
+        if len(eps) != 1:
+            raise ConfigError(f"--eps takes one value, got {args.eps!r}")
+        over.setdefault("run", {})["eps"] = eps[0]
     if args.T is not None:
         over.setdefault("run", {})["T"] = args.T
     if args.eps_list is not None:

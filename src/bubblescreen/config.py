@@ -209,8 +209,9 @@ class ExperimentConfig:
         if data["run"]["condition_violation"] not in ("error", "warn"):
             raise ConfigError("run.condition_violation must be 'error' or 'warn'")
         eps_list = self.eps_list
-        if any(e <= 0 for e in eps_list) or self.eps <= 0:
-            raise ConfigError("eps values must be positive")
+        bad = [e for e in [self.eps, *eps_list] if not e > 0]   # nan too
+        if bad:
+            raise ConfigError(f"eps values must be positive, got {bad}")
         d_list = data["sweep"].get("d_list")
         if d_list is not None:
             if len(d_list) != len(eps_list):
@@ -235,17 +236,24 @@ class ExperimentConfig:
 
 
 def parse_override_list(text: str) -> list[float]:
-    """Parse CLI list values like '1/64,1/128' or '0.1,0.05'."""
+    """Parse CLI list values like '1/64,1/128' or '0.1,0.05'.
+
+    A token that is neither a number nor a fraction of two numbers raises
+    ``ConfigError`` naming it.
+    """
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if "/" in tok:
-            num, den = tok.split("/", 1)
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(tok))
+        try:
+            if "/" in tok:
+                num, den = tok.split("/", 1)
+                out.append(float(num) / float(den))
+            else:
+                out.append(float(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"bad number {tok!r} in {text!r}") from None
     if not out:
         raise ConfigError(f"empty list value {text!r}")
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -211,8 +211,7 @@ def _run_opts(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # Field comparison
 # ---------------------------------------------------------------------------
-def compare_fields(u_samples: np.ndarray, w_samples: np.ndarray,
-                   dt: float = 1.0) -> dict:
+def compare_fields(u_samples: np.ndarray, w_samples: np.ndarray, dt: float) -> dict:
     """sup and discrete-L2 norms of the difference on a shared lattice."""
     u = np.asarray(u_samples, float)
     w = np.asarray(w_samples, float)
@@ -260,10 +259,13 @@ def run_validate(config: ExperimentConfig, outdir=None) -> int:
         session.timings["scene"] = time.perf_counter() - t0
         report = validate_conditions(scene.params, scene.cluster)
         session.write_text("validation_report.txt", report.to_text())
-        session.write_csv("validation_report.csv", report.CSV_HEADER.split(","),
-                          [[cell] for cell in report.to_csv_row().split(",")])
-        scene.cluster.export_csv(session.dir / "cluster.csv")
-        session.outputs.append({"path": "cluster.csv", "rows": scene.cluster.n})
+        row = asdict(report)
+        session.write_csv("validation_report.csv", list(row), _dict_columns([row], row))
+        cl = scene.cluster
+        session.write_csv("cluster.csv",
+                          ["patch_id", "bubble_id", "x", "y", "z", "count"],
+                          [cl.patch_ids, np.arange(cl.n), *cl.centers.T,
+                           cl.counts[cl.patch_ids]])
     return 0
 
 
@@ -336,7 +338,7 @@ def run_cq(config: ExperimentConfig, outdir=None) -> int:
 _ERROR_KEYS = ["eps", "d", "m_bubbles", "m_nodes", "sup_err", "l2_err", "u_scale"]
 
 
-def run_compare(config: ExperimentConfig, eps: float | None = None, outdir=None,
+def run_compare(config: ExperimentConfig, eps: float | None = None,
                 session: OutputSession | None = None) -> dict:
     """Foldy vs effective comparison at one eps; returns the error summary."""
     scene = build_scene(config, eps)
@@ -380,7 +382,7 @@ class ComparisonResult:
     slope_residual: float
 
 
-def convergence_sweep(config: ExperimentConfig, outdir=None,
+def convergence_sweep(config: ExperimentConfig,
                       session: OutputSession | None = None) -> ComparisonResult:
     """Per-eps foldy/effective comparison plus fitted log-log slope."""
     eps_list = config.eps_list
@@ -405,7 +407,7 @@ def convergence_sweep(config: ExperimentConfig, outdir=None,
         session.write_csv("sweep.csv", _ERROR_KEYS, _dict_columns(rows, _ERROR_KEYS))
         session.write_csv("sweep_fit.csv", ["slope", "lsq_residual"],
                           [[slope], [residual]])
-        for i, r in enumerate(rows):
+        for r in rows:
             session.timings[f"eps_{r['eps']}"] = r["runtime_s"]
         session.march.update(marches)
     return result
@@ -416,10 +418,10 @@ def run_sweep(config: ExperimentConfig, outdir=None) -> ComparisonResult:
         return convergence_sweep(config, session=session)
 
 
-def regime_sweep(config: ExperimentConfig, cells=None,
+def regime_sweep(config: ExperimentConfig,
                  session: OutputSession | None = None) -> list[dict]:
     """Scan resonance/coupling scalings; tabulate W_sc size and transmission."""
-    cells = cells if cells is not None else config.data["regimes"]["cells"]
+    cells = config.data["regimes"]["cells"]
     factors = [float(c["omega_factor"]) for c in cells]
     if max(factors) / min(factors) < 100.0:
         raise UsageError("regime factors must span at least 2 decades")

@@ -11,7 +11,6 @@ superposition  -sum_m c_eps/(4 pi |x - z_m|) Y_m(t - |x - z_m|/c0).
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -21,8 +20,6 @@ from .geometry import BubbleCluster
 from .materials import PhysicalParams, validate_conditions
 from .sources import PointSource
 from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
-
-_CACHE_VERSION = 2
 
 
 class DelaySystem(RetardedNetwork):
@@ -80,20 +77,3 @@ def scattered_series(traces: Trace, cluster: BubbleCluster, params: PhysicalPara
     """Scattered field sampled on a lattice of probe points x time grid."""
     pts = np.atleast_2d(points)
     return np.stack([scattered_field(traces, cluster, params, p, t_out) for p in pts])
-
-
-def save_traces(path, traces: Trace) -> None:
-    """Binary cache of the dense output with a versioned header."""
-    meta = json.dumps({"format_version": _CACHE_VERSION, "kind": "bubble-traces"})
-    np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
-             times=traces.times, value=traces.value, rate=traces.rate,
-             acc=traces.acc, acc_slope=traces.acc_slope, onset=traces.onset)
-
-
-def load_traces(path) -> Trace:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format_version") != _CACHE_VERSION:
-            raise UsageError(f"unsupported trace cache version {meta.get('format_version')}")
-        return Trace(data["times"], data["value"], data["rate"],
-                     data["acc"], data["acc_slope"], data["onset"])

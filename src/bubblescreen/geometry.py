@@ -16,7 +16,6 @@ boundary budget of the model (interior cells stay exactly d^2).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -368,31 +367,6 @@ class BubbleCluster:
     def n(self) -> int:
         return len(self.centers)
 
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["patch_id", "bubble_id", "x", "y", "z", "count"])
-            for b, (pid, c) in enumerate(zip(self.patch_ids, self.centers)):
-                wr.writerow([int(pid), b, repr(float(c[0])), repr(float(c[1])),
-                             repr(float(c[2])), int(self.counts[pid])])
-
-
-def import_cluster_csv(path, eps: float, surface: SurfaceDescriptor) -> BubbleCluster:
-    pids, pts = [], []
-    counts: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            pid = int(row["patch_id"])
-            pids.append(pid)
-            pts.append([float(row["x"]), float(row["y"]), float(row["z"])])
-            counts[pid] = int(row["count"])
-    centers = np.array(pts)
-    count_arr = np.array([counts[k] for k in sorted(counts)])
-    return BubbleCluster(
-        centers=centers, patch_ids=np.array(pids), counts=count_arr, eps=eps,
-        d_min=min_pairwise_distance(centers), surface=surface,
-    )
-
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """(n, n) matrix of |p_i - p_j|, accumulated one coordinate at a time.
@@ -502,18 +476,6 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
 # ---------------------------------------------------------------------------
 # Counting diagnostics
 # ---------------------------------------------------------------------------
-def inverse_distance_sum(cluster_or_points, k: float, anchor: int) -> float:
-    """Exact sum over b != anchor of 1/|z_anchor - z_b|^k."""
-    pts = np.asarray(getattr(cluster_or_points, "centers", cluster_or_points), dtype=float)
-    if len(pts) < 2:
-        raise UsageError("need at least two points")
-    dist = np.linalg.norm(pts - pts[anchor], axis=1)
-    dist = np.delete(dist, anchor)
-    if np.any(dist == 0.0):
-        raise GeometryError("coincident points")
-    return float((dist**-k).sum())
-
-
 def counting_bound(d: float, k: float) -> float:
     """The three-branch bound: d^-2, d^-2 (1+|log d|), d^-k."""
     if k < 2:

@@ -181,22 +181,6 @@ class ValidationReport:
         ]
         return "\n".join(lines) + "\n"
 
-    CSV_HEADER = (
-        "cond_inversion_lhs,cond_resonance_lhs,omega_m_sq,k_max,pass_inversion,pass_resonance"
-    )
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(self.cond_inversion_lhs),
-                repr(self.cond_resonance_lhs),
-                repr(self.omega_m_sq),
-                repr(self.k_max),
-                str(int(self.pass_inversion)),
-                str(int(self.pass_resonance)),
-            ]
-        )
-
 
 def max_anchor_interaction(centers: np.ndarray, c_eps: float) -> float:
     """max over anchors a of sum_{b != a} c_eps / (4 pi |z_a - z_b|)."""

@@ -101,10 +101,6 @@ class Trace:
         self.h = float(times[1] - times[0])
         self.horizon = float(times[-1])
 
-    @property
-    def n_nodes(self) -> int:
-        return self.value.shape[1]
-
     def _interp(self, tq, cols, base, slope):
         tq = np.asarray(tq, dtype=float)
         cols = np.broadcast_to(np.asarray(cols, dtype=int), tq.shape)

@@ -22,11 +22,21 @@ def test_validate_exits_zero(tmp_path):
     {"run": {"T": "abc"}},
     {"run": {"eps": 0.0625}},   # d = 1/4: patch count outside M ~ d^-2
     {"k": {"constant": 2}},     # three bubbles per patch do not fit at d = 1/8
+    ["--eps", "abc"],
+    ["--eps-list", "1/64,abc"],
+    ["--eps", "1/0"],
+    ["--eps", "1/64,1/2"],      # --eps takes one value
+    ["--eps", "nan"],
 ])
 def test_config_errors_exit_two(tmp_path, raw, capsys):
-    path = _config(tmp_path, raw)
-    assert run_cli(["foldy", "--config", path, "--outdir", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    # a dict is the config file; a list is flags given with the default config
+    config, flags = (raw, []) if isinstance(raw, dict) else ({}, raw)
+    path = _config(tmp_path, config)
+    assert run_cli(["foldy", "--config", path, "--outdir", str(tmp_path / "out"),
+                    *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert all(flag in err for flag in flags[1:])
 
 
 def test_missing_config_exits_two(tmp_path):

