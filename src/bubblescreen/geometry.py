@@ -23,6 +23,10 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, ResolutionError, UsageError
 
+# Largest patch count a partition may ask for: at this size one dense n x n
+# float matrix of the scene already takes 34 GB.
+MAX_PATCHES = 2**16
+
 # ---------------------------------------------------------------------------
 # Surfaces
 # ---------------------------------------------------------------------------
@@ -314,9 +318,17 @@ def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
 
 
 def partition(surface: SurfaceDescriptor, d: float) -> Patchwork:
-    """Partition the surface into M ~ area/d^2 patches of area ~ d^2."""
+    """Partition the surface into M ~ area/d^2 patches of area ~ d^2.
+
+    A spacing that would give more than ``MAX_PATCHES`` patches is refused
+    before anything is built.
+    """
     if d <= 0 or d >= surface.diameter:
         raise ResolutionError(f"spacing d={d} incompatible with surface diameter {surface.diameter}")
+    predicted = surface.total_area / d**2
+    if predicted > MAX_PATCHES:
+        raise ResolutionError(f"spacing d={d:.3g} asks for about {predicted:.3g} patches, "
+                              f"above the limit of {MAX_PATCHES}")
     pw = _partition_disk(surface, d) if surface.kind == "disk" else _partition_sphere(surface, d)
     pw.validate()
     return pw

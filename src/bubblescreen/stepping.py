@@ -20,21 +20,29 @@ third stages) and t_{n+1} (shared by the fourth stage and the new node's
 acceleration, which is also the next step's first stage).  The step is fixed,
 so for each of those two stage offsets every coupled pair has a constant cell
 offset and constant Hermite weights.  ``DelayNetwork.solve`` therefore builds
-a history plan once per grid -- flat gather indices and the Hermite weights
-premultiplied by the coupling -- and each delayed sum is four gathers from the
-acceleration and slope arrays plus one ``np.bincount``.  That the history has
-no gap (every query reads rows already computed) is checked once, when the
-plan is built.  The forcing does not depend on the state either, so it is
-tabulated once per block of steps: ``forcing`` maps a (k, 1) column of stage
-times to (k, n) forces, or to anything that broadcasts to (k, n).
+a row-major history plan once per grid: an n x n array of gather offsets,
+each row holding the pairs of one oscillator, and four n x n weight buffers
+for the Hermite weights premultiplied by the coupling.  The acceleration and slope
+histories carry leading zero rows, at least as many as the deepest lag, so
+every offset reads a row that exists, and one trailing zero row that
+uncoupled entries read.  Each delayed sum is then four gathers into one
+shared n x n buffer and four row dots against the weight buffers, with no
+per-step index arithmetic.  That the history has no gap (every query reads
+rows already computed) is checked once, when the plan is built.  The forcing
+does not depend on the state either, so it is tabulated once per block of
+steps: ``forcing`` maps a (k, 1) column of stage times to (k, n) forces, or
+to anything that broadcasts to (k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing; a
 query at or before a column's onset returns exactly zero, so neither the march
 nor a field evaluated from the trace picks up the interpolant's pre-onset
-leakage.  In the plan, pairs are sorted by the first step at which their query
-lies past the source column's onset, so the live pairs of each step form a
-prefix.  Fixed-step method of steps with breaking-point tracking follows
-Bellen & Zennaro, *Numerical Methods for Delay Differential Equations* (2003).
+leakage.  In the plan, a pair's weights stay zero until the first step at
+which its query lies past the source column's onset (and reads no row before
+the first node); they are written at that step, so a pair contributes exactly
+zero before it.  Rows are sorted by the first step at which any of their pairs
+is live, so the rows a step sums form a prefix.  Fixed-step method of steps
+with breaking-point tracking follows Bellen & Zennaro, *Numerical Methods for
+Delay Differential Equations* (2003).
 """
 
 from __future__ import annotations
@@ -147,31 +155,85 @@ def _first_live(stage_t: np.ndarray, tau: np.ndarray, onset: np.ndarray) -> np.n
         n = n - back + ahead
 
 
-@dataclass(frozen=True)
 class _StagePlan:
-    """Delayed sum at t_n + sigma*h for every step n of one grid.
+    """Delayed sum at t_n + sigma*h for every step n of one grid, row-major.
 
-    Pair p reads rows n + o_p and n + o_p + 1 of the acceleration and slope
-    histories, at flat offsets ``n * width + base_p`` and ``... + width``;
-    ``weights`` are its four Hermite weights times c_p.  Pairs are sorted by
-    their first live step, and ``live[n]`` pairs are live at step n.
+    Entry (r, j) is the pair (rows[r], j): ``idx[r, j]`` is its flat offset in
+    the padded history relative to row n, so a step gathers rows n + o and
+    n + o + 1 with one unbuffered ``take`` each and reduces them against the
+    four Hermite weight buffers by row dots.  Rows are sorted by their first
+    live step, and the first ``live_rows[n]`` rows hold every pair live at step
+    n; the first ``live_pairs[n]`` of ``pairs`` are live at step n.
+    The weight buffers start at zero; a pair's weights c * w_k(theta) are
+    written at its first live step (``activate``), so a pair not yet live
+    contributes exactly zero.  Uncoupled entries and the diagonal point past
+    the end of the history, which ``mode="clip"`` maps to its trailing zero
+    row, and are never activated.
     """
 
-    rows: np.ndarray
-    base: np.ndarray
-    weights: tuple
-    live: np.ndarray
-    width: int
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, sigma: float,
+                 pad: int, buf: np.ndarray):
+        n, h = network.n, grid.h
+        times = grid.times
+        stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * h
+        iu, ju = network._iu, network._ju
+        offset = np.floor(sigma - network._tpair / h).astype(np.int64)
+        if np.any(offset + 1 > 0):
+            raise SolverError("history gap: delayed query ahead of computed nodes")
+        # a live query lies past its column's onset and reads no negative row
+        first = np.maximum(_first_live(stage_t, network._tpair, network.onset[ju]),
+                           -offset)
+        row_first = np.full(n, grid.steps, dtype=np.int64)
+        np.minimum.at(row_first, iu, first)
+        self.rows = np.argsort(row_first, kind="stable")
+        self.live_rows = np.searchsorted(row_first[self.rows], np.arange(grid.steps),
+                                         side="right")
+        # entry (r, j) sits at r * n + j; row r moves to it from row rows[r]
+        self.row_shift = np.empty(n, dtype=np.int64)
+        self.row_shift[self.rows] = (np.arange(n) - self.rows) * n
+        self.idx = np.full((n, n), (pad + grid.steps + 2) * n, dtype=np.int64)
+        self.idx.flat[iu * n + ju + self.row_shift[iu]] = (pad + offset) * n + ju
+        # pairs as flat (i, j) offsets into the network's n x n matrices
+        order = np.argsort(first, kind="stable")
+        self.pairs = (iu * n + ju)[order].astype(np.int32 if n * n < 2**31 else np.int64)
+        self.live_pairs = np.searchsorted(first[order], np.arange(grid.steps),
+                                          side="right")
+        self.weights = tuple(np.zeros((n, n)) for _ in range(4))
+        self.network, self.sigma, self.h = network, sigma, h
+        self.n, self.buf, self._done = n, buf, 0
+
+    def activate(self, ns: int) -> None:
+        """Write the weights of every pair whose first live step is ns or less."""
+        lo, hi = self._done, self.live_pairs[ns]
+        pairs = self.pairs[lo:hi]
+        entries = pairs + self.row_shift[pairs // self.n]
+        shift = self.sigma - self.network.delays.take(pairs) / self.h
+        c = self.network.coupling.take(pairs)
+        for wbuf, w in zip(self.weights,
+                           _hermite_weights(shift - np.floor(shift), self.h)):
+            wbuf.put(entries, c * w)
+        self._done = hi
 
     def delayed_sum(self, ns: int, acc: np.ndarray, slope: np.ndarray) -> np.ndarray:
-        m = self.live[ns]
-        if not m:
-            return np.zeros(self.width)
-        k0 = self.base[:m] + ns * self.width
-        k1 = k0 + self.width
-        w00, w10, w01, w11 = (w[:m] for w in self.weights)
-        vals = w00 * acc[k0] + w10 * slope[k0] + w01 * acc[k1] + w11 * slope[k1]
-        return np.bincount(self.rows[:m], weights=vals, minlength=self.width)
+        out = np.zeros(self.n)
+        r = self.live_rows[ns]
+        if not r:
+            return out
+        if self.live_pairs[ns] > self._done:
+            self.activate(ns)
+        buf, idx = self.buf[:r], self.idx[:r]
+        total = 0.0
+        for w, hist, row in zip(self.weights, (acc, slope, acc, slope), (0, 0, 1, 1)):
+            hist[(ns + row) * self.n:].take(idx, out=buf, mode="clip")
+            total += np.einsum("ij,ij->i", buf, w[:r])
+        out[self.rows[:r]] = total
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the plan's own arrays (the shared buffer excluded)."""
+        return sum(a.nbytes for a in (self.rows, self.live_rows, self.row_shift, self.idx,
+                                      self.pairs, self.live_pairs, *self.weights))
 
 
 class DelayNetwork:
@@ -230,37 +292,18 @@ class DelayNetwork:
                                   minlength=self.n)
         return (self.forcing(t) - y - delayed) / self.masses
 
-    def _stage_plan(self, grid: TimeGrid, sigma: float) -> _StagePlan:
-        """History plan for the delayed sum at t_n + sigma*h, n < steps."""
-        n, h = self.n, grid.h
-        times = grid.times
-        stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * h
-        shift = sigma - self._tpair / h
-        offset = np.floor(shift).astype(np.int64)
-        if np.any(offset + 1 > 0):
-            raise SolverError("history gap: delayed query ahead of computed nodes")
-        # a live query lies past its column's onset and reads no negative row
-        first = np.maximum(_first_live(stage_t, self._tpair, self.onset[self._ju]),
-                           -offset)
-        order = np.argsort(first, kind="stable")
-        weights = tuple(self._cpair[order] * w
-                        for w in _hermite_weights((shift - offset)[order], h))
-        return _StagePlan(
-            rows=self._iu[order],
-            base=(offset * n + self._ju)[order],
-            weights=weights,
-            live=np.searchsorted(first[order], np.arange(grid.steps), side="right"),
-            width=n,
-        )
-
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
-        The history plan for the two stage offsets (h/2 and h) is built here,
-        once per grid: a step above tau_min/2 raises ``ConfigError`` and a
-        plan that would read a row not yet computed raises ``SolverError``.
-        Each step then evaluates the delayed sum twice, and the forcing is
-        tabulated at both stage times for a block of steps at a time.
+        The row-major history plans for the two stage offsets (h/2 and h) are
+        built here, once per grid, and share one n x n gather buffer: a step
+        above tau_min/2 raises ``ConfigError`` and a plan that would read a
+        row not yet computed raises ``SolverError``.  The acceleration and
+        slope histories are padded with ``lag_max + 2`` leading zero rows and
+        one trailing zero row; the ``Trace`` holds views of the unpadded part.
+        Each step evaluates the delayed sum twice, first writing the weights of
+        the pairs that become live at that step, and the forcing is tabulated
+        at both stage times for a block of steps at a time.
         """
         if len(self._tpair) and grid.h > 0.5 * self.min_delay * (1 + 1e-12):
             raise ConfigError(
@@ -269,13 +312,18 @@ class DelayNetwork:
         n, h = self.n, grid.h
         steps = grid.steps
         times = grid.times
-        half = self._stage_plan(grid, 0.5)
-        full = self._stage_plan(grid, 1.0)
+        pad = self._lag_max(grid) + 2
+        buf = np.empty((n, n))
+        half = _StagePlan(self, grid, 0.5, pad, buf)
+        full = _StagePlan(self, grid, 1.0, pad, buf)
         Y = np.zeros((steps + 1, n))
         V = np.zeros((steps + 1, n))
-        A = np.zeros((steps + 1, n))
-        S = np.zeros((steps + 1, n))
-        acc, slope = A.reshape(-1), S.reshape(-1)
+        # pad leading zero rows (read by pairs not yet live) and one trailing
+        # zero row (read by uncoupled entries) around the steps + 1 nodes
+        Ap = np.zeros((pad + steps + 2, n))
+        Sp = np.zeros((pad + steps + 2, n))
+        A, S = Ap[pad:-1], Sp[pad:-1]
+        acc, slope = Ap.reshape(-1), Sp.reshape(-1)
         masses = self.masses
 
         def tabulate(t):
@@ -321,10 +369,21 @@ class DelayNetwork:
                 S[0] = S[1]
         return Trace(times, Y, V, A, S, self.onset)
 
+    def _lag_max(self, grid: TimeGrid) -> int:
+        """Deepest history row, in steps behind n, that a delayed sum at
+        t_n + h/2 or t_{n+1} reads: the half-step query of the longest delay."""
+        if not len(self._tpair):
+            return 0
+        return int(-np.floor(0.5 - self._tpair.max() / grid.h))
+
     def march_counters(self, grid: TimeGrid) -> dict:
-        """Size and step margin of a march on ``grid``, for run manifests."""
+        """Size, step margin and history window of a march on ``grid``, for
+        run manifests; ``lag_max`` is the deepest history row, in steps, that
+        a delayed sum reads."""
         return {"n": self.n, "pairs": len(self._tpair), "steps": grid.steps,
-                "h": grid.h, "h_over_tau_min": grid.h / self.min_delay}
+                "h": grid.h, "tau_min": self.min_delay,
+                "h_over_tau_min": grid.h / self.min_delay,
+                "lag_max": self._lag_max(grid)}
 
 
 class RetardedNetwork(DelayNetwork):

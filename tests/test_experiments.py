@@ -25,10 +25,13 @@ def test_foldy_csvs_reproducible_and_manifest_keys(tmp_path):
                 == (tmp_path / "b" / csv).read_bytes())
     assert set(manifest["timings_s"]) == {"scene", "solve"}
     march = manifest["march"]["foldy"]
-    assert set(march) == {"n", "pairs", "steps", "h", "h_over_tau_min"}
+    assert set(march) == {"n", "pairs", "steps", "h", "tau_min", "h_over_tau_min",
+                          "lag_max"}
     assert march["pairs"] == march["n"] * (march["n"] - 1)
     assert march["steps"] * march["h"] == pytest.approx(2.5, rel=1e-14)
     assert 0.0 < march["h_over_tau_min"] <= 0.5
+    assert march["h_over_tau_min"] == march["h"] / march["tau_min"]
+    assert march["lag_max"] >= 1
 
 
 def test_validate_records_scene_timing(tmp_path):

@@ -1,17 +1,22 @@
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bubblescreen import (KFunction, TimeGrid, effective_grid, partition,
                           place_bubbles, stepping)
+from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ConfigError
+from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, default_grid
+from bubblescreen.geometry import pairwise_distances
 
 from oracles import reference_march
 
 FIELDS = ("value", "rate", "acc")
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
 
 def _networks(params, disk, disk_scene):
@@ -59,9 +64,15 @@ def test_march_counters(params, disk_scene):
     grid = default_grid(network, 2.0)
     counters = network.march_counters(grid)
     n = disk_scene["cluster"].n
+    tau_min, tau_max = network.min_delay, network.delays.max()
+    lag_max = counters.pop("lag_max")
     assert counters == {"n": n, "pairs": n * (n - 1), "steps": grid.steps,
-                        "h": grid.h, "h_over_tau_min": grid.h / network.min_delay}
+                        "h": grid.h, "tau_min": tau_min,
+                        "h_over_tau_min": grid.h / tau_min}
     assert counters["h_over_tau_min"] <= 0.5
+    # the half-step query of the longest delay reads rows lag_max and
+    # lag_max - 1 behind the step
+    assert lag_max - 1 < tau_max / grid.h - 0.5 <= lag_max
 
 
 def _one_time_at_a_time(forcing):
@@ -97,3 +108,77 @@ def test_block_forcing_matches_per_time_forcing(params, disk, disk_scene, kind,
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     # one call at t = 0, then one per stage offset and block
     assert len(calls) == 1 + 2 * -(-grid.steps // block)
+
+
+def _small_network(n, seed, onset=False):
+    """n oscillators on a random cloud: some couplings zero, delays r_ij.
+
+    With ``onset`` the forcing starts at each oscillator's distance from a
+    source point, so onset_i <= onset_j + tau_ij; otherwise the onsets are
+    the default zeros.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 3))
+    delays = pairwise_distances(pts)
+    coupling = rng.uniform(-0.02, 0.02, (n, n))
+    coupling[rng.random((n, n)) < 0.3] = 0.0
+    np.fill_diagonal(coupling, 0.0)
+    start = np.linalg.norm(pts - [0.0, 0.0, 1.5], axis=1) if onset else np.zeros(n)
+    amp = rng.uniform(0.5, 1.5, n)
+
+    def forcing(t):
+        return amp * np.maximum(t - start, 0.0) ** 4 * np.exp(-t)
+
+    masses = rng.uniform(0.5, 2.0, n)
+    network = stepping.DelayNetwork(masses, coupling, delays, forcing,
+                                    start if onset else None)
+    h = min(0.4 * network.min_delay, 0.05)
+    steps = int(np.ceil(6.0 / h))
+    return network, TimeGrid(T=steps * h, h=h, steps=steps)
+
+
+@pytest.mark.parametrize("onset", [False, True])
+def test_plan_with_zero_couplings_matches_reference(onset):
+    network, grid = _small_network(9, seed=3, onset=onset)
+    assert np.count_nonzero(network.coupling) < 9 * 8
+    # pairs not yet live gather rows before the first node from the zero
+    # padding: lag_max rows deep in the first steps
+    assert network.march_counters(grid)["lag_max"] > 2
+    trace = network.solve(grid)
+    ref = reference_march(network, grid)
+    for name in FIELDS:
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    pre = trace.times[:, None] <= trace.onset[None, :]
+    assert pre.any() and (~pre).any()
+    for name in FIELDS:
+        assert np.all(getattr(trace, name)[pre] == 0.0), name
+
+
+def test_solve_is_bitwise_repeatable():
+    network, grid = _small_network(9, seed=5, onset=True)
+    other, other_grid = _small_network(14, seed=6)
+    first = network.solve(grid)
+    second = network.solve(grid)
+    other.solve(other_grid)
+    third = network.solve(grid)
+    for name in FIELDS + ("acc_slope",):
+        want = getattr(first, name)
+        assert np.array_equal(getattr(second, name), want), name
+        assert np.array_equal(getattr(third, name), want), name
+
+
+def test_plan_memory_within_old_budget():
+    # the old per-pair plan held 48 B per pair per stage; the row-major plan
+    # may add one shared n x n buffer and no more
+    config = ExperimentConfig.load(CONFIG)
+    scene = build_scene(config, 1.0 / 256.0)
+    network = DelaySystem(scene.cluster, scene.params, scene.source)
+    grid = default_grid(network, config.horizon)
+    pad = network.march_counters(grid)["lag_max"] + 2
+    buf = np.empty((network.n, network.n))
+    plans = [stepping._StagePlan(network, grid, sigma, pad, buf)
+             for sigma in (0.5, 1.0)]
+    pairs = network.march_counters(grid)["pairs"]
+    assert network.n > 200
+    assert sum(p.nbytes for p in plans) + buf.nbytes <= 2 * 48 * pairs + 8 * network.n ** 2
