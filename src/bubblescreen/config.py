@@ -26,7 +26,6 @@ _DEFAULTS: dict = {
     "run": {
         "eps": 1.0 / 64.0,
         "T": 8.0,
-        "step_safety": 0.4,
         "h_max": 0.05,
         "n_out": 481,
         "observation_points": [[0.0, 0.0, -0.5], [0.25, 0.15, 0.6], [0.0, 0.0, 0.7]],
@@ -224,8 +223,6 @@ class ExperimentConfig:
         obs = self.observation_points
         if obs.ndim != 2 or obs.shape[1] != 3:
             raise ConfigError("observation points must be a list of xyz triples")
-        if float(data["run"]["step_safety"]) <= 0 or float(data["run"]["step_safety"]) > 0.5:
-            raise ConfigError("run.step_safety must lie in (0, 0.5]")
 
     # -- hashing -----------------------------------------------------------
     def canonical_json(self) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationPointError, UsageError
-from .geometry import KFunction, Patchwork, min_pairwise_distance
+from .geometry import KFunction, Patchwork
 from .materials import PhysicalParams
 from .sources import PointSource, incident_eval
 from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
@@ -111,10 +111,10 @@ class EffectiveSystem(RetardedNetwork):
 
 
 def effective_grid(rule: QuadratureRule, params: PhysicalParams, T: float,
-                   safety: float = 0.4, h_max: float = 0.05) -> TimeGrid:
-    dmin = min_pairwise_distance(rule.nodes)
-    target = min(h_max, safety * dmin / params.c0) if np.isfinite(dmin) else h_max
-    return TimeGrid.fit(T, target)
+                   h_max: float = 0.05) -> TimeGrid:
+    """Grid of steps h <= h_max on [0, T], whatever the node spacing (as
+    ``foldy.default_grid``)."""
+    return TimeGrid.fit(T, h_max)
 
 
 def effective_scattered(rule: QuadratureRule, trace: Trace, params: PhysicalParams,

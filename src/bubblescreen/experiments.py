@@ -55,9 +55,11 @@ def _column_text(col: np.ndarray) -> list[str]:
 
 def _long_columns(times: np.ndarray, *fields: np.ndarray) -> list[np.ndarray]:
     """Columns (time, id, *fields) of (ids, times) arrays, id-major: every
-    time of id 0, then of id 1, ..."""
+    time of id 0, then of id 1, ...  The times are converted to text once
+    and the strings repeated for every id."""
     n = fields[0].shape[0]
-    return [np.tile(times, n), np.repeat(np.arange(n), len(times)),
+    time_text = np.array(_column_text(np.asarray(times)), dtype=object)
+    return [np.tile(time_text, n), np.repeat(np.arange(n), len(times)),
             *(np.ravel(f) for f in fields)]
 
 
@@ -204,7 +206,7 @@ def output_lattice(config: ExperimentConfig) -> np.ndarray:
 
 def _run_opts(config: ExperimentConfig) -> dict:
     run = config.data["run"]
-    return {"safety": float(run["step_safety"]), "h_max": float(run["h_max"]),
+    return {"h_max": float(run["h_max"]),
             "strict": run["condition_violation"] == "error"}
 
 
@@ -228,7 +230,7 @@ def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
     """Bubble traces, probe fields and the march counters of the Foldy model."""
     opts = _run_opts(scene.config)
     system = assemble(scene.cluster, scene.params, scene.source, strict=opts["strict"])
-    grid = default_grid(system, scene.config.horizon, opts["safety"], opts["h_max"])
+    grid = default_grid(system, scene.config.horizon, opts["h_max"])
     traces = system.solve(grid)
     fields = scattered_series(traces, scene.cluster, scene.params,
                               scene.config.observation_points, t_out)
@@ -239,8 +241,7 @@ def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
                            params: PhysicalParams | None = None):
     opts = _run_opts(scene.config)
     params = params or scene.params
-    grid = effective_grid(scene.rule, params, scene.config.horizon,
-                          opts["safety"], opts["h_max"])
+    grid = effective_grid(scene.rule, params, scene.config.horizon, opts["h_max"])
     system = EffectiveSystem(scene.rule, params, scene.source)
     trace = system.solve(grid)
     field = EffectiveField(scene.rule, trace, params, scene.source)
@@ -316,8 +317,7 @@ def run_cq(config: ExperimentConfig, outdir=None) -> int:
         scene = build_scene(config)
         t1 = time.perf_counter()
         opts = _run_opts(config)
-        grid = effective_grid(scene.rule, scene.params, config.horizon,
-                              opts["safety"], opts["h_max"])
+        grid = effective_grid(scene.rule, scene.params, config.horizon, opts["h_max"])
         scheme = CQScheme.for_grid(grid)
         y = cq_solve(scene.rule, scene.params, scheme, scene.source)
         session.timings["scene"] = t1 - t0

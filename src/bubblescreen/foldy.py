@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .errors import EvaluationPointError, SolvabilityError, UsageError
+from .errors import EvaluationPointError, SolvabilityError
 from .geometry import BubbleCluster
 from .materials import PhysicalParams, validate_conditions
 from .sources import PointSource
@@ -50,13 +50,13 @@ def assemble(cluster: BubbleCluster, params: PhysicalParams, source: PointSource
     return DelaySystem(cluster, params, source)
 
 
-def default_grid(system: DelaySystem, T: float, safety: float = 0.4,
-                 h_max: float = 0.05) -> TimeGrid:
-    """Grid respecting the step bound h <= 0.5 * minimum delay."""
-    if not 0 < safety <= 0.5:
-        raise UsageError("step safety factor must lie in (0, 0.5]")
-    target = min(h_max, safety * system.min_delay) if np.isfinite(system.min_delay) else h_max
-    return TimeGrid.fit(T, target)
+def default_grid(system: DelaySystem, T: float, h_max: float = 0.05) -> TimeGrid:
+    """Grid of steps h <= h_max on [0, T].
+
+    The step does not depend on the bubble spacing: pairs whose delay is
+    below 2h are solved implicitly with the new node (``DelayNetwork.solve``).
+    """
+    return TimeGrid.fit(T, h_max)
 
 
 def scattered_field(traces: Trace, cluster: BubbleCluster, params: PhysicalParams,

@@ -9,40 +9,52 @@ form
 a neutral system: the delayed terms act on the highest derivative.  The
 acceleration history is therefore stored explicitly at the grid nodes and
 interpolated with cubic Hermite polynomials whose slopes (third derivatives)
-come from third-order finite-difference stencils.  With all delays bounded
-below by tau_min > 0 and h <= 0.5 * tau_min, every delayed query -- including
-ones issued from internal Runge-Kutta stage times -- lands strictly inside the
-already-computed past.
+come from third-order finite-difference stencils: the newest node's slope is
+provisional (backward) until the next node finalizes it (central).
 
 The delayed sum depends on t and the history only, not on the state, so one
 classical RK4 step needs it at two times: t_n + h/2 (shared by the second and
 third stages) and t_{n+1} (shared by the fourth stage and the new node's
 acceleration, which is also the next step's first stage).  The step is fixed,
 so for each of those two stage offsets every coupled pair has a constant cell
-offset and constant Hermite weights.  ``DelayNetwork.solve`` therefore builds
-a row-major history plan once per grid: an n x n array of gather offsets,
-each row holding the pairs of one oscillator, and four n x n weight buffers
-for the Hermite weights premultiplied by the coupling.  The acceleration and slope
-histories carry leading zero rows, at least as many as the deepest lag, so
-every offset reads a row that exists, and one trailing zero row that
-uncoupled entries read.  Each delayed sum is then four gathers into one
-shared n x n buffer and four row dots against the weight buffers, with no
-per-step index arithmetic.  That the history has no gap (every query reads
-rows already computed) is checked once, when the plan is built.  The forcing
-does not depend on the state either, so it is tabulated once per block of
-steps: ``forcing`` maps a (k, 1) column of stage times to (k, n) forces, or
-to anything that broadcasts to (k, n).
+offset and constant Hermite weights.  Any step h > 0 is allowed; the step is
+not tied to the smallest delay.  A pair is *far* at a stage when its query
+cell ends at row n with zero weight on the still-provisional slope S[n]
+(delay at least 1.5h at the half stage, 2h at the full one), and *near*
+otherwise: its cell weights the final S[n] or the new row n + 1.
+
+``DelayNetwork.solve`` builds a row-major history plan for the far pairs once
+per grid: an n x n array of gather offsets, each row holding the pairs of one
+oscillator, and four n x n weight buffers for the Hermite weights
+premultiplied by the coupling.  The acceleration and slope histories carry
+leading zero rows, at least as many as the deepest lag, so every offset reads
+a row that exists, and one trailing zero row that uncoupled entries read.
+Each far sum is then four gathers into one shared n x n buffer and four row
+dots against the weight buffers, with no per-step index arithmetic.
+
+The near pairs' values are affine in the new node's acceleration a = A[n+1],
+through the Hermite weight of row n + 1 and the slope stencils of S[n] and
+S[n+1], and the RK4 step is affine in the delayed sums.  So while any near
+pair is live, each step is implicit in a: a = r + G a, with r the new node's
+acceleration at a = 0 and G a sparse n x n map built from the near pairs
+only.  It is solved by fixed-point sweeps over the near pairs, as many as the
+map's contraction bound needs to reach rounding level; a bound of 1 or more
+is refused.  This is the method of steps with an implicit new node (Bellen &
+Zennaro, below).  The forcing does not depend on the state either, so it is
+tabulated once per block of steps: ``forcing`` maps a (k, 1) column of stage
+times to (k, n) forces, or to anything that broadcasts to (k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing; a
 query at or before a column's onset returns exactly zero, so neither the march
 nor a field evaluated from the trace picks up the interpolant's pre-onset
-leakage.  In the plan, a pair's weights stay zero until the first step at
-which its query lies past the source column's onset (and reads no row before
-the first node); they are written at that step, so a pair contributes exactly
-zero before it.  Rows are sorted by the first step at which any of their pairs
-is live, so the rows a step sums form a prefix.  Fixed-step method of steps
-with breaking-point tracking follows Bellen & Zennaro, *Numerical Methods for
-Delay Differential Equations* (2003).
+leakage.  A pair's weights stay zero until the first step at which its query
+lies past the source column's onset (and reads no row before the first node);
+they are written at that step in the plan, and the near pairs are sorted by
+that step, so a pair contributes exactly zero before it.  Plan rows are sorted
+by the first step at which any of their pairs is live, so the rows a step sums
+form a prefix.  Fixed-step method of steps with breaking-point tracking
+follows Bellen & Zennaro, *Numerical Methods for Delay Differential
+Equations* (2003).
 """
 
 from __future__ import annotations
@@ -155,10 +167,67 @@ def _first_live(stage_t: np.ndarray, tau: np.ndarray, onset: np.ndarray) -> np.n
         n = n - back + ahead
 
 
-class _StagePlan:
-    """Delayed sum at t_n + sigma*h for every step n of one grid, row-major.
+def _stage_pairs(network: "DelayNetwork", grid: TimeGrid, sigma: float, near: bool):
+    """The near or far pairs of the stage at t_n + sigma*h.
 
-    Entry (r, j) is the pair (rows[r], j): ``idx[r, j]`` is its flat offset in
+    A pair's cell shift sigma - tau/h puts its query in the Hermite cell of
+    rows n + o and n + o + 1, o = floor(shift).  It is near when the shift
+    exceeds -1: the cell then weights the slope S[n], final only once A[n+1]
+    is known, or the new row n + 1 itself.  Returns the pairs (indices into
+    the network's pair arrays), their shifts, offsets o and first live steps:
+    the first step whose query lies past the source column's onset and reads
+    no row before the first node.
+    """
+    times = grid.times
+    stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * grid.h
+    shift = sigma - network._tpair / grid.h
+    sel = np.flatnonzero((shift > -1.0) == near)
+    shift = shift[sel]
+    offset = np.floor(shift).astype(np.int64)
+    first = np.maximum(_first_live(stage_t, network._tpair[sel],
+                                   network.onset[network._ju[sel]]), -offset)
+    return sel, shift, offset, first
+
+
+def _slope_stencils(A: np.ndarray, mn: int, h: float):
+    """Third-order slopes from the accelerations up to row mn: the provisional
+    slope at mn and the final one at mn - 1."""
+    if mn >= 3:
+        return ((11 * A[mn] - 18 * A[mn - 1] + 9 * A[mn - 2] - 2 * A[mn - 3]) / (6 * h),
+                (2 * A[mn] + 3 * A[mn - 1] - 6 * A[mn - 2] + A[mn - 3]) / (6 * h))
+    if mn == 2:
+        return (3 * A[2] - 4 * A[1] + A[0]) / (2 * h), (A[2] - A[0]) / (2 * h)
+    first = (A[1] - A[0]) / h
+    return first, first
+
+
+def _new_row_weights(mn: int, h: float):
+    """Weights of A[mn] in the two slopes ``_slope_stencils(A, mn, h)`` returns."""
+    k = min(mn, 3)
+    unit = np.zeros((k + 1, 1))
+    unit[k] = 1.0
+    return tuple(float(s[0]) for s in _slope_stencils(unit, k, h))
+
+
+def _rk4(y, v, k1v, f_half, f_full, d_half, d_full, h, masses):
+    """One classical RK4 step of (x, x') given both stages' delayed sums;
+    returns x, x' and x'' at the new node."""
+    k2y = v + 0.5 * h * k1v
+    k2v = (f_half - (y + 0.5 * h * v) - d_half) / masses
+    k3y = v + 0.5 * h * k2v
+    k3v = (f_half - (y + 0.5 * h * k2y) - d_half) / masses
+    k4y = v + h * k3v
+    k4v = (f_full - (y + h * k3y) - d_full) / masses
+    y1 = y + h / 6.0 * (v + 2 * k2y + 2 * k3y + k4y)
+    v1 = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    return y1, v1, (f_full - y1 - d_full) / masses
+
+
+class _StagePlan:
+    """Far pairs' delayed sum at t_n + sigma*h for every step n of one grid,
+    row-major.
+
+    Entry (r, j) is the far pair (rows[r], j): ``idx[r, j]`` is its flat offset in
     the padded history relative to row n, so a step gathers rows n + o and
     n + o + 1 with one unbuffered ``take`` each and reduces them against the
     four Hermite weight buffers by row dots.  Rows are sorted by their first
@@ -166,23 +235,18 @@ class _StagePlan:
     n; the first ``live_pairs[n]`` of ``pairs`` are live at step n.
     The weight buffers start at zero; a pair's weights c * w_k(theta) are
     written at its first live step (``activate``), so a pair not yet live
-    contributes exactly zero.  Uncoupled entries and the diagonal point past
-    the end of the history, which ``mode="clip"`` maps to its trailing zero
-    row, and are never activated.
+    contributes exactly zero.  Uncoupled entries, near pairs and the diagonal
+    point past the end of the history, which ``mode="clip"`` maps to its
+    trailing zero row, and are never activated.  A far pair's cell ends at
+    row n or earlier, and gives row n weight zero, so the sums read final
+    values only.
     """
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, sigma: float,
                  pad: int, buf: np.ndarray):
         n, h = network.n, grid.h
-        times = grid.times
-        stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * h
-        iu, ju = network._iu, network._ju
-        offset = np.floor(sigma - network._tpair / h).astype(np.int64)
-        if np.any(offset + 1 > 0):
-            raise SolverError("history gap: delayed query ahead of computed nodes")
-        # a live query lies past its column's onset and reads no negative row
-        first = np.maximum(_first_live(stage_t, network._tpair, network.onset[ju]),
-                           -offset)
+        far, _, offset, first = _stage_pairs(network, grid, sigma, near=False)
+        iu, ju = network._iu[far], network._ju[far]
         row_first = np.full(n, grid.steps, dtype=np.int64)
         np.minimum.at(row_first, iu, first)
         self.rows = np.argsort(row_first, kind="stable")
@@ -234,6 +298,89 @@ class _StagePlan:
         """Bytes held by the plan's own arrays (the shared buffer excluded)."""
         return sum(a.nbytes for a in (self.rows, self.live_rows, self.row_shift, self.idx,
                                       self.pairs, self.live_pairs, *self.weights))
+
+
+class _NearPairs:
+    """Near pairs of both stages of one grid, solved with the new node.
+
+    A near pair interpolates rows n - 1, n (o = -1) or n, n + 1 (o = 0) with
+    the final slope S[n] and, for o = 0, the new node's A[n+1] and its
+    provisional slope S[n+1].  Both slopes are affine in a = A[n+1] through
+    ``_slope_stencils``, so each near value is a fixed part, read from the
+    history with the new row at zero by ``sums``, plus g * a_j.  Pair p's
+    coupled Hermite weights over the slots (A[n-1], S[n-1], A[n], S[n],
+    A[n+1], S[n+1]) become ``fixed_w[:, p]`` (every slot but A[n+1]) and
+    ``g[k][p]`` (the weight of a_j with the slope stencils of new row k + 1,
+    the same from row 3 on); its sum lands in ``tgt[p]``, row i of the half
+    stage or n + i of the full one.  Pairs are sorted by their first live
+    step (exact onsets, as in the plan), so the first ``live[n]`` are live at
+    step n.
+
+    The RK4 step is affine in the delayed sums, and x(t_{n+1}) depends on the
+    half stage only, through k3, by -h^2/3 per unit of delayed sum over the
+    mass squared.  So a solves a = r + G a, where r is the new node's
+    acceleration with a = 0 and G = M^-1 (h^2/3 M^-1 N_half - N_full) holds
+    the near pairs' weights g.  ``solve`` iterates that map from a = r, with
+    one sparse pass over the live pairs per sweep.  ``contraction`` bounds
+    max_i sum_j |G_ij| over every step's weights; below 1 the map contracts,
+    and ``sweeps`` passes bring a to rounding level.
+    """
+
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid):
+        n, h, steps = network.n, grid.h, grid.steps
+        w, tgt, cols, first = [], [], [], []
+        for stage, sigma in enumerate((0.5, 1.0)):
+            sel, shift, offset, live_from = _stage_pairs(network, grid, sigma, near=True)
+            slot = 2 * (offset + 1)
+            wk = np.zeros((6, len(sel)))
+            c = network._cpair[sel]
+            for k, hw in enumerate(_hermite_weights(shift - offset, h)):
+                wk[slot + k, np.arange(len(sel))] = c * hw
+            w.append(wk)
+            tgt.append(stage * n + network._iu[sel])
+            cols.append(network._ju[sel])
+            first.append(live_from)
+        first = np.concatenate(first)
+        order = np.argsort(first, kind="stable")
+        w = np.concatenate(w, axis=1)[:, order]
+        self.fixed_w = w[[0, 1, 2, 3, 5]]    # every slot but A[n+1]
+        self.tgt = np.concatenate(tgt)[order]
+        self.cols = np.concatenate(cols)[order]
+        self.live = np.searchsorted(first[order], np.arange(steps), side="right")
+        self.pairs = len(tgt[1])    # a pair near at the half stage is near at the full one
+        self.g = [w[4] + final * w[3] + new * w[5]
+                  for new, final in (_new_row_weights(mn, h) for mn in (1, 2, 3))]
+        self.masses, self.n, self.k3 = network.masses, n, h * h / 3.0
+        rows = self.tgt % n
+        scale = np.abs(np.where(self.tgt < n, self.k3 / self.masses[rows], 1.0)
+                       / self.masses[rows])
+        self.contraction = float(max(np.bincount(rows, scale * np.abs(g), minlength=n).max()
+                                     for g in self.g))
+        eps = np.finfo(float).eps
+        self.sweeps = (int(np.ceil(np.log(eps) / np.log(self.contraction)))
+                       if 0.0 < self.contraction < 1.0 else 0)
+
+    def sums(self, ns: int, hist: np.ndarray) -> np.ndarray:
+        """Fixed parts of the half and full near sums, as (2, n), from the five
+        history slots other than A[n+1] (rows of ``hist``)."""
+        live = self.live[ns]
+        vals = np.einsum("kp,kp->p", self.fixed_w[:, :live], hist[:, self.cols[:live]])
+        return np.bincount(self.tgt[:live], vals, minlength=2 * self.n).reshape(2, self.n)
+
+    def solve(self, ns: int, r: np.ndarray) -> np.ndarray:
+        """The parts of the half and full near sums, as (2, n), that the new
+        node a = A[n+1] adds, a solving a = r + G a."""
+        live = self.live[ns]
+        g, tgt, cols = self.g[min(ns, 2)][:live], self.tgt[:live], self.cols[:live]
+
+        def coupled(a):
+            return np.bincount(tgt, g * a[cols], minlength=2 * self.n).reshape(2, self.n)
+
+        a = r
+        for _ in range(self.sweeps):
+            moved = coupled(a)
+            a = r + (self.k3 * moved[0] / self.masses - moved[1]) / self.masses
+        return coupled(a)
 
 
 class DelayNetwork:
@@ -295,20 +442,21 @@ class DelayNetwork:
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
-        The row-major history plans for the two stage offsets (h/2 and h) are
-        built here, once per grid, and share one n x n gather buffer: a step
-        above tau_min/2 raises ``ConfigError`` and a plan that would read a
-        row not yet computed raises ``SolverError``.  The acceleration and
-        slope histories are padded with ``lag_max + 2`` leading zero rows and
-        one trailing zero row; the ``Trace`` holds views of the unpadded part.
-        Each step evaluates the delayed sum twice, first writing the weights of
+        Any step h > 0 is allowed.  Far pairs, whose query cells end at row n,
+        go through the row-major history plans for the two stage offsets
+        (h/2 and h), built here once per grid and sharing one n x n gather
+        buffer.  Near pairs (delay below 1.5h at the half stage, below 2h at
+        the full one) read the final slope S[n] or the new node itself; while
+        any is live, each step solves the near pairs' linear system for
+        A[n+1] by fixed-point sweeps (see ``_NearPairs``) before taking the
+        RK4 step, and a system whose contraction bound is 1 or more raises
+        ``SolverError`` before the march starts.  The acceleration and slope
+        histories are padded with ``lag_max + 2`` leading zero rows and one
+        trailing zero row; the ``Trace`` holds views of the unpadded part.
+        Each step evaluates the far sums twice, first writing the weights of
         the pairs that become live at that step, and the forcing is tabulated
         at both stage times for a block of steps at a time.
         """
-        if len(self._tpair) and grid.h > 0.5 * self.min_delay * (1 + 1e-12):
-            raise ConfigError(
-                f"step h={grid.h} exceeds half the minimum delay {self.min_delay}"
-            )
         n, h = self.n, grid.h
         steps = grid.steps
         times = grid.times
@@ -316,6 +464,11 @@ class DelayNetwork:
         buf = np.empty((n, n))
         half = _StagePlan(self, grid, 0.5, pad, buf)
         full = _StagePlan(self, grid, 1.0, pad, buf)
+        near = _NearPairs(self, grid)
+        if near.contraction >= 1.0:
+            raise SolverError(
+                f"near pairs at step h={h} do not contract (bound "
+                f"{near.contraction:.3g} >= 1): lower h_max")
         Y = np.zeros((steps + 1, n))
         V = np.zeros((steps + 1, n))
         # pad leading zero rows (read by pairs not yet live) and one trailing
@@ -339,34 +492,27 @@ class DelayNetwork:
                 hi = min(ns + block, steps)
                 f_halves = tabulate(times[ns:hi] + 0.5 * h)
                 f_fulls = tabulate(times[ns + 1:hi + 1])
-            y, v, k1v = Y[ns], V[ns], A[ns]
-            f_half = f_halves[j]
-            d_half = half.delayed_sum(ns, acc, slope)
-            k2y = v + 0.5 * h * k1v
-            k2v = (f_half - (y + 0.5 * h * v) - d_half) / masses
-            k3y = v + 0.5 * h * k2v
-            k3v = (f_half - (y + 0.5 * h * k2y) - d_half) / masses
-            k4y = v + h * k3v
             mn = ns + 1
-            f_full = f_fulls[j]
+            stage = (Y[ns], V[ns], A[ns], f_halves[j], f_fulls[j])
+            d_half = half.delayed_sum(ns, acc, slope)
             d_full = full.delayed_sum(ns, acc, slope)
-            k4v = (f_full - (y + h * k3y) - d_full) / masses
-            Y[mn] = y + h / 6.0 * (v + 2 * k2y + 2 * k3y + k4y)
-            V[mn] = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            if near.live[ns]:
+                # slopes with A[mn] still zero: the fixed parts of S[ns], S[mn]
+                new_slope, final_slope = _slope_stencils(A, mn, h)
+                lo = pad + ns - 1
+                fixed = near.sums(ns, np.stack((Ap[lo], Sp[lo], Ap[lo + 1],
+                                                final_slope, new_slope)))
+                d_half += fixed[0]
+                d_full += fixed[1]
+                moved = near.solve(ns, _rk4(*stage, d_half, d_full, h, masses)[2])
+                d_half += moved[0]
+                d_full += moved[1]
+            Y[mn], V[mn], A[mn] = _rk4(*stage, d_half, d_full, h, masses)
             if not np.all(np.isfinite(Y[mn])):
                 raise DivergenceError(mn)
-            A[mn] = (f_full - Y[mn] - d_full) / masses
-            # third-order slope stencils; the provisional newest-node slope is
-            # finalized one step later, before any delayed query can reach it
-            if mn >= 3:
-                S[mn] = (11 * A[mn] - 18 * A[mn - 1] + 9 * A[mn - 2] - 2 * A[mn - 3]) / (6 * h)
-                S[mn - 1] = (2 * A[mn] + 3 * A[mn - 1] - 6 * A[mn - 2] + A[mn - 3]) / (6 * h)
-            elif mn == 2:
-                S[2] = (3 * A[2] - 4 * A[1] + A[0]) / (2 * h)
-                S[1] = (A[2] - A[0]) / (2 * h)
-            else:
-                S[1] = (A[1] - A[0]) / h
-                S[0] = S[1]
+            # the provisional newest-node slope is finalized one step later;
+            # far queries reach it only after that, near pairs through the solve
+            S[mn], S[mn - 1] = _slope_stencils(A, mn, h)
         return Trace(times, Y, V, A, S, self.onset)
 
     def _lag_max(self, grid: TimeGrid) -> int:
@@ -378,12 +524,17 @@ class DelayNetwork:
 
     def march_counters(self, grid: TimeGrid) -> dict:
         """Size, step margin and history window of a march on ``grid``, for
-        run manifests; ``lag_max`` is the deepest history row, in steps, that
-        a delayed sum reads."""
+        run manifests.  ``lag_max`` is the deepest history row, in steps, that
+        a delayed sum reads; ``near_pairs`` counts the pairs solved with the
+        new node (delay below 2h), ``near_contraction`` bounds their
+        fixed-point map (the march needs it below 1) and ``near_sweeps`` is
+        the number of sweeps per step that bound calls for."""
+        near = _NearPairs(self, grid)
         return {"n": self.n, "pairs": len(self._tpair), "steps": grid.steps,
                 "h": grid.h, "tau_min": self.min_delay,
                 "h_over_tau_min": grid.h / self.min_delay,
-                "lag_max": self._lag_max(grid)}
+                "lag_max": self._lag_max(grid), "near_pairs": near.pairs,
+                "near_contraction": near.contraction, "near_sweeps": near.sweeps}
 
 
 class RetardedNetwork(DelayNetwork):

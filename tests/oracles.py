@@ -7,7 +7,8 @@ constant of the ball is a tensor Gauss-Legendre double surface integral.  The
 exceptions use package code:
 
 - ``reference_march``, the per-query march that the history plan of
-  ``DelayNetwork.solve`` replaced, kept as its reference;
+  ``DelayNetwork.solve`` replaced, iterated to a fixed point in the new node
+  for pairs closer than two steps, kept as its reference;
 - ``csv_rows_text``, the per-cell CSV formatter that the column-wise writer
   replaced, kept as its reference;
 - the transmission-law oracles ``memory_convolution``,
@@ -136,8 +137,16 @@ def sphere_pair_quadrature(radius: float, order: int) -> float:
 
 
 def reference_march(network, grid):
-    """The per-query RK4 march the history plan replaced: five delayed sums
-    per step, each interpolating the trace through ``network.accel_all``.
+    """The per-query RK4 march the history plan replaced, with the new node
+    found by fixed-point iteration.
+
+    Every delayed sum interpolates the trace through ``network.accel_all``;
+    the first RK4 stage is the stored A[n].  A pair whose delay is below 2h
+    reads the final slope S[n] or the new row n + 1, so each step repeats
+    the RK4 stages and the new node's acceleration A[n+1], reapplying the
+    slope stencils (final S[n], provisional S[n+1]) after each pass, until
+    A[n+1] repeats bitwise or 100 passes are made.  Without such pairs the
+    second pass repeats the first, and the march is the explicit one.
 
     Returns a ``Trace`` for comparison with ``network.solve(grid)``.
     """
@@ -149,27 +158,31 @@ def reference_march(network, grid):
     for ns in range(steps):
         t = times[ns]
         y, v = Y[ns], V[ns]
-        k1v = network.accel_all(t, y, trace)
-        k1y = v
-        k2y = v + 0.5 * h * k1v
-        k2v = network.accel_all(t + 0.5 * h, y + 0.5 * h * k1y, trace)
-        k3y = v + 0.5 * h * k2v
-        k3v = network.accel_all(t + 0.5 * h, y + 0.5 * h * k2y, trace)
-        k4y = v + h * k3v
-        k4v = network.accel_all(t + h, y + h * k3y, trace)
-        Y[ns + 1] = y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        V[ns + 1] = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         mn = ns + 1
-        A[mn] = network.accel_all(times[mn], Y[mn], trace)
-        if mn >= 3:
-            S[mn] = (11 * A[mn] - 18 * A[mn - 1] + 9 * A[mn - 2] - 2 * A[mn - 3]) / (6 * h)
-            S[mn - 1] = (2 * A[mn] + 3 * A[mn - 1] - 6 * A[mn - 2] + A[mn - 3]) / (6 * h)
-        elif mn == 2:
-            S[2] = (3 * A[2] - 4 * A[1] + A[0]) / (2 * h)
-            S[1] = (A[2] - A[0]) / (2 * h)
-        else:
-            S[1] = (A[1] - A[0]) / h
-            S[0] = S[1]
+        k1v = A[ns]
+        k1y = v
+        for _ in range(100):
+            previous = A[mn].copy()
+            k2y = v + 0.5 * h * k1v
+            k2v = network.accel_all(t + 0.5 * h, y + 0.5 * h * k1y, trace)
+            k3y = v + 0.5 * h * k2v
+            k3v = network.accel_all(t + 0.5 * h, y + 0.5 * h * k2y, trace)
+            k4y = v + h * k3v
+            k4v = network.accel_all(t + h, y + h * k3y, trace)
+            Y[mn] = y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
+            V[mn] = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            A[mn] = network.accel_all(times[mn], Y[mn], trace)
+            if mn >= 3:
+                S[mn] = (11 * A[mn] - 18 * A[mn - 1] + 9 * A[mn - 2] - 2 * A[mn - 3]) / (6 * h)
+                S[mn - 1] = (2 * A[mn] + 3 * A[mn - 1] - 6 * A[mn - 2] + A[mn - 3]) / (6 * h)
+            elif mn == 2:
+                S[2] = (3 * A[2] - 4 * A[1] + A[0]) / (2 * h)
+                S[1] = (A[2] - A[0]) / (2 * h)
+            else:
+                S[1] = (A[1] - A[0]) / h
+                S[0] = S[1]
+            if np.array_equal(A[mn], previous):
+                break
     return trace
 
 

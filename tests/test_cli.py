@@ -28,6 +28,7 @@ def test_validate_exits_zero(tmp_path):
     ["--eps", "1/64,1/2"],      # --eps takes one value
     ["--eps", "nan"],
     {"run": {"eps": 1e-9}},     # about 1e9 patches: refused before partitioning
+    {"run": {"step_safety": 0.4}},  # removed key: the step no longer depends on tau_min
 ])
 def test_config_errors_exit_two(tmp_path, raw, capsys):
     # a dict is the config file; a list is flags given with the default config

@@ -26,10 +26,12 @@ def test_foldy_csvs_reproducible_and_manifest_keys(tmp_path):
     assert set(manifest["timings_s"]) == {"scene", "solve"}
     march = manifest["march"]["foldy"]
     assert set(march) == {"n", "pairs", "steps", "h", "tau_min", "h_over_tau_min",
-                          "lag_max"}
+                          "lag_max", "near_pairs", "near_contraction", "near_sweeps"}
     assert march["pairs"] == march["n"] * (march["n"] - 1)
     assert march["steps"] * march["h"] == pytest.approx(2.5, rel=1e-14)
-    assert 0.0 < march["h_over_tau_min"] <= 0.5
+    # the step is h_max; at eps 1/64 every delay exceeds 2h: no near pairs
+    assert march["h"] == 0.05
+    assert march["near_pairs"] == march["near_sweeps"] == 0
     assert march["h_over_tau_min"] == march["h"] / march["tau_min"]
     assert march["lag_max"] >= 1
 
@@ -78,12 +80,14 @@ def test_columns_written_as_the_row_formatter_did(tmp_path, rows):
 
 def test_long_layout_matches_row_loops(tmp_path):
     rng = np.random.default_rng(2)
-    times = np.linspace(0.0, 1.0, 7)
+    times = np.arange(401) * (8.0 / 401)          # 1203 trace rows: two blocks
     trace = rng.normal(size=(len(times), 3))      # (times, nodes), as a Trace
     field = rng.normal(size=(2, len(times)))      # (probes, times)
+    columns = _long_columns(times, trace.T)
+    # each time is converted to text once, its string shared by every node
+    assert columns[0][0] is columns[0][len(times)] is columns[0][2 * len(times)]
     with OutputSession(ExperimentConfig.from_dict({}), "t", tmp_path) as session:
-        traces = session.write_csv("traces.csv", ["time", "node_id", "y"],
-                                   _long_columns(times, trace.T))
+        traces = session.write_csv("traces.csv", ["time", "node_id", "y"], columns)
         fields = session.write_csv("field.csv", ["time", "probe_id", "u"],
                                    _long_columns(times, field))
     assert traces.read_text() == csv_rows_text(

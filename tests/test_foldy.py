@@ -8,7 +8,7 @@ from bubblescreen.errors import (ConfigError, EvaluationPointError,
                                  SolvabilityError)
 from bubblescreen.geometry import min_pairwise_distance
 
-from oracles import duhamel_oscillator, planar_grid
+from oracles import duhamel_oscillator, planar_grid, reference_march
 
 
 def make_cluster(centers, eps=1.0 / 64.0):
@@ -185,11 +185,17 @@ class TestSolve:
             rel = np.linalg.norm(trace.value[:, m] - ref) / np.linalg.norm(ref)
             assert rel < 1e-6
 
-    def test_step_bound_enforced(self, params):
+    def test_step_above_half_delay_matches_reference(self, params):
+        # delay 0.1 < 1.5 h: both stages read the step's own cell, so the new
+        # node is solved for with the near pair
         cluster = make_cluster([[0, 0, 0], [0.1, 0, 0]])
         system = assemble(cluster, params, make_source(params))
-        with pytest.raises(ConfigError):
-            system.solve(TimeGrid.fit(1.0, 0.09))
+        grid = TimeGrid.fit(4.0, 0.09)
+        assert system.march_counters(grid)["near_pairs"] == 2
+        trace, ref = system.solve(grid), reference_march(system, grid)
+        for name in ("value", "rate", "acc"):
+            got, want = getattr(trace, name), getattr(ref, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def _smooth_network(n=2):

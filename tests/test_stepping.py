@@ -8,9 +8,9 @@ from bubblescreen import (KFunction, TimeGrid, effective_grid, partition,
                           place_bubbles, stepping)
 from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
-from bubblescreen.errors import ConfigError
+from bubblescreen.errors import SolverError
 from bubblescreen.experiments import build_scene
-from bubblescreen.foldy import DelaySystem, default_grid
+from bubblescreen.foldy import DelaySystem, default_grid, scattered_series
 from bubblescreen.geometry import pairwise_distances
 
 from oracles import reference_march
@@ -28,14 +28,19 @@ def _networks(params, disk, disk_scene):
     jittered = place_bubbles(partition(disk, 0.125), KFunction.constant(1.0),
                              eps=1.0 / 256.0, seed=4)
     off_lattice = DelaySystem(jittered, params, source)
+    # near pairs: the jittered bubbles' closest pair lies within 2h of the
+    # default step, and the coarse grid's step exceeds the lattice spacing
     return {"screen": (screen, effective_grid(rule, params, 4.0)),
             "foldy": (foldy, default_grid(foldy, 4.0)),
-            "jittered": (off_lattice, default_grid(off_lattice, 4.0))}
+            "jittered": (off_lattice, default_grid(off_lattice, 4.0)),
+            "coarse": (screen, TimeGrid.fit(4.0, 1.2 * screen.min_delay))}
 
 
-@pytest.mark.parametrize("kind", ["screen", "foldy", "jittered"])
+@pytest.mark.parametrize("kind", ["screen", "foldy", "jittered", "coarse"])
 def test_plan_matches_reference_march(params, disk, disk_scene, kind):
     network, grid = _networks(params, disk, disk_scene)[kind]
+    near = network.march_counters(grid)["near_pairs"]
+    assert (near > 0) == (kind in ("jittered", "coarse"))
     trace = network.solve(grid)
     ref = reference_march(network, grid)
     for name in FIELDS:
@@ -49,14 +54,27 @@ def test_plan_matches_reference_march(params, disk, disk_scene, kind):
     assert np.all(np.abs(trace.acc[-1]) > 0.0)
 
 
-def test_step_above_half_min_delay_rejected(params, disk_scene):
-    network = EffectiveSystem(disk_scene["rule"], params, disk_scene["source"])
-    tau_min = network.min_delay
-    steps = int(np.ceil(1.0 / (0.5 * tau_min)))
-    network.solve(TimeGrid(T=steps * 0.5 * tau_min, h=0.5 * tau_min, steps=steps))
-    h = 0.5 * tau_min * (1 + 1e-9)
-    with pytest.raises(ConfigError):
-        network.solve(TimeGrid(T=steps * h, h=h, steps=steps))
+def test_near_pair_march_converges_at_fourth_order():
+    # disk at eps 1/256: tau_min = d = 1/16, so at h = 0.05 the 4 + 4 nearest
+    # neighbours are near pairs; at h = 0.025 and 0.0125 there are none
+    config = ExperimentConfig.load(CONFIG)
+    scene = build_scene(config, 1.0 / 256.0)
+    network = DelaySystem(scene.cluster, scene.params, scene.source)
+    T = 4.0
+    t_out = np.linspace(0.0, T, 241)
+    near = [network.march_counters(TimeGrid.fit(T, h))["near_pairs"] for h in (0.05, 0.025)]
+    assert near[0] > 0 and near[1] == 0
+
+    def probes(h):
+        trace = network.solve(TimeGrid.fit(T, h))
+        return scattered_series(trace, scene.cluster, scene.params,
+                                config.observation_points, t_out)
+
+    ref = probes(network.min_delay / 10)
+    errors = [np.abs(probes(h) - ref).max(axis=1) for h in (0.05, 0.025, 0.0125)]
+    assert np.all(errors[0] <= 5e-6 * np.abs(ref).max(axis=1))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.all(coarse >= 12 * fine)
 
 
 def test_march_counters(params, disk_scene):
@@ -68,11 +86,33 @@ def test_march_counters(params, disk_scene):
     lag_max = counters.pop("lag_max")
     assert counters == {"n": n, "pairs": n * (n - 1), "steps": grid.steps,
                         "h": grid.h, "tau_min": tau_min,
-                        "h_over_tau_min": grid.h / tau_min}
-    assert counters["h_over_tau_min"] <= 0.5
+                        "h_over_tau_min": grid.h / tau_min,
+                        "near_pairs": 0, "near_contraction": 0.0, "near_sweeps": 0}
     # the half-step query of the longest delay reads rows lag_max and
     # lag_max - 1 behind the step
     assert lag_max - 1 < tau_max / grid.h - 0.5 <= lag_max
+
+    # a step above tau_min: every pair closer than 2h is near, and the sweeps
+    # shrink the fixed-point error below rounding at the contraction bound
+    coarse = TimeGrid.fit(2.0, 1.2 * tau_min)
+    counters = network.march_counters(coarse)
+    tau = network.delays[~np.eye(n, dtype=bool)]
+    assert counters["near_pairs"] == np.count_nonzero(tau < 2 * coarse.h) > 0
+    q, sweeps = counters["near_contraction"], counters["near_sweeps"]
+    assert 0.0 < q < 1.0
+    assert q ** sweeps <= np.finfo(float).eps < q ** (sweeps - 1)
+
+
+def test_non_contracting_near_pairs_rejected():
+    # two oscillators coupled twice as strongly as their unit masses, a delay
+    # of half a step: the new node's fixed-point map does not contract
+    network = stepping.DelayNetwork(np.ones(2), np.array([[0.0, 2.0], [2.0, 0.0]]),
+                                    np.array([[0.0, 0.1], [0.1, 0.0]]),
+                                    lambda t: np.exp(-t) * t ** 4)
+    grid = TimeGrid.fit(2.0, 0.2)
+    assert network.march_counters(grid)["near_contraction"] >= 1.0
+    with pytest.raises(SolverError, match="lower h_max"):
+        network.solve(grid)
 
 
 def _one_time_at_a_time(forcing):
@@ -137,9 +177,14 @@ def _small_network(n, seed, onset=False):
     return network, TimeGrid(T=steps * h, h=h, steps=steps)
 
 
-@pytest.mark.parametrize("onset", [False, True])
-def test_plan_with_zero_couplings_matches_reference(onset):
+@pytest.mark.parametrize("onset, coarse", [(False, False), (True, False), (False, True)],
+                         ids=["False", "True", "coarse"])
+def test_plan_with_zero_couplings_matches_reference(onset, coarse):
     network, grid = _small_network(9, seed=3, onset=onset)
+    if coarse:
+        # near pairs live from the first step, through the start-up stencils
+        grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+        assert stepping._NearPairs(network, grid).live[0] > 0
     assert np.count_nonzero(network.coupling) < 9 * 8
     # pairs not yet live gather rows before the first node from the zero
     # padding: lag_max rows deep in the first steps
