@@ -14,7 +14,7 @@ from .geometry import (BubbleCluster, KFunction, build_surface,
                        counting_scaling_check, partition, place_bubbles)
 from .sources import PointSource, SourcePulse, incident_eval, pulse_eval
 from .stepping import DelayNetwork, TimeGrid
-from .foldy import assemble, default_grid, scattered_field
+from .foldy import assemble, scattered_field
 from .effective import (EffectiveField, QuadratureRule, build_rule,
                         effective_grid, effective_scattered)
 from .laplace_cq import CQScheme, cq_solve, laplace_solve
@@ -27,7 +27,7 @@ __all__ = [
     "partition", "place_bubbles",
     "PointSource", "SourcePulse", "incident_eval", "pulse_eval",
     "DelayNetwork", "TimeGrid",
-    "assemble", "default_grid", "scattered_field",
+    "assemble", "scattered_field",
     "EffectiveField", "QuadratureRule", "build_rule", "effective_grid",
     "effective_scattered",
     "CQScheme", "cq_solve", "laplace_solve",

@@ -207,6 +207,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown surface kind {data['surface']['kind']!r}")
         if data["run"]["condition_violation"] not in ("error", "warn"):
             raise ConfigError("run.condition_violation must be 'error' or 'warn'")
+        if data["run"]["n_out"] < 2:
+            raise ConfigError(f"run.n_out must be at least 2, got {data['run']['n_out']}")
         eps_list = self.eps_list
         bad = [e for e in [self.eps, *eps_list] if not e > 0]   # nan too
         if bad:

@@ -112,8 +112,8 @@ class EffectiveSystem(RetardedNetwork):
 
 def effective_grid(rule: QuadratureRule, params: PhysicalParams, T: float,
                    h_max: float = 0.05) -> TimeGrid:
-    """Grid of steps h <= h_max on [0, T], whatever the node spacing (as
-    ``foldy.default_grid``)."""
+    """Grid of steps h <= h_max on [0, T], whatever the node spacing: the
+    Foldy march's ``TimeGrid.fit(T, h_max)``, named as a stage of its own."""
     return TimeGrid.fit(T, h_max)
 
 

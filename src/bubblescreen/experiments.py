@@ -25,13 +25,14 @@ from .config import ExperimentConfig
 from .effective import (EffectiveField, EffectiveSystem, QuadratureRule,
                         build_rule, effective_grid)
 from .errors import ConfigError, UsageError
-from .foldy import assemble, default_grid, scattered_series
+from .foldy import assemble, scattered_series
 from .geometry import (BubbleCluster, Patchwork, build_surface,
                        counting_scaling_check, partition, place_bubbles)
 from .laplace_cq import CQScheme, cq_solve, resolvent_sweep
 from .materials import (PhysicalParams, RawMaterials, ShapeDescriptor,
                         derive_params, validate_conditions)
 from .sources import PointSource, SourcePulse
+from .stepping import TimeGrid
 
 OUTPUT_ROOT_ENV = "BUBBLESCREEN_OUT_ROOT"
 
@@ -230,7 +231,7 @@ def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
     """Bubble traces, probe fields and the march counters of the Foldy model."""
     opts = _run_opts(scene.config)
     system = assemble(scene.cluster, scene.params, scene.source, strict=opts["strict"])
-    grid = default_grid(system, scene.config.horizon, opts["h_max"])
+    grid = TimeGrid.fit(scene.config.horizon, opts["h_max"])
     traces = system.solve(grid)
     fields = scattered_series(traces, scene.cluster, scene.params,
                               scene.config.observation_points, t_out)

@@ -19,7 +19,7 @@ from .errors import EvaluationPointError, SolvabilityError
 from .geometry import BubbleCluster
 from .materials import PhysicalParams, validate_conditions
 from .sources import PointSource
-from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
+from .stepping import RetardedNetwork, Trace, retarded_superposition
 
 
 class DelaySystem(RetardedNetwork):
@@ -48,15 +48,6 @@ def assemble(cluster: BubbleCluster, params: PhysicalParams, source: PointSource
             raise SolvabilityError(msg)
         warnings.warn(msg, stacklevel=2)
     return DelaySystem(cluster, params, source)
-
-
-def default_grid(system: DelaySystem, T: float, h_max: float = 0.05) -> TimeGrid:
-    """Grid of steps h <= h_max on [0, T].
-
-    The step does not depend on the bubble spacing: pairs whose delay is
-    below 2h are solved implicitly with the new node (``DelayNetwork.solve``).
-    """
-    return TimeGrid.fit(T, h_max)
 
 
 def scattered_field(traces: Trace, cluster: BubbleCluster, params: PhysicalParams,

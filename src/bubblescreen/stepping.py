@@ -23,26 +23,28 @@ cell ends at row n with zero weight on the still-provisional slope S[n]
 (delay at least 1.5h at the half stage, 2h at the full one), and *near*
 otherwise: its cell weights the final S[n] or the new row n + 1.
 
-``DelayNetwork.solve`` builds a row-major history plan for the far pairs once
-per grid: an n x n array of gather offsets, each row holding the pairs of one
-oscillator, and four n x n weight buffers for the Hermite weights
+``DelayNetwork.solve`` builds a row-major history plan for every coupled pair
+once per grid: an n x n array of gather offsets, each row holding the pairs
+of one oscillator, and four n x n weight buffers for the Hermite weights
 premultiplied by the coupling.  The acceleration and slope histories carry
 leading zero rows, at least as many as the deepest lag, so every offset reads
 a row that exists, and one trailing zero row that uncoupled entries read.
-Each far sum is then four gathers into one shared n x n buffer and four row
-dots against the weight buffers, with no per-step index arithmetic.
+Each delayed sum is then four gathers into one shared n x n buffer and four
+row dots against the weight buffers, with no per-step index arithmetic.
 
 The near pairs' values are affine in the new node's acceleration a = A[n+1],
 through the Hermite weight of row n + 1 and the slope stencils of S[n] and
-S[n+1], and the RK4 step is affine in the delayed sums.  So while any near
-pair is live, each step is implicit in a: a = r + G a, with r the new node's
-acceleration at a = 0 and G a sparse n x n map built from the near pairs
-only.  It is solved by fixed-point sweeps over the near pairs, as many as the
-map's contraction bound needs to reach rounding level; a bound of 1 or more
-is refused.  This is the method of steps with an implicit new node (Bellen &
-Zennaro, below).  The forcing does not depend on the state either, so it is
-tabulated once per block of steps: ``forcing`` maps a (k, 1) column of stage
-times to (k, n) forces, or to anything that broadcasts to (k, n).
+S[n+1].  While any near pair is live, a step first writes both slopes with
+A[n+1] still zero, so the plans' sum holds every pair's history part, far
+and near alike; what is left is the new node's share.  The RK4 step is affine
+in the delayed sums, so each step is implicit in a: a = r + G a, with r the
+new node's acceleration at a = 0 and G a sparse n x n map built from the near
+pairs only.  It is solved by fixed-point sweeps over the near pairs, as many
+as the map's contraction bound needs to reach rounding level; a bound of 1 or
+more is refused.  This is the method of steps with an implicit new node
+(Bellen & Zennaro, below).  The forcing does not depend on the state either,
+so it is tabulated once per block of steps: ``forcing`` maps a (k, 1) column
+of stage times to (k, n) forces, or to anything that broadcasts to (k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing; a
 query at or before a column's onset returns exactly zero, so neither the march
@@ -83,8 +85,9 @@ class TimeGrid:
 
     @staticmethod
     def fit(T: float, target_h: float) -> "TimeGrid":
-        if T <= 0 or target_h <= 0:
-            raise ConfigError("horizon and step must be positive")
+        if not (np.isfinite(T) and np.isfinite(target_h) and T > 0 and target_h > 0):
+            raise ConfigError(f"horizon and step must be positive and finite, "
+                              f"got T={T}, h_max={target_h}")
         steps = int(np.ceil(T / target_h - 1e-12))
         return TimeGrid(T=T, h=T / steps, steps=steps)
 
@@ -167,26 +170,26 @@ def _first_live(stage_t: np.ndarray, tau: np.ndarray, onset: np.ndarray) -> np.n
         n = n - back + ahead
 
 
-def _stage_pairs(network: "DelayNetwork", grid: TimeGrid, sigma: float, near: bool):
-    """The near or far pairs of the stage at t_n + sigma*h.
+def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
+    """Every pair's cells at the half and full stage: (sigma, shift, o, first)
+    for sigma = 0.5 and 1.0.
 
-    A pair's cell shift sigma - tau/h puts its query in the Hermite cell of
-    rows n + o and n + o + 1, o = floor(shift).  It is near when the shift
-    exceeds -1: the cell then weights the slope S[n], final only once A[n+1]
-    is known, or the new row n + 1 itself.  Returns the pairs (indices into
-    the network's pair arrays), their shifts, offsets o and first live steps:
-    the first step whose query lies past the source column's onset and reads
-    no row before the first node.
+    A pair's cell shift sigma - tau/h puts its query at t_n + sigma*h in the
+    Hermite cell of rows n + o and n + o + 1, o = floor(shift); the pair is
+    near when the shift exceeds -1.  ``first`` is the first step whose query
+    lies past the source column's onset and reads no row before the first
+    node.  Arrays are over the network's pair arrays.
     """
-    times = grid.times
-    stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * grid.h
-    shift = sigma - network._tpair / grid.h
-    sel = np.flatnonzero((shift > -1.0) == near)
-    shift = shift[sel]
-    offset = np.floor(shift).astype(np.int64)
-    first = np.maximum(_first_live(stage_t, network._tpair[sel],
-                                   network.onset[network._ju[sel]]), -offset)
-    return sel, shift, offset, first
+    times, tau = grid.times, network._tpair
+    lag, onset = tau / grid.h, network.onset[network._ju]
+    stages = []
+    for sigma in (0.5, 1.0):
+        stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * grid.h
+        shift = sigma - lag
+        offset = np.floor(shift).astype(np.int64)
+        first = np.maximum(_first_live(stage_t, tau, onset), -offset)
+        stages.append((sigma, shift, offset, first))
+    return stages
 
 
 def _slope_stencils(A: np.ndarray, mn: int, h: float):
@@ -224,10 +227,10 @@ def _rk4(y, v, k1v, f_half, f_full, d_half, d_full, h, masses):
 
 
 class _StagePlan:
-    """Far pairs' delayed sum at t_n + sigma*h for every step n of one grid,
-    row-major.
+    """Delayed sum over every coupled pair at t_n + sigma*h for every step n
+    of one grid, row-major.
 
-    Entry (r, j) is the far pair (rows[r], j): ``idx[r, j]`` is its flat offset in
+    Entry (r, j) is the pair (rows[r], j): ``idx[r, j]`` is its flat offset in
     the padded history relative to row n, so a step gathers rows n + o and
     n + o + 1 with one unbuffered ``take`` each and reduces them against the
     four Hermite weight buffers by row dots.  Rows are sorted by their first
@@ -235,18 +238,21 @@ class _StagePlan:
     n; the first ``live_pairs[n]`` of ``pairs`` are live at step n.
     The weight buffers start at zero; a pair's weights c * w_k(theta) are
     written at its first live step (``activate``), so a pair not yet live
-    contributes exactly zero.  Uncoupled entries, near pairs and the diagonal
-    point past the end of the history, which ``mode="clip"`` maps to its
-    trailing zero row, and are never activated.  A far pair's cell ends at
-    row n or earlier, and gives row n weight zero, so the sums read final
-    values only.
+    contributes exactly zero.  Uncoupled entries and the diagonal point past
+    the end of the history, which ``mode="clip"`` maps to its trailing zero
+    row, and are never activated.  A far pair's cell ends at row n or
+    earlier and gives row n's slope weight zero, so it reads final values
+    only.  A near pair reads the final S[n] or the new row n + 1; while one
+    is live, the step writes the slopes S[n] and S[n+1] with A[n+1] still
+    zero first, so the sum holds the near pairs' history part and
+    ``_NearPairs`` adds the new node's share.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, sigma: float,
-                 pad: int, buf: np.ndarray):
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int,
+                 buf: np.ndarray, stage):
         n, h = network.n, grid.h
-        far, _, offset, first = _stage_pairs(network, grid, sigma, near=False)
-        iu, ju = network._iu[far], network._ju[far]
+        sigma, _, offset, first = stage
+        iu, ju = network._iu, network._ju
         row_first = np.full(n, grid.steps, dtype=np.int64)
         np.minimum.at(row_first, iu, first)
         self.rows = np.argsort(row_first, kind="stable")
@@ -301,20 +307,18 @@ class _StagePlan:
 
 
 class _NearPairs:
-    """Near pairs of both stages of one grid, solved with the new node.
+    """The new node's share of both stages' near sums on one grid.
 
     A near pair interpolates rows n - 1, n (o = -1) or n, n + 1 (o = 0) with
     the final slope S[n] and, for o = 0, the new node's A[n+1] and its
     provisional slope S[n+1].  Both slopes are affine in a = A[n+1] through
-    ``_slope_stencils``, so each near value is a fixed part, read from the
-    history with the new row at zero by ``sums``, plus g * a_j.  Pair p's
-    coupled Hermite weights over the slots (A[n-1], S[n-1], A[n], S[n],
-    A[n+1], S[n+1]) become ``fixed_w[:, p]`` (every slot but A[n+1]) and
-    ``g[k][p]`` (the weight of a_j with the slope stencils of new row k + 1,
-    the same from row 3 on); its sum lands in ``tgt[p]``, row i of the half
-    stage or n + i of the full one.  Pairs are sorted by their first live
-    step (exact onsets, as in the plan), so the first ``live[n]`` are live at
-    step n.
+    ``_slope_stencils``, so each near value is a history part, summed by the
+    stage plans with the new row at zero, plus g * a_j.  Pair p's coupled
+    Hermite weights of S[n], A[n+1] and S[n+1] give ``g[k][p]``: the weight
+    of a_j with the slope stencils of new row k + 1, the same from row 3 on.
+    Its sum lands in ``tgt[p]``, row i of the half stage or n + i of the full
+    one.  Pairs are sorted by their first live step (exact onsets, as in the
+    plans), so the first ``live[n]`` are live at step n.
 
     The RK4 step is affine in the delayed sums, and x(t_{n+1}) depends on the
     half stage only, through k3, by -h^2/3 per unit of delayed sum over the
@@ -326,29 +330,27 @@ class _NearPairs:
     and ``sweeps`` passes bring a to rounding level.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid):
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, stages):
         n, h, steps = network.n, grid.h, grid.steps
         w, tgt, cols, first = [], [], [], []
-        for stage, sigma in enumerate((0.5, 1.0)):
-            sel, shift, offset, live_from = _stage_pairs(network, grid, sigma, near=True)
-            slot = 2 * (offset + 1)
-            wk = np.zeros((6, len(sel)))
-            c = network._cpair[sel]
-            for k, hw in enumerate(_hermite_weights(shift - offset, h)):
-                wk[slot + k, np.arange(len(sel))] = c * hw
-            w.append(wk)
+        for stage, (_, shift, offset, live_from) in enumerate(stages):
+            sel = np.flatnonzero(shift > -1.0)
+            # weights of S[n], A[n+1], S[n+1]: a cell n - 1, n (o = -1) ends at S[n]
+            _, w10, w01, w11 = _hermite_weights(shift[sel] - offset[sel], h)
+            zero = np.zeros(len(sel))
+            w.append(network._cpair[sel] * np.where(offset[sel] == 0, (w10, w01, w11),
+                                                     (w11, zero, zero)))
             tgt.append(stage * n + network._iu[sel])
             cols.append(network._ju[sel])
-            first.append(live_from)
+            first.append(live_from[sel])
         first = np.concatenate(first)
         order = np.argsort(first, kind="stable")
         w = np.concatenate(w, axis=1)[:, order]
-        self.fixed_w = w[[0, 1, 2, 3, 5]]    # every slot but A[n+1]
         self.tgt = np.concatenate(tgt)[order]
         self.cols = np.concatenate(cols)[order]
         self.live = np.searchsorted(first[order], np.arange(steps), side="right")
         self.pairs = len(tgt[1])    # a pair near at the half stage is near at the full one
-        self.g = [w[4] + final * w[3] + new * w[5]
+        self.g = [w[1] + final * w[0] + new * w[2]
                   for new, final in (_new_row_weights(mn, h) for mn in (1, 2, 3))]
         self.masses, self.n, self.k3 = network.masses, n, h * h / 3.0
         rows = self.tgt % n
@@ -359,13 +361,6 @@ class _NearPairs:
         eps = np.finfo(float).eps
         self.sweeps = (int(np.ceil(np.log(eps) / np.log(self.contraction)))
                        if 0.0 < self.contraction < 1.0 else 0)
-
-    def sums(self, ns: int, hist: np.ndarray) -> np.ndarray:
-        """Fixed parts of the half and full near sums, as (2, n), from the five
-        history slots other than A[n+1] (rows of ``hist``)."""
-        live = self.live[ns]
-        vals = np.einsum("kp,kp->p", self.fixed_w[:, :live], hist[:, self.cols[:live]])
-        return np.bincount(self.tgt[:live], vals, minlength=2 * self.n).reshape(2, self.n)
 
     def solve(self, ns: int, r: np.ndarray) -> np.ndarray:
         """The parts of the half and full near sums, as (2, n), that the new
@@ -442,33 +437,37 @@ class DelayNetwork:
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
-        Any step h > 0 is allowed.  Far pairs, whose query cells end at row n,
-        go through the row-major history plans for the two stage offsets
-        (h/2 and h), built here once per grid and sharing one n x n gather
-        buffer.  Near pairs (delay below 1.5h at the half stage, below 2h at
-        the full one) read the final slope S[n] or the new node itself; while
-        any is live, each step solves the near pairs' linear system for
-        A[n+1] by fixed-point sweeps (see ``_NearPairs``) before taking the
-        RK4 step, and a system whose contraction bound is 1 or more raises
+        Any step h > 0 is allowed.  Every coupled pair goes through the
+        row-major history plans for the two stage offsets (h/2 and h), built
+        here once per grid from one split of the pairs into cells and sharing
+        one n x n gather buffer.  Near pairs (delay below 1.5h at the half
+        stage, below 2h at the full one) read the final slope S[n] or the new
+        node itself.  While any is live, each step first writes S[n] and
+        S[n+1] with A[n+1] still zero, so the plans sum the near pairs'
+        history part with the far pairs, and then solves for the new node's
+        share by fixed-point sweeps (see ``_NearPairs``) before taking the
+        RK4 step; a system whose contraction bound is 1 or more raises
         ``SolverError`` before the march starts.  The acceleration and slope
         histories are padded with ``lag_max + 2`` leading zero rows and one
         trailing zero row; the ``Trace`` holds views of the unpadded part.
-        Each step evaluates the far sums twice, first writing the weights of
-        the pairs that become live at that step, and the forcing is tabulated
-        at both stage times for a block of steps at a time.
+        Each step evaluates the sums twice, first writing the weights of the
+        pairs that become live at that step, and the forcing is tabulated at
+        both stage times for a block of steps at a time.
         """
         n, h = self.n, grid.h
         steps = grid.steps
         times = grid.times
         pad = self._lag_max(grid) + 2
         buf = np.empty((n, n))
-        half = _StagePlan(self, grid, 0.5, pad, buf)
-        full = _StagePlan(self, grid, 1.0, pad, buf)
-        near = _NearPairs(self, grid)
+        stages = _stage_pairs(self, grid)
+        near = _NearPairs(self, grid, stages)
         if near.contraction >= 1.0:
             raise SolverError(
                 f"near pairs at step h={h} do not contract (bound "
                 f"{near.contraction:.3g} >= 1): lower h_max")
+        # each stage's per-pair split goes with its plan, to keep peak memory down
+        half = _StagePlan(self, grid, pad, buf, stages.pop(0))
+        full = _StagePlan(self, grid, pad, buf, stages.pop())
         Y = np.zeros((steps + 1, n))
         V = np.zeros((steps + 1, n))
         # pad leading zero rows (read by pairs not yet live) and one trailing
@@ -494,16 +493,13 @@ class DelayNetwork:
                 f_fulls = tabulate(times[ns + 1:hi + 1])
             mn = ns + 1
             stage = (Y[ns], V[ns], A[ns], f_halves[j], f_fulls[j])
+            if near.live[ns]:
+                # slopes with A[mn] still zero: the near pairs' history part
+                # of S[ns] and S[mn]; far pairs give S[ns] weight zero
+                S[mn], S[ns] = _slope_stencils(A, mn, h)
             d_half = half.delayed_sum(ns, acc, slope)
             d_full = full.delayed_sum(ns, acc, slope)
             if near.live[ns]:
-                # slopes with A[mn] still zero: the fixed parts of S[ns], S[mn]
-                new_slope, final_slope = _slope_stencils(A, mn, h)
-                lo = pad + ns - 1
-                fixed = near.sums(ns, np.stack((Ap[lo], Sp[lo], Ap[lo + 1],
-                                                final_slope, new_slope)))
-                d_half += fixed[0]
-                d_full += fixed[1]
                 moved = near.solve(ns, _rk4(*stage, d_half, d_full, h, masses)[2])
                 d_half += moved[0]
                 d_full += moved[1]
@@ -511,7 +507,7 @@ class DelayNetwork:
             if not np.all(np.isfinite(Y[mn])):
                 raise DivergenceError(mn)
             # the provisional newest-node slope is finalized one step later;
-            # far queries reach it only after that, near pairs through the solve
+            # far queries reach it only after that
             S[mn], S[mn - 1] = _slope_stencils(A, mn, h)
         return Trace(times, Y, V, A, S, self.onset)
 
@@ -529,7 +525,11 @@ class DelayNetwork:
         new node (delay below 2h), ``near_contraction`` bounds their
         fixed-point map (the march needs it below 1) and ``near_sweeps`` is
         the number of sweeps per step that bound calls for."""
-        near = _NearPairs(self, grid)
+        # the near pairs lie within 2h: split those alone, not every pair
+        close = DelayNetwork(self.masses, np.where(self.delays < 2.5 * grid.h,
+                                                   self.coupling, 0.0),
+                             self.delays, self.forcing, self.onset)
+        near = _NearPairs(close, grid, _stage_pairs(close, grid))
         return {"n": self.n, "pairs": len(self._tpair), "steps": grid.steps,
                 "h": grid.h, "tau_min": self.min_delay,
                 "h_over_tau_min": grid.h / self.min_delay,

@@ -29,6 +29,9 @@ def test_validate_exits_zero(tmp_path):
     ["--eps", "nan"],
     {"run": {"eps": 1e-9}},     # about 1e9 patches: refused before partitioning
     {"run": {"step_safety": 0.4}},  # removed key: the step no longer depends on tau_min
+    {"run": {"T": float("nan")}},
+    {"run": {"h_max": float("nan")}},
+    {"run": {"n_out": 1}},      # one output sample has no spacing
 ])
 def test_config_errors_exit_two(tmp_path, raw, capsys):
     # a dict is the config file; a list is flags given with the default config

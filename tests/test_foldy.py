@@ -3,7 +3,7 @@ import pytest
 
 from bubblescreen import (BubbleCluster, DelayNetwork, PointSource,
                           SourcePulse, TimeGrid, assemble, build_surface,
-                          default_grid, pulse_eval, scattered_field)
+                          pulse_eval, scattered_field)
 from bubblescreen.errors import (ConfigError, EvaluationPointError,
                                  SolvabilityError)
 from bubblescreen.geometry import min_pairwise_distance
@@ -109,7 +109,7 @@ class TestSolve:
     def test_symmetric_bubbles_identical_traces(self, params):
         cluster = make_cluster([[0.3, 0.1, 0], [-0.3, 0.1, 0]])
         system = assemble(cluster, params, make_source(params, x0=(0, 0.2, 1.5)))
-        trace = system.solve(default_grid(system, 6.0))
+        trace = system.solve(TimeGrid.fit(6.0, 0.05))
         assert np.abs(trace.value[:, 0] - trace.value[:, 1]).max() < 1e-10
 
     def test_causality_before_front(self, params):
@@ -242,7 +242,7 @@ class TestConvergenceOrder:
 class TestScatteredField:
     def test_zero_at_time_zero(self, params, disk_scene):
         system = assemble(disk_scene["cluster"], params, disk_scene["source"])
-        trace = system.solve(default_grid(system, 4.0))
+        trace = system.solve(TimeGrid.fit(4.0, 0.05))
         val = scattered_field(trace, disk_scene["cluster"], params,
                               np.array([0, 0, -0.5]), 0.0)
         assert val == 0.0

@@ -10,7 +10,7 @@ from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import SolverError
 from bubblescreen.experiments import build_scene
-from bubblescreen.foldy import DelaySystem, default_grid, scattered_series
+from bubblescreen.foldy import DelaySystem, scattered_series
 from bubblescreen.geometry import pairwise_distances
 
 from oracles import reference_march
@@ -31,8 +31,8 @@ def _networks(params, disk, disk_scene):
     # near pairs: the jittered bubbles' closest pair lies within 2h of the
     # default step, and the coarse grid's step exceeds the lattice spacing
     return {"screen": (screen, effective_grid(rule, params, 4.0)),
-            "foldy": (foldy, default_grid(foldy, 4.0)),
-            "jittered": (off_lattice, default_grid(off_lattice, 4.0)),
+            "foldy": (foldy, TimeGrid.fit(4.0, 0.05)),
+            "jittered": (off_lattice, TimeGrid.fit(4.0, 0.05)),
             "coarse": (screen, TimeGrid.fit(4.0, 1.2 * screen.min_delay))}
 
 
@@ -79,7 +79,7 @@ def test_near_pair_march_converges_at_fourth_order():
 
 def test_march_counters(params, disk_scene):
     network = DelaySystem(disk_scene["cluster"], params, disk_scene["source"])
-    grid = default_grid(network, 2.0)
+    grid = TimeGrid.fit(2.0, 0.05)
     counters = network.march_counters(grid)
     n = disk_scene["cluster"].n
     tau_min, tau_max = network.min_delay, network.delays.max()
@@ -177,14 +177,28 @@ def _small_network(n, seed, onset=False):
     return network, TimeGrid(T=steps * h, h=h, steps=steps)
 
 
-@pytest.mark.parametrize("onset, coarse", [(False, False), (True, False), (False, True)],
-                         ids=["False", "True", "coarse"])
-def test_plan_with_zero_couplings_matches_reference(onset, coarse):
+@pytest.mark.parametrize("onset, kind", [(False, None), (True, None), (False, "coarse"),
+                                         (False, "boundary")],
+                         ids=["False", "True", "coarse", "boundary"])
+def test_plan_with_zero_couplings_matches_reference(onset, kind):
     network, grid = _small_network(9, seed=3, onset=onset)
-    if coarse:
+    if kind == "coarse":
         # near pairs live from the first step, through the start-up stencils
         grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
-        assert stepping._NearPairs(network, grid).live[0] > 0
+        near = stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid))
+        assert near.live[0] > 0
+    if kind == "boundary":
+        # delays of exactly 1.5h and 2h put cells on the near/far boundary:
+        # shifts of exactly -1 at the half and the full stage
+        delays = network.delays.copy()
+        delays[0, 1] = delays[1, 0] = 0.375
+        delays[0, 2] = delays[2, 0] = 0.5
+        network = stepping.DelayNetwork(network.masses, network.coupling, delays,
+                                        network.forcing)
+        grid = TimeGrid.fit(grid.T, 0.25)
+        assert grid.h == 0.25
+        for _, shift, _, _ in stepping._stage_pairs(network, grid):
+            assert np.any(shift == -1.0)
     assert np.count_nonzero(network.coupling) < 9 * 8
     # pairs not yet live gather rows before the first node from the zero
     # padding: lag_max rows deep in the first steps
@@ -219,11 +233,11 @@ def test_plan_memory_within_old_budget():
     config = ExperimentConfig.load(CONFIG)
     scene = build_scene(config, 1.0 / 256.0)
     network = DelaySystem(scene.cluster, scene.params, scene.source)
-    grid = default_grid(network, config.horizon)
+    grid = TimeGrid.fit(config.horizon, 0.05)
     pad = network.march_counters(grid)["lag_max"] + 2
     buf = np.empty((network.n, network.n))
-    plans = [stepping._StagePlan(network, grid, sigma, pad, buf)
-             for sigma in (0.5, 1.0)]
+    plans = [stepping._StagePlan(network, grid, pad, buf, stage)
+             for stage in stepping._stage_pairs(network, grid)]
     pairs = network.march_counters(grid)["pairs"]
     assert network.n > 200
     assert sum(p.nbytes for p in plans) + buf.nbytes <= 2 * 48 * pairs + 8 * network.n ** 2
