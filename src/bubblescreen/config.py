@@ -12,6 +12,7 @@ import yaml
 
 from .errors import ConfigError
 from .geometry import KFunction
+from .stepping import TimeGrid
 
 _DEFAULTS: dict = {
     "surface": {"kind": "disk", "area": 1.0},
@@ -209,6 +210,7 @@ class ExperimentConfig:
             raise ConfigError("run.condition_violation must be 'error' or 'warn'")
         if data["run"]["n_out"] < 2:
             raise ConfigError(f"run.n_out must be at least 2, got {data['run']['n_out']}")
+        TimeGrid.fit(data["run"]["T"], data["run"]["h_max"])   # finite, positive, capped
         eps_list = self.eps_list
         bad = [e for e in [self.eps, *eps_list] if not e > 0]   # nan too
         if bad:

@@ -25,12 +25,16 @@ otherwise: its cell weights the final S[n] or the new row n + 1.
 
 ``DelayNetwork.solve`` builds a row-major history plan for every coupled pair
 once per grid: an n x n array of gather offsets, each row holding the pairs
-of one oscillator, and four n x n weight buffers for the Hermite weights
-premultiplied by the coupling.  The acceleration and slope histories carry
-leading zero rows, at least as many as the deepest lag, so every offset reads
-a row that exists, and one trailing zero row that uncoupled entries read.
-Each delayed sum is then four gathers into one shared n x n buffer and four
-row dots against the weight buffers, with no per-step index arithmetic.
+of one oscillator.  The acceleration and slope histories live in one array
+of 32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and
+S[k+1, j], the four values a query in the Hermite cell of rows k and k + 1
+reads.  It carries leading zero rows, at least as many as the deepest lag,
+so every offset reads a row that exists, and one trailing zero row that
+uncoupled entries read.  The plan's n x n x 4 weights, the Hermite weights
+premultiplied by the coupling, are interleaved the same way.  Each delayed
+sum gathers the cells of a block of plan rows at a time into a small buffer
+and reduces each row against the weights by one dot over 4n values, with no
+per-step index arithmetic.
 
 The near pairs' values are affine in the new node's acceleration a = A[n+1],
 through the Hermite weight of row n + 1 and the slope stencils of S[n] and
@@ -73,6 +77,11 @@ from .sources import pulse_eval
 # Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
 # steps of n oscillators at each of the two stage offsets.
 FORCING_BLOCK = 8192
+# Longest march TimeGrid.fit builds, in steps.
+MAX_STEPS = 2**16
+# History cells gathered per block of plan rows: max(1, GATHER_BLOCK // n)
+# rows of n cells, 256 KiB.
+GATHER_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -85,9 +94,13 @@ class TimeGrid:
 
     @staticmethod
     def fit(T: float, target_h: float) -> "TimeGrid":
+        """The grid of the fewest steps h <= target_h, at most ``MAX_STEPS``."""
         if not (np.isfinite(T) and np.isfinite(target_h) and T > 0 and target_h > 0):
             raise ConfigError(f"horizon and step must be positive and finite, "
                               f"got T={T}, h_max={target_h}")
+        if not T / target_h <= MAX_STEPS:   # an overflow to inf too
+            raise ConfigError(f"T={T} at h_max={target_h} needs {T / target_h:.3g} "
+                              f"steps, above the limit of {MAX_STEPS}")
         steps = int(np.ceil(T / target_h - 1e-12))
         return TimeGrid(T=T, h=T / steps, steps=steps)
 
@@ -230,17 +243,19 @@ class _StagePlan:
     """Delayed sum over every coupled pair at t_n + sigma*h for every step n
     of one grid, row-major.
 
-    Entry (r, j) is the pair (rows[r], j): ``idx[r, j]`` is its flat offset in
-    the padded history relative to row n, so a step gathers rows n + o and
-    n + o + 1 with one unbuffered ``take`` each and reduces them against the
-    four Hermite weight buffers by row dots.  Rows are sorted by their first
-    live step, and the first ``live_rows[n]`` rows hold every pair live at step
-    n; the first ``live_pairs[n]`` of ``pairs`` are live at step n.
-    The weight buffers start at zero; a pair's weights c * w_k(theta) are
-    written at its first live step (``activate``), so a pair not yet live
+    Entry (r, j) is the pair (rows[r], j): ``idx[r, j]`` is the offset, from
+    row n, of its history cell, which holds A and S at rows n + o and
+    n + o + 1.  A step gathers the cells of ``len(buf)`` plan rows at a time
+    into ``buf`` with one unbuffered ``take`` and reduces each row against
+    the interleaved weights by one dot over 4n values: ``weights[r, j, k]``
+    is the pair's Hermite weight of its cell's k-th value.  Rows are sorted
+    by their first live step, and the first ``live_rows[n]`` rows hold every
+    pair live at step n; the first ``live_pairs[n]`` of ``pairs`` are live
+    at step n.  The weights start at zero; a pair's weights c * w_k(theta) are written
+    at its first live step (``activate``), so a pair not yet live
     contributes exactly zero.  Uncoupled entries and the diagonal point past
     the end of the history, which ``mode="clip"`` maps to its trailing zero
-    row, and are never activated.  A far pair's cell ends at row n or
+    cell, and are never activated.  A far pair's cell ends at row n or
     earlier and gives row n's slope weight zero, so it reads final values
     only.  A near pair reads the final S[n] or the new row n + 1; while one
     is live, the step writes the slopes S[n] and S[n+1] with A[n+1] still
@@ -248,8 +263,7 @@ class _StagePlan:
     ``_NearPairs`` adds the new node's share.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int,
-                 buf: np.ndarray, stage):
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, stage):
         n, h = network.n, grid.h
         sigma, _, offset, first = stage
         iu, ju = network._iu, network._ju
@@ -268,9 +282,10 @@ class _StagePlan:
         self.pairs = (iu * n + ju)[order].astype(np.int32 if n * n < 2**31 else np.int64)
         self.live_pairs = np.searchsorted(first[order], np.arange(grid.steps),
                                           side="right")
-        self.weights = tuple(np.zeros((n, n)) for _ in range(4))
+        self.weights = np.zeros((n, n, 4))
+        self.buf = np.empty((min(n, max(1, GATHER_BLOCK // n)), n, 4))
         self.network, self.sigma, self.h = network, sigma, h
-        self.n, self.buf, self._done = n, buf, 0
+        self.n, self._done = n, 0
 
     def activate(self, ns: int) -> None:
         """Write the weights of every pair whose first live step is ns or less."""
@@ -279,31 +294,33 @@ class _StagePlan:
         entries = pairs + self.row_shift[pairs // self.n]
         shift = self.sigma - self.network.delays.take(pairs) / self.h
         c = self.network.coupling.take(pairs)
-        for wbuf, w in zip(self.weights,
-                           _hermite_weights(shift - np.floor(shift), self.h)):
-            wbuf.put(entries, c * w)
+        w = np.stack(_hermite_weights(shift - np.floor(shift), self.h), axis=1)
+        self.weights.reshape(-1, 4)[entries] = c[:, None] * w
         self._done = hi
 
-    def delayed_sum(self, ns: int, acc: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
+        """The sum at step ns over the (rows * n, 4) history ``cells``."""
         out = np.zeros(self.n)
         r = self.live_rows[ns]
         if not r:
             return out
         if self.live_pairs[ns] > self._done:
             self.activate(ns)
-        buf, idx = self.buf[:r], self.idx[:r]
-        total = 0.0
-        for w, hist, row in zip(self.weights, (acc, slope, acc, slope), (0, 0, 1, 1)):
-            hist[(ns + row) * self.n:].take(idx, out=buf, mode="clip")
-            total += np.einsum("ij,ij->i", buf, w[:r])
+        cells = cells[ns * self.n:]
+        total = np.empty(r)
+        for lo in range(0, r, len(self.buf)):
+            buf = self.buf[:r - lo]
+            hi = lo + len(buf)
+            cells.take(self.idx[lo:hi], axis=0, out=buf, mode="clip")
+            np.einsum("ijk,ijk->i", buf, self.weights[lo:hi], out=total[lo:hi])
         out[self.rows[:r]] = total
         return out
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the plan's own arrays (the shared buffer excluded)."""
+        """Bytes held by the plan's own arrays, its gather buffer included."""
         return sum(a.nbytes for a in (self.rows, self.live_rows, self.row_shift, self.idx,
-                                      self.pairs, self.live_pairs, *self.weights))
+                                      self.pairs, self.live_pairs, self.weights, self.buf))
 
 
 class _NearPairs:
@@ -420,6 +437,7 @@ class DelayNetwork:
         if np.any(self.onset[self._iu] > reach * (1 + 8 * np.finfo(float).eps)):
             raise ConfigError("onsets violate onset_i <= onset_j + tau_ij: a "
                               "delayed term would arrive before the forcing")
+        self._near = None, None
 
     @property
     def min_delay(self) -> float:
@@ -439,43 +457,48 @@ class DelayNetwork:
 
         Any step h > 0 is allowed.  Every coupled pair goes through the
         row-major history plans for the two stage offsets (h/2 and h), built
-        here once per grid from one split of the pairs into cells and sharing
-        one n x n gather buffer.  Near pairs (delay below 1.5h at the half
+        here once per grid from one split of the pairs into cells, each with
+        its own small gather buffer.  Near pairs (delay below 1.5h at the half
         stage, below 2h at the full one) read the final slope S[n] or the new
         node itself.  While any is live, each step first writes S[n] and
         S[n+1] with A[n+1] still zero, so the plans sum the near pairs'
         history part with the far pairs, and then solves for the new node's
         share by fixed-point sweeps (see ``_NearPairs``) before taking the
         RK4 step; a system whose contraction bound is 1 or more raises
-        ``SolverError`` before the march starts.  The acceleration and slope
-        histories are padded with ``lag_max + 2`` leading zero rows and one
-        trailing zero row; the ``Trace`` holds views of the unpadded part.
+        ``SolverError`` before the march starts.  The history is one array
+        of cells, cell (k, j) holding A and S at rows k and k + 1 of column
+        j, padded with ``lag_max + 2`` leading zero rows and one trailing
+        zero row; each write of a row lands in two cells, as the lower half
+        of its own and the upper half of the one before.  The ``Trace`` holds
+        strided views of the cells' lower halves over the unpadded rows.
         Each step evaluates the sums twice, first writing the weights of the
         pairs that become live at that step, and the forcing is tabulated at
-        both stage times for a block of steps at a time.
+        both stage times for a block of steps at a time.  The near-pair
+        system is kept for ``march_counters`` on the same grid.
         """
         n, h = self.n, grid.h
         steps = grid.steps
         times = grid.times
         pad = self._lag_max(grid) + 2
-        buf = np.empty((n, n))
         stages = _stage_pairs(self, grid)
         near = _NearPairs(self, grid, stages)
         if near.contraction >= 1.0:
             raise SolverError(
                 f"near pairs at step h={h} do not contract (bound "
                 f"{near.contraction:.3g} >= 1): lower h_max")
+        self._near = grid, near
         # each stage's per-pair split goes with its plan, to keep peak memory down
-        half = _StagePlan(self, grid, pad, buf, stages.pop(0))
-        full = _StagePlan(self, grid, pad, buf, stages.pop())
+        half = _StagePlan(self, grid, pad, stages.pop(0))
+        full = _StagePlan(self, grid, pad, stages.pop())
         Y = np.zeros((steps + 1, n))
         V = np.zeros((steps + 1, n))
         # pad leading zero rows (read by pairs not yet live) and one trailing
         # zero row (read by uncoupled entries) around the steps + 1 nodes
-        Ap = np.zeros((pad + steps + 2, n))
-        Sp = np.zeros((pad + steps + 2, n))
-        A, S = Ap[pad:-1], Sp[pad:-1]
-        acc, slope = Ap.reshape(-1), Sp.reshape(-1)
+        H = np.zeros((pad + steps + 2, n, 4))
+        A, S = H[pad:-1, :, 0], H[pad:-1, :, 1]
+        # the same rows as the upper halves of the cells one row earlier
+        A_up, S_up = H[pad - 1:-2, :, 2], H[pad - 1:-2, :, 3]
+        cells = H.reshape(-1, 4)
         masses = self.masses
 
         def tabulate(t):
@@ -483,7 +506,7 @@ class DelayNetwork:
             return np.broadcast_to(self.forcing(t[:, None]), (len(t), n))
 
         # every query at t = 0 lies before its column's onset
-        A[0] = (tabulate(times[:1])[0] - Y[0]) / masses
+        A[0] = A_up[0] = (tabulate(times[:1])[0] - Y[0]) / masses
         block = max(1, FORCING_BLOCK // n)
         for ns in range(steps):
             j = ns % block
@@ -496,19 +519,20 @@ class DelayNetwork:
             if near.live[ns]:
                 # slopes with A[mn] still zero: the near pairs' history part
                 # of S[ns] and S[mn]; far pairs give S[ns] weight zero
-                S[mn], S[ns] = _slope_stencils(A, mn, h)
-            d_half = half.delayed_sum(ns, acc, slope)
-            d_full = full.delayed_sum(ns, acc, slope)
+                S[mn], S[ns] = S_up[mn], S_up[ns] = _slope_stencils(A, mn, h)
+            d_half = half.delayed_sum(ns, cells)
+            d_full = full.delayed_sum(ns, cells)
             if near.live[ns]:
                 moved = near.solve(ns, _rk4(*stage, d_half, d_full, h, masses)[2])
                 d_half += moved[0]
                 d_full += moved[1]
             Y[mn], V[mn], A[mn] = _rk4(*stage, d_half, d_full, h, masses)
+            A_up[mn] = A[mn]
             if not np.all(np.isfinite(Y[mn])):
                 raise DivergenceError(mn)
             # the provisional newest-node slope is finalized one step later;
             # far queries reach it only after that
-            S[mn], S[mn - 1] = _slope_stencils(A, mn, h)
+            S[mn], S[mn - 1] = S_up[mn], S_up[mn - 1] = _slope_stencils(A, mn, h)
         return Trace(times, Y, V, A, S, self.onset)
 
     def _lag_max(self, grid: TimeGrid) -> int:
@@ -524,12 +548,15 @@ class DelayNetwork:
         a delayed sum reads; ``near_pairs`` counts the pairs solved with the
         new node (delay below 2h), ``near_contraction`` bounds their
         fixed-point map (the march needs it below 1) and ``near_sweeps`` is
-        the number of sweeps per step that bound calls for."""
-        # the near pairs lie within 2h: split those alone, not every pair
-        close = DelayNetwork(self.masses, np.where(self.delays < 2.5 * grid.h,
-                                                   self.coupling, 0.0),
-                             self.delays, self.forcing, self.onset)
-        near = _NearPairs(close, grid, _stage_pairs(close, grid))
+        the number of sweeps per step that bound calls for.  After a march
+        on ``grid``, these are the counters it computed."""
+        marched, near = self._near
+        if marched != grid:
+            # the near pairs lie within 2h: split those alone, not every pair
+            close = DelayNetwork(self.masses, np.where(self.delays < 2.5 * grid.h,
+                                                       self.coupling, 0.0),
+                                 self.delays, self.forcing, self.onset)
+            near = _NearPairs(close, grid, _stage_pairs(close, grid))
         return {"n": self.n, "pairs": len(self._tpair), "steps": grid.steps,
                 "h": grid.h, "tau_min": self.min_delay,
                 "h_over_tau_min": grid.h / self.min_delay,

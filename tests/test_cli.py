@@ -55,3 +55,15 @@ def test_solvability_violation_exits_three(tmp_path, capsys):
     path = _config(tmp_path, {"bubble_shape": {"radius": 8.0}, "run": {"T": 1.0}})
     assert run_cli(["foldy", "--config", path, "--outdir", str(tmp_path / "out")]) == 3
     assert "resonance condition violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage, run", [
+    ("validate", {"T": float("nan")}),
+    ("foldy", {"T": 1.0e308}),                      # T / h_max overflows
+    ("validate", {"T": 1.0e9, "h_max": 1.0e-9}),    # 1e18 steps: refused, never marched
+])
+def test_run_horizon_checked_before_any_stage(tmp_path, stage, run, capsys):
+    path = _config(tmp_path, {"run": run})
+    assert run_cli([stage, "--config", path, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from bubblescreen import ExperimentConfig
 from bubblescreen.errors import UsageError
 from bubblescreen.experiments import (CSV_BLOCK_ROWS, OutputSession, _long_columns,
-                                      run_foldy, run_validate)
+                                      run_compare, run_foldy, run_validate)
 
 from oracles import csv_rows_text
 
 SMALL = {"run": {"T": 2.5, "n_out": 51}}
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
 
 def test_foldy_csvs_reproducible_and_manifest_keys(tmp_path):
@@ -34,6 +36,24 @@ def test_foldy_csvs_reproducible_and_manifest_keys(tmp_path):
     assert march["near_pairs"] == march["near_sweeps"] == 0
     assert march["h_over_tau_min"] == march["h"] / march["tau_min"]
     assert march["lag_max"] >= 1
+
+
+# run_compare on the default config before the interleaved history cells
+# (commit 11d12d1, numpy 2.4); a change of the march's summation order moves
+# these by about 1e-15, a change of the method by far more
+COMPARE_PINS = {
+    1.0 / 64.0: {"sup_err": 0.009550440712964015, "l2_err": 0.023859333540705685,
+                 "u_scale": 0.061609885327843186},
+    1.0 / 256.0: {"sup_err": 0.004708802685967364, "l2_err": 0.011821471603623873,
+                  "u_scale": 0.06570292504044313},
+}
+
+
+@pytest.mark.parametrize("eps", sorted(COMPARE_PINS))
+def test_compare_errors_pinned_to_rounding(eps):
+    result = run_compare(ExperimentConfig.load(CONFIG), eps)
+    for key, want in COMPARE_PINS[eps].items():
+        assert result[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
 
 def test_validate_records_scene_timing(tmp_path):

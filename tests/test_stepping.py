@@ -103,6 +103,27 @@ def test_march_counters(params, disk_scene):
     assert q ** sweeps <= np.finfo(float).eps < q ** (sweeps - 1)
 
 
+def test_march_counters_reuse_the_march(monkeypatch):
+    network, grid = _small_network(9, seed=3)
+    coarse = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+    fresh = network.march_counters(coarse)
+    assert fresh["near_pairs"] > 0
+    network.solve(coarse)
+    built = []
+    near_pairs = stepping._NearPairs
+
+    def counted(*args):
+        built.append(args)
+        return near_pairs(*args)
+
+    monkeypatch.setattr(stepping, "_NearPairs", counted)
+    # the march's near-pair system, not a second build, and the same values
+    assert network.march_counters(coarse) == fresh and built == []
+    # another grid builds its own
+    network.march_counters(grid)
+    assert len(built) == 1
+
+
 def test_non_contracting_near_pairs_rejected():
     # two oscillators coupled twice as strongly as their unit masses, a delay
     # of half a step: the new node's fixed-point map does not contract
@@ -214,6 +235,28 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
         assert np.all(getattr(trace, name)[pre] == 0.0), name
 
 
+@pytest.mark.parametrize("coarse", [False, True])
+def test_history_cells_hold_consecutive_rows(coarse):
+    network, grid = _small_network(9, seed=3, onset=not coarse)
+    if coarse:
+        # near pairs live: the slopes are written twice per step
+        grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+        assert network.march_counters(grid)["near_pairs"] > 0
+    trace = network.solve(grid)
+    cells = trace.acc.base
+    assert cells.shape == (len(cells), network.n, 4)
+    assert np.shares_memory(trace.acc, cells) and np.shares_memory(trace.acc_slope, cells)
+    # cell (k, j) holds rows k and k + 1 bitwise, the padding included; the
+    # trailing zero row has no row after it
+    bits = cells.view(np.int64)
+    assert np.array_equal(bits[:-1, :, 2:], bits[1:, :, :2])
+    assert not bits[-1].any()
+    pad = network.march_counters(grid)["lag_max"] + 2
+    assert not bits[:pad, :, :2].any()
+    assert np.array_equal(bits[pad:-1, :, 0], trace.acc.view(np.int64))
+    assert np.array_equal(bits[pad:-1, :, 1], trace.acc_slope.view(np.int64))
+
+
 def test_solve_is_bitwise_repeatable():
     network, grid = _small_network(9, seed=5, onset=True)
     other, other_grid = _small_network(14, seed=6)
@@ -235,9 +278,8 @@ def test_plan_memory_within_old_budget():
     network = DelaySystem(scene.cluster, scene.params, scene.source)
     grid = TimeGrid.fit(config.horizon, 0.05)
     pad = network.march_counters(grid)["lag_max"] + 2
-    buf = np.empty((network.n, network.n))
-    plans = [stepping._StagePlan(network, grid, pad, buf, stage)
+    plans = [stepping._StagePlan(network, grid, pad, stage)
              for stage in stepping._stage_pairs(network, grid)]
     pairs = network.march_counters(grid)["pairs"]
     assert network.n > 200
-    assert sum(p.nbytes for p in plans) + buf.nbytes <= 2 * 48 * pairs + 8 * network.n ** 2
+    assert sum(p.nbytes for p in plans) <= 2 * 48 * pairs + 8 * network.n ** 2
