@@ -101,8 +101,8 @@ def _check_keys(data: dict) -> None:
 def _check_values(shape, value, where: str = ""):
     """``value`` with every number that ``shape`` calls for checked.
 
-    A string that parses as a number (YAML reads ``1e-3`` as one) is replaced
-    by the number; anything else raises ``ConfigError`` naming the key.
+    A numeric string (YAML reads ``1e-3`` as one) becomes its number; a
+    non-number, nan or +-inf raises ``ConfigError`` naming the key.
     """
     if isinstance(shape, dict):
         return {key: _check_values(shape[key], val, f"{where}.{key}" if where else key)
@@ -118,9 +118,11 @@ def _check_values(shape, value, where: str = ""):
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise TypeError
         number = kind(value)
-    except (TypeError, ValueError):
+        if kind is float and not np.isfinite(number):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
-            f"config value {where} must be {'an integer' if kind is int else 'a number'}, "
+            f"config value {where} must be {'an integer' if kind is int else 'a finite number'}, "
             f"got {value!r}") from None
     return number if isinstance(value, str) else value
 

@@ -23,14 +23,15 @@ cell ends at row n with zero weight on the still-provisional slope S[n]
 (delay at least 1.5h at the half stage, 2h at the full one), and *near*
 otherwise: its cell weights the final S[n] or the new row n + 1.
 
-``DelayNetwork.solve`` builds a row-major history plan for every coupled pair
-once per grid: an n x n array of gather offsets, each row holding the pairs
-of one oscillator.  The acceleration and slope histories live in one array
-of 32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and
-S[k+1, j], the four values a query in the Hermite cell of rows k and k + 1
-reads.  It carries leading zero rows, at least as many as the deepest lag,
-so every offset reads a row that exists, and one trailing zero row that
-uncoupled entries read.  The plan's n x n x 4 weights, the Hermite weights
+A network is its pair list (i, j, c_ij, tau_ij), with no n x n matrix.
+``DelayNetwork.solve`` builds from it a row-major history plan once per grid:
+an n x n array of gather offsets, each row holding the pairs of one
+oscillator.  The acceleration and slope histories live in one array of
+32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and S[k+1, j],
+the four values a query in the Hermite cell of rows k and k + 1 reads.  It
+carries leading zero rows, at least as many as the deepest lag, so every
+offset reads a row that exists, and one trailing zero row that uncoupled
+entries read.  The plan's n x n x 4 weights, the Hermite weights
 premultiplied by the coupling, are interleaved the same way.  Each delayed
 sum gathers the cells of a block of plan rows at a time into a small buffer
 and reduces each row against the weights by one dot over 4n values, with no
@@ -191,10 +192,10 @@ def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
     Hermite cell of rows n + o and n + o + 1, o = floor(shift); the pair is
     near when the shift exceeds -1.  ``first`` is the first step whose query
     lies past the source column's onset and reads no row before the first
-    node.  Arrays are over the network's pair arrays.
+    node.  Arrays are over the network's pair list.
     """
-    times, tau = grid.times, network._tpair
-    lag, onset = tau / grid.h, network.onset[network._ju]
+    times, tau = grid.times, network.tau
+    lag, onset = tau / grid.h, network.onset[network.j]
     stages = []
     for sigma in (0.5, 1.0):
         stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * grid.h
@@ -243,43 +244,43 @@ class _StagePlan:
     """Delayed sum over every coupled pair at t_n + sigma*h for every step n
     of one grid, row-major.
 
-    Entry (r, j) is the pair (rows[r], j): ``idx[r, j]`` is the offset, from
-    row n, of its history cell, which holds A and S at rows n + o and
-    n + o + 1.  A step gathers the cells of ``len(buf)`` plan rows at a time
-    into ``buf`` with one unbuffered ``take`` and reduces each row against
-    the interleaved weights by one dot over 4n values: ``weights[r, j, k]``
-    is the pair's Hermite weight of its cell's k-th value.  Rows are sorted
-    by their first live step, and the first ``live_rows[n]`` rows hold every
-    pair live at step n; the first ``live_pairs[n]`` of ``pairs`` are live
-    at step n.  The weights start at zero; a pair's weights c * w_k(theta) are written
-    at its first live step (``activate``), so a pair not yet live
-    contributes exactly zero.  Uncoupled entries and the diagonal point past
-    the end of the history, which ``mode="clip"`` maps to its trailing zero
-    cell, and are never activated.  A far pair's cell ends at row n or
-    earlier and gives row n's slope weight zero, so it reads final values
-    only.  A near pair reads the final S[n] or the new row n + 1; while one
-    is live, the step writes the slopes S[n] and S[n+1] with A[n+1] still
-    zero first, so the sum holds the near pairs' history part and
-    ``_NearPairs`` adds the new node's share.
+    Entry (r, j) is the pair (rows[r], j); oscillator i's pairs sit in row
+    ``slot[i]``.  ``idx[r, j]`` is the offset, from row n, of the pair's
+    history cell, which holds A and S at rows n + o and n + o + 1.  A step
+    gathers the cells of ``len(buf)`` plan rows at a time into ``buf`` with
+    one unbuffered ``take`` and reduces each row against the interleaved
+    weights by one dot over 4n values: ``weights[r, j, k]`` is the pair's
+    Hermite weight of its cell's k-th value.  Rows are sorted by their first
+    live step, and the first ``live_rows[n]`` rows hold every pair live at
+    step n.  ``pairs`` holds the network's pair numbers sorted by their first
+    live step; the first ``live_pairs[n]`` are live at step n.  The weights
+    start at zero; a pair's weights c * w_k(theta) are written at its first
+    live step (``activate``), so a pair not yet live contributes exactly
+    zero.  Uncoupled entries and the diagonal point past the end of the
+    history, which ``mode="clip"`` maps to its trailing zero cell, and are
+    never activated.  A far pair's cell ends at row n or earlier and gives
+    row n's slope weight zero, so it reads final values only.  A near pair
+    reads the final S[n] or the new row n + 1; while one is live, the step
+    writes the slopes S[n] and S[n+1] with A[n+1] still zero first, so the
+    sum holds the near pairs' history part and ``_NearPairs`` adds the new
+    node's share.
     """
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, stage):
         n, h = network.n, grid.h
         sigma, _, offset, first = stage
-        iu, ju = network._iu, network._ju
+        iu, ju = network.i, network.j
         row_first = np.full(n, grid.steps, dtype=np.int64)
         np.minimum.at(row_first, iu, first)
         self.rows = np.argsort(row_first, kind="stable")
         self.live_rows = np.searchsorted(row_first[self.rows], np.arange(grid.steps),
                                          side="right")
-        # entry (r, j) sits at r * n + j; row r moves to it from row rows[r]
-        self.row_shift = np.empty(n, dtype=np.int64)
-        self.row_shift[self.rows] = (np.arange(n) - self.rows) * n
+        self.slot = np.empty(n, dtype=np.int64)
+        self.slot[self.rows] = np.arange(n)
         self.idx = np.full((n, n), (pad + grid.steps + 2) * n, dtype=np.int64)
-        self.idx.flat[iu * n + ju + self.row_shift[iu]] = (pad + offset) * n + ju
-        # pairs as flat (i, j) offsets into the network's n x n matrices
+        self.idx[self.slot[iu], ju] = (pad + offset) * n + ju
         order = np.argsort(first, kind="stable")
-        self.pairs = (iu * n + ju)[order].astype(np.int32 if n * n < 2**31 else np.int64)
+        self.pairs = order.astype(np.int32 if len(order) < 2**31 else np.int64)
         self.live_pairs = np.searchsorted(first[order], np.arange(grid.steps),
                                           side="right")
         self.weights = np.zeros((n, n, 4))
@@ -290,12 +291,11 @@ class _StagePlan:
     def activate(self, ns: int) -> None:
         """Write the weights of every pair whose first live step is ns or less."""
         lo, hi = self._done, self.live_pairs[ns]
-        pairs = self.pairs[lo:hi]
-        entries = pairs + self.row_shift[pairs // self.n]
-        shift = self.sigma - self.network.delays.take(pairs) / self.h
-        c = self.network.coupling.take(pairs)
+        pairs, net = self.pairs[lo:hi], self.network
+        shift = self.sigma - net.tau.take(pairs) / self.h
         w = np.stack(_hermite_weights(shift - np.floor(shift), self.h), axis=1)
-        self.weights.reshape(-1, 4)[entries] = c[:, None] * w
+        self.weights[self.slot[net.i.take(pairs)], net.j.take(pairs)] = \
+            net.c.take(pairs)[:, None] * w
         self._done = hi
 
     def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
@@ -319,7 +319,7 @@ class _StagePlan:
     @property
     def nbytes(self) -> int:
         """Bytes held by the plan's own arrays, its gather buffer included."""
-        return sum(a.nbytes for a in (self.rows, self.live_rows, self.row_shift, self.idx,
+        return sum(a.nbytes for a in (self.rows, self.live_rows, self.slot, self.idx,
                                       self.pairs, self.live_pairs, self.weights, self.buf))
 
 
@@ -355,10 +355,10 @@ class _NearPairs:
             # weights of S[n], A[n+1], S[n+1]: a cell n - 1, n (o = -1) ends at S[n]
             _, w10, w01, w11 = _hermite_weights(shift[sel] - offset[sel], h)
             zero = np.zeros(len(sel))
-            w.append(network._cpair[sel] * np.where(offset[sel] == 0, (w10, w01, w11),
-                                                     (w11, zero, zero)))
-            tgt.append(stage * n + network._iu[sel])
-            cols.append(network._ju[sel])
+            w.append(network.c[sel] * np.where(offset[sel] == 0, (w10, w01, w11),
+                                                (w11, zero, zero)))
+            tgt.append(stage * n + network.i[sel])
+            cols.append(network.j[sel])
             first.append(live_from[sel])
         first = np.concatenate(first)
         order = np.argsort(first, kind="stable")
@@ -398,6 +398,11 @@ class _NearPairs:
 class DelayNetwork:
     """mass_i x_i'' + x_i + sum_j c_ij x_j''(t - tau_ij) = f_i(t).
 
+    ``pairs`` is the pair list (i, j, c, tau), four 1-D arrays of one length:
+    pair p adds c[p] x_j[p]''(t - tau[p]) to row i[p].  Each (i, j), i != j,
+    appears at most once, with c finite and tau positive and finite.  Kept as
+    ``i``, ``j``, ``c`` and ``tau``, they are the network's only coupling data.
+
     ``onset`` gives, per oscillator, the time before which its forcing
     vanishes (zero by default).  The delayed terms then cannot wake x_i
     earlier either, provided onset_i <= onset_j + tau_ij for every coupled
@@ -410,75 +415,65 @@ class DelayNetwork:
     expects (n,).
     """
 
-    def __init__(self, masses: np.ndarray, coupling: np.ndarray,
-                 delays: np.ndarray, forcing: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, masses: np.ndarray, pairs, forcing: Callable[[np.ndarray], np.ndarray],
                  onset=None):
         self.masses = np.asarray(masses, dtype=float)
-        self.coupling = np.asarray(coupling, dtype=float)
-        self.delays = np.asarray(delays, dtype=float)
         self.forcing = forcing
-        self.n = len(self.masses)
-        self.onset = (np.zeros(self.n) if onset is None
-                      else np.asarray(onset, dtype=float))
-        if np.any(self.masses <= 0):
-            raise ConfigError("all oscillator masses must be positive")
-        if self.coupling.shape != (self.n, self.n) or self.delays.shape != (self.n, self.n):
-            raise ConfigError("coupling/delay matrices must be n x n")
-        if np.any(np.abs(np.diag(self.coupling)) > 0):
-            raise ConfigError("coupling diagonal must vanish")
-        self._iu, self._ju = np.nonzero(self.coupling)
-        self._cpair = self.coupling[self._iu, self._ju]
-        self._tpair = self.delays[self._iu, self._ju]
-        if len(self._tpair) and np.any(self._tpair <= 0):
-            raise ConfigError("off-diagonal delays must be strictly positive")
-        if self.onset.shape != (self.n,) or np.any(self.onset < 0):
+        self.n = n = len(self.masses)
+        self.onset = np.zeros(n) if onset is None else np.asarray(onset, dtype=float)
+        if not np.all((self.masses > 0) & (self.masses < np.inf)):
+            raise ConfigError("all oscillator masses must be positive and finite")
+        i, j, c, tau = (np.asarray(a) for a in pairs)
+        if {a.shape for a in (i, j, c, tau)} != {(len(i),)}:
+            raise ConfigError("pairs must be 1-D arrays i, j, c, tau of one length")
+        if (i.dtype.kind not in "iu" or j.dtype.kind not in "iu"
+                or np.any((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))):
+            raise ConfigError("pair indices must be integers in [0, n) with i != j")
+        self.i, self.j = i.astype(np.intp, copy=False), j.astype(np.intp, copy=False)
+        self.c, self.tau = c.astype(float, copy=False), tau.astype(float, copy=False)
+        key = self.i * n + self.j
+        if np.any(key[1:] <= key[:-1]) and len(np.unique(key)) < len(key):
+            raise ConfigError("a pair (i, j) is listed twice")
+        if not (np.all(np.isfinite(self.c)) and np.all((self.tau > 0) & (self.tau < np.inf))):
+            raise ConfigError("couplings must be finite and delays positive and finite")
+        if self.onset.shape != (n,) or np.any(self.onset < 0):
             raise ConfigError("onsets must be n non-negative times")
-        reach = self.onset[self._ju] + self._tpair
-        if np.any(self.onset[self._iu] > reach * (1 + 8 * np.finfo(float).eps)):
+        reach = self.onset[self.j] + self.tau
+        if np.any(self.onset[self.i] > reach * (1 + 8 * np.finfo(float).eps)):
             raise ConfigError("onsets violate onset_i <= onset_j + tau_ij: a "
                               "delayed term would arrive before the forcing")
         self._near = None, None
 
     @property
     def min_delay(self) -> float:
-        return float(self._tpair.min()) if len(self._tpair) else np.inf
+        return float(self.tau.min()) if len(self.tau) else np.inf
 
     def accel_all(self, t: float, y: np.ndarray, trace: Trace) -> np.ndarray:
         """All accelerations at time t from the state y and the trace's history."""
-        delayed = np.zeros(self.n)
-        if len(self._iu):
-            vals = trace.accel_at(t - self._tpair, self._ju)
-            delayed = np.bincount(self._iu, weights=vals * self._cpair,
-                                  minlength=self.n)
+        vals = trace.accel_at(t - self.tau, self.j)
+        delayed = np.bincount(self.i, weights=vals * self.c, minlength=self.n)
         return (self.forcing(t) - y - delayed) / self.masses
 
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
         Any step h > 0 is allowed.  Every coupled pair goes through the
-        row-major history plans for the two stage offsets (h/2 and h), built
-        here once per grid from one split of the pairs into cells, each with
-        its own small gather buffer.  Near pairs (delay below 1.5h at the half
-        stage, below 2h at the full one) read the final slope S[n] or the new
-        node itself.  While any is live, each step first writes S[n] and
-        S[n+1] with A[n+1] still zero, so the plans sum the near pairs'
-        history part with the far pairs, and then solves for the new node's
-        share by fixed-point sweeps (see ``_NearPairs``) before taking the
-        RK4 step; a system whose contraction bound is 1 or more raises
-        ``SolverError`` before the march starts.  The history is one array
-        of cells, cell (k, j) holding A and S at rows k and k + 1 of column
-        j, padded with ``lag_max + 2`` leading zero rows and one trailing
-        zero row; each write of a row lands in two cells, as the lower half
-        of its own and the upper half of the one before.  The ``Trace`` holds
-        strided views of the cells' lower halves over the unpadded rows.
-        Each step evaluates the sums twice, first writing the weights of the
-        pairs that become live at that step, and the forcing is tabulated at
-        both stage times for a block of steps at a time.  The near-pair
-        system is kept for ``march_counters`` on the same grid.
+        row-major history plans of the two stage offsets (h/2 and h), built
+        here once per grid from one split of the pair list.  While a near
+        pair (delay below 1.5h at the half stage, 2h at the full one) is
+        live, each step first writes S[n] and S[n+1] with A[n+1] still zero,
+        so the plans sum the near pairs' history part, and then solves for
+        the new node's share by fixed-point sweeps (``_NearPairs``); a
+        contraction bound of 1 or more raises ``SolverError`` before the
+        march starts.  The history of cells has ``lag_max + 2`` leading zero
+        rows and one trailing zero row; each row written lands in two cells,
+        the lower half of its own and the upper half of the one before, and
+        the ``Trace`` holds strided views of the lower halves over the
+        unpadded rows.  The forcing is tabulated at both stage times a block
+        of steps at a time.  The near-pair system is kept for
+        ``march_counters`` on the same grid.
         """
-        n, h = self.n, grid.h
-        steps = grid.steps
-        times = grid.times
+        n, h, steps, times = self.n, grid.h, grid.steps, grid.times
         pad = self._lag_max(grid) + 2
         stages = _stage_pairs(self, grid)
         near = _NearPairs(self, grid, stages)
@@ -538,9 +533,7 @@ class DelayNetwork:
     def _lag_max(self, grid: TimeGrid) -> int:
         """Deepest history row, in steps behind n, that a delayed sum at
         t_n + h/2 or t_{n+1} reads: the half-step query of the longest delay."""
-        if not len(self._tpair):
-            return 0
-        return int(-np.floor(0.5 - self._tpair.max() / grid.h))
+        return int(-np.floor(0.5 - self.tau.max() / grid.h)) if len(self.tau) else 0
 
     def march_counters(self, grid: TimeGrid) -> dict:
         """Size, step margin and history window of a march on ``grid``, for
@@ -553,11 +546,11 @@ class DelayNetwork:
         marched, near = self._near
         if marched != grid:
             # the near pairs lie within 2h: split those alone, not every pair
-            close = DelayNetwork(self.masses, np.where(self.delays < 2.5 * grid.h,
-                                                       self.coupling, 0.0),
-                                 self.delays, self.forcing, self.onset)
+            sel = self.tau < 2.5 * grid.h
+            close = DelayNetwork(self.masses, (self.i[sel], self.j[sel], self.c[sel],
+                                               self.tau[sel]), self.forcing, self.onset)
             near = _NearPairs(close, grid, _stage_pairs(close, grid))
-        return {"n": self.n, "pairs": len(self._tpair), "steps": grid.steps,
+        return {"n": self.n, "pairs": len(self.tau), "steps": grid.steps,
                 "h": grid.h, "tau_min": self.min_delay,
                 "h_over_tau_min": grid.h / self.min_delay,
                 "lag_max": self._lag_max(grid), "near_pairs": near.pairs,
@@ -567,18 +560,23 @@ class DelayNetwork:
 class RetardedNetwork(DelayNetwork):
     """Oscillators at ``nodes`` coupled by retarded monopoles, driven by a source.
 
-    The network of both models: coupling w_j / (4 pi r_ij) with column weight
-    w_j, delay r_ij / c0, forcing rho_c / r_i * lambda^(order)(t - r_i / c0)
-    at distance r_i from the point source, and onset r_i / c0.
+    The network of both models: every pair i != j, row-major, with coupling
+    w_j / (4 pi r_ij) for column weight w_j and delay r_ij / c0, r_ij taken
+    from one ``pairwise_distances`` matrix that is not kept; forcing rho_c /
+    r_i * lambda^(order)(t - r_i / c0) at distance r_i from the point source,
+    and onset r_i / c0.
     """
 
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
                  params, source, order: int):
         nodes = np.asarray(nodes, dtype=float)
-        dist = pairwise_distances(nodes)
-        delays = dist / params.c0
-        np.fill_diagonal(dist, np.inf)  # w_j / inf: an exact zero self-coupling
-        coupling = np.asarray(col_weight, dtype=float) / (4.0 * np.pi * dist)
+        n, k = len(nodes), np.arange(len(nodes) - 1)
+        # row i holds columns k < i, then k + 1 for k >= i; so does the distance
+        # matrix past its first entry, each n + 1 entries ending on the diagonal
+        i, j = np.repeat(np.arange(n), n - 1), (k + (k >= np.arange(n)[:, None])).ravel()
+        r = pairwise_distances(nodes).ravel()[1:].reshape(n - 1, n + 1)[:, :n].ravel()
+        w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
+        pairs = i, j, w[j] / (4.0 * np.pi * r), r / params.c0
 
         r_src = np.linalg.norm(nodes - source.x0, axis=1)
         amp = params.raw.rho_c / r_src
@@ -588,7 +586,7 @@ class RetardedNetwork(DelayNetwork):
         def forcing(t):
             return amp * pulse_eval(pulse, t - shift, order)
 
-        super().__init__(masses, coupling, delays, forcing, shift)
+        super().__init__(masses, pairs, forcing, shift)
         self.params = params
         self.source = source
 

@@ -6,6 +6,8 @@ convolution, derivative checks use plain finite differences, and the shape
 constant of the ball is a tensor Gauss-Legendre double surface integral.  The
 exceptions use package code:
 
+- ``dense_pairs``, which turns the dense coupling and delay matrices of the
+  small test networks into the pair list ``DelayNetwork`` takes;
 - ``reference_march``, the per-query march that the history plan of
   ``DelayNetwork.solve`` replaced, iterated to a fixed point in the new node
   for pairs closer than two steps, kept as its reference;
@@ -134,6 +136,14 @@ def sphere_pair_quadrature(radius: float, order: int) -> float:
         dist = np.sqrt(np.maximum(2.0 * a * a - 2.0 * gram, 0.0))
         total += float(wsurf[lo:lo + chunk] @ dist @ wsurf)
     return total / (2.0 * a) / (4.0 * np.pi * a * a)
+
+
+def dense_pairs(coupling, delays):
+    """The pair list (i, j, c, tau) of n x n coupling and delay matrices:
+    every nonzero coupling, in row-major order."""
+    coupling, delays = np.asarray(coupling, dtype=float), np.asarray(delays, dtype=float)
+    i, j = np.nonzero(coupling)
+    return i, j, coupling[i, j], delays[i, j]
 
 
 def reference_march(network, grid):

@@ -32,6 +32,12 @@ def test_validate_exits_zero(tmp_path):
     {"run": {"T": float("nan")}},
     {"run": {"h_max": float("nan")}},
     {"run": {"n_out": 1}},      # one output sample has no spacing
+    {"materials": {"rho_c": float("nan")}},
+    {"bubble_shape": {"radius": float("nan")}},
+    {"source": {"position": [0.0, float("nan"), 1.5]}},
+    {"pulse": {"t_rise": float("nan")}},    # all-zero traces, not an error, before
+    {"materials": {"kappa_b_bar": float("inf")}},
+    {"surface": {"area": float("nan")}},
 ])
 def test_config_errors_exit_two(tmp_path, raw, capsys):
     # a dict is the config file; a list is flags given with the default config

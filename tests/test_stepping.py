@@ -8,12 +8,12 @@ from bubblescreen import (KFunction, TimeGrid, effective_grid, partition,
                           place_bubbles, stepping)
 from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
-from bubblescreen.errors import SolverError
+from bubblescreen.errors import ConfigError, SolverError
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, scattered_series
 from bubblescreen.geometry import pairwise_distances
 
-from oracles import reference_march
+from oracles import dense_pairs, reference_march
 
 FIELDS = ("value", "rate", "acc")
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -82,7 +82,7 @@ def test_march_counters(params, disk_scene):
     grid = TimeGrid.fit(2.0, 0.05)
     counters = network.march_counters(grid)
     n = disk_scene["cluster"].n
-    tau_min, tau_max = network.min_delay, network.delays.max()
+    tau_min, tau_max = network.min_delay, network.tau.max()
     lag_max = counters.pop("lag_max")
     assert counters == {"n": n, "pairs": n * (n - 1), "steps": grid.steps,
                         "h": grid.h, "tau_min": tau_min,
@@ -96,8 +96,7 @@ def test_march_counters(params, disk_scene):
     # shrink the fixed-point error below rounding at the contraction bound
     coarse = TimeGrid.fit(2.0, 1.2 * tau_min)
     counters = network.march_counters(coarse)
-    tau = network.delays[~np.eye(n, dtype=bool)]
-    assert counters["near_pairs"] == np.count_nonzero(tau < 2 * coarse.h) > 0
+    assert counters["near_pairs"] == np.count_nonzero(network.tau < 2 * coarse.h) > 0
     q, sweeps = counters["near_contraction"], counters["near_sweeps"]
     assert 0.0 < q < 1.0
     assert q ** sweeps <= np.finfo(float).eps < q ** (sweeps - 1)
@@ -127,9 +126,8 @@ def test_march_counters_reuse_the_march(monkeypatch):
 def test_non_contracting_near_pairs_rejected():
     # two oscillators coupled twice as strongly as their unit masses, a delay
     # of half a step: the new node's fixed-point map does not contract
-    network = stepping.DelayNetwork(np.ones(2), np.array([[0.0, 2.0], [2.0, 0.0]]),
-                                    np.array([[0.0, 0.1], [0.1, 0.0]]),
-                                    lambda t: np.exp(-t) * t ** 4)
+    pairs = dense_pairs([[0.0, 2.0], [2.0, 0.0]], [[0.0, 0.1], [0.1, 0.0]])
+    network = stepping.DelayNetwork(np.ones(2), pairs, lambda t: np.exp(-t) * t ** 4)
     grid = TimeGrid.fit(2.0, 0.2)
     assert network.march_counters(grid)["near_contraction"] >= 1.0
     with pytest.raises(SolverError, match="lower h_max"):
@@ -191,7 +189,7 @@ def _small_network(n, seed, onset=False):
         return amp * np.maximum(t - start, 0.0) ** 4 * np.exp(-t)
 
     masses = rng.uniform(0.5, 2.0, n)
-    network = stepping.DelayNetwork(masses, coupling, delays, forcing,
+    network = stepping.DelayNetwork(masses, dense_pairs(coupling, delays), forcing,
                                     start if onset else None)
     h = min(0.4 * network.min_delay, 0.05)
     steps = int(np.ceil(6.0 / h))
@@ -211,16 +209,15 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
     if kind == "boundary":
         # delays of exactly 1.5h and 2h put cells on the near/far boundary:
         # shifts of exactly -1 at the half and the full stage
-        delays = network.delays.copy()
-        delays[0, 1] = delays[1, 0] = 0.375
-        delays[0, 2] = delays[2, 0] = 0.5
-        network = stepping.DelayNetwork(network.masses, network.coupling, delays,
-                                        network.forcing)
+        i, j, c, tau = network.i, network.j, network.c, network.tau.copy()
+        for (a, b), t in (((0, 1), 0.375), ((0, 2), 0.5)):
+            tau[((i == a) & (j == b)) | ((i == b) & (j == a))] = t
+        network = stepping.DelayNetwork(network.masses, (i, j, c, tau), network.forcing)
         grid = TimeGrid.fit(grid.T, 0.25)
         assert grid.h == 0.25
         for _, shift, _, _ in stepping._stage_pairs(network, grid):
             assert np.any(shift == -1.0)
-    assert np.count_nonzero(network.coupling) < 9 * 8
+    assert len(network.c) < 9 * 8 and np.all(network.c != 0.0)
     # pairs not yet live gather rows before the first node from the zero
     # padding: lag_max rows deep in the first steps
     assert network.march_counters(grid)["lag_max"] > 2
@@ -271,8 +268,9 @@ def test_solve_is_bitwise_repeatable():
 
 
 def test_plan_memory_within_old_budget():
-    # the old per-pair plan held 48 B per pair per stage; the row-major plan
-    # may add one shared n x n buffer and no more
+    # the old per-pair plan held 48 B per pair per stage; the two row-major
+    # plans, each with its own gather buffer, may add 8 B per n x n entry
+    # and no more
     config = ExperimentConfig.load(CONFIG)
     scene = build_scene(config, 1.0 / 256.0)
     network = DelaySystem(scene.cluster, scene.params, scene.source)
@@ -283,3 +281,46 @@ def test_plan_memory_within_old_budget():
     pairs = network.march_counters(grid)["pairs"]
     assert network.n > 200
     assert sum(p.nbytes for p in plans) <= 2 * 48 * pairs + 8 * network.n ** 2
+
+
+def test_network_holds_only_its_pair_list():
+    # 32 B per pair (i, j, c, tau) plus per-oscillator arrays: no n x n matrix
+    config = ExperimentConfig.load(CONFIG)
+    scene = build_scene(config, 1.0 / 256.0)
+    network = DelaySystem(scene.cluster, scene.params, scene.source)
+    n, pairs = network.n, len(network.tau)
+    assert n > 200 and pairs == n * (n - 1)
+    arrays = [a for a in vars(network).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 32 * pairs + 64 * n
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param({"i": [0, 1, 3]}, id="index-past-n"),
+    pytest.param({"j": [1, -1, 0]}, id="negative-index"),
+    pytest.param({"j": [1, 1, 0]}, id="i-equals-j"),
+    pytest.param({"i": [0, 1, 0], "j": [1, 2, 1]}, id="pair-listed-twice"),
+    pytest.param({"i": [0, 0, 1], "j": [1, 1, 2]}, id="pair-listed-twice-sorted"),
+    pytest.param({"c": [0.1, 0.2]}, id="unequal-lengths"),
+    pytest.param({"tau": [[0.5, 0.4, 0.3]]}, id="not-1d"),
+    pytest.param({"i": [0.0, 1.0, 2.0]}, id="float-indices"),
+    pytest.param({"tau": [0.5, 0.0, 0.3]}, id="zero-delay"),
+    pytest.param({"tau": [0.5, -0.4, 0.3]}, id="negative-delay"),
+    pytest.param({"tau": [0.5, np.nan, 0.3]}, id="nan-delay"),
+    pytest.param({"tau": [0.5, np.inf, 0.3]}, id="inf-delay"),
+    pytest.param({"c": [0.1, np.nan, -0.1]}, id="nan-coupling"),
+    pytest.param({"c": [0.1, -np.inf, -0.1]}, id="inf-coupling"),
+    pytest.param({"masses": [1.0, np.nan, 1.5]}, id="nan-mass"),
+    pytest.param({"masses": [1.0, 0.0, 1.5]}, id="zero-mass"),
+    pytest.param({"masses": [1.0, np.inf, 1.5]}, id="inf-mass"),
+])
+def test_bad_pair_lists_rejected(bad):
+    good = {"masses": [1.0, 2.0, 1.5], "i": [0, 1, 2], "j": [1, 2, 0],
+            "c": [0.1, 0.2, -0.1], "tau": [0.5, 0.4, 0.3]}
+
+    def build(spec):
+        pairs = tuple(np.asarray(spec[key]) for key in ("i", "j", "c", "tau"))
+        return stepping.DelayNetwork(np.asarray(spec["masses"]), pairs, lambda t: 0.0)
+
+    assert build(good).min_delay == 0.3
+    with pytest.raises(ConfigError):
+        build({**good, **bad})

@@ -2,14 +2,27 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACED_STAGE = Path(__file__).resolve().parent.parent / "perfbench" / "traced_stage.py"
+import numpy as np
+
+from bubblescreen import TimeGrid, laplace_solve
+from bubblescreen.config import ExperimentConfig
+from bubblescreen.experiments import build_scene
+from bubblescreen.foldy import DelaySystem
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACED_STAGE = ROOT / "perfbench" / "traced_stage.py"
+
+
+def _traced_stage():
+    spec = importlib.util.spec_from_file_location("traced_stage", TRACED_STAGE)
+    traced_stage = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_stage)
+    return traced_stage
 
 
 def test_traced_stage_targets_resolve():
     # a target the package no longer has would record no benchmark spans
-    spec = importlib.util.spec_from_file_location("traced_stage", TRACED_STAGE)
-    traced_stage = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced_stage)
+    traced_stage = _traced_stage()
     missing = []
     for targets, _ in traced_stage.TARGETS.values():
         for modname, attr in targets:
@@ -20,3 +33,28 @@ def test_traced_stage_targets_resolve():
             if holder is None or vars(holder).get(name) is None:
                 missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def test_counter_readers_read_real_objects(params, disk_scene):
+    # the traced benchmark reads these attributes after each span: a renamed
+    # one would fail the traced pass only, so read them here on real objects
+    traced_stage = _traced_stage()
+    config = ExperimentConfig.load(ROOT / "configs" / "default.yaml")
+    scene = build_scene(config, 1.0 / 64.0)
+    assert traced_stage._scene_extra((config, 1.0 / 64.0), scene) == {
+        "eps": 1.0 / 64.0, "bubbles": len(scene.cluster.centers),
+        "nodes": len(scene.rule.nodes)}
+
+    network = DelaySystem(disk_scene["cluster"], params, disk_scene["source"])
+    grid = TimeGrid.fit(1.0, 0.05)
+    trace = network.solve(grid)
+    assert traced_stage._march_extra((network, grid), trace) == {
+        "n": len(network.masses), "steps": len(trace.times) - 1, "h": trace.h,
+        "min_delay": network.tau.min()}
+
+    rule = disk_scene["rule"]
+    s, rhs = 1.0 + 3.0j, np.ones(rule.m, dtype=complex)
+    extra = traced_stage._laplace_extra((rule, params, s, rhs),
+                                        laplace_solve(rule, params, s, rhs))
+    assert set(extra) == {"residual", "margin"}
+    assert 0.0 <= extra["residual"] <= 1e-8 and extra["margin"] >= 0.0
