@@ -102,7 +102,8 @@ def _check_values(shape, value, where: str = ""):
     """``value`` with every number that ``shape`` calls for checked.
 
     A numeric string (YAML reads ``1e-3`` as one) becomes its number; a
-    non-number, nan or +-inf raises ``ConfigError`` naming the key.
+    non-number, nan or +-inf, or a number with a fractional part where an
+    integer is due, raises ``ConfigError`` naming the key.
     """
     if isinstance(shape, dict):
         return {key: _check_values(shape[key], val, f"{where}.{key}" if where else key)
@@ -118,7 +119,8 @@ def _check_values(shape, value, where: str = ""):
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise TypeError
         number = kind(value)
-        if kind is float and not np.isfinite(number):
+        # a float that int() truncated is not an integer
+        if not np.isfinite(number) or isinstance(value, float) and number != value:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(

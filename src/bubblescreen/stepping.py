@@ -24,18 +24,20 @@ cell ends at row n with zero weight on the still-provisional slope S[n]
 otherwise: its cell weights the final S[n] or the new row n + 1.
 
 A network is its pair list (i, j, c_ij, tau_ij), with no n x n matrix.
-``DelayNetwork.solve`` builds from it a row-major history plan once per grid:
-an n x n array of gather offsets, each row holding the pairs of one
-oscillator.  The acceleration and slope histories live in one array of
-32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and S[k+1, j],
-the four values a query in the Hermite cell of rows k and k + 1 reads.  It
-carries leading zero rows, at least as many as the deepest lag, so every
-offset reads a row that exists, and one trailing zero row that uncoupled
-entries read.  The plan's n x n x 4 weights, the Hermite weights
+The stage offset is one axis of length 2, ``SIGMAS``: ``DelayNetwork.solve``
+splits the pair list once over both offsets and builds from it one row-major
+history plan per grid, a 2n x n array of gather offsets whose row (s, i) holds
+oscillator i's pairs at stage s.  The acceleration and slope histories live
+in one array of 32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j]
+and S[k+1, j], the four values a query in the Hermite cell of rows k and
+k + 1 reads.  It carries leading zero rows, at least as many as the deepest
+lag, so every offset reads a row that exists, and one trailing zero row that
+uncoupled entries read.  The plan's 2n x n x 4 weights, the Hermite weights
 premultiplied by the coupling, are interleaved the same way.  Each delayed
-sum gathers the cells of a block of plan rows at a time into a small buffer
-and reduces each row against the weights by one dot over 4n values, with no
-per-step index arithmetic.
+sum gathers the cells of a block of plan rows at a time into one small
+buffer and reduces each row against the weights by one dot over 4n values,
+so one gather pass gives both stages' sums, with no per-step index
+arithmetic.
 
 The near pairs' values are affine in the new node's acceleration a = A[n+1],
 through the Hermite weight of row n + 1 and the slope stencils of S[n] and
@@ -48,8 +50,9 @@ pairs only.  It is solved by fixed-point sweeps over the near pairs, as many
 as the map's contraction bound needs to reach rounding level; a bound of 1 or
 more is refused.  This is the method of steps with an implicit new node
 (Bellen & Zennaro, below).  The forcing does not depend on the state either,
-so it is tabulated once per block of steps: ``forcing`` maps a (k, 1) column
-of stage times to (k, n) forces, or to anything that broadcasts to (k, n).
+so it is tabulated once per block of steps at both stage offsets: ``forcing``
+maps a (2k, 1) column of stage times to (2k, n) forces, or to anything that
+broadcasts to (2k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing; a
 query at or before a column's onset returns exactly zero, so neither the march
@@ -75,13 +78,16 @@ from .errors import ConfigError, DivergenceError, SolverError, UsageError
 from .geometry import pairwise_distances
 from .sources import pulse_eval
 
+# The two stage offsets of an RK4 step, in steps past t_n: the half stage
+# (second and third stages) and the full one (fourth stage and new node).
+SIGMAS = (0.5, 1.0)
 # Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
-# steps of n oscillators at each of the two stage offsets.
+# steps of n oscillators, each at both stage offsets, in one forcing call.
 FORCING_BLOCK = 8192
 # Longest march TimeGrid.fit builds, in steps.
 MAX_STEPS = 2**16
-# History cells gathered per block of plan rows: max(1, GATHER_BLOCK // n)
-# rows of n cells, 256 KiB.
+# History cells gathered per block of plan rows: min(2n, max(1, GATHER_BLOCK // n))
+# rows of n cells, at most 256 KiB.
 GATHER_BLOCK = 8192
 
 
@@ -108,6 +114,13 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.h
+
+    @property
+    def stage_times(self) -> np.ndarray:
+        """(2, steps): t_n + sigma*h for each of ``SIGMAS``, the full stage
+        taken as the next node t_{n+1} itself."""
+        times = self.times
+        return np.stack((times[:-1] + SIGMAS[0] * self.h, times[1:]))
 
 
 def _hermite_weights(theta, h):
@@ -185,25 +198,18 @@ def _first_live(stage_t: np.ndarray, tau: np.ndarray, onset: np.ndarray) -> np.n
 
 
 def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
-    """Every pair's cells at the half and full stage: (sigma, shift, o, first)
-    for sigma = 0.5 and 1.0.
+    """Every pair's cells at both stage offsets: (shift, first), stage-major
+    over 2P entries, entry e being pair e % P at t_n + SIGMAS[e // P]*h.
 
-    A pair's cell shift sigma - tau/h puts its query at t_n + sigma*h in the
-    Hermite cell of rows n + o and n + o + 1, o = floor(shift); the pair is
-    near when the shift exceeds -1.  ``first`` is the first step whose query
-    lies past the source column's onset and reads no row before the first
-    node.  Arrays are over the network's pair list.
+    An entry's cell shift sigma - tau/h puts its query in the Hermite cell
+    of rows n + o and n + o + 1, o = floor(shift); the entry is near when
+    the shift exceeds -1.  ``first`` is the first step whose query lies past
+    the source column's onset and reads no row before the first node.
     """
-    times, tau = grid.times, network.tau
-    lag, onset = tau / grid.h, network.onset[network.j]
-    stages = []
-    for sigma in (0.5, 1.0):
-        stage_t = times[1:] if sigma == 1.0 else times[:-1] + sigma * grid.h
-        shift = sigma - lag
-        offset = np.floor(shift).astype(np.int64)
-        first = np.maximum(_first_live(stage_t, tau, onset), -offset)
-        stages.append((sigma, shift, offset, first))
-    return stages
+    tau, onset = network.tau, network.onset[network.j]
+    shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
+    first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
+    return shift, np.maximum(first, -np.floor(shift).astype(np.int64))
 
 
 def _slope_stencils(A: np.ndarray, mn: int, h: float):
@@ -226,81 +232,84 @@ def _new_row_weights(mn: int, h: float):
     return tuple(float(s[0]) for s in _slope_stencils(unit, k, h))
 
 
-def _rk4(y, v, k1v, f_half, f_full, d_half, d_full, h, masses):
-    """One classical RK4 step of (x, x') given both stages' delayed sums;
-    returns x, x' and x'' at the new node."""
+def _rk4(y, v, k1v, f, d, h, masses):
+    """One classical RK4 step of (x, x') given the forces f and delayed sums d
+    at both stage offsets, each (2, n); returns x, x' and x'' at the new node."""
     k2y = v + 0.5 * h * k1v
-    k2v = (f_half - (y + 0.5 * h * v) - d_half) / masses
+    k2v = (f[0] - (y + 0.5 * h * v) - d[0]) / masses
     k3y = v + 0.5 * h * k2v
-    k3v = (f_half - (y + 0.5 * h * k2y) - d_half) / masses
+    k3v = (f[0] - (y + 0.5 * h * k2y) - d[0]) / masses
     k4y = v + h * k3v
-    k4v = (f_full - (y + h * k3y) - d_full) / masses
+    k4v = (f[1] - (y + h * k3y) - d[1]) / masses
     y1 = y + h / 6.0 * (v + 2 * k2y + 2 * k3y + k4y)
     v1 = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return y1, v1, (f_full - y1 - d_full) / masses
+    return y1, v1, (f[1] - y1 - d[1]) / masses
 
 
 class _StagePlan:
-    """Delayed sum over every coupled pair at t_n + sigma*h for every step n
-    of one grid, row-major.
+    """Delayed sums over every coupled pair at both stage offsets for every
+    step n of one grid, row-major: 2n rows, row (s, i) holding oscillator i's
+    pairs at t_n + SIGMAS[s]*h.
 
-    Entry (r, j) is the pair (rows[r], j); oscillator i's pairs sit in row
-    ``slot[i]``.  ``idx[r, j]`` is the offset, from row n, of the pair's
-    history cell, which holds A and S at rows n + o and n + o + 1.  A step
-    gathers the cells of ``len(buf)`` plan rows at a time into ``buf`` with
-    one unbuffered ``take`` and reduces each row against the interleaved
-    weights by one dot over 4n values: ``weights[r, j, k]`` is the pair's
-    Hermite weight of its cell's k-th value.  Rows are sorted by their first
-    live step, and the first ``live_rows[n]`` rows hold every pair live at
-    step n.  ``pairs`` holds the network's pair numbers sorted by their first
-    live step; the first ``live_pairs[n]`` are live at step n.  The weights
-    start at zero; a pair's weights c * w_k(theta) are written at its first
-    live step (``activate``), so a pair not yet live contributes exactly
-    zero.  Uncoupled entries and the diagonal point past the end of the
-    history, which ``mode="clip"`` maps to its trailing zero cell, and are
-    never activated.  A far pair's cell ends at row n or earlier and gives
-    row n's slope weight zero, so it reads final values only.  A near pair
-    reads the final S[n] or the new row n + 1; while one is live, the step
-    writes the slopes S[n] and S[n+1] with A[n+1] still zero first, so the
-    sum holds the near pairs' history part and ``_NearPairs`` adds the new
-    node's share.
+    Row (s, i) sits at ``slot[s*n + i]``, and entry (r, j) is the pair (i, j)
+    of row r.  ``idx[r, j]`` is the offset, from row n, of the pair's history
+    cell, which holds A and S at rows n + o and n + o + 1.  A step gathers the
+    cells of ``len(buf)`` plan rows at a time into the one ``buf`` with one
+    unbuffered ``take`` and reduces each row against the interleaved weights
+    by one dot over 4n values: ``weights[r, j, k]`` is the pair's Hermite
+    weight of its cell's k-th value.  Rows are sorted by their first live
+    step, and the first ``live_rows[n]`` rows hold every entry live at step n.
+    ``pairs`` holds the ``_stage_pairs`` entry numbers e (pair e % P at stage
+    e // P) sorted by their first live step; the first ``live_pairs[n]`` are
+    live at step n.  The weights start at zero; an
+    entry's weights c * w_k(theta) are written at its first live step
+    (``activate``), so an entry not yet live contributes exactly zero.
+    Uncoupled entries and the diagonal point past the end of the history,
+    which ``mode="clip"`` maps to its trailing zero cell, and are never
+    activated.  A far pair's cell ends at row n or earlier and gives row n's
+    slope weight zero, so it reads final values only.  A near pair reads the
+    final S[n] or the new row n + 1; while one is live, the step writes the
+    slopes S[n] and S[n+1] with A[n+1] still zero first, so the sum holds the
+    near pairs' history part and ``_NearPairs`` adds the new node's share.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, stage):
-        n, h = network.n, grid.h
-        sigma, _, offset, first = stage
-        iu, ju = network.i, network.j
-        row_first = np.full(n, grid.steps, dtype=np.int64)
-        np.minimum.at(row_first, iu, first)
-        self.rows = np.argsort(row_first, kind="stable")
-        self.live_rows = np.searchsorted(row_first[self.rows], np.arange(grid.steps),
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, split):
+        n, steps = network.n, grid.steps
+        shift, first = (a.reshape(2, -1) for a in split)
+        i, j = network.i, network.j
+        row_first = np.full((2, n), steps, dtype=np.int64)
+        np.minimum.at(row_first, (slice(None), i), first)
+        self.rows = np.argsort(row_first, axis=None, kind="stable")
+        self.live_rows = np.searchsorted(row_first.ravel()[self.rows], np.arange(steps),
                                          side="right")
-        self.slot = np.empty(n, dtype=np.int64)
-        self.slot[self.rows] = np.arange(n)
-        self.idx = np.full((n, n), (pad + grid.steps + 2) * n, dtype=np.int64)
-        self.idx[self.slot[iu], ju] = (pad + offset) * n + ju
-        order = np.argsort(first, kind="stable")
-        self.pairs = order.astype(np.int32 if len(order) < 2**31 else np.int64)
-        self.live_pairs = np.searchsorted(first[order], np.arange(grid.steps),
+        self.slot = np.empty(2 * n, dtype=np.int64)
+        self.slot[self.rows] = np.arange(2 * n)
+        self.idx = np.full((2 * n, n), (pad + steps + 2) * n, dtype=np.int64)
+        self.idx[self.slot.reshape(2, n)[:, i], j] = \
+            (pad + np.floor(shift).astype(np.int64)) * n + j
+        self.pairs = np.argsort(first, axis=None, kind="stable").astype(
+            np.int32 if first.size < 2**31 else np.int64)
+        self.live_pairs = np.searchsorted(first.ravel()[self.pairs], np.arange(steps),
                                           side="right")
-        self.weights = np.zeros((n, n, 4))
-        self.buf = np.empty((min(n, max(1, GATHER_BLOCK // n)), n, 4))
-        self.network, self.sigma, self.h = network, sigma, h
-        self.n, self._done = n, 0
+        self.weights = np.zeros((2 * n, n, 4))
+        self.buf = np.empty((min(2 * n, max(1, GATHER_BLOCK // n)), n, 4))
+        self.network, self.h, self.n, self._done = network, grid.h, n, 0
 
     def activate(self, ns: int) -> None:
-        """Write the weights of every pair whose first live step is ns or less."""
+        """Write the weights of every entry whose first live step is ns or less."""
         lo, hi = self._done, self.live_pairs[ns]
-        pairs, net = self.pairs[lo:hi], self.network
-        shift = self.sigma - net.tau.take(pairs) / self.h
+        net = self.network
+        stage, pairs = np.divmod(self.pairs[lo:hi], len(net.tau))
+        shift = np.take(SIGMAS, stage) - net.tau.take(pairs) / self.h
         w = np.stack(_hermite_weights(shift - np.floor(shift), self.h), axis=1)
-        self.weights[self.slot[net.i.take(pairs)], net.j.take(pairs)] = \
+        self.weights[self.slot[stage * self.n + net.i.take(pairs)], net.j.take(pairs)] = \
             net.c.take(pairs)[:, None] * w
         self._done = hi
 
     def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
-        """The sum at step ns over the (rows * n, 4) history ``cells``."""
-        out = np.zeros(self.n)
+        """Both stages' sums at step ns, as (2, n), over the (rows * n, 4)
+        history ``cells``."""
+        out = np.zeros((2, self.n))
         r = self.live_rows[ns]
         if not r:
             return out
@@ -313,7 +322,7 @@ class _StagePlan:
             hi = lo + len(buf)
             cells.take(self.idx[lo:hi], axis=0, out=buf, mode="clip")
             np.einsum("ijk,ijk->i", buf, self.weights[lo:hi], out=total[lo:hi])
-        out[self.rows[:r]] = total
+        out.reshape(-1)[self.rows[:r]] = total
         return out
 
     @property
@@ -326,47 +335,44 @@ class _StagePlan:
 class _NearPairs:
     """The new node's share of both stages' near sums on one grid.
 
-    A near pair interpolates rows n - 1, n (o = -1) or n, n + 1 (o = 0) with
-    the final slope S[n] and, for o = 0, the new node's A[n+1] and its
-    provisional slope S[n+1].  Both slopes are affine in a = A[n+1] through
+    Built from the same ``_stage_pairs`` split as the plan: the near entries
+    are those whose shift exceeds -1, over both stages at once.  A near entry
+    interpolates rows n - 1, n (o = -1) or n, n + 1 (o = 0) with the final
+    slope S[n] and, for o = 0, the new node's A[n+1] and its provisional
+    slope S[n+1].  Both slopes are affine in a = A[n+1] through
     ``_slope_stencils``, so each near value is a history part, summed by the
-    stage plans with the new row at zero, plus g * a_j.  Pair p's coupled
-    Hermite weights of S[n], A[n+1] and S[n+1] give ``g[k][p]``: the weight
-    of a_j with the slope stencils of new row k + 1, the same from row 3 on.
-    Its sum lands in ``tgt[p]``, row i of the half stage or n + i of the full
-    one.  Pairs are sorted by their first live step (exact onsets, as in the
-    plans), so the first ``live[n]`` are live at step n.
+    plan with the new row at zero, plus g * a_j.  Entry p's coupled Hermite
+    weights of S[n], A[n+1] and S[n+1] give ``g[k][p]``: the weight of a_j
+    with the slope stencils of new row k + 1, the same from row 3 on.  Its
+    sum lands in ``tgt[p]``, row s*n + i of the stage-major (2, n) sums.
+    Entries are sorted by their first live step (exact onsets, as in the
+    plan), so the first ``live[n]`` are live at step n.
 
     The RK4 step is affine in the delayed sums, and x(t_{n+1}) depends on the
     half stage only, through k3, by -h^2/3 per unit of delayed sum over the
     mass squared.  So a solves a = r + G a, where r is the new node's
     acceleration with a = 0 and G = M^-1 (h^2/3 M^-1 N_half - N_full) holds
     the near pairs' weights g.  ``solve`` iterates that map from a = r, with
-    one sparse pass over the live pairs per sweep.  ``contraction`` bounds
+    one sparse pass over the live entries per sweep.  ``contraction`` bounds
     max_i sum_j |G_ij| over every step's weights; below 1 the map contracts,
     and ``sweeps`` passes bring a to rounding level.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, stages):
-        n, h, steps = network.n, grid.h, grid.steps
-        w, tgt, cols, first = [], [], [], []
-        for stage, (_, shift, offset, live_from) in enumerate(stages):
-            sel = np.flatnonzero(shift > -1.0)
-            # weights of S[n], A[n+1], S[n+1]: a cell n - 1, n (o = -1) ends at S[n]
-            _, w10, w01, w11 = _hermite_weights(shift[sel] - offset[sel], h)
-            zero = np.zeros(len(sel))
-            w.append(network.c[sel] * np.where(offset[sel] == 0, (w10, w01, w11),
-                                                (w11, zero, zero)))
-            tgt.append(stage * n + network.i[sel])
-            cols.append(network.j[sel])
-            first.append(live_from[sel])
-        first = np.concatenate(first)
-        order = np.argsort(first, kind="stable")
-        w = np.concatenate(w, axis=1)[:, order]
-        self.tgt = np.concatenate(tgt)[order]
-        self.cols = np.concatenate(cols)[order]
-        self.live = np.searchsorted(first[order], np.arange(steps), side="right")
-        self.pairs = len(tgt[1])    # a pair near at the half stage is near at the full one
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, split):
+        n, h, P = network.n, grid.h, len(network.tau)
+        shift, first = split
+        sel = np.flatnonzero(shift > -1.0)
+        sel = sel[np.argsort(first[sel], kind="stable")]
+        shift, stage, pair = shift[sel], *np.divmod(sel, P)
+        offset = np.floor(shift)
+        # weights of S[n], A[n+1], S[n+1]: a cell n - 1, n (o = -1) ends at S[n]
+        _, w10, w01, w11 = _hermite_weights(shift - offset, h)
+        zero = np.zeros(len(sel))
+        w = network.c[pair] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
+        self.tgt, self.cols = stage * n + network.i[pair], network.j[pair]
+        self.live = np.searchsorted(first[sel], np.arange(grid.steps), side="right")
+        # a pair near at the half stage is near at the full one
+        self.pairs = int(np.count_nonzero(stage))
         self.g = [w[1] + final * w[0] + new * w[2]
                   for new, final in (_new_row_weights(mn, h) for mn in (1, 2, 3))]
         self.masses, self.n, self.k3 = network.masses, n, h * h / 3.0
@@ -409,10 +415,11 @@ class DelayNetwork:
     pair, which is checked here; the marched ``Trace`` returns exact zeros up
     to each onset.
 
-    ``forcing(t)`` returns f(t).  ``solve`` calls it once per block of steps
-    with a (k, 1) array of stage times and expects (k, n) forces or an array
-    that broadcasts to them; ``accel_all`` calls it with a scalar t and
-    expects (n,).
+    ``forcing(t)`` returns f(t).  ``solve`` calls it once per block of k
+    steps with one (2k, 1) column of stage times, the k half-stage times
+    then the k full-stage ones, and expects (2k, n) forces or an array that
+    broadcasts to them; ``accel_all`` calls it with a scalar t and expects
+    (n,).
     """
 
     def __init__(self, masses: np.ndarray, pairs, forcing: Callable[[np.ndarray], np.ndarray],
@@ -457,34 +464,34 @@ class DelayNetwork:
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
-        Any step h > 0 is allowed.  Every coupled pair goes through the
-        row-major history plans of the two stage offsets (h/2 and h), built
-        here once per grid from one split of the pair list.  While a near
-        pair (delay below 1.5h at the half stage, 2h at the full one) is
-        live, each step first writes S[n] and S[n+1] with A[n+1] still zero,
-        so the plans sum the near pairs' history part, and then solves for
-        the new node's share by fixed-point sweeps (``_NearPairs``); a
+        Any step h > 0 is allowed.  One ``_stage_pairs`` split of the pair
+        list over both stage offsets (h/2 and h) builds, once per grid, the
+        2n-row history plan and the near pairs; each step takes both stages'
+        sums, as (2, n), from one ``delayed_sum`` call.  While a near pair
+        (delay below 1.5h at the half stage, 2h at the full one) is live,
+        each step first writes S[n] and S[n+1] with A[n+1] still zero, so
+        the plan sums the near pairs' history part, and then adds the new
+        node's share, solved by fixed-point sweeps (``_NearPairs``); a
         contraction bound of 1 or more raises ``SolverError`` before the
         march starts.  The history of cells has ``lag_max + 2`` leading zero
         rows and one trailing zero row; each row written lands in two cells,
         the lower half of its own and the upper half of the one before, and
         the ``Trace`` holds strided views of the lower halves over the
         unpadded rows.  The forcing is tabulated at both stage times a block
-        of steps at a time.  The near-pair system is kept for
-        ``march_counters`` on the same grid.
+        of steps at a time, by one ``forcing`` call per block.  The near-pair
+        system is kept for ``march_counters`` on the same grid.
         """
         n, h, steps, times = self.n, grid.h, grid.steps, grid.times
         pad = self._lag_max(grid) + 2
-        stages = _stage_pairs(self, grid)
-        near = _NearPairs(self, grid, stages)
+        split = _stage_pairs(self, grid)
+        near = _NearPairs(self, grid, split)
         if near.contraction >= 1.0:
             raise SolverError(
                 f"near pairs at step h={h} do not contract (bound "
                 f"{near.contraction:.3g} >= 1): lower h_max")
         self._near = grid, near
-        # each stage's per-pair split goes with its plan, to keep peak memory down
-        half = _StagePlan(self, grid, pad, stages.pop(0))
-        full = _StagePlan(self, grid, pad, stages.pop())
+        plan = _StagePlan(self, grid, pad, split)
+        del split   # 32 B per pair that the march no longer reads
         Y = np.zeros((steps + 1, n))
         V = np.zeros((steps + 1, n))
         # pad leading zero rows (read by pairs not yet live) and one trailing
@@ -497,31 +504,28 @@ class DelayNetwork:
         masses = self.masses
 
         def tabulate(t):
-            """Forces at the times ``t``, one row per time."""
-            return np.broadcast_to(self.forcing(t[:, None]), (len(t), n))
+            """Forces at the times ``t``, any shape, with one axis of n added."""
+            f = self.forcing(t.reshape(-1, 1))
+            return np.broadcast_to(f, (t.size, n)).reshape(t.shape + (n,))
 
         # every query at t = 0 lies before its column's onset
         A[0] = A_up[0] = (tabulate(times[:1])[0] - Y[0]) / masses
+        stage_times = grid.stage_times
         block = max(1, FORCING_BLOCK // n)
         for ns in range(steps):
             j = ns % block
             if j == 0:
-                hi = min(ns + block, steps)
-                f_halves = tabulate(times[ns:hi] + 0.5 * h)
-                f_fulls = tabulate(times[ns + 1:hi + 1])
+                forces = tabulate(stage_times[:, ns:ns + block])
             mn = ns + 1
-            stage = (Y[ns], V[ns], A[ns], f_halves[j], f_fulls[j])
+            state = Y[ns], V[ns], A[ns], forces[:, j]
             if near.live[ns]:
                 # slopes with A[mn] still zero: the near pairs' history part
                 # of S[ns] and S[mn]; far pairs give S[ns] weight zero
                 S[mn], S[ns] = S_up[mn], S_up[ns] = _slope_stencils(A, mn, h)
-            d_half = half.delayed_sum(ns, cells)
-            d_full = full.delayed_sum(ns, cells)
+            d = plan.delayed_sum(ns, cells)
             if near.live[ns]:
-                moved = near.solve(ns, _rk4(*stage, d_half, d_full, h, masses)[2])
-                d_half += moved[0]
-                d_full += moved[1]
-            Y[mn], V[mn], A[mn] = _rk4(*stage, d_half, d_full, h, masses)
+                d += near.solve(ns, _rk4(*state, d, h, masses)[2])
+            Y[mn], V[mn], A[mn] = _rk4(*state, d, h, masses)
             A_up[mn] = A[mn]
             if not np.all(np.isfinite(Y[mn])):
                 raise DivergenceError(mn)
@@ -533,7 +537,7 @@ class DelayNetwork:
     def _lag_max(self, grid: TimeGrid) -> int:
         """Deepest history row, in steps behind n, that a delayed sum at
         t_n + h/2 or t_{n+1} reads: the half-step query of the longest delay."""
-        return int(-np.floor(0.5 - self.tau.max() / grid.h)) if len(self.tau) else 0
+        return int(-np.floor(SIGMAS[0] - self.tau.max() / grid.h)) if len(self.tau) else 0
 
     def march_counters(self, grid: TimeGrid) -> dict:
         """Size, step margin and history window of a march on ``grid``, for

@@ -38,6 +38,8 @@ def test_validate_exits_zero(tmp_path):
     {"pulse": {"t_rise": float("nan")}},    # all-zero traces, not an error, before
     {"materials": {"kappa_b_bar": float("inf")}},
     {"surface": {"area": float("nan")}},
+    {"run": {"n_out": 12.5}},   # an integer key: not truncated to 12
+    {"seed": 3.7},
 ])
 def test_config_errors_exit_two(tmp_path, raw, capsys):
     # a dict is the config file; a list is flags given with the default config

@@ -54,6 +54,9 @@ def test_optional_keys_accepted():
     ({"sweep": {"eps_list": 0.01}}, "sweep.eps_list"),
     ({"regimes": {"cells": [{"omega_factor": None}]}}, "regimes.cells[0].omega_factor"),
     ({"materials": {"rho_c": True}}, "materials.rho_c"),
+    ({"run": {"n_out": 12.5}}, "run.n_out"),
+    ({"seed": 3.7}, "seed"),
+    ({"k": {"name": "linear_axis", "scale": 2.0, "axis": 0.5}}, "k.axis"),
 ])
 def test_value_types_rejected(raw, key):
     with pytest.raises(ConfigError, match=re.escape(key)):

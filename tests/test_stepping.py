@@ -134,6 +134,37 @@ def test_non_contracting_near_pairs_rejected():
         network.solve(grid)
 
 
+def test_solve_sums_both_stages_from_one_plan(monkeypatch):
+    # near pairs live: the plan and the near pairs share one split
+    network, grid = _small_network(9, seed=3)
+    grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+    built, sums = {}, []
+
+    def counted(name):
+        make = getattr(stepping, name)
+
+        def wrapped(*args):
+            built.setdefault(name, []).append(make(*args))
+            return built[name][-1]
+        monkeypatch.setattr(stepping, name, wrapped)
+
+    delayed_sum = stepping._StagePlan.delayed_sum
+
+    def counted_sum(plan, ns, cells):
+        sums.append(delayed_sum(plan, ns, cells))
+        return sums[-1]
+
+    monkeypatch.setattr(stepping._StagePlan, "delayed_sum", counted_sum)
+    for name in ("_stage_pairs", "_NearPairs", "_StagePlan"):
+        counted(name)
+    network.solve(grid)
+    assert {name: len(made) for name, made in built.items()} == {
+        "_stage_pairs": 1, "_NearPairs": 1, "_StagePlan": 1}
+    assert built["_StagePlan"][0].idx.shape == (2 * network.n, network.n)
+    assert len(sums) == grid.steps
+    assert all(d.shape == (2, network.n) for d in sums)
+
+
 def _one_time_at_a_time(forcing):
     """The network's forcing, evaluated at one scalar time per call."""
     def per_time(t):
@@ -165,8 +196,8 @@ def test_block_forcing_matches_per_time_forcing(params, disk, disk_scene, kind,
     got = network.solve(grid)
     for name in FIELDS + ("acc_slope",):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # one call at t = 0, then one per stage offset and block
-    assert len(calls) == 1 + 2 * -(-grid.steps // block)
+    # one call at t = 0, then one per block at both stage offsets
+    assert len(calls) == 1 + -(-grid.steps // block)
 
 
 def _small_network(n, seed, onset=False):
@@ -215,8 +246,9 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
         network = stepping.DelayNetwork(network.masses, (i, j, c, tau), network.forcing)
         grid = TimeGrid.fit(grid.T, 0.25)
         assert grid.h == 0.25
-        for _, shift, _, _ in stepping._stage_pairs(network, grid):
-            assert np.any(shift == -1.0)
+        shift, _ = stepping._stage_pairs(network, grid)
+        for stage_shift in shift.reshape(2, -1):
+            assert np.any(stage_shift == -1.0)
     assert len(network.c) < 9 * 8 and np.all(network.c != 0.0)
     # pairs not yet live gather rows before the first node from the zero
     # padding: lag_max rows deep in the first steps
@@ -268,19 +300,18 @@ def test_solve_is_bitwise_repeatable():
 
 
 def test_plan_memory_within_old_budget():
-    # the old per-pair plan held 48 B per pair per stage; the two row-major
-    # plans, each with its own gather buffer, may add 8 B per n x n entry
-    # and no more
+    # the old per-pair plan held 48 B per pair per stage; the one row-major
+    # plan of both stages, with its gather buffer, may add 8 B per n x n
+    # entry and no more
     config = ExperimentConfig.load(CONFIG)
     scene = build_scene(config, 1.0 / 256.0)
     network = DelaySystem(scene.cluster, scene.params, scene.source)
     grid = TimeGrid.fit(config.horizon, 0.05)
     pad = network.march_counters(grid)["lag_max"] + 2
-    plans = [stepping._StagePlan(network, grid, pad, stage)
-             for stage in stepping._stage_pairs(network, grid)]
+    plan = stepping._StagePlan(network, grid, pad, stepping._stage_pairs(network, grid))
     pairs = network.march_counters(grid)["pairs"]
     assert network.n > 200
-    assert sum(p.nbytes for p in plans) <= 2 * 48 * pairs + 8 * network.n ** 2
+    assert plan.nbytes <= 2 * 48 * pairs + 8 * network.n ** 2
 
 
 def test_network_holds_only_its_pair_list():

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,3 +60,21 @@ def test_counter_readers_read_real_objects(params, disk_scene):
                                         laplace_solve(rule, params, s, rhs))
     assert set(extra) == {"residual", "margin"}
     assert 0.0 <= extra["residual"] <= 1e-8 and extra["margin"] >= 0.0
+
+
+def test_package_imports_only_declared_dependencies():
+    # pyproject.toml declares numpy and PyYAML only: a module importing any
+    # other installed package would fail on a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "bubblescreen"}
+    stray = []
+    for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{path.name}: {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert stray == []
