@@ -1,8 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: one subcommand per stage in ``experiments.STAGES``.
 
 Subcommands: validate, foldy, effective, cq, compare, sweep, regimes,
-counting.  Flags override config scalars.  Exit codes: 0 success, 2 config or
-usage error, 3 solver error.
+counting.  Each loads the config, applies the flags as overrides of config
+scalars and runs its stage through ``experiments.run_stage``.  Exit codes: 0
+success, 2 config or usage error, 3 solver error.
 """
 
 from __future__ import annotations
@@ -12,19 +13,7 @@ import sys
 
 from .config import ExperimentConfig, parse_override_list
 from .errors import BubblescreenError, ConfigError
-from .experiments import (run_cq, run_compare_cmd, run_counting, run_effective,
-                          run_foldy, run_regimes, run_sweep, run_validate)
-
-_COMMANDS = {
-    "validate": run_validate,
-    "foldy": run_foldy,
-    "effective": run_effective,
-    "cq": run_cq,
-    "compare": run_compare_cmd,
-    "sweep": run_sweep,
-    "regimes": run_regimes,
-    "counting": run_counting,
-}
+from .experiments import STAGES, run_stage
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "dispersive-screen model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in STAGES:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--outdir", default=None, help="output directory override")
@@ -75,7 +64,7 @@ def run_cli(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         config = ExperimentConfig.load(args.config, _overrides_from_args(args))
-        _COMMANDS[args.command](config, outdir=args.outdir)
+        run_stage(args.command, config, args.outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -48,8 +48,6 @@ _DEFAULTS: dict = {
 }
 
 
-# Keys a config may set beyond those of _DEFAULTS, per section.
-_OPTIONAL_KEYS: dict = {"sweep": {"d_list"}}
 # A user's ``k`` section replaces the default {constant: 0.0}; this is its
 # other form.
 _LINEAR_AXIS_KEYS = {"name", "scale", "offset", "axis"}
@@ -59,7 +57,6 @@ _REGIME_CELL_KEYS = {"omega_factor", "coupling_factor"}
 _VALUE_SHAPES: dict = {
     **_DEFAULTS,
     "k": {"constant": 0.0, "name": "", "scale": 0.0, "offset": 0.0, "axis": 0},
-    "sweep": {**_DEFAULTS["sweep"], "d_list": [0.0]},
 }
 
 
@@ -85,8 +82,7 @@ def _check_keys(data: dict) -> None:
         if isinstance(default, dict) and section != "k":
             if not isinstance(data[section], dict):
                 raise ConfigError(f"config section {section!r} must be a mapping")
-            unknown(data[section], set(default) | _OPTIONAL_KEYS.get(section, set()),
-                    f"section {section!r}")
+            unknown(data[section], default, f"section {section!r}")
     spec = data["k"]
     if not isinstance(spec, dict):
         raise ConfigError("config section 'k' must be a mapping")
@@ -215,19 +211,9 @@ class ExperimentConfig:
         if data["run"]["n_out"] < 2:
             raise ConfigError(f"run.n_out must be at least 2, got {data['run']['n_out']}")
         TimeGrid.fit(data["run"]["T"], data["run"]["h_max"])   # finite, positive, capped
-        eps_list = self.eps_list
-        bad = [e for e in [self.eps, *eps_list] if not e > 0]   # nan too
+        bad = [e for e in [self.eps, *self.eps_list] if not e > 0]   # nan too
         if bad:
             raise ConfigError(f"eps values must be positive, got {bad}")
-        d_list = data["sweep"].get("d_list")
-        if d_list is not None:
-            if len(d_list) != len(eps_list):
-                raise ConfigError("sweep.d_list and sweep.eps_list differ in length")
-            for d, e in zip(d_list, eps_list):
-                if abs(d - np.sqrt(e)) > 1e-12:
-                    raise ConfigError(
-                        f"regime violation: d={d} must equal sqrt(eps)={np.sqrt(e)}"
-                    )
         obs = self.observation_points
         if obs.ndim != 2 or obs.shape[1] != 3:
             raise ConfigError("observation points must be a list of xyz triples")

@@ -1,9 +1,17 @@
 """Experiment stages: scene assembly, solver runs, sweeps, and CSV artifacts.
 
-Every stage writes CSVs with a header row plus a JSON run manifest (config
-hash, seed, versions, output list).  Runtimes are recorded in the manifest
-only, keeping the CSVs bitwise reproducible for a fixed config and seed.
-Partial outputs are deleted if a stage fails.
+A stage is ``run_<stage>(config, session) -> None``, listed in ``STAGES``
+under its command name.  ``run_stage`` is the only code that opens an
+``OutputSession``: it hands the stage the session, and when the stage returns
+it writes the JSON run manifest (config hash, seed, versions, output list,
+timings, march counters and the warnings raised).  If the stage fails, it
+deletes the stage's partial outputs and writes no manifest.
+
+A stage times its blocks with ``session.timed(label)``: ``scene`` for building
+the scene, ``solve`` for its solves, except that compare and sweep time each
+model under ``foldy`` and ``effective`` and sweep each eps under
+``eps_<eps>``.  Runtimes are recorded in the manifest only, keeping the CSVs
+bitwise reproducible for a fixed config and seed.
 
 CSVs are written column-wise: a stage hands ``OutputSession.write_csv`` one
 array per column, and each column is converted to text once per block of
@@ -15,6 +23,8 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -83,6 +93,7 @@ class OutputSession:
         self.outputs: list[dict] = []
         self.timings: dict[str, float] = {}
         self.march: dict[str, dict] = {}
+        self.warnings: list[str] = []
 
     def __enter__(self):
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -98,6 +109,13 @@ class OutputSession:
             return False
         self._write_manifest()
         return False
+
+    @contextmanager
+    def timed(self, label: str):
+        """Add the time the ``with`` block takes to ``timings[label]``."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[label] = self.timings.get(label, 0.0) + time.perf_counter() - t0
 
     def write_csv(self, name: str, header: list[str], columns) -> Path:
         """Write one CSV from a header and one 1-D sequence per column.
@@ -142,6 +160,7 @@ class OutputSession:
             "outputs": self.outputs,
             "timings_s": {k: round(v, 3) for k, v in self.timings.items()},
             "march": self.march,
+            "warnings": self.warnings,
         }
         (self.dir / "run_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -211,22 +230,6 @@ def _run_opts(config: ExperimentConfig) -> dict:
             "strict": run["condition_violation"] == "error"}
 
 
-# ---------------------------------------------------------------------------
-# Field comparison
-# ---------------------------------------------------------------------------
-def compare_fields(u_samples: np.ndarray, w_samples: np.ndarray, dt: float) -> dict:
-    """sup and discrete-L2 norms of the difference on a shared lattice."""
-    u = np.asarray(u_samples, float)
-    w = np.asarray(w_samples, float)
-    if u.shape != w.shape:
-        raise UsageError(f"sampling lattices differ: {u.shape} vs {w.shape}")
-    diff = u - w
-    return {
-        "sup": float(np.max(np.abs(diff))) if diff.size else 0.0,
-        "l2": float(np.sqrt((diff**2).sum() * dt)),
-    }
-
-
 def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
     """Bubble traces, probe fields and the march counters of the Foldy model."""
     opts = _run_opts(scene.config)
@@ -254,137 +257,104 @@ def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
-def run_validate(config: ExperimentConfig, outdir=None) -> int:
-    with OutputSession(config, "validate", outdir) as session:
-        t0 = time.perf_counter()
+def run_validate(config: ExperimentConfig, session: OutputSession) -> None:
+    with session.timed("scene"):
         scene = build_scene(config)
-        session.timings["scene"] = time.perf_counter() - t0
-        report = validate_conditions(scene.params, scene.cluster)
-        session.write_text("validation_report.txt", report.to_text())
-        row = asdict(report)
-        session.write_csv("validation_report.csv", list(row), _dict_columns([row], row))
-        cl = scene.cluster
-        session.write_csv("cluster.csv",
-                          ["patch_id", "bubble_id", "x", "y", "z", "count"],
-                          [cl.patch_ids, np.arange(cl.n), *cl.centers.T,
-                           cl.counts[cl.patch_ids]])
-    return 0
+    report = validate_conditions(scene.params, scene.cluster)
+    session.write_text("validation_report.txt", report.to_text())
+    row = asdict(report)
+    session.write_csv("validation_report.csv", list(row), _dict_columns([row], row))
+    cl = scene.cluster
+    session.write_csv("cluster.csv",
+                      ["patch_id", "bubble_id", "x", "y", "z", "count"],
+                      [cl.patch_ids, np.arange(cl.n), *cl.centers.T,
+                       cl.counts[cl.patch_ids]])
 
 
-def run_foldy(config: ExperimentConfig, outdir=None) -> int:
-    with OutputSession(config, "foldy", outdir) as session:
-        t0 = time.perf_counter()
+def run_foldy(config: ExperimentConfig, session: OutputSession) -> None:
+    with session.timed("scene"):
         scene = build_scene(config)
-        t1 = time.perf_counter()
-        t_out = output_lattice(config)
+    t_out = output_lattice(config)
+    with session.timed("solve"):
         traces, fields, session.march["foldy"] = _solve_foldy_scene(scene, t_out)
-        session.timings["scene"] = t1 - t0
-        session.timings["solve"] = time.perf_counter() - t1
-        session.write_csv("foldy_traces.csv",
-                          ["time", "bubble_id", "y", "y_rate", "y_acc"],
-                          _long_columns(traces.times, traces.value.T, traces.rate.T,
-                                        traces.acc.T))
-        session.write_csv("foldy_field.csv", ["time", "probe_id", "u_sc"],
-                          _long_columns(t_out, fields))
-    return 0
+    session.write_csv("foldy_traces.csv",
+                      ["time", "bubble_id", "y", "y_rate", "y_acc"],
+                      _long_columns(traces.times, traces.value.T, traces.rate.T,
+                                    traces.acc.T))
+    session.write_csv("foldy_field.csv", ["time", "probe_id", "u_sc"],
+                      _long_columns(t_out, fields))
 
 
-def run_effective(config: ExperimentConfig, outdir=None) -> int:
-    with OutputSession(config, "effective", outdir) as session:
-        t0 = time.perf_counter()
+def run_effective(config: ExperimentConfig, session: OutputSession) -> None:
+    with session.timed("scene"):
         scene = build_scene(config)
-        t1 = time.perf_counter()
-        t_out = output_lattice(config)
+    t_out = output_lattice(config)
+    with session.timed("solve"):
         trace, wsc, session.march["effective"] = _solve_effective_scene(scene, t_out)
-        session.timings["scene"] = t1 - t0
-        session.timings["solve"] = time.perf_counter() - t1
-        session.write_csv("effective_traces.csv",
-                          ["time", "node_id", "u", "u_rate", "y"],
-                          _long_columns(trace.times, trace.value.T, trace.rate.T,
-                                        trace.acc.T))
-        session.write_csv("effective_field.csv", ["time", "probe_id", "w_sc"],
-                          _long_columns(t_out, wsc))
-        rule = scene.rule
-        session.write_csv("rule.csv",
-                          ["node_id", "x", "y", "z", "weight", "density", "self_term"],
-                          [np.arange(rule.m), *rule.nodes.T, rule.weights,
-                           rule.density, rule.self_terms])
-    return 0
+    session.write_csv("effective_traces.csv",
+                      ["time", "node_id", "u", "u_rate", "y"],
+                      _long_columns(trace.times, trace.value.T, trace.rate.T,
+                                    trace.acc.T))
+    session.write_csv("effective_field.csv", ["time", "probe_id", "w_sc"],
+                      _long_columns(t_out, wsc))
+    rule = scene.rule
+    session.write_csv("rule.csv",
+                      ["node_id", "x", "y", "z", "weight", "density", "self_term"],
+                      [np.arange(rule.m), *rule.nodes.T, rule.weights,
+                       rule.density, rule.self_terms])
 
 
-def run_cq(config: ExperimentConfig, outdir=None) -> int:
-    with OutputSession(config, "cq", outdir) as session:
-        t0 = time.perf_counter()
+def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
+    with session.timed("scene"):
         scene = build_scene(config)
-        t1 = time.perf_counter()
-        opts = _run_opts(config)
-        grid = effective_grid(scene.rule, scene.params, config.horizon, opts["h_max"])
-        scheme = CQScheme.for_grid(grid)
-        y = cq_solve(scene.rule, scene.params, scheme, scene.source)
-        session.timings["scene"] = t1 - t0
-        session.timings["solve"] = time.perf_counter() - t1
-        session.write_csv("cq_traces.csv", ["time", "node_id", "y"],
-                          _long_columns(grid.times, y.T))
-
-        rng = np.random.default_rng(config.seed)
-        s_vals = rng.uniform(0.5, 4.0, 16) + 1j * rng.uniform(-4.0, 4.0, 16)
-        rhs = [rng.normal(size=scene.rule.m) + 1j * rng.normal(size=scene.rule.m)
-               for _ in s_vals]
+    rng = np.random.default_rng(config.seed)
+    s_vals = rng.uniform(0.5, 4.0, 16) + 1j * rng.uniform(-4.0, 4.0, 16)
+    rhs = [rng.normal(size=scene.rule.m) + 1j * rng.normal(size=scene.rule.m)
+           for _ in s_vals]
+    with session.timed("solve"):
+        grid = effective_grid(scene.rule, scene.params, config.horizon,
+                              _run_opts(config)["h_max"])
+        y = cq_solve(scene.rule, scene.params, CQScheme.for_grid(grid), scene.source)
         diag = resolvent_sweep(scene.rule, scene.params, s_vals, rhs)
-        session.write_csv("resolvent_diag.csv", list(diag[0]),
-                          _dict_columns(diag, diag[0]))
-    return 0
+    session.write_csv("cq_traces.csv", ["time", "node_id", "y"],
+                      _long_columns(grid.times, y.T))
+    session.write_csv("resolvent_diag.csv", list(diag[0]), _dict_columns(diag, diag[0]))
 
 
 _ERROR_KEYS = ["eps", "d", "m_bubbles", "m_nodes", "sup_err", "l2_err", "u_scale"]
 
 
-def run_compare(config: ExperimentConfig, eps: float | None = None,
-                session: OutputSession | None = None) -> dict:
-    """Foldy vs effective comparison at one eps; returns the error summary."""
-    scene = build_scene(config, eps)
+def compare_at(config: ExperimentConfig, eps: float, session: OutputSession):
+    """Foldy vs effective at one eps, timed into ``session``; writes nothing.
+
+    Returns the error row (``_ERROR_KEYS``), both models' march counters and
+    the two models' scattered fields at the probes on the output lattice.
+    """
+    with session.timed("scene"):
+        scene = build_scene(config, eps)
     t_out = output_lattice(config)
-    t0 = time.perf_counter()
-    _, u_sc, foldy_march = _solve_foldy_scene(scene, t_out)
-    t_foldy = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _, w_sc, effective_march = _solve_effective_scene(scene, t_out)
-    t_eff = time.perf_counter() - t0
-    dt = t_out[1] - t_out[0]
-    errs = compare_fields(u_sc, w_sc, dt)
-    result = {
-        "eps": scene.eps, "d": scene.d, "m_bubbles": scene.cluster.n,
-        "m_nodes": scene.rule.m, "sup_err": errs["sup"], "l2_err": errs["l2"],
-        "u_scale": float(np.max(np.abs(u_sc))),
-        "_runtime_foldy": t_foldy, "_runtime_effective": t_eff,
-        "_u": u_sc, "_w": w_sc, "_t_out": t_out,
-        "_march": {"foldy": foldy_march, "effective": effective_march},
-    }
-    if session is not None:
-        session.write_csv("compare_fields.csv", ["time", "probe_id", "u_sc", "w_sc"],
-                          _long_columns(t_out, u_sc, w_sc))
-        session.write_csv("compare_errors.csv", _ERROR_KEYS,
-                          _dict_columns([result], _ERROR_KEYS))
-        session.timings["foldy"] = t_foldy
-        session.timings["effective"] = t_eff
-        session.march.update(result["_march"])
-    return result
+    with session.timed("foldy"):
+        _, u_sc, foldy_march = _solve_foldy_scene(scene, t_out)
+    with session.timed("effective"):
+        _, w_sc, effective_march = _solve_effective_scene(scene, t_out)
+    diff = u_sc - w_sc
+    row = {"eps": scene.eps, "d": scene.d, "m_bubbles": scene.cluster.n,
+           "m_nodes": scene.rule.m, "sup_err": float(np.max(np.abs(diff))),
+           "l2_err": float(np.sqrt((diff**2).sum() * (t_out[1] - t_out[0]))),
+           "u_scale": float(np.max(np.abs(u_sc)))}
+    return row, {"foldy": foldy_march, "effective": effective_march}, u_sc, w_sc
 
 
-def run_compare_cmd(config: ExperimentConfig, outdir=None) -> dict:
-    with OutputSession(config, "compare", outdir) as session:
-        return run_compare(config, session=session)
+def run_compare(config: ExperimentConfig, session: OutputSession) -> None:
+    row, march, u_sc, w_sc = compare_at(config, config.eps, session)
+    session.march.update(march)
+    session.write_csv("compare_fields.csv", ["time", "probe_id", "u_sc", "w_sc"],
+                      _long_columns(output_lattice(config), u_sc, w_sc))
+    session.write_csv("compare_errors.csv", _ERROR_KEYS,
+                      _dict_columns([row], _ERROR_KEYS))
 
 
-@dataclass
-class ComparisonResult:
-    rows: list[dict]
-    slope: float
-    slope_residual: float
-
-
-def convergence_sweep(config: ExperimentConfig,
-                      session: OutputSession | None = None) -> ComparisonResult:
+def run_sweep(config: ExperimentConfig, session: OutputSession) -> None:
     """Per-eps foldy/effective comparison plus fitted log-log slope."""
     eps_list = config.eps_list
     if len(eps_list) < 3:
@@ -392,41 +362,27 @@ def convergence_sweep(config: ExperimentConfig,
     ratios = [a / b for a, b in zip(eps_list[:-1], eps_list[1:])]
     if any(r < 1.5 for r in ratios):
         raise UsageError("eps values must decrease dyadically")
-    rows, marches = [], {}
+    rows = []
     for eps in eps_list:
-        res = run_compare(config, eps=eps)
-        rows.append({k: v for k, v in res.items() if not k.startswith("_")}
-                    | {"runtime_s": res["_runtime_foldy"] + res["_runtime_effective"]})
-        marches[f"eps_{res['eps']}"] = res["_march"]
+        with session.timed(f"eps_{eps}"):
+            row, session.march[f"eps_{eps}"], _, _ = compare_at(config, eps, session)
+        rows.append(row)
     errs = np.array([r["l2_err"] for r in rows])
-    eps_arr = np.array([r["eps"] for r in rows])
-    coef, lsq_res = np.polyfit(np.log(eps_arr), np.log(errs), 1, full=True)[0:2]
-    slope = float(coef[0])
+    coef, lsq_res = np.polyfit(np.log(eps_list), np.log(errs), 1, full=True)[0:2]
     residual = float(lsq_res[0]) if np.size(lsq_res) else 0.0
-    result = ComparisonResult(rows=rows, slope=slope, slope_residual=residual)
-    if session is not None:
-        session.write_csv("sweep.csv", _ERROR_KEYS, _dict_columns(rows, _ERROR_KEYS))
-        session.write_csv("sweep_fit.csv", ["slope", "lsq_residual"],
-                          [[slope], [residual]])
-        for r in rows:
-            session.timings[f"eps_{r['eps']}"] = r["runtime_s"]
-        session.march.update(marches)
-    return result
+    session.write_csv("sweep.csv", _ERROR_KEYS, _dict_columns(rows, _ERROR_KEYS))
+    session.write_csv("sweep_fit.csv", ["slope", "lsq_residual"],
+                      [[float(coef[0])], [residual]])
 
 
-def run_sweep(config: ExperimentConfig, outdir=None) -> ComparisonResult:
-    with OutputSession(config, "sweep", outdir) as session:
-        return convergence_sweep(config, session=session)
-
-
-def regime_sweep(config: ExperimentConfig,
-                 session: OutputSession | None = None) -> list[dict]:
+def run_regimes(config: ExperimentConfig, session: OutputSession) -> None:
     """Scan resonance/coupling scalings; tabulate W_sc size and transmission."""
     cells = config.data["regimes"]["cells"]
     factors = [float(c["omega_factor"]) for c in cells]
     if max(factors) / min(factors) < 100.0:
         raise UsageError("regime factors must span at least 2 decades")
-    scene = build_scene(config)
+    with session.timed("scene"):
+        scene = build_scene(config)
     t_out = output_lattice(config)
     dt = t_out[1] - t_out[0]
     trans_pts = np.asarray(config.data["regimes"]["transmitted_points"], float)
@@ -437,31 +393,54 @@ def regime_sweep(config: ExperimentConfig,
         fom = float(cell["omega_factor"])
         fcp = float(cell.get("coupling_factor", 1.0))
         params = scene.params.with_scaled_resonance(fom).with_scaled_coupling(fcp)
-        trace, wsc, _ = _solve_effective_scene(scene, t_out, params=params)
-        field = EffectiveField(scene.rule, trace, params, scene.source)
-        w_total = np.stack([field.total(p, t_out) for p in trans_pts])
+        with session.timed("solve"):
+            trace, wsc, _ = _solve_effective_scene(scene, t_out, params=params)
+            field = EffectiveField(scene.rule, trace, params, scene.source)
+            w_total = np.stack([field.total(p, t_out) for p in trans_pts])
         proxy = float(np.sqrt((w_total[:, window] ** 2).sum() * dt))
         rows.append({
             "omega_factor": fom, "coupling_factor": fcp,
             "sup_wsc": float(np.max(np.abs(wsc))),
             "transmitted_proxy": proxy,
         })
-    if session is not None:
-        session.write_csv("regimes.csv", list(rows[0]), _dict_columns(rows, rows[0]))
-    return rows
+    session.write_csv("regimes.csv", list(rows[0]), _dict_columns(rows, rows[0]))
 
 
-def run_regimes(config: ExperimentConfig, outdir=None) -> list[dict]:
-    with OutputSession(config, "regimes", outdir) as session:
-        return regime_sweep(config, session=session)
-
-
-def run_counting(config: ExperimentConfig, outdir=None) -> list[dict]:
-    with OutputSession(config, "counting", outdir) as session:
-        surface = build_surface(config.surface_kind, config.surface_area)
-        counting = config.data["counting"]
+def run_counting(config: ExperimentConfig, session: OutputSession) -> None:
+    surface = build_surface(config.surface_kind, config.surface_area)
+    counting = config.data["counting"]
+    with session.timed("solve"):
         rows = counting_scaling_check(surface, counting["d_list"],
                                       [float(k) for k in counting["k_exponents"]],
                                       seed=config.seed)
-        session.write_csv("counting.csv", list(rows[0]), _dict_columns(rows, rows[0]))
-        return rows
+    session.write_csv("counting.csv", list(rows[0]), _dict_columns(rows, rows[0]))
+
+
+# command name -> stage, in the CLI's order
+STAGES = {
+    "validate": run_validate,
+    "foldy": run_foldy,
+    "effective": run_effective,
+    "cq": run_cq,
+    "compare": run_compare,
+    "sweep": run_sweep,
+    "regimes": run_regimes,
+    "counting": run_counting,
+}
+
+
+def run_stage(command: str, config: ExperimentConfig, outdir=None) -> None:
+    """Run stage ``command`` in its own output session.
+
+    Every warning the stage raises is listed in the manifest and still shown
+    as usual (on stderr, by default).
+    """
+    with OutputSession(config, command, outdir) as session, warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def record(message, *args, **kwargs):
+            session.warnings.append(str(message))
+            show(message, *args, **kwargs)
+
+        warnings.showwarning = record
+        STAGES[command](config, session)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .geometry import pairwise_distances
+from .geometry import max_anchor_sums
 
 #: Classical magnetization-operator eigenvalue for a ball; used only inside the
 #: point-scatterer inversion condition and overridable through the config.
@@ -184,14 +184,11 @@ class ValidationReport:
 
 def max_anchor_interaction(centers: np.ndarray, c_eps: float) -> float:
     """max over anchors a of sum_{b != a} c_eps / (4 pi |z_a - z_b|)."""
-    if len(centers) < 2:
-        return 0.0
-    dist = pairwise_distances(centers)
-    np.fill_diagonal(dist, np.inf)  # 1/inf adds an exact 0 for the anchor
-    if dist.min() == 0.0:
+    with np.errstate(divide="ignore"):
+        largest = max_anchor_sums(centers, [1.0])[0]
+    if largest == np.inf:   # a zero distance
         raise GeometryError("coincident bubble centers")
-    sums = c_eps / (4.0 * np.pi) * (1.0 / dist).sum(axis=1)
-    return float(sums.max())
+    return float(c_eps / (4.0 * np.pi) * largest)
 
 
 def validate_conditions(params: PhysicalParams, cluster) -> ValidationReport:

@@ -1,7 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
 from bubblescreen.cli import run_cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _config(tmp_path, raw):
@@ -63,6 +71,23 @@ def test_solvability_violation_exits_three(tmp_path, capsys):
     path = _config(tmp_path, {"bubble_shape": {"radius": 8.0}, "run": {"T": 1.0}})
     assert run_cli(["foldy", "--config", path, "--outdir", str(tmp_path / "out")]) == 3
     assert "resonance condition violated" in capsys.readouterr().err
+
+
+def test_warnings_listed_in_the_manifest(tmp_path):
+    # with condition_violation: warn the violation above is a warning: the
+    # stage exits 0, shows it on stderr and lists it in the manifest
+    path = _config(tmp_path, {"bubble_shape": {"radius": 8.0},
+                              "run": {"T": 1.0, "condition_violation": "warn"}})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bubblescreen.cli", "foldy", "--config", path,
+         "--outdir", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert "resonance condition violated" in proc.stderr
+    listed = json.loads((out / "run_manifest.json").read_text())["warnings"]
+    assert len(listed) == 1
+    assert listed[0].startswith("resonance condition violated")
 
 
 @pytest.mark.parametrize("stage, run", [

@@ -31,6 +31,7 @@ def test_user_k_section_replaces_default():
     {"k": {"name": "quadratic"}},
     {"regimes": {"cells": [{"omega_factor": 1.0, "coupling_facter": 2.0}]}},
     {"pulse": 1.0},
+    {"sweep": {"d_list": [0.125, 0.0625, 0.03125]}},   # d = sqrt(eps) always: not a key
 ])
 def test_unknown_keys_rejected(raw):
     with pytest.raises(ConfigError):
@@ -38,9 +39,7 @@ def test_unknown_keys_rejected(raw):
 
 
 def test_optional_keys_accepted():
-    eps_list = [1 / 64, 1 / 256, 1 / 1024]
     cfg = ExperimentConfig.from_dict({
-        "sweep": {"eps_list": eps_list, "d_list": [e**0.5 for e in eps_list]},
         "k": {"name": "linear_axis", "scale": 2.0, "offset": 0.25, "axis": 0},
     })
     assert cfg.k_function().label == "linear_axis:2.0:0.25:0"

@@ -6,26 +6,49 @@ import pytest
 
 from bubblescreen import ExperimentConfig
 from bubblescreen.errors import UsageError
-from bubblescreen.experiments import (CSV_BLOCK_ROWS, OutputSession, _long_columns,
-                                      run_compare, run_foldy, run_validate)
+from bubblescreen.experiments import (CSV_BLOCK_ROWS, STAGES, OutputSession,
+                                      _long_columns, compare_at, run_stage)
 
 from oracles import csv_rows_text
 
 SMALL = {"run": {"T": 2.5, "n_out": 51}}
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
+_SWEEP_EPS = ["eps_0.015625", "eps_0.0078125", "eps_0.00390625"]
+# stage -> (outputs in the order written, timing labels, march entries)
+STAGE_PROMISES = {
+    "validate": (["validation_report.txt", "validation_report.csv", "cluster.csv"],
+                 {"scene"}, set()),
+    "foldy": (["foldy_traces.csv", "foldy_field.csv"], {"scene", "solve"}, {"foldy"}),
+    "effective": (["effective_traces.csv", "effective_field.csv", "rule.csv"],
+                  {"scene", "solve"}, {"effective"}),
+    "cq": (["cq_traces.csv", "resolvent_diag.csv"], {"scene", "solve"}, set()),
+    "compare": (["compare_fields.csv", "compare_errors.csv"],
+                {"scene", "foldy", "effective"}, {"foldy", "effective"}),
+    "sweep": (["sweep.csv", "sweep_fit.csv"],
+              {"scene", "foldy", "effective", *_SWEEP_EPS}, set(_SWEEP_EPS)),
+    "regimes": (["regimes.csv"], {"scene", "solve"}, set()),
+    "counting": (["counting.csv"], {"solve"}, set()),
+}
 
-def test_foldy_csvs_reproducible_and_manifest_keys(tmp_path):
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_stage_csvs_reproducible_and_manifest_keys(tmp_path, stage):
+    outputs, timings, marches = STAGE_PROMISES[stage]
     config = ExperimentConfig.from_dict(SMALL)
     for name in ("a", "b"):
-        assert run_foldy(config, outdir=tmp_path / name) == 0
+        run_stage(stage, config, tmp_path / name)
     manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
-    csvs = [entry["path"] for entry in manifest["outputs"]]
-    assert csvs == ["foldy_traces.csv", "foldy_field.csv"]
-    for csv in csvs:
-        assert ((tmp_path / "a" / csv).read_bytes()
-                == (tmp_path / "b" / csv).read_bytes())
-    assert set(manifest["timings_s"]) == {"scene", "solve"}
+    assert manifest["command"] == stage
+    assert [entry["path"] for entry in manifest["outputs"]] == outputs
+    for name in outputs:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    assert set(manifest["timings_s"]) == timings
+    assert set(manifest["march"]) == marches
+    assert manifest["warnings"] == []
+    if stage != "foldy":
+        return
     march = manifest["march"]["foldy"]
     assert set(march) == {"n", "pairs", "steps", "h", "tau_min", "h_over_tau_min",
                           "lag_max", "near_pairs", "near_contraction", "near_sweeps"}
@@ -38,7 +61,7 @@ def test_foldy_csvs_reproducible_and_manifest_keys(tmp_path):
     assert march["lag_max"] >= 1
 
 
-# run_compare on the default config before the interleaved history cells
+# compare on the default config before the interleaved history cells
 # (commit 11d12d1, numpy 2.4); a change of the march's summation order moves
 # these by about 1e-15, a change of the method by far more
 COMPARE_PINS = {
@@ -50,14 +73,15 @@ COMPARE_PINS = {
 
 
 @pytest.mark.parametrize("eps", sorted(COMPARE_PINS))
-def test_compare_errors_pinned_to_rounding(eps):
-    result = run_compare(ExperimentConfig.load(CONFIG), eps)
+def test_compare_errors_pinned_to_rounding(eps, tmp_path):
+    config = ExperimentConfig.load(CONFIG)
+    row = compare_at(config, eps, OutputSession(config, "compare", tmp_path))[0]
     for key, want in COMPARE_PINS[eps].items():
-        assert result[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+        assert row[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
 
 def test_validate_records_scene_timing(tmp_path):
-    assert run_validate(ExperimentConfig.from_dict(SMALL), outdir=tmp_path) == 0
+    run_stage("validate", ExperimentConfig.from_dict(SMALL), tmp_path)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert set(manifest["timings_s"]) == {"scene"}
 

@@ -5,7 +5,7 @@ from bubblescreen import (BubbleCluster, ExperimentConfig, RawMaterials,
                           ShapeDescriptor, build_surface, derive_params,
                           geometric_constant, validate_conditions)
 from bubblescreen.errors import GeometryError, ParameterError
-from bubblescreen.experiments import build_scene, run_validate
+from bubblescreen.experiments import build_scene, run_stage
 from bubblescreen.geometry import min_pairwise_distance
 
 from oracles import (brute_inverse_distance_sum, csv_rows_text, planar_grid,
@@ -151,7 +151,7 @@ class TestValidateConditions:
         config = ExperimentConfig.from_dict({
             "run": {"T": 2.5, "n_out": 51, "eps": 1.0 / 256.0},
             "k": {"name": "linear_axis", "scale": 1.0, "offset": 0.6, "axis": 0}})
-        assert run_validate(config, outdir=tmp_path) == 0
+        run_stage("validate", config, tmp_path)
         scene = build_scene(config)
         rep = validate_conditions(scene.params, scene.cluster)
         expected = csv_rows_text(
