@@ -14,6 +14,9 @@ from .errors import ConfigError
 from .geometry import KFunction
 from .stepping import TimeGrid
 
+# libyaml's parser when PyYAML was built with it, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _DEFAULTS: dict = {
     "surface": {"kind": "disk", "area": 1.0},
     "k": {"constant": 0.0},
@@ -147,7 +150,7 @@ class ExperimentConfig:
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         try:
-            raw = yaml.safe_load(p.read_text()) or {}
+            raw = yaml.load(p.read_text(), Loader=_LOADER) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config {p}: {exc}") from exc
         if not isinstance(raw, dict):

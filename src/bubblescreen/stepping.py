@@ -39,20 +39,28 @@ buffer and reduces each row against the weights by one dot over 4n values,
 so one gather pass gives both stages' sums, with no per-step index
 arithmetic.
 
+The RK4 step of m x'' + x = g, g = f - d the force less the delayed sum, is
+linear in x_n, x'_n, x''_n and g at both stage offsets.  ``solve`` builds
+that map once per march, (3, 5, n) coefficients found by applying the staged
+formula ``_rk4`` to unit inputs, and takes each step as one contraction of it
+with the step's five input rows.
+
 The near pairs' values are affine in the new node's acceleration a = A[n+1],
 through the Hermite weight of row n + 1 and the slope stencils of S[n] and
 S[n+1].  While any near pair is live, a step first writes both slopes with
 A[n+1] still zero, so the plans' sum holds every pair's history part, far
-and near alike; what is left is the new node's share.  The RK4 step is affine
+and near alike; what is left is the new node's share.  The step is affine
 in the delayed sums, so each step is implicit in a: a = r + G a, with r the
 new node's acceleration at a = 0 and G a sparse n x n map built from the near
-pairs only.  It is solved by fixed-point sweeps over the near pairs, as many
+pairs only.  It is solved by fixed-point sweeps over the near pairs, one
+``bincount`` on weights premultiplied by G's row factors per sweep, as many
 as the map's contraction bound needs to reach rounding level; a bound of 1 or
-more is refused.  This is the method of steps with an implicit new node
-(Bellen & Zennaro, below).  The forcing does not depend on the state either,
-so it is tabulated once per block of steps at both stage offsets: ``forcing``
-maps a (2k, 1) column of stage times to (2k, n) forces, or to anything that
-broadcasts to (2k, n).
+more is refused.  The solved share enters the step through the same map's
+columns of g, so the step is still taken once.  This is the method of steps
+with an implicit new node (Bellen & Zennaro, below).  The forcing does not
+depend on the state either, so it is tabulated once per block of steps at
+both stage offsets: ``forcing`` maps a (2k, 1) column of stage times to
+(2k, n) forces, or to anything that broadcasts to (2k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing; a
 query at or before a column's onset returns exactly zero, so neither the march
@@ -89,6 +97,15 @@ MAX_STEPS = 2**16
 # History cells gathered per block of plan rows: min(2n, max(1, GATHER_BLOCK // n))
 # rows of n cells, at most 256 KiB.
 GATHER_BLOCK = 8192
+# Retarded field queries evaluated per block of times: max(1, FIELD_BLOCK // n)
+# times of n anchors, so each temporary of the interpolation stays near 256 KiB.
+FIELD_BLOCK = 32768
+# Third-order slope stencils per start-up row k = min(mn, 3), as (weights over
+# A[mn-k], ..., A[mn], divisor): row 0 the final slope at mn - 1, row 1 the
+# provisional one at mn; the slopes are the weights times A over divisor * h.
+_STENCILS = {1: (np.array([[-1.0, 1.0], [-1.0, 1.0]]), 1.0),
+             2: (np.array([[-1.0, 0.0, 1.0], [1.0, -4.0, 3.0]]), 2.0),
+             3: (np.array([[1.0, -6.0, 3.0, 2.0], [-2.0, 9.0, -18.0, 11.0]]), 6.0)}
 
 
 @dataclass(frozen=True)
@@ -212,24 +229,18 @@ def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
     return shift, np.maximum(first, -np.floor(shift).astype(np.int64))
 
 
-def _slope_stencils(A: np.ndarray, mn: int, h: float):
-    """Third-order slopes from the accelerations up to row mn: the provisional
-    slope at mn and the final one at mn - 1."""
-    if mn >= 3:
-        return ((11 * A[mn] - 18 * A[mn - 1] + 9 * A[mn - 2] - 2 * A[mn - 3]) / (6 * h),
-                (2 * A[mn] + 3 * A[mn - 1] - 6 * A[mn - 2] + A[mn - 3]) / (6 * h))
-    if mn == 2:
-        return (3 * A[2] - 4 * A[1] + A[0]) / (2 * h), (A[2] - A[0]) / (2 * h)
-    first = (A[1] - A[0]) / h
-    return first, first
+def _slope_stencils(A: np.ndarray, mn: int, h: float) -> np.ndarray:
+    """Third-order slopes from the accelerations up to row mn, as (2, n): the
+    final slope at mn - 1 and the provisional one at mn, by one stencil product."""
+    k = min(mn, 3)
+    weights, divisor = _STENCILS[k]
+    return weights @ A[mn - k:mn + 1] / (divisor * h)
 
 
 def _new_row_weights(mn: int, h: float):
     """Weights of A[mn] in the two slopes ``_slope_stencils(A, mn, h)`` returns."""
-    k = min(mn, 3)
-    unit = np.zeros((k + 1, 1))
-    unit[k] = 1.0
-    return tuple(float(s[0]) for s in _slope_stencils(unit, k, h))
+    weights, divisor = _STENCILS[min(mn, 3)]
+    return tuple(weights[:, -1] / (divisor * h))
 
 
 def _rk4(y, v, k1v, f, d, h, masses):
@@ -244,6 +255,15 @@ def _rk4(y, v, k1v, f, d, h, masses):
     y1 = y + h / 6.0 * (v + 2 * k2y + 2 * k3y + k4y)
     v1 = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
     return y1, v1, (f[1] - y1 - d[1]) / masses
+
+
+def _rk4_coefficients(h: float, masses: np.ndarray) -> np.ndarray:
+    """The RK4 step as a linear map, (3, 5, n): entry (o, k, i) is output o
+    (x, x', x'' at the new node) of oscillator i per unit of input k (x_n,
+    x'_n, x''_n and g = f - d at the half and the full stage), found by
+    applying ``_rk4`` to unit inputs."""
+    unit = np.eye(5)[:, :, None]
+    return np.stack(_rk4(unit[0], unit[1], unit[2], unit[3:], np.zeros(2), h, masses))
 
 
 class _StagePlan:
@@ -341,21 +361,23 @@ class _NearPairs:
     slope S[n] and, for o = 0, the new node's A[n+1] and its provisional
     slope S[n+1].  Both slopes are affine in a = A[n+1] through
     ``_slope_stencils``, so each near value is a history part, summed by the
-    plan with the new row at zero, plus g * a_j.  Entry p's coupled Hermite
-    weights of S[n], A[n+1] and S[n+1] give ``g[k][p]``: the weight of a_j
-    with the slope stencils of new row k + 1, the same from row 3 on.  Its
-    sum lands in ``tgt[p]``, row s*n + i of the stage-major (2, n) sums.
-    Entries are sorted by their first live step (exact onsets, as in the
-    plan), so the first ``live[n]`` are live at step n.
+    plan with the new row at zero, plus g * a_j, g being the entry's coupled
+    Hermite weights of S[n], A[n+1] and S[n+1] with the slope stencils of the
+    new row.  Its sum lands in ``tgt[p]``, row s*n + i of the stage-major
+    (2, n) sums, and ``rows[p]`` = i.  Entries are sorted by their first
+    live step (exact onsets, as in the plan), so the first ``live[n]`` are
+    live at step n.
 
     The RK4 step is affine in the delayed sums, and x(t_{n+1}) depends on the
     half stage only, through k3, by -h^2/3 per unit of delayed sum over the
     mass squared.  So a solves a = r + G a, where r is the new node's
     acceleration with a = 0 and G = M^-1 (h^2/3 M^-1 N_half - N_full) holds
-    the near pairs' weights g.  ``solve`` iterates that map from a = r, with
-    one sparse pass over the live entries per sweep.  ``contraction`` bounds
-    max_i sum_j |G_ij| over every step's weights; below 1 the map contracts,
-    and ``sweeps`` passes bring a to rounding level.
+    the near pairs' weights.  ``weights[k][p]`` is g premultiplied by its
+    row's factor in G, k3/m_i^2 at the half stage and -1/m_i at the full one
+    (``factor``, (2, n)), for new row k + 1, the same from row 3 on.  ``solve``
+    iterates the map from a = r, one ``bincount`` into n rows per sweep.
+    ``contraction`` bounds max_i sum_j |G_ij| over every step's weights;
+    below 1 the map contracts, and ``sweeps`` passes bring a to rounding level.
     """
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, split):
@@ -369,18 +391,20 @@ class _NearPairs:
         _, w10, w01, w11 = _hermite_weights(shift - offset, h)
         zero = np.zeros(len(sel))
         w = network.c[pair] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
-        self.tgt, self.cols = stage * n + network.i[pair], network.j[pair]
+        self.rows, self.cols = network.i[pair], network.j[pair]
+        self.tgt = stage * n + self.rows
         self.live = np.searchsorted(first[sel], np.arange(grid.steps), side="right")
         # a pair near at the half stage is near at the full one
         self.pairs = int(np.count_nonzero(stage))
-        self.g = [w[1] + final * w[0] + new * w[2]
-                  for new, final in (_new_row_weights(mn, h) for mn in (1, 2, 3))]
-        self.masses, self.n, self.k3 = network.masses, n, h * h / 3.0
-        rows = self.tgt % n
-        scale = np.abs(np.where(self.tgt < n, self.k3 / self.masses[rows], 1.0)
-                       / self.masses[rows])
-        self.contraction = float(max(np.bincount(rows, scale * np.abs(g), minlength=n).max()
-                                     for g in self.g))
+        k3 = h * h / 3.0
+        self.factor = np.stack((k3 / network.masses / network.masses, -1.0 / network.masses))
+        scale = self.factor.ravel()[self.tgt]
+        self.weights = [scale * (w[1] + final * w[0] + new * w[2])
+                        for final, new in (_new_row_weights(mn, h) for mn in (1, 2, 3))]
+        self.n = n
+        # |scale * g| == |scale| * |g| exactly, so the bound is G's own
+        self.contraction = float(max(np.bincount(self.rows, np.abs(g), minlength=n).max()
+                                     for g in self.weights))
         eps = np.finfo(float).eps
         self.sweeps = (int(np.ceil(np.log(eps) / np.log(self.contraction)))
                        if 0.0 < self.contraction < 1.0 else 0)
@@ -389,16 +413,12 @@ class _NearPairs:
         """The parts of the half and full near sums, as (2, n), that the new
         node a = A[n+1] adds, a solving a = r + G a."""
         live = self.live[ns]
-        g, tgt, cols = self.g[min(ns, 2)][:live], self.tgt[:live], self.cols[:live]
-
-        def coupled(a):
-            return np.bincount(tgt, g * a[cols], minlength=2 * self.n).reshape(2, self.n)
-
+        g, rows, cols = self.weights[min(ns, 2)][:live], self.rows[:live], self.cols[:live]
         a = r
         for _ in range(self.sweeps):
-            moved = coupled(a)
-            a = r + (self.k3 * moved[0] / self.masses - moved[1]) / self.masses
-        return coupled(a)
+            a = r + np.bincount(rows, g * a[cols], minlength=self.n)
+        share = np.bincount(self.tgt[:live], g * a[cols], minlength=2 * self.n)
+        return share.reshape(2, self.n) / self.factor
 
 
 class DelayNetwork:
@@ -467,11 +487,14 @@ class DelayNetwork:
         Any step h > 0 is allowed.  One ``_stage_pairs`` split of the pair
         list over both stage offsets (h/2 and h) builds, once per grid, the
         2n-row history plan and the near pairs; each step takes both stages'
-        sums, as (2, n), from one ``delayed_sum`` call.  While a near pair
-        (delay below 1.5h at the half stage, 2h at the full one) is live,
-        each step first writes S[n] and S[n+1] with A[n+1] still zero, so
-        the plan sums the near pairs' history part, and then adds the new
-        node's share, solved by fixed-point sweeps (``_NearPairs``); a
+        sums, as (2, n), from one ``delayed_sum`` call, and the new node
+        (x, x', x'') from one contraction of the RK4 map
+        (``_rk4_coefficients``) with x_n, x'_n, x''_n and f - d.  While a
+        near pair (delay below 1.5h at the half stage, 2h at the full one)
+        is live, each step first writes S[n] and S[n+1] with A[n+1] still
+        zero, so the plan sums the near pairs' history part; the new node's
+        share, solved by fixed-point sweeps (``_NearPairs``) from the step's
+        x'', is then taken off through the map's columns of g.  A
         contraction bound of 1 or more raises ``SolverError`` before the
         march starts.  The history of cells has ``lag_max + 2`` leading zero
         rows and one trailing zero row; each row written lands in two cells,
@@ -502,6 +525,10 @@ class DelayNetwork:
         A_up, S_up = H[pad - 1:-2, :, 2], H[pad - 1:-2, :, 3]
         cells = H.reshape(-1, 4)
         masses = self.masses
+        rk4 = _rk4_coefficients(h, masses)
+        # the step's inputs (x_n, x'_n, x''_n, g_half, g_full); the next
+        # step's first three are this step's outputs
+        X, X_next = np.zeros((5, n)), np.zeros((5, n))
 
         def tabulate(t):
             """Forces at the times ``t``, any shape, with one axis of n added."""
@@ -509,7 +536,7 @@ class DelayNetwork:
             return np.broadcast_to(f, (t.size, n)).reshape(t.shape + (n,))
 
         # every query at t = 0 lies before its column's onset
-        A[0] = A_up[0] = (tabulate(times[:1])[0] - Y[0]) / masses
+        X[2] = A[0] = A_up[0] = (tabulate(times[:1])[0] - Y[0]) / masses
         stage_times = grid.stage_times
         block = max(1, FORCING_BLOCK // n)
         for ns in range(steps):
@@ -517,21 +544,23 @@ class DelayNetwork:
             if j == 0:
                 forces = tabulate(stage_times[:, ns:ns + block])
             mn = ns + 1
-            state = Y[ns], V[ns], A[ns], forces[:, j]
             if near.live[ns]:
                 # slopes with A[mn] still zero: the near pairs' history part
                 # of S[ns] and S[mn]; far pairs give S[ns] weight zero
-                S[mn], S[ns] = S_up[mn], S_up[ns] = _slope_stencils(A, mn, h)
-            d = plan.delayed_sum(ns, cells)
+                S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
+            np.subtract(forces[:, j], plan.delayed_sum(ns, cells), out=X[3:])
+            new = X_next[:3]
+            np.einsum("okn,kn->on", rk4, X, out=new)
             if near.live[ns]:
-                d += near.solve(ns, _rk4(*state, d, h, masses)[2])
-            Y[mn], V[mn], A[mn] = _rk4(*state, d, h, masses)
-            A_up[mn] = A[mn]
-            if not np.all(np.isfinite(Y[mn])):
+                new -= np.einsum("okn,kn->on", rk4[:, 3:], near.solve(ns, new[2]))
+            Y[mn], V[mn] = new[:2]
+            A[mn] = A_up[mn] = new[2]
+            if not np.all(np.isfinite(new[0])):
                 raise DivergenceError(mn)
             # the provisional newest-node slope is finalized one step later;
             # far queries reach it only after that
-            S[mn], S[mn - 1] = S_up[mn], S_up[mn - 1] = _slope_stencils(A, mn, h)
+            S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
+            X, X_next = X_next, X
         return Trace(times, Y, V, A, S, self.onset)
 
     def _lag_max(self, grid: TimeGrid) -> int:
@@ -600,12 +629,19 @@ def retarded_superposition(eval_fn, anchors: np.ndarray, coeffs: np.ndarray,
     """sum_j coeffs_j / (4 pi |x - z_j|) * g_j(t - |x - z_j| / c0).
 
     ``eval_fn(tq, cols)`` supplies the retarded samples (a Trace method).
-    Returns an array shaped like ``t``.
+    Returns one value per entry of ``t``, a scalar giving one.  The
+    (times x anchors) queries are evaluated ``max(1, FIELD_BLOCK // n)``
+    times at a time, so the temporaries stay small whatever the length of
+    ``t``; each time's sum is the same in any block.
     """
     x = np.asarray(x, dtype=float).reshape(3)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float).reshape(-1)
     r = np.linalg.norm(anchors - x, axis=1)
-    tq = t_arr[:, None] - (r / c0)[None, :]
-    cols = np.broadcast_to(np.arange(len(anchors)), tq.shape)
-    g = eval_fn(tq, cols)
-    return g @ (coeffs / (4.0 * np.pi * r))
+    delay, weights = r / c0, coeffs / (4.0 * np.pi * r)
+    cols = np.arange(len(anchors))
+    block = max(1, FIELD_BLOCK // max(1, len(anchors)))
+    out = np.empty(len(t_arr))
+    for lo in range(0, len(t_arr), block):
+        tq = t_arr[lo:lo + block, None] - delay
+        np.einsum("ij,j->i", eval_fn(tq, cols), weights, out=out[lo:lo + block])
+    return out

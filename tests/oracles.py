@@ -11,6 +11,9 @@ exceptions use package code:
 - ``reference_march``, the per-query march that the history plan of
   ``DelayNetwork.solve`` replaced, iterated to a fixed point in the new node
   for pairs closer than two steps, kept as its reference;
+- ``two_sum_near_pairs``, the near-pair fixed point on the unscaled coupled
+  weights with one (2, n) sum per sweep, which the one-pass sweeps on
+  premultiplied weights replaced, kept as their reference;
 - ``csv_rows_text``, the per-cell CSV formatter that the column-wise writer
   replaced, kept as its reference;
 - the transmission-law oracles ``memory_convolution``,
@@ -29,7 +32,7 @@ from bubblescreen.effective import EffectiveField, QuadratureRule
 from bubblescreen.errors import UsageError
 from bubblescreen.materials import PhysicalParams
 from bubblescreen.sources import PointSource
-from bubblescreen.stepping import TimeGrid, Trace
+from bubblescreen.stepping import TimeGrid, Trace, _hermite_weights, _stage_pairs
 
 
 def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -194,6 +197,51 @@ def reference_march(network, grid):
             if np.array_equal(A[mn], previous):
                 break
     return trace
+
+
+def two_sum_near_pairs(network, grid):
+    """The near-pair solve with the coupled weights g of each entry, the
+    contraction bound and the sweep count, as ``(solve, contraction,
+    sweeps)``; ``solve(ns, r)`` returns the (2, n) share of the new node.
+
+    Each sweep sums g * a into both stages' rows, (2, n), and applies the
+    row factors k3/m^2 and -1/m to the two halves afterwards.
+    """
+    n, h, P = network.n, grid.h, len(network.tau)
+    shift, first = _stage_pairs(network, grid)
+    sel = np.flatnonzero(shift > -1.0)
+    sel = sel[np.argsort(first[sel], kind="stable")]
+    shift, stage, pair = shift[sel], *np.divmod(sel, P)
+    offset = np.floor(shift)
+    _, w10, w01, w11 = _hermite_weights(shift - offset, h)
+    zero = np.zeros(len(sel))
+    w = network.c[pair] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
+    tgt, cols = stage * n + network.i[pair], network.j[pair]
+    live = np.searchsorted(first[sel], np.arange(grid.steps), side="right")
+    # weights of the new row A[mn] in the final slope S[mn-1] and the
+    # provisional S[mn], for mn = 1, 2 and 3 or more
+    new_row = ((1 / h, 1 / h), (1 / (2 * h), 3 / (2 * h)), (2 / (6 * h), 11 / (6 * h)))
+    g = [w[1] + final * w[0] + new * w[2] for final, new in new_row]
+    masses, k3, rows = network.masses, h * h / 3.0, tgt % n
+    scale = np.abs(np.where(tgt < n, k3 / masses[rows], 1.0) / masses[rows])
+    contraction = float(max(np.bincount(rows, scale * np.abs(gk), minlength=n).max()
+                            for gk in g))
+    sweeps = (int(np.ceil(np.log(np.finfo(float).eps) / np.log(contraction)))
+              if 0.0 < contraction < 1.0 else 0)
+
+    def solve(ns, r):
+        gk, to, at = g[min(ns, 2)][:live[ns]], tgt[:live[ns]], cols[:live[ns]]
+
+        def coupled(a):
+            return np.bincount(to, gk * a[at], minlength=2 * n).reshape(2, n)
+
+        a = r
+        for _ in range(sweeps):
+            moved = coupled(a)
+            a = r + (k3 * moved[0] / masses - moved[1]) / masses
+        return coupled(a)
+
+    return solve, contraction, sweeps
 
 
 def _csv_cell(value) -> str:

@@ -60,6 +60,13 @@ def test_config_errors_exit_two(tmp_path, raw, capsys):
     assert all(flag in err for flag in flags[1:])
 
 
+def test_malformed_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("run: {T: [1.0, 2.0\n")
+    assert run_cli(["validate", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot parse config")
+
+
 def test_missing_config_exits_two(tmp_path):
     missing = str(tmp_path / "absent.yaml")
     assert run_cli(["validate", "--config", missing, "--outdir", str(tmp_path)]) == 2

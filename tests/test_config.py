@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from bubblescreen import ExperimentConfig
 from bubblescreen.errors import ConfigError
@@ -13,6 +14,15 @@ ROOT = Path(__file__).resolve().parent.parent
                                   "perfbench/configs/sphere_cluster.yaml"])
 def test_committed_configs_load(path):
     ExperimentConfig.load(ROOT / path)
+
+
+@pytest.mark.parametrize("path", ["configs/default.yaml",
+                                  "perfbench/configs/sphere_cluster.yaml"])
+def test_libyaml_loader_parses_like_the_python_one(path):
+    text = (ROOT / path).read_text()
+    fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+    assert ExperimentConfig.load(ROOT / path).data == ExperimentConfig.from_dict(fast).data
 
 
 def test_user_k_section_replaces_default():

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,12 @@ from bubblescreen import (KFunction, TimeGrid, effective_grid, partition,
                           place_bubbles, stepping)
 from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
-from bubblescreen.errors import ConfigError, SolverError
+from bubblescreen.errors import ConfigError, SolverError, UsageError
 from bubblescreen.experiments import build_scene
-from bubblescreen.foldy import DelaySystem, scattered_series
+from bubblescreen.foldy import DelaySystem, scattered_field, scattered_series
 from bubblescreen.geometry import pairwise_distances
 
-from oracles import dense_pairs, reference_march
+from oracles import dense_pairs, reference_march, two_sum_near_pairs
 
 FIELDS = ("value", "rate", "acc")
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -163,6 +164,70 @@ def test_solve_sums_both_stages_from_one_plan(monkeypatch):
     assert built["_StagePlan"][0].idx.shape == (2 * network.n, network.n)
     assert len(sums) == grid.steps
     assert all(d.shape == (2, network.n) for d in sums)
+
+
+def test_rk4_map_matches_staged_step():
+    # the step as a linear map of (x, x', x'', g_half, g_full) against the
+    # staged formula, on random masses, steps and inputs
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = 7
+        masses = 10.0 ** rng.uniform(-2.0, 2.0, n)
+        h = 10.0 ** rng.uniform(-3.0, 0.0)
+        y, v, k1v = rng.normal(size=(3, n))
+        f, d = rng.normal(size=(2, 2, n))
+        want = np.stack(stepping._rk4(y, v, k1v, f, d, h, masses))
+        inputs = np.concatenate(([y, v, k1v], f - d))
+        coeffs = stepping._rk4_coefficients(h, masses)
+        got = np.einsum("okn,kn->on", coeffs, inputs)
+        # relative to the size of each output's terms, which may cancel
+        size = np.einsum("okn,kn->on", np.abs(coeffs), np.abs(inputs))
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+
+def test_near_march_steps_once_per_step(monkeypatch):
+    # near pairs live: the staged formula runs once per march, to build the
+    # step's map, and the near share is solved once per live step
+    network, grid = _small_network(9, seed=3)
+    grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+    staged, shares = [], []
+    rk4 = stepping._rk4
+
+    def counted_rk4(*args):
+        staged.append(args)
+        return rk4(*args)
+
+    class CountedNear(stepping._NearPairs):
+        def solve(self, ns, r):
+            shares.append(ns)
+            return super().solve(ns, r)
+
+    monkeypatch.setattr(stepping, "_rk4", counted_rk4)
+    monkeypatch.setattr(stepping, "_NearPairs", CountedNear)
+    network.solve(grid)
+    live = np.flatnonzero(network._near[1].live)
+    assert len(live) > grid.steps // 2
+    assert len(staged) == 1 and shares == live.tolist()
+
+
+@pytest.mark.parametrize("kind", ["small", "jittered"])
+def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
+    if kind == "small":
+        network, grid = _small_network(9, seed=3)
+        grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+    else:
+        network, grid = _networks(params, disk, disk_scene)["jittered"]
+    near = stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid))
+    solve, contraction, sweeps = two_sum_near_pairs(network, grid)
+    # the bound comes from the premultiplied weights bitwise
+    assert (near.contraction, near.sweeps) == (contraction, sweeps)
+    assert 0.0 < contraction < 1.0 and sweeps > 0
+    rng = np.random.default_rng(2)
+    steps = np.flatnonzero(near.live)
+    for ns in sorted({*steps[:3].tolist(), int(steps[len(steps) // 2]), int(steps[-1])}):
+        r = rng.normal(size=network.n)
+        want = solve(ns, r)
+        assert np.abs(near.solve(ns, r) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _one_time_at_a_time(forcing):
@@ -355,3 +420,48 @@ def test_bad_pair_lists_rejected(bad):
     assert build(good).min_delay == 0.3
     with pytest.raises(ConfigError):
         build({**good, **bad})
+
+
+@pytest.fixture(scope="module")
+def field_scene():
+    """The default disk at eps 1/256, its Foldy trace and the output times."""
+    config = ExperimentConfig.load(CONFIG)
+    scene = build_scene(config, 1.0 / 256.0)
+    network = DelaySystem(scene.cluster, scene.params, scene.source)
+    trace = network.solve(TimeGrid.fit(config.horizon, 0.05))
+    t_out = np.linspace(0.0, config.horizon, config.data["run"]["n_out"])
+    return config, scene, trace, t_out
+
+
+def test_blocked_field_matches_one_block(field_scene, monkeypatch):
+    config, scene, trace, t_out = field_scene
+    points, default = config.observation_points, stepping.FIELD_BLOCK
+    assert scene.cluster.n * len(t_out) > 3 * default
+
+    def series(block):
+        monkeypatch.setattr(stepping, "FIELD_BLOCK", block)
+        return scattered_series(trace, scene.cluster, scene.params, points, t_out)
+
+    one = series(10**9)
+    # one time per block, a ragged split and the default: the same sums bitwise
+    for block in (1, 7 * scene.cluster.n, default):
+        assert np.array_equal(series(block), one), block
+    # a scalar time gives a float; a time past the horizon is refused
+    value = scattered_field(trace, scene.cluster, scene.params, points[0], t_out[-1])
+    assert isinstance(value, float) and value == one[0, -1]
+    with pytest.raises(UsageError):
+        scattered_field(trace, scene.cluster, scene.params, points[0],
+                        np.append(t_out, config.horizon + 1.0))
+
+
+def test_blocked_field_memory(field_scene):
+    # the (times x n) queries of a probe series no longer live at once
+    config, scene, trace, t_out = field_scene
+    assert scene.cluster.n > 200 and len(t_out) > 400
+    tracemalloc.start()
+    try:
+        scattered_series(trace, scene.cluster, scene.params, config.observation_points, t_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
