@@ -170,8 +170,9 @@ class Trace:
 
     def _interp(self, tq, cols, base, slope):
         tq = np.asarray(tq, dtype=float)
-        cols = np.broadcast_to(np.asarray(cols, dtype=int), tq.shape)
+        cols = np.asarray(cols, dtype=int)
         out = np.zeros(tq.shape)
+        # the onsets of cols, broadcast against tq rather than gathered per query
         live = tq > self.onset[cols]
         if not live.any():
             return out
@@ -180,7 +181,7 @@ class Trace:
             raise UsageError("interpolation query beyond the trace horizon")
         k = np.minimum((tql / self.h).astype(int), len(self.times) - 2)
         w00, w10, w01, w11 = _hermite_weights(tql / self.h - k, self.h)
-        cl = cols[live]
+        cl = np.broadcast_to(cols, tq.shape)[live]
         out[live] = (w00 * base[k, cl] + w10 * slope[k, cl]
                      + w01 * base[k + 1, cl] + w11 * slope[k + 1, cl])
         return out

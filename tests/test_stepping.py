@@ -230,6 +230,27 @@ def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
         assert np.abs(near.solve(ns, r) - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_interp_matches_per_query_hermite():
+    # columns given once, (n,), broadcast against the (times, n) queries:
+    # the per-query Hermite formula bitwise, as with full-shape columns
+    network, grid = _small_network(9, seed=5, onset=True)
+    trace = network.solve(grid)
+    tq = np.random.default_rng(4).uniform(0.0, grid.T, (50, network.n))
+    cols = np.arange(network.n)
+    at = np.broadcast_to(cols, tq.shape)
+    k = np.minimum((tq / trace.h).astype(int), len(trace.times) - 2)
+    w = stepping._hermite_weights(tq / trace.h - k, trace.h)
+    pre = tq <= trace.onset[at]
+    assert pre.any() and (~pre).any()
+    for base, slope, interp in ((trace.value, trace.rate, trace.value_at),
+                                (trace.acc, trace.acc_slope, trace.accel_at)):
+        want = (w[0] * base[k, at] + w[1] * slope[k, at]
+                + w[2] * base[k + 1, at] + w[3] * slope[k + 1, at])
+        want[pre] = 0.0
+        assert np.array_equal(interp(tq, cols), want)
+        assert np.array_equal(interp(tq, at), want)
+
+
 def _one_time_at_a_time(forcing):
     """The network's forcing, evaluated at one scalar time per call."""
     def per_time(t):
