@@ -14,10 +14,9 @@ from .geometry import (BubbleCluster, KFunction, build_surface,
                        counting_scaling_check, partition, place_bubbles)
 from .sources import PointSource, SourcePulse, incident_eval, pulse_eval
 from .stepping import DelayNetwork, TimeGrid
-from .foldy import assemble, scattered_field
-from .effective import (EffectiveField, QuadratureRule, build_rule,
-                        effective_grid, effective_scattered)
-from .laplace_cq import CQScheme, cq_solve, laplace_solve
+from .foldy import assemble
+from .effective import EffectiveField, QuadratureRule, build_rule, effective_grid
+from .laplace_cq import cq_solve, laplace_solve
 from .config import ExperimentConfig
 
 __all__ = [
@@ -27,9 +26,8 @@ __all__ = [
     "partition", "place_bubbles",
     "PointSource", "SourcePulse", "incident_eval", "pulse_eval",
     "DelayNetwork", "TimeGrid",
-    "assemble", "scattered_field",
+    "assemble",
     "EffectiveField", "QuadratureRule", "build_rule", "effective_grid",
-    "effective_scattered",
-    "CQScheme", "cq_solve", "laplace_solve",
+    "cq_solve", "laplace_solve",
     "ExperimentConfig",
 ]

@@ -3,7 +3,8 @@
 Subcommands: validate, foldy, effective, cq, compare, sweep, regimes,
 counting.  Each loads the config, applies the flags as overrides of config
 scalars and runs its stage through ``experiments.run_stage``.  Exit codes: 0
-success, 2 config or usage error, 3 solver error.
+success, 2 config or usage error or an output directory that cannot be
+written, 3 solver error.
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ def run_cli(argv: list[str]) -> int:
     except BubblescreenError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -147,7 +147,7 @@ class ExperimentConfig:
     @staticmethod
     def load(path, overrides: dict | None = None) -> "ExperimentConfig":
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
             raw = yaml.load(p.read_text(), Loader=_LOADER) or {}

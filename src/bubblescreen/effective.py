@@ -15,6 +15,8 @@ point-scatterer solver.
 The screen replaces the cluster through the transmission law: the field W is
 continuous across Gamma while its normal derivative jumps by the sinusoidal
 memory convolution of d2/dt2 W, equivalently by c_bar*floor(K+1)*U''.
+``EffectiveField`` evaluates W_sc or W at every probe point and time of one
+call by one retarded quadrature sum.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationPointError, UsageError
-from .geometry import KFunction, Patchwork
+from .errors import UsageError
+from .geometry import BubbleCluster, Patchwork
 from .materials import PhysicalParams
 from .sources import PointSource, incident_eval
 from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
@@ -37,58 +39,37 @@ from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
 class QuadratureRule:
     """Nystrom rule: one node per patch, weight = patch area.
 
-    ``self_terms`` holds the regularized diagonal integral of 1/(4 pi |x-y|)
+    ``self_terms`` is the regularized diagonal integral of 1/(4 pi |x-y|)
     over an equal-area disk: r_i/2 with r_i = sqrt(w_i/pi).
     """
 
     nodes: np.ndarray      # (M, 3)
     weights: np.ndarray    # (M,)
     density: np.ndarray    # (M,) integer floor(K)+1
-    self_terms: np.ndarray
-    normals: np.ndarray
+    normals: np.ndarray    # (M, 3)
     spacing: float
-    area: float
 
     @property
     def m(self) -> int:
         return len(self.nodes)
 
-    @staticmethod
-    def from_parts(nodes, weights, density, spacing, normals=None, area=None) -> "QuadratureRule":
-        nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        density = np.asarray(density, dtype=int)
-        if np.any(weights <= 0) or np.any(density < 1):
-            raise UsageError("weights must be positive and densities >= 1")
-        self_terms = np.sqrt(weights / np.pi) / 2.0
-        if normals is None:
-            normals = np.zeros_like(nodes)
-            normals[:, 2] = 1.0
-        return QuadratureRule(
-            nodes=nodes, weights=weights, density=density, self_terms=self_terms,
-            normals=np.asarray(normals, dtype=float), spacing=float(spacing),
-            area=float(weights.sum()) if area is None else float(area),
-        )
+    @property
+    def self_terms(self) -> np.ndarray:
+        return np.sqrt(self.weights / np.pi) / 2.0
 
 
-def build_rule(patchwork: Patchwork, cluster_or_k) -> QuadratureRule:
-    """Quadrature rule over the patchwork with densities from a cluster or K."""
-    if hasattr(cluster_or_k, "counts"):
-        density = np.asarray(cluster_or_k.counts, dtype=int)
-        if len(density) != patchwork.m:
-            raise UsageError("cluster counts do not match the patchwork")
-    elif isinstance(cluster_or_k, KFunction):
-        density = cluster_or_k.counts_at(patchwork.centers)
-    else:
-        raise UsageError("expected a BubbleCluster or KFunction")
-    normals = patchwork.surface.normal_at(patchwork.centers)
-    rule = QuadratureRule.from_parts(
-        patchwork.centers, patchwork.areas, density, patchwork.d, normals,
-        area=patchwork.surface.total_area,
-    )
-    if abs(rule.weights.sum() - patchwork.surface.total_area) > 1e-10:
+def build_rule(patchwork: Patchwork, cluster: BubbleCluster) -> QuadratureRule:
+    """Quadrature rule over the patchwork, each node's density the cluster's
+    bubble count on its patch."""
+    density = np.asarray(cluster.counts, dtype=int)
+    if len(density) != patchwork.m:
+        raise UsageError("cluster counts do not match the patchwork")
+    weights = patchwork.areas
+    if abs(weights.sum() - patchwork.surface.total_area) > 1e-10:
         raise UsageError("rule weights do not sum to the surface area")
-    return rule
+    return QuadratureRule(nodes=patchwork.centers, weights=weights, density=density,
+                          normals=patchwork.surface.normal_at(patchwork.centers),
+                          spacing=float(patchwork.d))
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +98,6 @@ def effective_grid(rule: QuadratureRule, params: PhysicalParams, T: float,
     return TimeGrid.fit(T, h_max)
 
 
-def effective_scattered(rule: QuadratureRule, trace: Trace, params: PhysicalParams,
-                        x, t, min_dist_factor: float = 2.0):
-    """Scattered part of the effective field at x (retarded quadrature sum)."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    dist = np.linalg.norm(rule.nodes - x, axis=1)
-    if np.any(dist < min_dist_factor * rule.spacing):
-        raise EvaluationPointError(
-            f"evaluation point within {min_dist_factor}*spacing of the surface"
-        )
-    coeffs = -(rule.weights * rule.density * params.c_bar)
-    out = retarded_superposition(trace.accel_at, rule.nodes, coeffs, params.c0, x, t)
-    return float(out[0]) if np.asarray(t).ndim == 0 else out
-
-
 class EffectiveField:
     """Total effective field W = u_in + W_sc off the surface."""
 
@@ -141,9 +108,16 @@ class EffectiveField:
         self.params = params
         self.source = source
 
-    def scattered(self, x, t, min_dist_factor: float = 2.0):
-        return effective_scattered(self.rule, self.trace, self.params, x, t,
-                                   min_dist_factor)
+    def scattered(self, x, t, min_dist_factor: float = 2.0) -> np.ndarray:
+        """Retarded quadrature sum W_sc at one point (3,) or (p, 3) points and
+        the times ``t``, as (p, times); a point within ``min_dist_factor``
+        node spacings of a node raises ``EvaluationPointError``."""
+        rule, params = self.rule, self.params
+        coeffs = -(rule.weights * rule.density * params.c_bar)
+        return retarded_superposition(self.trace.accel_at, rule.nodes, coeffs, params.c0,
+                                      x, t, min_dist=min_dist_factor * rule.spacing)
 
-    def total(self, x, t, min_dist_factor: float = 2.0):
-        return incident_eval(self.source, x, t, 0) + self.scattered(x, t, min_dist_factor)
+    def total(self, x, t, min_dist_factor: float = 2.0) -> np.ndarray:
+        """W = u_in + W_sc, shaped as ``scattered``."""
+        return (incident_eval(self.source, np.atleast_2d(x), np.atleast_1d(t), 0)
+                + self.scattered(x, t, min_dist_factor))

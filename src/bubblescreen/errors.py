@@ -33,10 +33,6 @@ class SolverError(BubblescreenError):
     """Numerical failure inside a solver."""
 
 
-class AccuracyError(SolverError):
-    """Quadrature or extraction failed to converge to the requested tolerance."""
-
-
 class DivergenceError(SolverError):
     """Time stepping produced non-finite values."""
 

@@ -38,7 +38,7 @@ from .errors import ConfigError, UsageError
 from .foldy import assemble, scattered_series
 from .geometry import (BubbleCluster, Patchwork, build_surface,
                        counting_scaling_check, partition, place_bubbles)
-from .laplace_cq import CQScheme, cq_solve, resolvent_sweep
+from .laplace_cq import cq_solve, resolvent_sweep
 from .materials import (PhysicalParams, RawMaterials, ShapeDescriptor,
                         derive_params, validate_conditions)
 from .sources import PointSource, SourcePulse
@@ -143,9 +143,11 @@ class OutputSession:
         return path
 
     def write_text(self, name: str, text: str) -> Path:
+        """Write one text file, listed in ``outputs`` before it is written,
+        as ``write_csv`` does."""
         path = self.dir / name
-        path.write_text(text)
         self.outputs.append({"path": name, "rows": text.count("\n")})
+        path.write_text(text)
         return path
 
     def _write_manifest(self) -> None:
@@ -248,9 +250,8 @@ def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
     grid = effective_grid(scene.rule, params, scene.config.horizon, opts["h_max"])
     system = EffectiveSystem(scene.rule, params, scene.source)
     trace = system.solve(grid)
-    field = EffectiveField(scene.rule, trace, params, scene.source)
-    wsc = np.stack([field.scattered(p, t_out)
-                    for p in scene.config.observation_points])
+    wsc = EffectiveField(scene.rule, trace, params, scene.source).scattered(
+        scene.config.observation_points, t_out)
     return trace, wsc, system.march_counters(grid)
 
 
@@ -314,7 +315,7 @@ def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
     with session.timed("solve"):
         grid = effective_grid(scene.rule, scene.params, config.horizon,
                               _run_opts(config)["h_max"])
-        y = cq_solve(scene.rule, scene.params, CQScheme.for_grid(grid), scene.source)
+        y = cq_solve(scene.rule, scene.params, grid, scene.source)
         diag = resolvent_sweep(scene.rule, scene.params, s_vals, rhs)
     session.write_csv("cq_traces.csv", ["time", "node_id", "y"],
                       _long_columns(grid.times, y.T))
@@ -395,8 +396,8 @@ def run_regimes(config: ExperimentConfig, session: OutputSession) -> None:
         params = scene.params.with_scaled_resonance(fom).with_scaled_coupling(fcp)
         with session.timed("solve"):
             trace, wsc, _ = _solve_effective_scene(scene, t_out, params=params)
-            field = EffectiveField(scene.rule, trace, params, scene.source)
-            w_total = np.stack([field.total(p, t_out) for p in trans_pts])
+            w_total = EffectiveField(scene.rule, trace, params, scene.source).total(
+                trans_pts, t_out)
         proxy = float(np.sqrt((w_total[:, window] ** 2).sum() * dt))
         rows.append({
             "omega_factor": fom, "coupling_factor": fcp,

@@ -6,7 +6,8 @@ Each bubble m carries an amplitude Y_m solving the neutral delay system
         * Y_j''(t - |z_m - z_j|/c0)  =  d2/dt2 u_in(z_m, t),
 
 with zero initial data, and the scattered field is the retarded monopole
-superposition  -sum_m c_eps/(4 pi |x - z_m|) Y_m(t - |x - z_m|/c0).
+superposition  -sum_m c_eps/(4 pi |x - z_m|) Y_m(t - |x - z_m|/c0), which
+``scattered_series`` evaluates at every probe point and time in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .errors import EvaluationPointError, SolvabilityError
+from .errors import SolvabilityError
 from .geometry import BubbleCluster
 from .materials import PhysicalParams, validate_conditions
 from .sources import PointSource
@@ -50,21 +51,11 @@ def assemble(cluster: BubbleCluster, params: PhysicalParams, source: PointSource
     return DelaySystem(cluster, params, source)
 
 
-def scattered_field(traces: Trace, cluster: BubbleCluster, params: PhysicalParams,
-                    x, t):
-    """Retarded scattered field at x; ``t`` may be scalar or an array."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    dist = np.linalg.norm(cluster.centers - x, axis=1)
-    if np.any(dist < 2.0 * cluster.eps):
-        raise EvaluationPointError("evaluation point within 2*eps of a bubble")
-    coeffs = -np.full(cluster.n, params.c_eps)
-    out = retarded_superposition(traces.value_at, cluster.centers, coeffs,
-                                 params.c0, x, t)
-    return float(out[0]) if np.asarray(t).ndim == 0 else out
-
-
 def scattered_series(traces: Trace, cluster: BubbleCluster, params: PhysicalParams,
-                     points: np.ndarray, t_out: np.ndarray) -> np.ndarray:
-    """Scattered field sampled on a lattice of probe points x time grid."""
-    pts = np.atleast_2d(points)
-    return np.stack([scattered_field(traces, cluster, params, p, t_out) for p in pts])
+                     points: np.ndarray, t_out) -> np.ndarray:
+    """Retarded scattered field at one probe point (3,) or (p, 3) points and
+    the times ``t_out``, as (p, times); a point within 2*eps of a bubble
+    raises ``EvaluationPointError``."""
+    coeffs = -np.full(cluster.n, params.c_eps)
+    return retarded_superposition(traces.value_at, cluster.centers, coeffs, params.c0,
+                                  points, t_out, min_dist=2.0 * cluster.eps)

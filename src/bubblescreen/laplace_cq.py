@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, SolverError, UsageError
+from .errors import ParameterError, SolverError, UsageError
 from .effective import QuadratureRule
 from .geometry import pairwise_distances
 from .materials import PhysicalParams
@@ -97,68 +97,31 @@ def laplace_solve(rule: QuadratureRule, params: PhysicalParams, s: complex,
 # ---------------------------------------------------------------------------
 # Convolution quadrature
 # ---------------------------------------------------------------------------
-def bdf2_gamma(zeta: np.ndarray) -> np.ndarray:
-    return (1.0 - zeta) + 0.5 * (1.0 - zeta) ** 2
-
-
-@dataclass(frozen=True)
-class CQScheme:
-    """BDF2 convolution quadrature on a uniform grid.
-
-    The weight-extraction circle radius defaults to eps_machine^(1/(2L)) with
-    L = 2 (steps + 1) transform points.
-    """
-
-    h: float
-    steps: int
-    radius: float = 0.0
-
-    def __post_init__(self):
-        if self.h <= 0 or self.steps < 1:
-            raise UsageError("CQ scheme needs positive step and horizon")
-        if self.radius == 0.0:
-            object.__setattr__(self, "radius",
-                               float(np.finfo(float).eps ** (1.0 / (2.0 * self.n_transform))))
-        if not (0 < self.radius < 1):
-            raise AccuracyError(f"extraction radius {self.radius} outside (0, 1)")
-
-    @property
-    def n_transform(self) -> int:
-        return 2 * (self.steps + 1)
-
-    def frequencies(self) -> np.ndarray:
-        ll = self.n_transform
-        zeta = self.radius * np.exp(-2j * np.pi * np.arange(ll) / ll)
-        s = bdf2_gamma(zeta) / self.h
-        if np.any(s.real <= 0):
-            raise AccuracyError("extraction circle left the admissible half-plane")
-        return s
-
-    @staticmethod
-    def for_grid(grid: TimeGrid) -> "CQScheme":
-        return CQScheme(h=grid.h, steps=grid.steps)
-
-
-def cq_solve(rule: QuadratureRule, params: PhysicalParams, scheme: CQScheme,
+def cq_solve(rule: QuadratureRule, params: PhysicalParams, grid: TimeGrid,
              source: PointSource) -> np.ndarray:
-    """Y trace (steps+1, M) by operational calculus on the incident samples.
+    """Y trace (steps+1, M) on the march's grid by operational calculus on the
+    incident samples.
 
-    Exploits conjugate symmetry of the extraction frequencies: only half the
-    circle is solved, the rest mirrored.
+    L = 2 (steps + 1) transform points lie on the circle of radius
+    eps_machine^(1/(2L)), inside the unit disk for every L; BDF2 is A-stable,
+    so each frequency gamma(zeta)/h has positive real part.  Exploits
+    conjugate symmetry of the frequencies: only half the circle is solved,
+    the rest mirrored.
     """
-    times = np.arange(scheme.steps + 1) * scheme.h
+    times = grid.times
     r_src = np.linalg.norm(rule.nodes - source.x0, axis=1)
     u_in = (params.raw.rho_c / r_src)[None, :] * pulse_eval(
         source.pulse, times[:, None] - (r_src / params.c0)[None, :], 0
     ).reshape(len(times), rule.m)
 
-    ll = scheme.n_transform
-    rho = scheme.radius
+    ll = 2 * (grid.steps + 1)
+    rho = float(np.finfo(float).eps ** (1.0 / (2.0 * ll)))
     scal = rho ** np.arange(ll)
     upad = np.zeros((ll, rule.m))
     upad[: len(times)] = u_in
     uhat = np.fft.fft(upad * scal[:, None], axis=0)
-    freqs = scheme.frequencies()
+    zeta = rho * np.exp(-2j * np.pi * np.arange(ll) / ll)
+    freqs = ((1.0 - zeta) + 0.5 * (1.0 - zeta) ** 2) / grid.h
 
     yhat = np.empty_like(uhat)
     half = ll // 2

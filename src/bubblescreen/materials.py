@@ -19,7 +19,7 @@ omega_m_sq equals the coupling prefactor c_bar = vol(B)*rho_c/kappa_b_bar.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -110,21 +110,13 @@ class PhysicalParams:
         """Return a copy with omega_m scaled by ``factor`` (regime sweeps)."""
         if factor <= 0:
             raise ParameterError("resonance scale factor must be positive")
-        return PhysicalParams(
-            c0=self.c0, cb=self.cb, a_db=self.a_db,
-            omega_m_sq=self.omega_m_sq * factor**2,
-            c_bar=self.c_bar, c_eps=self.c_eps, vol_b=self.vol_b, raw=self.raw,
-        )
+        return replace(self, omega_m_sq=self.omega_m_sq * factor**2)
 
     def with_scaled_coupling(self, factor: float) -> "PhysicalParams":
         """Return a copy with c_bar (and c_eps) scaled by ``factor``."""
         if factor <= 0:
             raise ParameterError("coupling scale factor must be positive")
-        return PhysicalParams(
-            c0=self.c0, cb=self.cb, a_db=self.a_db, omega_m_sq=self.omega_m_sq,
-            c_bar=self.c_bar * factor, c_eps=self.c_eps * factor,
-            vol_b=self.vol_b, raw=self.raw,
-        )
+        return replace(self, c_bar=self.c_bar * factor, c_eps=self.c_eps * factor)
 
 
 def geometric_constant(shape: ShapeDescriptor) -> float:
@@ -171,15 +163,7 @@ class ValidationReport:
     pass_resonance: bool
 
     def to_text(self) -> str:
-        lines = [
-            f"cond_inversion_lhs={self.cond_inversion_lhs!r}",
-            f"cond_resonance_lhs={self.cond_resonance_lhs!r}",
-            f"omega_m_sq={self.omega_m_sq!r}",
-            f"k_max={self.k_max!r}",
-            f"pass_inversion={self.pass_inversion}",
-            f"pass_resonance={self.pass_resonance}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{k}={v!r}\n" for k, v in asdict(self).items())
 
 
 def max_anchor_interaction(centers: np.ndarray, c_eps: float) -> float:

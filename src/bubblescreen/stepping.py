@@ -35,9 +35,9 @@ lag, so every offset reads a row that exists, and one trailing zero row that
 uncoupled entries read.  The plan's 2n x n x 4 weights, the Hermite weights
 premultiplied by the coupling, are interleaved the same way.  Each delayed
 sum gathers the cells of a block of plan rows at a time into one small
-buffer and reduces each row against the weights by one dot over 4n values,
-so one gather pass gives both stages' sums, with no per-step index
-arithmetic.
+buffer and reduces each row against the weights by one dot over 4n values
+straight into the (2, n) sums, so one gather pass over the 2n rows gives both
+stages' sums, with no per-step index arithmetic.
 
 The RK4 step of m x'' + x = g, g = f - d the force less the delayed sum, is
 linear in x_n, x'_n, x''_n and g at both stage offsets.  ``solve`` builds
@@ -68,11 +68,9 @@ nor a field evaluated from the trace picks up the interpolant's pre-onset
 leakage.  A pair's weights stay zero until the first step at which its query
 lies past the source column's onset (and reads no row before the first node);
 they are written at that step in the plan, and the near pairs are sorted by
-that step, so a pair contributes exactly zero before it.  Plan rows are sorted
-by the first step at which any of their pairs is live, so the rows a step sums
-form a prefix.  Fixed-step method of steps with breaking-point tracking
-follows Bellen & Zennaro, *Numerical Methods for Delay Differential
-Equations* (2003).
+that step, so a pair contributes exactly zero before it.  Fixed-step method of
+steps with breaking-point tracking follows Bellen & Zennaro, *Numerical
+Methods for Delay Differential Equations* (2003).
 """
 
 from __future__ import annotations
@@ -82,7 +80,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, SolverError, UsageError
+from .errors import (ConfigError, DivergenceError, EvaluationPointError,
+                     SolverError, UsageError)
 from .geometry import pairwise_distances
 from .sources import pulse_eval
 
@@ -269,49 +268,40 @@ def _rk4_coefficients(h: float, masses: np.ndarray) -> np.ndarray:
 
 class _StagePlan:
     """Delayed sums over every coupled pair at both stage offsets for every
-    step n of one grid, row-major: 2n rows, row (s, i) holding oscillator i's
-    pairs at t_n + SIGMAS[s]*h.
+    step n of one grid, row-major: 2n rows, row s*n + i holding oscillator
+    i's pairs at t_n + SIGMAS[s]*h, so the rows are the (2, n) sums in order.
 
-    Row (s, i) sits at ``slot[s*n + i]``, and entry (r, j) is the pair (i, j)
-    of row r.  ``idx[r, j]`` is the offset, from row n, of the pair's history
-    cell, which holds A and S at rows n + o and n + o + 1.  A step gathers the
-    cells of ``len(buf)`` plan rows at a time into the one ``buf`` with one
-    unbuffered ``take`` and reduces each row against the interleaved weights
-    by one dot over 4n values: ``weights[r, j, k]`` is the pair's Hermite
-    weight of its cell's k-th value.  Rows are sorted by their first live
-    step, and the first ``live_rows[n]`` rows hold every entry live at step n.
-    ``pairs`` holds the ``_stage_pairs`` entry numbers e (pair e % P at stage
-    e // P) sorted by their first live step; the first ``live_pairs[n]`` are
-    live at step n.  The weights start at zero; an
-    entry's weights c * w_k(theta) are written at its first live step
-    (``activate``), so an entry not yet live contributes exactly zero.
-    Uncoupled entries and the diagonal point past the end of the history,
-    which ``mode="clip"`` maps to its trailing zero cell, and are never
-    activated.  A far pair's cell ends at row n or earlier and gives row n's
-    slope weight zero, so it reads final values only.  A near pair reads the
-    final S[n] or the new row n + 1; while one is live, the step writes the
-    slopes S[n] and S[n+1] with A[n+1] still zero first, so the sum holds the
-    near pairs' history part and ``_NearPairs`` adds the new node's share.
+    Entry (r, j) is the pair (i, j) of row r.  ``idx[r, j]`` is the offset,
+    from row n, of the pair's history cell, which holds A and S at rows n + o
+    and n + o + 1.  A step gathers the cells of ``len(buf)`` plan rows at a
+    time into the one ``buf`` with one unbuffered ``take`` and reduces each
+    row against the interleaved weights by one dot over 4n values straight
+    into its output: ``weights[r, j, k]`` is the pair's Hermite weight of its
+    cell's k-th value.  ``pairs`` holds the ``_stage_pairs`` entry numbers e
+    (pair e % P at stage e // P) sorted by their first live step; the first
+    ``live_pairs[n]`` are live at step n, and before the first one is live a
+    step sums nothing.  The weights start at zero; an entry's weights
+    c * w_k(theta) are written at its first live step (``activate``), so an
+    entry not yet live contributes exactly zero, and a row with no live entry
+    sums to exactly +0.0.  Uncoupled entries and the diagonal point past the
+    end of the history, which ``mode="clip"`` maps to its trailing zero cell,
+    and are never activated.  A far pair's cell ends at row n or earlier and
+    gives row n's slope weight zero, so it reads final values only.  A near
+    pair reads the final S[n] or the new row n + 1; while one is live, the
+    step writes the slopes S[n] and S[n+1] with A[n+1] still zero first, so
+    the sum holds the near pairs' history part and ``_NearPairs`` adds the new
+    node's share.
     """
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, split):
         n, steps = network.n, grid.steps
-        shift, first = (a.reshape(2, -1) for a in split)
-        i, j = network.i, network.j
-        row_first = np.full((2, n), steps, dtype=np.int64)
-        np.minimum.at(row_first, (slice(None), i), first)
-        self.rows = np.argsort(row_first, axis=None, kind="stable")
-        self.live_rows = np.searchsorted(row_first.ravel()[self.rows], np.arange(steps),
-                                         side="right")
-        self.slot = np.empty(2 * n, dtype=np.int64)
-        self.slot[self.rows] = np.arange(2 * n)
+        shift, first = split
         self.idx = np.full((2 * n, n), (pad + steps + 2) * n, dtype=np.int64)
-        self.idx[self.slot.reshape(2, n)[:, i], j] = \
-            (pad + np.floor(shift).astype(np.int64)) * n + j
-        self.pairs = np.argsort(first, axis=None, kind="stable").astype(
+        self.idx.reshape(2, n, n)[:, network.i, network.j] = \
+            (pad + np.floor(shift.reshape(2, -1)).astype(np.int64)) * n + network.j
+        self.pairs = np.argsort(first, kind="stable").astype(
             np.int32 if first.size < 2**31 else np.int64)
-        self.live_pairs = np.searchsorted(first.ravel()[self.pairs], np.arange(steps),
-                                          side="right")
+        self.live_pairs = np.searchsorted(first[self.pairs], np.arange(steps), side="right")
         self.weights = np.zeros((2 * n, n, 4))
         self.buf = np.empty((min(2 * n, max(1, GATHER_BLOCK // n)), n, 4))
         self.network, self.h, self.n, self._done = network, grid.h, n, 0
@@ -323,7 +313,7 @@ class _StagePlan:
         stage, pairs = np.divmod(self.pairs[lo:hi], len(net.tau))
         shift = np.take(SIGMAS, stage) - net.tau.take(pairs) / self.h
         w = np.stack(_hermite_weights(shift - np.floor(shift), self.h), axis=1)
-        self.weights[self.slot[stage * self.n + net.i.take(pairs)], net.j.take(pairs)] = \
+        self.weights[stage * self.n + net.i.take(pairs), net.j.take(pairs)] = \
             net.c.take(pairs)[:, None] * w
         self._done = hi
 
@@ -331,26 +321,24 @@ class _StagePlan:
         """Both stages' sums at step ns, as (2, n), over the (rows * n, 4)
         history ``cells``."""
         out = np.zeros((2, self.n))
-        r = self.live_rows[ns]
-        if not r:
+        if not self.live_pairs[ns]:
             return out
         if self.live_pairs[ns] > self._done:
             self.activate(ns)
         cells = cells[ns * self.n:]
-        total = np.empty(r)
-        for lo in range(0, r, len(self.buf)):
-            buf = self.buf[:r - lo]
+        total = out.reshape(-1)
+        for lo in range(0, len(total), len(self.buf)):
+            buf = self.buf[:len(total) - lo]
             hi = lo + len(buf)
             cells.take(self.idx[lo:hi], axis=0, out=buf, mode="clip")
             np.einsum("ijk,ijk->i", buf, self.weights[lo:hi], out=total[lo:hi])
-        out.reshape(-1)[self.rows[:r]] = total
         return out
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the plan's own arrays, its gather buffer included."""
-        return sum(a.nbytes for a in (self.rows, self.live_rows, self.slot, self.idx,
-                                      self.pairs, self.live_pairs, self.weights, self.buf))
+        return sum(a.nbytes for a in (self.idx, self.pairs, self.live_pairs,
+                                      self.weights, self.buf))
 
 
 class _NearPairs:
@@ -626,23 +614,30 @@ class RetardedNetwork(DelayNetwork):
 
 
 def retarded_superposition(eval_fn, anchors: np.ndarray, coeffs: np.ndarray,
-                           c0: float, x: np.ndarray, t) -> np.ndarray:
-    """sum_j coeffs_j / (4 pi |x - z_j|) * g_j(t - |x - z_j| / c0).
+                           c0: float, points: np.ndarray, t,
+                           min_dist: float = 0.0) -> np.ndarray:
+    """sum_j coeffs_j / (4 pi |x - z_j|) * g_j(t - |x - z_j| / c0) at each point x.
 
     ``eval_fn(tq, cols)`` supplies the retarded samples (a Trace method).
-    Returns one value per entry of ``t``, a scalar giving one.  The
-    (times x anchors) queries are evaluated ``max(1, FIELD_BLOCK // n)``
-    times at a time, so the temporaries stay small whatever the length of
-    ``t``; each time's sum is the same in any block.
+    ``points`` is one point (3,) or (p, 3) points and ``t`` a time or a 1-D
+    array of times; returns (p, times).  A point closer than ``min_dist`` to
+    an anchor raises ``EvaluationPointError``.  The (times x anchors) queries
+    of a point are evaluated ``max(1, FIELD_BLOCK // n)`` times at a time, so
+    the temporaries stay small whatever the length of ``t``; each time's sum
+    is the same in any block.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     t_arr = np.asarray(t, dtype=float).reshape(-1)
-    r = np.linalg.norm(anchors - x, axis=1)
-    delay, weights = r / c0, coeffs / (4.0 * np.pi * r)
     cols = np.arange(len(anchors))
     block = max(1, FIELD_BLOCK // max(1, len(anchors)))
-    out = np.empty(len(t_arr))
-    for lo in range(0, len(t_arr), block):
-        tq = t_arr[lo:lo + block, None] - delay
-        np.einsum("ij,j->i", eval_fn(tq, cols), weights, out=out[lo:lo + block])
+    out = np.empty((len(points), len(t_arr)))
+    for x, row in zip(points, out):
+        r = np.linalg.norm(anchors - x, axis=1)
+        if np.any(r < min_dist):
+            raise EvaluationPointError(f"evaluation point {x} within {min_dist:.3g} "
+                                       f"of a scatterer")
+        delay, weights = r / c0, coeffs / (4.0 * np.pi * r)
+        for lo in range(0, len(t_arr), block):
+            tq = t_arr[lo:lo + block, None] - delay
+            np.einsum("ij,j->i", eval_fn(tq, cols), weights, out=row[lo:lo + block])
     return out

@@ -410,7 +410,7 @@ def jump_residual(rule: QuadratureRule, trace: Trace, params: PhysicalParams,
         if np.linalg.norm(trace.acc[:, node]) == 0.0 and np.linalg.norm(trace.value[:, node]) == 0.0:
             continue
         w_vals = {
-            (sgn, k): field.total(xc + sgn * k * delta * nu, times, min_dist_factor=0.0)
+            (sgn, k): field.total(xc + sgn * k * delta * nu, times, min_dist_factor=0.0)[0]
             for sgn in (1.0, -1.0) for k in (1.0, 1.5, 2.0)
         }
         # d/dn of the quadratic through (delta, 1.5 delta, 2 delta), at 0

@@ -24,6 +24,16 @@ def test_validate_exits_zero(tmp_path):
     assert (tmp_path / "out" / "run_manifest.json").exists()
 
 
+def test_unusable_outdir_exits_two(tmp_path, capsys):
+    # the output directory would lie under a regular file
+    path = _config(tmp_path, {"run": {"T": 2.5, "n_out": 51}})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run_cli(["validate", "--config", path, "--outdir", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("output error:")
+    assert list(tmp_path.rglob("run_manifest.json")) == []
+
+
 @pytest.mark.parametrize("raw", [
     {"run": {"epss": 0.01}},
     {"k": {"constant": "abc"}},
@@ -70,6 +80,12 @@ def test_malformed_config_exits_two(tmp_path, capsys):
 def test_missing_config_exits_two(tmp_path):
     missing = str(tmp_path / "absent.yaml")
     assert run_cli(["validate", "--config", missing, "--outdir", str(tmp_path)]) == 2
+
+
+def test_config_directory_is_a_config_error(tmp_path, capsys):
+    # reading a directory raises an OSError, which is not an output error
+    assert run_cli(["validate", "--config", str(tmp_path), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_solvability_violation_exits_three(tmp_path, capsys):

@@ -3,8 +3,7 @@ import pytest
 
 from bubblescreen import (EffectiveField, KFunction, PointSource,
                           QuadratureRule, SourcePulse, TimeGrid, build_rule,
-                          effective_grid, effective_scattered, partition,
-                          pulse_eval)
+                          effective_grid, partition, place_bubbles, pulse_eval)
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import EvaluationPointError, UsageError
 
@@ -17,6 +16,12 @@ def make_source(params, x0=(0.0, 0.0, 1.5), t_rise=1.5):
     return PointSource(np.asarray(x0, dtype=float), pulse, rho_c=1.0, c0=params.c0)
 
 
+def one_node_rule(x, weight, spacing):
+    return QuadratureRule(nodes=np.array([x], dtype=float), weights=np.array([weight]),
+                          density=np.array([1]), normals=np.array([[0.0, 0.0, 1.0]]),
+                          spacing=spacing)
+
+
 class TestBuildRule:
     def test_unit_density_for_zero_k(self, disk_scene):
         assert np.all(disk_scene["rule"].density == 1)
@@ -25,13 +30,13 @@ class TestBuildRule:
         assert abs(disk_scene["rule"].weights.sum() - 1.0) < 1e-10
 
     def test_self_term_closed_form(self):
-        rule = QuadratureRule.from_parts([[0, 0, 0]], [0.01], [1], 0.1)
+        rule = one_node_rule([0, 0, 0], 0.01, 0.1)
         assert rule.self_terms[0] == pytest.approx(np.sqrt(0.01 / np.pi) / 2.0,
                                                    rel=1e-14)
 
     def test_density_from_k_function(self, disk):
         pw = partition(disk, 0.125)
-        rule = build_rule(pw, KFunction.constant(2.5))
+        rule = build_rule(pw, place_bubbles(pw, KFunction.constant(2.5), eps=1e-3, seed=3))
         assert np.all(rule.density == 3)
 
     def test_count_mismatch_rejected(self, disk, disk_scene):
@@ -51,7 +56,7 @@ class TestSolveEffective:
         assert np.all(trace.value == 0.0)
 
     def test_single_node_modified_frequency_duhamel(self, params):
-        rule = QuadratureRule.from_parts([[0.2, 0.0, 0.0]], [0.015625], [1], 0.125)
+        rule = one_node_rule([0.2, 0.0, 0.0], 0.015625, 0.125)
         source = make_source(params, x0=(0, 0, 1.0))
         grid = TimeGrid.fit(6.0, 1e-3)
         trace = EffectiveSystem(rule, params, source).solve(grid)
@@ -96,12 +101,13 @@ class TestEffectiveScattered:
         rule = disk_scene["rule"]
         grid = effective_grid(rule, params, 6.0)
         trace = EffectiveSystem(rule, params, disk_scene["source"]).solve(grid)
+        field = EffectiveField(rule, trace, params, disk_scene["source"])
         x = np.array([0.0, 0.0, -0.6])
         # incident front: source to surface to probe
         first = (np.linalg.norm(rule.nodes - disk_scene["source"].x0, axis=1)
                  + np.linalg.norm(rule.nodes - x, axis=1)).min() / params.c0
         t = np.linspace(0.0, first - 1e-6, 10)
-        assert np.all(effective_scattered(rule, trace, params, x, t) == 0.0)
+        assert np.all(field.scattered(x, t) == 0.0)
 
     def test_zero_trace_zero_field(self, params, disk_scene):
         rule = disk_scene["rule"]
@@ -109,8 +115,8 @@ class TestEffectiveScattered:
         system = EffectiveSystem(rule, params, source)
         system.forcing = lambda t: np.zeros(rule.m)
         trace = system.solve(effective_grid(rule, params, 3.0))
-        assert effective_scattered(rule, trace, params,
-                                   np.array([0, 0, 0.8]), 2.5) == 0.0
+        field = EffectiveField(rule, trace, params, source)
+        assert np.all(field.scattered(np.array([0, 0, 0.8]), 2.5) == 0.0)
 
     def test_refinement_converges_at_fixed_point(self, params, disk):
         source = make_source(params)
@@ -118,10 +124,10 @@ class TestEffectiveScattered:
         vals = []
         for d in (0.125, 1 / np.sqrt(128.0), 0.0625):
             pw = partition(disk, d)
-            rule = build_rule(pw, KFunction.constant(0.0))
+            rule = build_rule(pw, place_bubbles(pw, KFunction.constant(0.0), eps=1e-3, seed=0))
             grid = effective_grid(rule, params, 6.0, h_max=0.02)
             trace = EffectiveSystem(rule, params, source).solve(grid)
-            vals.append(effective_scattered(rule, trace, params, x, t_eval))
+            vals.append(EffectiveField(rule, trace, params, source).scattered(x, t_eval)[0, 0])
         d1, d2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
         assert d1 > d2
 
@@ -129,13 +135,15 @@ class TestEffectiveScattered:
         rule = disk_scene["rule"]
         grid = effective_grid(rule, params, 2.0)
         trace = EffectiveSystem(rule, params, disk_scene["source"]).solve(grid)
+        field = EffectiveField(rule, trace, params, disk_scene["source"])
         with pytest.raises(EvaluationPointError):
-            effective_scattered(rule, trace, params, np.array([0, 0, 0.1]), 1.0)
+            field.scattered(np.array([0, 0, 0.1]), 1.0)
 
     def test_causality_randomized_points(self, params, disk_scene):
         rule = disk_scene["rule"]
         grid = effective_grid(rule, params, 6.0)
         trace = EffectiveSystem(rule, params, disk_scene["source"]).solve(grid)
+        field = EffectiveField(rule, trace, params, disk_scene["source"])
         rng = np.random.default_rng(8)
         for _ in range(10):
             x = rng.uniform(-1, 1, 3)
@@ -143,7 +151,7 @@ class TestEffectiveScattered:
             first = (np.linalg.norm(rule.nodes - disk_scene["source"].x0, axis=1)
                      + np.linalg.norm(rule.nodes - x, axis=1)).min() / params.c0
             t = rng.uniform(0.0, max(first - 1e-6, 0.0))
-            assert effective_scattered(rule, trace, params, x, t) == 0.0
+            assert field.scattered(x, t)[0, 0] == 0.0
 
 
 class TestMemoryKernel:
@@ -250,7 +258,7 @@ class TestJumpCondition:
         resids, conts = [], []
         for d in (0.125, 0.0625, 0.05):
             pw = partition(disk, d)
-            rule = build_rule(pw, KFunction.constant(0.0))
+            rule = build_rule(pw, place_bubbles(pw, KFunction.constant(0.0), eps=1e-3, seed=0))
             grid = effective_grid(rule, params, 5.0)
             trace = EffectiveSystem(rule, params, source).solve(grid)
             probes = np.argsort(np.linalg.norm(rule.nodes[:, :2], axis=1))[:2]

@@ -170,3 +170,17 @@ def test_failure_while_writing_deletes_the_file(tmp_path):
     assert seen == [True]
     assert not path.exists()
     assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_failure_while_writing_text_deletes_the_file(tmp_path, monkeypatch):
+    def partial_write(path, text, *args, **kwargs):
+        with open(path, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", partial_write)
+    config = ExperimentConfig.from_dict({"run": {"T": 2.5, "n_out": 51}})
+    with pytest.raises(OSError, match="disk full"):
+        run_stage("validate", config, tmp_path)
+    assert not (tmp_path / "validation_report.txt").exists()
+    assert not (tmp_path / "run_manifest.json").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bubblescreen import CQScheme, TimeGrid, cq_solve, laplace_solve
+from bubblescreen import TimeGrid, cq_solve, laplace_solve
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ParameterError
 
@@ -13,7 +13,7 @@ def test_cq_matches_time_domain_second_order(params, disk_scene):
     diffs = []
     for h in (0.05, 0.025, 0.0125):
         grid = TimeGrid.fit(4.0, h)
-        y_cq = cq_solve(rule, params, CQScheme.for_grid(grid), source)
+        y_cq = cq_solve(rule, params, grid, source)
         acc = EffectiveSystem(rule, params, source).solve(grid).acc
         assert y_cq.shape == acc.shape
         diffs.append(np.abs(y_cq - acc).max() / np.abs(acc).max())

@@ -7,6 +7,7 @@ from bubblescreen import (BubbleCluster, ExperimentConfig, RawMaterials,
 from bubblescreen.errors import GeometryError, ParameterError
 from bubblescreen.experiments import build_scene, run_stage
 from bubblescreen.geometry import min_pairwise_distance
+from bubblescreen.materials import PhysicalParams
 
 from oracles import (brute_inverse_distance_sum, csv_rows_text, planar_grid,
                      sphere_pair_quadrature)
@@ -90,6 +91,18 @@ class TestDeriveParams:
         with pytest.warns(UserWarning):
             RawMaterials(eps=1.5)
 
+    def test_scaled_copies_change_only_their_quantities(self):
+        p = derive_params(RawMaterials(rho_c=1.7, kappa_b_bar=1.9, eps=0.02))
+        assert p.with_scaled_resonance(3.0) == PhysicalParams(
+            c0=p.c0, cb=p.cb, a_db=p.a_db, omega_m_sq=p.omega_m_sq * 9.0,
+            c_bar=p.c_bar, c_eps=p.c_eps, vol_b=p.vol_b, raw=p.raw)
+        assert p.with_scaled_coupling(0.5) == PhysicalParams(
+            c0=p.c0, cb=p.cb, a_db=p.a_db, omega_m_sq=p.omega_m_sq,
+            c_bar=p.c_bar * 0.5, c_eps=p.c_eps * 0.5, vol_b=p.vol_b, raw=p.raw)
+        for scale in (p.with_scaled_resonance, p.with_scaled_coupling):
+            with pytest.raises(ParameterError):
+                scale(0.0)
+
 
 def _manual_cluster(centers, counts=None, eps=1.0 / 64.0):
     centers = np.asarray(centers, dtype=float)
@@ -141,6 +154,14 @@ class TestValidateConditions:
     def test_coincident_centers_rejected(self, params):
         with pytest.raises(GeometryError):
             validate_conditions(params, _manual_cluster([[0, 0, 0], [0, 0, 0]]))
+
+    def test_report_text_one_field_per_line(self, params):
+        rep = validate_conditions(params, _manual_cluster([[0, 0, 0], [0.2, 0, 0]]))
+        assert rep.to_text() == (
+            f"cond_inversion_lhs={rep.cond_inversion_lhs!r}\n"
+            f"cond_resonance_lhs={rep.cond_resonance_lhs!r}\n"
+            f"omega_m_sq={rep.omega_m_sq!r}\nk_max={rep.k_max!r}\n"
+            f"pass_inversion={rep.pass_inversion}\npass_resonance={rep.pass_resonance}\n")
 
     def test_report_serialization(self, params, tmp_path):
         rep = validate_conditions(params, _manual_cluster([[0, 0, 0], [0.2, 0, 0]]))

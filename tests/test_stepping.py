@@ -11,7 +11,7 @@ from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ConfigError, SolverError, UsageError
 from bubblescreen.experiments import build_scene
-from bubblescreen.foldy import DelaySystem, scattered_field, scattered_series
+from bubblescreen.foldy import DelaySystem, scattered_series
 from bubblescreen.geometry import pairwise_distances
 
 from oracles import dense_pairs, reference_march, two_sum_near_pairs
@@ -313,6 +313,34 @@ def _small_network(n, seed, onset=False):
     return network, TimeGrid(T=steps * h, h=h, steps=steps)
 
 
+@pytest.mark.parametrize("gather_block", [4, stepping.GATHER_BLOCK], ids=["row", "default"])
+def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block):
+    # two groups whose forcing arrives 1.0 apart: while only the first group's
+    # pairs are live, the second group's rows hold zero weights only
+    monkeypatch.setattr(stepping, "GATHER_BLOCK", gather_block)
+    group = np.array([0, 0, 1, 1])
+    i, j = (a.ravel() for a in np.nonzero(~np.eye(4, dtype=bool)))
+    tau = np.where(group[i] == group[j], 0.25, 1.0)
+    network = stepping.DelayNetwork(np.full(4, 2.0), (i, j, np.full(len(i), 0.05), tau),
+                                    lambda t: np.zeros(4), onset=group.astype(float))
+    grid = TimeGrid.fit(3.0, 0.05)
+    split = stepping._stage_pairs(network, grid)
+    pad = network.march_counters(grid)["lag_max"] + 2
+    plan = stepping._StagePlan(network, grid, pad, split)
+    # every cell negative, so a zero weight times a value gives -0.0
+    cells = np.full(((pad + grid.steps + 2) * network.n, 4), -1.0)
+    stage, pair = np.divmod(np.arange(len(split[1])), len(tau))
+    mixed = 0
+    for ns in range(grid.steps):
+        live = np.zeros(2 * network.n, dtype=bool)
+        live[(stage * network.n + i[pair])[split[1] <= ns]] = True
+        total = plan.delayed_sum(ns, cells).ravel()
+        assert np.all(total[~live] == 0.0) and not np.signbit(total[~live]).any(), ns
+        assert np.all(total[live] != 0.0), ns
+        mixed += live.any() and not live.all()
+    assert mixed >= 10
+
+
 @pytest.mark.parametrize("onset, kind", [(False, None), (True, None), (False, "coarse"),
                                          (False, "boundary")],
                          ids=["False", "True", "coarse", "boundary"])
@@ -467,12 +495,12 @@ def test_blocked_field_matches_one_block(field_scene, monkeypatch):
     # one time per block, a ragged split and the default: the same sums bitwise
     for block in (1, 7 * scene.cluster.n, default):
         assert np.array_equal(series(block), one), block
-    # a scalar time gives a float; a time past the horizon is refused
-    value = scattered_field(trace, scene.cluster, scene.params, points[0], t_out[-1])
-    assert isinstance(value, float) and value == one[0, -1]
+    # one point and a scalar time give (1, 1); a time past the horizon is refused
+    value = scattered_series(trace, scene.cluster, scene.params, points[0], t_out[-1])
+    assert value.shape == (1, 1) and value[0, 0] == one[0, -1]
     with pytest.raises(UsageError):
-        scattered_field(trace, scene.cluster, scene.params, points[0],
-                        np.append(t_out, config.horizon + 1.0))
+        scattered_series(trace, scene.cluster, scene.params, points[0],
+                         np.append(t_out, config.horizon + 1.0))
 
 
 def test_blocked_field_memory(field_scene):

@@ -78,3 +78,12 @@ def test_package_imports_only_declared_dependencies():
             stray += [f"{path.name}: {name}" for name in names
                       if name.partition(".")[0] not in allowed]
     assert stray == []
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its object is gone breaks `import *`
+    import bubblescreen
+    assert [name for name in bubblescreen.__all__ if not hasattr(bubblescreen, name)] == []
+    namespace = {}
+    exec("from bubblescreen import *", namespace)
+    assert set(bubblescreen.__all__) <= set(namespace)
