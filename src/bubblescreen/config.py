@@ -1,4 +1,23 @@
-"""Experiment configuration: YAML file with nested sections plus CLI overrides."""
+"""Experiment configuration: YAML file with nested sections plus CLI overrides.
+
+``_DEFAULTS`` is the one schema: every key a config may set, each holding
+its default value.  A config is merged into it section by section (a user's
+``k`` section replaces the default whole) and the merge is checked in one
+walk over the schema, ``_checked``:
+
+* a mapping must be a mapping with no key the schema lacks;
+* ``k`` takes one of the two shapes of ``_K_FORMS``, chosen by whether it
+  sets ``constant``;
+* a list must be a non-empty list, each entry checked against the default's
+  first (so a ``regimes.cells`` entry against the first default cell);
+* a string must be a string;
+* a number must be a finite number, an integer where the default is one; a
+  bool is not a number, and a numeric string becomes its number.
+
+``ExperimentConfig.validate`` then checks the ranges and shapes a type cannot
+say (positive eps, xyz triples, a nonnegative seed, ...).  Every fault raises
+``ConfigError`` naming the key.
+"""
 
 from __future__ import annotations
 
@@ -51,16 +70,9 @@ _DEFAULTS: dict = {
 }
 
 
-# A user's ``k`` section replaces the default {constant: 0.0}; this is its
-# other form.
-_LINEAR_AXIS_KEYS = {"name", "scale", "offset", "axis"}
-_REGIME_CELL_KEYS = {"omega_factor", "coupling_factor"}
-# The shape of every value a config may set: a number where the defaults hold
-# one (an int where they hold an int), and lists of those.
-_VALUE_SHAPES: dict = {
-    **_DEFAULTS,
-    "k": {"constant": 0.0, "name": "", "scale": 0.0, "offset": 0.0, "axis": 0},
-}
+# The two shapes of the ``k`` section; a user's ``k`` replaces the default
+# whole, and its ``constant`` key picks the first shape.
+_K_FORMS = ({"constant": 0.0}, {"name": "", "scale": 0.0, "offset": 0.0, "axis": 0})
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -73,45 +85,30 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _check_keys(data: dict) -> None:
-    """ConfigError for any key the package does not read (a typo, say)."""
-    def unknown(keys, allowed, where):
-        extra = sorted(set(keys) - set(allowed))
-        if extra:
-            raise ConfigError(f"unknown config key(s) {', '.join(extra)} in {where}")
-
-    unknown(data, _DEFAULTS, "the config root")
-    for section, default in _DEFAULTS.items():
-        if isinstance(default, dict) and section != "k":
-            if not isinstance(data[section], dict):
-                raise ConfigError(f"config section {section!r} must be a mapping")
-            unknown(data[section], default, f"section {section!r}")
-    spec = data["k"]
-    if not isinstance(spec, dict):
-        raise ConfigError("config section 'k' must be a mapping")
-    unknown(spec, {"constant"} if "constant" in spec else _LINEAR_AXIS_KEYS,
-            "section 'k'")
-    for cell in data["regimes"]["cells"]:
-        if not isinstance(cell, dict):
-            raise ConfigError("regimes.cells entries must be mappings")
-        unknown(cell, _REGIME_CELL_KEYS, "a regimes cell")
-
-
-def _check_values(shape, value, where: str = ""):
-    """``value`` with every number that ``shape`` calls for checked.
-
-    A numeric string (YAML reads ``1e-3`` as one) becomes its number; a
-    non-number, nan or +-inf, or a number with a fractional part where an
-    integer is due, raises ``ConfigError`` naming the key.
-    """
+def _checked(shape, value, where: str = ""):
+    """``value`` checked against ``shape`` (a part of ``_DEFAULTS``) by the
+    rules of the module docstring, its numeric strings (YAML reads ``1e-3``
+    as one) converted; a fault raises ``ConfigError`` naming the key."""
     if isinstance(shape, dict):
-        return {key: _check_values(shape[key], val, f"{where}.{key}" if where else key)
-                if key in shape else val for key, val in value.items()}
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {where} must be a mapping, got {value!r}")
+        if where == "k":
+            shape = _K_FORMS["constant" not in value]
+        extra = sorted(map(str, set(value) - set(shape)))
+        if extra:
+            raise ConfigError(f"unknown config key(s) {', '.join(extra)} in "
+                              f"{where or 'the config root'}")
+        return {key: _checked(shape[key], val, f"{where}.{key}" if where else key)
+                for key, val in value.items()}
     if isinstance(shape, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"config value {where} must be a list, got {value!r}")
-        return [_check_values(shape[0], val, f"{where}[{i}]") for i, val in enumerate(value)]
-    if isinstance(shape, str) or (shape is None and value is None):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config value {where} must be a non-empty list, got {value!r}")
+        return [_checked(shape[0], val, f"{where}[{i}]") for i, val in enumerate(value)]
+    if isinstance(shape, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"config value {where} must be a string, got {value!r}")
+        return value
+    if shape is None and value is None:
         return value
     kind = int if isinstance(shape, int) else float
     try:
@@ -204,8 +201,7 @@ class ExperimentConfig:
 
     # -- validation --------------------------------------------------------
     def validate(self) -> None:
-        _check_keys(self.data)
-        self.data = data = _check_values(_VALUE_SHAPES, self.data)
+        self.data = data = _checked(_DEFAULTS, self.data)
         self.k_function()
         if data["surface"]["kind"] not in ("disk", "sphere"):
             raise ConfigError(f"unknown surface kind {data['surface']['kind']!r}")
@@ -217,9 +213,20 @@ class ExperimentConfig:
         bad = [e for e in [self.eps, *self.eps_list] if not e > 0]   # nan too
         if bad:
             raise ConfigError(f"eps values must be positive, got {bad}")
-        obs = self.observation_points
-        if obs.ndim != 2 or obs.shape[1] != 3:
-            raise ConfigError("observation points must be a list of xyz triples")
+        if data["seed"] < 0:
+            raise ConfigError(f"seed must be nonnegative, got {data['seed']}")
+        if not 0.0 < data["regimes"]["window_fraction"] <= 1.0:
+            raise ConfigError("regimes.window_fraction must lie in (0, 1]")
+        if any("omega_factor" not in cell for cell in data["regimes"]["cells"]):
+            raise ConfigError("every regimes.cells entry must set omega_factor")
+        if data["k"].get("axis", 2) not in (0, 1, 2):
+            raise ConfigError(f"k.axis must be 0, 1 or 2, got {data['k']['axis']}")
+        for where, points in (("source.position", [data["source"]["position"]]),
+                              ("run.observation_points", data["run"]["observation_points"]),
+                              ("regimes.transmitted_points",
+                               data["regimes"]["transmitted_points"])):
+            if any(len(p) != 3 for p in points):
+                raise ConfigError(f"config value {where} must hold xyz triples")
 
     # -- hashing -----------------------------------------------------------
     def canonical_json(self) -> str:

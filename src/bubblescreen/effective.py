@@ -64,10 +64,7 @@ def build_rule(patchwork: Patchwork, cluster: BubbleCluster) -> QuadratureRule:
     density = np.asarray(cluster.counts, dtype=int)
     if len(density) != patchwork.m:
         raise UsageError("cluster counts do not match the patchwork")
-    weights = patchwork.areas
-    if abs(weights.sum() - patchwork.surface.total_area) > 1e-10:
-        raise UsageError("rule weights do not sum to the surface area")
-    return QuadratureRule(nodes=patchwork.centers, weights=weights, density=density,
+    return QuadratureRule(nodes=patchwork.centers, weights=patchwork.areas, density=density,
                           normals=patchwork.surface.normal_at(patchwork.centers),
                           spacing=float(patchwork.d))
 

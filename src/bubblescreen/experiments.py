@@ -36,8 +36,8 @@ from .effective import (EffectiveField, EffectiveSystem, QuadratureRule,
                         build_rule, effective_grid)
 from .errors import ConfigError, UsageError
 from .foldy import assemble, scattered_series
-from .geometry import (BubbleCluster, Patchwork, build_surface,
-                       counting_scaling_check, partition, place_bubbles)
+from .geometry import (BubbleCluster, build_surface, counting_scaling_check,
+                       partition, place_bubbles)
 from .laplace_cq import cq_solve, resolvent_sweep
 from .materials import (PhysicalParams, RawMaterials, ShapeDescriptor,
                         derive_params, validate_conditions)
@@ -177,8 +177,6 @@ class Scene:
     config: ExperimentConfig
     eps: float
     d: float
-    surface: object
-    patchwork: Patchwork
     cluster: BubbleCluster
     params: PhysicalParams
     source: PointSource
@@ -188,12 +186,7 @@ class Scene:
 def build_scene(config: ExperimentConfig, eps: float | None = None) -> Scene:
     eps = config.eps if eps is None else float(eps)
     d = float(np.sqrt(eps))  # enforced regime d = sqrt(eps)
-    mats = config.data["materials"]
-    raw = RawMaterials(
-        rho_c=float(mats["rho_c"]), kappa_c=float(mats["kappa_c"]),
-        rho_b_bar=float(mats["rho_b_bar"]), kappa_b_bar=float(mats["kappa_b_bar"]),
-        eps=eps, lambda1_mag=float(mats["lambda1_mag"]),
-    )
+    raw = RawMaterials(eps=eps, **{k: float(v) for k, v in config.data["materials"].items()})
     shape = ShapeDescriptor(radius=float(config.data["bubble_shape"]["radius"]))
     params = derive_params(raw, shape)
 
@@ -217,8 +210,8 @@ def build_scene(config: ExperimentConfig, eps: float | None = None) -> Scene:
     obs_dist = surface.surface_distance(obs)
     if np.any(obs_dist < 2.0 * d):
         raise ConfigError("observation points closer than 2*d to the surface")
-    return Scene(config=config, eps=eps, d=d, surface=surface, patchwork=patchwork,
-                 cluster=cluster, params=params, source=source, rule=rule)
+    return Scene(config=config, eps=eps, d=d, cluster=cluster, params=params,
+                 source=source, rule=rule)
 
 
 def output_lattice(config: ExperimentConfig) -> np.ndarray:

@@ -16,7 +16,7 @@ boundary budget of the model (interior cells stay exactly d^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -121,37 +121,24 @@ def circle_rect_area(x1: float, x2: float, y1: float, y2: float, r: float) -> fl
 # Patchwork
 # ---------------------------------------------------------------------------
 @dataclass
-class Patch:
-    """One surface patch: center on the surface and exact area.
+class Patchwork:
+    """A partition of ``surface`` into M patches of spacing ``d``, as arrays.
 
-    ``bounds`` carries the parameter box needed for intra-patch placement:
-    disk -> (x0, y0, size); sphere collar -> (z_lo, z_hi, phi_lo, phi_hi);
-    sphere cap -> ("cap", z_pole_sign, theta_cap).
+    ``centers`` (M, 3) are points on the surface and ``areas`` (M,) the exact
+    patch areas.  ``bounds[k]`` is patch k's parameter box for placing bubbles
+    in it: disk -> (x0, y0, size); sphere collar -> (z_lo, z_hi, phi_lo,
+    phi_hi); sphere cap -> ("cap", z_pole_sign, theta_cap).
     """
 
-    center: np.ndarray
-    area: float
-    bounds: tuple
-
-
-@dataclass
-class Patchwork:
     surface: SurfaceDescriptor
     d: float
-    patches: list[Patch]
-    cell_assignments: list[tuple] = field(default_factory=list, repr=False)
+    centers: np.ndarray
+    areas: np.ndarray
+    bounds: list[tuple]
 
     @property
     def m(self) -> int:
-        return len(self.patches)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([p.center for p in self.patches])
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.array([p.area for p in self.patches])
+        return len(self.areas)
 
     def validate(self) -> None:
         areas = self.areas
@@ -172,11 +159,6 @@ class Patchwork:
             # up to ~2 cells of clipped slivers (the paper's O(d) boundary ring)
             if np.any(areas < 0.8 * self.d**2) or np.any(areas > 3.0 * self.d**2):
                 raise GeometryError("disk patch areas outside admissible band")
-        seen = set()
-        for key in (c[0] for c in self.cell_assignments):
-            if key in seen:
-                raise GeometryError(f"cell {key} assigned to two patches")
-            seen.add(key)
 
 
 # Grid anchor offsets (fractions of a cell).  Corner- or center-symmetric
@@ -216,7 +198,6 @@ def _partition_disk(surface: SurfaceDescriptor, d: float) -> Patchwork:
 
     centers = np.array([((i + 0.5) * d + ox, (j + 0.5) * d + oy) for i, j in interior])
     areas = np.full(len(interior), d * d)
-    assignments = [((i, j), k, "core") for k, (i, j) in enumerate(interior)]
     # merge boundary slivers into nearby interior patches, largest first and
     # capacity-aware so no patch collects much more than one extra cell
     cap = 2.2 * d * d
@@ -227,17 +208,8 @@ def _partition_disk(surface: SurfaceDescriptor, d: float) -> Patchwork:
         k = next((int(q) for q in by_dist[:8] if areas[q] + area <= cap),
                  int(by_dist[0]))
         areas[k] += area
-        assignments.append(((i, j), k, "merged"))
-
-    patches = [
-        Patch(
-            center=np.array([cx, cy, 0.0]),
-            area=float(a),
-            bounds=(interior[k][0] * d + ox, interior[k][1] * d + oy, d),
-        )
-        for k, ((cx, cy), a) in enumerate(zip(centers, areas))
-    ]
-    return Patchwork(surface=surface, d=d, patches=patches, cell_assignments=assignments)
+    return Patchwork(surface, d, np.column_stack([centers, np.zeros(len(areas))]), areas,
+                     [(i * d + ox, j * d + oy, d) for i, j in interior])
 
 
 def _collar_counts(ideal: np.ndarray, total: int) -> list[int]:
@@ -289,9 +261,8 @@ def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
     ) / v
     counts = _collar_counts(ideal, m - 2)
 
-    patches: list[Patch] = [
-        Patch(center=np.array([0.0, 0.0, r]), area=v, bounds=("cap", 1.0, theta_cap))
-    ]
+    centers = [np.array([0.0, 0.0, r])]
+    bounds: list[tuple] = [("cap", 1.0, theta_cap)]
     # collar boundaries recomputed from cumulative exact areas -> every patch
     # has area exactly v
     used = 1
@@ -304,17 +275,13 @@ def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
         for k in range(n_i):
             ph_a = offset + 2.0 * np.pi * k / n_i
             ph_b = offset + 2.0 * np.pi * (k + 1) / n_i
-            center = _sector_centroid(r, th_a, th_b, ph_a, ph_b)
-            patches.append(
-                Patch(center=center, area=v, bounds=(r * cos_lo, r * cos_hi, ph_a, ph_b))
-            )
+            centers.append(_sector_centroid(r, th_a, th_b, ph_a, ph_b))
+            bounds.append((r * cos_lo, r * cos_hi, ph_a, ph_b))
         used += n_i
         cos_hi = cos_lo
-    patches.append(
-        Patch(center=np.array([0.0, 0.0, -r]), area=v, bounds=("cap", -1.0, theta_cap))
-    )
-    assignments = [((k,), k, "sector") for k in range(len(patches))]
-    return Patchwork(surface=surface, d=d, patches=patches, cell_assignments=assignments)
+    centers.append(np.array([0.0, 0.0, -r]))
+    bounds.append(("cap", -1.0, theta_cap))
+    return Patchwork(surface, d, np.array(centers), np.full(len(centers), v), bounds)
 
 
 def partition(surface: SurfaceDescriptor, d: float) -> Patchwork:
@@ -366,14 +333,18 @@ class KFunction:
 
 @dataclass
 class BubbleCluster:
-    """Bubble centers grouped by patch, with packing diagnostics."""
+    """Bubble centers grouped by patch, with packing diagnostics.
 
-    centers: np.ndarray          # (n, 3)
-    patch_ids: np.ndarray        # (n,)
-    counts: np.ndarray           # (M,) = floor(K)+1 per patch
+    ``centers`` (n, 3) lie on the surface, ``patch_ids`` (n,) name each
+    bubble's patch and ``counts`` (M,) hold floor(K)+1 per patch; ``eps`` is
+    the bubble scale and ``d_min`` the least distance between two centers.
+    """
+
+    centers: np.ndarray
+    patch_ids: np.ndarray
+    counts: np.ndarray
     eps: float
     d_min: float
-    surface: SurfaceDescriptor
 
     @property
     def n(self) -> int:
@@ -405,8 +376,8 @@ def min_pairwise_distance(points: np.ndarray) -> float:
 _JITTER = 0.15  # fraction of a sub-cell; keeps the packing floor at 0.3*d/sqrt(n)
 
 
-def _subgrid_disk(patch: Patch, n: int, rng: np.random.Generator) -> np.ndarray:
-    x0, y0, size = patch.bounds
+def _subgrid_disk(bounds: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
+    x0, y0, size = bounds
     g = int(np.ceil(np.sqrt(n)))
     sub = size / g
     pts = []
@@ -418,9 +389,9 @@ def _subgrid_disk(patch: Patch, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(pts)
 
 
-def _subgrid_sphere(patch: Patch, n: int, r: float, rng: np.random.Generator) -> np.ndarray:
-    if patch.bounds[0] == "cap":
-        _, sign, theta_cap = patch.bounds
+def _subgrid_sphere(bounds: tuple, n: int, r: float, rng: np.random.Generator) -> np.ndarray:
+    if bounds[0] == "cap":
+        _, sign, theta_cap = bounds
         ring = theta_cap / 2.0
         pts = [np.array([0.0, 0.0, sign * r])]
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -429,7 +400,7 @@ def _subgrid_sphere(patch: Patch, n: int, r: float, rng: np.random.Generator) ->
             th = ring if sign > 0 else np.pi - ring
             pts.append(r * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]))
         return np.array(pts)
-    z_lo, z_hi, ph_a, ph_b = patch.bounds
+    z_lo, z_hi, ph_a, ph_b = bounds
     g = int(np.ceil(np.sqrt(n)))
     dz = (z_hi - z_lo) / g
     dph = (ph_b - ph_a) / g
@@ -462,13 +433,13 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
             f"infeasible packing: {n_max} bubbles of scale eps={eps} in patches of size {d}"
         )
     all_pts, pids = [], []
-    for pid, (patch, n_b) in enumerate(zip(patchwork.patches, counts)):
+    for pid, (bounds, n_b) in enumerate(zip(patchwork.bounds, counts)):
         if n_b == 1:
-            pts = patch.center[None, :]
+            pts = patchwork.centers[pid][None, :]
         elif patchwork.surface.kind == "disk":
-            pts = _subgrid_disk(patch, int(n_b), rng)
+            pts = _subgrid_disk(bounds, int(n_b), rng)
         else:
-            pts = _subgrid_sphere(patch, int(n_b), patchwork.surface.radius, rng)
+            pts = _subgrid_sphere(bounds, int(n_b), patchwork.surface.radius, rng)
         all_pts.append(pts)
         pids.extend([pid] * int(n_b))
     centers = np.vstack(all_pts)
@@ -481,7 +452,6 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     return BubbleCluster(
         centers=centers, patch_ids=np.array(pids, dtype=int),
         counts=counts.astype(int), eps=float(eps), d_min=d_min,
-        surface=patchwork.surface,
     )
 
 

@@ -33,14 +33,12 @@ DEFAULT_LAMBDA1_MAG = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class ShapeDescriptor:
-    """Reference bubble shape (unit-scaled).  Only spheres are supported."""
+    """Reference bubble shape: the ball of ``radius`` (the unit ball by
+    default), the one shape the closed-form constants below hold for."""
 
-    kind: str = "sphere"
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "sphere":
-            raise ParameterError(f"unsupported reference shape {self.kind!r}")
         if self.radius <= 0:
             raise ParameterError("reference shape radius must be positive")
 

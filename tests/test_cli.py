@@ -70,6 +70,42 @@ def test_config_errors_exit_two(tmp_path, raw, capsys):
     assert all(flag in err for flag in flags[1:])
 
 
+@pytest.mark.parametrize("stage, raw", [
+    ("regimes", {"regimes": {"cells": []}}),            # max() of no factors
+    ("counting", {"counting": {"d_list": []}}),         # rows[0] of no rows
+    ("regimes", {"regimes": {"transmitted_points": []}}),
+    ("foldy", {"source": {"position": [0.0, 0.0]}}),
+    ("validate", {"seed": -1}),                         # refused by default_rng
+    ("foldy", {"run": {"observation_points": [[0.0, 0.0, -0.5], [0.25, 0.15]]}}),
+    ("regimes", {"regimes": {"window_fraction": -2.0}}),    # an empty window, exit 0
+    ("regimes", {"regimes": {"window_fraction": 1.5}}),
+    ("regimes", {"regimes": {"cells": [{"coupling_factor": 2.0}, {"omega_factor": 1.0}]}}),
+    ("validate", {"k": {"name": "linear_axis", "axis": 3}}),
+    ("validate", {"output": {"dir": 5}}),
+])
+def test_config_values_that_crashed_exit_two(tmp_path, monkeypatch, stage, raw, capsys):
+    # each of these ended in a traceback (exit 1) or ran on a meaningless
+    # value; the outputs would go to output.dir under the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BUBBLESCREEN_OUT_ROOT", raising=False)
+    assert run_cli([stage, "--config", _config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert list(tmp_path.rglob("run_manifest.json")) == []
+
+
+def test_out_root_prefixes_relative_outdirs_only(tmp_path, monkeypatch):
+    root, cwd = tmp_path / "root", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("BUBBLESCREEN_OUT_ROOT", str(root))
+    path = _config(tmp_path, {"run": {"T": 2.5, "n_out": 51}})
+    assert run_cli(["validate", "--config", path, "--outdir", "rel"]) == 0
+    assert run_cli(["validate", "--config", path, "--outdir", str(tmp_path / "abs")]) == 0
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("run_manifest.json")) == [
+        "abs/run_manifest.json", "root/rel/run_manifest.json"]
+
+
 def test_malformed_config_exits_two(tmp_path, capsys):
     path = tmp_path / "config.yaml"
     path.write_text("run: {T: [1.0, 2.0\n")

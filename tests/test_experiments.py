@@ -80,6 +80,25 @@ def test_compare_errors_pinned_to_rounding(eps, tmp_path):
         assert row[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
 
+SPHERE_CONFIG = CONFIG.parent.parent / "perfbench" / "configs" / "sphere_cluster.yaml"
+# compare on the sphere config (two jittered bubbles per patch), recorded at
+# commit 6e97c05 (numpy 2.4): guards the sphere partition and placement
+SPHERE_PINS = {
+    1.0 / 128.0: {"m_bubbles": 256, "m_nodes": 128, "sup_err": 0.001705050550838666,
+                  "l2_err": 0.0025074102080242825, "u_scale": 0.10155037700553027},
+    1.0 / 256.0: {"m_bubbles": 512, "m_nodes": 256, "sup_err": 0.001281080918552377,
+                  "l2_err": 0.0018097334767894608, "u_scale": 0.10103371078134908},
+}
+
+
+@pytest.mark.parametrize("eps", sorted(SPHERE_PINS))
+def test_sphere_compare_errors_pinned_to_rounding(eps, tmp_path):
+    config = ExperimentConfig.load(SPHERE_CONFIG)
+    row = compare_at(config, eps, OutputSession(config, "compare", tmp_path))[0]
+    for key, want in SPHERE_PINS[eps].items():
+        assert row[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
 def test_validate_records_scene_timing(tmp_path):
     run_stage("validate", ExperimentConfig.from_dict(SMALL), tmp_path)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bubblescreen import (BubbleCluster, DelayNetwork, PointSource,
-                          SourcePulse, TimeGrid, assemble, build_surface,
-                          pulse_eval)
+                          SourcePulse, TimeGrid, assemble, pulse_eval)
 from bubblescreen.errors import (ConfigError, EvaluationPointError,
                                  SolvabilityError)
 from bubblescreen.foldy import scattered_series
@@ -16,8 +15,7 @@ def make_cluster(centers, eps=1.0 / 64.0):
     centers = np.asarray(centers, dtype=float)
     return BubbleCluster(centers=centers, patch_ids=np.arange(len(centers)),
                          counts=np.ones(len(centers), dtype=int), eps=eps,
-                         d_min=min_pairwise_distance(centers),
-                         surface=build_surface("disk", 1.0))
+                         d_min=min_pairwise_distance(centers))
 
 
 def make_source(params, x0=(0.0, 0.0, 1.5), omega0=None, t_rise=1.0):

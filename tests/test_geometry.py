@@ -77,9 +77,12 @@ class TestPartition:
             partition(disk, 0.25)
 
     def test_no_cell_claimed_twice(self, disk):
+        # each interior cell is one patch of at least its own d^2, and the
+        # areas add up to the disk: a cell or sliver filed twice would exceed it
         pw = partition(disk, 0.1)
-        cells = [c[0] for c in pw.cell_assignments]
-        assert len(cells) == len(set(cells))
+        assert len({b[:2] for b in pw.bounds}) == pw.m == len(pw.centers)
+        assert np.all(pw.areas >= 0.1**2)
+        assert abs(pw.areas.sum() - disk.total_area) < 1e-10
 
     def test_patch_centers_inside_disk(self, disk):
         pw = partition(disk, 0.1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bubblescreen import (BubbleCluster, ExperimentConfig, RawMaterials,
-                          ShapeDescriptor, build_surface, derive_params,
+                          ShapeDescriptor, derive_params,
                           geometric_constant, validate_conditions)
 from bubblescreen.errors import GeometryError, ParameterError
 from bubblescreen.experiments import build_scene, run_stage
@@ -109,8 +109,7 @@ def _manual_cluster(centers, counts=None, eps=1.0 / 64.0):
     d_min = min_pairwise_distance(centers)
     counts = np.ones(len(centers), dtype=int) if counts is None else np.asarray(counts)
     return BubbleCluster(centers=centers, patch_ids=np.arange(len(centers)),
-                         counts=counts, eps=eps, d_min=d_min,
-                         surface=build_surface("disk", 1.0))
+                         counts=counts, eps=eps, d_min=d_min)
 
 
 class TestValidateConditions:

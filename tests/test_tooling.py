@@ -80,6 +80,28 @@ def test_package_imports_only_declared_dependencies():
     assert stray == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # a deletion that leaves its import behind keeps a dead dependency; a name
+    # listed in __all__ is used (re-exported)
+    unused = []
+    for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_every_public_name_resolves():
     # a name left in __all__ after its object is gone breaks `import *`
     import bubblescreen
