@@ -31,7 +31,7 @@ import yaml
 
 from .errors import ConfigError
 from .geometry import KFunction
-from .stepping import TimeGrid
+from .stepping import MAX_STEPS, TimeGrid
 
 # libyaml's parser when PyYAML was built with it, several times faster
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -192,11 +192,10 @@ class ExperimentConfig:
         if "constant" in spec:
             return KFunction.constant(float(spec["constant"]))
         if spec.get("name") == "linear_axis":
-            return KFunction.linear_axis(
-                scale=float(spec.get("scale", 4.0)),
-                offset=float(spec.get("offset", 0.5)),
-                axis=int(spec.get("axis", 2)),
-            )
+            # only the keys the section sets: linear_axis holds the defaults
+            kinds = {"scale": float, "offset": float, "axis": int}
+            return KFunction.linear_axis(**{k: kinds[k](v) for k, v in spec.items()
+                                            if k in kinds})
         raise ConfigError(f"unknown K specification {spec!r}")
 
     # -- validation --------------------------------------------------------
@@ -207,8 +206,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown surface kind {data['surface']['kind']!r}")
         if data["run"]["condition_violation"] not in ("error", "warn"):
             raise ConfigError("run.condition_violation must be 'error' or 'warn'")
-        if data["run"]["n_out"] < 2:
-            raise ConfigError(f"run.n_out must be at least 2, got {data['run']['n_out']}")
+        if not 2 <= data["run"]["n_out"] <= MAX_STEPS + 1:
+            raise ConfigError(f"run.n_out must lie in [2, {MAX_STEPS + 1}], "
+                              f"got {data['run']['n_out']}")
         TimeGrid.fit(data["run"]["T"], data["run"]["h_max"])   # finite, positive, capped
         bad = [e for e in [self.eps, *self.eps_list] if not e > 0]   # nan too
         if bad:
@@ -217,10 +217,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {data['seed']}")
         if not 0.0 < data["regimes"]["window_fraction"] <= 1.0:
             raise ConfigError("regimes.window_fraction must lie in (0, 1]")
-        if any("omega_factor" not in cell for cell in data["regimes"]["cells"]):
+        cells = data["regimes"]["cells"]
+        if any("omega_factor" not in cell for cell in cells):
             raise ConfigError("every regimes.cells entry must set omega_factor")
-        if data["k"].get("axis", 2) not in (0, 1, 2):
-            raise ConfigError(f"k.axis must be 0, 1 or 2, got {data['k']['axis']}")
+        if not all(factor > 0 for cell in cells for factor in cell.values()):
+            raise ConfigError("regimes.cells omega_factor and coupling_factor must be positive")
         for where, points in (("source.position", [data["source"]["position"]]),
                               ("run.observation_points", data["run"]["observation_points"]),
                               ("regimes.transmitted_points",

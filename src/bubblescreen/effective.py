@@ -85,7 +85,6 @@ class EffectiveSystem(RetardedNetwork):
         masses = params.omega_m_sq + params.c_bar * rule.density * rule.self_terms
         super().__init__(rule.nodes, rule.weights * rule.density * params.c_bar,
                          masses, params, source, order=0)
-        self.rule = rule
 
 
 def effective_grid(rule: QuadratureRule, params: PhysicalParams, T: float,
@@ -116,5 +115,5 @@ class EffectiveField:
 
     def total(self, x, t, min_dist_factor: float = 2.0) -> np.ndarray:
         """W = u_in + W_sc, shaped as ``scattered``."""
-        return (incident_eval(self.source, np.atleast_2d(x), np.atleast_1d(t), 0)
+        return (incident_eval(self.source, np.atleast_2d(x), np.atleast_1d(t))
                 + self.scattered(x, t, min_dist_factor))

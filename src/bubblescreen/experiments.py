@@ -233,7 +233,7 @@ def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
     traces = system.solve(grid)
     fields = scattered_series(traces, scene.cluster, scene.params,
                               scene.config.observation_points, t_out)
-    return traces, fields, system.march_counters(grid)
+    return traces, fields, traces.counters
 
 
 def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
@@ -241,11 +241,10 @@ def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
     opts = _run_opts(scene.config)
     params = params or scene.params
     grid = effective_grid(scene.rule, params, scene.config.horizon, opts["h_max"])
-    system = EffectiveSystem(scene.rule, params, scene.source)
-    trace = system.solve(grid)
+    trace = EffectiveSystem(scene.rule, params, scene.source).solve(grid)
     wsc = EffectiveField(scene.rule, trace, params, scene.source).scattered(
         scene.config.observation_points, t_out)
-    return trace, wsc, system.march_counters(grid)
+    return trace, wsc, trace.counters
 
 
 # ---------------------------------------------------------------------------

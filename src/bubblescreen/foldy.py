@@ -32,7 +32,6 @@ class DelaySystem(RetardedNetwork):
         super().__init__(cluster.centers, params.c_eps,
                          np.full(cluster.n, params.omega_m_sq), params, source,
                          order=2)
-        self.cluster = cluster
 
 
 def assemble(cluster: BubbleCluster, params: PhysicalParams, source: PointSource,

@@ -320,6 +320,9 @@ class KFunction:
 
     @staticmethod
     def linear_axis(scale: float = 4.0, offset: float = 0.5, axis: int = 2) -> "KFunction":
+        if axis not in (0, 1, 2):
+            raise ConfigError(f"k.axis must be 0, 1 or 2, got {axis}")
+
         def ev(pts: np.ndarray) -> np.ndarray:
             return scale * (np.atleast_2d(pts)[:, axis] + offset)
         return KFunction(ev, label=f"linear_axis:{scale}:{offset}:{axis}")

@@ -58,11 +58,9 @@ def weighted_norm(rule: QuadratureRule, v: np.ndarray) -> float:
 
 @dataclass
 class LaplaceSolution:
-    s: complex
     values: np.ndarray
-    rhs_norm: float
     sol_norm: float
-    bound: float           # (|s| / Re s) * rhs_norm
+    bound: float           # (|s| / Re s) * weighted norm of rhs
     bound_ok: bool
     residual: float
 
@@ -87,10 +85,9 @@ def laplace_solve(rule: QuadratureRule, params: PhysicalParams, s: complex,
     res = float(np.linalg.norm(a @ y - b) / bnorm) if bnorm > 0 else 0.0
     if res > 1e-8:
         raise SolverError(f"direct solve residual {res:.2e} exceeds 1e-8 at s={s}")
-    rn = weighted_norm(rule, rhs)
     sn = weighted_norm(rule, y)
-    bound = abs(s) / s.real * rn
-    return LaplaceSolution(s=s, values=y, rhs_norm=rn, sol_norm=sn, bound=bound,
+    bound = abs(s) / s.real * weighted_norm(rule, rhs)
+    return LaplaceSolution(values=y, sol_norm=sn, bound=bound,
                            bound_ok=bool(sn <= bound * (1 + 1e-12)), residual=res)
 
 
@@ -111,8 +108,7 @@ def cq_solve(rule: QuadratureRule, params: PhysicalParams, grid: TimeGrid,
     times = grid.times
     r_src = np.linalg.norm(rule.nodes - source.x0, axis=1)
     u_in = (params.raw.rho_c / r_src)[None, :] * pulse_eval(
-        source.pulse, times[:, None] - (r_src / params.c0)[None, :], 0
-    ).reshape(len(times), rule.m)
+        source.pulse, times[:, None] - (r_src / params.c0)[None, :], 0)
 
     ll = 2 * (grid.steps + 1)
     rho = float(np.finfo(float).eps ** (1.0 / (2.0 * ll)))

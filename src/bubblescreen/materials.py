@@ -84,16 +84,13 @@ class PhysicalParams:
 
     Attributes
     ----------
-    c0, cb : background / bubble wave speeds (paper convention sqrt(rho/kappa)).
-    a_db : geometric constant of the reference shape.
+    c0 : background wave speed (paper convention sqrt(rho/kappa)).
     omega_m_sq : squared Minnaert resonance frequency.
     c_bar : coupling prefactor vol(B)*rho_c/kappa_b_bar.
     c_eps : per-bubble coupling constant c_bar * eps.
     """
 
     c0: float
-    cb: float
-    a_db: float
     omega_m_sq: float
     c_bar: float
     c_eps: float
@@ -129,15 +126,11 @@ def geometric_constant(shape: ShapeDescriptor) -> float:
 def derive_params(raw: RawMaterials, shape: ShapeDescriptor | None = None) -> PhysicalParams:
     """Derive wave speeds and resonance quantities from raw materials."""
     shape = shape or ShapeDescriptor()
-    a_db = geometric_constant(shape)
     c0 = float(np.sqrt(raw.rho_c / raw.kappa_c))
-    cb = float(np.sqrt(raw.rho_b_bar / raw.kappa_b_bar))
-    omega_m_sq = raw.rho_c * a_db / (2.0 * raw.kappa_b_bar)
+    omega_m_sq = raw.rho_c * geometric_constant(shape) / (2.0 * raw.kappa_b_bar)
     c_bar = shape.volume * raw.rho_c / raw.kappa_b_bar
-    return PhysicalParams(
-        c0=c0, cb=cb, a_db=a_db, omega_m_sq=omega_m_sq,
-        c_bar=c_bar, c_eps=c_bar * raw.eps, vol_b=shape.volume, raw=raw,
-    )
+    return PhysicalParams(c0=c0, omega_m_sq=omega_m_sq, c_bar=c_bar,
+                          c_eps=c_bar * raw.eps, vol_b=shape.volume, raw=raw)
 
 
 # ---------------------------------------------------------------------------

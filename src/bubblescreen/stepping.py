@@ -71,6 +71,10 @@ they are written at that step in the plan, and the near pairs are sorted by
 that step, so a pair contributes exactly zero before it.  Fixed-step method of
 steps with breaking-point tracking follows Bellen & Zennaro, *Numerical
 Methods for Delay Differential Equations* (2003).
+
+A network keeps nothing between marches: ``solve`` builds the split, the
+plan and the near pairs for its grid and returns, with the ``Trace``, the
+march's ``counters`` read from them, which the run manifests record.
 """
 
 from __future__ import annotations
@@ -152,18 +156,20 @@ class Trace:
 
     ``value_at``/``accel_at`` interpolate with cubic Hermite polynomials; a
     query at or before its column's ``onset`` (the time the forcing first
-    reaches that column, zero by default) returns exactly zero.
+    reaches that column) returns exactly zero.  ``counters`` describes the
+    march that made the trace, for run manifests (see ``DelayNetwork.solve``).
     """
 
     def __init__(self, times: np.ndarray, value: np.ndarray, rate: np.ndarray,
-                 acc: np.ndarray, acc_slope: np.ndarray, onset=None):
+                 acc: np.ndarray, acc_slope: np.ndarray, onset: np.ndarray,
+                 counters: dict):
         self.times = times
         self.value = value
         self.rate = rate
         self.acc = acc
         self.acc_slope = acc_slope
-        self.onset = (np.zeros(value.shape[1]) if onset is None
-                      else np.asarray(onset, dtype=float))
+        self.onset = onset
+        self.counters = counters
         self.h = float(times[1] - times[0])
         self.horizon = float(times[-1])
 
@@ -334,12 +340,6 @@ class _StagePlan:
             np.einsum("ijk,ijk->i", buf, self.weights[lo:hi], out=total[lo:hi])
         return out
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the plan's own arrays, its gather buffer included."""
-        return sum(a.nbytes for a in (self.idx, self.pairs, self.live_pairs,
-                                      self.weights, self.buf))
-
 
 class _NearPairs:
     """The new node's share of both stages' near sums on one grid.
@@ -428,7 +428,8 @@ class DelayNetwork:
     steps with one (2k, 1) column of stage times, the k half-stage times
     then the k full-stage ones, and expects (2k, n) forces or an array that
     broadcasts to them; ``accel_all`` calls it with a scalar t and expects
-    (n,).
+    (n,).  A network holds its pair list, masses, onsets and forcing only;
+    each ``solve`` builds what its march needs and keeps none of it.
     """
 
     def __init__(self, masses: np.ndarray, pairs, forcing: Callable[[np.ndarray], np.ndarray],
@@ -458,7 +459,6 @@ class DelayNetwork:
         if np.any(self.onset[self.i] > reach * (1 + 8 * np.finfo(float).eps)):
             raise ConfigError("onsets violate onset_i <= onset_j + tau_ij: a "
                               "delayed term would arrive before the forcing")
-        self._near = None, None
 
     @property
     def min_delay(self) -> float:
@@ -474,7 +474,7 @@ class DelayNetwork:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
         Any step h > 0 is allowed.  One ``_stage_pairs`` split of the pair
-        list over both stage offsets (h/2 and h) builds, once per grid, the
+        list over both stage offsets (h/2 and h) builds, once per solve, the
         2n-row history plan and the near pairs; each step takes both stages'
         sums, as (2, n), from one ``delayed_sum`` call, and the new node
         (x, x', x'') from one contraction of the RK4 map
@@ -490,18 +490,26 @@ class DelayNetwork:
         the lower half of its own and the upper half of the one before, and
         the ``Trace`` holds strided views of the lower halves over the
         unpadded rows.  The forcing is tabulated at both stage times a block
-        of steps at a time, by one ``forcing`` call per block.  The near-pair
-        system is kept for ``march_counters`` on the same grid.
+        of steps at a time, by one ``forcing`` call per block.
+
+        The returned ``Trace`` carries the march's ``counters``: its size
+        (``n``, ``pairs``, ``steps``), step margin (``h``, ``tau_min``,
+        ``h_over_tau_min``), ``lag_max``, the deepest history row a delayed
+        sum reads in steps behind n, and from the near-pair system
+        ``near_pairs`` (pairs with a delay below 2h), ``near_contraction``
+        (the bound of their fixed-point map) and ``near_sweeps`` (the sweeps
+        per step that bound calls for).
         """
         n, h, steps, times = self.n, grid.h, grid.steps, grid.times
-        pad = self._lag_max(grid) + 2
+        # the half-step query of the longest delay reads the deepest row
+        lag_max = int(-np.floor(SIGMAS[0] - self.tau.max() / h)) if len(self.tau) else 0
+        pad = lag_max + 2
         split = _stage_pairs(self, grid)
         near = _NearPairs(self, grid, split)
         if near.contraction >= 1.0:
             raise SolverError(
                 f"near pairs at step h={h} do not contract (bound "
                 f"{near.contraction:.3g} >= 1): lower h_max")
-        self._near = grid, near
         plan = _StagePlan(self, grid, pad, split)
         del split   # 32 B per pair that the march no longer reads
         Y = np.zeros((steps + 1, n))
@@ -550,33 +558,11 @@ class DelayNetwork:
             # far queries reach it only after that
             S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
             X, X_next = X_next, X
-        return Trace(times, Y, V, A, S, self.onset)
-
-    def _lag_max(self, grid: TimeGrid) -> int:
-        """Deepest history row, in steps behind n, that a delayed sum at
-        t_n + h/2 or t_{n+1} reads: the half-step query of the longest delay."""
-        return int(-np.floor(SIGMAS[0] - self.tau.max() / grid.h)) if len(self.tau) else 0
-
-    def march_counters(self, grid: TimeGrid) -> dict:
-        """Size, step margin and history window of a march on ``grid``, for
-        run manifests.  ``lag_max`` is the deepest history row, in steps, that
-        a delayed sum reads; ``near_pairs`` counts the pairs solved with the
-        new node (delay below 2h), ``near_contraction`` bounds their
-        fixed-point map (the march needs it below 1) and ``near_sweeps`` is
-        the number of sweeps per step that bound calls for.  After a march
-        on ``grid``, these are the counters it computed."""
-        marched, near = self._near
-        if marched != grid:
-            # the near pairs lie within 2h: split those alone, not every pair
-            sel = self.tau < 2.5 * grid.h
-            close = DelayNetwork(self.masses, (self.i[sel], self.j[sel], self.c[sel],
-                                               self.tau[sel]), self.forcing, self.onset)
-            near = _NearPairs(close, grid, _stage_pairs(close, grid))
-        return {"n": self.n, "pairs": len(self.tau), "steps": grid.steps,
-                "h": grid.h, "tau_min": self.min_delay,
-                "h_over_tau_min": grid.h / self.min_delay,
-                "lag_max": self._lag_max(grid), "near_pairs": near.pairs,
-                "near_contraction": near.contraction, "near_sweeps": near.sweeps}
+        counters = {"n": n, "pairs": len(self.tau), "steps": steps, "h": h,
+                    "tau_min": self.min_delay, "h_over_tau_min": h / self.min_delay,
+                    "lag_max": lag_max, "near_pairs": near.pairs,
+                    "near_contraction": near.contraction, "near_sweeps": near.sweeps}
+        return Trace(times, Y, V, A, S, self.onset, counters)
 
 
 class RetardedNetwork(DelayNetwork):
@@ -609,8 +595,6 @@ class RetardedNetwork(DelayNetwork):
             return amp * pulse_eval(pulse, t - shift, order)
 
         super().__init__(masses, pairs, forcing, shift)
-        self.params = params
-        self.source = source
 
 
 def retarded_superposition(eval_fn, anchors: np.ndarray, coeffs: np.ndarray,

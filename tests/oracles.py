@@ -166,7 +166,7 @@ def reference_march(network, grid):
     n, h, steps = network.n, grid.h, grid.steps
     times = grid.times
     Y, V, A, S = (np.zeros((steps + 1, n)) for _ in range(4))
-    trace = Trace(times, Y, V, A, S, network.onset)
+    trace = Trace(times, Y, V, A, S, network.onset, {})
     A[0] = network.accel_all(0.0, Y[0], trace)
     for ns in range(steps):
         t = times[ns]

@@ -58,6 +58,7 @@ def test_unusable_outdir_exits_two(tmp_path, capsys):
     {"surface": {"area": float("nan")}},
     {"run": {"n_out": 12.5}},   # an integer key: not truncated to 12
     {"seed": 3.7},
+    {"run": {"n_out": 100000000}},  # more output times than a march may take steps
 ])
 def test_config_errors_exit_two(tmp_path, raw, capsys):
     # a dict is the config file; a list is flags given with the default config
@@ -82,6 +83,10 @@ def test_config_errors_exit_two(tmp_path, raw, capsys):
     ("regimes", {"regimes": {"cells": [{"coupling_factor": 2.0}, {"omega_factor": 1.0}]}}),
     ("validate", {"k": {"name": "linear_axis", "axis": 3}}),
     ("validate", {"output": {"dir": 5}}),
+    ("regimes", {"regimes": {"cells": [{"omega_factor": 0.0}, {"omega_factor": 1.0}]}}),
+    ("regimes", {"regimes": {"cells": [{"omega_factor": -1.0}, {"omega_factor": 1.0}]}}),
+    ("regimes", {"regimes": {"cells": [{"omega_factor": 1.0},     # after a cell marched
+                                       {"omega_factor": 100.0, "coupling_factor": 0.0}]}}),
 ])
 def test_config_values_that_crashed_exit_two(tmp_path, monkeypatch, stage, raw, capsys):
     # each of these ended in a traceback (exit 1) or ran on a meaningless

@@ -66,9 +66,9 @@ class TestDeriveParams:
         raw = RawMaterials(rho_c=1.7, kappa_c=2.2, rho_b_bar=0.8,
                            kappa_b_bar=1.9, eps=0.02)
         p = derive_params(raw)
-        assert p.omega_m_sq == raw.rho_c * p.a_db / (2.0 * raw.kappa_b_bar)
+        a_db = geometric_constant(ShapeDescriptor())
+        assert p.omega_m_sq == raw.rho_c * a_db / (2.0 * raw.kappa_b_bar)
         assert p.c_eps == p.c_bar * raw.eps
-        assert p.cb == pytest.approx(np.sqrt(raw.rho_b_bar / raw.kappa_b_bar))
 
     def test_monotone_in_kappa_linear_in_rho(self):
         kappas = [0.5, 1.0, 2.0, 4.0]
@@ -94,10 +94,10 @@ class TestDeriveParams:
     def test_scaled_copies_change_only_their_quantities(self):
         p = derive_params(RawMaterials(rho_c=1.7, kappa_b_bar=1.9, eps=0.02))
         assert p.with_scaled_resonance(3.0) == PhysicalParams(
-            c0=p.c0, cb=p.cb, a_db=p.a_db, omega_m_sq=p.omega_m_sq * 9.0,
+            c0=p.c0, omega_m_sq=p.omega_m_sq * 9.0,
             c_bar=p.c_bar, c_eps=p.c_eps, vol_b=p.vol_b, raw=p.raw)
         assert p.with_scaled_coupling(0.5) == PhysicalParams(
-            c0=p.c0, cb=p.cb, a_db=p.a_db, omega_m_sq=p.omega_m_sq,
+            c0=p.c0, omega_m_sq=p.omega_m_sq,
             c_bar=p.c_bar * 0.5, c_eps=p.c_eps * 0.5, vol_b=p.vol_b, raw=p.raw)
         for scale in (p.with_scaled_resonance, p.with_scaled_coupling):
             with pytest.raises(ParameterError):

@@ -10,17 +10,17 @@ PULSE = SourcePulse(omega0=0.75, t_rise=1.0, amplitude=1.3)
 
 
 class TestPulse:
-    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [0, 2])
     def test_causal_before_zero(self, order):
         t = np.array([-2.0, -0.1, 0.0])
         assert np.all(pulse_eval(PULSE, t, order) == 0.0)
 
     def test_ramp_done_region_is_pure_sinusoid(self):
-        t = 2.0 * PULSE.t_rise
-        expected = PULSE.amplitude * PULSE.omega0 * np.cos(PULSE.omega0 * t)
-        assert pulse_eval(PULSE, t, 1) == pytest.approx(expected, rel=1e-13)
+        t = np.array([2.0 * PULSE.t_rise])
+        expected = -PULSE.amplitude * PULSE.omega0**2 * np.sin(PULSE.omega0 * t)
+        assert pulse_eval(PULSE, t, 2) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("order", [2])
     def test_derivatives_match_finite_differences(self, order):
         t = np.linspace(0.12 * PULSE.t_rise, 2.5 * PULSE.t_rise, 211)
         fd = fd_derivative(lambda x: pulse_eval(PULSE, x, 0), t, order, h=1e-4)
@@ -28,29 +28,19 @@ class TestPulse:
         scale = np.abs(fd).max()
         assert np.abs(an - fd).max() < 1e-6 * scale
 
-    def test_third_derivative_matches_finite_differences(self):
-        fun = lambda x: pulse_eval(PULSE, x, 0)
-        # mid-ramp: Richardson-extrapolated stencil (plain FD is noise-limited
-        # by the ramp's large fifth derivative)
-        t = np.linspace(0.2 * PULSE.t_rise, 0.8 * PULSE.t_rise, 173)
-        h = 2e-3
-        rich = (4 * fd_derivative(fun, t, 3, h / 2) - fd_derivative(fun, t, 3, h)) / 3
-        an = pulse_eval(PULSE, t, 3)
-        assert np.abs(an - rich).max() < 1e-6 * np.abs(rich).max()
-        # sinusoid tail: plain stencil suffices
-        t = np.linspace(1.05 * PULSE.t_rise, 3.0 * PULSE.t_rise, 173)
-        fd = fd_derivative(fun, t, 3, h)
-        an = pulse_eval(PULSE, t, 3)
-        assert np.abs(an - fd).max() < 1e-6 * np.abs(fd).max()
-
     def test_bad_order_rejected(self):
-        with pytest.raises(UsageError):
-            pulse_eval(PULSE, 1.0, 4)
+        for order in (1, 3, 4):
+            with pytest.raises(UsageError):
+                pulse_eval(PULSE, np.array([1.0]), order)
 
 
 class TestIncident:
     def setup_method(self):
         self.src = PointSource(np.array([0.0, 0.0, 2.0]), PULSE, rho_c=1.2, c0=1.0)
+
+    def at(self, x, t):
+        """u_in at one point (3,) and one time."""
+        return incident_eval(self.src, np.asarray(x)[None, :], np.array([t]))[0, 0]
 
     def test_causality_randomized(self):
         rng = np.random.default_rng(42)
@@ -58,40 +48,33 @@ class TestIncident:
             x = rng.uniform(-1, 1, 3)
             r = np.linalg.norm(x - self.src.x0)
             t = rng.uniform(0.0, r)  # strictly before arrival
-            assert incident_eval(self.src, x, t, 0) == 0.0
+            assert self.at(x, t) == 0.0
 
     def test_inverse_distance_decay(self):
         x1 = np.array([0.0, 0.0, 1.0])   # r = 1
         x2 = np.array([0.0, 0.0, 0.0])   # r = 2
         t0 = 1.7
-        v1 = incident_eval(self.src, x1, 1.0 + t0, 0)
-        v2 = incident_eval(self.src, x2, 2.0 + t0, 0)
+        v1 = self.at(x1, 1.0 + t0)
+        v2 = self.at(x2, 2.0 + t0)
         assert v2 == pytest.approx(0.5 * v1, rel=1e-13)
 
-    def test_second_time_derivative_vs_fd(self):
-        x = np.array([0.4, -0.2, 0.3])
-        t = np.linspace(2.5, 5.0, 101)
-        an = incident_eval(self.src, x, t, 2)
-        fd = fd_derivative(lambda s: incident_eval(self.src, x, s, 0), t, 2, h=1e-4)
-        assert np.abs(an - fd).max() < 1e-5 * np.abs(fd).max()
-
     def test_free_wave_equation(self):
-        field = lambda x, t: incident_eval(self.src, x, t, 0)
-        scale = abs(incident_eval(self.src, np.array([0.0, 0.0, 0.5]), 3.1, 2))
+        # |d2/dt2 u_in| at the first point: rho_c lambda''(t - r/c0) / r, r = 1.5
+        scale = abs(self.src.rho_c * pulse_eval(PULSE, np.array([3.1 - 1.5]), 2)[0] / 1.5)
         for x, t in [(np.array([0.0, 0.0, 0.5]), 3.1),
                      (np.array([0.3, 0.1, 0.2]), 4.0),
                      (np.array([-0.2, 0.4, -0.1]), 4.6)]:
-            res = wave_residual(field, x, t, c0=1.0)
+            res = wave_residual(self.at, x, t, c0=1.0)
             assert abs(res) < 1e-3 * scale
 
     def test_source_point_rejected(self):
         with pytest.raises(EvaluationPointError):
-            incident_eval(self.src, self.src.x0, 1.0, 0)
+            incident_eval(self.src, self.src.x0[None, :], np.array([1.0]))
 
     def test_vectorized_shapes(self):
         xs = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
         ts = np.linspace(0, 5, 7)
-        out = incident_eval(self.src, xs, ts, 0)
+        out = incident_eval(self.src, xs, ts)
         assert out.shape == (2, 7)
-        single = incident_eval(self.src, xs[1], ts, 0)
-        assert np.array_equal(single, out[1])
+        single = incident_eval(self.src, xs[1:], ts)
+        assert np.array_equal(single, out[1:])

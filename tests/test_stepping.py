@@ -40,9 +40,9 @@ def _networks(params, disk, disk_scene):
 @pytest.mark.parametrize("kind", ["screen", "foldy", "jittered", "coarse"])
 def test_plan_matches_reference_march(params, disk, disk_scene, kind):
     network, grid = _networks(params, disk, disk_scene)[kind]
-    near = network.march_counters(grid)["near_pairs"]
-    assert (near > 0) == (kind in ("jittered", "coarse"))
     trace = network.solve(grid)
+    near = trace.counters["near_pairs"]
+    assert (near > 0) == (kind in ("jittered", "coarse"))
     ref = reference_march(network, grid)
     for name in FIELDS:
         got, want = getattr(trace, name), getattr(ref, name)
@@ -63,7 +63,7 @@ def test_near_pair_march_converges_at_fourth_order():
     network = DelaySystem(scene.cluster, scene.params, scene.source)
     T = 4.0
     t_out = np.linspace(0.0, T, 241)
-    near = [network.march_counters(TimeGrid.fit(T, h))["near_pairs"] for h in (0.05, 0.025)]
+    near = [network.solve(TimeGrid.fit(T, h)).counters["near_pairs"] for h in (0.05, 0.025)]
     assert near[0] > 0 and near[1] == 0
 
     def probes(h):
@@ -81,7 +81,7 @@ def test_near_pair_march_converges_at_fourth_order():
 def test_march_counters(params, disk_scene):
     network = DelaySystem(disk_scene["cluster"], params, disk_scene["source"])
     grid = TimeGrid.fit(2.0, 0.05)
-    counters = network.march_counters(grid)
+    counters = network.solve(grid).counters
     n = disk_scene["cluster"].n
     tau_min, tau_max = network.min_delay, network.tau.max()
     lag_max = counters.pop("lag_max")
@@ -96,7 +96,7 @@ def test_march_counters(params, disk_scene):
     # a step above tau_min: every pair closer than 2h is near, and the sweeps
     # shrink the fixed-point error below rounding at the contraction bound
     coarse = TimeGrid.fit(2.0, 1.2 * tau_min)
-    counters = network.march_counters(coarse)
+    counters = network.solve(coarse).counters
     assert counters["near_pairs"] == np.count_nonzero(network.tau < 2 * coarse.h) > 0
     q, sweeps = counters["near_contraction"], counters["near_sweeps"]
     assert 0.0 < q < 1.0
@@ -106,22 +106,21 @@ def test_march_counters(params, disk_scene):
 def test_march_counters_reuse_the_march(monkeypatch):
     network, grid = _small_network(9, seed=3)
     coarse = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
-    fresh = network.march_counters(coarse)
-    assert fresh["near_pairs"] > 0
-    network.solve(coarse)
     built = []
     near_pairs = stepping._NearPairs
 
     def counted(*args):
-        built.append(args)
-        return near_pairs(*args)
+        built.append(near_pairs(*args))
+        return built[-1]
 
     monkeypatch.setattr(stepping, "_NearPairs", counted)
-    # the march's near-pair system, not a second build, and the same values
-    assert network.march_counters(coarse) == fresh and built == []
-    # another grid builds its own
-    network.march_counters(grid)
-    assert len(built) == 1
+    counters = network.solve(coarse).counters
+    # the march's near-pair system, built once, and the network keeps none
+    near, = built
+    assert counters["near_pairs"] == near.pairs > 0
+    assert (counters["near_contraction"], counters["near_sweeps"]) == (near.contraction,
+                                                                       near.sweeps)
+    assert not any(isinstance(v, near_pairs) for v in vars(network).values())
 
 
 def test_non_contracting_near_pairs_rejected():
@@ -130,7 +129,8 @@ def test_non_contracting_near_pairs_rejected():
     pairs = dense_pairs([[0.0, 2.0], [2.0, 0.0]], [[0.0, 0.1], [0.1, 0.0]])
     network = stepping.DelayNetwork(np.ones(2), pairs, lambda t: np.exp(-t) * t ** 4)
     grid = TimeGrid.fit(2.0, 0.2)
-    assert network.march_counters(grid)["near_contraction"] >= 1.0
+    near = stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid))
+    assert near.contraction >= 1.0
     with pytest.raises(SolverError, match="lower h_max"):
         network.solve(grid)
 
@@ -190,6 +190,8 @@ def test_near_march_steps_once_per_step(monkeypatch):
     # step's map, and the near share is solved once per live step
     network, grid = _small_network(9, seed=3)
     grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+    live = np.flatnonzero(
+        stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid)).live)
     staged, shares = [], []
     rk4 = stepping._rk4
 
@@ -205,7 +207,6 @@ def test_near_march_steps_once_per_step(monkeypatch):
     monkeypatch.setattr(stepping, "_rk4", counted_rk4)
     monkeypatch.setattr(stepping, "_NearPairs", CountedNear)
     network.solve(grid)
-    live = np.flatnonzero(network._near[1].live)
     assert len(live) > grid.steps // 2
     assert len(staged) == 1 and shares == live.tolist()
 
@@ -325,7 +326,7 @@ def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block)
                                     lambda t: np.zeros(4), onset=group.astype(float))
     grid = TimeGrid.fit(3.0, 0.05)
     split = stepping._stage_pairs(network, grid)
-    pad = network.march_counters(grid)["lag_max"] + 2
+    pad = network.solve(grid).counters["lag_max"] + 2
     plan = stepping._StagePlan(network, grid, pad, split)
     # every cell negative, so a zero weight times a value gives -0.0
     cells = np.full(((pad + grid.steps + 2) * network.n, 4), -1.0)
@@ -366,8 +367,8 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
     assert len(network.c) < 9 * 8 and np.all(network.c != 0.0)
     # pairs not yet live gather rows before the first node from the zero
     # padding: lag_max rows deep in the first steps
-    assert network.march_counters(grid)["lag_max"] > 2
     trace = network.solve(grid)
+    assert trace.counters["lag_max"] > 2
     ref = reference_march(network, grid)
     for name in FIELDS:
         got, want = getattr(trace, name), getattr(ref, name)
@@ -384,8 +385,9 @@ def test_history_cells_hold_consecutive_rows(coarse):
     if coarse:
         # near pairs live: the slopes are written twice per step
         grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
-        assert network.march_counters(grid)["near_pairs"] > 0
     trace = network.solve(grid)
+    if coarse:
+        assert trace.counters["near_pairs"] > 0
     cells = trace.acc.base
     assert cells.shape == (len(cells), network.n, 4)
     assert np.shares_memory(trace.acc, cells) and np.shares_memory(trace.acc_slope, cells)
@@ -394,7 +396,7 @@ def test_history_cells_hold_consecutive_rows(coarse):
     bits = cells.view(np.int64)
     assert np.array_equal(bits[:-1, :, 2:], bits[1:, :, :2])
     assert not bits[-1].any()
-    pad = network.march_counters(grid)["lag_max"] + 2
+    pad = trace.counters["lag_max"] + 2
     assert not bits[:pad, :, :2].any()
     assert np.array_equal(bits[pad:-1, :, 0], trace.acc.view(np.int64))
     assert np.array_equal(bits[pad:-1, :, 1], trace.acc_slope.view(np.int64))
@@ -411,6 +413,8 @@ def test_solve_is_bitwise_repeatable():
         want = getattr(first, name)
         assert np.array_equal(getattr(second, name), want), name
         assert np.array_equal(getattr(third, name), want), name
+    # the other network's march in between leaves no trace in the counters
+    assert second.counters == first.counters == third.counters
 
 
 def test_plan_memory_within_old_budget():
@@ -421,11 +425,13 @@ def test_plan_memory_within_old_budget():
     scene = build_scene(config, 1.0 / 256.0)
     network = DelaySystem(scene.cluster, scene.params, scene.source)
     grid = TimeGrid.fit(config.horizon, 0.05)
-    pad = network.march_counters(grid)["lag_max"] + 2
-    plan = stepping._StagePlan(network, grid, pad, stepping._stage_pairs(network, grid))
-    pairs = network.march_counters(grid)["pairs"]
+    counters = network.solve(grid).counters
+    plan = stepping._StagePlan(network, grid, counters["lag_max"] + 2,
+                               stepping._stage_pairs(network, grid))
+    nbytes = sum(a.nbytes for a in (plan.idx, plan.pairs, plan.live_pairs,
+                                    plan.weights, plan.buf))
     assert network.n > 200
-    assert plan.nbytes <= 2 * 48 * pairs + 8 * network.n ** 2
+    assert nbytes <= 2 * 48 * counters["pairs"] + 8 * network.n ** 2
 
 
 def test_network_holds_only_its_pair_list():

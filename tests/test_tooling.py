@@ -1,6 +1,8 @@
 import ast
 import importlib
 import importlib.util
+import keyword
+import re
 import sys
 from pathlib import Path
 
@@ -109,3 +111,34 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from bubblescreen import *", namespace)
     assert set(bubblescreen.__all__) <= set(namespace)
+
+
+def test_double_backtick_names_exist():
+    # a docstring or comment that names ``a_name`` or ``module.a_name`` must
+    # name something the package has: a module, a keyword, an identifier its
+    # code defines or uses, or one of its word-like string literals (config
+    # and counter keys); a name left behind by a deletion fails
+    package = ROOT / "src" / "bubblescreen"
+    known = set(keyword.kwlist) | {"bubblescreen"}
+    texts = []
+    for path in sorted(package.rglob("*.py")):
+        known.add(path.stem)
+        texts.append((path.name, path.read_text()))
+        for node in ast.walk(ast.parse(texts[-1][1], filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, ast.arg):
+                known.add(node.arg)
+            elif isinstance(node, ast.Name):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+            elif isinstance(node, ast.alias):
+                known.update((node.asname or node.name).split("."))
+                known.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                known.update(re.findall(r"^\w+$", node.value))
+    stale = [f"{name}: ``{ref}``" for name, text in texts
+             for ref in re.findall(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``", text)
+             if not set(ref.split(".")) <= known]
+    assert stale == []
