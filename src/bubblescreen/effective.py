@@ -115,5 +115,5 @@ class EffectiveField:
 
     def total(self, x, t, min_dist_factor: float = 2.0) -> np.ndarray:
         """W = u_in + W_sc, shaped as ``scattered``."""
-        return (incident_eval(self.source, np.atleast_2d(x), np.atleast_1d(t))
-                + self.scattered(x, t, min_dist_factor))
+        u_in = incident_eval(self.source, np.atleast_2d(x), np.reshape(t, (-1, 1)))
+        return u_in.T + self.scattered(x, t, min_dist_factor)

@@ -226,25 +226,26 @@ def _run_opts(config: ExperimentConfig) -> dict:
 
 
 def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
-    """Bubble traces, probe fields and the march counters of the Foldy model."""
+    """Bubble traces and probe fields of the Foldy model."""
     opts = _run_opts(scene.config)
     system = assemble(scene.cluster, scene.params, scene.source, strict=opts["strict"])
     grid = TimeGrid.fit(scene.config.horizon, opts["h_max"])
     traces = system.solve(grid)
     fields = scattered_series(traces, scene.cluster, scene.params,
                               scene.config.observation_points, t_out)
-    return traces, fields, traces.counters
+    return traces, fields
 
 
 def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
                            params: PhysicalParams | None = None):
+    """The screen's field, whose ``trace`` is the marched one, and its
+    scattered part at the probes."""
     opts = _run_opts(scene.config)
     params = params or scene.params
     grid = effective_grid(scene.rule, params, scene.config.horizon, opts["h_max"])
     trace = EffectiveSystem(scene.rule, params, scene.source).solve(grid)
-    wsc = EffectiveField(scene.rule, trace, params, scene.source).scattered(
-        scene.config.observation_points, t_out)
-    return trace, wsc, trace.counters
+    field = EffectiveField(scene.rule, trace, params, scene.source)
+    return field, field.scattered(scene.config.observation_points, t_out)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,8 @@ def run_foldy(config: ExperimentConfig, session: OutputSession) -> None:
         scene = build_scene(config)
     t_out = output_lattice(config)
     with session.timed("solve"):
-        traces, fields, session.march["foldy"] = _solve_foldy_scene(scene, t_out)
+        traces, fields = _solve_foldy_scene(scene, t_out)
+    session.march["foldy"] = traces.counters
     session.write_csv("foldy_traces.csv",
                       ["time", "bubble_id", "y", "y_rate", "y_acc"],
                       _long_columns(traces.times, traces.value.T, traces.rate.T,
@@ -283,7 +285,9 @@ def run_effective(config: ExperimentConfig, session: OutputSession) -> None:
         scene = build_scene(config)
     t_out = output_lattice(config)
     with session.timed("solve"):
-        trace, wsc, session.march["effective"] = _solve_effective_scene(scene, t_out)
+        field, wsc = _solve_effective_scene(scene, t_out)
+    trace = field.trace
+    session.march["effective"] = trace.counters
     session.write_csv("effective_traces.csv",
                       ["time", "node_id", "u", "u_rate", "y"],
                       _long_columns(trace.times, trace.value.T, trace.rate.T,
@@ -307,8 +311,9 @@ def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
     with session.timed("solve"):
         grid = effective_grid(scene.rule, scene.params, config.horizon,
                               _run_opts(config)["h_max"])
-        y = cq_solve(scene.rule, scene.params, grid, scene.source)
-        diag = resolvent_sweep(scene.rule, scene.params, s_vals, rhs)
+        network = EffectiveSystem(scene.rule, scene.params, scene.source)
+        y = cq_solve(network, scene.rule.weights, grid)
+        diag = resolvent_sweep(network, scene.rule.weights, s_vals, rhs)
     session.write_csv("cq_traces.csv", ["time", "node_id", "y"],
                       _long_columns(grid.times, y.T))
     session.write_csv("resolvent_diag.csv", list(diag[0]), _dict_columns(diag, diag[0]))
@@ -327,15 +332,15 @@ def compare_at(config: ExperimentConfig, eps: float, session: OutputSession):
         scene = build_scene(config, eps)
     t_out = output_lattice(config)
     with session.timed("foldy"):
-        _, u_sc, foldy_march = _solve_foldy_scene(scene, t_out)
+        traces, u_sc = _solve_foldy_scene(scene, t_out)
     with session.timed("effective"):
-        _, w_sc, effective_march = _solve_effective_scene(scene, t_out)
+        field, w_sc = _solve_effective_scene(scene, t_out)
     diff = u_sc - w_sc
     row = {"eps": scene.eps, "d": scene.d, "m_bubbles": scene.cluster.n,
            "m_nodes": scene.rule.m, "sup_err": float(np.max(np.abs(diff))),
            "l2_err": float(np.sqrt((diff**2).sum() * (t_out[1] - t_out[0]))),
            "u_scale": float(np.max(np.abs(u_sc)))}
-    return row, {"foldy": foldy_march, "effective": effective_march}, u_sc, w_sc
+    return row, {"foldy": traces.counters, "effective": field.trace.counters}, u_sc, w_sc
 
 
 def run_compare(config: ExperimentConfig, session: OutputSession) -> None:
@@ -387,9 +392,8 @@ def run_regimes(config: ExperimentConfig, session: OutputSession) -> None:
         fcp = float(cell.get("coupling_factor", 1.0))
         params = scene.params.with_scaled_resonance(fom).with_scaled_coupling(fcp)
         with session.timed("solve"):
-            trace, wsc, _ = _solve_effective_scene(scene, t_out, params=params)
-            w_total = EffectiveField(scene.rule, trace, params, scene.source).total(
-                trans_pts, t_out)
+            field, wsc = _solve_effective_scene(scene, t_out, params=params)
+            w_total = field.total(trans_pts, t_out)
         proxy = float(np.sqrt((w_total[:, window] ** 2).sum() * dt))
         rows.append({
             "omega_factor": fom, "coupling_factor": fcp,

@@ -1,23 +1,32 @@
-"""Frequency-domain solver and convolution-quadrature cross-validator.
+"""Laplace-domain solver and convolution-quadrature cross-validator for any
+delay network.
 
-The screen equation for Y transforms, under the causal Laplace transform with
-variable s (Re s = sigma > 0, the operational-calculus half-plane), into
+A ``DelayNetwork`` m_i x_i'' + x_i + sum_j c_ij x_j''(t - tau_ij) = f_i(t),
+with zero initial data, transforms under the causal Laplace transform with
+variable s (Re s = sigma > 0, the operational-calculus half-plane) into
 
-    (hbar s^2 + 1) Yhat + s^2 Shat_s[Yhat] = s^2 uhat_in   on Gamma,
+    A(s) Yhat = s^2 fhat,   A(s) = diag(m s^2 + 1) + s^2 C(s),
+    C_ij(s) = c_ij exp(-s tau_ij),
 
-where hbar = omega_m_sq and Shat_s is the single-layer potential with kernel
-density(y) * c_bar * exp(-s|x-y|) / (4 pi |x-y|).  The collocated matrix uses
-the same equal-area-disk diagonal r/2 (with unit phase) as the time-domain
-solver, which is what makes the two discretizations comparable.
+for the accelerations Y = x'', with C scattered from the network's pair list.
+For the collocated screen (``EffectiveSystem``) this is the transformed screen
+equation (hbar s^2 + 1) Yhat + s^2 Shat_s[Yhat] = s^2 uhat_in: the network's
+masses hold the equal-area-disk self terms, its couplings the column weights
+over 4 pi r and its delays r/c0.  The cross-check therefore solves the very
+network the RK4 march steps, and the two can differ only in how they step in
+time.
 
 The time-domain solution is reconstructed by Lubich convolution quadrature
 with the BDF2 generating function gamma(z) = (1-z) + (1-z)^2/2: the solution
 operator is sampled at the scaled unit circle s_l = gamma(rho e^{-2 pi i l/L})/h
-and combined through a scaled FFT.
+and combined through a scaled FFT of the network's ``forcing`` at the grid's
+nodes.
 
 Solvability in the half-plane comes with the resolvent estimate
-||Yhat|| <= (|s|/sigma) ||uhat_in|| in the quadrature-weighted surface norm;
-``laplace_solve`` reports the bound margin on every solve.
+||Yhat|| <= (|s|/sigma) ||fhat|| in a quadrature-weighted norm, which the
+screen satisfies.  The ``weights`` of that norm (the screen's patch areas) are
+the only input beyond the network; ``laplace_solve`` reports the bound margin
+on every solve.
 """
 
 from __future__ import annotations
@@ -27,33 +36,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError, UsageError
-from .effective import QuadratureRule
-from .geometry import pairwise_distances
-from .materials import PhysicalParams
-from .sources import PointSource, pulse_eval
-from .stepping import TimeGrid
+from .stepping import DelayNetwork, TimeGrid
 
 
-def assemble_operator(rule: QuadratureRule, params: PhysicalParams,
-                      s: complex) -> np.ndarray:
-    """(hbar s^2 + 1) I + s^2 Shat_s over the quadrature nodes."""
+def assemble_operator(network: DelayNetwork, s: complex) -> np.ndarray:
+    """A(s) = diag(m s^2 + 1) + s^2 C(s), C_ij = c_ij exp(-s tau_ij) on the
+    network's pairs and zero elsewhere."""
     if s.real <= 0:
         raise ParameterError("Laplace frequency must have positive real part")
-    m = rule.m
-    dist = pairwise_distances(rule.nodes)
-    np.fill_diagonal(dist, 1.0)
-    colfac = rule.weights * rule.density * params.c_bar
-    smat = colfac[None, :] * np.exp(-s * dist / params.c0) / (4.0 * np.pi * dist)
-    np.fill_diagonal(smat, rule.density * params.c_bar * rule.self_terms)
-    a = (params.omega_m_sq * s * s + 1.0) * np.eye(m) + s * s * smat
+    n, s2 = network.n, s * s
+    a = np.zeros((n, n), dtype=complex)
+    a[network.i, network.j] = s2 * network.c * np.exp(-s * network.tau)
+    a.flat[::n + 1] = network.masses * s2 + 1.0
     if not np.all(np.isfinite(a)):
         raise SolverError("non-finite operator entries")
     return a
 
 
-def weighted_norm(rule: QuadratureRule, v: np.ndarray) -> float:
-    """Discrete L2(Gamma) norm with quadrature weights."""
-    return float(np.sqrt((rule.weights * np.abs(v) ** 2).sum()))
+def weighted_norm(weights: np.ndarray, v: np.ndarray) -> float:
+    """Discrete L2 norm with quadrature weights."""
+    return float(np.sqrt((weights * np.abs(v) ** 2).sum()))
 
 
 @dataclass
@@ -65,17 +67,17 @@ class LaplaceSolution:
     residual: float
 
 
-def laplace_solve(rule: QuadratureRule, params: PhysicalParams, s: complex,
+def laplace_solve(network: DelayNetwork, weights: np.ndarray, s: complex,
                   rhs: np.ndarray) -> LaplaceSolution:
-    """Solve the transformed screen equation at frequency s.
+    """Solve A(s) Yhat = s^2 rhs at frequency s.
 
-    ``rhs`` holds the per-node transform of the incident trace; the s^2 factor
+    ``rhs`` holds the per-oscillator transform of the forcing; the s^2 factor
     on the right side is applied internally.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    if rhs.shape != (rule.m,):
-        raise UsageError("rhs must have one entry per quadrature node")
-    a = assemble_operator(rule, params, s)
+    if rhs.shape != (network.n,):
+        raise UsageError("rhs must have one entry per oscillator")
+    a = assemble_operator(network, s)
     b = s * s * rhs
     try:
         y = np.linalg.solve(a, b)
@@ -85,8 +87,8 @@ def laplace_solve(rule: QuadratureRule, params: PhysicalParams, s: complex,
     res = float(np.linalg.norm(a @ y - b) / bnorm) if bnorm > 0 else 0.0
     if res > 1e-8:
         raise SolverError(f"direct solve residual {res:.2e} exceeds 1e-8 at s={s}")
-    sn = weighted_norm(rule, y)
-    bound = abs(s) / s.real * weighted_norm(rule, rhs)
+    sn = weighted_norm(weights, y)
+    bound = abs(s) / s.real * weighted_norm(weights, rhs)
     return LaplaceSolution(values=y, sol_norm=sn, bound=bound,
                            bound_ok=bool(sn <= bound * (1 + 1e-12)), residual=res)
 
@@ -94,10 +96,9 @@ def laplace_solve(rule: QuadratureRule, params: PhysicalParams, s: complex,
 # ---------------------------------------------------------------------------
 # Convolution quadrature
 # ---------------------------------------------------------------------------
-def cq_solve(rule: QuadratureRule, params: PhysicalParams, grid: TimeGrid,
-             source: PointSource) -> np.ndarray:
-    """Y trace (steps+1, M) on the march's grid by operational calculus on the
-    incident samples.
+def cq_solve(network: DelayNetwork, weights: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Acceleration trace (steps+1, n) on the march's grid by operational
+    calculus on the forcing sampled at the grid's nodes.
 
     L = 2 (steps + 1) transform points lie on the circle of radius
     eps_machine^(1/(2L)), inside the unit disk for every L; BDF2 is A-stable,
@@ -106,15 +107,11 @@ def cq_solve(rule: QuadratureRule, params: PhysicalParams, grid: TimeGrid,
     the rest mirrored.
     """
     times = grid.times
-    r_src = np.linalg.norm(rule.nodes - source.x0, axis=1)
-    u_in = (params.raw.rho_c / r_src)[None, :] * pulse_eval(
-        source.pulse, times[:, None] - (r_src / params.c0)[None, :], 0)
-
     ll = 2 * (grid.steps + 1)
     rho = float(np.finfo(float).eps ** (1.0 / (2.0 * ll)))
     scal = rho ** np.arange(ll)
-    upad = np.zeros((ll, rule.m))
-    upad[: len(times)] = u_in
+    upad = np.zeros((ll, network.n))
+    upad[: len(times)] = network.forcing(times[:, None])
     uhat = np.fft.fft(upad * scal[:, None], axis=0)
     zeta = rho * np.exp(-2j * np.pi * np.arange(ll) / ll)
     freqs = ((1.0 - zeta) + 0.5 * (1.0 - zeta) ** 2) / grid.h
@@ -122,7 +119,7 @@ def cq_solve(rule: QuadratureRule, params: PhysicalParams, grid: TimeGrid,
     yhat = np.empty_like(uhat)
     half = ll // 2
     for l in range(half + 1):
-        sol = laplace_solve(rule, params, complex(freqs[l]), uhat[l])
+        sol = laplace_solve(network, weights, complex(freqs[l]), uhat[l])
         yhat[l] = sol.values
     for l in range(half + 1, ll):
         yhat[l] = np.conj(yhat[ll - l])
@@ -130,12 +127,12 @@ def cq_solve(rule: QuadratureRule, params: PhysicalParams, grid: TimeGrid,
     return y[: len(times)]
 
 
-def resolvent_sweep(rule: QuadratureRule, params: PhysicalParams,
+def resolvent_sweep(network: DelayNetwork, weights: np.ndarray,
                     s_values, rhs_values) -> list[dict]:
     """Tabulate the norm bound margin over frequency/rhs samples (CSV rows)."""
     rows = []
     for s, rhs in zip(s_values, rhs_values):
-        sol = laplace_solve(rule, params, complex(s), rhs)
+        sol = laplace_solve(network, weights, complex(s), rhs)
         rows.append({
             "s_real": s.real, "s_imag": s.imag,
             "sol_norm": sol.sol_norm, "bound": sol.bound,

@@ -87,7 +87,7 @@ import numpy as np
 from .errors import (ConfigError, DivergenceError, EvaluationPointError,
                      SolverError, UsageError)
 from .geometry import pairwise_distances
-from .sources import pulse_eval
+from .sources import incident_eval
 
 # The two stage offsets of an RK4 step, in steps past t_n: the half stage
 # (second and third stages) and the full one (fourth stage and new node).
@@ -121,14 +121,15 @@ class TimeGrid:
 
     @staticmethod
     def fit(T: float, target_h: float) -> "TimeGrid":
-        """The grid of the fewest steps h <= target_h, at most ``MAX_STEPS``."""
+        """The grid of the fewest steps h <= target_h, at most ``MAX_STEPS``
+        and at least one (h = T when T is below target_h to rounding)."""
         if not (np.isfinite(T) and np.isfinite(target_h) and T > 0 and target_h > 0):
             raise ConfigError(f"horizon and step must be positive and finite, "
                               f"got T={T}, h_max={target_h}")
         if not T / target_h <= MAX_STEPS:   # an overflow to inf too
             raise ConfigError(f"T={T} at h_max={target_h} needs {T / target_h:.3g} "
                               f"steps, above the limit of {MAX_STEPS}")
-        steps = int(np.ceil(T / target_h - 1e-12))
+        steps = max(1, int(np.ceil(T / target_h - 1e-12)))
         return TimeGrid(T=T, h=T / steps, steps=steps)
 
     @property
@@ -570,9 +571,9 @@ class RetardedNetwork(DelayNetwork):
 
     The network of both models: every pair i != j, row-major, with coupling
     w_j / (4 pi r_ij) for column weight w_j and delay r_ij / c0, r_ij taken
-    from one ``pairwise_distances`` matrix that is not kept; forcing rho_c /
-    r_i * lambda^(order)(t - r_i / c0) at distance r_i from the point source,
-    and onset r_i / c0.
+    from one ``pairwise_distances`` matrix that is not kept; forcing the
+    incident wave of the given ``order`` at the nodes (``incident_eval``),
+    and onset r_i / c0 at distance r_i from the point source.
     """
 
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
@@ -586,15 +587,11 @@ class RetardedNetwork(DelayNetwork):
         w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
         pairs = i, j, w[j] / (4.0 * np.pi * r), r / params.c0
 
-        r_src = np.linalg.norm(nodes - source.x0, axis=1)
-        amp = params.raw.rho_c / r_src
-        shift = r_src / params.c0
-        pulse = source.pulse
-
         def forcing(t):
-            return amp * pulse_eval(pulse, t - shift, order)
+            return incident_eval(source, nodes, t, order)
 
-        super().__init__(masses, pairs, forcing, shift)
+        onset = np.linalg.norm(nodes - source.x0, axis=1) / source.c0
+        super().__init__(masses, pairs, forcing, onset)
 
 
 def retarded_superposition(eval_fn, anchors: np.ndarray, coeffs: np.ndarray,

@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's solver code paths: the Duhamel
 solution is built from cumulative Simpson quadrature of the sine-kernel
-convolution, derivative checks use plain finite differences, and the shape
-constant of the ball is a tensor Gauss-Legendre double surface integral.  The
+convolution, derivative checks use plain finite differences, the shape
+constant of the ball is a tensor Gauss-Legendre double surface integral, and
+the Laplace-domain screen operator is a dense matrix written from the
+quadrature rule and the materials (``dense_screen_operator``).  The
 exceptions use package code:
 
 - ``dense_pairs``, which turns the dense coupling and delay matrices of the
@@ -139,6 +141,23 @@ def sphere_pair_quadrature(radius: float, order: int) -> float:
         dist = np.sqrt(np.maximum(2.0 * a * a - 2.0 * gram, 0.0))
         total += float(wsurf[lo:lo + chunk] @ dist @ wsurf)
     return total / (2.0 * a) / (4.0 * np.pi * a * a)
+
+
+def dense_screen_operator(rule: QuadratureRule, params: PhysicalParams,
+                          s: complex) -> np.ndarray:
+    """The transformed screen operator (hbar s^2 + 1) I + s^2 Shat_s over the
+    quadrature nodes, written from the rule and the materials alone: column
+    weight area * density * c_bar over 4 pi r with phase exp(-s r / c0) off
+    the diagonal, and the equal-area-disk self term density * c_bar * r_i / 2,
+    r_i = sqrt(area_i / pi), on it.  The dense formula the Laplace solver used
+    before it took the march's network, kept as that network's reference."""
+    nodes = rule.nodes
+    dist = np.sqrt(((nodes[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(dist, 1.0)
+    colfac = rule.weights * rule.density * params.c_bar
+    smat = colfac[None, :] * np.exp(-s * dist / params.c0) / (4.0 * np.pi * dist)
+    np.fill_diagonal(smat, rule.density * params.c_bar * np.sqrt(rule.weights / np.pi) / 2.0)
+    return (params.omega_m_sq * s * s + 1.0) * np.eye(rule.m) + s * s * smat
 
 
 def dense_pairs(coupling, delays):

@@ -24,6 +24,12 @@ def test_validate_exits_zero(tmp_path):
     assert (tmp_path / "out" / "run_manifest.json").exists()
 
 
+def test_horizon_below_rounding_validates(tmp_path):
+    # T / h_max = 8e-13 once fitted a grid of zero steps: ZeroDivisionError, exit 1
+    path = _config(tmp_path, {"run": {"T": 4.0e-14}})
+    assert run_cli(["validate", "--config", path, "--outdir", str(tmp_path / "out")]) == 0
+
+
 def test_unusable_outdir_exits_two(tmp_path, capsys):
     # the output directory would lie under a regular file
     path = _config(tmp_path, {"run": {"T": 2.5, "n_out": 51}})

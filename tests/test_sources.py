@@ -38,9 +38,9 @@ class TestIncident:
     def setup_method(self):
         self.src = PointSource(np.array([0.0, 0.0, 2.0]), PULSE, rho_c=1.2, c0=1.0)
 
-    def at(self, x, t):
-        """u_in at one point (3,) and one time."""
-        return incident_eval(self.src, np.asarray(x)[None, :], np.array([t]))[0, 0]
+    def at(self, x, t, order=0):
+        """u_in (or d2/dt2 u_in) at one point (3,) and one time."""
+        return incident_eval(self.src, np.asarray(x)[None, :], t, order)[0]
 
     def test_causality_randomized(self):
         rng = np.random.default_rng(42)
@@ -67,6 +67,12 @@ class TestIncident:
             res = wave_residual(self.at, x, t, c0=1.0)
             assert abs(res) < 1e-3 * scale
 
+    def test_second_time_derivative_vs_fd(self):
+        x = np.array([0.3, -0.2, 0.4])
+        for t in (2.2, 2.9, 4.1):
+            fd = fd_derivative(lambda s: self.at(x, s), t, 2, h=1e-4)
+            assert self.at(x, t, 2) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
     def test_source_point_rejected(self):
         with pytest.raises(EvaluationPointError):
             incident_eval(self.src, self.src.x0[None, :], np.array([1.0]))
@@ -74,7 +80,8 @@ class TestIncident:
     def test_vectorized_shapes(self):
         xs = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
         ts = np.linspace(0, 5, 7)
-        out = incident_eval(self.src, xs, ts)
-        assert out.shape == (2, 7)
-        single = incident_eval(self.src, xs[1:], ts)
-        assert np.array_equal(single, out[1:])
+        out = incident_eval(self.src, xs, ts[:, None])
+        assert out.shape == (7, 2)
+        single = incident_eval(self.src, xs[1:], ts[:, None])
+        assert np.array_equal(single, out[:, 1:])
+        assert np.array_equal(incident_eval(self.src, xs, ts[3]), out[3])

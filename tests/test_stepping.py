@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bubblescreen import (KFunction, TimeGrid, effective_grid, partition,
-                          place_bubbles, stepping)
+                          place_bubbles, sources, stepping)
 from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ConfigError, SolverError, UsageError
@@ -231,6 +231,13 @@ def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
         assert np.abs(near.solve(ns, r) - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_horizon_below_rounding_is_one_step():
+    # T / h_max below 1e-12 rounded to zero steps and divided by zero
+    grid = TimeGrid.fit(4e-14, 0.05)
+    assert (grid.steps, grid.h) == (1, 4e-14)
+    assert grid.times.tolist() == [0.0, 4e-14]
+
+
 def test_interp_matches_per_query_hermite():
     # columns given once, (n,), broadcast against the (times, n) queries:
     # the per-query Hermite formula bitwise, as with full-shape columns
@@ -273,13 +280,13 @@ def test_block_forcing_matches_per_time_forcing(params, disk, disk_scene, kind,
     want = per_time.solve(grid)
 
     calls = []
-    pulse_eval = stepping.pulse_eval
+    pulse_eval = sources.pulse_eval
 
     def counted(*args):
         calls.append(args)
         return pulse_eval(*args)
 
-    monkeypatch.setattr(stepping, "pulse_eval", counted)
+    monkeypatch.setattr(sources, "pulse_eval", counted)
     got = network.solve(grid)
     for name in FIELDS + ("acc_slope",):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name

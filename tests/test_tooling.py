@@ -10,6 +10,7 @@ import numpy as np
 
 from bubblescreen import TimeGrid, laplace_solve
 from bubblescreen.config import ExperimentConfig
+from bubblescreen.effective import EffectiveSystem
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem
 
@@ -57,9 +58,10 @@ def test_counter_readers_read_real_objects(params, disk_scene):
         "min_delay": network.tau.min()}
 
     rule = disk_scene["rule"]
+    screen = EffectiveSystem(rule, params, disk_scene["source"])
     s, rhs = 1.0 + 3.0j, np.ones(rule.m, dtype=complex)
-    extra = traced_stage._laplace_extra((rule, params, s, rhs),
-                                        laplace_solve(rule, params, s, rhs))
+    extra = traced_stage._laplace_extra((screen, rule.weights, s, rhs),
+                                        laplace_solve(screen, rule.weights, s, rhs))
     assert set(extra) == {"residual", "margin"}
     assert 0.0 <= extra["residual"] <= 1e-8 and extra["margin"] >= 0.0
 
@@ -142,3 +144,25 @@ def test_double_backtick_names_exist():
              for ref in re.findall(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``", text)
              if not set(ref.split(".")) <= known]
     assert stale == []
+
+
+def test_cq_states_no_model_and_only_sources_evaluates_the_pulse():
+    # the CQ solves the march's own network, so it imports no module that
+    # could state the screen a second time; u_in is written once, in
+    # sources.incident_eval, the only caller of pulse_eval
+    package = ROOT / "src" / "bubblescreen"
+    imported = set()
+    for node in ast.walk(ast.parse((package / "laplace_cq.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "bubblescreen"):
+            imported.update(alias.name for alias in node.names)   # from . import x
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.removeprefix("bubblescreen."))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("bubblescreen.") for alias in node.names)
+    assert imported <= {"__future__", "dataclasses", "numpy", "errors", "stepping"}
+    callers = {path.name for path in package.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and "pulse_eval" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))}
+    assert callers == {"sources.py"}
