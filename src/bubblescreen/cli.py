@@ -4,7 +4,8 @@ Subcommands: validate, foldy, effective, cq, compare, sweep, regimes,
 counting.  Each loads the config, applies the flags as overrides of config
 scalars and runs its stage through ``experiments.run_stage``.  Exit codes: 0
 success, 2 config or usage error or an output directory that cannot be
-written, 3 solver error.
+written, 3 solver error, a stage that runs out of memory included.  A failed
+stage leaves none of its partial outputs behind.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ def run_cli(argv: list[str]) -> int:
         return 2
     except BubblescreenError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"solver error: out of memory{detail}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

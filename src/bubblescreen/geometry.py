@@ -24,8 +24,11 @@ import numpy as np
 from .errors import ConfigError, GeometryError, ResolutionError, UsageError
 
 # Largest patch count a partition may ask for: at this size one dense n x n
-# float matrix of the scene already takes 34 GB.
+# float matrix of the scene would take 34 GB.
 MAX_PATCHES = 2**16
+# Distance cells per block of pairwise_distances: max(1, DISTANCE_BLOCK // n)
+# rows of n distances, so each temporary of a distance pass stays at 512 KiB.
+DISTANCE_BLOCK = 65536
 
 # ---------------------------------------------------------------------------
 # Surfaces
@@ -354,26 +357,41 @@ class BubbleCluster:
         return len(self.centers)
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """(n, n) matrix of |p_i - p_j|, accumulated one coordinate at a time.
+def pairwise_distances(points: np.ndarray, diagonal: float = 0.0):
+    """The package's one distance kernel: |p_i - p_j| over all pairs, one
+    block of rows at a time.
 
-    No (n, n, 3) difference array is built.  The diagonal is exactly zero and
-    the matrix exactly symmetric, since (a - b)^2 == (b - a)^2 in floating
-    point.
+    Yields ``(lo, block)``, ``block[r, j]`` = |p_{lo+r} - p_j|, for blocks of
+    ``max(1, DISTANCE_BLOCK // n)`` consecutive rows in order, so no block
+    holds more than ``DISTANCE_BLOCK`` cells once n <= ``DISTANCE_BLOCK``;
+    block (i, i) entries are set to ``diagonal``.  Each distance is
+    accumulated one coordinate at a time, with no (rows, n, 3) difference
+    array, and each block is a C-contiguous (rows, n) array, so any
+    elementwise map or row reduction of the blocks is bitwise equal to the
+    same one over the whole n x n matrix.  The off-diagonal entries are
+    exactly symmetric, since (a - b)^2 == (b - a)^2 in floating point.
     """
     pts = np.asarray(points, dtype=float)
-    d2 = np.subtract.outer(pts[:, 0], pts[:, 0]) ** 2
-    for k in range(1, pts.shape[1]):
-        d2 += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
-    return np.sqrt(d2, out=d2)
+    n = len(pts)
+    rows = max(1, DISTANCE_BLOCK // max(n, 1))
+    for lo in range(0, n, rows):
+        part = pts[lo:lo + rows]
+        block = np.subtract.outer(part[:, 0], pts[:, 0]) ** 2
+        for k in range(1, pts.shape[1]):
+            block += np.subtract.outer(part[:, k], pts[:, k]) ** 2
+        np.sqrt(block, out=block)
+        # entry (r, lo + r) sits at flat index lo + r * (n + 1)
+        block.reshape(-1)[lo::n + 1] = diagonal
+        yield lo, block
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
+    """Least distance between two of ``points`` (inf for fewer than two),
+    one ``pairwise_distances`` block of at most ``DISTANCE_BLOCK`` cells at a
+    time: bitwise the minimum of the dense n x n matrix."""
     if len(points) < 2:
         return float("inf")
-    dist = pairwise_distances(points)
-    np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+    return float(np.min([block.min() for _, block in pairwise_distances(points, np.inf)]))
 
 
 _JITTER = 0.15  # fraction of a sub-cell; keeps the packing floor at 0.3*d/sqrt(n)
@@ -471,18 +489,26 @@ def counting_bound(d: float, k: float) -> float:
 
 
 def max_anchor_sums(points: np.ndarray, k_list: Sequence[float]) -> list[float]:
-    """Largest inverse-distance sum over anchors, per k, from one distance matrix."""
-    dist = pairwise_distances(points)
-    np.fill_diagonal(dist, np.inf)
-    return [float((dist**-k).sum(axis=1).max()) for k in k_list]
+    """Largest inverse-distance sum over anchors, per k, from one pass of
+    ``pairwise_distances`` blocks shared by every k.
+
+    No temporary holds more than ``DISTANCE_BLOCK`` cells.  Each anchor's sum
+    runs over its contiguous row of a block, so it, and the maximum, are
+    bitwise those of the dense n x n matrix.
+    """
+    best = np.full(len(k_list), -np.inf)
+    for _, dist in pairwise_distances(points, np.inf):
+        np.maximum(best, [(dist**-k).sum(axis=1).max() for k in k_list], out=best)
+    return best.tolist()
 
 
 def counting_scaling_check(surface: SurfaceDescriptor, d_list: Sequence[float],
                            k_list: Sequence[float], seed: int = 0) -> list[dict]:
     """Sweep d and tabulate max-anchor inverse-distance sums against the bound.
 
-    Each d builds one scene and one distance matrix, shared by every exponent
-    in ``k_list``; rows are k-major (every d of the first k, then the next k).
+    Each d builds one scene and one blocked distance pass, shared by every
+    exponent in ``k_list``; rows are k-major (every d of the first k, then
+    the next k).
     """
     d_list, k_list = list(d_list), list(k_list)
     if any(b >= a for a, b in zip(d_list[:-1], d_list[1:])):

@@ -158,7 +158,8 @@ class ValidationReport:
 
 
 def max_anchor_interaction(centers: np.ndarray, c_eps: float) -> float:
-    """max over anchors a of sum_{b != a} c_eps / (4 pi |z_a - z_b|)."""
+    """max over anchors a of sum_{b != a} c_eps / (4 pi |z_a - z_b|), from
+    the blocked ``max_anchor_sums`` (no n x n matrix; bitwise the dense sum)."""
     with np.errstate(divide="ignore"):
         largest = max_anchor_sums(centers, [1.0])[0]
     if largest == np.inf:   # a zero distance

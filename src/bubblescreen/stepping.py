@@ -290,22 +290,28 @@ class _StagePlan:
     step sums nothing.  The weights start at zero; an entry's weights
     c * w_k(theta) are written at its first live step (``activate``), so an
     entry not yet live contributes exactly zero, and a row with no live entry
-    sums to exactly +0.0.  Uncoupled entries and the diagonal point past the
-    end of the history, which ``mode="clip"`` maps to its trailing zero cell,
-    and are never activated.  A far pair's cell ends at row n or earlier and
-    gives row n's slope weight zero, so it reads final values only.  A near
-    pair reads the final S[n] or the new row n + 1; while one is live, the
-    step writes the slopes S[n] and S[n+1] with A[n+1] still zero first, so
-    the sum holds the near pairs' history part and ``_NearPairs`` adds the new
-    node's share.
+    sums to exactly +0.0.  Uncoupled entries, the diagonal and entries whose
+    cell lies before the leading rows (delays longer than the whole grid)
+    point past the end of the history, which ``mode="clip"`` maps to its
+    trailing zero cell, and are never activated.  A far pair's cell ends at
+    row n or earlier and gives row n's slope weight zero, so it reads final
+    values only.  A near pair reads the final S[n] or the new row n + 1;
+    while one is live, the step writes the slopes S[n] and S[n+1] with
+    A[n+1] still zero first, so the sum holds the near pairs' history part
+    and ``_NearPairs`` adds the new node's share.
     """
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, split):
         n, steps = network.n, grid.steps
         shift, first = split
-        self.idx = np.full((2 * n, n), (pad + steps + 2) * n, dtype=np.int64)
-        self.idx.reshape(2, n, n)[:, network.i, network.j] = \
-            (pad + np.floor(shift.reshape(2, -1)).astype(np.int64)) * n + network.j
+        clear = (pad + steps + 2) * n
+        self.idx = np.full((2 * n, n), clear, dtype=np.int64)
+        cell = (pad + np.floor(shift.reshape(2, -1)).astype(np.int64)) * n + network.j
+        # a cell before the leading rows belongs to an entry no step of this
+        # grid makes live: it reads the trailing zero cell instead
+        cell[cell < 0] = clear
+        self.idx.reshape(2, n, n)[:, network.i, network.j] = cell
+        del cell    # 16 B per pair, freed before the weights are allocated
         self.pairs = np.argsort(first, kind="stable").astype(
             np.int32 if first.size < 2**31 else np.int64)
         self.live_pairs = np.searchsorted(first[self.pairs], np.arange(steps), side="right")
@@ -486,9 +492,10 @@ class DelayNetwork:
         share, solved by fixed-point sweeps (``_NearPairs``) from the step's
         x'', is then taken off through the map's columns of g.  A
         contraction bound of 1 or more raises ``SolverError`` before the
-        march starts.  The history of cells has ``lag_max + 2`` leading zero
-        rows and one trailing zero row; each row written lands in two cells,
-        the lower half of its own and the upper half of the one before, and
+        march starts.  The history of cells has min(``lag_max``, ``steps``)
+        + 2 leading zero rows and one trailing zero row; each row written
+        lands in two cells, the lower half of its own and the upper half of
+        the one before, and
         the ``Trace`` holds strided views of the lower halves over the
         unpadded rows.  The forcing is tabulated at both stage times a block
         of steps at a time, by one ``forcing`` call per block.
@@ -504,7 +511,9 @@ class DelayNetwork:
         n, h, steps, times = self.n, grid.h, grid.steps, grid.times
         # the half-step query of the longest delay reads the deepest row
         lag_max = int(-np.floor(SIGMAS[0] - self.tau.max() / h)) if len(self.tau) else 0
-        pad = lag_max + 2
+        # a live entry reads no row before the first node, so no step of this
+        # march reads more than ``steps`` rows behind it
+        pad = min(lag_max, steps) + 2
         split = _stage_pairs(self, grid)
         near = _NearPairs(self, grid, split)
         if near.contraction >= 1.0:
@@ -570,20 +579,27 @@ class RetardedNetwork(DelayNetwork):
     """Oscillators at ``nodes`` coupled by retarded monopoles, driven by a source.
 
     The network of both models: every pair i != j, row-major, with coupling
-    w_j / (4 pi r_ij) for column weight w_j and delay r_ij / c0, r_ij taken
-    from one ``pairwise_distances`` matrix that is not kept; forcing the
+    w_j / (4 pi r_ij) for column weight w_j and delay r_ij / c0; forcing the
     incident wave of the given ``order`` at the nodes (``incident_eval``),
-    and onset r_i / c0 at distance r_i from the point source.
+    and onset r_i / c0 at distance r_i from the point source.  The r_ij are
+    the off-diagonal entries of the ``pairwise_distances`` row blocks, of at
+    most ``DISTANCE_BLOCK`` cells each, copied block by block into one
+    row-major array: no n x n matrix is built beside the pair list, and
+    every r_ij is bitwise the dense matrix's.
     """
 
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
                  params, source, order: int):
         nodes = np.asarray(nodes, dtype=float)
         n, k = len(nodes), np.arange(len(nodes) - 1)
-        # row i holds columns k < i, then k + 1 for k >= i; so does the distance
-        # matrix past its first entry, each n + 1 entries ending on the diagonal
+        # row i holds columns k < i, then k + 1 for k >= i
         i, j = np.repeat(np.arange(n), n - 1), (k + (k >= np.arange(n)[:, None])).ravel()
-        r = pairwise_distances(nodes).ravel()[1:].reshape(n - 1, n + 1)[:, :n].ravel()
+        r = np.empty(len(i))
+        for lo, block in pairwise_distances(nodes):
+            # a block's entry (r, lo + r) sits at flat index lo + r * (n + 1)
+            off_diagonal = np.ones(block.size, dtype=bool)
+            off_diagonal[lo::n + 1] = False
+            r[lo * (n - 1):(lo + len(block)) * (n - 1)] = block.reshape(-1)[off_diagonal]
         w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
         pairs = i, j, w[j] / (4.0 * np.pi * r), r / params.c0
 

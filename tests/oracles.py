@@ -18,6 +18,11 @@ exceptions use package code:
   premultiplied weights replaced, kept as their reference;
 - ``csv_rows_text``, the per-cell CSV formatter that the column-wise writer
   replaced, kept as its reference;
+- ``dense_distances`` and its consumers ``dense_min_distance``,
+  ``dense_anchor_sums`` and ``dense_retarded_pairs``: the one-piece n x n
+  distance matrix that the row blocks of ``pairwise_distances`` replaced, and
+  the placement minimum, counting sums and retarded couplings and delays
+  read from it, kept as the blocked kernels' bitwise references;
 - the transmission-law oracles ``memory_convolution``,
   ``kernel_identity_residual`` and ``jump_residual``, which check the paper's
   central claim on a screen solution: the jump of dW/dn across the surface
@@ -158,6 +163,42 @@ def dense_screen_operator(rule: QuadratureRule, params: PhysicalParams,
     smat = colfac[None, :] * np.exp(-s * dist / params.c0) / (4.0 * np.pi * dist)
     np.fill_diagonal(smat, rule.density * params.c_bar * np.sqrt(rule.weights / np.pi) / 2.0)
     return (params.omega_m_sq * s * s + 1.0) * np.eye(rule.m) + s * s * smat
+
+
+def dense_distances(points) -> np.ndarray:
+    """(n, n) matrix of |p_i - p_j| in one piece, accumulated one coordinate
+    at a time."""
+    pts = np.asarray(points, dtype=float)
+    d2 = np.subtract.outer(pts[:, 0], pts[:, 0]) ** 2
+    for k in range(1, pts.shape[1]):
+        d2 += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
+    return np.sqrt(d2, out=d2)
+
+
+def dense_min_distance(points) -> float:
+    if len(points) < 2:
+        return float("inf")
+    dist = dense_distances(points)
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
+
+
+def dense_anchor_sums(points, k_list) -> list[float]:
+    dist = dense_distances(points)
+    np.fill_diagonal(dist, np.inf)
+    return [float((dist**-k).sum(axis=1).max()) for k in k_list]
+
+
+def dense_retarded_pairs(nodes, col_weight, c0):
+    """Couplings w_j / (4 pi r_ij) and delays r_ij / c0 over every pair i != j,
+    row-major: the distance matrix past its first entry, in rows of n + 1
+    entries that each end on the diagonal."""
+    n = len(nodes)
+    r = dense_distances(nodes).ravel()[1:].reshape(n - 1, n + 1)[:, :n].ravel()
+    k = np.arange(n - 1)
+    j = (k + (k >= np.arange(n)[:, None])).ravel()
+    w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
+    return w[j] / (4.0 * np.pi * r), r / c0
 
 
 def dense_pairs(coupling, delays):

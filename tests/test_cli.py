@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from bubblescreen import experiments
 from bubblescreen.cli import run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,6 +29,30 @@ def test_horizon_below_rounding_validates(tmp_path):
     # T / h_max = 8e-13 once fitted a grid of zero steps: ZeroDivisionError, exit 1
     path = _config(tmp_path, {"run": {"T": 4.0e-14}})
     assert run_cli(["validate", "--config", path, "--outdir", str(tmp_path / "out")]) == 0
+
+
+def test_horizon_below_rounding_marches_one_step(tmp_path):
+    # the history once held lag_max + 2 leading rows however few steps the
+    # grid had: at h = 4e-14 that asked for 32.5 PiB and exited 1
+    path = _config(tmp_path, {"run": {"T": 4.0e-14}})
+    out = tmp_path / "out"
+    assert run_cli(["foldy", "--config", path, "--outdir", str(out)]) == 0
+    march = json.loads((out / "run_manifest.json").read_text())["march"]["foldy"]
+    assert march["steps"] == 1 and march["lag_max"] > 10**12
+
+
+def test_out_of_memory_exits_three_without_partial_outputs(tmp_path, monkeypatch, capsys):
+    def exhausted(config, session):
+        session.write_text("partial.txt", "half\n")
+        raise MemoryError("Unable to allocate 1.93 GiB for an array")
+
+    monkeypatch.setitem(experiments.STAGES, "validate", exhausted)
+    path = _config(tmp_path, {"run": {"T": 2.5, "n_out": 51}})
+    out = tmp_path / "out"
+    assert run_cli(["validate", "--config", path, "--outdir", str(out)]) == 3
+    assert capsys.readouterr().err == ("solver error: out of memory: Unable to "
+                                       "allocate 1.93 GiB for an array\n")
+    assert list(out.iterdir()) == []
 
 
 def test_unusable_outdir_exits_two(tmp_path, capsys):

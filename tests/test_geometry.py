@@ -1,13 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bubblescreen import (KFunction, build_surface, counting_scaling_check,
                           partition, place_bubbles)
 from bubblescreen.errors import ConfigError, ResolutionError, UsageError
-from bubblescreen.geometry import (_GRID_SHIFT, circle_rect_area, max_anchor_sums,
-                                   min_pairwise_distance, pairwise_distances)
+from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, circle_rect_area,
+                                   max_anchor_sums, min_pairwise_distance,
+                                   pairwise_distances)
+from bubblescreen.stepping import RetardedNetwork
 
-from oracles import brute_inverse_distance_sum, planar_grid
+from oracles import (brute_inverse_distance_sum, dense_anchor_sums,
+                     dense_min_distance, dense_retarded_pairs, planar_grid)
 
 
 class TestSurfaces:
@@ -235,8 +241,51 @@ def test_pairwise_distances_match_difference_array(cloud):
         k = 0.0 if cloud == "disk" else 1.0
         pw = partition(build_surface(cloud, 1.0), 0.1)
         pts = place_bubbles(pw, KFunction.constant(k), eps=1e-3, seed=5).centers
-    dist = pairwise_distances(pts)
+    dist = np.vstack([block for _, block in pairwise_distances(pts)])
     for ref in _difference_array_distances(pts):
         assert np.array_equal(dist, ref)
     assert np.all(np.diag(dist) == 0.0)
     assert np.array_equal(dist, dist.T)
+
+
+# isqrt(DISTANCE_BLOCK) is the largest n whose rows all fit one block
+_SIDE = math.isqrt(DISTANCE_BLOCK)
+_BLOCK_EDGES = [1, 2, _SIDE - 1, _SIDE, _SIDE + 1, 1000]
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_distance_blocks_cover_rows_in_order_within_the_bound(n):
+    pts = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+    blocks = list(pairwise_distances(pts, diagonal=-1.0))
+    assert [lo for lo, _ in blocks] == list(range(0, n, max(1, DISTANCE_BLOCK // n)))
+    assert all(block.shape[1] == n and block.size <= DISTANCE_BLOCK for _, block in blocks)
+    assert sum(len(block) for _, block in blocks) == n
+    for lo, block in blocks:
+        assert np.all(block[np.arange(len(block)), lo + np.arange(len(block))] == -1.0)
+        assert np.count_nonzero(block == -1.0) == len(block)
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_blocked_consumers_match_the_dense_matrix_bitwise(n, params, disk_scene):
+    # placement minimum, counting sums at k = 1, 2, 3 and the retarded
+    # network's couplings and delays, each against its one-piece reference
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1.0, 1.0, (n, 3))
+    assert min_pairwise_distance(pts) == dense_min_distance(pts)
+    assert max_anchor_sums(pts, [1.0, 2.0, 3.0]) == dense_anchor_sums(pts, [1.0, 2.0, 3.0])
+    w = rng.uniform(0.5, 1.5, n)
+    network = RetardedNetwork(pts, w, np.ones(n), params, disk_scene["source"], order=2)
+    c, tau = dense_retarded_pairs(pts, w, params.c0)
+    assert np.array_equal(network.c, c) and np.array_equal(network.tau, tau)
+
+
+def test_anchor_sums_peak_below_a_quarter_of_the_dense_matrix():
+    pts = planar_grid(45, 1.0 / 45.0)
+    dense_bytes = 8 * len(pts) ** 2     # 32.8 MB at n = 2025
+    tracemalloc.start()
+    try:
+        max_anchor_sums(pts, [1.0, 2.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4

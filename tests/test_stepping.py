@@ -12,9 +12,7 @@ from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ConfigError, SolverError, UsageError
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, scattered_series
-from bubblescreen.geometry import pairwise_distances
-
-from oracles import dense_pairs, reference_march, two_sum_near_pairs
+from oracles import dense_distances, dense_pairs, reference_march, two_sum_near_pairs
 
 FIELDS = ("value", "rate", "acc")
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -303,7 +301,7 @@ def _small_network(n, seed, onset=False):
     """
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, (n, 3))
-    delays = pairwise_distances(pts)
+    delays = dense_distances(pts)
     coupling = rng.uniform(-0.02, 0.02, (n, n))
     coupling[rng.random((n, n)) < 0.3] = 0.0
     np.fill_diagonal(coupling, 0.0)
@@ -319,6 +317,30 @@ def _small_network(n, seed, onset=False):
     h = min(0.4 * network.min_delay, 0.05)
     steps = int(np.ceil(6.0 / h))
     return network, TimeGrid(T=steps * h, h=h, steps=steps)
+
+
+@pytest.mark.parametrize("onset", [False, True], ids=["zero-onset", "onset"])
+def test_march_shorter_than_its_deepest_lag_is_the_long_marchs_prefix(onset):
+    # the history holds min(lag_max, steps) + 2 leading rows: a grid shorter
+    # than the deepest lag gets fewer rows than the default grid, and its
+    # trace is bitwise the first steps of the default grid's
+    network, grid = _small_network(9, seed=3, onset=onset)
+    full = network.solve(grid)
+    lag_max = full.counters["lag_max"]
+    steps = lag_max - 5
+    assert grid.steps > lag_max > steps + 2 > 8
+    short_grid = TimeGrid(T=steps * grid.h, h=grid.h, steps=steps)
+    short = network.solve(short_grid)
+    assert short.counters["lag_max"] == lag_max
+    # the deepest cells lie before the short history: they read its zero cell
+    plan = stepping._StagePlan(network, short_grid, steps + 2,
+                               stepping._stage_pairs(network, short_grid))
+    assert plan.idx.min() >= 0
+    assert np.any(short.value != 0.0)
+    for name in FIELDS:
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:steps + 1]), name
+    # the newest slope is provisional until the next node finalizes it
+    assert np.array_equal(short.acc_slope[:steps], full.acc_slope[:steps])
 
 
 @pytest.mark.parametrize("gather_block", [4, stepping.GATHER_BLOCK], ids=["row", "default"])

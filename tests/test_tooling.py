@@ -166,3 +166,49 @@ def test_cq_states_no_model_and_only_sources_evaluates_the_pulse():
                and "pulse_eval" in (getattr(node.func, "id", None),
                                     getattr(node.func, "attr", None))}
     assert callers == {"sources.py"}
+
+
+def _pairwise_differences(tree):
+    """Line numbers of the n x n difference builds in ``tree``: a
+    ``subtract.outer``, or a subtraction of two operands indexed with a
+    ``None`` axis each (``a[:, None] - b[None, :]``), by operator or by
+    ``subtract``."""
+    def new_axis(node):
+        if not isinstance(node, ast.Subscript):
+            return False
+        parts = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return any((isinstance(p, ast.Constant) and p.value is None)
+                   or getattr(p, "attr", None) == "newaxis" for p in parts)
+
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "outer"
+                and "subtract" in (getattr(node.value, "attr", None),
+                                   getattr(node.value, "id", None))):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            if new_axis(node.left) and new_axis(node.right):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and "subtract" in (getattr(node.func, "attr", None),
+                                 getattr(node.func, "id", None))
+              and new_axis(node.args[0]) and new_axis(node.args[1])):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_distance_kernel_builds_pairwise_differences():
+    # geometry.pairwise_distances yields bounded row blocks; any other
+    # function that builds the differences of all pairs holds an n x n array
+    package = ROOT / "src" / "bubblescreen"
+    tree = ast.parse((package / "geometry.py").read_text())
+    kernel = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "pairwise_distances")
+    inside = range(kernel.lineno, kernel.end_lineno + 1)
+    assert [line for line in _pairwise_differences(tree) if line in inside]
+    stray = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{line}" for line in _pairwise_differences(tree)
+                  if path.name != "geometry.py" or line not in inside]
+    assert stray == []
