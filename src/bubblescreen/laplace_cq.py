@@ -8,7 +8,10 @@ variable s (Re s = sigma > 0, the operational-calculus half-plane) into
     A(s) Yhat = s^2 fhat,   A(s) = diag(m s^2 + 1) + s^2 C(s),
     C_ij(s) = c_ij exp(-s tau_ij),
 
-for the accelerations Y = x'', with C scattered from the network's pair list.
+for the accelerations Y = x'', with C the network's coupling matrix times the
+phases of its delay matrix; an uncoupled entry's zero coupling zeroes its
+term, and its delay, finite and non-negative, gives a phase of modulus at
+most 1, so no entry needs masking.
 For the collocated screen (``EffectiveSystem``) this is the transformed screen
 equation (hbar s^2 + 1) Yhat + s^2 Shat_s[Yhat] = s^2 uhat_in: the network's
 masses hold the equal-area-disk self terms, its couplings the column weights
@@ -40,14 +43,13 @@ from .stepping import DelayNetwork, TimeGrid
 
 
 def assemble_operator(network: DelayNetwork, s: complex) -> np.ndarray:
-    """A(s) = diag(m s^2 + 1) + s^2 C(s), C_ij = c_ij exp(-s tau_ij) on the
-    network's pairs and zero elsewhere."""
+    """A(s) = diag(m s^2 + 1) + s^2 C(s), C_ij = c_ij exp(-s tau_ij) from the
+    network's coupling and delay matrices."""
     if s.real <= 0:
         raise ParameterError("Laplace frequency must have positive real part")
-    n, s2 = network.n, s * s
-    a = np.zeros((n, n), dtype=complex)
-    a[network.i, network.j] = s2 * network.c * np.exp(-s * network.tau)
-    a.flat[::n + 1] = network.masses * s2 + 1.0
+    s2 = s * s
+    a = s2 * network.coupling * np.exp(-s * network.delay)
+    np.fill_diagonal(a, network.masses * s2 + 1.0)
     if not np.all(np.isfinite(a)):
         raise SolverError("non-finite operator entries")
     return a

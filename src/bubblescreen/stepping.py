@@ -23,14 +23,15 @@ cell ends at row n with zero weight on the still-provisional slope S[n]
 (delay at least 1.5h at the half stage, 2h at the full one), and *near*
 otherwise: its cell weights the final S[n] or the new row n + 1.
 
-A network is its pair list (i, j, c_ij, tau_ij), with no n x n matrix.
-The stage offset is one axis of length 2, ``SIGMAS``: ``DelayNetwork.solve``
-splits the pair list once over both offsets and builds from it one row-major
-history plan per grid, a 2n x n array of gather offsets whose row (s, i) holds
-oscillator i's pairs at stage s.  The acceleration and slope histories live
-in one array of 32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j]
-and S[k+1, j], the four values a query in the Hermite cell of rows k and
-k + 1 reads.  It carries leading zero rows, at least as many as the deepest
+A network is its two n x n matrices, the couplings c_ij and the delays
+tau_ij; a zero coupling leaves the pair uncoupled.  The stage offset is one
+axis of length 2, ``SIGMAS``: ``DelayNetwork.solve`` splits the coupled
+entries once over both offsets (``_stage_pairs``, the one place that lists
+them) and builds from the split one row-major history plan per grid, a
+2n x n array of gather offsets whose row (s, i) holds oscillator i's pairs at
+stage s.  The acceleration and slope histories live in one array of 32-byte
+cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and S[k+1, j], the four
+values a query in the Hermite cell of rows k and k + 1 reads.  It carries leading zero rows, at least as many as the deepest
 lag, so every offset reads a row that exists, and one trailing zero row that
 uncoupled entries read.  The plan's 2n x n x 4 weights, the Hermite weights
 premultiplied by the coupling, are interleaved the same way.  Each delayed
@@ -67,10 +68,11 @@ query at or before a column's onset returns exactly zero, so neither the march
 nor a field evaluated from the trace picks up the interpolant's pre-onset
 leakage.  A pair's weights stay zero until the first step at which its query
 lies past the source column's onset (and reads no row before the first node);
-they are written at that step in the plan, and the near pairs are sorted by
-that step, so a pair contributes exactly zero before it.  Fixed-step method of
-steps with breaking-point tracking follows Bellen & Zennaro, *Numerical
-Methods for Delay Differential Equations* (2003).
+they are written at that step in the plan, and the split sorts the pairs by
+that step once for the plan and the near pairs, so a pair contributes exactly
+zero before it.  Fixed-step method of steps with breaking-point tracking
+follows Bellen & Zennaro, *Numerical Methods for Delay Differential
+Equations* (2003).
 
 A network keeps nothing between marches: ``solve`` builds the split, the
 plan and the near pairs for its grid and returns, with the ``Trace``, the
@@ -222,18 +224,30 @@ def _first_live(stage_t: np.ndarray, tau: np.ndarray, onset: np.ndarray) -> np.n
 
 
 def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
-    """Every pair's cells at both stage offsets: (shift, first), stage-major
-    over 2P entries, entry e being pair e % P at t_n + SIGMAS[e // P]*h.
+    """Every coupled pair's cells at both stage offsets, as (key, shift, live),
+    sorted by first live step.
 
-    An entry's cell shift sigma - tau/h puts its query in the Hermite cell
-    of rows n + o and n + o + 1, o = floor(shift); the entry is near when
-    the shift exceeds -1.  ``first`` is the first step whose query lies past
-    the source column's onset and reads no row before the first node.
+    The coupled pairs are the nonzero entries e = i*n + j of the coupling
+    matrix, row-major; entry (s, e), the pair at t_n + SIGMAS[s]*h, has the
+    key s*n*n + e, its flat index in the stage-major (2, n, n) plan.  Its
+    cell shift sigma - tau/h puts its query in the Hermite cell of rows n + o
+    and n + o + 1, o = floor(shift); the entry is near when the shift exceeds
+    -1.  Its first live step is the first whose query lies past the source
+    column's onset and reads no row before the first node; the entries are
+    sorted by it stably, so in key order within a step, and the first
+    ``live[m]`` are live at step m.
     """
-    tau, onset = network.tau, network.onset[network.j]
+    e = np.flatnonzero(network.coupling)
+    tau, onset = network.delay.take(e), network.onset[e % network.n]
     shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
     first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
-    return shift, np.maximum(first, -np.floor(shift).astype(np.int64))
+    del tau, onset     # the sort below sets the split's peak: 16 B per pair freed
+    first = np.maximum(first, -np.floor(shift).astype(np.int64))
+    order = np.argsort(first, kind="stable")
+    live = np.searchsorted(first[order], np.arange(grid.steps), side="right")
+    del first
+    key = (e + np.array([[0], [network.n ** 2]])).ravel()[order]
+    return key, shift[order], live
 
 
 def _slope_stencils(A: np.ndarray, mn: int, h: float) -> np.ndarray:
@@ -278,43 +292,43 @@ class _StagePlan:
     step n of one grid, row-major: 2n rows, row s*n + i holding oscillator
     i's pairs at t_n + SIGMAS[s]*h, so the rows are the (2, n) sums in order.
 
-    Entry (r, j) is the pair (i, j) of row r.  ``idx[r, j]`` is the offset,
-    from row n, of the pair's history cell, which holds A and S at rows n + o
-    and n + o + 1.  A step gathers the cells of ``len(buf)`` plan rows at a
-    time into the one ``buf`` with one unbuffered ``take`` and reduces each
-    row against the interleaved weights by one dot over 4n values straight
-    into its output: ``weights[r, j, k]`` is the pair's Hermite weight of its
-    cell's k-th value.  ``pairs`` holds the ``_stage_pairs`` entry numbers e
-    (pair e % P at stage e // P) sorted by their first live step; the first
-    ``live_pairs[n]`` are live at step n, and before the first one is live a
-    step sums nothing.  The weights start at zero; an entry's weights
-    c * w_k(theta) are written at its first live step (``activate``), so an
-    entry not yet live contributes exactly zero, and a row with no live entry
-    sums to exactly +0.0.  Uncoupled entries, the diagonal and entries whose
-    cell lies before the leading rows (delays longer than the whole grid)
-    point past the end of the history, which ``mode="clip"`` maps to its
-    trailing zero cell, and are never activated.  A far pair's cell ends at
-    row n or earlier and gives row n's slope weight zero, so it reads final
-    values only.  A near pair reads the final S[n] or the new row n + 1;
-    while one is live, the step writes the slopes S[n] and S[n+1] with
-    A[n+1] still zero first, so the sum holds the near pairs' history part
-    and ``_NearPairs`` adds the new node's share.
+    Entry (r, j) is the pair (i, j) of row r, so the flat index of entry
+    (s, i, j) is the ``_stage_pairs`` key s*n*n + i*n + j.  ``idx[r, j]`` is
+    the offset, from row n, of the pair's history cell, which holds A and S
+    at rows n + o and n + o + 1.  A step gathers the cells of ``len(buf)``
+    plan rows at a time into the one ``buf`` with one unbuffered ``take``
+    and reduces each row against the interleaved weights by one dot over 4n
+    values straight into its output: ``weights[r, j, k]`` is the pair's
+    Hermite weight of its cell's k-th value.  ``pairs`` holds the split's
+    keys, sorted by their first live step; the first ``live_pairs[n]`` are
+    live at step n, and before the first one is live a step sums nothing.
+    The weights start at zero; an entry's weights c * w_k(theta), c and tau
+    read from the network's matrices at the key's entry, are written at its
+    first live step (``activate``), so an entry not yet live contributes
+    exactly zero, and a row with no live entry sums to exactly +0.0.
+    Uncoupled entries, the diagonal and entries whose cell lies before the
+    leading rows (delays longer than the whole grid) point past the end of
+    the history, which ``mode="clip"`` maps to its trailing zero cell, and
+    are never activated.  A far pair's cell ends at row n or earlier and
+    gives row n's slope weight zero, so it reads final values only.  A near
+    pair reads the final S[n] or the new row n + 1; while one is live, the
+    step writes the slopes S[n] and S[n+1] with A[n+1] still zero first, so
+    the sum holds the near pairs' history part and ``_NearPairs`` adds the
+    new node's share.
     """
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, split):
         n, steps = network.n, grid.steps
-        shift, first = split
+        key, shift, self.live_pairs = split
         clear = (pad + steps + 2) * n
         self.idx = np.full((2 * n, n), clear, dtype=np.int64)
-        cell = (pad + np.floor(shift.reshape(2, -1)).astype(np.int64)) * n + network.j
+        cell = (pad + np.floor(shift).astype(np.int64)) * n + key % n
         # a cell before the leading rows belongs to an entry no step of this
         # grid makes live: it reads the trailing zero cell instead
         cell[cell < 0] = clear
-        self.idx.reshape(2, n, n)[:, network.i, network.j] = cell
+        self.idx.reshape(-1)[key] = cell
         del cell    # 16 B per pair, freed before the weights are allocated
-        self.pairs = np.argsort(first, kind="stable").astype(
-            np.int32 if first.size < 2**31 else np.int64)
-        self.live_pairs = np.searchsorted(first[self.pairs], np.arange(steps), side="right")
+        self.pairs = key.astype(np.int32 if 2 * n * n < 2**31 else np.int64)
         self.weights = np.zeros((2 * n, n, 4))
         self.buf = np.empty((min(2 * n, max(1, GATHER_BLOCK // n)), n, 4))
         self.network, self.h, self.n, self._done = network, grid.h, n, 0
@@ -322,12 +336,11 @@ class _StagePlan:
     def activate(self, ns: int) -> None:
         """Write the weights of every entry whose first live step is ns or less."""
         lo, hi = self._done, self.live_pairs[ns]
-        net = self.network
-        stage, pairs = np.divmod(self.pairs[lo:hi], len(net.tau))
-        shift = np.take(SIGMAS, stage) - net.tau.take(pairs) / self.h
+        key, net = self.pairs[lo:hi], self.network
+        stage, e = np.divmod(key, self.n * self.n)
+        shift = np.take(SIGMAS, stage) - net.delay.take(e) / self.h
         w = np.stack(_hermite_weights(shift - np.floor(shift), self.h), axis=1)
-        self.weights[stage * self.n + net.i.take(pairs), net.j.take(pairs)] = \
-            net.c.take(pairs)[:, None] * w
+        self.weights.reshape(-1, 4)[key] = net.coupling.take(e)[:, None] * w
         self._done = hi
 
     def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
@@ -352,17 +365,18 @@ class _NearPairs:
     """The new node's share of both stages' near sums on one grid.
 
     Built from the same ``_stage_pairs`` split as the plan: the near entries
-    are those whose shift exceeds -1, over both stages at once.  A near entry
-    interpolates rows n - 1, n (o = -1) or n, n + 1 (o = 0) with the final
-    slope S[n] and, for o = 0, the new node's A[n+1] and its provisional
-    slope S[n+1].  Both slopes are affine in a = A[n+1] through
-    ``_slope_stencils``, so each near value is a history part, summed by the
-    plan with the new row at zero, plus g * a_j, g being the entry's coupled
-    Hermite weights of S[n], A[n+1] and S[n+1] with the slope stencils of the
-    new row.  Its sum lands in ``tgt[p]``, row s*n + i of the stage-major
-    (2, n) sums, and ``rows[p]`` = i.  Entries are sorted by their first
-    live step (exact onsets, as in the plan), so the first ``live[n]`` are
-    live at step n.
+    are those whose shift exceeds -1, over both stages at once, taken in the
+    split's order.  A near entry interpolates rows n - 1, n (o = -1) or
+    n, n + 1 (o = 0) with the final slope S[n] and, for o = 0, the new
+    node's A[n+1] and its provisional slope S[n+1].  Both slopes are affine
+    in a = A[n+1] through ``_slope_stencils``, so each near value is a
+    history part, summed by the plan with the new row at zero, plus g * a_j,
+    g being the entry's coupled Hermite weights of S[n], A[n+1] and S[n+1]
+    with the slope stencils of the new row.  Its sum lands in ``tgt[p]``,
+    row s*n + i of the stage-major (2, n) sums, and ``rows[p]`` = i.  The
+    split sorts the entries by their first live step (exact onsets, as in
+    the plan), so the first ``live[n]`` are live at step n: the near ones
+    among the plan's first ``live_pairs[n]``.
 
     The RK4 step is affine in the delayed sums, and x(t_{n+1}) depends on the
     half stage only, through k3, by -h^2/3 per unit of delayed sum over the
@@ -377,21 +391,21 @@ class _NearPairs:
     """
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, split):
-        n, h, P = network.n, grid.h, len(network.tau)
-        shift, first = split
+        n, h = network.n, grid.h
+        key, shift, live = split
         sel = np.flatnonzero(shift > -1.0)
-        sel = sel[np.argsort(first[sel], kind="stable")]
-        shift, stage, pair = shift[sel], *np.divmod(sel, P)
+        # the near entries among the plan's first live[m], which sort first
+        self.live = np.searchsorted(sel, live)
+        shift, (self.tgt, self.cols) = shift[sel], np.divmod(key[sel], n)
         offset = np.floor(shift)
         # weights of S[n], A[n+1], S[n+1]: a cell n - 1, n (o = -1) ends at S[n]
         _, w10, w01, w11 = _hermite_weights(shift - offset, h)
         zero = np.zeros(len(sel))
-        w = network.c[pair] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
-        self.rows, self.cols = network.i[pair], network.j[pair]
-        self.tgt = stage * n + self.rows
-        self.live = np.searchsorted(first[sel], np.arange(grid.steps), side="right")
+        w = network.coupling.take(key[sel] % (n * n)) * np.where(
+            offset == 0, (w10, w01, w11), (w11, zero, zero))
+        self.rows = self.tgt % n
         # a pair near at the half stage is near at the full one
-        self.pairs = int(np.count_nonzero(stage))
+        self.pairs = int(np.count_nonzero(self.tgt >= n))
         k3 = h * h / 3.0
         self.factor = np.stack((k3 / network.masses / network.masses, -1.0 / network.masses))
         scale = self.factor.ravel()[self.tgt]
@@ -420,10 +434,12 @@ class _NearPairs:
 class DelayNetwork:
     """mass_i x_i'' + x_i + sum_j c_ij x_j''(t - tau_ij) = f_i(t).
 
-    ``pairs`` is the pair list (i, j, c, tau), four 1-D arrays of one length:
-    pair p adds c[p] x_j[p]''(t - tau[p]) to row i[p].  Each (i, j), i != j,
-    appears at most once, with c finite and tau positive and finite.  Kept as
-    ``i``, ``j``, ``c`` and ``tau``, they are the network's only coupling data.
+    ``coupling`` and ``delay`` are n x n matrices: entry (i, j) adds
+    coupling[i, j] x_j''(t - delay[i, j]) to row i, and a zero coupling leaves
+    the pair uncoupled and its delay unread.  The couplings are finite, with a
+    zero diagonal; the delays are finite and non-negative, and positive
+    wherever the coupling is not zero.  They are the network's only coupling
+    data.
 
     ``onset`` gives, per oscillator, the time before which its forcing
     vanishes (zero by default).  The delayed terms then cannot wake x_i
@@ -435,53 +451,51 @@ class DelayNetwork:
     steps with one (2k, 1) column of stage times, the k half-stage times
     then the k full-stage ones, and expects (2k, n) forces or an array that
     broadcasts to them; ``accel_all`` calls it with a scalar t and expects
-    (n,).  A network holds its pair list, masses, onsets and forcing only;
-    each ``solve`` builds what its march needs and keeps none of it.
+    (n,).  A network holds its two matrices, masses, onsets and forcing
+    only; each ``solve`` builds what its march needs and keeps none of it.
     """
 
-    def __init__(self, masses: np.ndarray, pairs, forcing: Callable[[np.ndarray], np.ndarray],
-                 onset=None):
+    def __init__(self, masses: np.ndarray, coupling, delay,
+                 forcing: Callable[[np.ndarray], np.ndarray], onset=None):
         self.masses = np.asarray(masses, dtype=float)
         self.forcing = forcing
         self.n = n = len(self.masses)
         self.onset = np.zeros(n) if onset is None else np.asarray(onset, dtype=float)
         if not np.all((self.masses > 0) & (self.masses < np.inf)):
             raise ConfigError("all oscillator masses must be positive and finite")
-        i, j, c, tau = (np.asarray(a) for a in pairs)
-        if {a.shape for a in (i, j, c, tau)} != {(len(i),)}:
-            raise ConfigError("pairs must be 1-D arrays i, j, c, tau of one length")
-        if (i.dtype.kind not in "iu" or j.dtype.kind not in "iu"
-                or np.any((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))):
-            raise ConfigError("pair indices must be integers in [0, n) with i != j")
-        self.i, self.j = i.astype(np.intp, copy=False), j.astype(np.intp, copy=False)
-        self.c, self.tau = c.astype(float, copy=False), tau.astype(float, copy=False)
-        key = self.i * n + self.j
-        if np.any(key[1:] <= key[:-1]) and len(np.unique(key)) < len(key):
-            raise ConfigError("a pair (i, j) is listed twice")
-        if not (np.all(np.isfinite(self.c)) and np.all((self.tau > 0) & (self.tau < np.inf))):
-            raise ConfigError("couplings must be finite and delays positive and finite")
+        self.coupling = np.asarray(coupling, dtype=float)
+        self.delay = np.asarray(delay, dtype=float)
+        if self.coupling.shape != (n, n) or self.delay.shape != (n, n):
+            raise ConfigError("coupling and delay must be n x n matrices")
+        if np.any(self.coupling.diagonal()) or not np.all(np.isfinite(self.coupling)):
+            raise ConfigError("couplings must be finite, with a zero diagonal")
+        coupled = self.coupling != 0
+        if not (np.min(self.delay, initial=0.0) >= 0 and np.max(self.delay, initial=0.0) < np.inf
+                and np.min(self.delay, where=coupled, initial=np.inf) > 0):
+            raise ConfigError("delays must be finite, non-negative, and positive where coupled")
         if self.onset.shape != (n,) or np.any(self.onset < 0):
             raise ConfigError("onsets must be n non-negative times")
-        reach = self.onset[self.j] + self.tau
-        if np.any(self.onset[self.i] > reach * (1 + 8 * np.finfo(float).eps)):
+        # onset_j + tau_ij, scaled in place: the checks' one n x n float temporary
+        reach = np.add(self.onset, self.delay)
+        reach *= 1 + 8 * np.finfo(float).eps
+        if np.any(self.onset[:, None] > reach, where=coupled):
             raise ConfigError("onsets violate onset_i <= onset_j + tau_ij: a "
                               "delayed term would arrive before the forcing")
 
     @property
     def min_delay(self) -> float:
-        return float(self.tau.min()) if len(self.tau) else np.inf
+        return float(np.min(self.delay, where=self.coupling != 0, initial=np.inf))
 
     def accel_all(self, t: float, y: np.ndarray, trace: Trace) -> np.ndarray:
         """All accelerations at time t from the state y and the trace's history."""
-        vals = trace.accel_at(t - self.tau, self.j)
-        delayed = np.bincount(self.i, weights=vals * self.c, minlength=self.n)
+        delayed = (self.coupling * trace.accel_at(t - self.delay, np.arange(self.n))).sum(1)
         return (self.forcing(t) - y - delayed) / self.masses
 
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
-        Any step h > 0 is allowed.  One ``_stage_pairs`` split of the pair
-        list over both stage offsets (h/2 and h) builds, once per solve, the
+        Any step h > 0 is allowed.  One ``_stage_pairs`` split of the coupled
+        pairs over both stage offsets (h/2 and h) builds, once per solve, the
         2n-row history plan and the near pairs; each step takes both stages'
         sums, as (2, n), from one ``delayed_sum`` call, and the new node
         (x, x', x'') from one contraction of the RK4 map
@@ -510,7 +524,8 @@ class DelayNetwork:
         """
         n, h, steps, times = self.n, grid.h, grid.steps, grid.times
         # the half-step query of the longest delay reads the deepest row
-        lag_max = int(-np.floor(SIGMAS[0] - self.tau.max() / h)) if len(self.tau) else 0
+        tau_max = np.max(self.delay, where=self.coupling != 0, initial=0.0)
+        lag_max = int(-np.floor(SIGMAS[0] - tau_max / h))
         # a live entry reads no row before the first node, so no step of this
         # march reads more than ``steps`` rows behind it
         pad = min(lag_max, steps) + 2
@@ -568,7 +583,7 @@ class DelayNetwork:
             # far queries reach it only after that
             S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
             X, X_next = X_next, X
-        counters = {"n": n, "pairs": len(self.tau), "steps": steps, "h": h,
+        counters = {"n": n, "pairs": len(plan.pairs) // 2, "steps": steps, "h": h,
                     "tau_min": self.min_delay, "h_over_tau_min": h / self.min_delay,
                     "lag_max": lag_max, "near_pairs": near.pairs,
                     "near_contraction": near.contraction, "near_sweeps": near.sweeps}
@@ -578,36 +593,32 @@ class DelayNetwork:
 class RetardedNetwork(DelayNetwork):
     """Oscillators at ``nodes`` coupled by retarded monopoles, driven by a source.
 
-    The network of both models: every pair i != j, row-major, with coupling
+    The network of both models: every pair i != j coupled, with coupling
     w_j / (4 pi r_ij) for column weight w_j and delay r_ij / c0; forcing the
     incident wave of the given ``order`` at the nodes (``incident_eval``),
-    and onset r_i / c0 at distance r_i from the point source.  The r_ij are
-    the off-diagonal entries of the ``pairwise_distances`` row blocks, of at
-    most ``DISTANCE_BLOCK`` cells each, copied block by block into one
-    row-major array: no n x n matrix is built beside the pair list, and
-    every r_ij is bitwise the dense matrix's.
+    and onset r_i / c0 at distance r_i from the point source.  Each row block
+    of ``pairwise_distances``, at most ``DISTANCE_BLOCK`` cells with an
+    infinite diagonal, is written straight into both matrices, so every entry
+    is bitwise the dense distance matrix's and the coupling's diagonal is
+    w_i / inf = 0; the delay's diagonal is then set to zero.
     """
 
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
                  params, source, order: int):
         nodes = np.asarray(nodes, dtype=float)
-        n, k = len(nodes), np.arange(len(nodes) - 1)
-        # row i holds columns k < i, then k + 1 for k >= i
-        i, j = np.repeat(np.arange(n), n - 1), (k + (k >= np.arange(n)[:, None])).ravel()
-        r = np.empty(len(i))
-        for lo, block in pairwise_distances(nodes):
-            # a block's entry (r, lo + r) sits at flat index lo + r * (n + 1)
-            off_diagonal = np.ones(block.size, dtype=bool)
-            off_diagonal[lo::n + 1] = False
-            r[lo * (n - 1):(lo + len(block)) * (n - 1)] = block.reshape(-1)[off_diagonal]
+        n = len(nodes)
         w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
-        pairs = i, j, w[j] / (4.0 * np.pi * r), r / params.c0
+        coupling, delay = np.empty((n, n)), np.empty((n, n))
+        for lo, r in pairwise_distances(nodes, np.inf):
+            np.divide(w, 4.0 * np.pi * r, out=coupling[lo:lo + len(r)])
+            np.divide(r, params.c0, out=delay[lo:lo + len(r)])
+        np.fill_diagonal(delay, 0.0)
 
         def forcing(t):
             return incident_eval(source, nodes, t, order)
 
         onset = np.linalg.norm(nodes - source.x0, axis=1) / source.c0
-        super().__init__(masses, pairs, forcing, onset)
+        super().__init__(masses, coupling, delay, forcing, onset)
 
 
 def retarded_superposition(eval_fn, anchors: np.ndarray, coeffs: np.ndarray,

@@ -8,8 +8,6 @@ the Laplace-domain screen operator is a dense matrix written from the
 quadrature rule and the materials (``dense_screen_operator``).  The
 exceptions use package code:
 
-- ``dense_pairs``, which turns the dense coupling and delay matrices of the
-  small test networks into the pair list ``DelayNetwork`` takes;
 - ``reference_march``, the per-query march that the history plan of
   ``DelayNetwork.solve`` replaced, iterated to a fixed point in the new node
   for pairs closer than two steps, kept as its reference;
@@ -19,7 +17,7 @@ exceptions use package code:
 - ``csv_rows_text``, the per-cell CSV formatter that the column-wise writer
   replaced, kept as its reference;
 - ``dense_distances`` and its consumers ``dense_min_distance``,
-  ``dense_anchor_sums`` and ``dense_retarded_pairs``: the one-piece n x n
+  ``dense_anchor_sums`` and ``dense_retarded_matrices``: the one-piece n x n
   distance matrix that the row blocks of ``pairwise_distances`` replaced, and
   the placement minimum, counting sums and retarded couplings and delays
   read from it, kept as the blocked kernels' bitwise references;
@@ -189,24 +187,14 @@ def dense_anchor_sums(points, k_list) -> list[float]:
     return [float((dist**-k).sum(axis=1).max()) for k in k_list]
 
 
-def dense_retarded_pairs(nodes, col_weight, c0):
-    """Couplings w_j / (4 pi r_ij) and delays r_ij / c0 over every pair i != j,
-    row-major: the distance matrix past its first entry, in rows of n + 1
-    entries that each end on the diagonal."""
-    n = len(nodes)
-    r = dense_distances(nodes).ravel()[1:].reshape(n - 1, n + 1)[:, :n].ravel()
-    k = np.arange(n - 1)
-    j = (k + (k >= np.arange(n)[:, None])).ravel()
-    w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
-    return w[j] / (4.0 * np.pi * r), r / c0
-
-
-def dense_pairs(coupling, delays):
-    """The pair list (i, j, c, tau) of n x n coupling and delay matrices:
-    every nonzero coupling, in row-major order."""
-    coupling, delays = np.asarray(coupling, dtype=float), np.asarray(delays, dtype=float)
-    i, j = np.nonzero(coupling)
-    return i, j, coupling[i, j], delays[i, j]
+def dense_retarded_matrices(nodes, col_weight, c0):
+    """The coupling matrix w_j / (4 pi r_ij) and the delay matrix r_ij / c0,
+    both zero on the diagonal, from the one-piece distance matrix."""
+    r = dense_distances(nodes)
+    off = ~np.eye(len(r), dtype=bool)
+    w = np.broadcast_to(np.asarray(col_weight, dtype=float), (len(r),))
+    coupling = w / (4.0 * np.pi * np.where(off, r, 1.0))
+    return np.where(off, coupling, 0.0), np.where(off, r / c0, 0.0)
 
 
 def reference_march(network, grid):
@@ -264,20 +252,22 @@ def two_sum_near_pairs(network, grid):
     contraction bound and the sweep count, as ``(solve, contraction,
     sweeps)``; ``solve(ns, r)`` returns the (2, n) share of the new node.
 
-    Each sweep sums g * a into both stages' rows, (2, n), and applies the
-    row factors k3/m^2 and -1/m to the two halves afterwards.
+    The near entries come from the split's keys s*n*n + i*n + j, decoded
+    into (s, i, j), and their live counts by counting.  Each sweep sums g * a
+    into both stages' rows, (2, n), and applies the row factors k3/m^2 and
+    -1/m to the two halves afterwards.
     """
-    n, h, P = network.n, grid.h, len(network.tau)
-    shift, first = _stage_pairs(network, grid)
+    n, h = network.n, grid.h
+    key, shift, live_pairs = _stage_pairs(network, grid)
     sel = np.flatnonzero(shift > -1.0)
-    sel = sel[np.argsort(first[sel], kind="stable")]
-    shift, stage, pair = shift[sel], *np.divmod(sel, P)
+    live = np.count_nonzero(sel < live_pairs[:, None], axis=1)
+    stage, i, j = np.unravel_index(key[sel], (2, n, n))
+    shift = shift[sel]
     offset = np.floor(shift)
     _, w10, w01, w11 = _hermite_weights(shift - offset, h)
     zero = np.zeros(len(sel))
-    w = network.c[pair] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
-    tgt, cols = stage * n + network.i[pair], network.j[pair]
-    live = np.searchsorted(first[sel], np.arange(grid.steps), side="right")
+    w = network.coupling[i, j] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
+    tgt, cols = stage * n + i, j
     # weights of the new row A[mn] in the final slope S[mn-1] and the
     # provisional S[mn], for mn = 1, 2 and 3 or more
     new_row = ((1 / h, 1 / h), (1 / (2 * h), 3 / (2 * h)), (2 / (6 * h), 11 / (6 * h)))

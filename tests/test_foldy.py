@@ -8,7 +8,7 @@ from bubblescreen.errors import (ConfigError, EvaluationPointError,
 from bubblescreen.foldy import scattered_series
 from bubblescreen.geometry import min_pairwise_distance
 
-from oracles import dense_pairs, duhamel_oscillator, planar_grid, reference_march
+from oracles import duhamel_oscillator, planar_grid, reference_march
 
 
 def make_cluster(centers, eps=1.0 / 64.0):
@@ -27,7 +27,7 @@ class TestAssemble:
     def test_single_bubble_no_coupling(self, params):
         system = assemble(make_cluster([[0, 0, 0]]), params, make_source(params))
         assert system.n == 1
-        assert all(len(a) == 0 for a in (system.i, system.j, system.c, system.tau))
+        assert np.array_equal(system.coupling, [[0.0]]) and np.array_equal(system.delay, [[0.0]])
         assert system.min_delay == np.inf
 
     def test_two_bubble_entries(self, params):
@@ -35,20 +35,18 @@ class TestAssemble:
         system = assemble(make_cluster([[0, 0, 0], [r, 0, 0]]), params,
                           make_source(params))
         # pairs (0, 1) and (1, 0) only: no self-coupling
-        assert system.i.tolist() == [0, 1] and system.j.tolist() == [1, 0]
-        assert system.c[0] == pytest.approx(params.c_eps / (4 * np.pi * r), rel=1e-14)
-        assert system.tau[0] == pytest.approx(r / params.c0, rel=1e-14)
+        assert np.array_equal(system.coupling != 0, [[False, True], [True, False]])
+        assert np.array_equal(np.diagonal(system.delay), [0.0, 0.0])
+        assert system.coupling[0, 1] == pytest.approx(params.c_eps / (4 * np.pi * r), rel=1e-14)
+        assert system.delay[0, 1] == pytest.approx(r / params.c0, rel=1e-14)
 
     def test_grid_matrices_symmetric(self, params):
         system = assemble(make_cluster(planar_grid(4, 0.2)), params,
                           make_source(params))
-        n, key = system.n, system.i * system.n + system.j
-        assert len(key) == n * (n - 1) and np.all(np.diff(key) > 0)
-        # every pair (i, j) has its (j, i), with bitwise-equal c and tau
-        back = np.searchsorted(key, system.j * n + system.i)
-        assert np.array_equal(key[back], system.j * n + system.i)
-        assert np.array_equal(system.c[back], system.c)
-        assert np.array_equal(system.tau[back], system.tau)
+        # every pair i != j coupled, and (i, j) and (j, i) bitwise equal
+        assert np.array_equal(system.coupling != 0, ~np.eye(system.n, dtype=bool))
+        assert np.array_equal(system.coupling, system.coupling.T)
+        assert np.array_equal(system.delay, system.delay.T)
 
     def test_condition_violation_strict_and_warn(self, params):
         tight = make_cluster(planar_grid(8, 0.01), eps=1.0 / 64.0)
@@ -150,7 +148,7 @@ class TestSolve:
         delays = np.array([[0.0, 0.25], [0.25, 0.0]])
 
         def network(onset):
-            return DelayNetwork(np.ones(2), dense_pairs(coupling, delays),
+            return DelayNetwork(np.ones(2), coupling, delays,
                                 lambda t: np.zeros(2), onset=onset)
 
         assert np.array_equal(network([0.0, 0.25]).onset, [0.0, 0.25])
@@ -178,9 +176,8 @@ class TestSolve:
         source = make_source(params, x0=(0, 0, 1.2))
         coupled = assemble(cluster, params, source)
         n = cluster.n
-        system = DelayNetwork(np.full(n, params.omega_m_sq),
-                              dense_pairs(np.zeros((n, n)), np.zeros((n, n))),
-                              coupled.forcing)
+        system = DelayNetwork(np.full(n, params.omega_m_sq), np.zeros((n, n)),
+                              np.zeros((n, n)), coupled.forcing)
         grid = TimeGrid.fit(5.0, 2e-3)
         trace = system.solve(grid)
         for m in range(cluster.n):
@@ -215,7 +212,7 @@ def _smooth_network(n=2):
         s = t - offsets
         return np.where(s > 0, s**5 * np.exp(-s) * np.sin(0.5 * s), 0.0)
 
-    return DelayNetwork(np.full(2, 4.0), dense_pairs(coupling, delays), forcing)
+    return DelayNetwork(np.full(2, 4.0), coupling, delays, forcing)
 
 
 class TestConvergenceOrder:

@@ -13,7 +13,7 @@ from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, circle_rect_area
 from bubblescreen.stepping import RetardedNetwork
 
 from oracles import (brute_inverse_distance_sum, dense_anchor_sums,
-                     dense_min_distance, dense_retarded_pairs, planar_grid)
+                     dense_min_distance, dense_retarded_matrices, planar_grid)
 
 
 class TestSurfaces:
@@ -275,8 +275,11 @@ def test_blocked_consumers_match_the_dense_matrix_bitwise(n, params, disk_scene)
     assert max_anchor_sums(pts, [1.0, 2.0, 3.0]) == dense_anchor_sums(pts, [1.0, 2.0, 3.0])
     w = rng.uniform(0.5, 1.5, n)
     network = RetardedNetwork(pts, w, np.ones(n), params, disk_scene["source"], order=2)
-    c, tau = dense_retarded_pairs(pts, w, params.c0)
-    assert np.array_equal(network.c, c) and np.array_equal(network.tau, tau)
+    coupling, delay = dense_retarded_matrices(pts, w, params.c0)
+    assert np.array_equal(network.coupling, coupling) and np.array_equal(network.delay, delay)
+    # bitwise, the signs of the zero diagonals included
+    assert not np.diagonal(network.coupling).view(np.int64).any()
+    assert not np.diagonal(network.delay).view(np.int64).any()
 
 
 def test_anchor_sums_peak_below_a_quarter_of_the_dense_matrix():

@@ -7,7 +7,7 @@ from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ParameterError
 from bubblescreen.laplace_cq import assemble_operator
 
-from oracles import dense_pairs, dense_screen_operator
+from oracles import dense_screen_operator
 
 S_VALUES = [0.5 + 0.0j, 1.0 + 3.0j, 2.5 - 1.5j, 0.2 + 8.0j]
 
@@ -40,7 +40,7 @@ def test_cq_converges_to_the_march_on_a_generic_network():
     coupling = [[0.0, 0.6, -0.4], [0.3, 0.0, 0.5], [-0.2, 0.45, 0.0]]
     delays = [[0.0, 0.3, 0.7], [0.5, 0.0, 0.4], [0.6, 0.35, 0.0]]
     profile = np.array([1.0, -0.5, 0.25])
-    network = DelayNetwork(np.array([2.0, 1.5, 3.0]), dense_pairs(coupling, delays),
+    network = DelayNetwork(np.array([2.0, 1.5, 3.0]), coupling, delays,
                            lambda t: np.exp(-t) * t**4 * profile)
     diffs = _cq_gaps(network, np.ones(3), 4.0)
     orders = np.log2(diffs[:-1] / diffs[1:])
@@ -58,7 +58,7 @@ def _sphere_rule(sphere):
 @pytest.mark.parametrize("surface", ["disk", "sphere"])
 @pytest.mark.parametrize("s", S_VALUES)
 def test_operator_matches_dense_screen_formula(params, disk_scene, sphere, surface, s):
-    # the network's pair list against the screen written out densely: self
+    # the network's matrices against the screen written out densely: self
     # terms, column weights, 1/(4 pi r) kernel and delays r/c0
     rule = disk_scene["rule"] if surface == "disk" else _sphere_rule(sphere)
     want = dense_screen_operator(rule, params, s)

@@ -12,7 +12,8 @@ from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ConfigError, SolverError, UsageError
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, scattered_series
-from oracles import dense_distances, dense_pairs, reference_march, two_sum_near_pairs
+from bubblescreen.laplace_cq import assemble_operator
+from oracles import dense_distances, reference_march, two_sum_near_pairs
 
 FIELDS = ("value", "rate", "acc")
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -81,7 +82,7 @@ def test_march_counters(params, disk_scene):
     grid = TimeGrid.fit(2.0, 0.05)
     counters = network.solve(grid).counters
     n = disk_scene["cluster"].n
-    tau_min, tau_max = network.min_delay, network.tau.max()
+    tau_min, tau_max = network.min_delay, network.delay.max()
     lag_max = counters.pop("lag_max")
     assert counters == {"n": n, "pairs": n * (n - 1), "steps": grid.steps,
                         "h": grid.h, "tau_min": tau_min,
@@ -95,7 +96,8 @@ def test_march_counters(params, disk_scene):
     # shrink the fixed-point error below rounding at the contraction bound
     coarse = TimeGrid.fit(2.0, 1.2 * tau_min)
     counters = network.solve(coarse).counters
-    assert counters["near_pairs"] == np.count_nonzero(network.tau < 2 * coarse.h) > 0
+    coupled = network.coupling != 0
+    assert counters["near_pairs"] == np.count_nonzero(coupled & (network.delay < 2 * coarse.h)) > 0
     q, sweeps = counters["near_contraction"], counters["near_sweeps"]
     assert 0.0 < q < 1.0
     assert q ** sweeps <= np.finfo(float).eps < q ** (sweeps - 1)
@@ -124,8 +126,8 @@ def test_march_counters_reuse_the_march(monkeypatch):
 def test_non_contracting_near_pairs_rejected():
     # two oscillators coupled twice as strongly as their unit masses, a delay
     # of half a step: the new node's fixed-point map does not contract
-    pairs = dense_pairs([[0.0, 2.0], [2.0, 0.0]], [[0.0, 0.1], [0.1, 0.0]])
-    network = stepping.DelayNetwork(np.ones(2), pairs, lambda t: np.exp(-t) * t ** 4)
+    network = stepping.DelayNetwork(np.ones(2), [[0.0, 2.0], [2.0, 0.0]],
+                                    [[0.0, 0.1], [0.1, 0.0]], lambda t: np.exp(-t) * t ** 4)
     grid = TimeGrid.fit(2.0, 0.2)
     near = stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid))
     assert near.contraction >= 1.0
@@ -312,7 +314,7 @@ def _small_network(n, seed, onset=False):
         return amp * np.maximum(t - start, 0.0) ** 4 * np.exp(-t)
 
     masses = rng.uniform(0.5, 2.0, n)
-    network = stepping.DelayNetwork(masses, dense_pairs(coupling, delays), forcing,
+    network = stepping.DelayNetwork(masses, coupling, delays, forcing,
                                     start if onset else None)
     h = min(0.4 * network.min_delay, 0.05)
     steps = int(np.ceil(6.0 / h))
@@ -349,9 +351,8 @@ def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block)
     # pairs are live, the second group's rows hold zero weights only
     monkeypatch.setattr(stepping, "GATHER_BLOCK", gather_block)
     group = np.array([0, 0, 1, 1])
-    i, j = (a.ravel() for a in np.nonzero(~np.eye(4, dtype=bool)))
-    tau = np.where(group[i] == group[j], 0.25, 1.0)
-    network = stepping.DelayNetwork(np.full(4, 2.0), (i, j, np.full(len(i), 0.05), tau),
+    tau = np.where(group[:, None] == group, 0.25, 1.0)
+    network = stepping.DelayNetwork(np.full(4, 2.0), 0.05 * (1.0 - np.eye(4)), tau,
                                     lambda t: np.zeros(4), onset=group.astype(float))
     grid = TimeGrid.fit(3.0, 0.05)
     split = stepping._stage_pairs(network, grid)
@@ -359,11 +360,12 @@ def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block)
     plan = stepping._StagePlan(network, grid, pad, split)
     # every cell negative, so a zero weight times a value gives -0.0
     cells = np.full(((pad + grid.steps + 2) * network.n, 4), -1.0)
-    stage, pair = np.divmod(np.arange(len(split[1])), len(tau))
+    key, _, live_pairs = split
     mixed = 0
     for ns in range(grid.steps):
+        # a key s*n*n + i*n + j sums into row s*n + i
         live = np.zeros(2 * network.n, dtype=bool)
-        live[(stage * network.n + i[pair])[split[1] <= ns]] = True
+        live[key[:live_pairs[ns]] // network.n] = True
         total = plan.delayed_sum(ns, cells).ravel()
         assert np.all(total[~live] == 0.0) and not np.signbit(total[~live]).any(), ns
         assert np.all(total[live] != 0.0), ns
@@ -384,16 +386,17 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
     if kind == "boundary":
         # delays of exactly 1.5h and 2h put cells on the near/far boundary:
         # shifts of exactly -1 at the half and the full stage
-        i, j, c, tau = network.i, network.j, network.c, network.tau.copy()
+        delay = network.delay.copy()
         for (a, b), t in (((0, 1), 0.375), ((0, 2), 0.5)):
-            tau[((i == a) & (j == b)) | ((i == b) & (j == a))] = t
-        network = stepping.DelayNetwork(network.masses, (i, j, c, tau), network.forcing)
+            delay[a, b] = delay[b, a] = t
+        network = stepping.DelayNetwork(network.masses, network.coupling, delay,
+                                        network.forcing)
         grid = TimeGrid.fit(grid.T, 0.25)
         assert grid.h == 0.25
-        shift, _ = stepping._stage_pairs(network, grid)
-        for stage_shift in shift.reshape(2, -1):
-            assert np.any(stage_shift == -1.0)
-    assert len(network.c) < 9 * 8 and np.all(network.c != 0.0)
+        key, shift, _ = stepping._stage_pairs(network, grid)
+        for stage in range(2):
+            assert np.any(shift[key // network.n ** 2 == stage] == -1.0)
+    assert 0 < np.count_nonzero(network.coupling) < 9 * 8
     # pairs not yet live gather rows before the first node from the zero
     # padding: lag_max rows deep in the first steps
     trace = network.solve(grid)
@@ -463,47 +466,93 @@ def test_plan_memory_within_old_budget():
     assert nbytes <= 2 * 48 * counters["pairs"] + 8 * network.n ** 2
 
 
-def test_network_holds_only_its_pair_list():
-    # 32 B per pair (i, j, c, tau) plus per-oscillator arrays: no n x n matrix
+def test_network_build_holds_and_peaks_within_its_two_matrices():
+    # the coupling and delay matrices, 16 B per n x n entry, plus
+    # per-oscillator arrays; the build's temporaries add less than as much again
     config = ExperimentConfig.load(CONFIG)
-    scene = build_scene(config, 1.0 / 256.0)
-    network = DelaySystem(scene.cluster, scene.params, scene.source)
-    n, pairs = network.n, len(network.tau)
-    assert n > 200 and pairs == n * (n - 1)
+    scene = build_scene(config, 1.0 / 512.0)
+    n = scene.cluster.n
+    tracemalloc.start()
+    try:
+        network = DelaySystem(scene.cluster, scene.params, scene.source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n > 400
     arrays = [a for a in vars(network).values() if isinstance(a, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) <= 32 * pairs + 64 * n
+    assert sum(a.nbytes for a in arrays) <= 16 * n * n + 64 * n
+    assert peak < 2 * 16 * n * n
 
 
-@pytest.mark.parametrize("bad", [
-    pytest.param({"i": [0, 1, 3]}, id="index-past-n"),
-    pytest.param({"j": [1, -1, 0]}, id="negative-index"),
-    pytest.param({"j": [1, 1, 0]}, id="i-equals-j"),
-    pytest.param({"i": [0, 1, 0], "j": [1, 2, 1]}, id="pair-listed-twice"),
-    pytest.param({"i": [0, 0, 1], "j": [1, 1, 2]}, id="pair-listed-twice-sorted"),
-    pytest.param({"c": [0.1, 0.2]}, id="unequal-lengths"),
-    pytest.param({"tau": [[0.5, 0.4, 0.3]]}, id="not-1d"),
-    pytest.param({"i": [0.0, 1.0, 2.0]}, id="float-indices"),
-    pytest.param({"tau": [0.5, 0.0, 0.3]}, id="zero-delay"),
-    pytest.param({"tau": [0.5, -0.4, 0.3]}, id="negative-delay"),
-    pytest.param({"tau": [0.5, np.nan, 0.3]}, id="nan-delay"),
-    pytest.param({"tau": [0.5, np.inf, 0.3]}, id="inf-delay"),
-    pytest.param({"c": [0.1, np.nan, -0.1]}, id="nan-coupling"),
-    pytest.param({"c": [0.1, -np.inf, -0.1]}, id="inf-coupling"),
-    pytest.param({"masses": [1.0, np.nan, 1.5]}, id="nan-mass"),
-    pytest.param({"masses": [1.0, 0.0, 1.5]}, id="zero-mass"),
-    pytest.param({"masses": [1.0, np.inf, 1.5]}, id="inf-mass"),
+def _matrices_spec():
+    """Three oscillators coupled in a ring 0 <- 1 <- 2 <- 0; the uncoupled
+    entries carry delays, shorter than every coupled one, that are never read."""
+    return {"masses": np.array([1.0, 2.0, 1.5]),
+            "coupling": np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.2], [-0.1, 0.0, 0.0]]),
+            "delay": np.array([[0.0, 0.5, 0.1], [0.0, 0.0, 0.4], [0.3, 0.2, 0.0]]),
+            "onset": np.zeros(3)}
+
+
+def _matrices_network(spec):
+    return stepping.DelayNetwork(spec["masses"], spec["coupling"], spec["delay"],
+                                 lambda t: 0.0, spec["onset"])
+
+
+@pytest.mark.parametrize("name, at, value", [
+    pytest.param("coupling", None, np.zeros((3, 2)), id="non-square"),
+    pytest.param("masses", None, np.ones(2), id="index-past-n"),
+    pytest.param("delay", None, np.ones((2, 3)), id="unequal-lengths"),
+    pytest.param("coupling", (1, 1), 0.3, id="i-equals-j"),
+    pytest.param("coupling", (2, 0), np.nan, id="nan-coupling"),
+    pytest.param("coupling", (2, 0), -np.inf, id="inf-coupling"),
+    pytest.param("delay", (1, 2), 0.0, id="zero-delay"),
+    pytest.param("delay", (1, 2), -0.4, id="negative-delay"),
+    pytest.param("delay", (1, 2), np.nan, id="nan-delay"),
+    pytest.param("delay", (1, 2), np.inf, id="inf-delay"),
+    pytest.param("delay", (1, 0), -0.1, id="negative-uncoupled-delay"),
+    pytest.param("delay", (1, 0), np.nan, id="nan-uncoupled-delay"),
+    pytest.param("delay", (1, 0), np.inf, id="inf-uncoupled-delay"),
+    pytest.param("masses", 1, np.nan, id="nan-mass"),
+    pytest.param("masses", 1, 0.0, id="zero-mass"),
+    pytest.param("masses", 1, np.inf, id="inf-mass"),
+    pytest.param("onset", None, np.array([0.0, 0.0, 0.5]), id="onset-before-arrival"),
+    pytest.param("onset", 0, -0.1, id="negative-onset"),
 ])
-def test_bad_pair_lists_rejected(bad):
-    good = {"masses": [1.0, 2.0, 1.5], "i": [0, 1, 2], "j": [1, 2, 0],
-            "c": [0.1, 0.2, -0.1], "tau": [0.5, 0.4, 0.3]}
-
-    def build(spec):
-        pairs = tuple(np.asarray(spec[key]) for key in ("i", "j", "c", "tau"))
-        return stepping.DelayNetwork(np.asarray(spec["masses"]), pairs, lambda t: 0.0)
-
-    assert build(good).min_delay == 0.3
+def test_bad_pair_lists_rejected(name, at, value):
+    # the pairs are the nonzero entries of the coupling matrix, their delays
+    # the delay matrix's; a bad entry, shape, mass or onset is a config error
+    spec = _matrices_spec()
+    assert _matrices_network(spec).min_delay == 0.3
+    # onset_2 = 0.25 breaks only the uncoupled (2, 1): accepted
+    assert _matrices_network({**spec, "onset": np.array([0.0, 0.0, 0.25])}).n == 3
+    if at is None:
+        spec[name] = value
+    else:
+        spec[name] = spec[name].copy()
+        spec[name][at] = value
     with pytest.raises(ConfigError):
-        build({**good, **bad})
+        _matrices_network(spec)
+
+
+def test_uncoupled_delays_are_never_read():
+    # any finite non-negative delay on a zero coupling, from zero to far past
+    # the horizon: the march is bitwise the same and A(s) finite and equal
+    network, grid = _small_network(9, seed=3, onset=True)
+    uncoupled = network.coupling == 0
+    assert np.count_nonzero(uncoupled) > 2 * network.n
+    delay = network.delay.copy()
+    delay[uncoupled] = np.random.default_rng(1).choice([0.0, 1e-3, 1e6],
+                                                       np.count_nonzero(uncoupled))
+    other = stepping.DelayNetwork(network.masses, network.coupling, delay,
+                                  network.forcing, network.onset)
+    assert other.min_delay == network.min_delay
+    got, want = other.solve(grid), network.solve(grid)
+    for name in FIELDS + ("acc_slope",):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.counters == want.counters
+    for s in (0.5, 1.0 + 3.0j):
+        a = assemble_operator(other, s)
+        assert np.all(np.isfinite(a)) and np.array_equal(a, assemble_operator(network, s))
 
 
 @pytest.fixture(scope="module")

@@ -55,7 +55,7 @@ def test_counter_readers_read_real_objects(params, disk_scene):
     trace = network.solve(grid)
     assert traced_stage._march_extra((network, grid), trace) == {
         "n": len(network.masses), "steps": len(trace.times) - 1, "h": trace.h,
-        "min_delay": network.tau.min()}
+        "min_delay": network.delay[network.coupling != 0].min()}
 
     rule = disk_scene["rule"]
     screen = EffectiveSystem(rule, params, disk_scene["source"])
@@ -211,4 +211,36 @@ def test_only_the_distance_kernel_builds_pairwise_differences():
         tree = ast.parse(path.read_text(), filename=str(path))
         stray += [f"{path.name}:{line}" for line in _pairwise_differences(tree)
                   if path.name != "geometry.py" or line not in inside]
+    assert stray == []
+
+
+def _coupled_listings(tree):
+    """Line numbers of the calls in ``tree`` that list the entries of a
+    coupling matrix: ``nonzero``, ``flatnonzero`` or ``argwhere`` of an
+    expression that names ``coupling``, as a function or as a method."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and {"nonzero", "flatnonzero", "argwhere"} & {getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None)}
+            and any("coupling" in (getattr(sub, "attr", None), getattr(sub, "id", None))
+                    for sub in ast.walk(node))]
+
+
+def test_only_the_stage_split_lists_the_coupled_pairs():
+    # a network is its coupling and delay matrices: stepping._stage_pairs is
+    # the one function that lists the coupled entries, and no code reads a
+    # pair list's i, j, c or tau from a network
+    package = ROOT / "src" / "bubblescreen"
+    tree = ast.parse((package / "stepping.py").read_text())
+    split = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_stage_pairs")
+    inside = range(split.lineno, split.end_lineno + 1)
+    assert [line for line in _coupled_listings(tree) if line in inside]
+    stray = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        stray += [f"{path.name}:{line}" for line in _coupled_listings(tree)
+                  if path.name != "stepping.py" or line not in inside]
+        stray += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in {"i", "j", "c", "tau"}]
     assert stray == []
