@@ -339,37 +339,37 @@ class KFunction:
 
 @dataclass
 class BubbleCluster:
-    """Bubble centers grouped by patch, with packing diagnostics.
+    """Bubble centers grouped by patch.
 
     ``centers`` (n, 3) lie on the surface, ``patch_ids`` (n,) name each
     bubble's patch and ``counts`` (M,) hold floor(K)+1 per patch; ``eps`` is
-    the bubble scale and ``d_min`` the least distance between two centers.
+    the bubble scale.
     """
 
     centers: np.ndarray
     patch_ids: np.ndarray
     counts: np.ndarray
     eps: float
-    d_min: float
 
     @property
     def n(self) -> int:
         return len(self.centers)
 
 
-def pairwise_distances(points: np.ndarray, diagonal: float = 0.0):
+def pairwise_distances(points: np.ndarray):
     """The package's one distance kernel: |p_i - p_j| over all pairs, one
     block of rows at a time.
 
     Yields ``(lo, block)``, ``block[r, j]`` = |p_{lo+r} - p_j|, for blocks of
     ``max(1, DISTANCE_BLOCK // n)`` consecutive rows in order, so no block
     holds more than ``DISTANCE_BLOCK`` cells once n <= ``DISTANCE_BLOCK``;
-    block (i, i) entries are set to ``diagonal``.  Each distance is
-    accumulated one coordinate at a time, with no (rows, n, 3) difference
-    array, and each block is a C-contiguous (rows, n) array, so any
-    elementwise map or row reduction of the blocks is bitwise equal to the
-    same one over the whole n x n matrix.  The off-diagonal entries are
-    exactly symmetric, since (a - b)^2 == (b - a)^2 in floating point.
+    block (i, i) entries are +inf, so a row's minimum and its sums of
+    inverse powers skip the point itself.  Each distance is accumulated one
+    coordinate at a time, with no (rows, n, 3) difference array, and each
+    block is a C-contiguous (rows, n) array, so any elementwise map or row
+    reduction of the blocks is bitwise equal to the same one over the whole
+    n x n matrix.  The off-diagonal entries are exactly symmetric, since
+    (a - b)^2 == (b - a)^2 in floating point.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -381,33 +381,27 @@ def pairwise_distances(points: np.ndarray, diagonal: float = 0.0):
             block += np.subtract.outer(part[:, k], pts[:, k]) ** 2
         np.sqrt(block, out=block)
         # entry (r, lo + r) sits at flat index lo + r * (n + 1)
-        block.reshape(-1)[lo::n + 1] = diagonal
+        block.reshape(-1)[lo::n + 1] = np.inf
         yield lo, block
-
-
-def min_pairwise_distance(points: np.ndarray) -> float:
-    """Least distance between two of ``points`` (inf for fewer than two),
-    one ``pairwise_distances`` block of at most ``DISTANCE_BLOCK`` cells at a
-    time: bitwise the minimum of the dense n x n matrix."""
-    if len(points) < 2:
-        return float("inf")
-    return float(np.min([block.min() for _, block in pairwise_distances(points, np.inf)]))
 
 
 _JITTER = 0.15  # fraction of a sub-cell; keeps the packing floor at 0.3*d/sqrt(n)
 
 
+def _jittered_subgrid(origin, span, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points, (n, 2), of the box ``origin`` + [0, ``span``] on its
+    ceil(sqrt(n))-square sub-grid, point i in cell (i g^2) // n, each
+    jittered by up to ``_JITTER`` of a sub-cell along both axes."""
+    g = int(np.ceil(np.sqrt(n)))
+    step = np.asarray(span, dtype=float) / g
+    cell = np.stack(np.divmod(np.arange(n) * g * g // n, g), axis=1)
+    return origin + (cell + 0.5) * step + rng.uniform(-_JITTER, _JITTER, (n, 2)) * step
+
+
 def _subgrid_disk(bounds: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
     x0, y0, size = bounds
-    g = int(np.ceil(np.sqrt(n)))
-    sub = size / g
-    pts = []
-    for i in range(n):
-        cell = (i * g * g) // n
-        gi, gj = divmod(cell, g)
-        jx, jy = rng.uniform(-_JITTER, _JITTER, size=2) * sub
-        pts.append([x0 + (gi + 0.5) * sub + jx, y0 + (gj + 0.5) * sub + jy, 0.0])
-    return np.array(pts)
+    xy = _jittered_subgrid((x0, y0), (size, size), n, rng)
+    return np.column_stack([xy, np.zeros(n)])
 
 
 def _subgrid_sphere(bounds: tuple, n: int, r: float, rng: np.random.Generator) -> np.ndarray:
@@ -422,18 +416,9 @@ def _subgrid_sphere(bounds: tuple, n: int, r: float, rng: np.random.Generator) -
             pts.append(r * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]))
         return np.array(pts)
     z_lo, z_hi, ph_a, ph_b = bounds
-    g = int(np.ceil(np.sqrt(n)))
-    dz = (z_hi - z_lo) / g
-    dph = (ph_b - ph_a) / g
-    pts = []
-    for i in range(n):
-        cell = (i * g * g) // n
-        gi, gj = divmod(cell, g)
-        z = z_lo + (gi + 0.5) * dz + rng.uniform(-_JITTER, _JITTER) * dz
-        ph = ph_a + (gj + 0.5) * dph + rng.uniform(-_JITTER, _JITTER) * dph
-        rho = np.sqrt(max(r * r - z * z, 0.0))
-        pts.append([rho * np.cos(ph), rho * np.sin(ph), z])
-    return np.array(pts)
+    z, ph = _jittered_subgrid((z_lo, ph_a), (z_hi - z_lo, ph_b - ph_a), n, rng).T
+    rho = np.sqrt(np.maximum(r * r - z * z, 0.0))
+    return np.column_stack([rho * np.cos(ph), rho * np.sin(ph), z])
 
 
 def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
@@ -441,7 +426,10 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     """Place floor(K)+1 bubble centers per patch on a jittered sub-grid.
 
     A single bubble goes exactly at the patch center.  Deterministic for a
-    fixed seed.
+    fixed seed.  Placement measures no distance: a jitter of at most
+    ``_JITTER`` of a sub-cell cannot make two centers coincide, and the
+    passes that read distances (``max_anchor_sums``, ``RetardedNetwork``)
+    reject coincident ones.
     """
     if eps <= 0:
         raise GeometryError("eps must be positive")
@@ -467,13 +455,8 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     off = patchwork.surface.surface_distance(centers)
     if np.any(off > 1e-12):
         raise GeometryError("generated centers left the surface")
-    d_min = min_pairwise_distance(centers)
-    if not (d_min > 0.0):
-        raise GeometryError("coincident bubble centers generated")
-    return BubbleCluster(
-        centers=centers, patch_ids=np.array(pids, dtype=int),
-        counts=counts.astype(int), eps=float(eps), d_min=d_min,
-    )
+    return BubbleCluster(centers=centers, patch_ids=np.array(pids, dtype=int),
+                         counts=counts.astype(int), eps=float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +471,24 @@ def counting_bound(d: float, k: float) -> float:
     return d**-k
 
 
-def max_anchor_sums(points: np.ndarray, k_list: Sequence[float]) -> list[float]:
-    """Largest inverse-distance sum over anchors, per k, from one pass of
-    ``pairwise_distances`` blocks shared by every k.
+def max_anchor_sums(points: np.ndarray, k_list: Sequence[float]) -> tuple[float, list[float]]:
+    """The least distance between two of ``points`` (inf for fewer than
+    two) and, per k, the largest inverse-distance sum over anchors, from one
+    pass of ``pairwise_distances`` blocks shared by every k.
 
-    No temporary holds more than ``DISTANCE_BLOCK`` cells.  Each anchor's sum
-    runs over its contiguous row of a block, so it, and the maximum, are
-    bitwise those of the dense n x n matrix.
+    No temporary holds more than ``DISTANCE_BLOCK`` cells.  The minimum, and
+    each anchor's sum over its contiguous row of a block, and the maximum,
+    are bitwise those of the dense n x n matrix.  A zero or NaN distance
+    raises ``GeometryError``.
     """
-    best = np.full(len(k_list), -np.inf)
-    for _, dist in pairwise_distances(points, np.inf):
+    d_min, best = np.inf, np.full(len(k_list), -np.inf)
+    for _, dist in pairwise_distances(points):
+        low = dist.min()
+        if not low > 0.0:
+            raise GeometryError("coincident bubble centers")
+        d_min = min(d_min, low)
         np.maximum(best, [(dist**-k).sum(axis=1).max() for k in k_list], out=best)
-    return best.tolist()
+    return float(d_min), best.tolist()
 
 
 def counting_scaling_check(surface: SurfaceDescriptor, d_list: Sequence[float],
@@ -519,7 +508,7 @@ def counting_scaling_check(surface: SurfaceDescriptor, d_list: Sequence[float],
     for d in d_list:
         pw = partition(surface, d)
         cluster = place_bubbles(pw, KFunction.constant(0.0), eps=min(0.1 * d, 1e-3), seed=seed)
-        sums.append(max_anchor_sums(cluster.centers, k_list))
+        sums.append(max_anchor_sums(cluster.centers, k_list)[1])
     rows = []
     for i, k in enumerate(k_list):
         for d, s in zip(d_list, sums):

@@ -157,21 +157,14 @@ class ValidationReport:
         return "".join(f"{k}={v!r}\n" for k, v in asdict(self).items())
 
 
-def max_anchor_interaction(centers: np.ndarray, c_eps: float) -> float:
-    """max over anchors a of sum_{b != a} c_eps / (4 pi |z_a - z_b|), from
-    the blocked ``max_anchor_sums`` (no n x n matrix; bitwise the dense sum)."""
-    with np.errstate(divide="ignore"):
-        largest = max_anchor_sums(centers, [1.0])[0]
-    if largest == np.inf:   # a zero distance
-        raise GeometryError("coincident bubble centers")
-    return float(c_eps / (4.0 * np.pi) * largest)
-
-
 def validate_conditions(params: PhysicalParams, cluster) -> ValidationReport:
     """Evaluate the inversion and interaction solvability conditions.
 
-    ``cluster`` must expose ``centers`` (n, 3), per-patch ``counts`` and
-    ``d_min``; see :class:`bubblescreen.geometry.BubbleCluster`.
+    ``cluster`` must expose ``centers`` (n, 3) and per-patch ``counts``; see
+    :class:`bubblescreen.geometry.BubbleCluster`.  Both conditions are read
+    from one ``max_anchor_sums`` pass over the centers: the inversion
+    condition from the least distance, the interaction condition from the
+    largest anchor sum of 1/r.  Coincident centers raise ``GeometryError``.
     """
     centers = np.asarray(cluster.centers, dtype=float)
     if centers.ndim != 2 or len(centers) == 0:
@@ -179,10 +172,10 @@ def validate_conditions(params: PhysicalParams, cluster) -> ValidationReport:
     raw = params.raw
     k_max = float(np.max(cluster.counts)) if len(cluster.counts) else 1.0
 
-    cond_res = max_anchor_interaction(centers, params.c_eps)
-
-    d_min = float(cluster.d_min) if len(centers) > 1 else np.inf
-    ratio = raw.eps / d_min if np.isfinite(d_min) else 0.0
+    d_min, (largest,) = max_anchor_sums(centers, [1.0])
+    cond_res = float(params.c_eps / (4.0 * np.pi) * largest)
+    # a single bubble has d_min = inf, so ratio 0
+    ratio = raw.eps / d_min
     cond_inv = (raw.rho_c / (4.0 * np.pi)) * params.vol_b * ratio**6 / raw.lambda1_mag**2
 
     return ValidationReport(

@@ -235,7 +235,8 @@ def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
     -1.  Its first live step is the first whose query lies past the source
     column's onset and reads no row before the first node; the entries are
     sorted by it stably, so in key order within a step, and the first
-    ``live[m]`` are live at step m.
+    ``live[m]`` are live at step m.  Entries never live on the grid sort
+    last, in key order.
     """
     e = np.flatnonzero(network.coupling)
     tau, onset = network.delay.take(e), network.onset[e % network.n]
@@ -243,8 +244,12 @@ def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
     first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
     del tau, onset     # the sort below sets the split's peak: 16 B per pair freed
     first = np.maximum(first, -np.floor(shift).astype(np.int64))
+    # no step past the grid goes live: clipped there, the steps fit the
+    # smallest unsigned type, whose stable sort is a radix sort
+    step_type = np.min_scalar_type(grid.steps)
+    first = np.minimum(first, grid.steps, out=first).astype(step_type)
     order = np.argsort(first, kind="stable")
-    live = np.searchsorted(first[order], np.arange(grid.steps), side="right")
+    live = np.searchsorted(first[order], np.arange(grid.steps, dtype=step_type), side="right")
     del first
     key = (e + np.array([[0], [network.n ** 2]])).ravel()[order]
     return key, shift[order], live
@@ -523,8 +528,11 @@ class DelayNetwork:
         per step that bound calls for).
         """
         n, h, steps, times = self.n, grid.h, grid.steps, grid.times
+        coupled = self.coupling != 0
         # the half-step query of the longest delay reads the deepest row
-        tau_max = np.max(self.delay, where=self.coupling != 0, initial=0.0)
+        tau_max = np.max(self.delay, where=coupled, initial=0.0)
+        tau_min = float(np.min(self.delay, where=coupled, initial=np.inf))
+        del coupled
         lag_max = int(-np.floor(SIGMAS[0] - tau_max / h))
         # a live entry reads no row before the first node, so no step of this
         # march reads more than ``steps`` rows behind it
@@ -584,7 +592,7 @@ class DelayNetwork:
             S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
             X, X_next = X_next, X
         counters = {"n": n, "pairs": len(plan.pairs) // 2, "steps": steps, "h": h,
-                    "tau_min": self.min_delay, "h_over_tau_min": h / self.min_delay,
+                    "tau_min": tau_min, "h_over_tau_min": h / tau_min,
                     "lag_max": lag_max, "near_pairs": near.pairs,
                     "near_contraction": near.contraction, "near_sweeps": near.sweeps}
         return Trace(times, Y, V, A, S, self.onset, counters)
@@ -609,7 +617,7 @@ class RetardedNetwork(DelayNetwork):
         n = len(nodes)
         w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
         coupling, delay = np.empty((n, n)), np.empty((n, n))
-        for lo, r in pairwise_distances(nodes, np.inf):
+        for lo, r in pairwise_distances(nodes):
             np.divide(w, 4.0 * np.pi * r, out=coupling[lo:lo + len(r)])
             np.divide(r, params.c0, out=delay[lo:lo + len(r)])
         np.fill_diagonal(delay, 0.0)

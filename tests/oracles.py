@@ -19,8 +19,14 @@ exceptions use package code:
 - ``dense_distances`` and its consumers ``dense_min_distance``,
   ``dense_anchor_sums`` and ``dense_retarded_matrices``: the one-piece n x n
   distance matrix that the row blocks of ``pairwise_distances`` replaced, and
-  the placement minimum, counting sums and retarded couplings and delays
-  read from it, kept as the blocked kernels' bitwise references;
+  the least distance, anchor sums and retarded couplings and delays read
+  from it, kept as the blocked kernels' bitwise references;
+- ``loop_subgrid_disk`` and ``loop_subgrid_sphere``, the per-point loops
+  that placed a patch's bubbles on its jittered sub-grid before one
+  vectorised draw replaced them, kept as its bitwise references;
+- ``int64_stage_pairs``, the stage split sorted on unclipped int64 first
+  live steps, which the radix sort on clipped small unsigned steps
+  replaced, kept as its reference for the live prefix and the near entries;
 - the transmission-law oracles ``memory_convolution``,
   ``kernel_identity_residual`` and ``jump_residual``, which check the paper's
   central claim on a screen solution: the jump of dW/dn across the surface
@@ -37,7 +43,9 @@ from bubblescreen.effective import EffectiveField, QuadratureRule
 from bubblescreen.errors import UsageError
 from bubblescreen.materials import PhysicalParams
 from bubblescreen.sources import PointSource
-from bubblescreen.stepping import TimeGrid, Trace, _hermite_weights, _stage_pairs
+from bubblescreen.geometry import _JITTER
+from bubblescreen.stepping import (SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights,
+                                   _stage_pairs)
 
 
 def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -195,6 +203,51 @@ def dense_retarded_matrices(nodes, col_weight, c0):
     w = np.broadcast_to(np.asarray(col_weight, dtype=float), (len(r),))
     coupling = w / (4.0 * np.pi * np.where(off, r, 1.0))
     return np.where(off, coupling, 0.0), np.where(off, r / c0, 0.0)
+
+
+def loop_subgrid_disk(bounds, n, rng):
+    """Bubbles of a disk cell, one jittered sub-grid point at a time."""
+    x0, y0, size = bounds
+    g = int(np.ceil(np.sqrt(n)))
+    sub = size / g
+    pts = []
+    for i in range(n):
+        gi, gj = divmod((i * g * g) // n, g)
+        jx, jy = rng.uniform(-_JITTER, _JITTER, size=2) * sub
+        pts.append([x0 + (gi + 0.5) * sub + jx, y0 + (gj + 0.5) * sub + jy, 0.0])
+    return np.array(pts)
+
+
+def loop_subgrid_sphere(bounds, n, r, rng):
+    """Bubbles of a sphere collar sector, one jittered sub-grid point at a
+    time, z and then the azimuth drawn per point."""
+    z_lo, z_hi, ph_a, ph_b = bounds
+    g = int(np.ceil(np.sqrt(n)))
+    dz = (z_hi - z_lo) / g
+    dph = (ph_b - ph_a) / g
+    pts = []
+    for i in range(n):
+        gi, gj = divmod((i * g * g) // n, g)
+        z = z_lo + (gi + 0.5) * dz + rng.uniform(-_JITTER, _JITTER) * dz
+        ph = ph_a + (gj + 0.5) * dph + rng.uniform(-_JITTER, _JITTER) * dph
+        rho = np.sqrt(max(r * r - z * z, 0.0))
+        pts.append([rho * np.cos(ph), rho * np.sin(ph), z])
+    return np.array(pts)
+
+
+def int64_stage_pairs(network, grid):
+    """``_stage_pairs`` with the entries sorted on their int64 first live
+    steps, unclipped, so entries never live on the grid sort by the step
+    at which they would be."""
+    e = np.flatnonzero(network.coupling)
+    tau, onset = network.delay.take(e), network.onset[e % network.n]
+    shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
+    first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
+    first = np.maximum(first, -np.floor(shift).astype(np.int64))
+    order = np.argsort(first, kind="stable")
+    live = np.searchsorted(first[order], np.arange(grid.steps), side="right")
+    key = (e + np.array([[0], [network.n ** 2]])).ravel()[order]
+    return key, shift[order], live
 
 
 def reference_march(network, grid):

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bubblescreen import ExperimentConfig
+from bubblescreen import ExperimentConfig, geometry, stepping
 from bubblescreen.errors import UsageError
 from bubblescreen.experiments import (CSV_BLOCK_ROWS, STAGES, OutputSession,
-                                      _long_columns, compare_at, run_stage)
+                                      _long_columns, build_scene, compare_at,
+                                      run_stage)
 
 from oracles import csv_rows_text
 
@@ -97,6 +98,38 @@ def test_sphere_compare_errors_pinned_to_rounding(eps, tmp_path):
     row = compare_at(config, eps, OutputSession(config, "compare", tmp_path))[0]
     for key, want in SPHERE_PINS[eps].items():
         assert row[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
+# distance passes per stage: one per validation, one per network built
+DISTANCE_PASSES = {"validate": 1, "foldy": 2, "effective": 1, "cq": 1, "compare": 3}
+
+
+@pytest.fixture
+def distance_passes(monkeypatch):
+    """The point counts of every ``pairwise_distances`` pass, as made."""
+    passes = []
+    kernel = geometry.pairwise_distances
+
+    def counted(points):
+        passes.append(len(points))
+        return kernel(points)
+
+    monkeypatch.setattr(geometry, "pairwise_distances", counted)
+    monkeypatch.setattr(stepping, "pairwise_distances", counted)
+    return passes
+
+
+@pytest.mark.parametrize("stage", [*DISTANCE_PASSES, "counting"])
+def test_one_distance_pass_per_validation_and_network(stage, tmp_path, distance_passes):
+    config = ExperimentConfig.from_dict(SMALL)
+    run_stage(stage, config, tmp_path)
+    want = DISTANCE_PASSES.get(stage, len(config.data["counting"]["d_list"]))
+    assert len(distance_passes) == want
+
+
+def test_placement_measures_nothing(distance_passes):
+    build_scene(ExperimentConfig.from_dict(SMALL))
+    assert distance_passes == []
 
 
 def test_validate_records_scene_timing(tmp_path):

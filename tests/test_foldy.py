@@ -6,7 +6,6 @@ from bubblescreen import (BubbleCluster, DelayNetwork, PointSource,
 from bubblescreen.errors import (ConfigError, EvaluationPointError,
                                  SolvabilityError)
 from bubblescreen.foldy import scattered_series
-from bubblescreen.geometry import min_pairwise_distance
 
 from oracles import duhamel_oscillator, planar_grid, reference_march
 
@@ -14,8 +13,7 @@ from oracles import duhamel_oscillator, planar_grid, reference_march
 def make_cluster(centers, eps=1.0 / 64.0):
     centers = np.asarray(centers, dtype=float)
     return BubbleCluster(centers=centers, patch_ids=np.arange(len(centers)),
-                         counts=np.ones(len(centers), dtype=int), eps=eps,
-                         d_min=min_pairwise_distance(centers))
+                         counts=np.ones(len(centers), dtype=int), eps=eps)
 
 
 def make_source(params, x0=(0.0, 0.0, 1.5), omega0=None, t_rise=1.0):

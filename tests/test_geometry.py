@@ -6,14 +6,15 @@ import pytest
 
 from bubblescreen import (KFunction, build_surface, counting_scaling_check,
                           partition, place_bubbles)
-from bubblescreen.errors import ConfigError, ResolutionError, UsageError
-from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, circle_rect_area,
-                                   max_anchor_sums, min_pairwise_distance,
-                                   pairwise_distances)
+from bubblescreen.errors import ConfigError, GeometryError, ResolutionError, UsageError
+from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, _subgrid_disk,
+                                   _subgrid_sphere, circle_rect_area,
+                                   max_anchor_sums, pairwise_distances)
 from bubblescreen.stepping import RetardedNetwork
 
 from oracles import (brute_inverse_distance_sum, dense_anchor_sums,
-                     dense_min_distance, dense_retarded_matrices, planar_grid)
+                     dense_min_distance, dense_retarded_matrices, loop_subgrid_disk,
+                     loop_subgrid_sphere, planar_grid)
 
 
 class TestSurfaces:
@@ -158,7 +159,7 @@ class TestPlacement:
         cl = place_bubbles(pw, KFunction.constant(const), eps=1e-3, seed=5)
         assert np.all(surface.surface_distance(cl.centers) <= 1e-12)
         floor = 0.3 * pw.d / np.sqrt(cl.counts.max())
-        assert cl.d_min >= floor
+        assert dense_min_distance(cl.centers) >= floor
 
     def test_infeasible_packing_rejected(self, disk):
         pw = partition(disk, 0.125)
@@ -175,23 +176,31 @@ class TestPlacement:
 class TestInverseDistanceSums:
     def test_two_points(self):
         pts = np.array([[0.0, 0, 0], [0.3, 0, 0]])
-        assert max_anchor_sums(pts, [1.0])[0] == pytest.approx(1 / 0.3, rel=1e-14)
+        assert max_anchor_sums(pts, [1.0])[1][0] == pytest.approx(1 / 0.3, rel=1e-14)
 
     def test_three_collinear_middle_anchor(self):
         # the middle point (2/d) beats either end (1/d + 1/(2d))
         d = 0.2
         pts = np.array([[-d, 0, 0], [0, 0, 0], [d, 0, 0]])
-        assert max_anchor_sums(pts, [1.0])[0] == pytest.approx(2 / d, rel=1e-14)
+        assert max_anchor_sums(pts, [1.0])[1][0] == pytest.approx(2 / d, rel=1e-14)
 
     def test_grid_matches_brute_force_and_bound(self):
         # bound constant fitted once on this grid family and frozen; the
         # maximum sits at a central anchor, 4.33 times d^-2 (1 + |log d|)
         pts = planar_grid(16, 1.0 / 16.0)
-        val = max_anchor_sums(pts, [2.0])[0]
+        d_min, (val,) = max_anchor_sums(pts, [2.0])
         best = max(brute_inverse_distance_sum(pts, 2.0, a) for a in range(len(pts)))
         assert val == pytest.approx(best, rel=1e-11)
         d = 1.0 / 16.0
+        assert d_min == pytest.approx(d, rel=1e-14)
         assert val <= 4.5 * d**-2 * (1.0 + abs(np.log(d)))
+
+    @pytest.mark.parametrize("kind", ["coincident", "nan"])
+    def test_coincident_or_nan_centers_rejected(self, kind):
+        pts = planar_grid(4, 0.25)
+        pts[5] = pts[9] if kind == "coincident" else np.nan
+        with pytest.raises(GeometryError):
+            max_anchor_sums(pts, [1.0])
 
 
 class TestCountingScaling:
@@ -224,8 +233,8 @@ class TestCountingScaling:
             counting_scaling_check(disk, d_list, [])
 
 
-def test_min_pairwise_distance_single_point():
-    assert min_pairwise_distance(np.zeros((1, 3))) == np.inf
+def test_anchor_sums_of_a_single_point():
+    assert max_anchor_sums(np.zeros((1, 3)), [1.0, 2.0]) == (np.inf, [0.0, 0.0])
 
 
 def _difference_array_distances(points):
@@ -242,9 +251,10 @@ def test_pairwise_distances_match_difference_array(cloud):
         pw = partition(build_surface(cloud, 1.0), 0.1)
         pts = place_bubbles(pw, KFunction.constant(k), eps=1e-3, seed=5).centers
     dist = np.vstack([block for _, block in pairwise_distances(pts)])
+    off = ~np.eye(len(pts), dtype=bool)
     for ref in _difference_array_distances(pts):
-        assert np.array_equal(dist, ref)
-    assert np.all(np.diag(dist) == 0.0)
+        assert np.array_equal(dist[off], ref[off])
+    assert np.all(np.diag(dist) == np.inf)
     assert np.array_equal(dist, dist.T)
 
 
@@ -256,13 +266,13 @@ _BLOCK_EDGES = [1, 2, _SIDE - 1, _SIDE, _SIDE + 1, 1000]
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_distance_blocks_cover_rows_in_order_within_the_bound(n):
     pts = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
-    blocks = list(pairwise_distances(pts, diagonal=-1.0))
+    blocks = list(pairwise_distances(pts))
     assert [lo for lo, _ in blocks] == list(range(0, n, max(1, DISTANCE_BLOCK // n)))
     assert all(block.shape[1] == n and block.size <= DISTANCE_BLOCK for _, block in blocks)
     assert sum(len(block) for _, block in blocks) == n
     for lo, block in blocks:
-        assert np.all(block[np.arange(len(block)), lo + np.arange(len(block))] == -1.0)
-        assert np.count_nonzero(block == -1.0) == len(block)
+        assert np.all(block[np.arange(len(block)), lo + np.arange(len(block))] == np.inf)
+        assert np.count_nonzero(block == np.inf) == len(block)
 
 
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
@@ -271,8 +281,8 @@ def test_blocked_consumers_match_the_dense_matrix_bitwise(n, params, disk_scene)
     # network's couplings and delays, each against its one-piece reference
     rng = np.random.default_rng(n)
     pts = rng.uniform(-1.0, 1.0, (n, 3))
-    assert min_pairwise_distance(pts) == dense_min_distance(pts)
-    assert max_anchor_sums(pts, [1.0, 2.0, 3.0]) == dense_anchor_sums(pts, [1.0, 2.0, 3.0])
+    assert max_anchor_sums(pts, [1.0, 2.0, 3.0]) == (
+        dense_min_distance(pts), dense_anchor_sums(pts, [1.0, 2.0, 3.0]))
     w = rng.uniform(0.5, 1.5, n)
     network = RetardedNetwork(pts, w, np.ones(n), params, disk_scene["source"], order=2)
     coupling, delay = dense_retarded_matrices(pts, w, params.c0)
@@ -292,3 +302,18 @@ def test_anchor_sums_peak_below_a_quarter_of_the_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes / 4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_jittered_subgrids_match_the_per_point_loops_bitwise(seed):
+    # disk cells and sphere collars, two to 39 points each, as the per-point
+    # loops drew them from the same generator
+    disk = partition(build_surface("disk", 1.0), 0.1).bounds
+    sphere = partition(build_surface("sphere", 1.0), 0.1)
+    collars, r = sphere.bounds[1:-1], sphere.surface.radius
+    for n in range(2, 40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        cell, collar = disk[(7 * n) % len(disk)], collars[(7 * n) % len(collars)]
+        assert np.array_equal(_subgrid_disk(cell, n, rng), loop_subgrid_disk(cell, n, ref))
+        assert np.array_equal(_subgrid_sphere(collar, n, r, rng),
+                              loop_subgrid_sphere(collar, n, r, ref))

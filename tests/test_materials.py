@@ -6,7 +6,6 @@ from bubblescreen import (BubbleCluster, ExperimentConfig, RawMaterials,
                           geometric_constant, validate_conditions)
 from bubblescreen.errors import GeometryError, ParameterError
 from bubblescreen.experiments import build_scene, run_stage
-from bubblescreen.geometry import min_pairwise_distance
 from bubblescreen.materials import PhysicalParams
 
 from oracles import (brute_inverse_distance_sum, csv_rows_text, planar_grid,
@@ -106,10 +105,9 @@ class TestDeriveParams:
 
 def _manual_cluster(centers, counts=None, eps=1.0 / 64.0):
     centers = np.asarray(centers, dtype=float)
-    d_min = min_pairwise_distance(centers)
     counts = np.ones(len(centers), dtype=int) if counts is None else np.asarray(counts)
     return BubbleCluster(centers=centers, patch_ids=np.arange(len(centers)),
-                         counts=counts, eps=eps, d_min=d_min)
+                         counts=counts, eps=eps)
 
 
 class TestValidateConditions:

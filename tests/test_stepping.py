@@ -13,7 +13,7 @@ from bubblescreen.errors import ConfigError, SolverError, UsageError
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, scattered_series
 from bubblescreen.laplace_cq import assemble_operator
-from oracles import dense_distances, reference_march, two_sum_near_pairs
+from oracles import dense_distances, int64_stage_pairs, reference_march, two_sum_near_pairs
 
 FIELDS = ("value", "rate", "acc")
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -229,6 +229,29 @@ def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
         r = rng.normal(size=network.n)
         want = solve(ns, r)
         assert np.abs(near.solve(ns, r) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["jittered", "coarse", "short", "short-onset"])
+def test_radix_split_matches_the_int64_sort(params, disk, disk_scene, kind):
+    # clipping the first live steps to the grid moves only entries that are
+    # never live: the live counts, the live prefix and the near entries keep
+    # their order, and every entry keeps its shift
+    if kind.startswith("short"):
+        network, grid = _small_network(9, seed=3, onset=kind.endswith("onset"))
+        grid = TimeGrid(T=8 * grid.h, h=grid.h, steps=8)
+    else:
+        network, grid = _networks(params, disk, disk_scene)[kind]
+    key, shift, live = stepping._stage_pairs(network, grid)
+    want_key, want_shift, want_live = int64_stage_pairs(network, grid)
+    assert np.array_equal(live, want_live)
+    m = live[-1]
+    assert np.array_equal(key[:m], want_key[:m]) and np.array_equal(shift[:m], want_shift[:m])
+    assert np.array_equal(key[shift > -1.0], want_key[want_shift > -1.0])
+    by_key, want_by_key = np.argsort(key), np.argsort(want_key)
+    assert np.array_equal(key[by_key], want_key[want_by_key])
+    assert np.array_equal(shift[by_key], want_shift[want_by_key])
+    if kind.startswith("short"):
+        assert not np.array_equal(key, want_key)
 
 
 def test_horizon_below_rounding_is_one_step():

@@ -244,3 +244,34 @@ def test_only_the_stage_split_lists_the_coupled_pairs():
         stray += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in {"i", "j", "c", "tau"}]
     assert stray == []
+
+
+
+def _calls(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def _callers(tree, name, scope=""):
+    """Qualified names of the functions and methods in ``tree`` that call
+    ``name``, one entry per call."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found += _callers(node, name, f"{scope}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            found += [scope + node.name] * len(_calls(node, name))
+    return found
+
+
+def test_distance_kernel_has_two_callers():
+    # one distance pass per validation (max_anchor_sums) and one per network
+    # (RetardedNetwork): placement and everything else measure nothing
+    callers, calls = [], 0
+    for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [f"{path.stem}.{name}" for name in _callers(tree, "pairwise_distances")]
+        calls += len(_calls(tree, "pairwise_distances"))
+    assert sorted(callers) == ["geometry.max_anchor_sums",
+                               "stepping.RetardedNetwork.__init__"]
+    assert calls == 2
