@@ -21,7 +21,6 @@ say (positive eps, xyz triples, a nonnegative seed, ...).  Every fault raises
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -234,6 +233,8 @@ class ExperimentConfig:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
+        # imported here: hashlib loads OpenSSL, which only a manifest needs
+        import hashlib
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 

@@ -204,10 +204,15 @@ def _partition_disk(surface: SurfaceDescriptor, d: float) -> Patchwork:
     # merge boundary slivers into nearby interior patches, largest first and
     # capacity-aware so no patch collects much more than one extra cell
     cap = 2.2 * d * d
+    kth = min(7, len(areas) - 1)
     order = sorted(partial, key=lambda item: (-item[1], item[0]))
     for (i, j), area in order:
         c = np.array([(i + 0.5) * d + ox, (j + 0.5) * d + oy])
-        by_dist = np.argsort(((centers - c) ** 2).sum(axis=1), kind="stable")
+        d2 = ((centers - c) ** 2).sum(axis=1)
+        # the eight nearest in the order of a stable argsort: every center
+        # within the eighth-smallest distance, sorted stably
+        near = np.flatnonzero(d2 <= np.partition(d2, kth)[kth])
+        by_dist = near[np.argsort(d2[near], kind="stable")]
         k = next((int(q) for q in by_dist[:8] if areas[q] + area <= cap),
                  int(by_dist[0]))
         areas[k] += area
@@ -426,14 +431,16 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     """Place floor(K)+1 bubble centers per patch on a jittered sub-grid.
 
     A single bubble goes exactly at the patch center.  Deterministic for a
-    fixed seed.  Placement measures no distance: a jitter of at most
-    ``_JITTER`` of a sub-cell cannot make two centers coincide, and the
-    passes that read distances (``max_anchor_sums``, ``RetardedNetwork``)
-    reject coincident ones.
+    fixed seed: the generator, ``np.random.default_rng(seed)``, is created
+    only when some patch holds more than one bubble, so a scene with one
+    bubble per patch (K < 1) draws nothing and never loads ``numpy.random``.
+    Placement measures no distance: a jitter of at most ``_JITTER`` of a
+    sub-cell cannot make two centers coincide, and the passes that read
+    distances (``max_anchor_sums``, ``RetardedNetwork``) reject coincident
+    ones.
     """
     if eps <= 0:
         raise GeometryError("eps must be positive")
-    rng = np.random.default_rng(seed)
     counts = k_func.counts_at(patchwork.centers)
     d = patchwork.d
     n_max = int(counts.max())
@@ -441,6 +448,7 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
         raise ResolutionError(
             f"infeasible packing: {n_max} bubbles of scale eps={eps} in patches of size {d}"
         )
+    rng = np.random.default_rng(seed) if n_max > 1 else None
     all_pts, pids = [], []
     for pid, (bounds, n_b) in enumerate(zip(patchwork.bounds, counts)):
         if n_b == 1:

@@ -25,14 +25,17 @@ otherwise: its cell weights the final S[n] or the new row n + 1.
 
 A network is its two n x n matrices, the couplings c_ij and the delays
 tau_ij; a zero coupling leaves the pair uncoupled.  The stage offset is one
-axis of length 2, ``SIGMAS``: ``DelayNetwork.solve`` splits the coupled
-entries once over both offsets (``_stage_pairs``, the one place that lists
-them) and builds from the split one row-major history plan per grid, a
-2n x n array of gather offsets whose row (s, i) holds oscillator i's pairs at
-stage s.  The acceleration and slope histories live in one array of 32-byte
-cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and S[k+1, j], the four
-values a query in the Hermite cell of rows k and k + 1 reads.  It carries leading zero rows, at least as many as the deepest
-lag, so every offset reads a row that exists, and one trailing zero row that
+axis of length 2, ``SIGMAS``: ``DelayNetwork.solve`` builds one row-major
+history plan per grid, a 2n x n array of gather offsets whose row (s, i)
+holds oscillator i's pairs at stage s.  One pass over blocks of plan rows
+reads the two matrices and writes the offsets, a 2n x n matrix of each
+entry's first live step (one byte an entry up to 255 steps) and the near
+entries, the one list of coupled entries it makes; no array holds one
+element per coupled pair.  The acceleration and slope histories live in one
+array of 32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and
+S[k+1, j], the four values a query in the Hermite cell of rows k and k + 1
+reads.  It carries leading zero rows, at least as many as the deepest lag,
+so every offset reads a row that exists, and one trailing zero row that
 uncoupled entries read.  The plan's 2n x n x 4 weights, the Hermite weights
 premultiplied by the coupling, are interleaved the same way.  Each delayed
 sum gathers the cells of a block of plan rows at a time into one small
@@ -68,14 +71,14 @@ query at or before a column's onset returns exactly zero, so neither the march
 nor a field evaluated from the trace picks up the interpolant's pre-onset
 leakage.  A pair's weights stay zero until the first step at which its query
 lies past the source column's onset (and reads no row before the first node);
-they are written at that step in the plan, and the split sorts the pairs by
-that step once for the plan and the near pairs, so a pair contributes exactly
-zero before it.  Fixed-step method of steps with breaking-point tracking
+they are written at that step, block by block where the plan's first live
+step equals it, and the near pairs are sorted by that step, so a pair
+contributes exactly zero before it.  Fixed-step method of steps with breaking-point tracking
 follows Bellen & Zennaro, *Numerical Methods for Delay Differential
 Equations* (2003).
 
-A network keeps nothing between marches: ``solve`` builds the split, the
-plan and the near pairs for its grid and returns, with the ``Trace``, the
+A network keeps nothing between marches: ``solve`` builds the plan and the
+near pairs for its grid and returns, with the ``Trace``, the
 march's ``counters`` read from them, which the run manifests record.
 """
 
@@ -96,7 +99,9 @@ from .sources import incident_eval
 SIGMAS = (0.5, 1.0)
 # Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
 # steps of n oscillators, each at both stage offsets, in one forcing call.
-FORCING_BLOCK = 8192
+# The incident wave's evaluation holds about 18 arrays of that many values,
+# 0.6 MiB at 2048 steps x oscillators.
+FORCING_BLOCK = 2048
 # Longest march TimeGrid.fit builds, in steps.
 MAX_STEPS = 2**16
 # History cells gathered per block of plan rows: min(2n, max(1, GATHER_BLOCK // n))
@@ -223,38 +228,6 @@ def _first_live(stage_t: np.ndarray, tau: np.ndarray, onset: np.ndarray) -> np.n
         n = n - back + ahead
 
 
-def _stage_pairs(network: "DelayNetwork", grid: TimeGrid):
-    """Every coupled pair's cells at both stage offsets, as (key, shift, live),
-    sorted by first live step.
-
-    The coupled pairs are the nonzero entries e = i*n + j of the coupling
-    matrix, row-major; entry (s, e), the pair at t_n + SIGMAS[s]*h, has the
-    key s*n*n + e, its flat index in the stage-major (2, n, n) plan.  Its
-    cell shift sigma - tau/h puts its query in the Hermite cell of rows n + o
-    and n + o + 1, o = floor(shift); the entry is near when the shift exceeds
-    -1.  Its first live step is the first whose query lies past the source
-    column's onset and reads no row before the first node; the entries are
-    sorted by it stably, so in key order within a step, and the first
-    ``live[m]`` are live at step m.  Entries never live on the grid sort
-    last, in key order.
-    """
-    e = np.flatnonzero(network.coupling)
-    tau, onset = network.delay.take(e), network.onset[e % network.n]
-    shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
-    first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
-    del tau, onset     # the sort below sets the split's peak: 16 B per pair freed
-    first = np.maximum(first, -np.floor(shift).astype(np.int64))
-    # no step past the grid goes live: clipped there, the steps fit the
-    # smallest unsigned type, whose stable sort is a radix sort
-    step_type = np.min_scalar_type(grid.steps)
-    first = np.minimum(first, grid.steps, out=first).astype(step_type)
-    order = np.argsort(first, kind="stable")
-    live = np.searchsorted(first[order], np.arange(grid.steps, dtype=step_type), side="right")
-    del first
-    key = (e + np.array([[0], [network.n ** 2]])).ravel()[order]
-    return key, shift[order], live
-
-
 def _slope_stencils(A: np.ndarray, mn: int, h: float) -> np.ndarray:
     """Third-order slopes from the accelerations up to row mn, as (2, n): the
     final slope at mn - 1 and the provisional one at mn, by one stencil product."""
@@ -297,65 +270,118 @@ class _StagePlan:
     step n of one grid, row-major: 2n rows, row s*n + i holding oscillator
     i's pairs at t_n + SIGMAS[s]*h, so the rows are the (2, n) sums in order.
 
-    Entry (r, j) is the pair (i, j) of row r, so the flat index of entry
-    (s, i, j) is the ``_stage_pairs`` key s*n*n + i*n + j.  ``idx[r, j]`` is
-    the offset, from row n, of the pair's history cell, which holds A and S
-    at rows n + o and n + o + 1.  A step gathers the cells of ``len(buf)``
-    plan rows at a time into the one ``buf`` with one unbuffered ``take``
-    and reduces each row against the interleaved weights by one dot over 4n
-    values straight into its output: ``weights[r, j, k]`` is the pair's
-    Hermite weight of its cell's k-th value.  ``pairs`` holds the split's
-    keys, sorted by their first live step; the first ``live_pairs[n]`` are
-    live at step n, and before the first one is live a step sums nothing.
-    The weights start at zero; an entry's weights c * w_k(theta), c and tau
-    read from the network's matrices at the key's entry, are written at its
-    first live step (``activate``), so an entry not yet live contributes
-    exactly zero, and a row with no live entry sums to exactly +0.0.
-    Uncoupled entries, the diagonal and entries whose cell lies before the
-    leading rows (delays longer than the whole grid) point past the end of
-    the history, which ``mode="clip"`` maps to its trailing zero cell, and
-    are never activated.  A far pair's cell ends at row n or earlier and
-    gives row n's slope weight zero, so it reads final values only.  A near
-    pair reads the final S[n] or the new row n + 1; while one is live, the
-    step writes the slopes S[n] and S[n+1] with A[n+1] still zero first, so
-    the sum holds the near pairs' history part and ``_NearPairs`` adds the
-    new node's share.
+    Entry (r, j) is the pair (i, j) of row r, and its flat index, the key
+    s*n*n + i*n + j, orders the entries.  Its cell shift sigma - tau/h puts
+    its query in the Hermite cell of rows n + o and n + o + 1, o =
+    floor(shift); ``idx[r, j]`` is the offset of that cell from row n.  A
+    step gathers the cells of ``len(buf)`` plan rows at a time into the one
+    ``buf`` with one unbuffered ``take`` and reduces each row against the
+    interleaved weights by one dot over 4n values straight into its output:
+    ``weights[r, j, k]`` is the pair's Hermite weight of its cell's k-th value.
+
+    The plan is built in one pass over ``blocks`` of rows of one stage, at
+    most ``GATHER_BLOCK`` cells each (one row when n exceeds it), that reads
+    the network's two matrices and writes ``idx``, ``first`` and the near
+    entries.  ``first[r, j]``, of the smallest unsigned type that holds
+    ``steps``, is the entry's first live step: the first whose query lies
+    past the source column's onset and reads no row before the first node,
+    clipped to ``steps``, at which uncoupled entries sit too, so no step
+    makes them live.  ``live[n]`` counts the entries live at step n, and
+    ``opens[n, b]`` those of block b whose first live step is n (row
+    ``steps`` those never live).  The weights start at zero; at its first
+    live step an entry's weights c * w_k(theta), c and tau read from the
+    network's matrices, are written (``activate``, called for every step in
+    order up to the one summed), so an entry not yet live contributes
+    exactly zero, a row with no live entry sums to exactly +0.0, and a step
+    with none sums nothing.  Uncoupled entries, the diagonal and entries whose cell lies
+    before the leading rows (delays longer than the whole grid) point past
+    the end of the history, which ``mode="clip"`` maps to its trailing zero
+    cell, and are never activated.
+
+    A far pair's cell ends at row n or earlier and gives row n's slope
+    weight zero, so it reads final values only.  A near pair, a coupled entry
+    whose shift exceeds -1, reads the final S[n] or the new row n + 1; while
+    one is live, the step writes the slopes S[n] and S[n+1] with A[n+1]
+    still zero first, so the sum holds the near pairs' history part and
+    ``_NearPairs`` adds the new node's share.  ``near`` holds the near
+    entries' keys and shifts, sorted stably by first live step, so in key
+    order within a step, and their live counts per step; the pass that
+    collects them is the one place that lists the coupled entries.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int, split):
-        n, steps = network.n, grid.steps
-        key, shift, self.live_pairs = split
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int):
+        n, h, steps = network.n, grid.h, grid.steps
         clear = (pad + steps + 2) * n
-        self.idx = np.full((2 * n, n), clear, dtype=np.int64)
-        cell = (pad + np.floor(shift).astype(np.int64)) * n + key % n
-        # a cell before the leading rows belongs to an entry no step of this
-        # grid makes live: it reads the trailing zero cell instead
-        cell[cell < 0] = clear
-        self.idx.reshape(-1)[key] = cell
-        del cell    # 16 B per pair, freed before the weights are allocated
-        self.pairs = key.astype(np.int32 if 2 * n * n < 2**31 else np.int64)
+        rows = min(n, max(1, GATHER_BLOCK // n))
+        self.blocks = [(s * n + lo, s * n + min(lo + rows, n))
+                       for s in range(len(SIGMAS)) for lo in range(0, n, rows)]
+        self.idx = np.empty((2 * n, n), dtype=np.int64)
+        self.first = np.empty((2 * n, n), dtype=np.min_scalar_type(steps))
+        self.opens = np.zeros((steps + 1, len(self.blocks)), dtype=np.int64)
+        stage_times, near = grid.stage_times, []
+        for b, (lo, hi) in enumerate(self.blocks):
+            s = lo // n
+            coupling = network.coupling[lo - s * n:hi - s * n]
+            coupled = coupling != 0
+            # an uncoupled entry's delay is never read: it counts as zero
+            tau = np.where(coupled, network.delay[lo - s * n:hi - s * n], 0.0)
+            shift = SIGMAS[s] - tau / h
+            offset = np.floor(shift).astype(np.int64)
+            first = np.maximum(_first_live(stage_times[s], tau, network.onset), -offset)
+            self.first[lo:hi] = np.where(coupled, np.minimum(first, steps), steps)
+            self.opens[:, b] = np.bincount(self.first[lo:hi].ravel(), minlength=steps + 1)
+            cell = (pad + offset) * n + np.arange(n)
+            # a cell before the leading rows belongs to an entry no step of
+            # this grid makes live: it reads the trailing zero cell instead
+            cell[~coupled | (cell < 0)] = clear
+            self.idx[lo:hi] = cell
+            k = np.flatnonzero((coupling != 0) & (shift > -1.0))
+            near.append((lo * n + k, shift.ravel()[k], self.first[lo:hi].ravel()[k]))
+        # the steps fit the smallest unsigned type, whose stable sort is a radix sort
+        key, shift, first = (np.concatenate(part) for part in zip(*near))
+        order = np.argsort(first, kind="stable")
+        self.near = (key[order], shift[order],
+                     np.searchsorted(first[order], np.arange(steps), side="right"))
+        self.live = np.cumsum(self.opens.sum(axis=1))[:steps]
         self.weights = np.zeros((2 * n, n, 4))
         self.buf = np.empty((min(2 * n, max(1, GATHER_BLOCK // n)), n, 4))
-        self.network, self.h, self.n, self._done = network, grid.h, n, 0
+        self.network, self.h, self.n, self._next, self._done = network, h, n, 0, 0
 
     def activate(self, ns: int) -> None:
-        """Write the weights of every entry whose first live step is ns or less."""
-        lo, hi = self._done, self.live_pairs[ns]
-        key, net = self.pairs[lo:hi], self.network
-        stage, e = np.divmod(key, self.n * self.n)
-        shift = np.take(SIGMAS, stage) - net.delay.take(e) / self.h
-        w = np.stack(_hermite_weights(shift - np.floor(shift), self.h), axis=1)
-        self.weights.reshape(-1, 4)[key] = net.coupling.take(e)[:, None] * w
-        self._done = hi
+        """Write the weights of every entry whose first live step is ns.
+
+        The blocks in which entries go live at ns are scanned in runs of
+        rows, each at most 32 buffers of rows holding at most half a buffer
+        of such entries: the scan's one-byte mask stays within the buffer's
+        bytes, and the weights' temporaries within about two buffers'."""
+        most, runs = self.buf.size // 8, []
+        for b in np.flatnonzero(self.opens[ns]):
+            lo, hi = self.blocks[b]
+            count = self.opens[ns, b]
+            if not runs or runs[-1][2] + count > most or hi - runs[-1][0] > 32 * len(self.buf):
+                runs.append([lo, hi, count])
+            else:
+                runs[-1][1:] = hi, runs[-1][2] + count
+        net, weights = self.network, self.weights.reshape(-1, 4)
+        for lo, hi, _ in runs:
+            key = lo * self.n + np.flatnonzero(self.first[lo:hi] == ns)
+            stage, e = np.divmod(key, self.n * self.n)
+            shift = np.take(SIGMAS, stage) - net.delay.take(e) / self.h
+            c = net.coupling.take(e)
+            for k, w in enumerate(_hermite_weights(shift - np.floor(shift), self.h)):
+                # one weight of every entry, through a strided view
+                weights[:, k][key] = c * w
 
     def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
         """Both stages' sums at step ns, as (2, n), over the (rows * n, 4)
         history ``cells``."""
         out = np.zeros((2, self.n))
-        if not self.live_pairs[ns]:
+        if not self.live[ns]:
             return out
-        if self.live_pairs[ns] > self._done:
-            self.activate(ns)
+        if self.live[ns] > self._done:
+            for step in range(self._next, ns + 1):
+                self.activate(step)
+            self._next, self._done = ns + 1, self.live[ns]
         cells = cells[ns * self.n:]
         total = out.reshape(-1)
         for lo in range(0, len(total), len(self.buf)):
@@ -369,19 +395,18 @@ class _StagePlan:
 class _NearPairs:
     """The new node's share of both stages' near sums on one grid.
 
-    Built from the same ``_stage_pairs`` split as the plan: the near entries
-    are those whose shift exceeds -1, over both stages at once, taken in the
-    split's order.  A near entry interpolates rows n - 1, n (o = -1) or
-    n, n + 1 (o = 0) with the final slope S[n] and, for o = 0, the new
-    node's A[n+1] and its provisional slope S[n+1].  Both slopes are affine
-    in a = A[n+1] through ``_slope_stencils``, so each near value is a
+    Built from the plan's ``near`` entries, those whose shift exceeds -1,
+    over both stages at once, in the plan's order.  A near entry
+    interpolates rows n - 1, n (o = -1) or n, n + 1 (o = 0) with the final
+    slope S[n] and, for o = 0, the new node's A[n+1] and its provisional
+    slope S[n+1].  Both slopes are affine in a = A[n+1] through
+    ``_slope_stencils``, so each near value is a
     history part, summed by the plan with the new row at zero, plus g * a_j,
     g being the entry's coupled Hermite weights of S[n], A[n+1] and S[n+1]
     with the slope stencils of the new row.  Its sum lands in ``tgt[p]``,
     row s*n + i of the stage-major (2, n) sums, and ``rows[p]`` = i.  The
-    split sorts the entries by their first live step (exact onsets, as in
-    the plan), so the first ``live[n]`` are live at step n: the near ones
-    among the plan's first ``live_pairs[n]``.
+    plan sorts the entries by their first live step (exact onsets, as in its
+    weights), so the first ``live[n]`` are live at step n.
 
     The RK4 step is affine in the delayed sums, and x(t_{n+1}) depends on the
     half stage only, through k3, by -h^2/3 per unit of delayed sum over the
@@ -395,18 +420,15 @@ class _NearPairs:
     below 1 the map contracts, and ``sweeps`` passes bring a to rounding level.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, split):
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, near):
         n, h = network.n, grid.h
-        key, shift, live = split
-        sel = np.flatnonzero(shift > -1.0)
-        # the near entries among the plan's first live[m], which sort first
-        self.live = np.searchsorted(sel, live)
-        shift, (self.tgt, self.cols) = shift[sel], np.divmod(key[sel], n)
+        key, shift, self.live = near
+        self.tgt, self.cols = np.divmod(key, n)
         offset = np.floor(shift)
         # weights of S[n], A[n+1], S[n+1]: a cell n - 1, n (o = -1) ends at S[n]
         _, w10, w01, w11 = _hermite_weights(shift - offset, h)
-        zero = np.zeros(len(sel))
-        w = network.coupling.take(key[sel] % (n * n)) * np.where(
+        zero = np.zeros(len(key))
+        w = network.coupling.take(key % (n * n)) * np.where(
             offset == 0, (w10, w01, w11), (w11, zero, zero))
         self.rows = self.tgt % n
         # a pair near at the half stage is near at the full one
@@ -499,10 +521,13 @@ class DelayNetwork:
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
-        Any step h > 0 is allowed.  One ``_stage_pairs`` split of the coupled
-        pairs over both stage offsets (h/2 and h) builds, once per solve, the
-        2n-row history plan and the near pairs; each step takes both stages'
-        sums, as (2, n), from one ``delayed_sum`` call, and the new node
+        Any step h > 0 is allowed.  One pass over the 2n rows of the history
+        plan, both stage offsets (h/2 and h), reads the coupling and delay
+        matrices a block of rows at a time and builds, once per solve, the
+        plan's gather offsets, each entry's first live step and the near
+        pairs; it lists no other pair, and each entry's weights are written
+        at its first live step.  Each step takes both stages' sums, as
+        (2, n), from one ``delayed_sum`` call, and the new node
         (x, x', x'') from one contraction of the RK4 map
         (``_rk4_coefficients``) with x_n, x'_n, x''_n and f - d.  While a
         near pair (delay below 1.5h at the half stage, 2h at the full one)
@@ -514,9 +539,8 @@ class DelayNetwork:
         march starts.  The history of cells has min(``lag_max``, ``steps``)
         + 2 leading zero rows and one trailing zero row; each row written
         lands in two cells, the lower half of its own and the upper half of
-        the one before, and
-        the ``Trace`` holds strided views of the lower halves over the
-        unpadded rows.  The forcing is tabulated at both stage times a block
+        the one before, and the ``Trace`` holds strided views of the lower
+        halves over the unpadded rows.  The forcing is tabulated at both stage times a block
         of steps at a time, by one ``forcing`` call per block.
 
         The returned ``Trace`` carries the march's ``counters``: its size
@@ -532,19 +556,18 @@ class DelayNetwork:
         # the half-step query of the longest delay reads the deepest row
         tau_max = np.max(self.delay, where=coupled, initial=0.0)
         tau_min = float(np.min(self.delay, where=coupled, initial=np.inf))
+        pairs = int(np.count_nonzero(coupled))
         del coupled
         lag_max = int(-np.floor(SIGMAS[0] - tau_max / h))
         # a live entry reads no row before the first node, so no step of this
         # march reads more than ``steps`` rows behind it
         pad = min(lag_max, steps) + 2
-        split = _stage_pairs(self, grid)
-        near = _NearPairs(self, grid, split)
+        plan = _StagePlan(self, grid, pad)
+        near = _NearPairs(self, grid, plan.near)
         if near.contraction >= 1.0:
             raise SolverError(
                 f"near pairs at step h={h} do not contract (bound "
                 f"{near.contraction:.3g} >= 1): lower h_max")
-        plan = _StagePlan(self, grid, pad, split)
-        del split   # 32 B per pair that the march no longer reads
         Y = np.zeros((steps + 1, n))
         V = np.zeros((steps + 1, n))
         # pad leading zero rows (read by pairs not yet live) and one trailing
@@ -591,7 +614,7 @@ class DelayNetwork:
             # far queries reach it only after that
             S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
             X, X_next = X_next, X
-        counters = {"n": n, "pairs": len(plan.pairs) // 2, "steps": steps, "h": h,
+        counters = {"n": n, "pairs": pairs, "steps": steps, "h": h,
                     "tau_min": tau_min, "h_over_tau_min": h / tau_min,
                     "lag_max": lag_max, "near_pairs": near.pairs,
                     "near_contraction": near.contraction, "near_sweeps": near.sweeps}

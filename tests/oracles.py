@@ -21,12 +21,20 @@ exceptions use package code:
   distance matrix that the row blocks of ``pairwise_distances`` replaced, and
   the least distance, anchor sums and retarded couplings and delays read
   from it, kept as the blocked kernels' bitwise references;
+- ``argsort_partition_disk``, the disk partition that found each boundary
+  sliver's nearest patches by a full stable argsort of the distances, which
+  the partial sort of the eight nearest replaced, kept as its bitwise
+  reference;
 - ``loop_subgrid_disk`` and ``loop_subgrid_sphere``, the per-point loops
   that placed a patch's bubbles on its jittered sub-grid before one
   vectorised draw replaced them, kept as its bitwise references;
-- ``int64_stage_pairs``, the stage split sorted on unclipped int64 first
-  live steps, which the radix sort on clipped small unsigned steps
-  replaced, kept as its reference for the live prefix and the near entries;
+- ``stage_pairs`` and ``split_stage_plan``, the split of every coupled pair
+  over both stage offsets, sorted by first live step, and the history plan
+  and near entries built from it, which the one pass over the plan rows
+  replaced, kept as their bitwise references; and ``int64_stage_pairs``,
+  the split sorted on unclipped int64 first live steps, which the radix
+  sort on clipped small unsigned steps replaced, kept as its reference for
+  the live prefix and the near entries;
 - the transmission-law oracles ``memory_convolution``,
   ``kernel_identity_residual`` and ``jump_residual``, which check the paper's
   central claim on a screen solution: the jump of dW/dn across the surface
@@ -40,12 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from bubblescreen.effective import EffectiveField, QuadratureRule
-from bubblescreen.errors import UsageError
 from bubblescreen.materials import PhysicalParams
 from bubblescreen.sources import PointSource
-from bubblescreen.geometry import _JITTER
-from bubblescreen.stepping import (SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights,
-                                   _stage_pairs)
+from bubblescreen.errors import ResolutionError, UsageError
+from bubblescreen.geometry import _GRID_SHIFT, _JITTER, Patchwork, circle_rect_area
+from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights
 
 
 def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -235,8 +242,71 @@ def loop_subgrid_sphere(bounds, n, r, rng):
     return np.array(pts)
 
 
+def argsort_partition_disk(surface, d):
+    """The disk patchwork with each boundary sliver merged into the first of
+    its eight nearest interior patches, by a full stable argsort of the
+    distances, that has room for it (else the nearest)."""
+    r = surface.radius
+    ox, oy = _GRID_SHIFT[0] * d, _GRID_SHIFT[1] * d
+    idx_lo = int(np.floor(-r / d)) - 2
+    idx_hi = int(np.ceil(r / d)) + 2
+    interior, partial = [], []
+    for i in range(idx_lo, idx_hi):
+        for j in range(idx_lo, idx_hi):
+            x0, y0 = i * d + ox, j * d + oy
+            cx = min(max(0.0, x0), x0 + d)
+            cy = min(max(0.0, y0), y0 + d)
+            if cx * cx + cy * cy >= r * r:
+                continue
+            if all((x0 + a * d) ** 2 + (y0 + b * d) ** 2 <= r * r
+                   for a in (0, 1) for b in (0, 1)):
+                interior.append((i, j))
+            else:
+                area = circle_rect_area(x0, x0 + d, y0, y0 + d, r)
+                if area > 0.0:
+                    partial.append(((i, j), area))
+    if len(interior) < 4:
+        raise ResolutionError(f"spacing d={d} leaves only {len(interior)} interior cells (< 4)")
+    centers = np.array([((i + 0.5) * d + ox, (j + 0.5) * d + oy) for i, j in interior])
+    areas = np.full(len(interior), d * d)
+    cap = 2.2 * d * d
+    for (i, j), area in sorted(partial, key=lambda item: (-item[1], item[0])):
+        c = np.array([(i + 0.5) * d + ox, (j + 0.5) * d + oy])
+        by_dist = np.argsort(((centers - c) ** 2).sum(axis=1), kind="stable")
+        k = next((int(q) for q in by_dist[:8] if areas[q] + area <= cap),
+                 int(by_dist[0]))
+        areas[k] += area
+    return Patchwork(surface, d, np.column_stack([centers, np.zeros(len(areas))]), areas,
+                     [(i * d + ox, j * d + oy, d) for i, j in interior])
+
+
+def stage_pairs(network, grid):
+    """Every coupled pair's cells at both stage offsets, as (key, shift, live),
+    sorted by first live step.
+
+    The coupled pairs are the nonzero entries e = i*n + j of the coupling
+    matrix, row-major; entry (s, e), the pair at t_n + SIGMAS[s]*h, has the
+    key s*n*n + e, its flat index in the stage-major (2, n, n) plan, and the
+    cell shift sigma - tau/h.  Its first live step is the first whose query
+    lies past the source column's onset and reads no row before the first
+    node, clipped to the grid; the entries are sorted by it stably, so in
+    key order within a step, and the first ``live[m]`` are live at step m.
+    """
+    e = np.flatnonzero(network.coupling)
+    tau, onset = network.delay.take(e), network.onset[e % network.n]
+    shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
+    first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
+    first = np.maximum(first, -np.floor(shift).astype(np.int64))
+    step_type = np.min_scalar_type(grid.steps)
+    first = np.minimum(first, grid.steps, out=first).astype(step_type)
+    order = np.argsort(first, kind="stable")
+    live = np.searchsorted(first[order], np.arange(grid.steps, dtype=step_type), side="right")
+    key = (e + np.array([[0], [network.n ** 2]])).ravel()[order]
+    return key, shift[order], live
+
+
 def int64_stage_pairs(network, grid):
-    """``_stage_pairs`` with the entries sorted on their int64 first live
+    """``stage_pairs`` with the entries sorted on their int64 first live
     steps, unclipped, so entries never live on the grid sort by the step
     at which they would be."""
     e = np.flatnonzero(network.coupling)
@@ -248,6 +318,29 @@ def int64_stage_pairs(network, grid):
     live = np.searchsorted(first[order], np.arange(grid.steps), side="right")
     key = (e + np.array([[0], [network.n ** 2]])).ravel()[order]
     return key, shift[order], live
+
+
+def split_stage_plan(network, grid, pad):
+    """The history plan built from the ``stage_pairs`` split, every entry
+    live on the grid activated, as ``(idx, weights, near)``: the (2n, n)
+    gather offsets, the (2n, n, 4) weights and the near entries' ``(key,
+    shift, live)``, the split's entries whose shift exceeds -1 in its order
+    with their live counts per step."""
+    n = network.n
+    key, shift, live = stage_pairs(network, grid)
+    clear = (pad + grid.steps + 2) * n
+    idx = np.full((2 * n, n), clear, dtype=np.int64)
+    cell = (pad + np.floor(shift).astype(np.int64)) * n + key % n
+    cell[cell < 0] = clear
+    idx.reshape(-1)[key] = cell
+    weights = np.zeros((2 * n, n, 4))
+    done = key[:live[-1]]
+    stage, e = np.divmod(done, n * n)
+    at = np.take(SIGMAS, stage) - network.delay.take(e) / grid.h
+    w = np.stack(_hermite_weights(at - np.floor(at), grid.h), axis=1)
+    weights.reshape(-1, 4)[done] = network.coupling.take(e)[:, None] * w
+    sel = np.flatnonzero(shift > -1.0)
+    return idx, weights, (key[sel], shift[sel], np.searchsorted(sel, live))
 
 
 def reference_march(network, grid):
@@ -311,7 +404,7 @@ def two_sum_near_pairs(network, grid):
     -1/m to the two halves afterwards.
     """
     n, h = network.n, grid.h
-    key, shift, live_pairs = _stage_pairs(network, grid)
+    key, shift, live_pairs = stage_pairs(network, grid)
     sel = np.flatnonzero(shift > -1.0)
     live = np.count_nonzero(sel < live_pairs[:, None], axis=1)
     stage, i, j = np.unravel_index(key[sel], (2, n, n))

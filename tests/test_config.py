@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,31 @@ def test_numeric_strings_become_numbers():
     assert cfg.data["seed"] == 3
     assert cfg.data["counting"]["d_list"] == [0.25, 0.125]
     assert cfg.data["pulse"]["omega0"] is None
+
+
+_SCENE_MODULES = """
+import sys
+import bubblescreen.cli
+from bubblescreen.config import ExperimentConfig
+from bubblescreen.experiments import build_scene
+build_scene(ExperimentConfig.load(sys.argv[1]))
+print(" ".join(sorted({"numpy.random", "_hashlib"} & set(sys.modules))) or "none")
+"""
+
+
+def test_disk_scene_loads_neither_openssl_nor_numpy_random():
+    # a scene with one bubble per patch draws no random number, and only a
+    # manifest hashes the config: neither library is loaded to build it
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCENE_MODULES, str(ROOT / "configs" / "default.yaml")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["none"]
+
+
+def test_config_hash_is_pinned():
+    # the digest of the canonical JSON of the default config, unchanged by
+    # where hashlib is imported
+    config = ExperimentConfig.load(ROOT / "configs" / "default.yaml")
+    assert config.config_hash() == (
+        "b074701dd7e82db6f4446e0c9122a071ed0478aad27ee161a37f90c86cf23d07")

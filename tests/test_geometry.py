@@ -7,12 +7,12 @@ import pytest
 from bubblescreen import (KFunction, build_surface, counting_scaling_check,
                           partition, place_bubbles)
 from bubblescreen.errors import ConfigError, GeometryError, ResolutionError, UsageError
-from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, _subgrid_disk,
-                                   _subgrid_sphere, circle_rect_area,
+from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, _partition_disk,
+                                   _subgrid_disk, _subgrid_sphere, circle_rect_area,
                                    max_anchor_sums, pairwise_distances)
 from bubblescreen.stepping import RetardedNetwork
 
-from oracles import (brute_inverse_distance_sum, dense_anchor_sums,
+from oracles import (argsort_partition_disk, brute_inverse_distance_sum, dense_anchor_sums,
                      dense_min_distance, dense_retarded_matrices, loop_subgrid_disk,
                      loop_subgrid_sphere, planar_grid)
 
@@ -317,3 +317,25 @@ def test_jittered_subgrids_match_the_per_point_loops_bitwise(seed):
         assert np.array_equal(_subgrid_disk(cell, n, rng), loop_subgrid_disk(cell, n, ref))
         assert np.array_equal(_subgrid_sphere(collar, n, r, rng),
                               loop_subgrid_sphere(collar, n, r, ref))
+
+
+@pytest.mark.parametrize("d", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0])
+def test_disk_partition_matches_the_argsort_merge(d):
+    # the partial sort picks each sliver's eight nearest patches in the
+    # order of a full stable argsort: the same patchwork bitwise
+    surface = build_surface("disk", 1.0)
+    got, want = partition(surface, d), argsort_partition_disk(surface, d)
+    assert np.array_equal(got.centers, want.centers)
+    assert np.array_equal(got.areas, want.areas)
+    assert got.bounds == want.bounds
+
+
+def test_coarse_disk_partition_matches_the_argsort_merge():
+    # five and seven interior patches, fewer than eight candidates: the
+    # patchworks that validation then refuses are still the old ones
+    surface = build_surface("disk", 1.0)
+    for d, m in ((0.25, 7), (0.3, 5)):
+        got, want = _partition_disk(surface, d), argsort_partition_disk(surface, d)
+        assert got.m == m
+        assert np.array_equal(got.centers, want.centers)
+        assert np.array_equal(got.areas, want.areas)

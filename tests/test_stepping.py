@@ -13,7 +13,8 @@ from bubblescreen.errors import ConfigError, SolverError, UsageError
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, scattered_series
 from bubblescreen.laplace_cq import assemble_operator
-from oracles import dense_distances, int64_stage_pairs, reference_march, two_sum_near_pairs
+from oracles import (dense_distances, int64_stage_pairs, reference_march, split_stage_plan,
+                     stage_pairs, two_sum_near_pairs)
 
 FIELDS = ("value", "rate", "acc")
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -34,6 +35,13 @@ def _networks(params, disk, disk_scene):
             "foldy": (foldy, TimeGrid.fit(4.0, 0.05)),
             "jittered": (off_lattice, TimeGrid.fit(4.0, 0.05)),
             "coarse": (screen, TimeGrid.fit(4.0, 1.2 * screen.min_delay))}
+
+
+def _near_pairs(network, grid):
+    """The near-pair system of a march of ``network`` on ``grid``, built
+    from the near entries of its plan."""
+    plan = stepping._StagePlan(network, grid, grid.steps + 2)
+    return stepping._NearPairs(network, grid, plan.near)
 
 
 @pytest.mark.parametrize("kind", ["screen", "foldy", "jittered", "coarse"])
@@ -129,14 +137,14 @@ def test_non_contracting_near_pairs_rejected():
     network = stepping.DelayNetwork(np.ones(2), [[0.0, 2.0], [2.0, 0.0]],
                                     [[0.0, 0.1], [0.1, 0.0]], lambda t: np.exp(-t) * t ** 4)
     grid = TimeGrid.fit(2.0, 0.2)
-    near = stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid))
+    near = _near_pairs(network, grid)
     assert near.contraction >= 1.0
     with pytest.raises(SolverError, match="lower h_max"):
         network.solve(grid)
 
 
 def test_solve_sums_both_stages_from_one_plan(monkeypatch):
-    # near pairs live: the plan and the near pairs share one split
+    # near pairs live: the near pairs come from the plan's one pass
     network, grid = _small_network(9, seed=3)
     grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
     built, sums = {}, []
@@ -156,11 +164,11 @@ def test_solve_sums_both_stages_from_one_plan(monkeypatch):
         return sums[-1]
 
     monkeypatch.setattr(stepping._StagePlan, "delayed_sum", counted_sum)
-    for name in ("_stage_pairs", "_NearPairs", "_StagePlan"):
+    for name in ("_NearPairs", "_StagePlan"):
         counted(name)
     network.solve(grid)
     assert {name: len(made) for name, made in built.items()} == {
-        "_stage_pairs": 1, "_NearPairs": 1, "_StagePlan": 1}
+        "_NearPairs": 1, "_StagePlan": 1}
     assert built["_StagePlan"][0].idx.shape == (2 * network.n, network.n)
     assert len(sums) == grid.steps
     assert all(d.shape == (2, network.n) for d in sums)
@@ -190,8 +198,7 @@ def test_near_march_steps_once_per_step(monkeypatch):
     # step's map, and the near share is solved once per live step
     network, grid = _small_network(9, seed=3)
     grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
-    live = np.flatnonzero(
-        stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid)).live)
+    live = np.flatnonzero(_near_pairs(network, grid).live)
     staged, shares = [], []
     rk4 = stepping._rk4
 
@@ -218,7 +225,7 @@ def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
         grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
     else:
         network, grid = _networks(params, disk, disk_scene)["jittered"]
-    near = stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid))
+    near = _near_pairs(network, grid)
     solve, contraction, sweeps = two_sum_near_pairs(network, grid)
     # the bound comes from the premultiplied weights bitwise
     assert (near.contraction, near.sweeps) == (contraction, sweeps)
@@ -235,21 +242,31 @@ def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
 def test_radix_split_matches_the_int64_sort(params, disk, disk_scene, kind):
     # clipping the first live steps to the grid moves only entries that are
     # never live: the live counts, the live prefix and the near entries keep
-    # their order, and every entry keeps its shift
+    # their order, the live entries their cells and the near ones their shifts
     if kind.startswith("short"):
         network, grid = _small_network(9, seed=3, onset=kind.endswith("onset"))
         grid = TimeGrid(T=8 * grid.h, h=grid.h, steps=8)
     else:
         network, grid = _networks(params, disk, disk_scene)[kind]
-    key, shift, live = stepping._stage_pairs(network, grid)
+    pad = grid.steps + 2
+    plan = stepping._StagePlan(network, grid, pad)
     want_key, want_shift, want_live = int64_stage_pairs(network, grid)
-    assert np.array_equal(live, want_live)
-    m = live[-1]
-    assert np.array_equal(key[:m], want_key[:m]) and np.array_equal(shift[:m], want_shift[:m])
-    assert np.array_equal(key[shift > -1.0], want_key[want_shift > -1.0])
-    by_key, want_by_key = np.argsort(key), np.argsort(want_key)
-    assert np.array_equal(key[by_key], want_key[want_by_key])
-    assert np.array_equal(shift[by_key], want_shift[want_by_key])
+    assert np.array_equal(plan.live, want_live)
+    # the plan's order of the coupled entries: by clipped first live step,
+    # then by key s*n*n + i*n + j
+    coupled = np.flatnonzero(np.tile(network.coupling != 0, (2, 1)))
+    key = coupled[np.argsort(plan.first.ravel()[coupled], kind="stable")]
+    m = plan.live[-1]
+    assert np.array_equal(key[:m], want_key[:m])
+    # the live entries' cells, from their shifts
+    cell = (pad + np.floor(want_shift[:m]).astype(np.int64)) * network.n + key[:m] % network.n
+    assert np.array_equal(plan.idx.ravel()[key[:m]], cell)
+    near_key, near_shift, near_live = plan.near
+    near = np.flatnonzero(want_shift > -1.0)
+    assert np.array_equal(near_key, want_key[near])
+    assert np.array_equal(near_shift, want_shift[near])
+    assert np.array_equal(near_live, np.searchsorted(near, want_live))
+    assert np.array_equal(np.sort(key), np.sort(want_key))
     if kind.startswith("short"):
         assert not np.array_equal(key, want_key)
 
@@ -358,8 +375,7 @@ def test_march_shorter_than_its_deepest_lag_is_the_long_marchs_prefix(onset):
     short = network.solve(short_grid)
     assert short.counters["lag_max"] == lag_max
     # the deepest cells lie before the short history: they read its zero cell
-    plan = stepping._StagePlan(network, short_grid, steps + 2,
-                               stepping._stage_pairs(network, short_grid))
+    plan = stepping._StagePlan(network, short_grid, steps + 2)
     assert plan.idx.min() >= 0
     assert np.any(short.value != 0.0)
     for name in FIELDS:
@@ -378,17 +394,14 @@ def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block)
     network = stepping.DelayNetwork(np.full(4, 2.0), 0.05 * (1.0 - np.eye(4)), tau,
                                     lambda t: np.zeros(4), onset=group.astype(float))
     grid = TimeGrid.fit(3.0, 0.05)
-    split = stepping._stage_pairs(network, grid)
     pad = network.solve(grid).counters["lag_max"] + 2
-    plan = stepping._StagePlan(network, grid, pad, split)
+    plan = stepping._StagePlan(network, grid, pad)
     # every cell negative, so a zero weight times a value gives -0.0
     cells = np.full(((pad + grid.steps + 2) * network.n, 4), -1.0)
-    key, _, live_pairs = split
     mixed = 0
     for ns in range(grid.steps):
-        # a key s*n*n + i*n + j sums into row s*n + i
-        live = np.zeros(2 * network.n, dtype=bool)
-        live[key[:live_pairs[ns]] // network.n] = True
+        # the rows with an entry live at step ns
+        live = (plan.first <= ns).any(axis=1)
         total = plan.delayed_sum(ns, cells).ravel()
         assert np.all(total[~live] == 0.0) and not np.signbit(total[~live]).any(), ns
         assert np.all(total[live] != 0.0), ns
@@ -404,8 +417,7 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
     if kind == "coarse":
         # near pairs live from the first step, through the start-up stencils
         grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
-        near = stepping._NearPairs(network, grid, stepping._stage_pairs(network, grid))
-        assert near.live[0] > 0
+        assert _near_pairs(network, grid).live[0] > 0
     if kind == "boundary":
         # delays of exactly 1.5h and 2h put cells on the near/far boundary:
         # shifts of exactly -1 at the half and the full stage
@@ -416,7 +428,7 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
                                         network.forcing)
         grid = TimeGrid.fit(grid.T, 0.25)
         assert grid.h == 0.25
-        key, shift, _ = stepping._stage_pairs(network, grid)
+        key, shift, _ = stage_pairs(network, grid)
         for stage in range(2):
             assert np.any(shift[key // network.n ** 2 == stage] == -1.0)
     assert 0 < np.count_nonzero(network.coupling) < 9 * 8
@@ -481,12 +493,93 @@ def test_plan_memory_within_old_budget():
     network = DelaySystem(scene.cluster, scene.params, scene.source)
     grid = TimeGrid.fit(config.horizon, 0.05)
     counters = network.solve(grid).counters
-    plan = stepping._StagePlan(network, grid, counters["lag_max"] + 2,
-                               stepping._stage_pairs(network, grid))
-    nbytes = sum(a.nbytes for a in (plan.idx, plan.pairs, plan.live_pairs,
-                                    plan.weights, plan.buf))
+    plan = stepping._StagePlan(network, grid, counters["lag_max"] + 2)
+    nbytes = sum(a.nbytes for a in (plan.idx, plan.first, plan.live, plan.opens,
+                                    plan.weights, plan.buf, *plan.near))
     assert network.n > 200
     assert nbytes <= 2 * 48 * counters["pairs"] + 8 * network.n ** 2
+
+
+def _plan_case(params, disk_scene, kind):
+    """A network and grid for the plan's reference tests, every one with
+    onsets: one oscillator, two with a near pair, the default disk at
+    d = 1/8 (n = 48) and 1/16 (n = 222), and nine on a grid of eight steps
+    that the deepest delays outlast."""
+    def decay(t):
+        return np.exp(-t) * t ** 4
+
+    if kind == "n1":
+        network = stepping.DelayNetwork(np.ones(1), np.zeros((1, 1)), np.zeros((1, 1)),
+                                        decay, onset=[0.25])
+        return network, TimeGrid.fit(2.0, 0.05)
+    if kind == "n2":
+        network = stepping.DelayNetwork([1.0, 1.5], [[0.0, 0.1], [-0.2, 0.0]],
+                                        [[0.0, 0.3], [0.3, 0.0]], decay, onset=[0.0, 0.2])
+        return network, TimeGrid.fit(2.0, 0.2)
+    if kind == "n48":
+        return (DelaySystem(disk_scene["cluster"], params, disk_scene["source"]),
+                TimeGrid.fit(4.0, 0.05))
+    if kind == "n222":
+        config = ExperimentConfig.load(CONFIG)
+        scene = build_scene(config, 1.0 / 256.0)
+        return (DelaySystem(scene.cluster, scene.params, scene.source),
+                TimeGrid.fit(config.horizon, 0.05))
+    network, grid = _small_network(9, seed=3, onset=True)
+    return network, TimeGrid(T=8 * grid.h, h=grid.h, steps=8)
+
+
+@pytest.mark.parametrize("kind", ["n1", "n2", "n48", "n48-row-blocks", "n222", "short"])
+def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
+    # the one pass over the plan rows against the plan and near entries
+    # built from the sorted split of every coupled pair: the same gather
+    # offsets, weights and near entries bitwise, in the same order; with
+    # blocks of one row, activation scans many short runs
+    if kind.endswith("row-blocks"):
+        monkeypatch.setattr(stepping, "GATHER_BLOCK", 64)
+    network, grid = _plan_case(params, disk_scene, kind.split("-")[0])
+    pad = min(network.solve(grid).counters["lag_max"], grid.steps) + 2
+    plan = stepping._StagePlan(network, grid, pad)
+    idx, weights, near = split_stage_plan(network, grid, pad)
+    assert np.array_equal(plan.idx, idx)
+    assert np.array_equal(plan.live, stage_pairs(network, grid)[2])
+    # every step's sum activates the entries that go live at it
+    cells = np.zeros(((pad + grid.steps + 2) * network.n, 4))
+    for ns in range(grid.steps):
+        plan.delayed_sum(ns, cells)
+    assert np.array_equal(plan.weights.view(np.int64), weights.view(np.int64))
+    assert len(plan.near) == len(near)
+    for got, want in zip(plan.near, near):
+        assert np.array_equal(got, want)
+    coupled = np.tile(network.coupling != 0, (2, 1))
+    if kind == "n2":
+        assert len(near[0]) > 0
+    if kind == "short":
+        # coupled entries that never go live, some with cells before the
+        # leading rows, read the trailing zero cell
+        assert np.any(coupled & (plan.first == grid.steps))
+        assert np.any(coupled & (plan.idx == (pad + grid.steps + 2) * network.n))
+
+
+def test_foldy_march_peaks_within_its_plan_history_and_trace():
+    # the plan's 80 B per n x n entry (int64 offsets and four weights at
+    # each stage), the history cells and the trace's values and rates, and
+    # a fifth more: the march holds no list of its pairs
+    config = ExperimentConfig.load(CONFIG)
+    scene = build_scene(config, 1.0 / 350.0)
+    network = DelaySystem(scene.cluster, scene.params, scene.source)
+    grid = TimeGrid.fit(4.0, 0.05)
+    tracemalloc.start()
+    try:
+        trace = network.solve(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, steps = network.n, grid.steps
+    pad = min(trace.counters["lag_max"], steps) + 2
+    history = (pad + steps + 2) * n * 32
+    values = 2 * (steps + 1) * n * 8
+    assert 280 < n < 320
+    assert peak <= 1.2 * (80 * n * n + history + values)
 
 
 def test_network_build_holds_and_peaks_within_its_two_matrices():

@@ -227,13 +227,16 @@ def _coupled_listings(tree):
 
 
 def test_only_the_stage_split_lists_the_coupled_pairs():
-    # a network is its coupling and delay matrices: stepping._stage_pairs is
-    # the one function that lists the coupled entries, and no code reads a
-    # pair list's i, j, c or tau from a network
+    # a network is its coupling and delay matrices: the plan's one pass over
+    # its rows, stepping._StagePlan.__init__, which collects the near
+    # entries, is the one function that lists coupled entries, and no code
+    # reads a pair list's i, j, c or tau from a network
     package = ROOT / "src" / "bubblescreen"
     tree = ast.parse((package / "stepping.py").read_text())
-    split = next(node for node in ast.walk(tree)
-                 if isinstance(node, ast.FunctionDef) and node.name == "_stage_pairs")
+    plan = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "_StagePlan")
+    split = next(node for node in plan.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     inside = range(split.lineno, split.end_lineno + 1)
     assert [line for line in _coupled_listings(tree) if line in inside]
     stray = []
