@@ -84,7 +84,7 @@ class EffectiveSystem(RetardedNetwork):
                  source: PointSource):
         masses = params.omega_m_sq + params.c_bar * rule.density * rule.self_terms
         super().__init__(rule.nodes, rule.weights * rule.density * params.c_bar,
-                         masses, params, source, order=0)
+                         masses, params, source)
 
 
 def effective_grid(rule: QuadratureRule, params: PhysicalParams, T: float,

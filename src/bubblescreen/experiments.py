@@ -74,6 +74,13 @@ def _long_columns(times: np.ndarray, *fields: np.ndarray) -> list[np.ndarray]:
             *(np.ravel(f) for f in fields)]
 
 
+def _write_traces(session: OutputSession, name: str, id_name: str, trace) -> None:
+    """A march's trace as ``time, <id_name>, u, u_rate, y``: the unknown U,
+    its rate and its acceleration, the amplitude Y = U''."""
+    session.write_csv(name, ["time", id_name, "u", "u_rate", "y"],
+                      _long_columns(trace.times, trace.value.T, trace.rate.T, trace.acc.T))
+
+
 def _dict_columns(rows: list[dict], keys) -> list[list]:
     return [[r[k] for r in rows] for k in keys]
 
@@ -272,10 +279,7 @@ def run_foldy(config: ExperimentConfig, session: OutputSession) -> None:
     with session.timed("solve"):
         traces, fields = _solve_foldy_scene(scene, t_out)
     session.march["foldy"] = traces.counters
-    session.write_csv("foldy_traces.csv",
-                      ["time", "bubble_id", "y", "y_rate", "y_acc"],
-                      _long_columns(traces.times, traces.value.T, traces.rate.T,
-                                    traces.acc.T))
+    _write_traces(session, "foldy_traces.csv", "bubble_id", traces)
     session.write_csv("foldy_field.csv", ["time", "probe_id", "u_sc"],
                       _long_columns(t_out, fields))
 
@@ -286,12 +290,8 @@ def run_effective(config: ExperimentConfig, session: OutputSession) -> None:
     t_out = output_lattice(config)
     with session.timed("solve"):
         field, wsc = _solve_effective_scene(scene, t_out)
-    trace = field.trace
-    session.march["effective"] = trace.counters
-    session.write_csv("effective_traces.csv",
-                      ["time", "node_id", "u", "u_rate", "y"],
-                      _long_columns(trace.times, trace.value.T, trace.rate.T,
-                                    trace.acc.T))
+    session.march["effective"] = field.trace.counters
+    _write_traces(session, "effective_traces.csv", "node_id", field.trace)
     session.write_csv("effective_field.csv", ["time", "probe_id", "w_sc"],
                       _long_columns(t_out, wsc))
     rule = scene.rule

@@ -8,10 +8,9 @@ across both junctions.  The ramp is the standard quotient bump
 
 whose derivatives of every order vanish at s = 0 and s = 1, so the pulse and
 all retarded fields built from it are genuinely smooth.  The pipeline reads
-the pulse only through the incident wave ``incident_eval``: u_in, built on
-lambda itself (the screen forcing, the CQ samples and the total field), and
-d2/dt2 u_in, built on lambda'' (the Foldy forcing), both in closed form.  At
-order 0 the ramp's derivatives are not computed.
+the pulse only through the incident wave ``incident_eval``, u_in built on
+lambda itself: it forces both models, and it gives the CQ samples and the
+total field.  No derivative of the pulse is computed.
 """
 
 from __future__ import annotations
@@ -20,43 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationPointError, UsageError
+from .errors import ConfigError, EvaluationPointError
 
 
-def _bump_derivs(x: np.ndarray, order: int):
-    """f = exp(-1/x) on x > 0 (zero otherwise), and for ``order`` 2 its
-    derivatives 1 and 2 as well."""
-    out = [np.zeros_like(x) for _ in range(order + 1)]
+def _bump(x: np.ndarray) -> np.ndarray:
+    """f = exp(-1/x) on x > 0, zero otherwise."""
+    out = np.zeros_like(x)
     m = x > 0
-    xm = x[m]
-    e = np.exp(-1.0 / xm)
-    out[0][m] = e
-    if order:
-        out[1][m] = e / xm**2
-        out[2][m] = e * (1.0 / xm**4 - 2.0 / xm**3)
+    out[m] = np.exp(-1.0 / x[m])
     return out
 
 
-def _ramp_derivs(t: np.ndarray, t_rise: float, order: int):
-    """chi(t), and for ``order`` 2 its first two t-derivatives as well."""
-    s = t / t_rise
-    out = [np.zeros_like(t) for _ in range(order + 1)]
-    out[0][t >= t_rise] = 1.0
+def _ramp(t: np.ndarray, t_rise: float) -> np.ndarray:
+    """chi(t), its quotient formed on the rise window only."""
+    out = np.zeros_like(t)
+    out[t >= t_rise] = 1.0
     m = (t > 0) & (t < t_rise)
-    if not m.any():
-        return out
-    a, *da = _bump_derivs(s[m], order)
-    b, *db = _bump_derivs(1.0 - s[m], order)
-    den = a + b
-    out[0][m] = a / den
-    if order:
-        (a1, a2), (b1, b2) = da, db
-        b1 = -b1  # chain rule through (1 - s)
-        d1 = a1 + b1
-        num = a1 * b - a * b1
-        num1 = a2 * b - a * b2
-        out[1][m] = num / den**2 / t_rise
-        out[2][m] = (num1 / den**2 - 2 * num * d1 / den**3) / t_rise**2
+    if m.any():
+        s = t[m] / t_rise
+        a = _bump(s)
+        out[m] = a / (a + _bump(1.0 - s))
     return out
 
 
@@ -73,17 +55,9 @@ class SourcePulse:
             raise ConfigError("omega0 and t_rise must be positive")
 
 
-def pulse_eval(pulse: SourcePulse, t: np.ndarray, order: int) -> np.ndarray:
-    """lambda (``order`` 0) or lambda'' (``order`` 2) at the array of times ``t``."""
-    if order not in (0, 2):
-        raise UsageError(f"pulse order {order} is neither 0 nor 2")
-    w = pulse.omega0
-    s = np.sin(w * t)
-    if order == 0:
-        out = _ramp_derivs(t, pulse.t_rise, 0)[0] * s
-    else:
-        c0, c1, c2 = _ramp_derivs(t, pulse.t_rise, 2)
-        out = c2 * s + 2 * c1 * w * np.cos(w * t) - c0 * w**2 * s
+def pulse_eval(pulse: SourcePulse, t: np.ndarray) -> np.ndarray:
+    """lambda at the array of times ``t``."""
+    out = _ramp(t, pulse.t_rise) * np.sin(pulse.omega0 * t)
     out *= pulse.amplitude
     return out
 
@@ -102,10 +76,9 @@ class PointSource:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(3))
 
 
-def incident_eval(source: PointSource, x: np.ndarray, t, order: int = 0) -> np.ndarray:
-    """The incident wave at the points ``x`` (p, 3): u_in (``order`` 0) or
-    d2/dt2 u_in (``order`` 2), (rho_c / r) * lambda^(order)(t - r / c0) at
-    the distances r (p,) from the source.
+def incident_eval(source: PointSource, x: np.ndarray, t) -> np.ndarray:
+    """The incident wave u_in = (rho_c / r) * lambda(t - r / c0) at the
+    points ``x`` (p, 3), at the distances r (p,) from the source.
 
     ``t`` broadcasts against the (p,) distances as numpy does: a scalar gives
     (p,), an (m, 1) column (m, p).  This is the one place u_in is written:
@@ -115,4 +88,4 @@ def incident_eval(source: PointSource, x: np.ndarray, t, order: int = 0) -> np.n
     r = np.linalg.norm(x - source.x0, axis=1)
     if np.any(r == 0.0):
         raise EvaluationPointError("incident field evaluated at the source point")
-    return (source.rho_c / r) * pulse_eval(source.pulse, t - r / source.c0, order)
+    return (source.rho_c / r) * pulse_eval(source.pulse, t - r / source.c0)

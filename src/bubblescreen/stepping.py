@@ -99,8 +99,8 @@ from .sources import incident_eval
 SIGMAS = (0.5, 1.0)
 # Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
 # steps of n oscillators, each at both stage offsets, in one forcing call.
-# The incident wave's evaluation holds about 18 arrays of that many values,
-# 0.6 MiB at 2048 steps x oscillators.
+# The incident wave's evaluation peaks at about 8.4 arrays of that many
+# values, its input and output included: 0.13 MiB at 2048 steps x oscillators.
 FORCING_BLOCK = 2048
 # Longest march TimeGrid.fit builds, in steps.
 MAX_STEPS = 2**16
@@ -108,8 +108,11 @@ MAX_STEPS = 2**16
 # rows of n cells, at most 256 KiB.
 GATHER_BLOCK = 8192
 # Retarded field queries evaluated per block of times: max(1, FIELD_BLOCK // n)
-# times of n anchors, so each temporary of the interpolation stays near 256 KiB.
-FIELD_BLOCK = 32768
+# times of n anchors, so each of the interpolation's ~15 temporaries stays
+# near 64 KiB, below glibc's initial 128 KiB mmap threshold: they reuse the
+# heap the march freed rather than map fresh pages, and a stage's peak RSS
+# does not depend on where the allocator happened to place them.
+FIELD_BLOCK = 8192
 # Third-order slope stencils per start-up row k = min(mn, 3), as (weights over
 # A[mn-k], ..., A[mn], divisor): row 0 the final slope at mn - 1, row 1 the
 # provisional one at mn; the slopes are the weights times A over divisor * h.
@@ -626,16 +629,17 @@ class RetardedNetwork(DelayNetwork):
 
     The network of both models: every pair i != j coupled, with coupling
     w_j / (4 pi r_ij) for column weight w_j and delay r_ij / c0; forcing the
-    incident wave of the given ``order`` at the nodes (``incident_eval``),
-    and onset r_i / c0 at distance r_i from the point source.  Each row block
-    of ``pairwise_distances``, at most ``DISTANCE_BLOCK`` cells with an
+    incident wave u_in at the nodes (``incident_eval``), and onset r_i / c0
+    at distance r_i from the point source.  Each model marches its unknown U
+    on it, and its amplitude Y = U'' is the trace's acceleration.  Each row
+    block of ``pairwise_distances``, at most ``DISTANCE_BLOCK`` cells with an
     infinite diagonal, is written straight into both matrices, so every entry
     is bitwise the dense distance matrix's and the coupling's diagonal is
     w_i / inf = 0; the delay's diagonal is then set to zero.
     """
 
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
-                 params, source, order: int):
+                 params, source):
         nodes = np.asarray(nodes, dtype=float)
         n = len(nodes)
         w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
@@ -646,7 +650,7 @@ class RetardedNetwork(DelayNetwork):
         np.fill_diagonal(delay, 0.0)
 
         def forcing(t):
-            return incident_eval(source, nodes, t, order)
+            return incident_eval(source, nodes, t)
 
         onset = np.linalg.norm(nodes - source.x0, axis=1) / source.c0
         super().__init__(masses, coupling, delay, forcing, onset)

@@ -14,6 +14,10 @@ exceptions use package code:
 - ``two_sum_near_pairs``, the near-pair fixed point on the unscaled coupled
   weights with one (2, n) sum per sweep, which the one-pass sweeps on
   premultiplied weights replaced, kept as their reference;
+- ``pulse_second_derivative`` and ``incident_second_derivative``, lambda''
+  and d2/dt2 u_in in closed form: the forcing of the amplitudes' own delay
+  system, which the package marched before both models were marched in U on
+  u_in itself, kept as the reference of that formulation;
 - ``csv_rows_text``, the per-cell CSV formatter that the column-wise writer
   replaced, kept as its reference;
 - ``dense_distances`` and its consumers ``dense_min_distance``,
@@ -49,7 +53,7 @@ import numpy as np
 
 from bubblescreen.effective import EffectiveField, QuadratureRule
 from bubblescreen.materials import PhysicalParams
-from bubblescreen.sources import PointSource
+from bubblescreen.sources import PointSource, SourcePulse
 from bubblescreen.errors import ResolutionError, UsageError
 from bubblescreen.geometry import _GRID_SHIFT, _JITTER, Patchwork, circle_rect_area
 from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights
@@ -81,6 +85,52 @@ def duhamel_oscillator(times: np.ndarray, forcing: np.ndarray, mass: float) -> n
     s, c = np.sin(om_inv * times), np.cos(om_inv * times)
     return (s * cumulative_simpson(forcing * c, h)
             - c * cumulative_simpson(forcing * s, h)) * om_inv
+
+
+def _bump_derivs(x: np.ndarray):
+    """f = exp(-1/x) on x > 0 and its first two derivatives, zero otherwise."""
+    out = [np.zeros_like(x) for _ in range(3)]
+    m = x > 0
+    xm = x[m]
+    e = np.exp(-1.0 / xm)
+    out[0][m] = e
+    out[1][m] = e / xm**2
+    out[2][m] = e * (1.0 / xm**4 - 2.0 / xm**3)
+    return out
+
+
+def _ramp_derivs(t: np.ndarray, t_rise: float):
+    """The ramp chi(t) and its first two t-derivatives."""
+    s = t / t_rise
+    out = [np.zeros_like(t) for _ in range(3)]
+    out[0][t >= t_rise] = 1.0
+    m = (t > 0) & (t < t_rise)
+    if not m.any():
+        return out
+    a, a1, a2 = _bump_derivs(s[m])
+    b, b1, b2 = _bump_derivs(1.0 - s[m])
+    b1 = -b1  # chain rule through (1 - s)
+    den, d1 = a + b, a1 + b1
+    num, num1 = a1 * b - a * b1, a2 * b - a * b2
+    out[0][m] = a / den
+    out[1][m] = num / den**2 / t_rise
+    out[2][m] = (num1 / den**2 - 2 * num * d1 / den**3) / t_rise**2
+    return out
+
+
+def pulse_second_derivative(pulse: SourcePulse, t: np.ndarray) -> np.ndarray:
+    """lambda'' at the array of times ``t``, in closed form."""
+    w = pulse.omega0
+    s = np.sin(w * t)
+    c0, c1, c2 = _ramp_derivs(np.asarray(t, dtype=float), pulse.t_rise)
+    return pulse.amplitude * (c2 * s + 2 * c1 * w * np.cos(w * t) - c0 * w**2 * s)
+
+
+def incident_second_derivative(source: PointSource, x: np.ndarray, t) -> np.ndarray:
+    """d2/dt2 u_in = (rho_c / r) * lambda''(t - r / c0) at the points ``x``
+    (p, 3), ``t`` broadcast as in ``incident_eval``."""
+    r = np.linalg.norm(x - source.x0, axis=1)
+    return (source.rho_c / r) * pulse_second_derivative(source.pulse, t - r / source.c0)
 
 
 def fd_derivative(fun, t, order: int, h: float = 1e-5):

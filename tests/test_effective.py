@@ -62,7 +62,7 @@ class TestSolveEffective:
         trace = EffectiveSystem(rule, params, source).solve(grid)
         mass = params.omega_m_sq + params.c_bar * 1 * rule.self_terms[0]
         r = np.linalg.norm(rule.nodes[0] - source.x0)
-        u_in = pulse_eval(source.pulse, grid.times - r / params.c0, 0) / r
+        u_in = pulse_eval(source.pulse, grid.times - r / params.c0) / r
         ref = duhamel_oscillator(grid.times, u_in, mass)
         rel = np.linalg.norm(trace.value[:, 0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-5
@@ -195,7 +195,7 @@ class TestMemoryKernel:
             p = SourcePulse(omega0=rng.uniform(0.3, 2.0),
                             t_rise=rng.uniform(0.5, 1.5),
                             amplitude=rng.uniform(-2, 2))
-            f += pulse_eval(p, grid.times - rng.uniform(0.0, 1.0), 0)
+            f += pulse_eval(p, grid.times - rng.uniform(0.0, 1.0))
         om = rng.uniform(0.5, 2.0)
         res = kernel_identity_residual(f, om, grid)
         assert res < 1e-6 * max(np.abs(f).max(), 1.0)

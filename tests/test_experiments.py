@@ -62,14 +62,15 @@ def test_stage_csvs_reproducible_and_manifest_keys(tmp_path, stage):
     assert march["lag_max"] >= 1
 
 
-# compare on the default config before the interleaved history cells
-# (commit 11d12d1, numpy 2.4); a change of the march's summation order moves
-# these by about 1e-15, a change of the method by far more
+# compare on the default config, recorded once Foldy was marched in U on
+# u_in with its field read from the accelerations (numpy 2.4); a change of
+# the march's summation order moves these by about 1e-15, a change of the
+# method by far more (that one moved them by up to 1.1e-5)
 COMPARE_PINS = {
-    1.0 / 64.0: {"sup_err": 0.009550440712964015, "l2_err": 0.023859333540705685,
-                 "u_scale": 0.061609885327843186},
-    1.0 / 256.0: {"sup_err": 0.004708802685967364, "l2_err": 0.011821471603623873,
-                  "u_scale": 0.06570292504044313},
+    1.0 / 64.0: {"sup_err": 0.0095503672064996, "l2_err": 0.023859203799138497,
+                 "u_scale": 0.06160974666674349},
+    1.0 / 256.0: {"sup_err": 0.004708750240101256, "l2_err": 0.011821374957020092,
+                  "u_scale": 0.06570283833655963},
 }
 
 
@@ -82,13 +83,13 @@ def test_compare_errors_pinned_to_rounding(eps, tmp_path):
 
 
 SPHERE_CONFIG = CONFIG.parent.parent / "perfbench" / "configs" / "sphere_cluster.yaml"
-# compare on the sphere config (two jittered bubbles per patch), recorded at
-# commit 6e97c05 (numpy 2.4): guards the sphere partition and placement
+# compare on the sphere config (two jittered bubbles per patch), recorded
+# with Foldy marched in U (numpy 2.4): guards the sphere partition and placement
 SPHERE_PINS = {
-    1.0 / 128.0: {"m_bubbles": 256, "m_nodes": 128, "sup_err": 0.001705050550838666,
-                  "l2_err": 0.0025074102080242825, "u_scale": 0.10155037700553027},
-    1.0 / 256.0: {"m_bubbles": 512, "m_nodes": 256, "sup_err": 0.001281080918552377,
-                  "l2_err": 0.0018097334767894608, "u_scale": 0.10103371078134908},
+    1.0 / 128.0: {"m_bubbles": 256, "m_nodes": 128, "sup_err": 0.0017050501937138918,
+                  "l2_err": 0.0025074147083545086, "u_scale": 0.1015503766484055},
+    1.0 / 256.0: {"m_bubbles": 512, "m_nodes": 256, "sup_err": 0.0012810751188004066,
+                  "l2_err": 0.001809724748943178, "u_scale": 0.10103370498159711},
 }
 
 

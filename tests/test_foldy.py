@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from bubblescreen import (BubbleCluster, DelayNetwork, PointSource,
-                          SourcePulse, TimeGrid, assemble, pulse_eval)
+                          SourcePulse, TimeGrid, assemble)
 from bubblescreen.errors import (ConfigError, EvaluationPointError,
                                  SolvabilityError)
 from bubblescreen.foldy import scattered_series
 
-from oracles import duhamel_oscillator, planar_grid, reference_march
+from oracles import (duhamel_oscillator, incident_second_derivative, planar_grid,
+                     pulse_second_derivative, reference_march)
 
 
 def make_cluster(centers, eps=1.0 / 64.0):
@@ -100,10 +101,11 @@ class TestSolve:
         system = assemble(cluster, params, source)
         grid = TimeGrid.fit(6.0, 1e-3)
         trace = system.solve(grid)
+        # the amplitude Y = U'' solves the same oscillator forced by d2/dt2 u_in
         r = np.linalg.norm(cluster.centers[0] - source.x0)
-        g = pulse_eval(source.pulse, grid.times - r / params.c0, 2) / r
+        g = pulse_second_derivative(source.pulse, grid.times - r / params.c0) / r
         ref = duhamel_oscillator(grid.times, g, params.omega_m_sq)
-        rel = np.linalg.norm(trace.value[:, 0] - ref) / np.linalg.norm(ref)
+        rel = np.linalg.norm(trace.acc[:, 0] - ref) / np.linalg.norm(ref)
         assert rel < 1e-5
 
     def test_symmetric_bubbles_identical_traces(self, params):
@@ -180,10 +182,22 @@ class TestSolve:
         trace = system.solve(grid)
         for m in range(cluster.n):
             r = np.linalg.norm(centers[m] - source.x0)
-            g = pulse_eval(source.pulse, grid.times - r / params.c0, 2) / r
+            g = pulse_second_derivative(source.pulse, grid.times - r / params.c0) / r
             ref = duhamel_oscillator(grid.times, g, params.omega_m_sq)
-            rel = np.linalg.norm(trace.value[:, m] - ref) / np.linalg.norm(ref)
+            rel = np.linalg.norm(trace.acc[:, m] - ref) / np.linalg.norm(ref)
             assert rel < 1e-6
+
+    def test_amplitude_system_solves_to_the_acceleration_of_u(self, params, disk_scene):
+        # the amplitudes' own system, forced by d2/dt2 u_in, is the march in U
+        # differentiated twice: on the default disk its Y is U'' of the march
+        cluster, source = disk_scene["cluster"], disk_scene["source"]
+        system = assemble(cluster, params, source)
+        amplitudes = DelayNetwork(
+            system.masses, system.coupling, system.delay,
+            lambda t: incident_second_derivative(source, cluster.centers, t), system.onset)
+        grid = TimeGrid.fit(8.0, 0.00625)
+        y, u = amplitudes.solve(grid).value, system.solve(grid).acc
+        assert np.abs(y - u).max() <= 1e-8 * np.abs(y).max()
 
     def test_step_above_half_delay_matches_reference(self, params):
         # delay 0.1 < 1.5 h: both stages read the step's own cell, so the new
@@ -231,7 +245,7 @@ class TestConvergenceOrder:
         x = np.array([0.1, 0.2, 0.8])
         t_eval = 7.5
         vals = []
-        for h in (0.08, 0.04, 0.02):
+        for h in (0.04, 0.02, 0.01):
             net = _smooth_network()
             trace = net.solve(TimeGrid.fit(8.0, h))
             vals.append(scattered_series(trace, cluster, params, x, t_eval)[0, 0])
@@ -255,7 +269,7 @@ class TestScatteredField:
         x = np.array([0.0, 0.5, -0.4])
         r = np.linalg.norm(x - cluster.centers[0])
         for t in (2.5, 4.0, 5.5):
-            manual = -params.c_eps / (4 * np.pi * r) * trace.value_at(
+            manual = -params.c_eps / (4 * np.pi * r) * trace.accel_at(
                 np.array([t - r / params.c0]), np.array([0]))[0]
             assert scattered_series(trace, cluster, params, x, t)[0, 0] == pytest.approx(
                 manual, rel=1e-14)

@@ -284,7 +284,7 @@ def test_blocked_consumers_match_the_dense_matrix_bitwise(n, params, disk_scene)
     assert max_anchor_sums(pts, [1.0, 2.0, 3.0]) == (
         dense_min_distance(pts), dense_anchor_sums(pts, [1.0, 2.0, 3.0]))
     w = rng.uniform(0.5, 1.5, n)
-    network = RetardedNetwork(pts, w, np.ones(n), params, disk_scene["source"], order=2)
+    network = RetardedNetwork(pts, w, np.ones(n), params, disk_scene["source"])
     coupling, delay = dense_retarded_matrices(pts, w, params.c0)
     assert np.array_equal(network.coupling, coupling) and np.array_equal(network.delay, delay)
     # bitwise, the signs of the zero diagonals included

@@ -704,7 +704,9 @@ def test_blocked_field_matches_one_block(field_scene, monkeypatch):
 
 
 def test_blocked_field_memory(field_scene):
-    # the (times x n) queries of a probe series no longer live at once
+    # the (times x n) queries of a probe series no longer live at once, and
+    # the blocks' temporaries stay small (0.76 MiB peak at n = 222; 3.04 MiB
+    # with blocks four times larger)
     config, scene, trace, t_out = field_scene
     assert scene.cluster.n > 200 and len(t_out) > 400
     tracemalloc.start()
@@ -713,4 +715,4 @@ def test_blocked_field_memory(field_scene):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert peak < 2**20

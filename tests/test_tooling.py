@@ -168,6 +168,22 @@ def test_cq_states_no_model_and_only_sources_evaluates_the_pulse():
     assert callers == {"sources.py"}
 
 
+
+def test_no_function_takes_an_order():
+    # both models march U on the incident wave itself: no code path selects
+    # a derivative of the pulse, so no function takes an ``order`` parameter
+    found = []
+    for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                             *args.kwonlyargs, args.vararg, args.kwarg)
+                         if arg is not None]
+                if "order" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
 def _pairwise_differences(tree):
     """Line numbers of the n x n difference builds in ``tree``: a
     ``subtract.outer``, or a subtraction of two operands indexed with a
