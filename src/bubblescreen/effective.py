@@ -110,7 +110,7 @@ class EffectiveField:
         node spacings of a node raises ``EvaluationPointError``."""
         rule, params = self.rule, self.params
         coeffs = -(rule.weights * rule.density * params.c_bar)
-        return retarded_superposition(self.trace.accel_at, rule.nodes, coeffs, params.c0,
+        return retarded_superposition(self.trace, rule.nodes, coeffs, params.c0,
                                       x, t, min_dist=min_dist_factor * rule.spacing)
 
     def total(self, x, t, min_dist_factor: float = 2.0) -> np.ndarray:

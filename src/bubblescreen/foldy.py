@@ -60,5 +60,5 @@ def scattered_series(traces: Trace, cluster: BubbleCluster, params: PhysicalPara
     the times ``t_out``, as (p, times); a point within 2*eps of a bubble
     raises ``EvaluationPointError``."""
     coeffs = -np.full(cluster.n, params.c_eps)
-    return retarded_superposition(traces.accel_at, cluster.centers, coeffs, params.c0,
+    return retarded_superposition(traces, cluster.centers, coeffs, params.c0,
                                   points, t_out, min_dist=2.0 * cluster.eps)

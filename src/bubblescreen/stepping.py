@@ -71,11 +71,11 @@ query at or before a column's onset returns exactly zero, so neither the march
 nor a field evaluated from the trace picks up the interpolant's pre-onset
 leakage.  A pair's weights stay zero until the first step at which its query
 lies past the source column's onset (and reads no row before the first node);
-they are written at that step, block by block where the plan's first live
+they are written at that step, by one scan for the entries whose first live
 step equals it, and the near pairs are sorted by that step, so a pair
-contributes exactly zero before it.  Fixed-step method of steps with breaking-point tracking
-follows Bellen & Zennaro, *Numerical Methods for Delay Differential
-Equations* (2003).
+contributes exactly zero before it.  Fixed-step method of steps with
+breaking-point tracking follows Bellen & Zennaro, *Numerical Methods for Delay
+Differential Equations* (2003).
 
 A network keeps nothing between marches: ``solve`` builds the plan and the
 near pairs for its grid and returns, with the ``Trace``, the
@@ -282,24 +282,24 @@ class _StagePlan:
     interleaved weights by one dot over 4n values straight into its output:
     ``weights[r, j, k]`` is the pair's Hermite weight of its cell's k-th value.
 
-    The plan is built in one pass over ``blocks`` of rows of one stage, at
+    The plan is built in one pass over blocks of rows of one stage, at
     most ``GATHER_BLOCK`` cells each (one row when n exceeds it), that reads
     the network's two matrices and writes ``idx``, ``first`` and the near
     entries.  ``first[r, j]``, of the smallest unsigned type that holds
     ``steps``, is the entry's first live step: the first whose query lies
     past the source column's onset and reads no row before the first node,
     clipped to ``steps``, at which uncoupled entries sit too, so no step
-    makes them live.  ``live[n]`` counts the entries live at step n, and
-    ``opens[n, b]`` those of block b whose first live step is n (row
-    ``steps`` those never live).  The weights start at zero; at its first
-    live step an entry's weights c * w_k(theta), c and tau read from the
-    network's matrices, are written (``activate``, called for every step in
-    order up to the one summed), so an entry not yet live contributes
-    exactly zero, a row with no live entry sums to exactly +0.0, and a step
-    with none sums nothing.  Uncoupled entries, the diagonal and entries whose cell lies
-    before the leading rows (delays longer than the whole grid) point past
-    the end of the history, which ``mode="clip"`` maps to its trailing zero
-    cell, and are never activated.
+    makes them live.  ``opens[n]`` counts the entries whose first live step
+    is n (``opens[steps]`` those never live), and ``live[n]`` those live at
+    step n, their running sum.  The weights start at zero; at its first live
+    step an entry's weights c * w_k(theta), c and tau read from the
+    network's matrices, are written (``activate``, which ``delayed_sum``
+    calls at each step that opens entries), so an entry not yet live
+    contributes exactly zero, a row with no live entry sums to exactly +0.0,
+    and a step with none sums nothing.  Uncoupled entries, the diagonal and
+    entries whose cell lies before the leading rows (delays longer than the
+    whole grid) point past the end of the history, which ``mode="clip"``
+    maps to its trailing zero cell, and are never activated.
 
     A far pair's cell ends at row n or earlier and gives row n's slope
     weight zero, so it reads final values only.  A near pair, a coupled entry
@@ -316,13 +316,13 @@ class _StagePlan:
         n, h, steps = network.n, grid.h, grid.steps
         clear = (pad + steps + 2) * n
         rows = min(n, max(1, GATHER_BLOCK // n))
-        self.blocks = [(s * n + lo, s * n + min(lo + rows, n))
-                       for s in range(len(SIGMAS)) for lo in range(0, n, rows)]
+        blocks = [(s * n + lo, s * n + min(lo + rows, n))
+                  for s in range(len(SIGMAS)) for lo in range(0, n, rows)]
         self.idx = np.empty((2 * n, n), dtype=np.int64)
         self.first = np.empty((2 * n, n), dtype=np.min_scalar_type(steps))
-        self.opens = np.zeros((steps + 1, len(self.blocks)), dtype=np.int64)
+        self.opens = np.zeros(steps + 1, dtype=np.int64)
         stage_times, near = grid.stage_times, []
-        for b, (lo, hi) in enumerate(self.blocks):
+        for lo, hi in blocks:
             s = lo // n
             coupling = network.coupling[lo - s * n:hi - s * n]
             coupled = coupling != 0
@@ -332,7 +332,7 @@ class _StagePlan:
             offset = np.floor(shift).astype(np.int64)
             first = np.maximum(_first_live(stage_times[s], tau, network.onset), -offset)
             self.first[lo:hi] = np.where(coupled, np.minimum(first, steps), steps)
-            self.opens[:, b] = np.bincount(self.first[lo:hi].ravel(), minlength=steps + 1)
+            self.opens += np.bincount(self.first[lo:hi].ravel(), minlength=steps + 1)
             cell = (pad + offset) * n + np.arange(n)
             # a cell before the leading rows belongs to an entry no step of
             # this grid makes live: it reads the trailing zero cell instead
@@ -345,46 +345,42 @@ class _StagePlan:
         order = np.argsort(first, kind="stable")
         self.near = (key[order], shift[order],
                      np.searchsorted(first[order], np.arange(steps), side="right"))
-        self.live = np.cumsum(self.opens.sum(axis=1))[:steps]
+        self.live = np.cumsum(self.opens)[:steps]
         self.weights = np.zeros((2 * n, n, 4))
         self.buf = np.empty((min(2 * n, max(1, GATHER_BLOCK // n)), n, 4))
-        self.network, self.h, self.n, self._next, self._done = network, h, n, 0, 0
+        self.network, self.h, self.n = network, h, n
 
     def activate(self, ns: int) -> None:
         """Write the weights of every entry whose first live step is ns.
 
-        The blocks in which entries go live at ns are scanned in runs of
-        rows, each at most 32 buffers of rows holding at most half a buffer
-        of such entries: the scan's one-byte mask stays within the buffer's
-        bytes, and the weights' temporaries within about two buffers'."""
-        most, runs = self.buf.size // 8, []
-        for b in np.flatnonzero(self.opens[ns]):
-            lo, hi = self.blocks[b]
-            count = self.opens[ns, b]
-            if not runs or runs[-1][2] + count > most or hi - runs[-1][0] > 32 * len(self.buf):
-                runs.append([lo, hi, count])
-            else:
-                runs[-1][1:] = hi, runs[-1][2] + count
-        net, weights = self.network, self.weights.reshape(-1, 4)
-        for lo, hi, _ in runs:
-            key = lo * self.n + np.flatnonzero(self.first[lo:hi] == ns)
-            stage, e = np.divmod(key, self.n * self.n)
-            shift = np.take(SIGMAS, stage) - net.delay.take(e) / self.h
-            c = net.coupling.take(e)
-            for k, w in enumerate(_hermite_weights(shift - np.floor(shift), self.h)):
-                # one weight of every entry, through a strided view
-                weights[:, k][key] = c * w
+        One scan of ``first == ns``, 32 buffers of rows at a time, so its
+        one-byte mask stays within the buffer's bytes and the keys it finds
+        within eight buffers'; they are written at most half a buffer of
+        entries at a time, so the weights' temporaries stay within about two
+        buffers'."""
+        net, n, weights = self.network, self.n, self.weights.reshape(-1, 4)
+        rows, most = 32 * len(self.buf), self.buf.size // 8
+        for lo in range(0, 2 * n, rows):
+            found = lo * n + np.flatnonzero(self.first[lo:lo + rows] == ns)
+            for at in range(0, len(found), most):
+                key = found[at:at + most]
+                stage, e = np.divmod(key, n * n)
+                shift = np.take(SIGMAS, stage) - net.delay.take(e) / self.h
+                c = net.coupling.take(e)
+                for k, w in enumerate(_hermite_weights(shift - np.floor(shift), self.h)):
+                    # one weight of every entry, through a strided view
+                    weights[:, k][key] = c * w
 
     def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
         """Both stages' sums at step ns, as (2, n), over the (rows * n, 4)
-        history ``cells``."""
+        history ``cells``.  It activates the entries that go live at ns, so
+        it must be called once per step, in order, as ``DelayNetwork.solve``
+        does."""
+        if self.opens[ns]:
+            self.activate(ns)
         out = np.zeros((2, self.n))
         if not self.live[ns]:
             return out
-        if self.live[ns] > self._done:
-            for step in range(self._next, ns + 1):
-                self.activate(step)
-            self._next, self._done = ns + 1, self.live[ns]
         cells = cells[ns * self.n:]
         total = out.reshape(-1)
         for lo in range(0, len(total), len(self.buf)):
@@ -471,11 +467,11 @@ class DelayNetwork:
     wherever the coupling is not zero.  They are the network's only coupling
     data.
 
-    ``onset`` gives, per oscillator, the time before which its forcing
-    vanishes (zero by default).  The delayed terms then cannot wake x_i
-    earlier either, provided onset_i <= onset_j + tau_ij for every coupled
-    pair, which is checked here; the marched ``Trace`` returns exact zeros up
-    to each onset.
+    ``onset`` gives, per oscillator, the finite, non-negative time before
+    which its forcing vanishes (zero by default).  The delayed terms then
+    cannot wake x_i earlier either, provided onset_i <= onset_j + tau_ij for
+    every coupled pair, which is checked here; the marched ``Trace`` returns
+    exact zeros up to each onset.
 
     ``forcing(t)`` returns f(t).  ``solve`` calls it once per block of k
     steps with one (2k, 1) column of stage times, the k half-stage times
@@ -503,8 +499,8 @@ class DelayNetwork:
         if not (np.min(self.delay, initial=0.0) >= 0 and np.max(self.delay, initial=0.0) < np.inf
                 and np.min(self.delay, where=coupled, initial=np.inf) > 0):
             raise ConfigError("delays must be finite, non-negative, and positive where coupled")
-        if self.onset.shape != (n,) or np.any(self.onset < 0):
-            raise ConfigError("onsets must be n non-negative times")
+        if self.onset.shape != (n,) or not np.all((self.onset >= 0) & (self.onset < np.inf)):
+            raise ConfigError("onsets must be n finite, non-negative times")
         # onset_j + tau_ij, scaled in place: the checks' one n x n float temporary
         reach = np.add(self.onset, self.delay)
         reach *= 1 + 8 * np.finfo(float).eps
@@ -656,18 +652,19 @@ class RetardedNetwork(DelayNetwork):
         super().__init__(masses, coupling, delay, forcing, onset)
 
 
-def retarded_superposition(eval_fn, anchors: np.ndarray, coeffs: np.ndarray,
+def retarded_superposition(trace: Trace, anchors: np.ndarray, coeffs: np.ndarray,
                            c0: float, points: np.ndarray, t,
                            min_dist: float = 0.0) -> np.ndarray:
-    """sum_j coeffs_j / (4 pi |x - z_j|) * g_j(t - |x - z_j| / c0) at each point x.
+    """sum_j coeffs_j / (4 pi |x - z_j|) * U_j''(t - |x - z_j| / c0) at each point x.
 
-    ``eval_fn(tq, cols)`` supplies the retarded samples (a Trace method).
-    ``points`` is one point (3,) or (p, 3) points and ``t`` a time or a 1-D
-    array of times; returns (p, times).  A point closer than ``min_dist`` to
-    an anchor raises ``EvaluationPointError``.  The (times x anchors) queries
-    of a point are evaluated ``max(1, FIELD_BLOCK // n)`` times at a time, so
-    the temporaries stay small whatever the length of ``t``; each time's sum
-    is the same in any block.
+    The retarded samples of U_j'', anchor j's acceleration, come from
+    ``trace.accel_at``.  ``points`` is one point (3,) or (p, 3) points and
+    ``t`` a time or a 1-D array of times; returns (p, times).  A point closer
+    than ``min_dist`` to an anchor raises ``EvaluationPointError``.  The
+    (times x anchors) queries of a point are evaluated
+    ``max(1, FIELD_BLOCK // n)`` times at a time, so the temporaries stay
+    small whatever the length of ``t``; each time's sum is the same in any
+    block.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     t_arr = np.asarray(t, dtype=float).reshape(-1)
@@ -682,5 +679,5 @@ def retarded_superposition(eval_fn, anchors: np.ndarray, coeffs: np.ndarray,
         delay, weights = r / c0, coeffs / (4.0 * np.pi * r)
         for lo in range(0, len(t_arr), block):
             tq = t_arr[lo:lo + block, None] - delay
-            np.einsum("ij,j->i", eval_fn(tq, cols), weights, out=row[lo:lo + block])
+            np.einsum("ij,j->i", trace.accel_at(tq, cols), weights, out=row[lo:lo + block])
     return out

@@ -156,6 +156,10 @@ class TestSolve:
             network([0.0, 0.3])  # x_1 would hear x_0 before its own forcing
         with pytest.raises(ConfigError):
             network([-0.1, 0.0])
+        # no pair reading a column with a NaN or infinite onset would go live
+        for onset in ([0.0, np.nan], [np.inf, np.inf]):
+            with pytest.raises(ConfigError, match="finite"):
+                network(onset)
 
     def test_isometry_permutes_traces(self, params):
         rng = np.random.default_rng(5)

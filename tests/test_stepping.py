@@ -9,7 +9,7 @@ from bubblescreen import (KFunction, TimeGrid, effective_grid, partition,
                           place_bubbles, sources, stepping)
 from bubblescreen.config import ExperimentConfig
 from bubblescreen.effective import EffectiveSystem
-from bubblescreen.errors import ConfigError, SolverError, UsageError
+from bubblescreen.errors import ConfigError, DivergenceError, SolverError, UsageError
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, scattered_series
 from bubblescreen.laplace_cq import assemble_operator
@@ -469,6 +469,24 @@ def test_history_cells_hold_consecutive_rows(coarse):
     assert np.array_equal(bits[pad:-1, :, 1], trace.acc_slope.view(np.int64))
 
 
+def test_divergence_names_the_first_non_finite_node():
+    # a forcing that turns NaN after t = 1.03 reaches the stages of step 10,
+    # whose half stage is t = 1.05: node 11 is the first non-finite one, in
+    # the per-query reference march too, and the march stops there
+    def forcing(t):
+        return np.where(t < 1.03, np.exp(-t) * t ** 4, np.nan)
+
+    network = stepping.DelayNetwork([1.0, 1.5], [[0.0, 0.1], [-0.2, 0.0]],
+                                    [[0.0, 0.3], [0.3, 0.0]], forcing)
+    grid = TimeGrid.fit(2.0, 0.1)
+    value = reference_march(network, grid).value
+    first = int(np.flatnonzero(~np.all(np.isfinite(value), axis=1))[0])
+    assert first == 11
+    with pytest.raises(DivergenceError) as caught:
+        network.solve(grid)
+    assert caught.value.step == first
+
+
 def test_solve_is_bitwise_repeatable():
     network, grid = _small_network(9, seed=5, onset=True)
     other, other_grid = _small_network(14, seed=6)
@@ -532,8 +550,9 @@ def _plan_case(params, disk_scene, kind):
 def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
     # the one pass over the plan rows against the plan and near entries
     # built from the sorted split of every coupled pair: the same gather
-    # offsets, weights and near entries bitwise, in the same order; with
-    # blocks of one row, activation scans many short runs
+    # offsets, weights and near entries bitwise, in the same order; with a
+    # buffer of one row, activation scans 32 rows at a time and writes the
+    # entries it finds half a row at a time
     if kind.endswith("row-blocks"):
         monkeypatch.setattr(stepping, "GATHER_BLOCK", 64)
     network, grid = _plan_case(params, disk_scene, kind.split("-")[0])
@@ -542,15 +561,17 @@ def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
     idx, weights, near = split_stage_plan(network, grid, pad)
     assert np.array_equal(plan.idx, idx)
     assert np.array_equal(plan.live, stage_pairs(network, grid)[2])
-    # every step's sum activates the entries that go live at it
+    # every step's sum activates the entries that go live at it, and no other
+    coupled = np.tile(network.coupling != 0, (2, 1))
     cells = np.zeros(((pad + grid.steps + 2) * network.n, 4))
     for ns in range(grid.steps):
         plan.delayed_sum(ns, cells)
+        assert np.array_equal(np.any(plan.weights != 0, axis=2),
+                              coupled & (plan.first <= ns)), ns
     assert np.array_equal(plan.weights.view(np.int64), weights.view(np.int64))
     assert len(plan.near) == len(near)
     for got, want in zip(plan.near, near):
         assert np.array_equal(got, want)
-    coupled = np.tile(network.coupling != 0, (2, 1))
     if kind == "n2":
         assert len(near[0]) > 0
     if kind == "short":

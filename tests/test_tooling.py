@@ -184,6 +184,24 @@ def test_no_function_takes_an_order():
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
+def test_no_attribute_is_set_and_never_read():
+    # an attribute a deletion leaves behind on self is state nothing uses;
+    # reads count anywhere in the package or its tests, by attribute name
+    package = ROOT / "src" / "bubblescreen"
+    assigned, read = {}, set()
+    for path in sorted(package.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (path.is_relative_to(package) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"):
+                assigned.setdefault(node.attr, f"{path.name}:{node.lineno}")
+    assert [f"{where}: self.{name}" for name, where in assigned.items()
+            if name not in read] == []
+
+
 def _pairwise_differences(tree):
     """Line numbers of the n x n difference builds in ``tree``: a
     ``subtract.outer``, or a subtraction of two operands indexed with a
