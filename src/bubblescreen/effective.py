@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-from .geometry import BubbleCluster, Patchwork
+from .geometry import KFunction, Patchwork
 from .materials import PhysicalParams
 from .sources import PointSource, incident_eval
 from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
@@ -37,7 +36,8 @@ from .stepping import RetardedNetwork, TimeGrid, Trace, retarded_superposition
 # ---------------------------------------------------------------------------
 @dataclass
 class QuadratureRule:
-    """Nystrom rule: one node per patch, weight = patch area.
+    """Nystrom rule: one node per patch, weight = patch area, density the
+    integer floor(K)+1 at the node.
 
     ``self_terms`` is the regularized diagonal integral of 1/(4 pi |x-y|)
     over an equal-area disk: r_i/2 with r_i = sqrt(w_i/pi).
@@ -45,7 +45,7 @@ class QuadratureRule:
 
     nodes: np.ndarray      # (M, 3)
     weights: np.ndarray    # (M,)
-    density: np.ndarray    # (M,) integer floor(K)+1
+    density: np.ndarray    # (M,) integer floor(K)+1 at the nodes
     normals: np.ndarray    # (M, 3)
     spacing: float
 
@@ -58,13 +58,12 @@ class QuadratureRule:
         return np.sqrt(self.weights / np.pi) / 2.0
 
 
-def build_rule(patchwork: Patchwork, cluster: BubbleCluster) -> QuadratureRule:
-    """Quadrature rule over the patchwork, each node's density the cluster's
-    bubble count on its patch."""
-    density = np.asarray(cluster.counts, dtype=int)
-    if len(density) != patchwork.m:
-        raise UsageError("cluster counts do not match the patchwork")
-    return QuadratureRule(nodes=patchwork.centers, weights=patchwork.areas, density=density,
+def build_rule(patchwork: Patchwork, k_function: KFunction) -> QuadratureRule:
+    """Quadrature rule over the patchwork, each node's density floor(K)+1 at
+    the node itself, so it needs no bubbles: at the spacing of a placement
+    it is that cluster's ``counts``."""
+    return QuadratureRule(nodes=patchwork.centers, weights=patchwork.areas,
+                          density=k_function.counts_at(patchwork.centers),
                           normals=patchwork.surface.normal_at(patchwork.centers),
                           spacing=float(patchwork.d))
 

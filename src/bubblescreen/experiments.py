@@ -104,6 +104,8 @@ class OutputSession:
 
     def __enter__(self):
         self.dir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's manifest would list outputs a failure here deletes
+        (self.dir / "run_manifest.json").unlink(missing_ok=True)
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -197,11 +199,6 @@ def build_scene(config: ExperimentConfig, eps: float | None = None) -> Scene:
     shape = ShapeDescriptor(radius=float(config.data["bubble_shape"]["radius"]))
     params = derive_params(raw, shape)
 
-    surface = build_surface(config.surface_kind, config.surface_area)
-    patchwork = partition(surface, d)
-    cluster = place_bubbles(patchwork, config.k_function(), eps, seed=config.seed)
-    rule = build_rule(patchwork, cluster)
-
     pconf = config.data["pulse"]
     omega0 = pconf["omega0"]
     omega0 = 1.0 / params.omega_m if omega0 is None else float(omega0)
@@ -210,13 +207,18 @@ def build_scene(config: ExperimentConfig, eps: float | None = None) -> Scene:
     source = PointSource(np.asarray(config.data["source"]["position"], float),
                          pulse, rho_c=raw.rho_c, c0=params.c0)
 
+    # the stand-offs need only the surface and d: refuse them before partitioning
+    surface = build_surface(config.surface_kind, config.surface_area)
     src_dist = float(surface.surface_distance(source.x0[None, :])[0])
     if src_dist < 5.0 * d:
         raise ConfigError(f"source stand-off {src_dist:.3g} below 5*d = {5*d:.3g}")
-    obs = config.observation_points
-    obs_dist = surface.surface_distance(obs)
-    if np.any(obs_dist < 2.0 * d):
+    if np.any(surface.surface_distance(config.observation_points) < 2.0 * d):
         raise ConfigError("observation points closer than 2*d to the surface")
+
+    patchwork = partition(surface, d)
+    k_function = config.k_function()
+    cluster = place_bubbles(patchwork, k_function, eps, seed=config.seed)
+    rule = build_rule(patchwork, k_function)
     return Scene(config=config, eps=eps, d=d, cluster=cluster, params=params,
                  source=source, rule=rule)
 

@@ -5,9 +5,13 @@ Two surfaces are supported, matching the two admissible cases (closed or open):
 * ``sphere`` -- closed surface, partitioned into exact equal-area patches by
   polar caps plus latitude collars subdivided into sectors.
 * ``disk`` -- open flat surface in the z = 0 plane, partitioned by clipping a
-  square grid of spacing d to the disk.  Cells fully inside keep their exact
-  d^2 area; boundary slivers are merged into the nearest interior patch so the
-  partition stays exhaustive.
+  square grid of spacing d to the disk.  One array pass classifies every
+  lattice cell: a cell whose point nearest the disk's center lies at or
+  beyond the radius is outside; of the rest, a cell whose four corners all
+  lie within the closed disk is interior, and any other is a boundary cell,
+  whose clipped area is computed exactly.  Interior cells keep their exact
+  d^2 area; boundary slivers of positive area are merged into nearby
+  interior patches so the partition stays exhaustive.
 
 Patch areas on the sphere equal area/M exactly; on the disk the merged
 boundary patches may exceed d^2 by up to roughly one cell, which is the O(d)
@@ -175,49 +179,51 @@ _GRID_SHIFT = (1.0 / 3.0, 1.0 / 6.0)
 def _partition_disk(surface: SurfaceDescriptor, d: float) -> Patchwork:
     r = surface.radius
     ox, oy = _GRID_SHIFT[0] * d, _GRID_SHIFT[1] * d
-    idx_lo = int(np.floor(-r / d)) - 2
-    idx_hi = int(np.ceil(r / d)) + 2
-    interior: list[tuple[int, int]] = []
-    partial: list[tuple[tuple[int, int], float]] = []
-    for i in range(idx_lo, idx_hi):
-        for j in range(idx_lo, idx_hi):
-            x0, y0 = i * d + ox, j * d + oy
-            cx = min(max(0.0, x0), x0 + d)
-            cy = min(max(0.0, y0), y0 + d)
-            if cx * cx + cy * cy >= r * r:
-                continue  # nearest rect point outside the disk
-            corners_in = all(
-                (x0 + a * d) ** 2 + (y0 + b * d) ** 2 <= r * r
-                for a in (0, 1) for b in (0, 1)
-            )
-            if corners_in:
-                interior.append((i, j))
-            else:
-                area = circle_rect_area(x0, x0 + d, y0, y0 + d, r)
-                if area > 0.0:
-                    partial.append(((i, j), area))
-    if len(interior) < 4:
-        raise ResolutionError(f"spacing d={d} leaves only {len(interior)} interior cells (< 4)")
+    idx = np.arange(int(np.floor(-r / d)) - 2, int(np.ceil(r / d)) + 2)
+    x0, y0 = idx * d + ox, idx * d + oy
 
-    centers = np.array([((i + 0.5) * d + ox, (j + 0.5) * d + oy) for i, j in interior])
-    areas = np.full(len(interior), d * d)
+    def squares(lo):
+        """Per lattice line: the squared coordinate of the cell's point
+        nearest the center and the larger squared coordinate of its corners.
+        Corners are squared by the C library's pow (``float_power``), as by
+        Python's ``**``, not as lo * lo, which can differ in the last bit:
+        the patchworks stay bitwise those of a per-cell loop."""
+        near = np.minimum(np.maximum(0.0, lo), lo + d)
+        return near * near, np.maximum(np.float_power(lo, 2.0), np.float_power(lo + d, 2.0))
+
+    (near_x, far_x), (near_y, far_y) = squares(x0), squares(y0)
+    touches = np.add.outer(near_x, near_y) < r * r
+    # rounded addition is monotone, so the farther corner along each axis
+    # decides whether all four corners lie in the disk
+    interior = touches & (np.add.outer(far_x, far_y) <= r * r)
+    i, j = np.nonzero(interior)
+    if len(i) < 4:
+        raise ResolutionError(f"spacing d={d} leaves only {len(i)} interior cells (< 4)")
+    xs, ys = x0.tolist(), y0.tolist()
+    bi, bj = np.nonzero(touches & ~interior)
+    area = np.array([circle_rect_area(xs[a], xs[a] + d, ys[b], ys[b] + d, r)
+                     for a, b in zip(bi.tolist(), bj.tolist())])
+    mid_x, mid_y = (idx + 0.5) * d + ox, (idx + 0.5) * d + oy
+    centers = np.column_stack([mid_x[i], mid_y[j]])
+    areas = np.full(len(i), d * d)
     # merge boundary slivers into nearby interior patches, largest first and
     # capacity-aware so no patch collects much more than one extra cell
     cap = 2.2 * d * d
     kth = min(7, len(areas) - 1)
-    order = sorted(partial, key=lambda item: (-item[1], item[0]))
-    for (i, j), area in order:
-        c = np.array([(i + 0.5) * d + ox, (j + 0.5) * d + oy])
+    keep = area > 0.0
+    order = np.argsort(-area[keep], kind="stable")
+    slivers = np.column_stack([mid_x[bi[keep]], mid_y[bj[keep]]])[order]
+    for c, sliver in zip(slivers, area[keep][order].tolist()):
         d2 = ((centers - c) ** 2).sum(axis=1)
         # the eight nearest in the order of a stable argsort: every center
         # within the eighth-smallest distance, sorted stably
         near = np.flatnonzero(d2 <= np.partition(d2, kth)[kth])
         by_dist = near[np.argsort(d2[near], kind="stable")]
-        k = next((int(q) for q in by_dist[:8] if areas[q] + area <= cap),
+        k = next((int(q) for q in by_dist[:8] if areas[q] + sliver <= cap),
                  int(by_dist[0]))
-        areas[k] += area
+        areas[k] += sliver
     return Patchwork(surface, d, np.column_stack([centers, np.zeros(len(areas))]), areas,
-                     [(i * d + ox, j * d + oy, d) for i, j in interior])
+                     list(zip(x0[i].tolist(), y0[j].tolist(), [d] * len(i))))
 
 
 def _collar_counts(ideal: np.ndarray, total: int) -> list[int]:
@@ -448,23 +454,22 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
         raise ResolutionError(
             f"infeasible packing: {n_max} bubbles of scale eps={eps} in patches of size {d}"
         )
+    # one bubble sits at its patch's center; patches with more are redrawn
+    # in patch order, so the generator's draws follow the patches
+    pids = np.repeat(np.arange(patchwork.m), counts)
+    centers = patchwork.centers[pids]
+    multi = np.flatnonzero(counts > 1)
+    starts = (np.cumsum(counts) - counts)[multi]
     rng = np.random.default_rng(seed) if n_max > 1 else None
-    all_pts, pids = [], []
-    for pid, (bounds, n_b) in enumerate(zip(patchwork.bounds, counts)):
-        if n_b == 1:
-            pts = patchwork.centers[pid][None, :]
-        elif patchwork.surface.kind == "disk":
-            pts = _subgrid_disk(bounds, int(n_b), rng)
-        else:
-            pts = _subgrid_sphere(bounds, int(n_b), patchwork.surface.radius, rng)
-        all_pts.append(pts)
-        pids.extend([pid] * int(n_b))
-    centers = np.vstack(all_pts)
+    for pid, at, n_b in zip(multi.tolist(), starts.tolist(), counts[multi].tolist()):
+        bounds = patchwork.bounds[pid]
+        centers[at:at + n_b] = (
+            _subgrid_disk(bounds, n_b, rng) if patchwork.surface.kind == "disk"
+            else _subgrid_sphere(bounds, n_b, patchwork.surface.radius, rng))
     off = patchwork.surface.surface_distance(centers)
     if np.any(off > 1e-12):
         raise GeometryError("generated centers left the surface")
-    return BubbleCluster(centers=centers, patch_ids=np.array(pids, dtype=int),
-                         counts=counts.astype(int), eps=float(eps))
+    return BubbleCluster(centers=centers, patch_ids=pids, counts=counts, eps=float(eps))
 
 
 # ---------------------------------------------------------------------------

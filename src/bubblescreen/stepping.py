@@ -338,7 +338,7 @@ class _StagePlan:
             # this grid makes live: it reads the trailing zero cell instead
             cell[~coupled | (cell < 0)] = clear
             self.idx[lo:hi] = cell
-            k = np.flatnonzero((coupling != 0) & (shift > -1.0))
+            k = np.flatnonzero(coupled & (shift > -1.0))
             near.append((lo * n + k, shift.ravel()[k], self.first[lo:hi].ravel()[k]))
         # the steps fit the smallest unsigned type, whose stable sort is a radix sort
         key, shift, first = (np.concatenate(part) for part in zip(*near))
@@ -477,8 +477,11 @@ class DelayNetwork:
     steps with one (2k, 1) column of stage times, the k half-stage times
     then the k full-stage ones, and expects (2k, n) forces or an array that
     broadcasts to them; ``accel_all`` calls it with a scalar t and expects
-    (n,).  A network holds its two matrices, masses, onsets and forcing
-    only; each ``solve`` builds what its march needs and keeps none of it.
+    (n,).  A network holds its two matrices, masses, onsets and forcing,
+    and from the one mask of coupled entries that its checks build, their
+    count ``pairs`` and least and largest delays ``min_delay`` and
+    ``max_delay`` (inf and 0 with no pair); each ``solve`` builds what its
+    march needs and keeps none of it.
     """
 
     def __init__(self, masses: np.ndarray, coupling, delay,
@@ -496,8 +499,11 @@ class DelayNetwork:
         if np.any(self.coupling.diagonal()) or not np.all(np.isfinite(self.coupling)):
             raise ConfigError("couplings must be finite, with a zero diagonal")
         coupled = self.coupling != 0
+        self.pairs = int(np.count_nonzero(coupled))
+        self.min_delay = float(np.min(self.delay, where=coupled, initial=np.inf))
+        self.max_delay = float(np.max(self.delay, where=coupled, initial=0.0))
         if not (np.min(self.delay, initial=0.0) >= 0 and np.max(self.delay, initial=0.0) < np.inf
-                and np.min(self.delay, where=coupled, initial=np.inf) > 0):
+                and self.min_delay > 0):
             raise ConfigError("delays must be finite, non-negative, and positive where coupled")
         if self.onset.shape != (n,) or not np.all((self.onset >= 0) & (self.onset < np.inf)):
             raise ConfigError("onsets must be n finite, non-negative times")
@@ -507,10 +513,6 @@ class DelayNetwork:
         if np.any(self.onset[:, None] > reach, where=coupled):
             raise ConfigError("onsets violate onset_i <= onset_j + tau_ij: a "
                               "delayed term would arrive before the forcing")
-
-    @property
-    def min_delay(self) -> float:
-        return float(np.min(self.delay, where=self.coupling != 0, initial=np.inf))
 
     def accel_all(self, t: float, y: np.ndarray, trace: Trace) -> np.ndarray:
         """All accelerations at time t from the state y and the trace's history."""
@@ -551,13 +553,8 @@ class DelayNetwork:
         per step that bound calls for).
         """
         n, h, steps, times = self.n, grid.h, grid.steps, grid.times
-        coupled = self.coupling != 0
         # the half-step query of the longest delay reads the deepest row
-        tau_max = np.max(self.delay, where=coupled, initial=0.0)
-        tau_min = float(np.min(self.delay, where=coupled, initial=np.inf))
-        pairs = int(np.count_nonzero(coupled))
-        del coupled
-        lag_max = int(-np.floor(SIGMAS[0] - tau_max / h))
+        lag_max = int(-np.floor(SIGMAS[0] - self.max_delay / h))
         # a live entry reads no row before the first node, so no step of this
         # march reads more than ``steps`` rows behind it
         pad = min(lag_max, steps) + 2
@@ -613,8 +610,8 @@ class DelayNetwork:
             # far queries reach it only after that
             S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
             X, X_next = X_next, X
-        counters = {"n": n, "pairs": pairs, "steps": steps, "h": h,
-                    "tau_min": tau_min, "h_over_tau_min": h / tau_min,
+        counters = {"n": n, "pairs": self.pairs, "steps": steps, "h": h,
+                    "tau_min": self.min_delay, "h_over_tau_min": h / self.min_delay,
                     "lag_max": lag_max, "near_pairs": near.pairs,
                     "near_contraction": near.contraction, "near_sweeps": near.sweeps}
         return Trace(times, Y, V, A, S, self.onset, counters)

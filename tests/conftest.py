@@ -26,8 +26,9 @@ def sphere():
 def disk_scene(params, disk):
     """Small disk configuration shared by solver tests: d = 1/8, K == 0."""
     pw = partition(disk, 0.125)
-    cluster = place_bubbles(pw, KFunction.constant(0.0), eps=1.0 / 64.0, seed=0)
-    rule = build_rule(pw, cluster)
+    k = KFunction.constant(0.0)
+    cluster = place_bubbles(pw, k, eps=1.0 / 64.0, seed=0)
+    rule = build_rule(pw, k)
     pulse = SourcePulse(omega0=1.0 / params.omega_m, t_rise=1.5)
     source = PointSource(np.array([0.0, 0.0, 1.5]), pulse, rho_c=1.0, c0=params.c0)
     return {"patchwork": pw, "cluster": cluster, "rule": rule,

@@ -25,6 +25,10 @@ exceptions use package code:
   distance matrix that the row blocks of ``pairwise_distances`` replaced, and
   the least distance, anchor sums and retarded couplings and delays read
   from it, kept as the blocked kernels' bitwise references;
+- ``loop_place_bubbles``, the placement that visited every patch in turn,
+  one bubble at its center or a jittered sub-grid of several, before the
+  centers were gathered by patch and only multi-bubble patches visited,
+  kept as its bitwise reference;
 - ``argsort_partition_disk``, the disk partition that found each boundary
   sliver's nearest patches by a full stable argsort of the distances, which
   the partial sort of the eight nearest replaced, kept as its bitwise
@@ -55,7 +59,8 @@ from bubblescreen.effective import EffectiveField, QuadratureRule
 from bubblescreen.materials import PhysicalParams
 from bubblescreen.sources import PointSource, SourcePulse
 from bubblescreen.errors import ResolutionError, UsageError
-from bubblescreen.geometry import _GRID_SHIFT, _JITTER, Patchwork, circle_rect_area
+from bubblescreen.geometry import (_GRID_SHIFT, _JITTER, BubbleCluster, Patchwork,
+                                   _subgrid_disk, _subgrid_sphere, circle_rect_area)
 from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights
 
 
@@ -290,6 +295,26 @@ def loop_subgrid_sphere(bounds, n, r, rng):
         rho = np.sqrt(max(r * r - z * z, 0.0))
         pts.append([rho * np.cos(ph), rho * np.sin(ph), z])
     return np.array(pts)
+
+
+def loop_place_bubbles(patchwork, k_func, eps, seed=0):
+    """floor(K)+1 bubbles per patch, one patch at a time: a single bubble at
+    the patch center, several on the patch's jittered sub-grid, drawn from
+    ``default_rng(seed)`` in patch order."""
+    counts = k_func.counts_at(patchwork.centers)
+    rng = np.random.default_rng(seed)
+    all_pts, pids = [], []
+    for pid, (bounds, n_b) in enumerate(zip(patchwork.bounds, counts)):
+        if n_b == 1:
+            pts = patchwork.centers[pid][None, :]
+        elif patchwork.surface.kind == "disk":
+            pts = _subgrid_disk(bounds, int(n_b), rng)
+        else:
+            pts = _subgrid_sphere(bounds, int(n_b), patchwork.surface.radius, rng)
+        all_pts.append(pts)
+        pids.extend([pid] * int(n_b))
+    return BubbleCluster(centers=np.vstack(all_pts), patch_ids=np.array(pids, dtype=int),
+                         counts=counts.astype(int), eps=float(eps))
 
 
 def argsort_partition_disk(surface, d):

@@ -35,14 +35,27 @@ class TestBuildRule:
                                                    rel=1e-14)
 
     def test_density_from_k_function(self, disk):
-        pw = partition(disk, 0.125)
-        rule = build_rule(pw, place_bubbles(pw, KFunction.constant(2.5), eps=1e-3, seed=3))
+        rule = build_rule(partition(disk, 0.125), KFunction.constant(2.5))
         assert np.all(rule.density == 3)
 
-    def test_count_mismatch_rejected(self, disk, disk_scene):
-        other = partition(disk, 0.1)
-        with pytest.raises(UsageError):
-            build_rule(other, disk_scene["cluster"])
+    def test_density_on_a_grid_without_bubbles(self, disk):
+        # the screen's own grid at d/2, where no bubble was placed: the
+        # density is floor(K)+1 at its nodes
+        k = KFunction.linear_axis(scale=1.0, offset=0.6, axis=0)
+        pw = partition(disk, 1.0 / 32.0)
+        rule = build_rule(pw, k)
+        want = np.floor(pw.centers[:, 0] + 0.6).astype(int) + 1
+        assert np.array_equal(rule.density, want)
+        assert set(want) == {1, 2}
+
+    def test_density_is_the_cluster_counts_at_its_spacing(self, disk):
+        k = KFunction.linear_axis(scale=1.0, offset=0.6, axis=0)
+        pw = partition(disk, 1.0 / 16.0)
+        cluster = place_bubbles(pw, k, eps=1.0 / 256.0, seed=7)
+        rule = build_rule(pw, k)
+        assert np.array_equal(rule.density, cluster.counts)
+        assert rule.density.dtype == cluster.counts.dtype
+        assert cluster.n > pw.m
 
 
 class TestSolveEffective:
@@ -124,7 +137,7 @@ class TestEffectiveScattered:
         vals = []
         for d in (0.125, 1 / np.sqrt(128.0), 0.0625):
             pw = partition(disk, d)
-            rule = build_rule(pw, place_bubbles(pw, KFunction.constant(0.0), eps=1e-3, seed=0))
+            rule = build_rule(pw, KFunction.constant(0.0))
             grid = effective_grid(rule, params, 6.0, h_max=0.02)
             trace = EffectiveSystem(rule, params, source).solve(grid)
             vals.append(EffectiveField(rule, trace, params, source).scattered(x, t_eval)[0, 0])
@@ -258,7 +271,7 @@ class TestJumpCondition:
         resids, conts = [], []
         for d in (0.125, 0.0625, 0.05):
             pw = partition(disk, d)
-            rule = build_rule(pw, place_bubbles(pw, KFunction.constant(0.0), eps=1e-3, seed=0))
+            rule = build_rule(pw, KFunction.constant(0.0))
             grid = effective_grid(rule, params, 5.0)
             trace = EffectiveSystem(rule, params, source).solve(grid)
             probes = np.argsort(np.linalg.norm(rule.nodes[:, :2], axis=1))[:2]

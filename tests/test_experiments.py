@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bubblescreen import ExperimentConfig, geometry, stepping
-from bubblescreen.errors import UsageError
+from bubblescreen import ExperimentConfig, experiments, geometry, stepping
+from bubblescreen.errors import ConfigError, UsageError
 from bubblescreen.experiments import (CSV_BLOCK_ROWS, STAGES, OutputSession,
                                       _long_columns, build_scene, compare_at,
                                       run_stage)
@@ -131,6 +131,38 @@ def test_one_distance_pass_per_validation_and_network(stage, tmp_path, distance_
 def test_placement_measures_nothing(distance_passes):
     build_scene(ExperimentConfig.from_dict(SMALL))
     assert distance_passes == []
+
+
+@pytest.mark.parametrize("raw", [
+    {"source": {"position": [0.0, 0.0, 0.3]}},
+    {"run": {"observation_points": [[0.0, 0.0, 0.1]]}},
+], ids=["source-stand-off", "probe-distance"])
+def test_stand_offs_refused_before_partitioning(monkeypatch, raw):
+    # both checks need only the surface and d: a bad config builds no patch
+    def no_partition(*args):
+        raise AssertionError("partitioned before the stand-off checks")
+
+    monkeypatch.setattr(experiments, "partition", no_partition)
+    with pytest.raises(ConfigError):
+        build_scene(ExperimentConfig.from_dict(raw))
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    # a rerun into the same directory that fails deletes its own outputs;
+    # the earlier run's manifest, which lists them, must go too
+    config = ExperimentConfig.from_dict(SMALL)
+    run_stage("validate", config, tmp_path)
+    assert (tmp_path / "run_manifest.json").exists()
+
+    def fails_after_writing(config, session):
+        session.write_csv("cluster.csv", ["x"], [[1.0]])
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setitem(STAGES, "validate", fails_after_writing)
+    with pytest.raises(RuntimeError, match="stage failed"):
+        run_stage("validate", config, tmp_path)
+    assert not (tmp_path / "cluster.csv").exists()
+    assert not (tmp_path / "run_manifest.json").exists()
 
 
 def test_validate_records_scene_timing(tmp_path):

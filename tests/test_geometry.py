@@ -13,8 +13,8 @@ from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, _partition_disk,
 from bubblescreen.stepping import RetardedNetwork
 
 from oracles import (argsort_partition_disk, brute_inverse_distance_sum, dense_anchor_sums,
-                     dense_min_distance, dense_retarded_matrices, loop_subgrid_disk,
-                     loop_subgrid_sphere, planar_grid)
+                     dense_min_distance, dense_retarded_matrices, loop_place_bubbles,
+                     loop_subgrid_disk, loop_subgrid_sphere, planar_grid)
 
 
 class TestSurfaces:
@@ -319,10 +319,30 @@ def test_jittered_subgrids_match_the_per_point_loops_bitwise(seed):
                               loop_subgrid_sphere(collar, n, r, ref))
 
 
-@pytest.mark.parametrize("d", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0])
+@pytest.mark.parametrize("kind,k,eps", [
+    ("disk", KFunction.constant(0.0), 1.0 / 64.0),
+    ("disk", KFunction.linear_axis(scale=1.0, offset=0.6, axis=0), 1.0 / 256.0),
+    ("sphere", KFunction.constant(1.0), 1.0 / 128.0),
+    ("sphere", KFunction.constant(4.0), 1.0 / 512.0),
+], ids=["disk-K0", "disk-linear-axis", "sphere-K1", "sphere-K4"])
+def test_placement_matches_the_per_patch_loop(kind, k, eps):
+    # centers gathered by patch, only multi-bubble patches drawn, in patch
+    # order: the per-patch loop's cluster bitwise
+    pw = partition(build_surface(kind, 1.0), float(np.sqrt(eps)))
+    got, want = place_bubbles(pw, k, eps, seed=7), loop_place_bubbles(pw, k, eps, seed=7)
+    assert np.array_equal(got.centers, want.centers)
+    assert np.array_equal(got.patch_ids, want.patch_ids)
+    assert np.array_equal(got.counts, want.counts)
+    assert got.patch_ids.dtype == want.patch_ids.dtype
+    assert got.counts.dtype == want.counts.dtype
+
+
+@pytest.mark.parametrize("d", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0, 1.0 / 100.0])
 def test_disk_partition_matches_the_argsort_merge(d):
-    # the partial sort picks each sliver's eight nearest patches in the
-    # order of a full stable argsort: the same patchwork bitwise
+    # the array classification of the lattice and the partial sort, which
+    # picks each sliver's eight nearest patches in the order of a full
+    # stable argsort, give the same patchwork bitwise; at d = 1/100 the
+    # disk holds more than 8k interior cells
     surface = build_surface("disk", 1.0)
     got, want = partition(surface, d), argsort_partition_disk(surface, d)
     assert np.array_equal(got.centers, want.centers)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bubblescreen import (DelayNetwork, KFunction, TimeGrid, build_rule, cq_solve,
-                          laplace_solve, partition, place_bubbles)
+                          laplace_solve, partition)
 from bubblescreen.effective import EffectiveSystem
 from bubblescreen.errors import ParameterError
 from bubblescreen.laplace_cq import assemble_operator
@@ -51,8 +51,7 @@ def test_cq_converges_to_the_march_on_a_generic_network():
 def _sphere_rule(sphere):
     # two bubbles per patch: density 2 on every node
     pw = partition(sphere, 0.1)
-    return build_rule(pw, place_bubbles(pw, KFunction.constant(1.0), eps=1.0 / 256.0,
-                                        seed=1))
+    return build_rule(pw, KFunction.constant(1.0))
 
 
 @pytest.mark.parametrize("surface", ["disk", "sphere"])

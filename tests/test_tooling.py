@@ -251,13 +251,15 @@ def test_only_the_distance_kernel_builds_pairwise_differences():
 def _coupled_listings(tree):
     """Line numbers of the calls in ``tree`` that list the entries of a
     coupling matrix: ``nonzero``, ``flatnonzero`` or ``argwhere`` of an
-    expression that names ``coupling``, as a function or as a method."""
+    expression that names ``coupling`` or its mask ``coupled``, as a
+    function or as a method."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and {"nonzero", "flatnonzero", "argwhere"} & {getattr(node.func, "attr", None),
                                                           getattr(node.func, "id", None)}
-            and any("coupling" in (getattr(sub, "attr", None), getattr(sub, "id", None))
-                    for sub in ast.walk(node))]
+            and {"coupling", "coupled"} & {name for sub in ast.walk(node)
+                                           for name in (getattr(sub, "attr", None),
+                                                        getattr(sub, "id", None))}]
 
 
 def test_only_the_stage_split_lists_the_coupled_pairs():
