@@ -3,7 +3,10 @@
 Two surfaces are supported, matching the two admissible cases (closed or open):
 
 * ``sphere`` -- closed surface, partitioned into exact equal-area patches by
-  polar caps plus latitude collars subdivided into sectors.
+  polar caps plus latitude collars subdivided into sectors.  Every sector is
+  built in one array pass: the collar edges from the cumulative patch counts,
+  each sector's collar and phase by repeating the per-collar counts, and the
+  sector centroids from one vectorised formula.
 * ``disk`` -- open flat surface in the z = 0 plane, partitioned by clipping a
   square grid of spacing d to the disk.  One array pass classifies every
   lattice cell: a cell whose point nearest the disk's center lies at or
@@ -15,7 +18,9 @@ Two surfaces are supported, matching the two admissible cases (closed or open):
 
 Patch areas on the sphere equal area/M exactly; on the disk the merged
 boundary patches may exceed d^2 by up to roughly one cell, which is the O(d)
-boundary budget of the model (interior cells stay exactly d^2).
+boundary budget of the model (interior cells stay exactly d^2).  Each patch
+also has a parameter box, one row of ``Patchwork.bounds``, and placement puts
+the bubbles of every patch at once from those rows and one draw.
 """
 
 from __future__ import annotations
@@ -132,16 +137,19 @@ class Patchwork:
     """A partition of ``surface`` into M patches of spacing ``d``, as arrays.
 
     ``centers`` (M, 3) are points on the surface and ``areas`` (M,) the exact
-    patch areas.  ``bounds[k]`` is patch k's parameter box for placing bubbles
-    in it: disk -> (x0, y0, size); sphere collar -> (z_lo, z_hi, phi_lo,
-    phi_hi); sphere cap -> ("cap", z_pole_sign, theta_cap).
+    patch areas.  ``bounds`` (M, 4) holds each patch's parameter box for
+    placing bubbles in it, as origin and span: a disk cell is (x0, y0, d, d)
+    and a sphere collar sector (z_lo, phi_lo, z_hi - z_lo, phi_hi - phi_lo).
+    On the sphere the first and last rows are the north and south caps, in
+    the polar angle from their pole and the azimuth: (0, 0, theta_cap, 2 pi)
+    and (pi, 0, -theta_cap, 2 pi).
     """
 
     surface: SurfaceDescriptor
     d: float
     centers: np.ndarray
     areas: np.ndarray
-    bounds: list[tuple]
+    bounds: np.ndarray
 
     @property
     def m(self) -> int:
@@ -223,7 +231,7 @@ def _partition_disk(surface: SurfaceDescriptor, d: float) -> Patchwork:
                  int(by_dist[0]))
         areas[k] += sliver
     return Patchwork(surface, d, np.column_stack([centers, np.zeros(len(areas))]), areas,
-                     list(zip(x0[i].tolist(), y0[j].tolist(), [d] * len(i))))
+                     np.column_stack([x0[i], y0[j], np.full((len(i), 2), d)]))
 
 
 def _collar_counts(ideal: np.ndarray, total: int) -> list[int]:
@@ -239,22 +247,6 @@ def _collar_counts(ideal: np.ndarray, total: int) -> list[int]:
         counts[-2] += counts[-1] - 1
         counts[-1] = 1
     return counts
-
-
-def _sector_centroid(r: float, th_a: float, th_b: float, ph_a: float, ph_b: float) -> np.ndarray:
-    i_th2 = 0.5 * (th_b - th_a) - 0.25 * (np.sin(2 * th_b) - np.sin(2 * th_a))
-    i_thz = 0.5 * (np.sin(th_b) ** 2 - np.sin(th_a) ** 2)
-    c = np.array(
-        [
-            i_th2 * (np.sin(ph_b) - np.sin(ph_a)),
-            i_th2 * (np.cos(ph_a) - np.cos(ph_b)),
-            i_thz * (ph_b - ph_a),
-        ]
-    )
-    nrm = np.linalg.norm(c)
-    if nrm == 0.0:
-        return np.array([0.0, 0.0, r])
-    return c / nrm * r
 
 
 def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
@@ -273,29 +265,35 @@ def _partition_sphere(surface: SurfaceDescriptor, d: float) -> Patchwork:
     ideal = (
         2.0 * np.pi * r * r * (np.cos(edges[:-1]) - np.cos(edges[1:]))
     ) / v
-    counts = _collar_counts(ideal, m - 2)
-
-    centers = [np.array([0.0, 0.0, r])]
-    bounds: list[tuple] = [("cap", 1.0, theta_cap)]
-    # collar boundaries recomputed from cumulative exact areas -> every patch
-    # has area exactly v
-    used = 1
-    cos_hi = cos_cap
-    for ci, n_i in enumerate(counts):
-        cos_lo = 1.0 - (used + n_i) * v / (2.0 * np.pi * r * r)
-        th_a = float(np.arccos(np.clip(cos_hi, -1.0, 1.0)))
-        th_b = float(np.arccos(np.clip(cos_lo, -1.0, 1.0)))
-        offset = (ci % 2) * np.pi / n_i
-        for k in range(n_i):
-            ph_a = offset + 2.0 * np.pi * k / n_i
-            ph_b = offset + 2.0 * np.pi * (k + 1) / n_i
-            centers.append(_sector_centroid(r, th_a, th_b, ph_a, ph_b))
-            bounds.append((r * cos_lo, r * cos_hi, ph_a, ph_b))
-        used += n_i
-        cos_hi = cos_lo
-    centers.append(np.array([0.0, 0.0, -r]))
-    bounds.append(("cap", -1.0, theta_cap))
-    return Patchwork(surface, d, np.array(centers), np.full(len(centers), v), bounds)
+    counts = np.array(_collar_counts(ideal, m - 2))
+    ends = np.cumsum(counts)
+    # collar edges recomputed from cumulative exact areas -> every patch has
+    # area exactly v; each sector is sector k of collar ci, which holds n
+    cos_edge = 1.0 - np.append(1, 1 + ends) * v / (2.0 * np.pi * r * r)
+    theta = np.arccos(np.clip(cos_edge, -1.0, 1.0))
+    ci = np.repeat(np.arange(len(counts)), counts)
+    n = counts[ci]
+    k = np.arange(m - 2) - (ends - counts)[ci]
+    offset = (ci % 2) * np.pi / n
+    ph_a = offset + 2.0 * np.pi * k / n
+    ph_b = offset + 2.0 * np.pi * (k + 1) / n
+    th_a, th_b = theta[ci], theta[ci + 1]
+    # sector centroids, pushed out to the sphere (straight up where it is
+    # 0): squares by the C library's pow and norms by a stacked matmul, as
+    # the per-sector scalar formula took them (x * x and norm(axis=1) can
+    # differ in the last bit)
+    i_th2 = 0.5 * (th_b - th_a) - 0.25 * (np.sin(2 * th_b) - np.sin(2 * th_a))
+    i_thz = 0.5 * (np.float_power(np.sin(th_b), 2.0) - np.float_power(np.sin(th_a), 2.0))
+    c = np.column_stack([i_th2 * (np.sin(ph_b) - np.sin(ph_a)),
+                         i_th2 * (np.cos(ph_a) - np.cos(ph_b)), i_thz * (ph_b - ph_a)])
+    nrm = np.sqrt(c[:, None, :] @ c[:, :, None])[:, 0]
+    sectors = np.where(nrm == 0.0, [0.0, 0.0, r], c / np.where(nrm == 0.0, 1.0, nrm) * r)
+    z = r * cos_edge
+    bounds = np.column_stack([z[ci + 1], ph_a, z[ci] - z[ci + 1], ph_b - ph_a])
+    return Patchwork(surface, d, np.vstack([[0.0, 0.0, r], sectors, [0.0, 0.0, -r]]),
+                     np.full(m, v),
+                     np.vstack([[0.0, 0.0, theta_cap, 2.0 * np.pi], bounds,
+                                [np.pi, 0.0, -theta_cap, 2.0 * np.pi]]))
 
 
 def partition(surface: SurfaceDescriptor, d: float) -> Patchwork:
@@ -399,47 +397,28 @@ def pairwise_distances(points: np.ndarray):
 _JITTER = 0.15  # fraction of a sub-cell; keeps the packing floor at 0.3*d/sqrt(n)
 
 
-def _jittered_subgrid(origin, span, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points, (n, 2), of the box ``origin`` + [0, ``span``] on its
-    ceil(sqrt(n))-square sub-grid, point i in cell (i g^2) // n, each
-    jittered by up to ``_JITTER`` of a sub-cell along both axes."""
-    g = int(np.ceil(np.sqrt(n)))
-    step = np.asarray(span, dtype=float) / g
-    cell = np.stack(np.divmod(np.arange(n) * g * g // n, g), axis=1)
-    return origin + (cell + 0.5) * step + rng.uniform(-_JITTER, _JITTER, (n, 2)) * step
-
-
-def _subgrid_disk(bounds: tuple, n: int, rng: np.random.Generator) -> np.ndarray:
-    x0, y0, size = bounds
-    xy = _jittered_subgrid((x0, y0), (size, size), n, rng)
-    return np.column_stack([xy, np.zeros(n)])
-
-
-def _subgrid_sphere(bounds: tuple, n: int, r: float, rng: np.random.Generator) -> np.ndarray:
-    if bounds[0] == "cap":
-        _, sign, theta_cap = bounds
-        ring = theta_cap / 2.0
-        pts = [np.array([0.0, 0.0, sign * r])]
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        for k in range(n - 1):
-            ph = phase + 2.0 * np.pi * k / (n - 1)
-            th = ring if sign > 0 else np.pi - ring
-            pts.append(r * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]))
-        return np.array(pts)
-    z_lo, z_hi, ph_a, ph_b = bounds
-    z, ph = _jittered_subgrid((z_lo, ph_a), (z_hi - z_lo, ph_b - ph_a), n, rng).T
-    rho = np.sqrt(np.maximum(r * r - z * z, 0.0))
-    return np.column_stack([rho * np.cos(ph), rho * np.sin(ph), z])
-
-
 def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
                   seed: int = 0) -> BubbleCluster:
-    """Place floor(K)+1 bubble centers per patch on a jittered sub-grid.
+    """Place floor(K)+1 bubble centers per patch, every patch at once.
 
-    A single bubble goes exactly at the patch center.  Deterministic for a
-    fixed seed: the generator, ``np.random.default_rng(seed)``, is created
-    only when some patch holds more than one bubble, so a scene with one
-    bubble per patch (K < 1) draws nothing and never loads ``numpy.random``.
+    A single bubble goes exactly at the patch center.  In a box patch (a disk
+    cell or a sphere collar sector) n > 1 bubbles sit on the box's
+    ceil(sqrt(n))-square sub-grid, bubble i in cell (i g^2) // n, each
+    jittered by up to ``_JITTER`` of a sub-cell along both axes.  A sphere
+    cap with n > 1 keeps one bubble at its pole and puts the other n - 1 on
+    the ring at half the cap's polar angle, evenly spaced from a random
+    phase.  Deterministic for a fixed seed: ``np.random.default_rng(seed)``
+    makes one draw for the jitter of every box bubble, in patch order, and
+    on the sphere the north cap's phase comes before it and the south cap's
+    after it.  The generator is created only when some patch holds more than
+    one bubble, so a scene with one bubble per patch (K < 1) draws nothing
+    and never loads ``numpy.random``.
+
+    Packings whose bubbles of scale ``eps`` could touch are refused with
+    ``ResolutionError``: within a box, sub-grid neighbours stay at least
+    0.3 d / sqrt(n) apart, and on a cap ring neighbours are the chord
+    2 r sin(theta_cap / 2) sin(pi / (n - 1)) apart; either must exceed
+    2 eps.  The pole's distance to its ring is larger than the box floor.
     Placement measures no distance: a jitter of at most ``_JITTER`` of a
     sub-cell cannot make two centers coincide, and the passes that read
     distances (``max_anchor_sums``, ``RetardedNetwork``) reject coincident
@@ -448,24 +427,49 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     if eps <= 0:
         raise GeometryError("eps must be positive")
     counts = k_func.counts_at(patchwork.centers)
-    d = patchwork.d
+    d, m, bounds = patchwork.d, patchwork.m, patchwork.bounds
+    r = patchwork.surface.radius
+    sphere = patchwork.surface.kind == "sphere"
     n_max = int(counts.max())
     if 0.3 * d / np.sqrt(n_max) <= 2.0 * eps:
         raise ResolutionError(
             f"infeasible packing: {n_max} bubbles of scale eps={eps} in patches of size {d}"
         )
-    # one bubble sits at its patch's center; patches with more are redrawn
-    # in patch order, so the generator's draws follow the patches
-    pids = np.repeat(np.arange(patchwork.m), counts)
+    ring = (counts[[0, -1]] - 1) * sphere
+    chord = 2.0 * r * np.sin(0.5 * bounds[0, 2]) * np.sin(np.pi / np.maximum(ring, 2))
+    if np.any((ring > 1) & (chord <= 2.0 * eps)):
+        raise ResolutionError(f"infeasible packing: a polar cap ring of {ring.max()} bubbles "
+                              f"of scale eps={eps} has neighbours {chord.min():.3g} apart")
+    # every bubble starts at its patch's center, bubble i of n in its patch
+    pids = np.repeat(np.arange(m), counts)
     centers = patchwork.centers[pids]
-    multi = np.flatnonzero(counts > 1)
-    starts = (np.cumsum(counts) - counts)[multi]
-    rng = np.random.default_rng(seed) if n_max > 1 else None
-    for pid, at, n_b in zip(multi.tolist(), starts.tolist(), counts[multi].tolist()):
-        bounds = patchwork.bounds[pid]
-        centers[at:at + n_b] = (
-            _subgrid_disk(bounds, n_b, rng) if patchwork.surface.kind == "disk"
-            else _subgrid_sphere(bounds, n_b, patchwork.surface.radius, rng))
+    if n_max > 1:
+        n = counts[pids]
+        i = np.arange(len(pids)) - (np.cumsum(counts) - counts)[pids]
+        cap = sphere & ((pids == 0) | (pids == m - 1))
+        box, on_ring = (n > 1) & ~cap, cap & (i > 0)
+        rng = np.random.default_rng(seed)
+        phase = np.zeros(2)
+        if sphere and counts[0] > 1:
+            phase[0] = rng.uniform(0.0, 2.0 * np.pi)
+        jitter = rng.uniform(-_JITTER, _JITTER, (int(box.sum()), 2))
+        if sphere and counts[-1] > 1:
+            phase[1] = rng.uniform(0.0, 2.0 * np.pi)
+        g = np.ceil(np.sqrt(n[box])).astype(int)
+        step = bounds[pids[box], 2:] / g[:, None]
+        cell = np.stack(np.divmod(i[box] * g * g // n[box], g), axis=1)
+        u, w = (bounds[pids[box], :2] + (cell + 0.5) * step + jitter * step).T
+        if sphere:
+            rho = np.sqrt(np.maximum(r * r - u * u, 0.0))
+            centers[box] = np.column_stack([rho * np.cos(w), rho * np.sin(w), u])
+            cap_box = bounds[pids[on_ring]]
+            th = cap_box[:, 0] + 0.5 * cap_box[:, 2]
+            ph = (phase[pids[on_ring] // (m - 1)]
+                  + cap_box[:, 3] * (i[on_ring] - 1) / (n[on_ring] - 1))
+            centers[on_ring] = r * np.column_stack(
+                [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        else:
+            centers[box] = np.column_stack([u, w, np.zeros(len(u))])
     off = patchwork.surface.surface_distance(centers)
     if np.any(off > 1e-12):
         raise GeometryError("generated centers left the surface")

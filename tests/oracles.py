@@ -26,16 +26,18 @@ exceptions use package code:
   the least distance, anchor sums and retarded couplings and delays read
   from it, kept as the blocked kernels' bitwise references;
 - ``loop_place_bubbles``, the placement that visited every patch in turn,
-  one bubble at its center or a jittered sub-grid of several, before the
-  centers were gathered by patch and only multi-bubble patches visited,
-  kept as its bitwise reference;
+  one bubble at its center, a jittered sub-grid of several one point at a
+  time (``loop_subgrid_disk`` and ``loop_subgrid_sphere``) or a polar cap's
+  ring, each patch with its own draws, before every bubble was placed from
+  the parameter boxes in one pass with one draw, kept as its bitwise
+  reference;
+- ``loop_partition_sphere``, the sphere partition that built its collar
+  sectors and their centroids one at a time, before one array pass built
+  them all, kept as its bitwise reference;
 - ``argsort_partition_disk``, the disk partition that found each boundary
   sliver's nearest patches by a full stable argsort of the distances, which
   the partial sort of the eight nearest replaced, kept as its bitwise
   reference;
-- ``loop_subgrid_disk`` and ``loop_subgrid_sphere``, the per-point loops
-  that placed a patch's bubbles on its jittered sub-grid before one
-  vectorised draw replaced them, kept as its bitwise references;
 - ``stage_pairs`` and ``split_stage_plan``, the split of every coupled pair
   over both stage offsets, sorted by first live step, and the history plan
   and near entries built from it, which the one pass over the plan rows
@@ -60,7 +62,7 @@ from bubblescreen.materials import PhysicalParams
 from bubblescreen.sources import PointSource, SourcePulse
 from bubblescreen.errors import ResolutionError, UsageError
 from bubblescreen.geometry import (_GRID_SHIFT, _JITTER, BubbleCluster, Patchwork,
-                                   _subgrid_disk, _subgrid_sphere, circle_rect_area)
+                                   _collar_counts, circle_rect_area)
 from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights
 
 
@@ -267,9 +269,10 @@ def dense_retarded_matrices(nodes, col_weight, c0):
     return np.where(off, coupling, 0.0), np.where(off, r / c0, 0.0)
 
 
-def loop_subgrid_disk(bounds, n, rng):
-    """Bubbles of a disk cell, one jittered sub-grid point at a time."""
-    x0, y0, size = bounds
+def loop_subgrid_disk(box, n, rng):
+    """Bubbles of a disk cell, box (x0, y0, size, size), one jittered
+    sub-grid point at a time."""
+    x0, y0, size, _ = box
     g = int(np.ceil(np.sqrt(n)))
     sub = size / g
     pts = []
@@ -280,13 +283,14 @@ def loop_subgrid_disk(bounds, n, rng):
     return np.array(pts)
 
 
-def loop_subgrid_sphere(bounds, n, r, rng):
-    """Bubbles of a sphere collar sector, one jittered sub-grid point at a
-    time, z and then the azimuth drawn per point."""
-    z_lo, z_hi, ph_a, ph_b = bounds
+def loop_subgrid_sphere(box, n, r, rng):
+    """Bubbles of a sphere collar sector, box (z_lo, phi_lo, z span, phi
+    span), one jittered sub-grid point at a time, z and then the azimuth
+    drawn per point."""
+    z_lo, ph_a, z_span, ph_span = box
     g = int(np.ceil(np.sqrt(n)))
-    dz = (z_hi - z_lo) / g
-    dph = (ph_b - ph_a) / g
+    dz = z_span / g
+    dph = ph_span / g
     pts = []
     for i in range(n):
         gi, gj = divmod((i * g * g) // n, g)
@@ -297,24 +301,80 @@ def loop_subgrid_sphere(bounds, n, r, rng):
     return np.array(pts)
 
 
+def loop_cap_ring(theta_cap, sign, n, r, rng):
+    """Bubbles of a polar cap: one at the pole of ``sign``, the other n - 1
+    on the ring at half the cap angle, evenly spaced from one drawn phase."""
+    ring = theta_cap / 2.0
+    pts = [np.array([0.0, 0.0, sign * r])]
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    for k in range(n - 1):
+        ph = phase + 2.0 * np.pi * k / (n - 1)
+        th = ring if sign > 0 else np.pi - ring
+        pts.append(r * np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]))
+    return np.array(pts)
+
+
 def loop_place_bubbles(patchwork, k_func, eps, seed=0):
     """floor(K)+1 bubbles per patch, one patch at a time: a single bubble at
-    the patch center, several on the patch's jittered sub-grid, drawn from
-    ``default_rng(seed)`` in patch order."""
+    the patch center, several on the patch's jittered sub-grid or a polar
+    cap's ring, drawn from ``default_rng(seed)`` in patch order."""
     counts = k_func.counts_at(patchwork.centers)
     rng = np.random.default_rng(seed)
+    r, last = patchwork.surface.radius, patchwork.m - 1
     all_pts, pids = [], []
-    for pid, (bounds, n_b) in enumerate(zip(patchwork.bounds, counts)):
+    for pid, (box, n_b) in enumerate(zip(patchwork.bounds.tolist(), counts.tolist())):
         if n_b == 1:
             pts = patchwork.centers[pid][None, :]
         elif patchwork.surface.kind == "disk":
-            pts = _subgrid_disk(bounds, int(n_b), rng)
+            pts = loop_subgrid_disk(box, n_b, rng)
+        elif pid in (0, last):
+            pts = loop_cap_ring(abs(box[2]), 1.0 if pid == 0 else -1.0, n_b, r, rng)
         else:
-            pts = _subgrid_sphere(bounds, int(n_b), patchwork.surface.radius, rng)
+            pts = loop_subgrid_sphere(box, n_b, r, rng)
         all_pts.append(pts)
-        pids.extend([pid] * int(n_b))
+        pids.extend([pid] * n_b)
     return BubbleCluster(centers=np.vstack(all_pts), patch_ids=np.array(pids, dtype=int),
                          counts=counts.astype(int), eps=float(eps))
+
+
+def loop_partition_sphere(surface, d):
+    """The sphere patchwork built one collar sector at a time: its centroid
+    from the sector integrals, pushed out to the sphere, and its box from
+    the collar's z range and the sector's azimuth range."""
+    r = surface.radius
+    total = surface.total_area
+    m = int(round(total / d**2))
+    v = total / m
+    cos_cap = 1.0 - v / (2.0 * np.pi * r * r)
+    theta_cap = float(np.arccos(np.clip(cos_cap, -1.0, 1.0)))
+    span = np.pi - 2.0 * theta_cap
+    n_collars = max(1, int(round(span * r / np.sqrt(v))))
+    edges = theta_cap + span * np.arange(n_collars + 1) / n_collars
+    ideal = (2.0 * np.pi * r * r * (np.cos(edges[:-1]) - np.cos(edges[1:]))) / v
+    centers = [np.array([0.0, 0.0, r])]
+    bounds = [(0.0, 0.0, theta_cap, 2.0 * np.pi)]
+    used, cos_hi = 1, cos_cap
+    for ci, n_i in enumerate(_collar_counts(ideal, m - 2)):
+        cos_lo = 1.0 - (used + n_i) * v / (2.0 * np.pi * r * r)
+        th_a = float(np.arccos(np.clip(cos_hi, -1.0, 1.0)))
+        th_b = float(np.arccos(np.clip(cos_lo, -1.0, 1.0)))
+        offset = (ci % 2) * np.pi / n_i
+        for k in range(n_i):
+            ph_a = offset + 2.0 * np.pi * k / n_i
+            ph_b = offset + 2.0 * np.pi * (k + 1) / n_i
+            i_th2 = 0.5 * (th_b - th_a) - 0.25 * (np.sin(2 * th_b) - np.sin(2 * th_a))
+            i_thz = 0.5 * (np.sin(th_b) ** 2 - np.sin(th_a) ** 2)
+            c = np.array([i_th2 * (np.sin(ph_b) - np.sin(ph_a)),
+                          i_th2 * (np.cos(ph_a) - np.cos(ph_b)), i_thz * (ph_b - ph_a)])
+            nrm = np.linalg.norm(c)
+            centers.append(np.array([0.0, 0.0, r]) if nrm == 0.0 else c / nrm * r)
+            z_lo, z_hi = r * cos_lo, r * cos_hi
+            bounds.append((z_lo, ph_a, z_hi - z_lo, ph_b - ph_a))
+        used += n_i
+        cos_hi = cos_lo
+    centers.append(np.array([0.0, 0.0, -r]))
+    bounds.append((np.pi, 0.0, -theta_cap, 2.0 * np.pi))
+    return Patchwork(surface, d, np.array(centers), np.full(len(centers), v), np.array(bounds))
 
 
 def argsort_partition_disk(surface, d):
@@ -352,7 +412,7 @@ def argsort_partition_disk(surface, d):
                  int(by_dist[0]))
         areas[k] += area
     return Patchwork(surface, d, np.column_stack([centers, np.zeros(len(areas))]), areas,
-                     [(i * d + ox, j * d + oy, d) for i, j in interior])
+                     np.array([(i * d + ox, j * d + oy, d, d) for i, j in interior]))
 
 
 def stage_pairs(network, grid):

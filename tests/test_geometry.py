@@ -8,13 +8,12 @@ from bubblescreen import (KFunction, build_surface, counting_scaling_check,
                           partition, place_bubbles)
 from bubblescreen.errors import ConfigError, GeometryError, ResolutionError, UsageError
 from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, _partition_disk,
-                                   _subgrid_disk, _subgrid_sphere, circle_rect_area,
-                                   max_anchor_sums, pairwise_distances)
+                                   circle_rect_area, max_anchor_sums, pairwise_distances)
 from bubblescreen.stepping import RetardedNetwork
 
 from oracles import (argsort_partition_disk, brute_inverse_distance_sum, dense_anchor_sums,
-                     dense_min_distance, dense_retarded_matrices, loop_place_bubbles,
-                     loop_subgrid_disk, loop_subgrid_sphere, planar_grid)
+                     dense_min_distance, dense_retarded_matrices, loop_partition_sphere,
+                     loop_place_bubbles, planar_grid)
 
 
 class TestSurfaces:
@@ -87,7 +86,9 @@ class TestPartition:
         # each interior cell is one patch of at least its own d^2, and the
         # areas add up to the disk: a cell or sliver filed twice would exceed it
         pw = partition(disk, 0.1)
-        assert len({b[:2] for b in pw.bounds}) == pw.m == len(pw.centers)
+        assert pw.bounds.shape == (pw.m, 4) and pw.bounds.dtype == float
+        assert len(np.unique(pw.bounds[:, :2], axis=0)) == pw.m == len(pw.centers)
+        assert np.all(pw.bounds[:, 2:] == 0.1)
         assert np.all(pw.areas >= 0.1**2)
         assert abs(pw.areas.sum() - disk.total_area) < 1e-10
 
@@ -306,17 +307,17 @@ def test_anchor_sums_peak_below_a_quarter_of_the_dense_matrix():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_jittered_subgrids_match_the_per_point_loops_bitwise(seed):
-    # disk cells and sphere collars, two to 39 points each, as the per-point
-    # loops drew them from the same generator
-    disk = partition(build_surface("disk", 1.0), 0.1).bounds
-    sphere = partition(build_surface("sphere", 1.0), 0.1)
-    collars, r = sphere.bounds[1:-1], sphere.surface.radius
-    for n in range(2, 40):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        cell, collar = disk[(7 * n) % len(disk)], collars[(7 * n) % len(collars)]
-        assert np.array_equal(_subgrid_disk(cell, n, rng), loop_subgrid_disk(cell, n, ref))
-        assert np.array_equal(_subgrid_sphere(collar, n, r, rng),
-                              loop_subgrid_sphere(collar, n, r, ref))
+    # disk cells, sphere collars and both polar caps holding one to 39
+    # bubbles each, placed in one pass: the per-point loops' clusters, drawn
+    # patch by patch from the same generator, bitwise
+    cycle = KFunction(lambda pts: (np.arange(len(pts)) + 7 * seed) % 39 + 0.5)
+    for kind in ("disk", "sphere"):
+        pw = partition(build_surface(kind, 1.0), 0.1)
+        got = place_bubbles(pw, cycle, 1e-3, seed)
+        want = loop_place_bubbles(pw, cycle, 1e-3, seed)
+        assert set(range(1, 40)) <= set(got.counts.tolist())
+        assert np.array_equal(got.centers, want.centers)
+        assert np.array_equal(got.patch_ids, want.patch_ids)
 
 
 @pytest.mark.parametrize("kind,k,eps", [
@@ -324,10 +325,13 @@ def test_jittered_subgrids_match_the_per_point_loops_bitwise(seed):
     ("disk", KFunction.linear_axis(scale=1.0, offset=0.6, axis=0), 1.0 / 256.0),
     ("sphere", KFunction.constant(1.0), 1.0 / 128.0),
     ("sphere", KFunction.constant(4.0), 1.0 / 512.0),
-], ids=["disk-K0", "disk-linear-axis", "sphere-K1", "sphere-K4"])
+    ("sphere", KFunction.linear_axis(), 1.0 / 256.0),
+    ("disk", KFunction.constant(1.0), 1.0 / 1024.0),
+], ids=["disk-K0", "disk-linear-axis", "sphere-K1", "sphere-K4", "sphere-linear-axis",
+        "disk-K1"])
 def test_placement_matches_the_per_patch_loop(kind, k, eps):
-    # centers gathered by patch, only multi-bubble patches drawn, in patch
-    # order: the per-patch loop's cluster bitwise
+    # every bubble placed in one pass from the boxes and one draw: the
+    # per-patch loop's cluster bitwise
     pw = partition(build_surface(kind, 1.0), float(np.sqrt(eps)))
     got, want = place_bubbles(pw, k, eps, seed=7), loop_place_bubbles(pw, k, eps, seed=7)
     assert np.array_equal(got.centers, want.centers)
@@ -347,7 +351,7 @@ def test_disk_partition_matches_the_argsort_merge(d):
     got, want = partition(surface, d), argsort_partition_disk(surface, d)
     assert np.array_equal(got.centers, want.centers)
     assert np.array_equal(got.areas, want.areas)
-    assert got.bounds == want.bounds
+    assert np.array_equal(got.bounds, want.bounds)
 
 
 def test_coarse_disk_partition_matches_the_argsort_merge():
@@ -359,3 +363,93 @@ def test_coarse_disk_partition_matches_the_argsort_merge():
         assert got.m == m
         assert np.array_equal(got.centers, want.centers)
         assert np.array_equal(got.areas, want.areas)
+        assert np.array_equal(got.bounds, want.bounds)
+
+
+# the coarsest admissible spheres (m = 4 to 8 patches), then d = 1/3 to 1/69
+# (4,761 patches)
+_SPHERE_SPACINGS = [float(np.sqrt(1.0 / m)) for m in range(4, 9)] + [1.0 / k for k in range(3, 70)]
+
+
+def test_sphere_partition_matches_the_sector_loop():
+    # every collar sector built in one array pass: the per-sector loop's
+    # centers, areas and boxes bitwise
+    surface = build_surface("sphere", 1.0)
+    for d in _SPHERE_SPACINGS:
+        got, want = partition(surface, d), loop_partition_sphere(surface, d)
+        assert np.array_equal(got.centers, want.centers)
+        assert np.array_equal(got.areas, want.areas)
+        assert np.array_equal(got.bounds, want.bounds)
+    assert [partition(surface, d).m for d in _SPHERE_SPACINGS[:5]] == [4, 5, 6, 7, 8]
+
+
+# a sphere of area 1/100 at eps 1/4096 (d = 1/64): 41 patches, and a cap's
+# ring at radius sqrt(v / 4 pi) with v = d^2 to within 0.1%
+_SMALL_SPHERE = 0.01
+_CAP_EPS = 1.0 / 4096.0
+
+
+def _cap_chord(pw, n):
+    # a cap of area v = 4 pi r^2 sin^2(theta_cap / 2) puts its ring at
+    # radius r sin(theta_cap / 2) = sqrt(v / 4 pi) from the axis
+    return 2.0 * np.sqrt(pw.areas[0] / (4.0 * np.pi)) * np.sin(np.pi / (n - 1))
+
+
+def test_cap_ring_that_overlaps_is_refused():
+    # 64 bubbles a patch pass the sub-grid floor, 0.3 d / 8 = 2.40 eps, but
+    # the 63 on a cap's ring sit 1.80 eps apart: radius-eps balls overlap
+    pw = partition(build_surface("sphere", _SMALL_SPHERE), 1.0 / 64.0)
+    assert pw.m == 41
+    assert 0.3 * pw.d / 8.0 > 2.0 * _CAP_EPS
+    assert _cap_chord(pw, 64) / _CAP_EPS == pytest.approx(1.80, abs=0.005)
+    with pytest.raises(ResolutionError, match="cap ring"):
+        place_bubbles(pw, KFunction.constant(63.0), _CAP_EPS, seed=1)
+
+
+def test_cap_ring_with_room_is_placed():
+    # 41 bubbles a patch: the 40 on a cap's ring sit 2.83 eps apart, which
+    # is the cluster's least distance between ring neighbours
+    pw = partition(build_surface("sphere", _SMALL_SPHERE), 1.0 / 64.0)
+    cl = place_bubbles(pw, KFunction.constant(40.0), _CAP_EPS, seed=1)
+    assert _cap_chord(pw, 41) / _CAP_EPS == pytest.approx(2.83, abs=0.005)
+    ring = cl.centers[cl.patch_ids == 0][1:]
+    assert dense_min_distance(ring) == pytest.approx(_cap_chord(pw, 41), rel=1e-9)
+    assert dense_min_distance(cl.centers) > 2.0 * _CAP_EPS
+
+
+class _CountingGenerator:
+    """A generator that counts its ``uniform`` draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind,k,draws", [
+    ("disk", KFunction.constant(2.5), 1),
+    ("disk", KFunction.linear_axis(scale=1.0, offset=0.6, axis=0), 1),
+    ("sphere", KFunction.constant(2.5), 3),
+    ("sphere", KFunction.linear_axis(), 2),
+    ("disk", KFunction.constant(0.5), 0),
+    ("sphere", KFunction.constant(0.0), 0),
+], ids=["disk-K2.5", "disk-linear-axis", "sphere-K2.5", "sphere-linear-axis", "disk-K0.5",
+        "sphere-K0"])
+def test_placement_draws_once(monkeypatch, kind, k, draws):
+    # one draw jitters every box bubble, plus a phase for each cap holding
+    # more than one bubble (the north cap only, under linear_axis); a scene
+    # of single bubbles makes no generator at all
+    pw = partition(build_surface(kind, 1.0), 0.1)
+    want = place_bubbles(pw, k, 1e-3, seed=4)
+    made, real = [], np.random.default_rng
+
+    def counting(seed):
+        made.append(_CountingGenerator(real(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    got = place_bubbles(pw, k, 1e-3, seed=4)
+    assert np.array_equal(got.centers, want.centers)
+    assert [gen.draws for gen in made] == ([draws] if draws else [])

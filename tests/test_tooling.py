@@ -314,3 +314,15 @@ def test_distance_kernel_has_two_callers():
     assert sorted(callers) == ["geometry.max_anchor_sums",
                                "stepping.RetardedNetwork.__init__"]
     assert calls == 2
+
+
+def test_sphere_partition_and_placement_visit_no_patch_in_turn():
+    # both build every patch or bubble from arrays: neither holds a loop or
+    # a comprehension (the collar counts' carry runs in _collar_counts)
+    tree = ast.parse((ROOT / "src" / "bubblescreen" / "geometry.py").read_text())
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = {node.name: [type(sub).__name__ for sub in ast.walk(node) if isinstance(sub, loops)]
+             for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("_partition_sphere", "place_bubbles")}
+    assert found == {"_partition_sphere": [], "place_bubbles": []}
