@@ -12,7 +12,9 @@ walk over the schema, ``_checked``:
   first (so a ``regimes.cells`` entry against the first default cell);
 * a string must be a string;
 * a number must be a finite number, an integer where the default is one; a
-  bool is not a number, and a numeric string becomes its number.
+  bool is not a number, and a number or numeric string becomes its default's
+  type (``T: 8``, ``T: "8"`` and ``T: 8.0`` all read 8.0, ``seed: 7.0`` reads
+  7), so a config hashes the same however its numbers are written.
 
 ``ExperimentConfig.validate`` then checks the ranges and shapes a type cannot
 say (positive eps, xyz triples, a nonnegative seed, ...).  Every fault raises
@@ -86,8 +88,9 @@ def _merge(base: dict, override: dict) -> dict:
 
 def _checked(shape, value, where: str = ""):
     """``value`` checked against ``shape`` (a part of ``_DEFAULTS``) by the
-    rules of the module docstring, its numeric strings (YAML reads ``1e-3``
-    as one) converted; a fault raises ``ConfigError`` naming the key."""
+    rules of the module docstring, its numbers and numeric strings (YAML
+    reads ``1e-3`` as one) converted to their default's type; a fault raises
+    ``ConfigError`` naming the key."""
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"config section {where} must be a mapping, got {value!r}")
@@ -121,7 +124,7 @@ def _checked(shape, value, where: str = ""):
         raise ConfigError(
             f"config value {where} must be {'an integer' if kind is int else 'a finite number'}, "
             f"got {value!r}") from None
-    return number if isinstance(value, str) else value
+    return number
 
 
 @dataclass
@@ -160,23 +163,23 @@ class ExperimentConfig:
 
     @property
     def surface_area(self) -> float:
-        return float(self.data["surface"]["area"])
+        return self.data["surface"]["area"]
 
     @property
     def seed(self) -> int:
-        return int(self.data["seed"])
+        return self.data["seed"]
 
     @property
     def eps(self) -> float:
-        return float(self.data["run"]["eps"])
+        return self.data["run"]["eps"]
 
     @property
     def eps_list(self) -> list[float]:
-        return [float(e) for e in self.data["sweep"]["eps_list"]]
+        return list(self.data["sweep"]["eps_list"])
 
     @property
     def horizon(self) -> float:
-        return float(self.data["run"]["T"])
+        return self.data["run"]["T"]
 
     @property
     def observation_points(self) -> np.ndarray:
@@ -189,12 +192,10 @@ class ExperimentConfig:
     def k_function(self) -> KFunction:
         spec = self.data["k"]
         if "constant" in spec:
-            return KFunction.constant(float(spec["constant"]))
+            return KFunction.constant(spec["constant"])
         if spec.get("name") == "linear_axis":
             # only the keys the section sets: linear_axis holds the defaults
-            kinds = {"scale": float, "offset": float, "axis": int}
-            return KFunction.linear_axis(**{k: kinds[k](v) for k, v in spec.items()
-                                            if k in kinds})
+            return KFunction.linear_axis(**{k: v for k, v in spec.items() if k != "name"})
         raise ConfigError(f"unknown K specification {spec!r}")
 
     # -- validation --------------------------------------------------------

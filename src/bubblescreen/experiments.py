@@ -195,15 +195,14 @@ class Scene:
 def build_scene(config: ExperimentConfig, eps: float | None = None) -> Scene:
     eps = config.eps if eps is None else float(eps)
     d = float(np.sqrt(eps))  # enforced regime d = sqrt(eps)
-    raw = RawMaterials(eps=eps, **{k: float(v) for k, v in config.data["materials"].items()})
-    shape = ShapeDescriptor(radius=float(config.data["bubble_shape"]["radius"]))
+    raw = RawMaterials(eps=eps, **config.data["materials"])
+    shape = ShapeDescriptor(radius=config.data["bubble_shape"]["radius"])
     params = derive_params(raw, shape)
 
     pconf = config.data["pulse"]
     omega0 = pconf["omega0"]
-    omega0 = 1.0 / params.omega_m if omega0 is None else float(omega0)
-    pulse = SourcePulse(omega0=omega0, t_rise=float(pconf["t_rise"]),
-                        amplitude=float(pconf["amplitude"]))
+    omega0 = 1.0 / params.omega_m if omega0 is None else omega0
+    pulse = SourcePulse(omega0=omega0, t_rise=pconf["t_rise"], amplitude=pconf["amplitude"])
     source = PointSource(np.asarray(config.data["source"]["position"], float),
                          pulse, rho_c=raw.rho_c, c0=params.c0)
 
@@ -224,13 +223,12 @@ def build_scene(config: ExperimentConfig, eps: float | None = None) -> Scene:
 
 
 def output_lattice(config: ExperimentConfig) -> np.ndarray:
-    n_out = int(config.data["run"]["n_out"])
-    return np.linspace(0.0, config.horizon, n_out)
+    return np.linspace(0.0, config.horizon, config.data["run"]["n_out"])
 
 
 def _run_opts(config: ExperimentConfig) -> dict:
     run = config.data["run"]
-    return {"h_max": float(run["h_max"]),
+    return {"h_max": run["h_max"],
             "strict": run["condition_violation"] == "error"}
 
 
@@ -364,7 +362,8 @@ def run_sweep(config: ExperimentConfig, session: OutputSession) -> None:
         raise UsageError("convergence sweep needs at least 3 eps values")
     ratios = [a / b for a, b in zip(eps_list[:-1], eps_list[1:])]
     if any(r < 1.5 for r in ratios):
-        raise UsageError("eps values must decrease dyadically")
+        raise UsageError("each eps of the sweep must be at least 1.5 times the next, got ratios "
+                         + ", ".join(f"{r:.3g}" for r in ratios))
     rows = []
     for eps in eps_list:
         with session.timed(f"eps_{eps}"):
@@ -381,7 +380,7 @@ def run_sweep(config: ExperimentConfig, session: OutputSession) -> None:
 def run_regimes(config: ExperimentConfig, session: OutputSession) -> None:
     """Scan resonance/coupling scalings; tabulate W_sc size and transmission."""
     cells = config.data["regimes"]["cells"]
-    factors = [float(c["omega_factor"]) for c in cells]
+    factors = [c["omega_factor"] for c in cells]
     if max(factors) / min(factors) < 100.0:
         raise UsageError("regime factors must span at least 2 decades")
     with session.timed("scene"):
@@ -389,12 +388,11 @@ def run_regimes(config: ExperimentConfig, session: OutputSession) -> None:
     t_out = output_lattice(config)
     dt = t_out[1] - t_out[0]
     trans_pts = np.asarray(config.data["regimes"]["transmitted_points"], float)
-    frac = float(config.data["regimes"]["window_fraction"])
+    frac = config.data["regimes"]["window_fraction"]
     window = t_out >= (1.0 - frac) * config.horizon
     rows = []
     for cell in cells:
-        fom = float(cell["omega_factor"])
-        fcp = float(cell.get("coupling_factor", 1.0))
+        fom, fcp = cell["omega_factor"], cell.get("coupling_factor", 1.0)
         params = scene.params.with_scaled_resonance(fom).with_scaled_coupling(fcp)
         with session.timed("solve"):
             field, wsc = _solve_effective_scene(scene, t_out, params=params)
@@ -412,8 +410,7 @@ def run_counting(config: ExperimentConfig, session: OutputSession) -> None:
     surface = build_surface(config.surface_kind, config.surface_area)
     counting = config.data["counting"]
     with session.timed("solve"):
-        rows = counting_scaling_check(surface, counting["d_list"],
-                                      [float(k) for k in counting["k_exponents"]],
+        rows = counting_scaling_check(surface, counting["d_list"], counting["k_exponents"],
                                       seed=config.seed)
     session.write_csv("counting.csv", list(rows[0]), _dict_columns(rows, rows[0]))
 

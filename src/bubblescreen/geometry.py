@@ -11,10 +11,15 @@ Two surfaces are supported, matching the two admissible cases (closed or open):
   square grid of spacing d to the disk.  One array pass classifies every
   lattice cell: a cell whose point nearest the disk's center lies at or
   beyond the radius is outside; of the rest, a cell whose four corners all
-  lie within the closed disk is interior, and any other is a boundary cell,
-  whose clipped area is computed exactly.  Interior cells keep their exact
-  d^2 area; boundary slivers of positive area are merged into nearby
-  interior patches so the partition stays exhaustive.
+  lie within the closed disk is interior, and any other is a boundary cell.
+  ``circle_rect_area`` computes every boundary cell's exact clipped area in
+  one array pass; it takes ordered bounds (x1 <= x2, y1 <= y2).  Interior
+  cells keep their exact d^2 area; boundary slivers of positive area are
+  merged, largest first, into the first of their eight nearest interior
+  patches with room (else the nearest), so the partition stays exhaustive.
+  Each sliver's eight nearest are ranked within its 9 x 9 lattice window,
+  which always holds them; the only loop left is that capacity pick, one
+  step per sliver, since each pick depends on the merges before it.
 
 Patch areas on the sphere equal area/M exactly; on the disk the merged
 boundary patches may exceed d^2 by up to roughly one cell, which is the O(d)
@@ -88,45 +93,40 @@ def build_surface(kind: str, target_area: float = 1.0) -> SurfaceDescriptor:
 # ---------------------------------------------------------------------------
 # Exact circle / axis-aligned-rectangle intersection area
 # ---------------------------------------------------------------------------
-def _sqrt_clip(v: float) -> float:
-    return float(np.sqrt(max(v, 0.0)))
-
-
-def _antider(x: float, r: float) -> float:
+def _antider(x: np.ndarray, r: float) -> np.ndarray:
     # antiderivative of sqrt(r^2 - x^2)
-    x = min(max(x, -r), r)
-    return 0.5 * (x * _sqrt_clip(r * r - x * x) + r * r * np.arcsin(x / r))
+    x = np.clip(x, -r, r)
+    return 0.5 * (x * np.sqrt(np.maximum(r * r - x * x, 0.0)) + r * r * np.arcsin(x / r))
 
 
-def circle_rect_area(x1: float, x2: float, y1: float, y2: float, r: float) -> float:
-    """Exact area of [x1,x2] x [y1,y2] intersected with the disk |p| <= r."""
-    x1, x2 = min(x1, x2), max(x1, x2)
-    y1, y2 = min(y1, y2), max(y1, y2)
-    lo, hi = max(x1, -r), min(x2, r)
-    if lo >= hi:
-        return 0.0
-    # breakpoints where the circle height crosses y1 or y2
-    cuts = {lo, hi}
-    for yy in (y1, y2):
-        if abs(yy) < r:
-            xc = _sqrt_clip(r * r - yy * yy)
-            for cand in (-xc, xc):
-                if lo < cand < hi:
-                    cuts.add(cand)
-    xs = sorted(cuts)
-    area = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        xm = 0.5 * (a + b)
-        ym = _sqrt_clip(r * r - xm * xm)
-        upper_is_circle = ym < y2
-        lower_is_circle = -ym > y1
-        if min(ym, y2) <= max(-ym, y1):
-            continue
-        seg = 0.0
-        seg += (_antider(b, r) - _antider(a, r)) if upper_is_circle else y2 * (b - a)
-        seg -= (-(_antider(b, r) - _antider(a, r))) if lower_is_circle else y1 * (b - a)
-        area += seg
-    return area
+def circle_rect_area(x1, x2, y1, y2, r: float) -> np.ndarray:
+    """Exact area of each rectangle [x1,x2] x [y1,y2] within the disk
+    |p| <= r, over arrays (broadcast together) in one pass.
+
+    The bounds must be ordered, x1 <= x2 and y1 <= y2.  Each rectangle is
+    cut at six breakpoints: lo = max(x1, -r), hi = min(x2, r) and the four
+    crossings of the circle with y = y1 and y = y2, a crossing the rectangle
+    lacks (outside (lo, hi), or of a line the circle misses) replaced by hi,
+    which makes a zero-length segment that adds +0.0.  The breakpoints are
+    sorted per rectangle, each segment's area is the arc's antiderivative or
+    the flat edge, and the segments are accumulated left to right, so every
+    area is bitwise that of one rectangle cut and summed on its own.
+    """
+    x1, x2, y1, y2 = np.broadcast_arrays(x1, x2, y1, y2)
+    lo, hi = np.maximum(x1, -r), np.minimum(x2, r)
+    yy = np.stack([y1, y1, y2, y2], axis=-1)
+    cross = np.sqrt(np.maximum(r * r - yy * yy, 0.0)) * [-1.0, 1.0, -1.0, 1.0]
+    cross = np.where((np.abs(yy) < r) & (lo[..., None] < cross) & (cross < hi[..., None]),
+                     cross, hi[..., None])
+    xs = np.sort(np.concatenate([lo[..., None], hi[..., None], cross], axis=-1), axis=-1)
+    a, b = xs[..., :-1], xs[..., 1:]
+    xm = 0.5 * (a + b)
+    ym = np.sqrt(np.maximum(r * r - xm * xm, 0.0))
+    top, bottom = y2[..., None], y1[..., None]
+    arc = _antider(b, r) - _antider(a, r)
+    seg = np.where(ym < top, arc, top * (b - a)) - np.where(-ym > bottom, -arc, bottom * (b - a))
+    seg = np.where(np.minimum(ym, top) <= np.maximum(-ym, bottom), 0.0, seg)
+    return np.where(lo < hi, seg.cumsum(axis=-1)[..., -1], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,31 +207,42 @@ def _partition_disk(surface: SurfaceDescriptor, d: float) -> Patchwork:
     i, j = np.nonzero(interior)
     if len(i) < 4:
         raise ResolutionError(f"spacing d={d} leaves only {len(i)} interior cells (< 4)")
-    xs, ys = x0.tolist(), y0.tolist()
     bi, bj = np.nonzero(touches & ~interior)
-    area = np.array([circle_rect_area(xs[a], xs[a] + d, ys[b], ys[b] + d, r)
-                     for a, b in zip(bi.tolist(), bj.tolist())])
+    area = circle_rect_area(x0[bi], x0[bi] + d, y0[bj], y0[bj] + d, r)
     mid_x, mid_y = (idx + 0.5) * d + ox, (idx + 0.5) * d + oy
-    centers = np.column_stack([mid_x[i], mid_y[j]])
-    areas = np.full(len(i), d * d)
+    m = len(i)
+    # the interior centers, then one at infinity for an empty lattice slot
+    centers = np.vstack([np.column_stack([mid_x[i], mid_y[j]]), [np.inf, np.inf]])
     # merge boundary slivers into nearby interior patches, largest first and
     # capacity-aware so no patch collects much more than one extra cell
+    big = np.flatnonzero(area > 0.0)
+    s = big[np.argsort(-area[big], kind="stable")]
+    bi, bj, area = bi[s], bj[s], area[s]
+    # each sliver's candidates are the interior patches of its 9 x 9 lattice
+    # window (Chebyshev radius 4), read from a grid of patch indices padded
+    # by 4.  That window holds the eight nearest centers (all of them when
+    # there are fewer): beyond r/d = 2.74 the 7 x 7 window of a boundary
+    # cell holds min(8, m) interior cells, all within sqrt(18) d < 5 d, and
+    # every cell outside the 9 x 9 window is at least 5 d away; below it, a
+    # direct check of every sliver over a fine sample of r/d confirms it.
+    # Row-major window order is patch order, so a stable sort by distance
+    # ranks the window as the stable argsort over all patches does; an empty
+    # slot (d2 = inf) ranks last.
+    slot = np.full((len(idx) + 8, len(idx) + 8), m)
+    slot[i + 4, j + 4] = np.arange(m)
+    win = np.arange(9)
+    window = slot[bi[:, None, None] + win[:, None], bj[:, None, None] + win].reshape(len(s), 81)
+    c = np.column_stack([mid_x[bi], mid_y[bj]])
+    d2 = ((centers[window] - c[:, None]) ** 2).sum(axis=2)
+    near = np.take_along_axis(window, np.argsort(d2, axis=1, kind="stable")[:, :8], axis=1)
+    # the first of the eight with room takes the sliver, else the nearest
+    # (argmax of no room is 0); the empty slot's infinite area has no room
+    areas = np.append(np.full(m, d * d), np.inf)
     cap = 2.2 * d * d
-    kth = min(7, len(areas) - 1)
-    keep = area > 0.0
-    order = np.argsort(-area[keep], kind="stable")
-    slivers = np.column_stack([mid_x[bi[keep]], mid_y[bj[keep]]])[order]
-    for c, sliver in zip(slivers, area[keep][order].tolist()):
-        d2 = ((centers - c) ** 2).sum(axis=1)
-        # the eight nearest in the order of a stable argsort: every center
-        # within the eighth-smallest distance, sorted stably
-        near = np.flatnonzero(d2 <= np.partition(d2, kth)[kth])
-        by_dist = near[np.argsort(d2[near], kind="stable")]
-        k = next((int(q) for q in by_dist[:8] if areas[q] + sliver <= cap),
-                 int(by_dist[0]))
-        areas[k] += sliver
-    return Patchwork(surface, d, np.column_stack([centers, np.zeros(len(areas))]), areas,
-                     np.column_stack([x0[i], y0[j], np.full((len(i), 2), d)]))
+    for q, sliver in zip(near, area):
+        areas[q[np.argmax(areas[q] + sliver <= cap)]] += sliver
+    return Patchwork(surface, d, np.column_stack([centers[:m], np.zeros(m)]), areas[:m],
+                     np.column_stack([x0[i], y0[j], np.full((m, 2), d)]))
 
 
 def _collar_counts(ideal: np.ndarray, total: int) -> list[int]:

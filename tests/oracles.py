@@ -34,10 +34,15 @@ exceptions use package code:
 - ``loop_partition_sphere``, the sphere partition that built its collar
   sectors and their centroids one at a time, before one array pass built
   them all, kept as its bitwise reference;
-- ``argsort_partition_disk``, the disk partition that found each boundary
-  sliver's nearest patches by a full stable argsort of the distances, which
-  the partial sort of the eight nearest replaced, kept as its bitwise
-  reference;
+- ``loop_circle_rect_area``, the exact clipped area of one rectangle at a
+  time, cut at the set of its breakpoints and summed segment by segment,
+  which the one array pass over every rectangle replaced, kept as its
+  bitwise reference;
+- ``argsort_partition_disk``, the disk partition that visited every lattice
+  cell in turn, took each boundary sliver's area from
+  ``loop_circle_rect_area`` and found its nearest patches by a full stable
+  argsort of the distances to every interior center, which the 9 x 9
+  lattice window of each sliver replaced, kept as its bitwise reference;
 - ``stage_pairs`` and ``split_stage_plan``, the split of every coupled pair
   over both stage offsets, sorted by first live step, and the history plan
   and near entries built from it, which the one pass over the plan rows
@@ -62,7 +67,7 @@ from bubblescreen.materials import PhysicalParams
 from bubblescreen.sources import PointSource, SourcePulse
 from bubblescreen.errors import ResolutionError, UsageError
 from bubblescreen.geometry import (_GRID_SHIFT, _JITTER, BubbleCluster, Patchwork,
-                                   _collar_counts, circle_rect_area)
+                                   _collar_counts)
 from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights
 
 
@@ -377,6 +382,48 @@ def loop_partition_sphere(surface, d):
     return Patchwork(surface, d, np.array(centers), np.full(len(centers), v), np.array(bounds))
 
 
+def _sqrt_clip(v: float) -> float:
+    return float(np.sqrt(max(v, 0.0)))
+
+
+def _loop_antider(x: float, r: float) -> float:
+    # antiderivative of sqrt(r^2 - x^2)
+    x = min(max(x, -r), r)
+    return 0.5 * (x * _sqrt_clip(r * r - x * x) + r * r * np.arcsin(x / r))
+
+
+def loop_circle_rect_area(x1: float, x2: float, y1: float, y2: float, r: float) -> float:
+    """Exact area of [x1,x2] x [y1,y2] intersected with the disk |p| <= r,
+    one rectangle at a time."""
+    x1, x2 = min(x1, x2), max(x1, x2)
+    y1, y2 = min(y1, y2), max(y1, y2)
+    lo, hi = max(x1, -r), min(x2, r)
+    if lo >= hi:
+        return 0.0
+    # breakpoints where the circle height crosses y1 or y2
+    cuts = {lo, hi}
+    for yy in (y1, y2):
+        if abs(yy) < r:
+            xc = _sqrt_clip(r * r - yy * yy)
+            for cand in (-xc, xc):
+                if lo < cand < hi:
+                    cuts.add(cand)
+    xs = sorted(cuts)
+    area = 0.0
+    for a, b in zip(xs[:-1], xs[1:]):
+        xm = 0.5 * (a + b)
+        ym = _sqrt_clip(r * r - xm * xm)
+        upper_is_circle = ym < y2
+        lower_is_circle = -ym > y1
+        if min(ym, y2) <= max(-ym, y1):
+            continue
+        seg = 0.0
+        seg += (_loop_antider(b, r) - _loop_antider(a, r)) if upper_is_circle else y2 * (b - a)
+        seg -= (-(_loop_antider(b, r) - _loop_antider(a, r))) if lower_is_circle else y1 * (b - a)
+        area += seg
+    return area
+
+
 def argsort_partition_disk(surface, d):
     """The disk patchwork with each boundary sliver merged into the first of
     its eight nearest interior patches, by a full stable argsort of the
@@ -397,7 +444,7 @@ def argsort_partition_disk(surface, d):
                    for a in (0, 1) for b in (0, 1)):
                 interior.append((i, j))
             else:
-                area = circle_rect_area(x0, x0 + d, y0, y0 + d, r)
+                area = loop_circle_rect_area(x0, x0 + d, y0, y0 + d, r)
                 if area > 0.0:
                     partial.append(((i, j), area))
     if len(interior) < 4:

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from bubblescreen import ExperimentConfig
+from bubblescreen.cli import _build_parser, _overrides_from_args
 from bubblescreen.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +84,23 @@ def test_numeric_strings_become_numbers():
     assert cfg.data["seed"] == 3
     assert cfg.data["counting"]["d_list"] == [0.25, 0.125]
     assert cfg.data["pulse"]["omega0"] is None
+
+
+def test_numbers_take_their_defaults_type(tmp_path):
+    # T: 8, T: 8.0, T: "8", a YAML 8 and --horizon 8 are one run with one
+    # hash, the default's; a float written for an integer key reads as one
+    written = [{"run": {"T": 8}}, {"run": {"T": 8.0}}, {"run": {"T": "8"}}]
+    hashes = {ExperimentConfig.from_dict(raw).config_hash() for raw in written}
+    path = tmp_path / "run.yaml"
+    path.write_text("run:\n  T: 8\n")
+    hashes.add(ExperimentConfig.load(path).config_hash())
+    path.write_text("seed: 7\n")
+    args = _build_parser().parse_args(["foldy", "--config", str(path), "--horizon", "8"])
+    hashes.add(ExperimentConfig.load(path, _overrides_from_args(args)).config_hash())
+    assert hashes == {ExperimentConfig.from_dict({}).config_hash()}
+    data = ExperimentConfig.from_dict({"run": {"n_out": 481.0, "T": 8}, "seed": 7.0}).data
+    assert [type(v) for v in (data["run"]["n_out"], data["run"]["T"], data["seed"])] == [
+        int, float, int]
 
 
 _SCENE_MODULES = """

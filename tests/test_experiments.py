@@ -147,6 +147,33 @@ def test_stand_offs_refused_before_partitioning(monkeypatch, raw):
         build_scene(ExperimentConfig.from_dict(raw))
 
 
+class _Compared(Exception):
+    pass
+
+
+@pytest.mark.parametrize("eps_list, ratios", [
+    ([1 / 64, 1 / 100, 1 / 160], None),
+    ([1 / 64, 1 / 90, 1 / 160], "1.41, 1.78"),
+], ids=["ratios-1.56-1.6", "ratio-1.41"])
+def test_sweep_refuses_eps_closer_than_a_ratio_of_one_and_a_half(monkeypatch, tmp_path,
+                                                                 eps_list, ratios):
+    # the sweep's rule is that each eps is at least 1.5 times the next, not
+    # that the list is dyadic: 1/64, 1/100, 1/160 reaches the first compare,
+    # and a refusal states the rule and the ratios
+    def compared(*args):
+        raise _Compared
+
+    monkeypatch.setattr(experiments, "compare_at", compared)
+    config = ExperimentConfig.from_dict({"sweep": {"eps_list": eps_list}})
+    if ratios is None:
+        with pytest.raises(_Compared):
+            run_stage("sweep", config, tmp_path)
+    else:
+        with pytest.raises(UsageError, match=f"each eps of the sweep must be at least 1.5 "
+                                             f"times the next, got ratios {ratios}$"):
+            run_stage("sweep", config, tmp_path)
+
+
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     # a rerun into the same directory that fails deletes its own outputs;
     # the earlier run's manifest, which lists them, must go too

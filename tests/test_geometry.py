@@ -7,13 +7,13 @@ import pytest
 from bubblescreen import (KFunction, build_surface, counting_scaling_check,
                           partition, place_bubbles)
 from bubblescreen.errors import ConfigError, GeometryError, ResolutionError, UsageError
-from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, _partition_disk,
+from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, MAX_PATCHES, _partition_disk,
                                    circle_rect_area, max_anchor_sums, pairwise_distances)
 from bubblescreen.stepping import RetardedNetwork
 
 from oracles import (argsort_partition_disk, brute_inverse_distance_sum, dense_anchor_sums,
-                     dense_min_distance, dense_retarded_matrices, loop_partition_sphere,
-                     loop_place_bubbles, planar_grid)
+                     dense_min_distance, dense_retarded_matrices, loop_circle_rect_area,
+                     loop_partition_sphere, loop_place_bubbles, planar_grid)
 
 
 class TestSurfaces:
@@ -341,12 +341,12 @@ def test_placement_matches_the_per_patch_loop(kind, k, eps):
     assert got.counts.dtype == want.counts.dtype
 
 
-@pytest.mark.parametrize("d", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0, 1.0 / 100.0])
+@pytest.mark.parametrize("d", [1.0 / 8.0, 1.0 / 16.0, 1.0 / 64.0, 1.0 / 100.0, 1.0 / 128.0])
 def test_disk_partition_matches_the_argsort_merge(d):
-    # the array classification of the lattice and the partial sort, which
-    # picks each sliver's eight nearest patches in the order of a full
-    # stable argsort, give the same patchwork bitwise; at d = 1/100 the
-    # disk holds more than 8k interior cells
+    # the array classification of the lattice, the one-pass clipped areas
+    # and each sliver's 9 x 9 window, ranked in the order of a full stable
+    # argsort, give the per-cell loop's patchwork bitwise; at d = 1/100 the
+    # disk holds more than 8k interior cells, at d = 1/128 16k
     surface = build_surface("disk", 1.0)
     got, want = partition(surface, d), argsort_partition_disk(surface, d)
     assert np.array_equal(got.centers, want.centers)
@@ -364,6 +364,74 @@ def test_coarse_disk_partition_matches_the_argsort_merge():
         assert np.array_equal(got.centers, want.centers)
         assert np.array_equal(got.areas, want.areas)
         assert np.array_equal(got.bounds, want.bounds)
+
+
+@pytest.mark.parametrize("area", [0.05, 1.0, 7.0])
+def test_clipped_areas_match_the_per_rectangle_loop(area):
+    # every cell of the shifted lattice of a sweep of spacings, inside,
+    # boundary and outside the disk, clipped in one array pass: the
+    # per-rectangle loop's areas bitwise, signed zeros included
+    r = float(np.sqrt(area / np.pi))
+    for rho in (1.3, 2.9, 4.4, 7.5, 11.2, 17.0, 23.6):
+        d = r / rho
+        idx = np.arange(int(np.floor(-rho)) - 3, int(np.ceil(rho)) + 3)
+        x, y = np.meshgrid(idx * d + _GRID_SHIFT[0] * d, idx * d + _GRID_SHIFT[1] * d,
+                           indexing="ij")
+        got = circle_rect_area(x, x + d, y, y + d, r)
+        want = [loop_circle_rect_area(a, a + d, b, b + d, r)
+                for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        assert got.shape == x.shape
+        assert np.array_equal(got.ravel().view(np.int64), np.array(want).view(np.int64))
+        assert np.count_nonzero((got > 0.0) & (got < d * d)) > 0
+
+
+def _disk_lattice(rho):
+    """Lattice indices, at d = 1, of the interior patches of a disk of radius
+    rho in patch order, and every other cell that touches the disk (each
+    boundary sliver among them), as a mask on the lattice from -n to n - 1."""
+    surface = build_surface("disk", np.pi * rho * rho)
+    inner = np.rint(_partition_disk(surface, 1.0).bounds[:, :2] - _GRID_SHIFT).astype(int)
+    n = int(np.ceil(rho)) + 2
+    lo = np.arange(-n, n)[:, None] + _GRID_SHIFT
+    near = np.minimum(np.maximum(0.0, lo), lo + 1.0) ** 2
+    boundary = np.add.outer(near[:, 0], near[:, 1]) < surface.radius ** 2
+    boundary[tuple(inner.T + n)] = False
+    return inner, boundary, n
+
+
+def test_sliver_window_holds_the_eight_nearest_centers():
+    # the partition ranks each sliver's candidates within its 9 x 9 window
+    # of lattice cells.  Directly, for r/d in [1, 20]: every interior center
+    # as near as a sliver's eighth nearest (ties included; every center when
+    # there are fewer than eight) lies within Chebyshev radius 4 of it, and
+    # radius 3 does not always do
+    reach = []
+    for rho in np.linspace(1.0, 20.0, 80):
+        try:
+            inner, boundary, n = _disk_lattice(rho)
+        except ResolutionError:   # fewer than four interior cells
+            continue
+        diff = inner - (np.argwhere(boundary) - n)[:, None]
+        d2 = (diff**2).sum(axis=2)
+        kth = np.sort(d2, axis=1)[:, min(7, len(inner) - 1), None]
+        reach.append(int(np.abs(diff).max(axis=2)[d2 <= kth].max()))
+    assert len(reach) > 70 and max(reach) == 4 and reach.count(4) < len(reach)
+
+
+def test_sliver_window_claim_holds_up_to_the_patch_limit():
+    # past r/d = 2.74 and up to MAX_PATCHES (r/d about 144): the 7 x 7
+    # window of every boundary cell holds min(8, m) interior cells, so the
+    # eighth nearest center lies within sqrt(18) d < 5 d, while every cell
+    # outside the 9 x 9 window is at least 5 d away
+    assert np.sqrt(MAX_PATCHES / np.pi) < 144.5
+    for rho in np.geomspace(2.75, 144.0, 30):
+        inner, boundary, n = _disk_lattice(rho)
+        grid = np.zeros(boundary.shape, int)
+        grid[tuple(inner.T + n)] = 1
+        total = np.pad(np.pad(grid, 3).cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+        a, b = np.nonzero(boundary)
+        held = total[a + 7, b + 7] - total[a, b + 7] - total[a + 7, b] + total[a, b]
+        assert held.min() >= min(8, len(inner)), rho
 
 
 # the coarsest admissible spheres (m = 4 to 8 patches), then d = 1/3 to 1/69

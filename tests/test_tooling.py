@@ -326,3 +326,15 @@ def test_sphere_partition_and_placement_visit_no_patch_in_turn():
              for node in tree.body if isinstance(node, ast.FunctionDef)
              and node.name in ("_partition_sphere", "place_bubbles")}
     assert found == {"_partition_sphere": [], "place_bubbles": []}
+
+
+def test_disk_partition_loops_only_over_the_capacity_pick():
+    # the lattice, the clipped areas and every sliver's candidates come from
+    # arrays: the one loop left is the capacity pick, one step per sliver,
+    # sequential since each pick depends on the merges before it
+    tree = ast.parse((ROOT / "src" / "bubblescreen" / "geometry.py").read_text())
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    (node,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_partition_disk"]
+    assert [type(sub).__name__ for sub in ast.walk(node) if isinstance(sub, loops)] == ["For"]
