@@ -3,8 +3,9 @@
 Subcommands: validate, foldy, effective, cq, compare, sweep, regimes,
 counting.  Each loads the config, applies the flags as overrides of config
 scalars and runs its stage through ``experiments.run_stage``.  Exit codes: 0
-success, 2 config or usage error or an output directory that cannot be
-written, 3 solver error, a stage that runs out of memory included.  A failed
+success, 2 config or usage error (a march whose memory estimate exceeds the
+budget included) or an output directory that cannot be written, 3 solver
+error, a stage that runs out of memory all the same included.  A failed
 stage leaves none of its partial outputs behind.
 """
 

@@ -234,9 +234,15 @@ class ExperimentConfig:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
-        # imported here: hashlib loads OpenSSL, which only a manifest needs
-        import hashlib
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        # every stage's manifest hashes its config, but hashlib loads OpenSSL
+        # (2.5-3.4 MiB of RSS) for it: take the same digest from the
+        # interpreter's builtin SHA-256, as CPython's random.py does for
+        # _sha512, and from hashlib only where a build lacks that module
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+        return sha256(self.canonical_json().encode()).hexdigest()
 
 
 def parse_override_list(text: str) -> list[float]:

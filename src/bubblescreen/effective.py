@@ -46,7 +46,6 @@ class QuadratureRule:
     nodes: np.ndarray      # (M, 3)
     weights: np.ndarray    # (M,)
     density: np.ndarray    # (M,) integer floor(K)+1 at the nodes
-    normals: np.ndarray    # (M, 3)
     spacing: float
 
     @property
@@ -64,7 +63,6 @@ def build_rule(patchwork: Patchwork, k_function: KFunction) -> QuadratureRule:
     it is that cluster's ``counts``."""
     return QuadratureRule(nodes=patchwork.centers, weights=patchwork.areas,
                           density=k_function.counts_at(patchwork.centers),
-                          normals=patchwork.surface.normal_at(patchwork.centers),
                           spacing=float(patchwork.d))
 
 

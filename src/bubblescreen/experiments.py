@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 import warnings
 from contextlib import contextmanager
@@ -42,7 +43,7 @@ from .laplace_cq import cq_solve, resolvent_sweep
 from .materials import (PhysicalParams, RawMaterials, ShapeDescriptor,
                         derive_params, validate_conditions)
 from .sources import PointSource, SourcePulse
-from .stepping import TimeGrid
+from .stepping import TimeGrid, march_memory
 
 OUTPUT_ROOT_ENV = "BUBBLESCREEN_OUT_ROOT"
 
@@ -233,11 +234,15 @@ def _run_opts(config: ExperimentConfig) -> dict:
 
 
 def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
-    """Bubble traces and probe fields of the Foldy model."""
+    """Bubble traces and probe fields of the Foldy model; the march's memory
+    is checked before its network is built, and its counters hold the
+    estimate and budget."""
     opts = _run_opts(scene.config)
-    system = assemble(scene.cluster, scene.params, scene.source, strict=opts["strict"])
     grid = TimeGrid.fit(scene.config.horizon, opts["h_max"])
+    memory = march_memory(scene.cluster.centers, scene.params.c0, grid)
+    system = assemble(scene.cluster, scene.params, scene.source, strict=opts["strict"])
     traces = system.solve(grid)
+    traces.counters.update(memory)
     fields = scattered_series(traces, scene.cluster, scene.params,
                               scene.config.observation_points, t_out)
     return traces, fields
@@ -246,11 +251,14 @@ def _solve_foldy_scene(scene: Scene, t_out: np.ndarray):
 def _solve_effective_scene(scene: Scene, t_out: np.ndarray,
                            params: PhysicalParams | None = None):
     """The screen's field, whose ``trace`` is the marched one, and its
-    scattered part at the probes."""
+    scattered part at the probes; the march's memory is checked as
+    ``_solve_foldy_scene`` does."""
     opts = _run_opts(scene.config)
     params = params or scene.params
     grid = effective_grid(scene.rule, params, scene.config.horizon, opts["h_max"])
+    memory = march_memory(scene.rule.nodes, params.c0, grid)
     trace = EffectiveSystem(scene.rule, params, scene.source).solve(grid)
+    trace.counters.update(memory)
     field = EffectiveField(scene.rule, trace, params, scene.source)
     return field, field.scattered(scene.config.observation_points, t_out)
 
@@ -301,13 +309,27 @@ def run_effective(config: ExperimentConfig, session: OutputSession) -> None:
                        rule.density, rule.self_terms])
 
 
+# Seeded samples at which the cq stage probes the resolvent estimate.
+CQ_PROBES = 16
+
+
 def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
+    """The screen's CQ trace on the march's grid, and its resolvent estimate
+    probed at ``CQ_PROBES`` seeded samples.
+
+    The samples are the ``random()`` sequence of ``random.Random(seed)``,
+    which Python keeps the same for a seed across versions: first each
+    probe's s, uniform in [0.5, 4] + i[-4, 4] (real part, then imaginary),
+    then each probe's rhs over the m nodes, its real and imaginary parts
+    uniform in [-1, 1] (node by node, real part first).  So the stage loads
+    no ``numpy.random``.
+    """
     with session.timed("scene"):
         scene = build_scene(config)
-    rng = np.random.default_rng(config.seed)
-    s_vals = rng.uniform(0.5, 4.0, 16) + 1j * rng.uniform(-4.0, 4.0, 16)
-    rhs = [rng.normal(size=scene.rule.m) + 1j * rng.normal(size=scene.rule.m)
-           for _ in s_vals]
+    draw = random.Random(config.seed).random
+    s_vals = [complex(0.5 + 3.5 * draw(), 8.0 * draw() - 4.0) for _ in range(CQ_PROBES)]
+    parts = np.array([draw() for _ in range(2 * CQ_PROBES * scene.rule.m)])
+    rhs = (2.0 * parts - 1.0).view(complex).reshape(CQ_PROBES, scene.rule.m)
     with session.timed("solve"):
         grid = effective_grid(scene.rule, scene.params, config.horizon,
                               _run_opts(config)["h_max"])

@@ -59,14 +59,6 @@ class SurfaceDescriptor:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def normal_at(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        if self.kind == "sphere":
-            return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-        out = np.zeros_like(pts)
-        out[:, 2] = 1.0
-        return out
-
     def surface_distance(self, points: np.ndarray) -> np.ndarray:
         """Unsigned distance from points to the surface."""
         pts = np.atleast_2d(points)

@@ -80,17 +80,21 @@ Differential Equations* (2003).
 A network keeps nothing between marches: ``solve`` builds the plan and the
 near pairs for its grid and returns, with the ``Trace``, the
 march's ``counters`` read from them, which the run manifests record.
+Before a ``RetardedNetwork`` is built, ``march_memory`` estimates its march's
+peak bytes from n, the grid and a bound on the lag, and refuses one above
+``memory_budget``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import (ConfigError, DivergenceError, EvaluationPointError,
-                     SolverError, UsageError)
+                     ResolutionError, SolverError, UsageError)
 from .geometry import pairwise_distances
 from .sources import incident_eval
 
@@ -553,8 +557,7 @@ class DelayNetwork:
         per step that bound calls for).
         """
         n, h, steps, times = self.n, grid.h, grid.steps, grid.times
-        # the half-step query of the longest delay reads the deepest row
-        lag_max = int(-np.floor(SIGMAS[0] - self.max_delay / h))
+        lag_max = _lag_max(self.max_delay, h)
         # a live entry reads no row before the first node, so no step of this
         # march reads more than ``steps`` rows behind it
         pad = min(lag_max, steps) + 2
@@ -615,6 +618,51 @@ class DelayNetwork:
                     "lag_max": lag_max, "near_pairs": near.pairs,
                     "near_contraction": near.contraction, "near_sweeps": near.sweeps}
         return Trace(times, Y, V, A, S, self.onset, counters)
+
+
+def _lag_max(max_delay: float, h: float) -> int:
+    """The deepest history row, in steps behind n, that the half-step query
+    of the longest delay reads."""
+    return int(-np.floor(SIGMAS[0] - max_delay / h))
+
+
+def memory_budget() -> int:
+    """Bytes a march may take: the address-space limit (``RLIMIT_AS``) if one
+    is set, else the machine's physical memory.  It reads limits, sets none."""
+    import resource   # only the memory check needs it: kept out of start-up
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        return limit
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def march_memory(nodes: np.ndarray, c0: float, grid: TimeGrid) -> dict:
+    """The peak bytes of marching a ``RetardedNetwork`` at ``nodes`` on
+    ``grid`` and the ``memory_budget``, as ``memory_estimate_bytes`` and
+    ``memory_budget_bytes``; an estimate over the budget raises
+    ``ResolutionError`` naming n, both numbers, before any n x n array exists.
+
+    The estimate counts the network's coupling and delay (16 B per n x n
+    entry), the plan's gather offsets (16 B) and weights (64 B) at both
+    stages, its first live steps (2 entries of the smallest type holding
+    ``steps``), the history cells over min(lag, steps) + steps + 4 rows and
+    the trace's values and rates.  The lag is taken at the longest distance
+    the nodes' bounding box allows, so it is never below the march's
+    ``lag_max``.  The near pairs' arrays, a few dozen bytes per pair with a
+    delay below 2h, are left out.
+    """
+    n, steps = len(nodes), grid.steps
+    reach = float(np.linalg.norm(np.ptp(nodes, axis=0))) if n else 0.0
+    rows = min(_lag_max(reach / c0, grid.h), steps) + steps + 4
+    first = np.min_scalar_type(steps).itemsize
+    estimate = (96 + 2 * first) * n * n + rows * n * 32 + 2 * (steps + 1) * n * 8
+    budget = memory_budget()
+    if estimate > budget:
+        raise ResolutionError(
+            f"a march of n = {n} oscillators over {steps} steps needs about "
+            f"{estimate / 2**30:.3g} GiB ({estimate} bytes), above the memory budget "
+            f"of {budget / 2**30:.3g} GiB ({budget} bytes): raise eps or the limit")
+    return {"memory_estimate_bytes": estimate, "memory_budget_bytes": budget}
 
 
 class RetardedNetwork(DelayNetwork):

@@ -54,7 +54,8 @@ exceptions use package code:
   ``kernel_identity_residual`` and ``jump_residual``, which check the paper's
   central claim on a screen solution: the jump of dW/dn across the surface
   equals the sine-kernel memory convolution of W''.  ``jump_residual``
-  evaluates the field with ``EffectiveField``.
+  evaluates the field with ``EffectiveField`` along ``surface_normal``, which
+  the rule does not carry.
 """
 
 import warnings
@@ -761,6 +762,16 @@ class JumpDiagnostics:
     jump_scale: float
 
 
+def surface_normal(rule: QuadratureRule, node: int) -> np.ndarray:
+    """The unit normal at a node of a rule on the surfaces ``build_surface``
+    makes: e_z on the disk (every node in z = 0), x/|x| on the sphere
+    centred at the origin."""
+    if not np.any(rule.nodes[:, 2]):
+        return np.array([0.0, 0.0, 1.0])
+    x = rule.nodes[node]
+    return x / np.linalg.norm(x)
+
+
 def jump_residual(rule: QuadratureRule, trace: Trace, params: PhysicalParams,
                   source: PointSource, probe_nodes, delta: float) -> JumpDiagnostics:
     """Check [dW/dn] against the sinusoidal memory convolution of W on Gamma.
@@ -784,7 +795,7 @@ def jump_residual(rule: QuadratureRule, trace: Trace, params: PhysicalParams,
     fscale = 0.0
     for node in np.atleast_1d(probe_nodes):
         xc = rule.nodes[node]
-        nu = rule.normals[node]
+        nu = surface_normal(rule, node)
         if np.linalg.norm(trace.acc[:, node]) == 0.0 and np.linalg.norm(trace.value[:, node]) == 0.0:
             continue
         w_vals = {

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bubblescreen import experiments
+from bubblescreen import experiments, stepping
 from bubblescreen.cli import run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -195,3 +197,40 @@ def test_run_horizon_checked_before_any_stage(tmp_path, stage, run, capsys):
     assert run_cli([stage, "--config", path, "--outdir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage", ["foldy", "effective", "compare", "regimes"])
+def test_over_budget_march_exits_2_before_its_network(tmp_path, stage, monkeypatch, capsys):
+    # the estimate at eps 1/64 (n = 48) is about 0.6 MB: a 100 kB budget
+    # refuses it before any n x n matrix is built
+    def no_network(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(stepping, "memory_budget", lambda: 100_000)
+    monkeypatch.setattr(stepping.RetardedNetwork, "__init__", no_network)
+    path = _config(tmp_path, {"run": {"T": 2.5, "n_out": 51}})
+    out = tmp_path / "out"
+    assert run_cli([stage, "--config", path, "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: a march of n = 48 oscillators over 50 steps needs "
+                        r"about [0-9.e-]+ GiB \((\d+) bytes\), above the memory budget "
+                        r"of [0-9.e-]+ GiB \(100000 bytes\): raise eps or the limit\n", err)
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_foldy_over_the_address_space_limit_exits_2(tmp_path):
+    # eps 2^-14 puts 16,099 bubbles on the disk, whose march needs about
+    # 24 GiB; under a 2.4 GiB RLIMIT_AS, set on this child only, the stage
+    # once asked for the 1.93 GiB coupling matrix and exited 3
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2_560_000_000, resource.RLIM_INFINITY))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bubblescreen.cli", "foldy", "--config",
+         str(SRC.parent / "configs" / "default.yaml"), "--eps", "1/16384",
+         "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert "n = 16099 oscillators" in proc.stderr
+    assert "memory budget of 2.38 GiB (2560000000 bytes)" in proc.stderr

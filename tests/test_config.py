@@ -123,6 +123,74 @@ def test_disk_scene_loads_neither_openssl_nor_numpy_random():
     assert proc.stdout.split() == ["none"]
 
 
+# Runs one CLI stage and prints its exit code, which of OpenSSL's
+# ``_hashlib`` and ``numpy.random`` it left loaded, and which of them were
+# first imported from within ``place_bubbles``.
+_STAGE_MODULES = """
+import sys
+import traceback
+
+WATCHED = ("_hashlib", "numpy.random")
+
+
+class FirstImports:
+    stacks = {}
+
+    def find_spec(self, name, path=None, target=None):
+        if name in WATCHED and name not in self.stacks:
+            self.stacks[name] = [frame.name for frame in traceback.extract_stack()]
+
+
+watch = FirstImports()
+sys.meta_path.insert(0, watch)
+from bubblescreen.cli import run_cli
+code = run_cli(sys.argv[1:])
+loaded = [name for name in WATCHED if name in sys.modules]
+placed = [name for name in loaded if "place_bubbles" in watch.stacks.get(name, [])]
+print(code, ",".join(loaded) or "none", ",".join(placed) or "none")
+"""
+
+
+def _stage_modules(stage, config, outdir):
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGE_MODULES, stage, "--config", str(ROOT / config),
+         "--outdir", str(outdir)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("stage", ["validate", "foldy", "effective", "cq", "compare",
+                                   "sweep", "regimes", "counting"])
+def test_disk_stage_loads_neither_openssl_nor_numpy_random(stage, tmp_path):
+    # no stage on the default disk places a jittered bubble: the manifest's
+    # hash comes from the builtin SHA-256 and cq's probes from random.Random
+    assert _stage_modules(stage, "configs/default.yaml", tmp_path) == ["0", "none", "none"]
+
+
+def test_sphere_stage_loads_numpy_random_only_to_place_bubbles(tmp_path):
+    # K = 1 on the sphere puts two bubbles in a patch, so placement draws;
+    # numpy.random brings OpenSSL along (bit_generator -> secrets -> hmac),
+    # and both are first imported there
+    assert _stage_modules("validate", "perfbench/configs/sphere_cluster.yaml", tmp_path) == [
+        "0", "_hashlib,numpy.random", "_hashlib,numpy.random"]
+
+
+@pytest.mark.parametrize("path, digest", [
+    ("configs/default.yaml",
+     "b074701dd7e82db6f4446e0c9122a071ed0478aad27ee161a37f90c86cf23d07"),
+    ("perfbench/configs/sphere_cluster.yaml",
+     "4a7252ffd593be9303ef0b7ebc40babfce122467e68ed17adf14c660a8f5fcc1"),
+])
+def test_config_hash_is_openssls_sha256(path, digest):
+    # the builtin SHA-256 gives hashlib's (OpenSSL's) digest of the
+    # canonical JSON, so no committed config changes its hash
+    import hashlib
+    config = ExperimentConfig.load(ROOT / path)
+    assert config.config_hash() == digest
+    assert digest == hashlib.sha256(config.canonical_json().encode()).hexdigest()
+
+
 def test_config_hash_is_pinned():
     # the digest of the canonical JSON of the default config, unchanged by
     # where hashlib is imported

@@ -18,8 +18,7 @@ def make_source(params, x0=(0.0, 0.0, 1.5), t_rise=1.5):
 
 def one_node_rule(x, weight, spacing):
     return QuadratureRule(nodes=np.array([x], dtype=float), weights=np.array([weight]),
-                          density=np.array([1]), normals=np.array([[0.0, 0.0, 1.0]]),
-                          spacing=spacing)
+                          density=np.array([1]), spacing=spacing)
 
 
 class TestBuildRule:
@@ -290,7 +289,7 @@ class TestJumpCondition:
         trace = EffectiveSystem(rule, params, source).solve(grid)
         field = EffectiveField(rule, trace, params, source)
         node = int(np.argsort(np.linalg.norm(rule.nodes[:, :2], axis=1))[0])
-        xc, nu = rule.nodes[node], rule.normals[node]
+        xc, nu = rule.nodes[node], np.array([0.0, 0.0, 1.0])   # the disk's normal e_z
         gaps = []
         for delta in (0.5, 0.25, 0.125):
             wp = field.total(xc + delta * nu, grid.times, min_dist_factor=0.0)

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,12 @@ def test_stage_csvs_reproducible_and_manifest_keys(tmp_path, stage):
         return
     march = manifest["march"]["foldy"]
     assert set(march) == {"n", "pairs", "steps", "h", "tau_min", "h_over_tau_min",
-                          "lag_max", "near_pairs", "near_contraction", "near_sweeps"}
+                          "lag_max", "near_pairs", "near_contraction", "near_sweeps",
+                          "memory_estimate_bytes", "memory_budget_bytes"}
+    # the memory check's estimate, above the network's and the plan's 98 B
+    # per n x n entry, within the budget it passed
+    assert (98 * march["n"] ** 2 < march["memory_estimate_bytes"]
+            <= march["memory_budget_bytes"])
     assert march["pairs"] == march["n"] * (march["n"] - 1)
     assert march["steps"] * march["h"] == pytest.approx(2.5, rel=1e-14)
     # the step is h_max; at eps 1/64 every delay exceeds 2h: no near pairs
@@ -172,6 +178,31 @@ def test_sweep_refuses_eps_closer_than_a_ratio_of_one_and_a_half(monkeypatch, tm
         with pytest.raises(UsageError, match=f"each eps of the sweep must be at least 1.5 "
                                              f"times the next, got ratios {ratios}$"):
             run_stage("sweep", config, tmp_path)
+
+
+def test_cq_probes_are_pythons_seeded_random_sequence(monkeypatch, tmp_path):
+    # s_k from draws 2k, 2k + 1, then each probe's rhs from the draws after
+    # the 32 of s, node by node, real part first; random.Random(seed) gives
+    # the same sequence on every Python version
+    probes = []
+
+    def probed(network, weights, s_values, rhs_values):
+        probes.extend([s_values, rhs_values])
+        raise _Compared
+
+    monkeypatch.setattr(experiments, "resolvent_sweep", probed)
+    config = ExperimentConfig.from_dict({**SMALL, "seed": 3})
+    with pytest.raises(_Compared):
+        run_stage("cq", config, tmp_path)
+    s_values, rhs = probes
+    m = build_scene(config).rule.m
+    draw = random.Random(3).random
+    u = [draw() for _ in range(32 + 32 * m)]
+    assert s_values == [complex(0.5 + 3.5 * u[2 * k], 8.0 * u[2 * k + 1] - 4.0)
+                        for k in range(16)]
+    assert rhs.shape == (16, m)
+    assert rhs[0, 0] == complex(2.0 * u[32] - 1.0, 2.0 * u[33] - 1.0)
+    assert rhs[15, m - 1] == complex(2.0 * u[-2] - 1.0, 2.0 * u[-1] - 1.0)
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import copy
+import os
+import resource
 import tracemalloc
 from pathlib import Path
 
@@ -601,6 +603,49 @@ def test_foldy_march_peaks_within_its_plan_history_and_trace():
     values = 2 * (steps + 1) * n * 8
     assert 280 < n < 320
     assert peak <= 1.2 * (80 * n * n + history + values)
+
+
+@pytest.mark.parametrize("eps, T", [(1.0 / 350.0, 4.0), (1.0 / 512.0, 20.0)])
+def test_march_memory_estimates_the_network_and_its_march(eps, T):
+    # the estimate counts the network, the plan, the history and the trace;
+    # what it leaves out (near pairs, block temporaries) stays below 15% of
+    # the peak of building the network and marching it (91% and 95% when
+    # written, with 2,296 and 8,416 near pairs)
+    config = ExperimentConfig.load(CONFIG)
+    scene = build_scene(config, eps)
+    grid = TimeGrid.fit(T, 0.05)
+    estimate = stepping.march_memory(scene.cluster.centers, scene.params.c0,
+                                     grid)["memory_estimate_bytes"]
+    tracemalloc.start()
+    try:
+        DelaySystem(scene.cluster, scene.params, scene.source).solve(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.85 * peak < estimate <= peak
+
+
+def test_memory_budget_reads_the_address_space_limit_else_physical_memory(monkeypatch):
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (123456789, resource.RLIM_INFINITY))
+    assert stepping.memory_budget() == 123456789
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+    assert stepping.memory_budget() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def test_march_memory_lag_covers_the_marchs_deepest_row(params, disk_scene):
+    # the lag from the nodes' bounding box is never shallower than the
+    # march's: the estimate's history holds every row the march keeps
+    rule = disk_scene["rule"]
+    network = EffectiveSystem(rule, params, disk_scene["source"])
+    for h in (0.05, 0.01, 0.002):
+        grid = TimeGrid.fit(2.0, h)
+        lag = network.solve(grid).counters["lag_max"]
+        rows = min(lag, grid.steps) + grid.steps + 4
+        history = rows * rule.m * 32 + 2 * (grid.steps + 1) * rule.m * 8
+        first = np.min_scalar_type(grid.steps).itemsize
+        estimate = stepping.march_memory(rule.nodes, params.c0, grid)["memory_estimate_bytes"]
+        assert estimate >= (96 + 2 * first) * rule.m ** 2 + history
 
 
 def test_network_build_holds_and_peaks_within_its_two_matrices():
