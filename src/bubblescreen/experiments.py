@@ -11,7 +11,11 @@ A stage times its blocks with ``session.timed(label)``: ``scene`` for building
 the scene, ``solve`` for its solves, except that compare and sweep time each
 model under ``foldy`` and ``effective`` and sweep each eps under
 ``eps_<eps>``.  Runtimes are recorded in the manifest only, keeping the CSVs
-bitwise reproducible for a fixed config and seed.
+bitwise reproducible for a fixed config and seed.  Every seeded draw, the
+bubbles' jitter (``place_bubbles``) and cq's probes (``run_cq``), is the
+``random()`` sequence of ``random.Random(seed)``, which Python keeps the same
+across versions; numpy makes no such promise for its generators (NEP 19), so
+a numpy upgrade moves no draw behind a CSV.
 
 CSVs are written column-wise: a stage hands ``OutputSession.write_csv`` one
 array per column, and each column is converted to text once per block of
@@ -39,7 +43,7 @@ from .errors import ConfigError, UsageError
 from .foldy import assemble, scattered_series
 from .geometry import (BubbleCluster, build_surface, counting_scaling_check,
                        partition, place_bubbles)
-from .laplace_cq import cq_solve, resolvent_sweep
+from .laplace_cq import cq_memory, cq_solve, resolvent_sweep
 from .materials import (PhysicalParams, RawMaterials, ShapeDescriptor,
                         derive_params, validate_conditions)
 from .sources import PointSource, SourcePulse
@@ -322,7 +326,9 @@ def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
     probe's s, uniform in [0.5, 4] + i[-4, 4] (real part, then imaginary),
     then each probe's rhs over the m nodes, its real and imaginary parts
     uniform in [-1, 1] (node by node, real part first).  So the stage loads
-    no ``numpy.random``.
+    no ``numpy.random``.  Its dense solves are checked by ``cq_memory``
+    before the network is built, and the manifest's ``march`` block records
+    the estimate and the budget under ``cq``.
     """
     with session.timed("scene"):
         scene = build_scene(config)
@@ -333,6 +339,7 @@ def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
     with session.timed("solve"):
         grid = effective_grid(scene.rule, scene.params, config.horizon,
                               _run_opts(config)["h_max"])
+        session.march["cq"] = cq_memory(scene.rule.m, grid)
         network = EffectiveSystem(scene.rule, scene.params, scene.source)
         y = cq_solve(network, scene.rule.weights, grid)
         diag = resolvent_sweep(network, scene.rule.weights, s_vals, rhs)

@@ -30,6 +30,8 @@ the bubbles of every patch at once from those rows and one draw.
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -410,12 +412,21 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     jittered by up to ``_JITTER`` of a sub-cell along both axes.  A sphere
     cap with n > 1 keeps one bubble at its pole and puts the other n - 1 on
     the ring at half the cap's polar angle, evenly spaced from a random
-    phase.  Deterministic for a fixed seed: ``np.random.default_rng(seed)``
-    makes one draw for the jitter of every box bubble, in patch order, and
-    on the sphere the north cap's phase comes before it and the south cap's
-    after it.  The generator is created only when some patch holds more than
-    one bubble, so a scene with one bubble per patch (K < 1) draws nothing
-    and never loads ``numpy.random``.
+    phase.
+
+    Deterministic for a fixed seed: the draws are the ``random()`` sequence
+    of ``random.Random(seed)``, taken in this order: the north cap's phase,
+    then the (x, y) jitter of every box bubble in patch order (on the sphere
+    the sector's z, then its azimuth), then the south cap's phase; a cap
+    with one bubble draws no phase.  A draw u gives the phase 2 pi u and
+    the jitter ``_JITTER`` (2u - 1) of a sub-cell.  The standard library
+    keeps that sequence the same for a seed across Python versions, which
+    numpy does not promise for its generators, and it needs neither
+    ``numpy.random`` nor OpenSSL, which ``numpy.random`` imports.  The
+    generator is created only when some patch holds more than one bubble,
+    so a scene with one bubble per patch (K < 1) draws nothing.  A negative
+    seed is refused with ``UsageError``: ``random.Random`` would seed from
+    its absolute value.
 
     Packings whose bubbles of scale ``eps`` could touch are refused with
     ``ResolutionError``: within a box, sub-grid neighbours stay at least
@@ -429,6 +440,8 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
     """
     if eps <= 0:
         raise GeometryError("eps must be positive")
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     counts = k_func.counts_at(patchwork.centers)
     d, m, bounds = patchwork.d, patchwork.m, patchwork.bounds
     r = patchwork.surface.radius
@@ -451,13 +464,15 @@ def place_bubbles(patchwork: Patchwork, k_func: KFunction, eps: float,
         i = np.arange(len(pids)) - (np.cumsum(counts) - counts)[pids]
         cap = sphere & ((pids == 0) | (pids == m - 1))
         box, on_ring = (n > 1) & ~cap, cap & (i > 0)
-        rng = np.random.default_rng(seed)
+        draw = random.Random(seed).random
         phase = np.zeros(2)
         if sphere and counts[0] > 1:
-            phase[0] = rng.uniform(0.0, 2.0 * np.pi)
-        jitter = rng.uniform(-_JITTER, _JITTER, (int(box.sum()), 2))
+            phase[0] = 2.0 * np.pi * draw()
+        size = 2 * int(box.sum())
+        u = np.fromiter(itertools.starmap(draw, itertools.repeat((), size)), float, size)
+        jitter = _JITTER * (2.0 * u.reshape(-1, 2) - 1.0)
         if sphere and counts[-1] > 1:
-            phase[1] = rng.uniform(0.0, 2.0 * np.pi)
+            phase[1] = 2.0 * np.pi * draw()
         g = np.ceil(np.sqrt(n[box])).astype(int)
         step = bounds[pids[box], 2:] / g[:, None]
         cell = np.stack(np.divmod(i[box] * g * g // n[box], g), axis=1)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError, UsageError
-from .stepping import DelayNetwork, TimeGrid
+from .stepping import DelayNetwork, TimeGrid, check_memory
 
 
 def assemble_operator(network: DelayNetwork, s: complex) -> np.ndarray:
@@ -98,6 +98,20 @@ def laplace_solve(network: DelayNetwork, weights: np.ndarray, s: complex,
 # ---------------------------------------------------------------------------
 # Convolution quadrature
 # ---------------------------------------------------------------------------
+def cq_memory(n: int, grid: TimeGrid) -> dict:
+    """The peak bytes of ``cq_solve`` on a network of n oscillators over
+    ``grid``, checked by ``check_memory`` before the network is built.
+
+    The estimate counts the network's coupling and delay (16 B per n x n
+    entry), ``assemble_operator``'s three complex n x n arrays (48 B) and
+    LAPACK's copy of the operator (16 B), and about 40 B per transform
+    point and oscillator, at L = 2 (steps + 1) points.
+    """
+    ll = 2 * (grid.steps + 1)
+    return check_memory(80 * n * n + 40 * ll * n,
+                        f"a CQ solve of n = {n} oscillators over {grid.steps} steps")
+
+
 def cq_solve(network: DelayNetwork, weights: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Acceleration trace (steps+1, n) on the march's grid by operational
     calculus on the forcing sampled at the grid's nodes.

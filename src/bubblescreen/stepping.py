@@ -656,12 +656,19 @@ def march_memory(nodes: np.ndarray, c0: float, grid: TimeGrid) -> dict:
     rows = min(_lag_max(reach / c0, grid.h), steps) + steps + 4
     first = np.min_scalar_type(steps).itemsize
     estimate = (96 + 2 * first) * n * n + rows * n * 32 + 2 * (steps + 1) * n * 8
+    return check_memory(estimate, f"a march of n = {n} oscillators over {steps} steps")
+
+
+def check_memory(estimate: int, what: str) -> dict:
+    """``estimate`` and the ``memory_budget`` as ``memory_estimate_bytes`` and
+    ``memory_budget_bytes``; an estimate over the budget raises
+    ``ResolutionError`` naming ``what``, the estimate and the budget."""
     budget = memory_budget()
     if estimate > budget:
         raise ResolutionError(
-            f"a march of n = {n} oscillators over {steps} steps needs about "
-            f"{estimate / 2**30:.3g} GiB ({estimate} bytes), above the memory budget "
-            f"of {budget / 2**30:.3g} GiB ({budget} bytes): raise eps or the limit")
+            f"{what} needs about {estimate / 2**30:.3g} GiB ({estimate} bytes), above "
+            f"the memory budget of {budget / 2**30:.3g} GiB ({budget} bytes): "
+            f"raise eps or the limit")
     return {"memory_estimate_bytes": estimate, "memory_budget_bytes": budget}
 
 

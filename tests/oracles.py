@@ -58,6 +58,7 @@ exceptions use package code:
   the rule does not carry.
 """
 
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -275,21 +276,27 @@ def dense_retarded_matrices(nodes, col_weight, c0):
     return np.where(off, coupling, 0.0), np.where(off, r / c0, 0.0)
 
 
-def loop_subgrid_disk(box, n, rng):
+def _jitter(draw):
+    """One jitter, in sub-cells, from one ``random()`` draw u."""
+    return _JITTER * (2.0 * draw() - 1.0)
+
+
+def loop_subgrid_disk(box, n, draw):
     """Bubbles of a disk cell, box (x0, y0, size, size), one jittered
-    sub-grid point at a time."""
+    sub-grid point at a time, x and then y drawn per point."""
     x0, y0, size, _ = box
     g = int(np.ceil(np.sqrt(n)))
     sub = size / g
     pts = []
     for i in range(n):
         gi, gj = divmod((i * g * g) // n, g)
-        jx, jy = rng.uniform(-_JITTER, _JITTER, size=2) * sub
+        jx = _jitter(draw) * sub
+        jy = _jitter(draw) * sub
         pts.append([x0 + (gi + 0.5) * sub + jx, y0 + (gj + 0.5) * sub + jy, 0.0])
     return np.array(pts)
 
 
-def loop_subgrid_sphere(box, n, r, rng):
+def loop_subgrid_sphere(box, n, r, draw):
     """Bubbles of a sphere collar sector, box (z_lo, phi_lo, z span, phi
     span), one jittered sub-grid point at a time, z and then the azimuth
     drawn per point."""
@@ -300,19 +307,19 @@ def loop_subgrid_sphere(box, n, r, rng):
     pts = []
     for i in range(n):
         gi, gj = divmod((i * g * g) // n, g)
-        z = z_lo + (gi + 0.5) * dz + rng.uniform(-_JITTER, _JITTER) * dz
-        ph = ph_a + (gj + 0.5) * dph + rng.uniform(-_JITTER, _JITTER) * dph
+        z = z_lo + (gi + 0.5) * dz + _jitter(draw) * dz
+        ph = ph_a + (gj + 0.5) * dph + _jitter(draw) * dph
         rho = np.sqrt(max(r * r - z * z, 0.0))
         pts.append([rho * np.cos(ph), rho * np.sin(ph), z])
     return np.array(pts)
 
 
-def loop_cap_ring(theta_cap, sign, n, r, rng):
+def loop_cap_ring(theta_cap, sign, n, r, draw):
     """Bubbles of a polar cap: one at the pole of ``sign``, the other n - 1
     on the ring at half the cap angle, evenly spaced from one drawn phase."""
     ring = theta_cap / 2.0
     pts = [np.array([0.0, 0.0, sign * r])]
-    phase = rng.uniform(0.0, 2.0 * np.pi)
+    phase = 2.0 * np.pi * draw()
     for k in range(n - 1):
         ph = phase + 2.0 * np.pi * k / (n - 1)
         th = ring if sign > 0 else np.pi - ring
@@ -323,20 +330,20 @@ def loop_cap_ring(theta_cap, sign, n, r, rng):
 def loop_place_bubbles(patchwork, k_func, eps, seed=0):
     """floor(K)+1 bubbles per patch, one patch at a time: a single bubble at
     the patch center, several on the patch's jittered sub-grid or a polar
-    cap's ring, drawn from ``default_rng(seed)`` in patch order."""
+    cap's ring, drawn from ``random.Random(seed).random()`` in patch order."""
     counts = k_func.counts_at(patchwork.centers)
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed).random
     r, last = patchwork.surface.radius, patchwork.m - 1
     all_pts, pids = [], []
     for pid, (box, n_b) in enumerate(zip(patchwork.bounds.tolist(), counts.tolist())):
         if n_b == 1:
             pts = patchwork.centers[pid][None, :]
         elif patchwork.surface.kind == "disk":
-            pts = loop_subgrid_disk(box, n_b, rng)
+            pts = loop_subgrid_disk(box, n_b, draw)
         elif pid in (0, last):
-            pts = loop_cap_ring(abs(box[2]), 1.0 if pid == 0 else -1.0, n_b, r, rng)
+            pts = loop_cap_ring(abs(box[2]), 1.0 if pid == 0 else -1.0, n_b, r, draw)
         else:
-            pts = loop_subgrid_sphere(box, n_b, r, rng)
+            pts = loop_subgrid_sphere(box, n_b, r, draw)
         all_pts.append(pts)
         pids.extend([pid] * n_b)
     return BubbleCluster(centers=np.vstack(all_pts), patch_ids=np.array(pids, dtype=int),

@@ -109,7 +109,7 @@ def test_config_errors_exit_two(tmp_path, raw, capsys):
     ("counting", {"counting": {"d_list": []}}),         # rows[0] of no rows
     ("regimes", {"regimes": {"transmitted_points": []}}),
     ("foldy", {"source": {"position": [0.0, 0.0]}}),
-    ("validate", {"seed": -1}),                         # refused by default_rng
+    ("validate", {"seed": -1}),                         # the config refuses a negative seed
     ("foldy", {"run": {"observation_points": [[0.0, 0.0, -0.5], [0.25, 0.15]]}}),
     ("regimes", {"regimes": {"window_fraction": -2.0}}),    # an empty window, exit 0
     ("regimes", {"regimes": {"window_fraction": 1.5}}),
@@ -216,6 +216,35 @@ def test_over_budget_march_exits_2_before_its_network(tmp_path, stage, monkeypat
                         r"about [0-9.e-]+ GiB \((\d+) bytes\), above the memory budget "
                         r"of [0-9.e-]+ GiB \(100000 bytes\): raise eps or the limit\n", err)
     assert not (out / "run_manifest.json").exists()
+
+
+def test_over_budget_cq_exits_2_before_its_network(tmp_path, monkeypatch, capsys):
+    # cq's dense solves at eps 1/64 (n = 48, L = 102 transform points) need
+    # 80 n^2 + 40 L n = 380,160 bytes: a 100 kB budget refuses them before
+    # the network's n x n matrices exist
+    def no_network(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(stepping, "memory_budget", lambda: 100_000)
+    monkeypatch.setattr(stepping.RetardedNetwork, "__init__", no_network)
+    path = _config(tmp_path, {"run": {"T": 2.5, "n_out": 51}})
+    out = tmp_path / "out"
+    assert run_cli(["cq", "--config", path, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: a CQ solve of n = 48 oscillators over 50 steps needs about "
+        f"{380_160 / 2**30:.3g} GiB (380160 bytes), above the memory budget of "
+        f"{100_000 / 2**30:.3g} GiB (100000 bytes): raise eps or the limit\n")
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_cq_manifest_records_its_memory_check(tmp_path, monkeypatch):
+    # an estimate equal to the budget passes, and both land in the manifest
+    monkeypatch.setattr(stepping, "memory_budget", lambda: 380_160)
+    path = _config(tmp_path, {"run": {"T": 2.5, "n_out": 51}})
+    out = tmp_path / "out"
+    assert run_cli(["cq", "--config", path, "--outdir", str(out)]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["march"] == {
+        "cq": {"memory_estimate_bytes": 380_160, "memory_budget_bytes": 380_160}}
 
 
 def test_foldy_over_the_address_space_limit_exits_2(tmp_path):

@@ -123,31 +123,14 @@ def test_disk_scene_loads_neither_openssl_nor_numpy_random():
     assert proc.stdout.split() == ["none"]
 
 
-# Runs one CLI stage and prints its exit code, which of OpenSSL's
-# ``_hashlib`` and ``numpy.random`` it left loaded, and which of them were
-# first imported from within ``place_bubbles``.
+# Runs one CLI stage and prints its exit code and which of OpenSSL's
+# ``_hashlib`` and ``numpy.random`` it left loaded.
 _STAGE_MODULES = """
 import sys
-import traceback
-
-WATCHED = ("_hashlib", "numpy.random")
-
-
-class FirstImports:
-    stacks = {}
-
-    def find_spec(self, name, path=None, target=None):
-        if name in WATCHED and name not in self.stacks:
-            self.stacks[name] = [frame.name for frame in traceback.extract_stack()]
-
-
-watch = FirstImports()
-sys.meta_path.insert(0, watch)
 from bubblescreen.cli import run_cli
 code = run_cli(sys.argv[1:])
-loaded = [name for name in WATCHED if name in sys.modules]
-placed = [name for name in loaded if "place_bubbles" in watch.stacks.get(name, [])]
-print(code, ",".join(loaded) or "none", ",".join(placed) or "none")
+print(code, ",".join(name for name in ("_hashlib", "numpy.random") if name in sys.modules)
+      or "none")
 """
 
 
@@ -165,15 +148,17 @@ def _stage_modules(stage, config, outdir):
 def test_disk_stage_loads_neither_openssl_nor_numpy_random(stage, tmp_path):
     # no stage on the default disk places a jittered bubble: the manifest's
     # hash comes from the builtin SHA-256 and cq's probes from random.Random
-    assert _stage_modules(stage, "configs/default.yaml", tmp_path) == ["0", "none", "none"]
+    assert _stage_modules(stage, "configs/default.yaml", tmp_path) == ["0", "none"]
 
 
-def test_sphere_stage_loads_numpy_random_only_to_place_bubbles(tmp_path):
-    # K = 1 on the sphere puts two bubbles in a patch, so placement draws;
-    # numpy.random brings OpenSSL along (bit_generator -> secrets -> hmac),
-    # and both are first imported there
-    assert _stage_modules("validate", "perfbench/configs/sphere_cluster.yaml", tmp_path) == [
-        "0", "_hashlib,numpy.random", "_hashlib,numpy.random"]
+@pytest.mark.parametrize("stage", ["validate", "foldy", "effective", "cq", "compare",
+                                   "regimes", "counting"])
+def test_sphere_stage_loads_neither_openssl_nor_numpy_random(stage, tmp_path):
+    # K = 1 on the sphere puts two bubbles in a patch, so placement draws,
+    # from random.Random as cq's probes do: numpy.random, and the OpenSSL it
+    # brings along (bit_generator -> secrets -> hmac), stay unloaded
+    assert _stage_modules(stage, "perfbench/configs/sphere_cluster.yaml", tmp_path) == [
+        "0", "none"]
 
 
 @pytest.mark.parametrize("path, digest", [

@@ -24,7 +24,7 @@ STAGE_PROMISES = {
     "foldy": (["foldy_traces.csv", "foldy_field.csv"], {"scene", "solve"}, {"foldy"}),
     "effective": (["effective_traces.csv", "effective_field.csv", "rule.csv"],
                   {"scene", "solve"}, {"effective"}),
-    "cq": (["cq_traces.csv", "resolvent_diag.csv"], {"scene", "solve"}, set()),
+    "cq": (["cq_traces.csv", "resolvent_diag.csv"], {"scene", "solve"}, {"cq"}),
     "compare": (["compare_fields.csv", "compare_errors.csv"],
                 {"scene", "foldy", "effective"}, {"foldy", "effective"}),
     "sweep": (["sweep.csv", "sweep_fit.csv"],
@@ -90,12 +90,13 @@ def test_compare_errors_pinned_to_rounding(eps, tmp_path):
 
 SPHERE_CONFIG = CONFIG.parent.parent / "perfbench" / "configs" / "sphere_cluster.yaml"
 # compare on the sphere config (two jittered bubbles per patch), recorded
-# with Foldy marched in U (numpy 2.4): guards the sphere partition and placement
+# with Foldy marched in U and the jitter drawn from random.Random(seed)
+# (numpy 2.4): guards the sphere partition and placement
 SPHERE_PINS = {
-    1.0 / 128.0: {"m_bubbles": 256, "m_nodes": 128, "sup_err": 0.0017050501937138918,
-                  "l2_err": 0.0025074147083545086, "u_scale": 0.1015503766484055},
-    1.0 / 256.0: {"m_bubbles": 512, "m_nodes": 256, "sup_err": 0.0012810751188004066,
-                  "l2_err": 0.001809724748943178, "u_scale": 0.10103370498159711},
+    1.0 / 128.0: {"m_bubbles": 256, "m_nodes": 128, "sup_err": 0.0017418815186970027,
+                  "l2_err": 0.002531693133138883, "u_scale": 0.1015872079733886},
+    1.0 / 256.0: {"m_bubbles": 512, "m_nodes": 256, "sup_err": 0.0012738622151469703,
+                  "l2_err": 0.0018016564810692066, "u_scale": 0.10102649207794367},
 }
 
 
@@ -105,6 +106,20 @@ def test_sphere_compare_errors_pinned_to_rounding(eps, tmp_path):
     row = compare_at(config, eps, OutputSession(config, "compare", tmp_path))[0]
     for key, want in SPHERE_PINS[eps].items():
         assert row[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
+def test_sphere_screen_does_not_depend_on_placement(tmp_path):
+    # the seed moves every jittered bubble, and the screen reads no bubble:
+    # its rule, traces and field are byte-identical across seeds
+    outputs = ["effective_traces.csv", "effective_field.csv", "rule.csv"]
+    for seed in (1, 2):
+        config = ExperimentConfig.load(SPHERE_CONFIG, {"seed": seed})
+        run_stage("effective", config, tmp_path / str(seed))
+    centers = [build_scene(ExperimentConfig.load(SPHERE_CONFIG, {"seed": seed})).cluster.centers
+               for seed in (1, 2)]
+    assert not np.array_equal(*centers)
+    for name in outputs:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 # distance passes per stage: one per validation, one per network built

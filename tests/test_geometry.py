@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -485,39 +486,45 @@ def test_cap_ring_with_room_is_placed():
     assert dense_min_distance(cl.centers) > 2.0 * _CAP_EPS
 
 
-class _CountingGenerator:
-    """A generator that counts its ``uniform`` draws."""
-
-    def __init__(self, rng):
-        self.rng, self.draws = rng, 0
-
-    def uniform(self, *args, **kwargs):
-        self.draws += 1
-        return self.rng.uniform(*args, **kwargs)
-
-
-@pytest.mark.parametrize("kind,k,draws", [
-    ("disk", KFunction.constant(2.5), 1),
-    ("disk", KFunction.linear_axis(scale=1.0, offset=0.6, axis=0), 1),
-    ("sphere", KFunction.constant(2.5), 3),
-    ("sphere", KFunction.linear_axis(), 2),
+@pytest.mark.parametrize("kind,k,caps", [
+    ("disk", KFunction.constant(2.5), 0),
+    ("disk", KFunction.linear_axis(scale=1.0, offset=0.6, axis=0), 0),
+    ("sphere", KFunction.constant(2.5), 2),
+    ("sphere", KFunction.linear_axis(), 1),
     ("disk", KFunction.constant(0.5), 0),
     ("sphere", KFunction.constant(0.0), 0),
 ], ids=["disk-K2.5", "disk-linear-axis", "sphere-K2.5", "sphere-linear-axis", "disk-K0.5",
         "sphere-K0"])
-def test_placement_draws_once(monkeypatch, kind, k, draws):
-    # one draw jitters every box bubble, plus a phase for each cap holding
-    # more than one bubble (the north cap only, under linear_axis); a scene
-    # of single bubbles makes no generator at all
+def test_placement_draws_once(monkeypatch, kind, k, caps):
+    # one generator draws twice for every box bubble, plus a phase for each
+    # cap holding more than one bubble (the north cap only, under
+    # linear_axis); a scene of single bubbles makes no generator at all
     pw = partition(build_surface(kind, 1.0), 0.1)
     want = place_bubbles(pw, k, 1e-3, seed=4)
-    made, real = [], np.random.default_rng
+    made = []
 
-    def counting(seed):
-        made.append(_CountingGenerator(real(seed)))
-        return made[-1]
+    class Counting(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = 0
+            made.append(self)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+        def random(self):
+            self.draws += 1
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", Counting)
     got = place_bubbles(pw, k, 1e-3, seed=4)
     assert np.array_equal(got.centers, want.centers)
+    counts = k.counts_at(pw.centers)
+    inner = counts[1:-1] if kind == "sphere" else counts
+    draws = 2 * int(inner[inner > 1].sum()) + caps
     assert [gen.draws for gen in made] == ([draws] if draws else [])
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_placement_refuses_a_negative_seed(k):
+    # random.Random seeds from |seed|, so -7 would draw 7's stream
+    pw = partition(build_surface("sphere", 1.0), 0.1)
+    with pytest.raises(UsageError, match="seed must be nonnegative, got -7"):
+        place_bubbles(pw, KFunction.constant(k), 1e-3, seed=-7)

@@ -84,6 +84,27 @@ def test_package_imports_only_declared_dependencies():
     assert stray == []
 
 
+def test_no_module_reaches_numpy_random():
+    # importing numpy.random loads OpenSSL with it (bit_generator -> secrets
+    # -> hmac -> _hashlib), about 6 MiB in every stage: the package draws
+    # from the standard library's random.Random instead
+    found = []
+    for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                names = [f"{node.value.id}.random"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # a deletion that leaves its import behind keeps a dead dependency; a name
     # listed in __all__ is used (re-exported)
