@@ -15,33 +15,45 @@ provisional (backward) until the next node finalizes it (central).
 The delayed sum depends on t and the history only, not on the state, so one
 classical RK4 step needs it at two times: t_n + h/2 (shared by the second and
 third stages) and t_{n+1} (shared by the fourth stage and the new node's
-acceleration, which is also the next step's first stage).  The step is fixed,
-so for each of those two stage offsets every coupled pair has a constant cell
-offset and constant Hermite weights.  Any step h > 0 is allowed; the step is
-not tied to the smallest delay.  A pair is *far* at a stage when its query
-cell ends at row n with zero weight on the still-provisional slope S[n]
+acceleration, which is also the next step's first stage).  The march keeps
+its history on the half-step grid: half-row 2k is node k, and half-row
+2k + 1 holds the value and slope at the midpoint of the cubic of cell
+[k, k+1],
+
+    A_m = (A_k + A_{k+1})/2 + h (S_k - S_{k+1})/8,
+    S_m = 1.5 (A_{k+1} - A_k)/h - (S_k + S_{k+1})/4,
+
+so the cubic Hermite interpolant on either half cell is the full cell's.
+Step n's two stage times are then the consecutive half-rows 2n + 1 and
+2n + 2, its queries q = 2n + 1 and q = 2n + 2, and a pair with delay tau
+reads at both the half cell at the same offset floor(-2 tau/h) with the same
+four weights, at theta = -2 tau/h - floor(-2 tau/h).  Any step h > 0 is
+allowed; the step is not tied to the smallest delay.  A pair is *far* at a
+stage when its query reads nothing past node n - 1 with a nonzero weight
 (delay at least 1.5h at the half stage, 2h at the full one), and *near*
-otherwise: its cell weights the final S[n] or the new row n + 1.
+otherwise: it reads the final S[n], the mid row of [n-1, n] built from it,
+or the new node n + 1 and the mid row before it.
 
 A network is its two n x n matrices, the couplings c_ij and the delays
-tau_ij; a zero coupling leaves the pair uncoupled.  The stage offset is one
-axis of length 2, ``SIGMAS``: ``DelayNetwork.solve`` builds one row-major
-history plan per grid, a 2n x n array of gather offsets whose row (s, i)
-holds oscillator i's pairs at stage s.  One pass over blocks of plan rows
-reads the two matrices and writes the offsets, a 2n x n matrix of each
-entry's first live step (one byte an entry up to 255 steps) and the near
-entries, the one list of coupled entries it makes; no array holds one
-element per coupled pair.  The acceleration and slope histories live in one
-array of 32-byte cells: cell (k, j) holds A[k, j], S[k, j], A[k+1, j] and
-S[k+1, j], the four values a query in the Hermite cell of rows k and k + 1
-reads.  It carries leading zero rows, at least as many as the deepest lag,
-so every offset reads a row that exists, and one trailing zero row that
-uncoupled entries read.  The plan's 2n x n x 4 weights, the Hermite weights
-premultiplied by the coupling, are interleaved the same way.  Each delayed
-sum gathers the cells of a block of plan rows at a time into one small
-buffer and reduces each row against the weights by one dot over 4n values
-straight into the (2, n) sums, so one gather pass over the 2n rows gives both
-stages' sums, with no per-step index arithmetic.
+tau_ij; a zero coupling leaves the pair uncoupled.  ``DelayNetwork.solve``
+builds one plan per grid for both stages: an n x n array of gather offsets
+whose row i holds oscillator i's pairs, their premultiplied Hermite weights,
+n x n x 4 and interleaved like the cells, and each entry's first live query.
+One pass over blocks of plan rows reads the two matrices and writes the
+offsets, the first live queries (one byte an entry up to 126 steps) and the
+near entries, the one list of coupled entries it makes; no array holds one
+element per coupled pair.  The half-rows' accelerations and slopes live in
+one window of 32-byte cells: cell (r, j) holds A and S of half-rows r and
+r + 1 at column j, the four values a query in that half cell reads.  The
+window holds the deepest lag's half-rows and a few steps more, and is shifted
+back every few steps; its rows start at zero, so every offset reads a row
+that exists and rows ahead of the newest node read zero, and its one trailing
+zero row is what uncoupled entries read.  Each stage's sum gathers the cells
+of a block of plan rows at a time into one small buffer and reduces each row
+against the weights by one dot over 4n values straight into its n sums; the
+full stage's gather is the half stage's, one half-row later, with no per-step
+index arithmetic.  The ``Trace`` keeps the nodes' accelerations and slopes in
+arrays of its own.
 
 The RK4 step of m x'' + x = g, g = f - d the force less the delayed sum, is
 linear in x_n, x'_n, x''_n and g at both stage offsets.  ``solve`` builds
@@ -50,35 +62,38 @@ formula ``_rk4`` to unit inputs, and takes each step as one contraction of it
 with the step's five input rows.
 
 The near pairs' values are affine in the new node's acceleration a = A[n+1],
-through the Hermite weight of row n + 1 and the slope stencils of S[n] and
-S[n+1].  While any near pair is live, a step first writes both slopes with
-A[n+1] still zero, so the plans' sum holds every pair's history part, far
-and near alike; what is left is the new node's share.  The step is affine
-in the delayed sums, so each step is implicit in a: a = r + G a, with r the
-new node's acceleration at a = 0 and G a sparse n x n map built from the near
-pairs only.  It is solved by fixed-point sweeps over the near pairs, one
-``bincount`` on weights premultiplied by G's row factors per sweep, as many
-as the map's contraction bound needs to reach rounding level; a bound of 1 or
-more is refused.  The solved share enters the step through the same map's
-columns of g, so the step is still taken once.  This is the method of steps
-with an implicit new node (Bellen & Zennaro, below).  The forcing does not
-depend on the state either, so it is tabulated once per block of steps at
-both stage offsets: ``forcing`` maps a (2k, 1) column of stage times to
-(2k, n) forces, or to anything that broadcasts to (2k, n).
+through the slope stencils of S[n] and S[n+1] and the half-rows built from
+them.  While any near pair is live, a step first writes S[n], S[n+1], both
+mid rows around node n and node n + 1 with A[n+1] still zero, so the plan's
+sum holds every pair's history part, far and near alike; what is left is the
+new node's share, which is the full cell's cubic's, as the half cells
+reproduce it.  The step is affine in the delayed sums, so each step is
+implicit in a: a = r + G a, with r the new node's acceleration at a = 0 and
+G a sparse n x n map built from the near pairs only.  It is solved by
+fixed-point sweeps over the near pairs, one ``bincount`` on weights
+premultiplied by G's row factors per sweep, as many as the map's contraction
+bound needs to reach rounding level; a bound of 1 or more is refused.  The
+solved share enters the step through the same map's columns of g, so the
+step is still taken once.  This is the method of steps with an implicit new
+node (Bellen & Zennaro, below).  The forcing does not depend on the state
+either, so it is tabulated once per block of steps at both stage offsets:
+``forcing`` maps a (2k, 1) column of stage times to (2k, n) forces, or to
+anything that broadcasts to (2k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing; a
 query at or before a column's onset returns exactly zero, so neither the march
 nor a field evaluated from the trace picks up the interpolant's pre-onset
-leakage.  A pair's weights stay zero until the first step at which its query
-lies past the source column's onset (and reads no row before the first node);
-they are written at that step, by one scan for the entries whose first live
-step equals it, and the near pairs are sorted by that step, so a pair
-contributes exactly zero before it.  Fixed-step method of steps with
-breaking-point tracking follows Bellen & Zennaro, *Numerical Methods for Delay
-Differential Equations* (2003).
+leakage.  An entry's weights stay zero until its first live query, the first
+whose time lies past the source column's onset and that reads no row before
+the first node, over the two stages' times interleaved; they are written at
+that query, by one scan for the entries whose first live query equals it,
+before that stage's gather, and the near pairs are sorted by their first live
+step, so a pair contributes exactly zero before it.  Fixed-step method of
+steps with breaking-point tracking follows Bellen & Zennaro, *Numerical
+Methods for Delay Differential Equations* (2003).
 
-A network keeps nothing between marches: ``solve`` builds the plan and the
-near pairs for its grid and returns, with the ``Trace``, the
+A network keeps nothing between marches: ``solve`` builds the plan, the
+near pairs and the window for its grid and returns, with the ``Trace``, the
 march's ``counters`` read from them, which the run manifests record.
 Before a ``RetardedNetwork`` is built, ``march_memory`` estimates its march's
 peak bytes from n, the grid and a bound on the lag, and refuses one above
@@ -108,9 +123,13 @@ SIGMAS = (0.5, 1.0)
 FORCING_BLOCK = 2048
 # Longest march TimeGrid.fit builds, in steps.
 MAX_STEPS = 2**16
-# History cells gathered per block of plan rows: min(2n, max(1, GATHER_BLOCK // n))
+# History cells gathered per block of plan rows: min(n, max(1, GATHER_BLOCK // n))
 # rows of n cells, at most 256 KiB.
 GATHER_BLOCK = 8192
+# Steps the history window holds past its leading rows: it is shifted back
+# once per WINDOW_STEPS + 1 steps, by copying its leading rows in chunks that
+# do not overlap, so the shift makes no temporary.
+WINDOW_STEPS = 4
 # Retarded field queries evaluated per block of times: max(1, FIELD_BLOCK // n)
 # times of n anchors, so each of the interpolation's ~15 temporaries stays
 # near 64 KiB, below glibc's initial 128 KiB mmap threshold: they reuse the
@@ -272,126 +291,227 @@ def _rk4_coefficients(h: float, masses: np.ndarray) -> np.ndarray:
     return np.stack(_rk4(unit[0], unit[1], unit[2], unit[3:], np.zeros(2), h, masses))
 
 
-class _StagePlan:
-    """Delayed sums over every coupled pair at both stage offsets for every
-    step n of one grid, row-major: 2n rows, row s*n + i holding oscillator
-    i's pairs at t_n + SIGMAS[s]*h, so the rows are the (2, n) sums in order.
+def _half_row_map(h: float, nodes: int) -> np.ndarray:
+    """The half-rows from node k to node k + nodes - 1 as a linear map,
+    (2 (2 nodes - 1), 2 nodes): row 2r + v is value v (A, then S) of the
+    r-th half-row per unit of A at the nodes, then S at the nodes.  A mid
+    row is its cell's cubic at the midpoint, A_m = (A_k + A_{k+1})/2 +
+    h (S_k - S_{k+1})/8 and S_m = 1.5 (A_{k+1} - A_k)/h - (S_k + S_{k+1})/4,
+    applied here to unit inputs."""
+    a, s = np.split(np.eye(2 * nodes), 2)
+    rows = np.empty((2 * nodes - 1, 2, 2 * nodes))
+    rows[::2, 0], rows[::2, 1] = a, s
+    rows[1::2, 0] = (a[:-1] + a[1:]) / 2 + h * (s[:-1] - s[1:]) / 8
+    rows[1::2, 1] = 1.5 * (a[1:] - a[:-1]) / h - (s[:-1] + s[1:]) / 4
+    return rows.reshape(-1, 2 * nodes)
 
-    Entry (r, j) is the pair (i, j) of row r, and its flat index, the key
-    s*n*n + i*n + j, orders the entries.  Its cell shift sigma - tau/h puts
-    its query in the Hermite cell of rows n + o and n + o + 1, o =
-    floor(shift); ``idx[r, j]`` is the offset of that cell from row n.  A
-    step gathers the cells of ``len(buf)`` plan rows at a time into the one
-    ``buf`` with one unbuffered ``take`` and reduces each row against the
-    interleaved weights by one dot over 4n values straight into its output:
-    ``weights[r, j, k]`` is the pair's Hermite weight of its cell's k-th value.
 
-    The plan is built in one pass over blocks of rows of one stage, at
-    most ``GATHER_BLOCK`` cells each (one row when n exceeds it), that reads
-    the network's two matrices and writes ``idx``, ``first`` and the near
-    entries.  ``first[r, j]``, of the smallest unsigned type that holds
-    ``steps``, is the entry's first live step: the first whose query lies
-    past the source column's onset and reads no row before the first node,
-    clipped to ``steps``, at which uncoupled entries sit too, so no step
-    makes them live.  ``opens[n]`` counts the entries whose first live step
-    is n (``opens[steps]`` those never live), and ``live[n]`` those live at
-    step n, their running sum.  The weights start at zero; at its first live
-    step an entry's weights c * w_k(theta), c and tau read from the
-    network's matrices, are written (``activate``, which ``delayed_sum``
-    calls at each step that opens entries), so an entry not yet live
-    contributes exactly zero, a row with no live entry sums to exactly +0.0,
-    and a step with none sums nothing.  Uncoupled entries, the diagonal and
-    entries whose cell lies before the leading rows (delays longer than the
-    whole grid) point past the end of the history, which ``mode="clip"``
-    maps to its trailing zero cell, and are never activated.
+def _window_lead(lag_max: int, steps: int) -> int:
+    """The history window's leading half-rows: every row a live entry of a
+    march with this ``lag_max`` over ``steps`` reads before its query, and
+    the half-row before the oldest one a step writes."""
+    return 2 * min(lag_max, steps) + 3
 
-    A far pair's cell ends at row n or earlier and gives row n's slope
-    weight zero, so it reads final values only.  A near pair, a coupled entry
-    whose shift exceeds -1, reads the final S[n] or the new row n + 1; while
-    one is live, the step writes the slopes S[n] and S[n+1] with A[n+1]
-    still zero first, so the sum holds the near pairs' history part and
-    ``_NearPairs`` adds the new node's share.  ``near`` holds the near
-    entries' keys and shifts, sorted stably by first live step, so in key
-    order within a step, and their live counts per step; the pass that
-    collects them is the one place that lists the coupled entries.
+
+class _Window:
+    """The march's half-rows in a window of history cells, (rows, n, 4).
+
+    Window row w holds half-row ``base`` + w: cell (w, j) holds A and S of
+    that half-row and of the next at column j, and each half-row written
+    lands in two cells, the lower half of its own and the upper half of the
+    one before.  ``put`` writes the half-rows the step to a node sets, by one
+    product of ``_half_row_map`` with the nodes' accelerations and slopes.
+    Step ns writes half-rows up to 2ns + 2 and its half stage reads from
+    half-row 2ns + 1 - ``lead`` on, so before step ns the window is shifted,
+    when the newest half-row would lie past it, to start at that row: its
+    first ``lead`` rows are copied back in chunks that do not overlap and the
+    rest are zeroed, so the rows ahead of the newest node read zero.  The last row is never written: it is the zero cell that
+    ``mode="clip"`` gives uncoupled entries.  The first ``base`` is 1 - lead,
+    so rows before the first node read zero too.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, pad: int):
+    def __init__(self, n: int, lead: int, h: float):
+        self.H = np.zeros((self.rows(lead), n, 4))
+        self.cells = self.H.reshape(-1, 4)
+        self.lead, self.base, self.n = lead, 1 - lead, n
+        # node 0; nodes 0, 1 and their mid row; from node 2 on, the three
+        # half-rows past the final node mn - 2
+        self.maps = (_half_row_map(h, 1), _half_row_map(h, 2), _half_row_map(h, 3)[2:])
+
+    @staticmethod
+    def rows(lead: int) -> int:
+        """The window's rows of cells, its trailing zero row included: the
+        ``lead`` rows, the two a step writes past them and the zero row,
+        with 2 ``WINDOW_STEPS`` rows of slack."""
+        return lead + 3 + 2 * WINDOW_STEPS
+
+    def reach(self, ns: int) -> None:
+        """Shift the window so that it holds step ns's rows."""
+        if 2 * ns + 2 - self.base < len(self.H) - 1:
+            return
+        start = 2 * ns + 1 - self.lead
+        by, H = start - self.base, self.H
+        for lo in range(0, self.lead, by):
+            hi = min(lo + by, self.lead)
+            H[lo:hi] = H[lo + by:hi + by]
+        H[self.lead:-1] = 0.0
+        self.base = start
+
+    def put(self, A: np.ndarray, S: np.ndarray, mn: int) -> None:
+        """Write the half-rows the step to node mn sets from the nodes'
+        accelerations A and slopes S: the mid row of [mn - 2, mn - 1] (from
+        mn = 2 on), node mn - 1, the mid row of [mn - 1, mn] and node mn
+        (node 0 alone for mn = 0)."""
+        k = max(mn - 2, 0)
+        rows = self.maps[min(mn, 2)] @ np.concatenate((A[k:mn + 1], S[k:mn + 1]))
+        rows = rows.reshape(-1, 2, self.n).transpose(0, 2, 1)
+        w = 2 * k + (mn > 1) - self.base
+        self.H[w:w + len(rows), :, :2] = rows
+        self.H[w - 1:w - 1 + len(rows), :, 2:] = rows
+
+    def gathered(self, ns: int) -> np.ndarray:
+        """The cells from half-row 2ns + 1 - lead on, the start of step ns's
+        half-stage gather, to the window's end."""
+        return self.cells[(2 * ns + 1 - self.lead - self.base) * self.n:]
+
+
+class _StagePlan:
+    """Delayed sums over every coupled pair at both stage offsets for every
+    step n of one grid, row-major: n rows, row i holding oscillator i's
+    pairs, for the half stage t_n + h/2 and the full stage t_{n+1} alike.
+
+    Entry (i, j) is the pair (i, j), and its flat index, the key i*n + j,
+    orders the entries.  Its cell shift -2 tau/h in half-rows puts its query
+    at stage s (q = 2n + 1 + s) in the half cell of half-rows q + o and
+    q + o + 1, o = floor(shift); ``idx[i, j]`` is that cell's offset from
+    the row ``lead`` half-rows before the query, where the gather's cells
+    start.  A stage's sum gathers the cells of ``len(buf)`` plan rows at a
+    time into the one ``buf`` with one unbuffered ``take`` and reduces each
+    row against the interleaved weights by one dot over 4n values straight
+    into its output: ``weights[i, j, k]`` is the pair's Hermite weight, on
+    the half cell, of its cell's k-th value.  The full stage gathers the
+    same ``idx`` from the cells one half-row (n cells) on.
+
+    The plan is built in one pass over blocks of rows, at most
+    ``GATHER_BLOCK`` cells each (one row when n exceeds it), that reads the
+    network's two matrices and writes ``idx``, ``first`` and the near
+    entries.  ``first[i, j]``, of the smallest unsigned type that holds
+    2 steps + 2, is the entry's first live query: the first q, over the half
+    and the full stage times interleaved, whose query lies past the source
+    column's onset and reads no row before the first node, clipped to
+    2 steps + 1, at which uncoupled entries sit too, so no query makes them
+    live.  ``opens[q]`` counts the entries whose first live query is q
+    (``opens[2 steps + 1]`` those never live), and ``live[q]`` those live at
+    query q, their running sum.  The weights start at zero; at its first
+    live query an entry's weights c * w_k(theta), c and tau read from the
+    network's matrices, are written (``activate``, which ``delayed_sum``
+    calls before each stage's gather at a query that opens entries), so an
+    entry not yet live contributes exactly zero, even at the half stage of
+    the step whose full stage makes it live, a row with no live entry sums
+    to exactly +0.0, and a stage with none sums nothing.  Uncoupled
+    entries, the diagonal and entries whose cell lies before the leading
+    rows (delays longer than the whole grid) point past the end of the
+    window, which ``mode="clip"`` maps to its trailing zero cell, and are
+    never activated.
+
+    A far pair's cell ends at node n - 1 or earlier, or gives the rows past
+    it weight zero, so it reads final values only.  A near pair, a coupled
+    entry whose shift sigma - tau/h at stage s, in steps, exceeds -1, reads
+    the final S[n], a mid row built from it or node n + 1; while one is
+    live, the step writes those half-rows with A[n+1] still zero first, so
+    the sum holds the near pairs' history part and ``_NearPairs`` adds the
+    new node's share.  ``near`` holds the near entries' stage keys
+    s*n*n + i*n + j and stage shifts, sorted stably by first live step, so
+    in key order within a step, and their live counts per step; the pass
+    that collects them is the one place that lists the coupled entries.
+    """
+
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, lead: int):
         n, h, steps = network.n, grid.h, grid.steps
-        clear = (pad + steps + 2) * n
+        clear, never = _Window.rows(lead) * n, 2 * steps + 1
         rows = min(n, max(1, GATHER_BLOCK // n))
-        blocks = [(s * n + lo, s * n + min(lo + rows, n))
-                  for s in range(len(SIGMAS)) for lo in range(0, n, rows)]
-        self.idx = np.empty((2 * n, n), dtype=np.int64)
-        self.first = np.empty((2 * n, n), dtype=np.min_scalar_type(steps))
-        self.opens = np.zeros(steps + 1, dtype=np.int64)
-        stage_times, near = grid.stage_times, []
-        for lo, hi in blocks:
-            s = lo // n
-            coupling = network.coupling[lo - s * n:hi - s * n]
-            coupled = coupling != 0
+        self.idx = np.empty((n, n), dtype=np.int64)
+        self.first = np.empty((n, n), dtype=np.min_scalar_type(never + 1))
+        self.opens = np.zeros(never + 1, dtype=np.int64)
+        # the stage times in query order: t_0 + h/2, t_1, t_1 + h/2, t_2, ...
+        query_t, near = grid.stage_times.T.ravel(), ([], [])
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            coupled = network.coupling[lo:hi] != 0
             # an uncoupled entry's delay is never read: it counts as zero
-            tau = np.where(coupled, network.delay[lo - s * n:hi - s * n], 0.0)
-            shift = SIGMAS[s] - tau / h
-            offset = np.floor(shift).astype(np.int64)
-            first = np.maximum(_first_live(stage_times[s], tau, network.onset), -offset)
-            self.first[lo:hi] = np.where(coupled, np.minimum(first, steps), steps)
-            self.opens += np.bincount(self.first[lo:hi].ravel(), minlength=steps + 1)
-            cell = (pad + offset) * n + np.arange(n)
-            # a cell before the leading rows belongs to an entry no step of
+            tau = np.where(coupled, network.delay[lo:hi], 0.0)
+            x = tau / h
+            # the half-row shift -2x is exact, and 2 sigma - 2x is exactly
+            # twice a stage's shift sigma - x, so both agree on the cells
+            offset = np.floor(-2.0 * x).astype(np.int64)
+            first = np.maximum(_first_live(query_t, tau, network.onset) + 1, -offset)
+            self.first[lo:hi] = np.where(coupled, np.minimum(first, never), never)
+            self.opens += np.bincount(self.first[lo:hi].ravel(), minlength=never + 1)
+            cell = (lead + offset) * n + np.arange(n)
+            # a cell before the leading rows belongs to an entry no query of
             # this grid makes live: it reads the trailing zero cell instead
             cell[~coupled | (cell < 0)] = clear
             self.idx[lo:hi] = cell
-            k = np.flatnonzero(coupled & (shift > -1.0))
-            near.append((lo * n + k, shift.ravel()[k], self.first[lo:hi].ravel()[k]))
-        # the steps fit the smallest unsigned type, whose stable sort is a radix sort
-        key, shift, first = (np.concatenate(part) for part in zip(*near))
-        order = np.argsort(first, kind="stable")
+            for s, part in enumerate(near):
+                shift = SIGMAS[s] - x
+                k = np.flatnonzero(coupled & (shift > -1.0))
+                # the first step whose stage-s query, 2 step + 1 + s, is live
+                step = (self.first[lo:hi].ravel()[k] - s) // 2
+                part.append((s * n * n + lo * n + k, shift.ravel()[k], step))
+        # the steps fit a small unsigned type, whose stable sort is a radix sort
+        key, shift, step = (np.concatenate(part) for part in zip(*near[0], *near[1]))
+        order = np.argsort(step, kind="stable")
         self.near = (key[order], shift[order],
-                     np.searchsorted(first[order], np.arange(steps), side="right"))
-        self.live = np.cumsum(self.opens)[:steps]
-        self.weights = np.zeros((2 * n, n, 4))
-        self.buf = np.empty((min(2 * n, max(1, GATHER_BLOCK // n)), n, 4))
+                     np.searchsorted(step[order], np.arange(steps), side="right"))
+        self.live = np.cumsum(self.opens)
+        self.weights = np.zeros((n, n, 4))
+        self.buf = np.empty((rows, n, 4))
+        # per block of rows: its sums, the buffer it fills, and the buffer,
+        # offsets and weights of its rows flat, 4n values a row
+        self.blocks = [(slice(lo, lo + len(buf)), buf, buf.reshape(len(buf), -1),
+                        self.idx[lo:lo + len(buf)],
+                        self.weights[lo:lo + len(buf)].reshape(len(buf), -1))
+                       for lo in range(0, n, rows) for buf in [self.buf[:n - lo]]]
         self.network, self.h, self.n = network, h, n
 
-    def activate(self, ns: int) -> None:
-        """Write the weights of every entry whose first live step is ns.
+    def activate(self, q: int) -> None:
+        """Write the weights of every entry whose first live query is q.
 
-        One scan of ``first == ns``, 32 buffers of rows at a time, so its
+        One scan of ``first == q``, 32 buffers of rows at a time, so its
         one-byte mask stays within the buffer's bytes and the keys it finds
         within eight buffers'; they are written at most half a buffer of
         entries at a time, so the weights' temporaries stay within about two
         buffers'."""
         net, n, weights = self.network, self.n, self.weights.reshape(-1, 4)
         rows, most = 32 * len(self.buf), self.buf.size // 8
-        for lo in range(0, 2 * n, rows):
-            found = lo * n + np.flatnonzero(self.first[lo:lo + rows] == ns)
+        for lo in range(0, n, rows):
+            found = lo * n + np.flatnonzero(self.first[lo:lo + rows] == q)
             for at in range(0, len(found), most):
                 key = found[at:at + most]
-                stage, e = np.divmod(key, n * n)
-                shift = np.take(SIGMAS, stage) - net.delay.take(e) / self.h
-                c = net.coupling.take(e)
-                for k, w in enumerate(_hermite_weights(shift - np.floor(shift), self.h)):
+                shift = -2.0 * (net.delay.take(key) / self.h)
+                c = net.coupling.take(key)
+                for k, w in enumerate(_hermite_weights(shift - np.floor(shift), self.h / 2)):
                     # one weight of every entry, through a strided view
                     weights[:, k][key] = c * w
 
     def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
         """Both stages' sums at step ns, as (2, n), over the (rows * n, 4)
-        history ``cells``.  It activates the entries that go live at ns, so
-        it must be called once per step, in order, as ``DelayNetwork.solve``
-        does."""
-        if self.opens[ns]:
-            self.activate(ns)
+        history ``cells`` that start ``lead`` half-rows before the half
+        stage's query.  It activates the entries whose first live query is
+        the half stage's before gathering it, then those of the full stage's,
+        so it must be called once per step, in order, as
+        ``DelayNetwork.solve`` does."""
         out = np.zeros((2, self.n))
-        if not self.live[ns]:
-            return out
-        cells = cells[ns * self.n:]
-        total = out.reshape(-1)
-        for lo in range(0, len(total), len(self.buf)):
-            buf = self.buf[:len(total) - lo]
-            hi = lo + len(buf)
-            cells.take(self.idx[lo:hi], axis=0, out=buf, mode="clip")
-            np.einsum("ijk,ijk->i", buf, self.weights[lo:hi], out=total[lo:hi])
+        for s, total in enumerate(out):
+            q = 2 * ns + 1 + s
+            if self.opens[q]:
+                self.activate(q)
+            if not self.live[q]:
+                continue
+            at = cells[s * self.n:]
+            for rows, buf, flat, idx, weights in self.blocks:
+                at.take(idx, axis=0, out=buf, mode="clip")
+                np.vecdot(flat, weights, out=total[rows])
         return out
 
 
@@ -399,11 +519,12 @@ class _NearPairs:
     """The new node's share of both stages' near sums on one grid.
 
     Built from the plan's ``near`` entries, those whose shift exceeds -1,
-    over both stages at once, in the plan's order.  A near entry
-    interpolates rows n - 1, n (o = -1) or n, n + 1 (o = 0) with the final
+    over both stages at once, in the plan's order.  The plan's half cells
+    reproduce the full cell's cubic, so a near entry's value is that of the
+    full cell of rows n - 1, n (o = -1) or n, n + 1 (o = 0), with the final
     slope S[n] and, for o = 0, the new node's A[n+1] and its provisional
-    slope S[n+1].  Both slopes are affine in a = A[n+1] through
-    ``_slope_stencils``, so each near value is a
+    slope S[n+1].  Both slopes, and the mid rows built from them, are affine
+    in a = A[n+1] through ``_slope_stencils``, so each near value is a
     history part, summed by the plan with the new row at zero, plus g * a_j,
     g being the entry's coupled Hermite weights of S[n], A[n+1] and S[n+1]
     with the slope stencils of the new row.  Its sum lands in ``tgt[p]``,
@@ -526,27 +647,30 @@ class DelayNetwork:
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
-        Any step h > 0 is allowed.  One pass over the 2n rows of the history
-        plan, both stage offsets (h/2 and h), reads the coupling and delay
-        matrices a block of rows at a time and builds, once per solve, the
-        plan's gather offsets, each entry's first live step and the near
-        pairs; it lists no other pair, and each entry's weights are written
-        at its first live step.  Each step takes both stages' sums, as
-        (2, n), from one ``delayed_sum`` call, and the new node
+        Any step h > 0 is allowed.  One pass over the n rows of the history
+        plan reads the coupling and delay matrices a block of rows at a time
+        and builds, once per solve, the plan's gather offsets, each entry's
+        first live query and the near pairs, for both stage offsets (h/2
+        and h) at once; it lists no other pair, and each entry's weights are
+        written at its first live query.  Each step takes both stages' sums,
+        as (2, n), from one ``delayed_sum`` call, the full stage's one
+        half-row of history after the half stage's, and the new node
         (x, x', x'') from one contraction of the RK4 map
         (``_rk4_coefficients``) with x_n, x'_n, x''_n and f - d.  While a
         near pair (delay below 1.5h at the half stage, 2h at the full one)
-        is live, each step first writes S[n] and S[n+1] with A[n+1] still
-        zero, so the plan sums the near pairs' history part; the new node's
-        share, solved by fixed-point sweeps (``_NearPairs``) from the step's
-        x'', is then taken off through the map's columns of g.  A
-        contraction bound of 1 or more raises ``SolverError`` before the
-        march starts.  The history of cells has min(``lag_max``, ``steps``)
-        + 2 leading zero rows and one trailing zero row; each row written
-        lands in two cells, the lower half of its own and the upper half of
-        the one before, and the ``Trace`` holds strided views of the lower
-        halves over the unpadded rows.  The forcing is tabulated at both stage times a block
-        of steps at a time, by one ``forcing`` call per block.
+        is live, each step first writes S[n], S[n+1] and the half-rows
+        2n - 1 to 2n + 2 with A[n+1] still zero, so the plan sums the near
+        pairs' history part; the new node's share, solved by fixed-point
+        sweeps (``_NearPairs``) from the step's x'', is then taken off
+        through the map's columns of g.  A contraction bound of 1 or more
+        raises ``SolverError`` before the march starts.  After each step the
+        final S[n], the provisional S[n+1] and the half-rows 2n - 1 to
+        2n + 2 are written, the nodes to the ``Trace``'s own arrays and the
+        half-rows to a ``_Window`` of history cells that holds
+        2 min(``lag_max``, ``steps``) + 3 leading half-rows, the rows the
+        deepest gather reads, and 2 ``WINDOW_STEPS`` + 3 more, its trailing
+        zero row among them.  The forcing is tabulated at both stage times a
+        block of steps at a time, by one ``forcing`` call per block.
 
         The returned ``Trace`` carries the march's ``counters``: its size
         (``n``, ``pairs``, ``steps``), step margin (``h``, ``tau_min``,
@@ -560,22 +684,15 @@ class DelayNetwork:
         lag_max = _lag_max(self.max_delay, h)
         # a live entry reads no row before the first node, so no step of this
         # march reads more than ``steps`` rows behind it
-        pad = min(lag_max, steps) + 2
-        plan = _StagePlan(self, grid, pad)
+        lead = _window_lead(lag_max, steps)
+        window = _Window(n, lead, h)
+        plan = _StagePlan(self, grid, lead)
         near = _NearPairs(self, grid, plan.near)
         if near.contraction >= 1.0:
             raise SolverError(
                 f"near pairs at step h={h} do not contract (bound "
                 f"{near.contraction:.3g} >= 1): lower h_max")
-        Y = np.zeros((steps + 1, n))
-        V = np.zeros((steps + 1, n))
-        # pad leading zero rows (read by pairs not yet live) and one trailing
-        # zero row (read by uncoupled entries) around the steps + 1 nodes
-        H = np.zeros((pad + steps + 2, n, 4))
-        A, S = H[pad:-1, :, 0], H[pad:-1, :, 1]
-        # the same rows as the upper halves of the cells one row earlier
-        A_up, S_up = H[pad - 1:-2, :, 2], H[pad - 1:-2, :, 3]
-        cells = H.reshape(-1, 4)
+        Y, V, A, S = (np.zeros((steps + 1, n)) for _ in range(4))
         masses = self.masses
         rk4 = _rk4_coefficients(h, masses)
         # the step's inputs (x_n, x'_n, x''_n, g_half, g_full); the next
@@ -588,7 +705,8 @@ class DelayNetwork:
             return np.broadcast_to(f, (t.size, n)).reshape(t.shape + (n,))
 
         # every query at t = 0 lies before its column's onset
-        X[2] = A[0] = A_up[0] = (tabulate(times[:1])[0] - Y[0]) / masses
+        X[2] = A[0] = (tabulate(times[:1])[0] - Y[0]) / masses
+        window.put(A, S, 0)
         stage_times = grid.stage_times
         block = max(1, FORCING_BLOCK // n)
         for ns in range(steps):
@@ -596,22 +714,24 @@ class DelayNetwork:
             if j == 0:
                 forces = tabulate(stage_times[:, ns:ns + block])
             mn = ns + 1
+            window.reach(ns)
             if near.live[ns]:
-                # slopes with A[mn] still zero: the near pairs' history part
-                # of S[ns] and S[mn]; far pairs give S[ns] weight zero
-                S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
-            np.subtract(forces[:, j], plan.delayed_sum(ns, cells), out=X[3:])
+                # slopes and half-rows with A[mn] still zero: the near pairs'
+                # history part; far pairs give them weight zero
+                S[ns:mn + 1] = _slope_stencils(A, mn, h)
+                window.put(A, S, mn)
+            np.subtract(forces[:, j], plan.delayed_sum(ns, window.gathered(ns)), out=X[3:])
             new = X_next[:3]
             np.einsum("okn,kn->on", rk4, X, out=new)
             if near.live[ns]:
                 new -= np.einsum("okn,kn->on", rk4[:, 3:], near.solve(ns, new[2]))
-            Y[mn], V[mn] = new[:2]
-            A[mn] = A_up[mn] = new[2]
+            Y[mn], V[mn], A[mn] = new
             if not np.all(np.isfinite(new[0])):
                 raise DivergenceError(mn)
             # the provisional newest-node slope is finalized one step later;
             # far queries reach it only after that
-            S[ns:mn + 1] = S_up[ns:mn + 1] = _slope_stencils(A, mn, h)
+            S[ns:mn + 1] = _slope_stencils(A, mn, h)
+            window.put(A, S, mn)
             X, X_next = X_next, X
         counters = {"n": n, "pairs": self.pairs, "steps": steps, "h": h,
                     "tau_min": self.min_delay, "h_over_tau_min": h / self.min_delay,
@@ -626,13 +746,24 @@ def _lag_max(max_delay: float, h: float) -> int:
     return int(-np.floor(SIGMAS[0] - max_delay / h))
 
 
+def _mapped_bytes() -> int:
+    """The address space this process maps already (its VmSize), read from
+    ``/proc/self/statm``, or 0 where that cannot be read."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def memory_budget() -> int:
-    """Bytes a march may take: the address-space limit (``RLIMIT_AS``) if one
-    is set, else the machine's physical memory.  It reads limits, sets none."""
+    """Bytes a march may take: the address-space limit (``RLIMIT_AS``) less
+    the address space the process maps already, if a limit is set, else the
+    machine's physical memory.  It reads limits, sets none."""
     import resource   # only the memory check needs it: kept out of start-up
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY:
-        return limit
+        return limit - _mapped_bytes()
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -642,20 +773,20 @@ def march_memory(nodes: np.ndarray, c0: float, grid: TimeGrid) -> dict:
     ``memory_budget_bytes``; an estimate over the budget raises
     ``ResolutionError`` naming n, both numbers, before any n x n array exists.
 
-    The estimate counts the network's coupling and delay (16 B per n x n
-    entry), the plan's gather offsets (16 B) and weights (64 B) at both
-    stages, its first live steps (2 entries of the smallest type holding
-    ``steps``), the history cells over min(lag, steps) + steps + 4 rows and
-    the trace's values and rates.  The lag is taken at the longest distance
-    the nodes' bounding box allows, so it is never below the march's
-    ``lag_max``.  The near pairs' arrays, a few dozen bytes per pair with a
-    delay below 2h, are left out.
+    The estimate counts, per n x n entry, the network's coupling and delay
+    (16 B), the plan's gather offset (8 B), weights (32 B) and first live
+    query (the smallest type holding 2 steps + 2), then the history window's
+    rows of 32 B cells and the trace's values, rates, accelerations and
+    slopes.  The lag is taken at the longest distance the nodes' bounding
+    box allows, so it is never below the march's ``lag_max``.  The near
+    pairs' arrays, a few dozen bytes per pair with a delay below 2h, are
+    left out.
     """
     n, steps = len(nodes), grid.steps
     reach = float(np.linalg.norm(np.ptp(nodes, axis=0))) if n else 0.0
-    rows = min(_lag_max(reach / c0, grid.h), steps) + steps + 4
-    first = np.min_scalar_type(steps).itemsize
-    estimate = (96 + 2 * first) * n * n + rows * n * 32 + 2 * (steps + 1) * n * 8
+    rows = _Window.rows(_window_lead(_lag_max(reach / c0, grid.h), steps))
+    first = np.min_scalar_type(2 * steps + 2).itemsize
+    estimate = (56 + first) * n * n + rows * n * 32 + 4 * (steps + 1) * n * 8
     return check_memory(estimate, f"a march of n = {n} oscillators over {steps} steps")
 
 

@@ -510,27 +510,57 @@ def int64_stage_pairs(network, grid):
     return key, shift[order], live
 
 
-def split_stage_plan(network, grid, pad):
-    """The history plan built from the ``stage_pairs`` split, every entry
-    live on the grid activated, as ``(idx, weights, near)``: the (2n, n)
-    gather offsets, the (2n, n, 4) weights and the near entries' ``(key,
-    shift, live)``, the split's entries whose shift exceeds -1 in its order
-    with their live counts per step."""
-    n = network.n
-    key, shift, live = stage_pairs(network, grid)
-    clear = (pad + grid.steps + 2) * n
-    idx = np.full((2 * n, n), clear, dtype=np.int64)
-    cell = (pad + np.floor(shift).astype(np.int64)) * n + key % n
-    cell[cell < 0] = clear
-    idx.reshape(-1)[key] = cell
-    weights = np.zeros((2 * n, n, 4))
-    done = key[:live[-1]]
-    stage, e = np.divmod(done, n * n)
-    at = np.take(SIGMAS, stage) - network.delay.take(e) / grid.h
-    w = np.stack(_hermite_weights(at - np.floor(at), grid.h), axis=1)
-    weights.reshape(-1, 4)[done] = network.coupling.take(e)[:, None] * w
-    sel = np.flatnonzero(shift > -1.0)
-    return idx, weights, (key[sel], shift[sel], np.searchsorted(sel, live))
+def split_stage_plan(network, grid, lead, clear, chunk=4096):
+    """The one-stage history plan built pair by pair on the half-step grid,
+    every entry live on the grid activated, as ``(idx, first, weights,
+    near)``.
+
+    Each coupled pair (i, j) with x = tau/h has the half-row shift -2x and
+    offset o = floor(-2x); its first live query is the first q = 1, ...,
+    2 steps, over the stage times t_0 + h/2, t_1, t_1 + h/2, ..., whose
+    time less tau lies past onset_j and with q + o >= 0, found by testing
+    every query, else 2 steps + 1.  Its offset is (lead + o)*n + j, or
+    ``clear`` for an uncoupled pair or a negative offset, and its weights
+    c * w_k(-2x - o) on a half cell of h/2.  The near entries are the
+    stage entries with sigma - x > -1, keyed s*n*n + i*n + j, with their
+    shifts sigma - x, ordered by their first live step (q - s) // 2 and then
+    by key, with their live counts per step.  The pairs are taken ``chunk``
+    at a time."""
+    n, h, steps = network.n, grid.h, grid.steps
+    never = 2 * steps + 1
+    idx = np.full((n, n), clear, dtype=np.int64)
+    first = np.full((n, n), never, dtype=np.int64)
+    weights = np.zeros((n, n, 4))
+    query_t = np.empty(2 * steps)
+    query_t[0::2], query_t[1::2] = grid.times[:-1] + 0.5 * h, grid.times[1:]
+    q = np.arange(1, 2 * steps + 1)
+    coupled = np.flatnonzero(network.coupling)
+    for lo in range(0, len(coupled), chunk):
+        e = coupled[lo:lo + chunk]
+        i, j = np.divmod(e, n)
+        x = network.delay[i, j] / h
+        o = np.floor(-2.0 * x).astype(np.int64)
+        live = ((query_t - network.delay[i, j][:, None] > network.onset[j][:, None])
+                & (q + o[:, None] >= 0))
+        first[i, j] = np.where(live.any(axis=1), q[live.argmax(axis=1)], never)
+        cell = (lead + o) * n + j
+        idx[i, j] = np.where(cell < 0, clear, cell)
+        w = np.stack(_hermite_weights(-2.0 * x - o, h / 2), axis=1)
+        on = first[i, j] <= 2 * steps
+        weights[i[on], j[on]] = network.coupling[i, j][on, None] * w[on]
+    i, j = np.divmod(coupled, n)
+    entries = []
+    for s, sigma in enumerate(SIGMAS):
+        shift = sigma - network.delay[i, j] / h
+        sel = shift > -1.0
+        entries += [(int(s * n * n + e), float(sh), int((first[a, b] - s) // 2))
+                    for e, sh, a, b in zip(coupled[sel], shift[sel], i[sel], j[sel])]
+    entries.sort(key=lambda entry: (entry[2], entry[0]))
+    key = np.array([entry[0] for entry in entries], dtype=np.int64)
+    shift = np.array([entry[1] for entry in entries])
+    step = np.array([entry[2] for entry in entries], dtype=np.int64)
+    near = (key, shift, np.searchsorted(step, np.arange(steps), side="right"))
+    return idx, first, weights, near
 
 
 def reference_march(network, grid):

@@ -19,7 +19,8 @@ from oracles import (dense_distances, int64_stage_pairs, reference_march, split_
                      stage_pairs, two_sum_near_pairs)
 
 FIELDS = ("value", "rate", "acc")
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "default.yaml"
 
 
 def _networks(params, disk, disk_scene):
@@ -42,7 +43,7 @@ def _networks(params, disk, disk_scene):
 def _near_pairs(network, grid):
     """The near-pair system of a march of ``network`` on ``grid``, built
     from the near entries of its plan."""
-    plan = stepping._StagePlan(network, grid, grid.steps + 2)
+    plan = stepping._StagePlan(network, grid, stepping._window_lead(grid.steps, grid.steps))
     return stepping._NearPairs(network, grid, plan.near)
 
 
@@ -171,7 +172,9 @@ def test_solve_sums_both_stages_from_one_plan(monkeypatch):
     network.solve(grid)
     assert {name: len(made) for name, made in built.items()} == {
         "_NearPairs": 1, "_StagePlan": 1}
-    assert built["_StagePlan"][0].idx.shape == (2 * network.n, network.n)
+    # one n x n plan serves both stages
+    assert built["_StagePlan"][0].idx.shape == (network.n, network.n)
+    assert built["_StagePlan"][0].weights.shape == (network.n, network.n, 4)
     assert len(sums) == grid.steps
     assert all(d.shape == (2, network.n) for d in sums)
 
@@ -250,19 +253,28 @@ def test_radix_split_matches_the_int64_sort(params, disk, disk_scene, kind):
         grid = TimeGrid(T=8 * grid.h, h=grid.h, steps=8)
     else:
         network, grid = _networks(params, disk, disk_scene)[kind]
-    pad = grid.steps + 2
-    plan = stepping._StagePlan(network, grid, pad)
+    lead = stepping._window_lead(grid.steps, grid.steps)
+    plan = stepping._StagePlan(network, grid, lead)
+    n = network.n
     want_key, want_shift, want_live = int64_stage_pairs(network, grid)
-    assert np.array_equal(plan.live, want_live)
+    # the stage entries live at step m: those whose first live query is at
+    # most the half stage's 2m + 1, and those at most the full stage's 2m + 2
+    assert np.array_equal(plan.live[1:-1:2] + plan.live[2::2], want_live)
+    # each stage's first live step from the first live query, keyed
+    # s*n*n + i*n + j: q // 2 at the half stage, (q - 1) // 2 at the full one
+    q = plan.first.astype(np.int64)
+    step = np.concatenate((q // 2, (q - 1) // 2))
     # the plan's order of the coupled entries: by clipped first live step,
-    # then by key s*n*n + i*n + j
+    # then by key
     coupled = np.flatnonzero(np.tile(network.coupling != 0, (2, 1)))
-    key = coupled[np.argsort(plan.first.ravel()[coupled], kind="stable")]
-    m = plan.live[-1]
+    key = coupled[np.argsort(step.ravel()[coupled], kind="stable")]
+    m = want_live[-1]
     assert np.array_equal(key[:m], want_key[:m])
-    # the live entries' cells, from their shifts
-    cell = (pad + np.floor(want_shift[:m]).astype(np.int64)) * network.n + key[:m] % network.n
-    assert np.array_equal(plan.idx.ravel()[key[:m]], cell)
+    # the live entries' cells, from their half-row shifts -2 tau/h
+    e = key[:m] % n ** 2
+    shift = -2.0 * (network.delay.ravel()[e] / grid.h)
+    assert np.array_equal(plan.idx.ravel()[e],
+                          (lead + np.floor(shift).astype(np.int64)) * n + e % n)
     near_key, near_shift, near_live = plan.near
     near = np.flatnonzero(want_shift > -1.0)
     assert np.array_equal(near_key, want_key[near])
@@ -365,9 +377,9 @@ def _small_network(n, seed, onset=False):
 
 @pytest.mark.parametrize("onset", [False, True], ids=["zero-onset", "onset"])
 def test_march_shorter_than_its_deepest_lag_is_the_long_marchs_prefix(onset):
-    # the history holds min(lag_max, steps) + 2 leading rows: a grid shorter
-    # than the deepest lag gets fewer rows than the default grid, and its
-    # trace is bitwise the first steps of the default grid's
+    # the history window holds 2 min(lag_max, steps) + 3 leading half-rows:
+    # a grid shorter than the deepest lag gets fewer rows than the default
+    # grid, and its trace is bitwise the first steps of the default grid's
     network, grid = _small_network(9, seed=3, onset=onset)
     full = network.solve(grid)
     lag_max = full.counters["lag_max"]
@@ -377,7 +389,7 @@ def test_march_shorter_than_its_deepest_lag_is_the_long_marchs_prefix(onset):
     short = network.solve(short_grid)
     assert short.counters["lag_max"] == lag_max
     # the deepest cells lie before the short history: they read its zero cell
-    plan = stepping._StagePlan(network, short_grid, steps + 2)
+    plan = stepping._StagePlan(network, short_grid, stepping._window_lead(lag_max, steps))
     assert plan.idx.min() >= 0
     assert np.any(short.value != 0.0)
     for name in FIELDS:
@@ -396,19 +408,38 @@ def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block)
     network = stepping.DelayNetwork(np.full(4, 2.0), 0.05 * (1.0 - np.eye(4)), tau,
                                     lambda t: np.zeros(4), onset=group.astype(float))
     grid = TimeGrid.fit(3.0, 0.05)
-    pad = network.solve(grid).counters["lag_max"] + 2
-    plan = stepping._StagePlan(network, grid, pad)
+    lead = stepping._window_lead(network.solve(grid).counters["lag_max"], grid.steps)
+    plan = stepping._StagePlan(network, grid, lead)
     # every cell negative, so a zero weight times a value gives -0.0
-    cells = np.full(((pad + grid.steps + 2) * network.n, 4), -1.0)
+    cells = np.full((stepping._Window.rows(lead) * network.n, 4), -1.0)
     mixed = 0
     for ns in range(grid.steps):
-        # the rows with an entry live at step ns
-        live = (plan.first <= ns).any(axis=1)
-        total = plan.delayed_sum(ns, cells).ravel()
+        # the rows with an entry live at the step's half stage (query
+        # 2ns + 1) and at its full stage (2ns + 2)
+        live = np.stack([(plan.first <= q).any(axis=1) for q in (2 * ns + 1, 2 * ns + 2)])
+        total = plan.delayed_sum(ns, cells)
         assert np.all(total[~live] == 0.0) and not np.signbit(total[~live]).any(), ns
         assert np.all(total[live] != 0.0), ns
         mixed += live.any() and not live.all()
     assert mixed >= 10
+
+
+def test_entries_live_from_a_full_stage_sum_zero_at_its_half_stage():
+    # delays of 0.23 at h = 0.05: t_4 + h/2 = 0.225 is not past them and
+    # t_5 = 0.25 is, so every entry goes live at the full stage of step 4,
+    # with its weights written after that step's half-stage gather
+    network = stepping.DelayNetwork(np.full(3, 2.0), 0.05 * (1.0 - np.eye(3)),
+                                    np.full((3, 3), 0.23), lambda t: np.zeros(3))
+    grid = TimeGrid.fit(1.0, 0.05)
+    lead = stepping._window_lead(network.solve(grid).counters["lag_max"], grid.steps)
+    plan = stepping._StagePlan(network, grid, lead)
+    assert np.all(plan.first[network.coupling != 0] == 2 * 4 + 2)
+    cells = np.full((stepping._Window.rows(lead) * network.n, 4), -1.0)
+    for ns in range(6):
+        total = plan.delayed_sum(ns, cells)
+        live = np.broadcast_to([[ns > 4], [ns >= 4]], (2, 3))
+        assert np.array_equal(total != 0.0, live), ns
+        assert not np.signbit(total[total == 0.0]).any(), ns
 
 
 @pytest.mark.parametrize("onset, kind", [(False, None), (True, None), (False, "coarse"),
@@ -449,26 +480,49 @@ def test_plan_with_zero_couplings_matches_reference(onset, kind):
 
 
 @pytest.mark.parametrize("coarse", [False, True])
-def test_history_cells_hold_consecutive_rows(coarse):
+def test_history_cells_hold_consecutive_rows(coarse, monkeypatch):
     network, grid = _small_network(9, seed=3, onset=not coarse)
     if coarse:
-        # near pairs live: the slopes are written twice per step
+        # near pairs live: the half-rows are written twice per step
         grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+    windows = []
+
+    class Recorded(stepping._Window):
+        def __init__(self, *args):
+            super().__init__(*args)
+            windows.append(self)
+
+    monkeypatch.setattr(stepping, "_Window", Recorded)
     trace = network.solve(grid)
     if coarse:
         assert trace.counters["near_pairs"] > 0
-    cells = trace.acc.base
-    assert cells.shape == (len(cells), network.n, 4)
-    assert np.shares_memory(trace.acc, cells) and np.shares_memory(trace.acc_slope, cells)
-    # cell (k, j) holds rows k and k + 1 bitwise, the padding included; the
-    # trailing zero row has no row after it
+    window, = windows
+    cells, h, steps = window.H, grid.h, grid.steps
+    assert cells.shape == (stepping._Window.rows(window.lead), network.n, 4)
+    # the window was shifted past the first node, to start no later than
+    # the last step's reach
+    assert 0 <= window.base <= 2 * (steps - 1) + 1 - window.lead
+    assert not np.shares_memory(trace.acc, cells) and not np.shares_memory(trace.acc_slope, cells)
+    # cell (w, j) holds half-rows w and w + 1 bitwise; the trailing zero row
+    # has no row after it
     bits = cells.view(np.int64)
     assert np.array_equal(bits[:-1, :, 2:], bits[1:, :, :2])
     assert not bits[-1].any()
-    pad = trace.counters["lag_max"] + 2
-    assert not bits[:pad, :, :2].any()
-    assert np.array_equal(bits[pad:-1, :, 0], trace.acc.view(np.int64))
-    assert np.array_equal(bits[pad:-1, :, 1], trace.acc_slope.view(np.int64))
+    # the nodes are the trace's, the mid rows its cells' cubics at their
+    # midpoints to rounding, and the rows past the last node read zero
+    a, s = trace.acc, trace.acc_slope
+    mid_a = (a[:-1] + a[1:]) / 2 + h * (s[:-1] - s[1:]) / 8
+    mid_s = 1.5 * (a[1:] - a[:-1]) / h - (s[:-1] + s[1:]) / 4
+    rows = np.zeros((2 * steps + 2 + len(cells), network.n, 2))
+    rows[0:2 * steps + 1:2, :, 0], rows[0:2 * steps + 1:2, :, 1] = a, s
+    rows[1:2 * steps:2, :, 0], rows[1:2 * steps:2, :, 1] = mid_a, mid_s
+    held, got = rows[window.base:window.base + len(cells) - 1], cells[:-1, :, :2]
+    node = (window.base + np.arange(len(held))) % 2 == 0
+    assert np.array_equal(got[node], held[node])
+    # values to rounding of the cells' data, slopes of that over h
+    scale = (np.abs(a).max() + h * np.abs(s).max()) * np.array([1.0, 1.0 / h])
+    assert np.all(np.abs(got[~node] - held[~node]) <= 1e-15 * scale)
+    assert not got[window.base + np.arange(len(held)) > 2 * steps].any()
 
 
 def test_divergence_names_the_first_non_finite_node():
@@ -504,20 +558,25 @@ def test_solve_is_bitwise_repeatable():
     assert second.counters == first.counters == third.counters
 
 
+def _plan_bytes(plan):
+    return sum(a.nbytes for a in (plan.idx, plan.first, plan.live, plan.opens,
+                                  plan.weights, plan.buf, *plan.near))
+
+
 def test_plan_memory_within_old_budget():
     # the old per-pair plan held 48 B per pair per stage; the one row-major
-    # plan of both stages, with its gather buffer, may add 8 B per n x n
-    # entry and no more
+    # plan of both stages, with its gather buffer, holds no more than one
+    # stage of it and 8 B per n x n entry (2.37 MB of 2.75 MB at n = 222
+    # when written)
     config = ExperimentConfig.load(CONFIG)
     scene = build_scene(config, 1.0 / 256.0)
     network = DelaySystem(scene.cluster, scene.params, scene.source)
     grid = TimeGrid.fit(config.horizon, 0.05)
     counters = network.solve(grid).counters
-    plan = stepping._StagePlan(network, grid, counters["lag_max"] + 2)
-    nbytes = sum(a.nbytes for a in (plan.idx, plan.first, plan.live, plan.opens,
-                                    plan.weights, plan.buf, *plan.near))
+    plan = stepping._StagePlan(network, grid,
+                               stepping._window_lead(counters["lag_max"], grid.steps))
     assert network.n > 200
-    assert nbytes <= 2 * 48 * counters["pairs"] + 8 * network.n ** 2
+    assert _plan_bytes(plan) <= 48 * counters["pairs"] + 8 * network.n ** 2
 
 
 def _plan_case(params, disk_scene, kind):
@@ -551,25 +610,40 @@ def _plan_case(params, disk_scene, kind):
 @pytest.mark.parametrize("kind", ["n1", "n2", "n48", "n48-row-blocks", "n222", "short"])
 def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
     # the one pass over the plan rows against the plan and near entries
-    # built from the sorted split of every coupled pair: the same gather
-    # offsets, weights and near entries bitwise, in the same order; with a
-    # buffer of one row, activation scans 32 rows at a time and writes the
-    # entries it finds half a row at a time
+    # built pair by pair on the half-step grid: the same gather offsets,
+    # first live queries, weights and near entries bitwise, in the same
+    # order; with a buffer of one row, activation scans 32 rows at a time
+    # and writes the entries it finds half a row at a time
     if kind.endswith("row-blocks"):
         monkeypatch.setattr(stepping, "GATHER_BLOCK", 64)
     network, grid = _plan_case(params, disk_scene, kind.split("-")[0])
-    pad = min(network.solve(grid).counters["lag_max"], grid.steps) + 2
-    plan = stepping._StagePlan(network, grid, pad)
-    idx, weights, near = split_stage_plan(network, grid, pad)
+    lead = stepping._window_lead(network.solve(grid).counters["lag_max"], grid.steps)
+    plan = stepping._StagePlan(network, grid, lead)
+    clear = stepping._Window.rows(lead) * network.n
+    idx, first, weights, near = split_stage_plan(network, grid, lead, clear)
     assert np.array_equal(plan.idx, idx)
-    assert np.array_equal(plan.live, stage_pairs(network, grid)[2])
-    # every step's sum activates the entries that go live at it, and no other
-    coupled = np.tile(network.coupling != 0, (2, 1))
-    cells = np.zeros(((pad + grid.steps + 2) * network.n, 4))
+    assert np.array_equal(plan.first, first)
+    assert plan.first.dtype == np.min_scalar_type(2 * grid.steps + 2)
+    assert np.array_equal(plan.live[1:2 * grid.steps + 1],
+                          np.count_nonzero(first.ravel() <= np.arange(1, 2 * grid.steps + 1)[:, None],
+                                           axis=1))
+    # every stage's sum activates the entries that go live at its query,
+    # and no other
+    coupled = network.coupling != 0
+    cells = np.zeros((clear, 4))
+    activated = []
+    activate = plan.activate
+
+    def recorded(q):
+        activated.append(q)
+        activate(q)
+
+    monkeypatch.setattr(plan, "activate", recorded)
     for ns in range(grid.steps):
         plan.delayed_sum(ns, cells)
         assert np.array_equal(np.any(plan.weights != 0, axis=2),
-                              coupled & (plan.first <= ns)), ns
+                              coupled & (plan.first <= 2 * ns + 2)), ns
+    assert activated == np.flatnonzero(plan.opens[:2 * grid.steps + 1]).tolist()
     assert np.array_equal(plan.weights.view(np.int64), weights.view(np.int64))
     assert len(plan.near) == len(near)
     for got, want in zip(plan.near, near):
@@ -579,14 +653,80 @@ def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
     if kind == "short":
         # coupled entries that never go live, some with cells before the
         # leading rows, read the trailing zero cell
-        assert np.any(coupled & (plan.first == grid.steps))
-        assert np.any(coupled & (plan.idx == (pad + grid.steps + 2) * network.n))
+        assert np.any(coupled & (plan.first == 2 * grid.steps + 1))
+        assert np.any(coupled & (plan.idx == clear))
+
+
+@pytest.mark.parametrize("kind", ["n1", "n2", "n48", "n222", "short"])
+def test_first_live_query_is_the_earlier_stage_s(params, disk_scene, kind):
+    # each entry's first live query is min(2 f_half + 1, 2 f_full + 2) of
+    # its first live steps at the two stages taken apart, each from that
+    # stage's times alone, so the half-step plan's live set at every stage
+    # is the two-stage plan's
+    network, grid = _plan_case(params, disk_scene, kind)
+    n, h, steps = network.n, grid.h, grid.steps
+    plan = stepping._StagePlan(network, grid, stepping._window_lead(steps, steps))
+    coupled = network.coupling != 0
+    tau = np.where(coupled, network.delay, 0.0)
+    f = []
+    for sigma, stage_t in zip(stepping.SIGMAS, grid.stage_times):
+        live = np.maximum(stepping._first_live(stage_t, tau, network.onset),
+                          -np.floor(sigma - tau / h).astype(np.int64))
+        f.append(np.where(coupled, np.minimum(live, steps), steps))
+    assert np.array_equal(plan.first, np.minimum(2 * f[0] + 1, 2 * f[1] + 2))
+    if kind in ("n48", "n222"):
+        # onsets put first live queries at both stages
+        assert {1, 0} <= set(np.unique(plan.first[coupled] % 2).tolist())
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3])
+def test_mid_rows_reproduce_the_full_cells_cubic(h):
+    # on 10^5 random cells, the half cells between the nodes and the mid
+    # rows interpolate the full cells' cubics: at each stage, at the query
+    # of a pair with a random delay, the half-step plan's weights on the
+    # half-rows give the full-cell Hermite value to rounding (7.4e-16 of the
+    # cell's data at most when written)
+    rng = np.random.default_rng(12)
+    m = 10 ** 5
+    A, S = rng.normal(size=(2, 4, m))
+    S /= h
+    # the seven half-rows of nodes 0 to 3: the nodes bitwise, the mid rows
+    # from the cubics
+    half = (stepping._half_row_map(h, 4) @ np.concatenate((A, S))).reshape(7, 2, m)
+    assert np.array_equal(half[::2], np.stack((A, S), axis=1))
+    # step 2 of the march, queries 5 and 6: delays reach back to node 0
+    x = rng.uniform(0.0, 2.0, m)
+    cols = np.arange(m)
+    for sigma in stepping.SIGMAS:
+        shift = sigma - x
+        o = np.floor(shift).astype(int)
+        w = stepping._hermite_weights(shift - o, h)
+        want = (w[0] * A[2 + o, cols] + w[1] * S[2 + o, cols]
+                + w[2] * A[3 + o, cols] + w[3] * S[3 + o, cols])
+        # relative to the size of the cell's data
+        size = (np.maximum(np.abs(A[2 + o, cols]), np.abs(A[3 + o, cols]))
+                + h * np.maximum(np.abs(S[2 + o, cols]), np.abs(S[3 + o, cols])))
+        q = 4 + int(2 * sigma)
+        o2 = np.floor(-2.0 * x).astype(int)
+        w2 = stepping._hermite_weights(-2.0 * x - o2, h / 2)
+        got = (w2[0] * half[q + o2, 0, cols] + w2[1] * half[q + o2, 1, cols]
+               + w2[2] * half[q + o2 + 1, 0, cols] + w2[3] * half[q + o2 + 1, 1, cols])
+        assert np.all(np.abs(got - want) <= 1e-15 * size)
+
+
+def _march_bytes(n, steps, lag_max):
+    """The plan's offsets, weights and first live queries, the history
+    window and the trace's four arrays of a march, in bytes."""
+    first = np.min_scalar_type(2 * steps + 2).itemsize
+    window = stepping._Window.rows(stepping._window_lead(lag_max, steps)) * n * 32
+    return (40 + first) * n * n + window + 4 * (steps + 1) * n * 8
 
 
 def test_foldy_march_peaks_within_its_plan_history_and_trace():
-    # the plan's 80 B per n x n entry (int64 offsets and four weights at
-    # each stage), the history cells and the trace's values and rates, and
-    # a fifth more: the march holds no list of its pairs
+    # the plan's 41 B per n x n entry (int64 offsets, four weights and a
+    # one-byte first live query, for both stages), the history window and
+    # the trace's four arrays, and a fifth more: the march holds no list of
+    # its pairs (1.17 times at n = 311 when written)
     config = ExperimentConfig.load(CONFIG)
     scene = build_scene(config, 1.0 / 350.0)
     network = DelaySystem(scene.cluster, scene.params, scene.source)
@@ -597,12 +737,31 @@ def test_foldy_march_peaks_within_its_plan_history_and_trace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, steps = network.n, grid.steps
-    pad = min(trace.counters["lag_max"], steps) + 2
-    history = (pad + steps + 2) * n * 32
-    values = 2 * (steps + 1) * n * 8
-    assert 280 < n < 320
-    assert peak <= 1.2 * (80 * n * n + history + values)
+    assert 280 < network.n < 320
+    assert peak <= 1.2 * _march_bytes(network.n, grid.steps, trace.counters["lag_max"])
+
+
+def test_sphere_foldy_march_peaks_within_its_plan_window_and_trace():
+    # the sphere-cluster benchmark's scene, n = 256: its Foldy march's peak
+    # within a fifth more than the plan's arrays, its gather buffer and near
+    # entries included, the history window and the trace's four arrays
+    # (1.15 times when written)
+    config = ExperimentConfig.load(ROOT / "perfbench" / "configs" / "sphere_cluster.yaml")
+    scene = build_scene(config)
+    network = DelaySystem(scene.cluster, scene.params, scene.source)
+    grid = TimeGrid.fit(config.horizon, config.data["run"]["h_max"])
+    tracemalloc.start()
+    try:
+        trace = network.solve(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lead = stepping._window_lead(trace.counters["lag_max"], grid.steps)
+    plan = _plan_bytes(stepping._StagePlan(network, grid, lead))
+    window = stepping._Window.rows(lead) * network.n * 32
+    values = sum(getattr(trace, name).nbytes for name in FIELDS + ("acc_slope",))
+    assert network.n == 256
+    assert peak <= 1.2 * (plan + window + values)
 
 
 @pytest.mark.parametrize("eps, T", [(1.0 / 350.0, 4.0), (1.0 / 512.0, 20.0)])
@@ -626,26 +785,30 @@ def test_march_memory_estimates_the_network_and_its_march(eps, T):
 
 
 def test_memory_budget_reads_the_address_space_limit_else_physical_memory(monkeypatch):
+    # under a limit, the budget is what the process has not mapped yet; where
+    # the mapped size cannot be read, the whole limit
     monkeypatch.setattr(resource, "getrlimit", lambda which: (123456789, resource.RLIM_INFINITY))
+    monkeypatch.setattr(stepping, "_mapped_bytes", lambda: 23456789)
+    assert stepping.memory_budget() == 100000000
+    monkeypatch.setattr(stepping, "_mapped_bytes", lambda: 0)
     assert stepping.memory_budget() == 123456789
     monkeypatch.setattr(resource, "getrlimit",
                         lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
     assert stepping.memory_budget() == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.undo()
+    assert stepping._mapped_bytes() > 0 or not os.path.exists("/proc/self/statm")
 
 
 def test_march_memory_lag_covers_the_marchs_deepest_row(params, disk_scene):
     # the lag from the nodes' bounding box is never shallower than the
-    # march's: the estimate's history holds every row the march keeps
+    # march's: the estimate's window holds every row the march keeps
     rule = disk_scene["rule"]
     network = EffectiveSystem(rule, params, disk_scene["source"])
     for h in (0.05, 0.01, 0.002):
         grid = TimeGrid.fit(2.0, h)
         lag = network.solve(grid).counters["lag_max"]
-        rows = min(lag, grid.steps) + grid.steps + 4
-        history = rows * rule.m * 32 + 2 * (grid.steps + 1) * rule.m * 8
-        first = np.min_scalar_type(grid.steps).itemsize
         estimate = stepping.march_memory(rule.nodes, params.c0, grid)["memory_estimate_bytes"]
-        assert estimate >= (96 + 2 * first) * rule.m ** 2 + history
+        assert estimate >= 16 * rule.m ** 2 + _march_bytes(rule.m, grid.steps, lag)
 
 
 def test_network_build_holds_and_peaks_within_its_two_matrices():
