@@ -237,11 +237,15 @@ class ExperimentConfig:
         # every stage's manifest hashes its config, but hashlib loads OpenSSL
         # (2.5-3.4 MiB of RSS) for it: take the same digest from the
         # interpreter's builtin SHA-256, as CPython's random.py does for
-        # _sha512, and from hashlib only where a build lacks that module
+        # SHA-512, in _sha2 from CPython 3.12 on and in _sha256 before, and
+        # from hashlib only where a build lacks both
         try:
-            from _sha256 import sha256
+            from _sha2 import sha256
         except ImportError:
-            from hashlib import sha256
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
         return sha256(self.canonical_json().encode()).hexdigest()
 
 

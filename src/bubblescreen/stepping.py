@@ -80,17 +80,18 @@ either, so it is tabulated once per block of steps at both stage offsets:
 ``forcing`` maps a (2k, 1) column of stage times to (2k, n) forces, or to
 anything that broadcasts to (2k, n).
 
-Each oscillator carries an onset time, the first arrival of its forcing; a
-query at or before a column's onset returns exactly zero, so neither the march
-nor a field evaluated from the trace picks up the interpolant's pre-onset
-leakage.  An entry's weights stay zero until its first live query, the first
-whose time lies past the source column's onset and that reads no row before
-the first node, over the two stages' times interleaved; they are written at
-that query, by one scan for the entries whose first live query equals it,
-before that stage's gather, and the near pairs are sorted by their first live
-step, so a pair contributes exactly zero before it.  Fixed-step method of
-steps with breaking-point tracking follows Bellen & Zennaro, *Numerical
-Methods for Delay Differential Equations* (2003).
+Each oscillator carries an onset time, the first arrival of its forcing.
+Liveness is one rule by arrival time: a read of column j through delay tau at
+time t is live iff t > onset_j + tau, and a read that is not live returns
+exactly zero, so neither the march nor a field evaluated from the trace picks
+up the interpolant's pre-onset leakage.  An entry's weights stay zero until
+its first live query, the first of the two stages' times interleaved that
+lies past onset_j + tau and reads no row before the first node; they are
+written at that query, by one scan for the entries whose first live query
+equals it, before that stage's gather, and the near pairs are sorted by their
+first live step, so a pair contributes exactly zero before it.  Fixed-step
+method of steps with breaking-point tracking follows Bellen & Zennaro,
+*Numerical Methods for Delay Differential Equations* (2003).
 
 A network keeps nothing between marches: ``solve`` builds the plan, the
 near pairs and the window for its grid and returns, with the ``Trace``, the
@@ -188,10 +189,11 @@ def _hermite_weights(theta, h):
 class Trace:
     """Dense solver output: values, rates, accelerations and slope estimates.
 
-    ``value_at``/``accel_at`` interpolate with cubic Hermite polynomials; a
-    query at or before its column's ``onset`` (the time the forcing first
-    reaches that column) returns exactly zero.  ``counters`` describes the
-    march that made the trace, for run manifests (see ``DelayNetwork.solve``).
+    ``value_at``/``accel_at`` interpolate column ``cols`` at t - ``delay``
+    with cubic Hermite polynomials; a read at or before its arrival,
+    t <= onset + delay with ``onset`` the time the forcing first reaches that
+    column, returns exactly zero.  ``counters`` describes the march that made
+    the trace, for run manifests (see ``DelayNetwork.solve``).
     """
 
     def __init__(self, times: np.ndarray, value: np.ndarray, rate: np.ndarray,
@@ -207,51 +209,32 @@ class Trace:
         self.h = float(times[1] - times[0])
         self.horizon = float(times[-1])
 
-    def _interp(self, tq, cols, base, slope):
-        tq = np.asarray(tq, dtype=float)
+    def _interp(self, t, cols, delay, base, slope):
         cols = np.asarray(cols, dtype=int)
-        out = np.zeros(tq.shape)
-        # the onsets of cols, broadcast against tq rather than gathered per query
-        live = tq > self.onset[cols]
+        # live iff t > onset_j + tau, the read's arrival; the onsets of cols
+        # are broadcast against t rather than gathered per query
+        live = np.greater(t, self.onset[cols] + delay)
+        out = np.zeros(live.shape)
         if not live.any():
             return out
-        tql = tq[live]
+        tql = np.broadcast_to(np.subtract(t, delay, dtype=float), live.shape)[live]
         if np.any(tql > self.horizon * (1 + 1e-12)):
             raise UsageError("interpolation query beyond the trace horizon")
         k = np.minimum((tql / self.h).astype(int), len(self.times) - 2)
         w00, w10, w01, w11 = _hermite_weights(tql / self.h - k, self.h)
-        cl = np.broadcast_to(cols, tq.shape)[live]
+        cl = np.broadcast_to(cols, live.shape)[live]
         out[live] = (w00 * base[k, cl] + w10 * slope[k, cl]
                      + w01 * base[k + 1, cl] + w11 * slope[k + 1, cl])
         return out
 
-    def value_at(self, tq, cols):
-        """Cubic Hermite interpolation of x using (value, rate)."""
-        return self._interp(tq, cols, self.value, self.rate)
+    def value_at(self, t, cols, delay=0.0):
+        """Cubic Hermite interpolation of x at t - delay using (value, rate)."""
+        return self._interp(t, cols, delay, self.value, self.rate)
 
-    def accel_at(self, tq, cols):
-        """Cubic Hermite interpolation of x'' using stored slope estimates."""
-        return self._interp(tq, cols, self.acc, self.acc_slope)
-
-
-def _first_live(stage_t: np.ndarray, tau: np.ndarray, onset: np.ndarray) -> np.ndarray:
-    """Per pair, the first step n with stage_t[n] - tau > onset (len if none).
-
-    The test is evaluated in floating point exactly as a direct query
-    ``tq > onset`` would be, so the plan's live set matches it exactly.
-    """
-    last = len(stage_t)
-    n = np.searchsorted(stage_t, onset + tau, side="right")
-
-    def live(k):
-        return stage_t[np.clip(k, 0, last - 1)] - tau > onset
-
-    while True:
-        back = (n > 0) & live(n - 1)
-        ahead = (n < last) & ~live(n)
-        if not (back.any() or ahead.any()):
-            return n
-        n = n - back + ahead
+    def accel_at(self, t, cols, delay=0.0):
+        """Cubic Hermite interpolation of x'' at t - delay using stored slope
+        estimates."""
+        return self._interp(t, cols, delay, self.acc, self.acc_slope)
 
 
 def _slope_stencils(A: np.ndarray, mn: int, h: float) -> np.ndarray:
@@ -397,12 +380,13 @@ class _StagePlan:
     network's two matrices and writes ``idx``, ``first`` and the near
     entries.  ``first[i, j]``, of the smallest unsigned type that holds
     2 steps + 2, is the entry's first live query: the first q, over the half
-    and the full stage times interleaved, whose query lies past the source
-    column's onset and reads no row before the first node, clipped to
-    2 steps + 1, at which uncoupled entries sit too, so no query makes them
-    live.  ``opens[q]`` counts the entries whose first live query is q
-    (``opens[2 steps + 1]`` those never live), and ``live[q]`` those live at
-    query q, their running sum.  The weights start at zero; at its first
+    and the full stage times interleaved, whose time lies past the read's
+    arrival onset_j + tau and that reads no row before the first node, by
+    one ``searchsorted`` on onset_j + tau, clipped to 2 steps + 1, at which
+    uncoupled entries sit too, so no query makes them live.  ``opens[q]``
+    counts the entries whose first live query is q (``opens[2 steps + 1]``
+    those never live), and ``live[q]`` those live at query q, their running
+    sum.  The weights start at zero; at its first
     live query an entry's weights c * w_k(theta), c and tau read from the
     network's matrices, are written (``activate``, which ``delayed_sum``
     calls before each stage's gather at a query that opens entries), so an
@@ -444,8 +428,9 @@ class _StagePlan:
             # the half-row shift -2x is exact, and 2 sigma - 2x is exactly
             # twice a stage's shift sigma - x, so both agree on the cells
             offset = np.floor(-2.0 * x).astype(np.int64)
-            first = np.maximum(_first_live(query_t, tau, network.onset) + 1, -offset)
-            self.first[lo:hi] = np.where(coupled, np.minimum(first, never), never)
+            # query q is live iff its time exceeds the arrival onset_j + tau
+            first = np.searchsorted(query_t, network.onset + tau, side="right") + 1
+            self.first[lo:hi] = np.where(coupled, np.clip(first, -offset, never), never)
             self.opens += np.bincount(self.first[lo:hi].ravel(), minlength=never + 1)
             cell = (lead + offset) * n + np.arange(n)
             # a cell before the leading rows belongs to an entry no query of
@@ -641,7 +626,7 @@ class DelayNetwork:
 
     def accel_all(self, t: float, y: np.ndarray, trace: Trace) -> np.ndarray:
         """All accelerations at time t from the state y and the trace's history."""
-        delayed = (self.coupling * trace.accel_at(t - self.delay, np.arange(self.n))).sum(1)
+        delayed = (self.coupling * trace.accel_at(t, np.arange(self.n), self.delay)).sum(1)
         return (self.forcing(t) - y - delayed) / self.masses
 
     def solve(self, grid: TimeGrid) -> Trace:
@@ -652,10 +637,12 @@ class DelayNetwork:
         and builds, once per solve, the plan's gather offsets, each entry's
         first live query and the near pairs, for both stage offsets (h/2
         and h) at once; it lists no other pair, and each entry's weights are
-        written at its first live query.  Each step takes both stages' sums,
-        as (2, n), from one ``delayed_sum`` call, the full stage's one
-        half-row of history after the half stage's, and the new node
-        (x, x', x'') from one contraction of the RK4 map
+        written at its first live query, the first stage time past the
+        read's arrival onset_j + tau_ij, as ``Trace.accel_at`` tests it.
+        Each step takes both stages' sums, as (2, n), from one
+        ``delayed_sum`` call, the full stage's one half-row of history after
+        the half stage's, and the new node (x, x', x'') from one contraction
+        of the RK4 map
         (``_rk4_coefficients``) with x_n, x'_n, x''_n and f - d.  While a
         near pair (delay below 1.5h at the half stage, 2h at the full one)
         is live, each step first writes S[n], S[n+1] and the half-rows
@@ -841,8 +828,10 @@ def retarded_superposition(trace: Trace, anchors: np.ndarray, coeffs: np.ndarray
     """sum_j coeffs_j / (4 pi |x - z_j|) * U_j''(t - |x - z_j| / c0) at each point x.
 
     The retarded samples of U_j'', anchor j's acceleration, come from
-    ``trace.accel_at``.  ``points`` is one point (3,) or (p, 3) points and
-    ``t`` a time or a 1-D array of times; returns (p, times).  A point closer
+    ``trace.accel_at`` at t through the delay |x - z_j| / c0, so each is
+    exactly zero until t passes its arrival, onset_j + |x - z_j| / c0.
+    ``points`` is one point (3,) or (p, 3) points and ``t`` a time or a 1-D
+    array of times; returns (p, times).  A point closer
     than ``min_dist`` to an anchor raises ``EvaluationPointError``.  The
     (times x anchors) queries of a point are evaluated
     ``max(1, FIELD_BLOCK // n)`` times at a time, so the temporaries stay
@@ -861,6 +850,6 @@ def retarded_superposition(trace: Trace, anchors: np.ndarray, coeffs: np.ndarray
                                        f"of a scatterer")
         delay, weights = r / c0, coeffs / (4.0 * np.pi * r)
         for lo in range(0, len(t_arr), block):
-            tq = t_arr[lo:lo + block, None] - delay
-            np.einsum("ij,j->i", trace.accel_at(tq, cols), weights, out=row[lo:lo + block])
+            np.einsum("ij,j->i", trace.accel_at(t_arr[lo:lo + block, None], cols, delay),
+                      weights, out=row[lo:lo + block])
     return out

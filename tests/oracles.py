@@ -70,7 +70,7 @@ from bubblescreen.sources import PointSource, SourcePulse
 from bubblescreen.errors import ResolutionError, UsageError
 from bubblescreen.geometry import (_GRID_SHIFT, _JITTER, BubbleCluster, Patchwork,
                                    _collar_counts)
-from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _first_live, _hermite_weights
+from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _hermite_weights
 
 
 def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -477,15 +477,17 @@ def stage_pairs(network, grid):
     The coupled pairs are the nonzero entries e = i*n + j of the coupling
     matrix, row-major; entry (s, e), the pair at t_n + SIGMAS[s]*h, has the
     key s*n*n + e, its flat index in the stage-major (2, n, n) plan, and the
-    cell shift sigma - tau/h.  Its first live step is the first whose query
-    lies past the source column's onset and reads no row before the first
-    node, clipped to the grid; the entries are sorted by it stably, so in
-    key order within a step, and the first ``live[m]`` are live at step m.
+    cell shift sigma - tau/h.  Its first live step is the first whose time
+    lies past the read's arrival onset_j + tau and that reads no row before
+    the first node, clipped to the grid; the entries are sorted by it
+    stably, so in key order within a step, and the first ``live[m]`` are
+    live at step m.
     """
     e = np.flatnonzero(network.coupling)
     tau, onset = network.delay.take(e), network.onset[e % network.n]
     shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
-    first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
+    first = np.concatenate([np.searchsorted(stage_t, onset + tau, side="right")
+                            for stage_t in grid.stage_times])
     first = np.maximum(first, -np.floor(shift).astype(np.int64))
     step_type = np.min_scalar_type(grid.steps)
     first = np.minimum(first, grid.steps, out=first).astype(step_type)
@@ -502,7 +504,8 @@ def int64_stage_pairs(network, grid):
     e = np.flatnonzero(network.coupling)
     tau, onset = network.delay.take(e), network.onset[e % network.n]
     shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
-    first = np.concatenate([_first_live(stage_t, tau, onset) for stage_t in grid.stage_times])
+    first = np.concatenate([np.searchsorted(stage_t, onset + tau, side="right")
+                            for stage_t in grid.stage_times])
     first = np.maximum(first, -np.floor(shift).astype(np.int64))
     order = np.argsort(first, kind="stable")
     live = np.searchsorted(first[order], np.arange(grid.steps), side="right")
@@ -518,9 +521,9 @@ def split_stage_plan(network, grid, lead, clear, chunk=4096):
     Each coupled pair (i, j) with x = tau/h has the half-row shift -2x and
     offset o = floor(-2x); its first live query is the first q = 1, ...,
     2 steps, over the stage times t_0 + h/2, t_1, t_1 + h/2, ..., whose
-    time less tau lies past onset_j and with q + o >= 0, found by testing
-    every query, else 2 steps + 1.  Its offset is (lead + o)*n + j, or
-    ``clear`` for an uncoupled pair or a negative offset, and its weights
+    time lies past the arrival onset_j + tau and with q + o >= 0, found by
+    testing every query, else 2 steps + 1.  Its offset is (lead + o)*n + j,
+    or ``clear`` for an uncoupled pair or a negative offset, and its weights
     c * w_k(-2x - o) on a half cell of h/2.  The near entries are the
     stage entries with sigma - x > -1, keyed s*n*n + i*n + j, with their
     shifts sigma - x, ordered by their first live step (q - s) // 2 and then
@@ -540,7 +543,7 @@ def split_stage_plan(network, grid, lead, clear, chunk=4096):
         i, j = np.divmod(e, n)
         x = network.delay[i, j] / h
         o = np.floor(-2.0 * x).astype(np.int64)
-        live = ((query_t - network.delay[i, j][:, None] > network.onset[j][:, None])
+        live = ((query_t > (network.onset[j] + network.delay[i, j])[:, None])
                 & (q + o[:, None] >= 0))
         first[i, j] = np.where(live.any(axis=1), q[live.argmax(axis=1)], never)
         cell = (lead + o) * n + j

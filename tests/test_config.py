@@ -176,6 +176,31 @@ def test_config_hash_is_openssls_sha256(path, digest):
     assert digest == hashlib.sha256(config.canonical_json().encode()).hexdigest()
 
 
+# CPython 3.12 folded _sha256 into _sha2: the hash must come from _sha2 then,
+# not from hashlib, which loads OpenSSL.  Simulates that layout on any version.
+_SHA2_LAYOUT = """
+import sys, types
+try:
+    from _sha256 import sha256
+except ImportError:
+    from _sha2 import sha256
+sha2 = types.ModuleType("_sha2")
+sha2.sha256 = sha256
+sys.modules.update({"_sha2": sha2, "_sha256": None})
+from bubblescreen.config import ExperimentConfig
+print(ExperimentConfig.load(sys.argv[1]).config_hash(), "_hashlib" in sys.modules)
+"""
+
+
+def test_config_hash_takes_the_builtin_sha2_without_openssl():
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHA2_LAYOUT, str(ROOT / "configs" / "default.yaml")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "b074701dd7e82db6f4446e0c9122a071ed0478aad27ee161a37f90c86cf23d07", "False"]
+
+
 def test_config_hash_is_pinned():
     # the digest of the canonical JSON of the default config, unchanged by
     # where hashlib is imported

@@ -313,6 +313,69 @@ def test_interp_matches_per_query_hermite():
         assert np.array_equal(interp(tq, at), want)
 
 
+# Stage times t on h = 0.05, delays tau and source onsets whose arrival
+# onset + tau ties t to the last ulp: t - tau > onset and t > onset + tau
+# disagree, the first read live only by the former, the second by the latter.
+_ARRIVAL_TIES = [(0.675, 0.2853138743084195, 0.3896861256915805),
+                 (6.625000000000001, 0.7271683480209075, 5.897831651979093)]
+
+
+def test_a_delayed_read_is_live_past_its_arrival():
+    # one rule by arrival time: column j read through tau at t is exactly 0
+    # iff t <= onset_j + tau; with no delay, iff t <= onset_j
+    grid = TimeGrid.fit(8.0, 0.05)
+    ones = np.ones((grid.steps + 1, 2))
+    onset = np.array([tie[2] for tie in _ARRIVAL_TIES])
+    trace = stepping.Trace(grid.times, ones, 0 * ones, ones, 0 * ones, onset, {})
+    for j, (t, tau, _) in enumerate(_ARRIVAL_TIES):
+        assert (t - tau > onset[j]) != (t > onset[j] + tau)
+        for interp in (trace.accel_at, trace.value_at):
+            assert (interp(t, j, tau) == 0.0) == (t <= onset[j] + tau)
+            assert interp(onset[j], j) == 0.0
+            assert interp(np.nextafter(onset[j], np.inf), j) == 1.0
+    t = np.array([tie[0] for tie in _ARRIVAL_TIES])[:, None]
+    tau = np.array([tie[1] for tie in _ARRIVAL_TIES])
+    assert np.array_equal(trace.accel_at(t, [0, 1], tau) == 0.0, t <= onset + tau)
+
+
+@pytest.mark.parametrize("tie", _ARRIVAL_TIES)
+def test_plan_goes_live_past_a_tied_arrival(tie):
+    # oscillator 0 reads oscillator 1 through tau and its own forcing starts
+    # at that arrival, which ties a half-stage query: the plan's first live
+    # query is the arrival's searchsorted over the stage times, and the march
+    # is the per-query reference's, bitwise zero up to each onset
+    t, tau, source = tie
+    onset = np.array([source + tau, source])
+
+    def forcing(times):
+        return np.maximum(times - onset, 0.0) ** 3
+
+    network = stepping.DelayNetwork([1.0, 1.5], [[0.0, 0.3], [-0.2, 0.0]],
+                                    [[0.0, tau], [tau, 0.0]], forcing, onset)
+    grid = TimeGrid.fit(np.ceil(t + 0.1), 0.05)
+    steps = grid.steps
+    query_t = grid.stage_times.T.ravel()
+    tied = int(np.flatnonzero(query_t == t)[0]) + 1
+    assert tied % 2 == 1
+    plan = stepping._StagePlan(network, grid, stepping._window_lead(steps, steps))
+    offset = np.floor(-2.0 * network.delay / grid.h).astype(np.int64)
+    first = np.searchsorted(query_t, onset + network.delay, side="right") + 1
+    want = np.where(network.coupling != 0, np.clip(first, -offset, 2 * steps + 1),
+                    2 * steps + 1)
+    assert np.array_equal(plan.first, want)
+    assert plan.first[0, 1] == (tied + 1 if t <= onset[0] else tied)
+    trace = network.solve(grid)
+    ref = reference_march(network, grid)
+    for name in FIELDS:
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    pre = trace.times[:, None] <= onset
+    assert pre[:, 0].any() and not pre[:, 0].all()
+    for name in FIELDS:
+        assert np.all(getattr(trace, name)[pre] == 0.0), name
+        assert np.all(getattr(ref, name)[pre] == 0.0), name
+
+
 def _one_time_at_a_time(forcing):
     """The network's forcing, evaluated at one scalar time per call."""
     def per_time(t):
@@ -670,7 +733,8 @@ def test_first_live_query_is_the_earlier_stage_s(params, disk_scene, kind):
     tau = np.where(coupled, network.delay, 0.0)
     f = []
     for sigma, stage_t in zip(stepping.SIGMAS, grid.stage_times):
-        live = np.maximum(stepping._first_live(stage_t, tau, network.onset),
+        # a stage's first live step: the first time past the arrival onset_j + tau
+        live = np.maximum(np.searchsorted(stage_t, network.onset + tau, side="right"),
                           -np.floor(sigma - tau / h).astype(np.int64))
         f.append(np.where(coupled, np.minimum(live, steps), steps))
     assert np.array_equal(plan.first, np.minimum(2 * f[0] + 1, 2 * f[1] + 2))

@@ -68,8 +68,9 @@ def test_counter_readers_read_real_objects(params, disk_scene):
 
 def test_package_imports_only_declared_dependencies():
     # pyproject.toml declares numpy and PyYAML only: a module importing any
-    # other installed package would fail on a clean install
-    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "bubblescreen"}
+    # other installed package would fail on a clean install; _sha2, CPython's
+    # builtin SHA-2 from 3.12 on, is standard there but unnamed before
+    allowed = set(sys.stdlib_module_names) | {"numpy", "yaml", "bubblescreen", "_sha2"}
     stray = []
     for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -82,6 +83,17 @@ def test_package_imports_only_declared_dependencies():
             stray += [f"{path.name}: {name}" for name in names
                       if name.partition(".")[0] not in allowed]
     assert stray == []
+
+
+def test_declared_numpy_floor_provides_vecdot():
+    # the plan's delayed sum reduces its rows with np.vecdot, which numpy
+    # first shipped in 2.0: a lower declared floor admits a numpy whose first
+    # march raises AttributeError
+    assert "np.vecdot" in (ROOT / "src" / "bubblescreen" / "stepping.py").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', (ROOT / "pyproject.toml").read_text())
+    assert floor is not None
+    assert tuple(map(int, floor.groups())) >= (2, 0)
+    assert hasattr(np, "vecdot")
 
 
 def test_no_module_reaches_numpy_random():
