@@ -323,7 +323,8 @@ def partition(surface: SurfaceDescriptor, d: float) -> Patchwork:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class KFunction:
-    """Nonnegative surface density driver; per-patch count is floor(K)+1."""
+    """Surface density driver, finite and in [0, 2**62); per-patch count is
+    floor(K)+1."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
@@ -346,8 +347,9 @@ class KFunction:
 
     def counts_at(self, points: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(np.atleast_2d(points)), dtype=float)
-        if np.any(vals < 0):
-            raise ConfigError("K must be nonnegative on the surface")
+        # floor(K) + 1 must fit the int64 counts: inf, nan or 1e300 cast to garbage
+        if not np.all((vals >= 0) & (vals < 2.0 ** 62)):
+            raise ConfigError("K must be finite and in [0, 2**62) on the surface")
         return np.floor(vals).astype(int) + 1
 
 

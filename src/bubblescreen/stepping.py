@@ -31,8 +31,9 @@ four weights, at theta = -2 tau/h - floor(-2 tau/h).  Any step h > 0 is
 allowed; the step is not tied to the smallest delay.  A pair is *far* at a
 stage when its query reads nothing past node n - 1 with a nonzero weight
 (delay at least 1.5h at the half stage, 2h at the full one), and *near*
-otherwise: it reads the final S[n], the mid row of [n-1, n] built from it,
-or the new node n + 1 and the mid row before it.
+otherwise: its half cell starts at one of the four half-rows 2n - 2 to
+2n + 1 and reads the final S[n], the mid row of [n-1, n] built from it, or
+the new node n + 1 and the mid row before it.
 
 A network is its two n x n matrices, the couplings c_ij and the delays
 tau_ij; a zero coupling leaves the pair uncoupled.  ``DelayNetwork.solve``
@@ -66,15 +67,17 @@ through the slope stencils of S[n] and S[n+1] and the half-rows built from
 them.  While any near pair is live, a step first writes S[n], S[n+1], both
 mid rows around node n and node n + 1 with A[n+1] still zero, so the plan's
 sum holds every pair's history part, far and near alike; what is left is the
-new node's share, which is the full cell's cubic's, as the half cells
-reproduce it.  The step is affine in the delayed sums, so each step is
-implicit in a: a = r + G a, with r the new node's acceleration at a = 0 and
-G a sparse n x n map built from the near pairs only.  It is solved by
-fixed-point sweeps over the near pairs, one ``bincount`` on weights
-premultiplied by G's row factors per sweep, as many as the map's contraction
-bound needs to reach rounding level; a bound of 1 or more is refused.  The
-solved share enters the step through the same map's columns of g, so the
-step is still taken once.  This is the method of steps with an implicit new
+new node's share, read from the same half cells with the same weights: each
+near pair's weights times the derivatives in a of its cell's four values.
+Every delayed read of the march, far or near, thus takes its weights from
+one formula (``_entry_weights``) on the plan's half cells.  The step is
+affine in the delayed sums, so each step is implicit in a: a = r + G a,
+with r the new node's acceleration at a = 0 and G a sparse n x n map built
+from the near pairs only.  It is solved by fixed-point sweeps over the near
+pairs, one ``bincount`` on weights premultiplied by G's row factors per
+sweep, as many as the map's contraction bound needs to reach rounding level;
+a bound of 1 or more is refused.  The solved share enters the step through
+the same map's columns of g, so the step is still taken once.  This is the method of steps with an implicit new
 node (Bellen & Zennaro, below).  The forcing does not depend on the state
 either, so it is tabulated once per block of steps at both stage offsets:
 ``forcing`` maps a (2k, 1) column of stage times to (2k, n) forces, or to
@@ -114,9 +117,6 @@ from .errors import (ConfigError, DivergenceError, EvaluationPointError,
 from .geometry import pairwise_distances
 from .sources import incident_eval
 
-# The two stage offsets of an RK4 step, in steps past t_n: the half stage
-# (second and third stages) and the full one (fourth stage and new node).
-SIGMAS = (0.5, 1.0)
 # Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
 # steps of n oscillators, each at both stage offsets, in one forcing call.
 # The incident wave's evaluation peaks at about 8.4 arrays of that many
@@ -172,10 +172,10 @@ class TimeGrid:
 
     @property
     def stage_times(self) -> np.ndarray:
-        """(2, steps): t_n + sigma*h for each of ``SIGMAS``, the full stage
-        taken as the next node t_{n+1} itself."""
+        """(2, steps): the half stage t_n + h/2 (the second and third RK4
+        stages) and the full one, taken as the next node t_{n+1} itself."""
         times = self.times
-        return np.stack((times[:-1] + SIGMAS[0] * self.h, times[1:]))
+        return np.stack((times[:-1] + 0.5 * self.h, times[1:]))
 
 
 def _hermite_weights(theta, h):
@@ -245,12 +245,6 @@ def _slope_stencils(A: np.ndarray, mn: int, h: float) -> np.ndarray:
     return weights @ A[mn - k:mn + 1] / (divisor * h)
 
 
-def _new_row_weights(mn: int, h: float):
-    """Weights of A[mn] in the two slopes ``_slope_stencils(A, mn, h)`` returns."""
-    weights, divisor = _STENCILS[min(mn, 3)]
-    return tuple(weights[:, -1] / (divisor * h))
-
-
 def _rk4(y, v, k1v, f, d, h, masses):
     """One classical RK4 step of (x, x') given the forces f and delayed sums d
     at both stage offsets, each (2, n); returns x, x' and x'' at the new node."""
@@ -308,9 +302,10 @@ class _Window:
     half-row 2ns + 1 - ``lead`` on, so before step ns the window is shifted,
     when the newest half-row would lie past it, to start at that row: its
     first ``lead`` rows are copied back in chunks that do not overlap and the
-    rest are zeroed, so the rows ahead of the newest node read zero.  The last row is never written: it is the zero cell that
-    ``mode="clip"`` gives uncoupled entries.  The first ``base`` is 1 - lead,
-    so rows before the first node read zero too.
+    rest are zeroed, so the rows ahead of the newest node read zero.  The
+    last row is never written: it is the zero cell that ``mode="clip"``
+    gives uncoupled entries.  The first ``base`` is 1 - lead, so rows
+    before the first node read zero too.
     """
 
     def __init__(self, n: int, lead: int, h: float):
@@ -358,6 +353,16 @@ class _Window:
         return self.cells[(2 * ns + 1 - self.lead - self.base) * self.n:]
 
 
+def _entry_weights(network: "DelayNetwork", key: np.ndarray, h: float) -> list:
+    """The coupled Hermite weights c * w_k(theta), k = 0 to 3, of the
+    entries ``key`` (flat indices i*n + j) on their half cells of h/2, theta
+    being -2 tau/h less its floor: the weights of the cell's A and S of its
+    first half-row, then A and S of the next."""
+    shift = -2.0 * (network.delay.take(key) / h)
+    c = network.coupling.take(key)
+    return [c * w for w in _hermite_weights(shift - np.floor(shift), h / 2)]
+
+
 class _StagePlan:
     """Delayed sums over every coupled pair at both stage offsets for every
     step n of one grid, row-major: n rows, row i holding oscillator i's
@@ -366,13 +371,15 @@ class _StagePlan:
     Entry (i, j) is the pair (i, j), and its flat index, the key i*n + j,
     orders the entries.  Its cell shift -2 tau/h in half-rows puts its query
     at stage s (q = 2n + 1 + s) in the half cell of half-rows q + o and
-    q + o + 1, o = floor(shift); ``idx[i, j]`` is that cell's offset from
-    the row ``lead`` half-rows before the query, where the gather's cells
-    start.  A stage's sum gathers the cells of ``len(buf)`` plan rows at a
-    time into the one ``buf`` with one unbuffered ``take`` and reduces each
-    row against the interleaved weights by one dot over 4n values straight
-    into its output: ``weights[i, j, k]`` is the pair's Hermite weight, on
-    the half cell, of its cell's k-th value.  The full stage gathers the
+    q + o + 1, o = floor(shift), the shift clamped at -``lead`` - 1, past
+    which every cell lies before the leading rows; ``idx[i, j]`` is that
+    cell's offset from the row ``lead`` half-rows before the query, where
+    the gather's cells start.  A stage's sum gathers the cells of
+    ``len(buf)`` plan rows at a time into the one ``buf`` with one
+    unbuffered ``take`` and reduces each row against the interleaved
+    weights by one dot over 4n values straight into its output:
+    ``weights[i, j, k]`` is the pair's Hermite weight, on the half cell, of
+    its cell's k-th value (``_entry_weights``).  The full stage gathers the
     same ``idx`` from the cells one half-row (n cells) on.
 
     The plan is built in one pass over blocks of rows, at most
@@ -400,12 +407,13 @@ class _StagePlan:
 
     A far pair's cell ends at node n - 1 or earlier, or gives the rows past
     it weight zero, so it reads final values only.  A near pair, a coupled
-    entry whose shift sigma - tau/h at stage s, in steps, exceeds -1, reads
-    the final S[n], a mid row built from it or node n + 1; while one is
-    live, the step writes those half-rows with A[n+1] still zero first, so
-    the sum holds the near pairs' history part and ``_NearPairs`` adds the
-    new node's share.  ``near`` holds the near entries' stage keys
-    s*n*n + i*n + j and stage shifts, sorted stably by first live step, so
+    entry whose shift exceeds -3 - s at stage s, has its cell start at
+    half-row 2n - 2 + r, r = 3 + s + o from 0 to 3, and reads the final
+    S[n], a mid row built from it or node n + 1; while one is live, the
+    step writes those half-rows with A[n+1] still zero first, so the sum
+    holds the near pairs' history part and ``_NearPairs`` adds the new
+    node's share.  ``near`` holds the near entries' stage keys
+    s*n*n + i*n + j and cell rows r, sorted stably by first live step, so
     in key order within a step, and their live counts per step; the pass
     that collects them is the one place that lists the coupled entries.
     """
@@ -424,10 +432,10 @@ class _StagePlan:
             coupled = network.coupling[lo:hi] != 0
             # an uncoupled entry's delay is never read: it counts as zero
             tau = np.where(coupled, network.delay[lo:hi], 0.0)
-            x = tau / h
-            # the half-row shift -2x is exact, and 2 sigma - 2x is exactly
-            # twice a stage's shift sigma - x, so both agree on the cells
-            offset = np.floor(-2.0 * x).astype(np.int64)
+            # the half-row shift -2 tau/h, clamped where its cell lies before
+            # the leading rows anyway, so the cast stays in range
+            shift = np.maximum(-2.0 * (tau / h), -lead - 1.0)
+            offset = np.floor(shift).astype(np.int64)
             # query q is live iff its time exceeds the arrival onset_j + tau
             first = np.searchsorted(query_t, network.onset + tau, side="right") + 1
             self.first[lo:hi] = np.where(coupled, np.clip(first, -offset, never), never)
@@ -438,15 +446,17 @@ class _StagePlan:
             cell[~coupled | (cell < 0)] = clear
             self.idx[lo:hi] = cell
             for s, part in enumerate(near):
-                shift = SIGMAS[s] - x
-                k = np.flatnonzero(coupled & (shift > -1.0))
+                # near: the stage-s cell, from half-row 2 step + 1 + s + offset,
+                # reads past node step - 1 (half-row 2 step - 2) with a nonzero
+                # weight; its row 3 + s + offset counts from that node
+                k = np.flatnonzero(coupled & (shift > -3.0 - s))
                 # the first step whose stage-s query, 2 step + 1 + s, is live
                 step = (self.first[lo:hi].ravel()[k] - s) // 2
-                part.append((s * n * n + lo * n + k, shift.ravel()[k], step))
+                part.append((s * n * n + lo * n + k, 3 + s + offset.ravel()[k], step))
         # the steps fit a small unsigned type, whose stable sort is a radix sort
-        key, shift, step = (np.concatenate(part) for part in zip(*near[0], *near[1]))
+        key, row, step = (np.concatenate(part) for part in zip(*near[0], *near[1]))
         order = np.argsort(step, kind="stable")
-        self.near = (key[order], shift[order],
+        self.near = (key[order], row[order],
                      np.searchsorted(step[order], np.arange(steps), side="right"))
         self.live = np.cumsum(self.opens)
         self.weights = np.zeros((n, n, 4))
@@ -473,11 +483,9 @@ class _StagePlan:
             found = lo * n + np.flatnonzero(self.first[lo:lo + rows] == q)
             for at in range(0, len(found), most):
                 key = found[at:at + most]
-                shift = -2.0 * (net.delay.take(key) / self.h)
-                c = net.coupling.take(key)
-                for k, w in enumerate(_hermite_weights(shift - np.floor(shift), self.h / 2)):
+                for k, w in enumerate(_entry_weights(net, key, self.h)):
                     # one weight of every entry, through a strided view
-                    weights[:, k][key] = c * w
+                    weights[:, k][key] = w
 
     def delayed_sum(self, ns: int, cells: np.ndarray) -> np.ndarray:
         """Both stages' sums at step ns, as (2, n), over the (rows * n, 4)
@@ -503,17 +511,20 @@ class _StagePlan:
 class _NearPairs:
     """The new node's share of both stages' near sums on one grid.
 
-    Built from the plan's ``near`` entries, those whose shift exceeds -1,
-    over both stages at once, in the plan's order.  The plan's half cells
-    reproduce the full cell's cubic, so a near entry's value is that of the
-    full cell of rows n - 1, n (o = -1) or n, n + 1 (o = 0), with the final
-    slope S[n] and, for o = 0, the new node's A[n+1] and its provisional
-    slope S[n+1].  Both slopes, and the mid rows built from them, are affine
-    in a = A[n+1] through ``_slope_stencils``, so each near value is a
-    history part, summed by the plan with the new row at zero, plus g * a_j,
-    g being the entry's coupled Hermite weights of S[n], A[n+1] and S[n+1]
-    with the slope stencils of the new row.  Its sum lands in ``tgt[p]``,
-    row s*n + i of the stage-major (2, n) sums, and ``rows[p]`` = i.  The
+    Built from the plan's ``near`` entries (key, cell row r, live counts),
+    over both stages at once, in the plan's order.  A near entry reads the
+    plan's half cell from half-row 2n - 2 + r, with the plan's weights
+    w_k (``_entry_weights``) on its four values, which depend on the final
+    slope S[n] and, for r >= 2, on the new node's A[n+1] and its
+    provisional slope S[n+1], directly or through the mid rows built from
+    them.  Both slopes, and the mid rows built from them, are affine in
+    a = A[n+1] through ``_slope_stencils`` and ``_half_row_map``, so each
+    near value is a history part, summed by the plan with the new row at
+    zero, plus g * a_j, g = sum_k w_k d_k with d_k the derivative in a of
+    the cell's value k: row r of one (4, 4) table per start-up slope
+    stencil, the half-row map of nodes n - 1 to n + 1 applied to the unit
+    new row and its slopes.  Its sum lands in ``tgt[p]``, row s*n + i of
+    the stage-major (2, n) sums, and ``rows[p]`` = i.  The
     plan sorts the entries by their first live step (exact onsets, as in its
     weights), so the first ``live[n]`` are live at step n.
 
@@ -531,22 +542,25 @@ class _NearPairs:
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, near):
         n, h = network.n, grid.h
-        key, shift, self.live = near
+        key, row, self.live = near
         self.tgt, self.cols = np.divmod(key, n)
-        offset = np.floor(shift)
-        # weights of S[n], A[n+1], S[n+1]: a cell n - 1, n (o = -1) ends at S[n]
-        _, w10, w01, w11 = _hermite_weights(shift - offset, h)
-        zero = np.zeros(len(key))
-        w = network.coupling.take(key % (n * n)) * np.where(
-            offset == 0, (w10, w01, w11), (w11, zero, zero))
+        w = _entry_weights(network, key % (n * n), h)
         self.rows = self.tgt % n
         # a pair near at the half stage is near at the full one
         self.pairs = int(np.count_nonzero(self.tgt >= n))
         k3 = h * h / 3.0
         self.factor = np.stack((k3 / network.masses / network.masses, -1.0 / network.masses))
         scale = self.factor.ravel()[self.tgt]
-        self.weights = [scale * (w[1] + final * w[0] + new * w[2])
-                        for final, new in (_new_row_weights(mn, h) for mn in (1, 2, 3))]
+        # half-rows 2n - 2 to 2n + 2 per unit of A and S at nodes n - 1 to n + 1,
+        # and the four values of the cells from half-row 2n - 2 on, (row, k)
+        halves, cells = _half_row_map(h, 3), 2 * np.arange(4)[:, None] + np.arange(4)
+        self.weights = []
+        for mn in (1, 2, 3):
+            # the unit new row A[n+1] and its slopes' stencils: the half-rows'
+            # derivatives in a, as one (4, 4) table of the cells' values
+            final, new = _slope_stencils(np.eye(mn + 1)[mn], mn, h)
+            d = (halves[:, 2] + final * halves[:, 4] + new * halves[:, 5])[cells].T[:, row]
+            self.weights.append(scale * (w[0] * d[0] + w[1] * d[1] + w[2] * d[2] + w[3] * d[3]))
         self.n = n
         # |scale * g| == |scale| * |g| exactly, so the bound is G's own
         self.contraction = float(max(np.bincount(self.rows, np.abs(g), minlength=n).max()
@@ -639,6 +653,8 @@ class DelayNetwork:
         and h) at once; it lists no other pair, and each entry's weights are
         written at its first live query, the first stage time past the
         read's arrival onset_j + tau_ij, as ``Trace.accel_at`` tests it.
+        Near pairs and far ones read the same half cells with the same
+        weights.
         Each step takes both stages' sums, as (2, n), from one
         ``delayed_sum`` call, the full stage's one half-row of history after
         the half stage's, and the new node (x, x', x'') from one contraction
@@ -647,9 +663,10 @@ class DelayNetwork:
         near pair (delay below 1.5h at the half stage, 2h at the full one)
         is live, each step first writes S[n], S[n+1] and the half-rows
         2n - 1 to 2n + 2 with A[n+1] still zero, so the plan sums the near
-        pairs' history part; the new node's share, solved by fixed-point
-        sweeps (``_NearPairs``) from the step's x'', is then taken off
-        through the map's columns of g.  A contraction bound of 1 or more
+        pairs' history part; the new node's share, the near pairs' weights
+        on their half cells times those cells' derivatives in A[n+1], solved
+        by fixed-point sweeps (``_NearPairs``) from the step's x'', is then
+        taken off through the map's columns of g.  A contraction bound of 1 or more
         raises ``SolverError`` before the march starts.  After each step the
         final S[n], the provisional S[n+1] and the half-rows 2n - 1 to
         2n + 2 are written, the nodes to the ``Trace``'s own arrays and the
@@ -730,7 +747,7 @@ class DelayNetwork:
 def _lag_max(max_delay: float, h: float) -> int:
     """The deepest history row, in steps behind n, that the half-step query
     of the longest delay reads."""
-    return int(-np.floor(SIGMAS[0] - max_delay / h))
+    return int(-np.floor(0.5 - max_delay / h))
 
 
 def _mapped_bytes() -> int:

@@ -13,7 +13,11 @@ exceptions use package code:
   for pairs closer than two steps, kept as its reference;
 - ``two_sum_near_pairs``, the near-pair fixed point on the unscaled coupled
   weights with one (2, n) sum per sweep, which the one-pass sweeps on
-  premultiplied weights replaced, kept as their reference;
+  premultiplied weights replaced, kept as their reference; its weights
+  come from the full cells of h, which the plan's half cells replaced, so
+  it pins the solve to rounding, and ``half_cell_near_weights``, the near
+  weights on the half cells built pair by pair with their derivatives in
+  the new node written out, pins the weights bitwise;
 - ``pulse_second_derivative`` and ``incident_second_derivative``, lambda''
   and d2/dt2 u_in in closed form: the forcing of the amplitudes' own delay
   system, which the package marched before both models were marched in U on
@@ -58,6 +62,7 @@ exceptions use package code:
   the rule does not carry.
 """
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -70,7 +75,11 @@ from bubblescreen.sources import PointSource, SourcePulse
 from bubblescreen.errors import ResolutionError, UsageError
 from bubblescreen.geometry import (_GRID_SHIFT, _JITTER, BubbleCluster, Patchwork,
                                    _collar_counts)
-from bubblescreen.stepping import SIGMAS, TimeGrid, Trace, _hermite_weights
+from bubblescreen.stepping import TimeGrid, Trace, _hermite_weights
+
+# The two stage offsets of an RK4 step, in steps past t_n: the half stage
+# (second and third stages) and the full one (fourth stage and new node).
+SIGMAS = (0.5, 1.0)
 
 
 def cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -526,9 +535,10 @@ def split_stage_plan(network, grid, lead, clear, chunk=4096):
     or ``clear`` for an uncoupled pair or a negative offset, and its weights
     c * w_k(-2x - o) on a half cell of h/2.  The near entries are the
     stage entries with sigma - x > -1, keyed s*n*n + i*n + j, with their
-    shifts sigma - x, ordered by their first live step (q - s) // 2 and then
-    by key, with their live counts per step.  The pairs are taken ``chunk``
-    at a time."""
+    cell rows 2 sigma + 2 + o, the first half-row of the stage's cell less
+    2 step - 2, ordered by their first live step (q - s) // 2 and then by
+    key, with their live counts per step.  The pairs are taken ``chunk`` at
+    a time."""
     n, h, steps = network.n, grid.h, grid.steps
     never = 2 * steps + 1
     idx = np.full((n, n), clear, dtype=np.int64)
@@ -554,15 +564,15 @@ def split_stage_plan(network, grid, lead, clear, chunk=4096):
     i, j = np.divmod(coupled, n)
     entries = []
     for s, sigma in enumerate(SIGMAS):
-        shift = sigma - network.delay[i, j] / h
-        sel = shift > -1.0
-        entries += [(int(s * n * n + e), float(sh), int((first[a, b] - s) // 2))
-                    for e, sh, a, b in zip(coupled[sel], shift[sel], i[sel], j[sel])]
+        x = network.delay[i, j] / h
+        sel = sigma - x > -1.0
+        row = 2 * sigma + 2 + np.floor(-2.0 * x[sel]).astype(np.int64)
+        entries += [(int(s * n * n + e), int(r), int((first[a, b] - s) // 2))
+                    for e, r, a, b in zip(coupled[sel], row, i[sel], j[sel])]
     entries.sort(key=lambda entry: (entry[2], entry[0]))
-    key = np.array([entry[0] for entry in entries], dtype=np.int64)
-    shift = np.array([entry[1] for entry in entries])
-    step = np.array([entry[2] for entry in entries], dtype=np.int64)
-    near = (key, shift, np.searchsorted(step, np.arange(steps), side="right"))
+    key, row, step = (np.array([entry[k] for entry in entries], dtype=np.int64)
+                      for k in range(3))
+    near = (key, row, np.searchsorted(step, np.arange(steps), side="right"))
     return idx, first, weights, near
 
 
@@ -661,6 +671,54 @@ def two_sum_near_pairs(network, grid):
         return coupled(a)
 
     return solve, contraction, sweeps
+
+
+def half_cell_near_weights(network, grid):
+    """The near pairs' weights on the plan's half cells, built pair by pair,
+    with their contraction bound and sweep count, as ``(weights,
+    contraction, sweeps)``: ``weights[k]`` holds, in the order of
+    ``stage_pairs``, each near stage entry's weight for new row k + 1 (the
+    same from row 3 on), premultiplied by its row's factor, k3/m_i^2 at the
+    half stage and -1/m_i at the full one.
+
+    Entry (s, i, j), x = tau/h, reads at step n the half cell of half-rows
+    2n + 1 + s + o and the next, o = floor(-2x), with the coupled Hermite
+    weights c * w_k(-2x - o) on h/2; row r = 3 + s + o numbers that cell
+    from half-row 2n - 2 (node n - 1).  Its g is the sum over the cell's
+    four values (A, S of its first half-row, then of the next) of the
+    weight times the value's derivative in a = A[n+1], written out from
+    the weights f and e of A[n+1] in the final slope S[n] and the
+    provisional S[n+1]: node n - 1 gives (0, 0), the mid row of [n-1, n]
+    (-h/8 f, -f/4), node n (0, f), the mid row of [n, n+1]
+    (1/2 + h/8 f - h/8 e, 1.5/h - f/4 - e/4) and node n + 1 (1, e).  The
+    contraction bound sums |weight| per oscillator one pair at a time.
+    """
+    n, h = network.n, grid.h
+    key, shift, _ = stage_pairs(network, grid)
+    near = [(int(k), float(sh)) for k, sh in zip(key, shift) if sh > -1.0]
+    masses = [float(m) for m in network.masses]
+    k3 = h * h / 3.0
+    weights, contraction = [], 0.0
+    for f, e in ((1 / h, 1 / h), (1 / (2 * h), 3 / (2 * h)), (2 / (6 * h), 11 / (6 * h))):
+        halves = [0.0, 0.0, -h / 8 * f, -f / 4, 0.0, f,
+                  0.5 + h / 8 * f - h / 8 * e, 1.5 / h - f / 4 - e / 4, 1.0, e]
+        column, sums = [], [0.0] * n
+        for k, _ in near:
+            s, i, j = k // (n * n), k // n % n, k % n
+            tau, c = float(network.delay[i, j]), float(network.coupling[i, j])
+            x = tau / h
+            o = math.floor(-2.0 * x)
+            w = _hermite_weights(-2.0 * x - o, h / 2)
+            d = halves[2 * (3 + s + o):2 * (3 + s + o) + 4]
+            g = c * w[0] * d[0] + c * w[1] * d[1] + c * w[2] * d[2] + c * w[3] * d[3]
+            weight = (k3 / masses[i] / masses[i] if s == 0 else -1.0 / masses[i]) * g
+            column.append(weight)
+            sums[i] += abs(weight)
+        weights.append(np.array(column))
+        contraction = max(contraction, max(sums))
+    sweeps = (int(np.ceil(np.log(np.finfo(float).eps) / np.log(contraction)))
+              if 0.0 < contraction < 1.0 else 0)
+    return weights, contraction, sweeps
 
 
 def _csv_cell(value) -> str:

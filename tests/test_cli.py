@@ -43,6 +43,15 @@ def test_horizon_below_rounding_marches_one_step(tmp_path):
     assert march["steps"] == 1 and march["lag_max"] > 10**12
 
 
+def test_horizon_far_below_the_delays_casts_no_invalid_offset(tmp_path):
+    # at h = 1e-20 the half-row shifts -2 tau/h reach -1e19, past int64:
+    # the cast warned "invalid value encountered in cast" into the manifest
+    path = _config(tmp_path, {"run": {"T": 1.0e-20}})
+    out = tmp_path / "out"
+    assert run_cli(["foldy", "--config", path, "--outdir", str(out)]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["warnings"] == []
+
+
 def test_out_of_memory_exits_three_without_partial_outputs(tmp_path, monkeypatch, capsys):
     def exhausted(config, session):
         session.write_text("partial.txt", "half\n")
@@ -120,6 +129,8 @@ def test_config_errors_exit_two(tmp_path, raw, capsys):
     ("regimes", {"regimes": {"cells": [{"omega_factor": -1.0}, {"omega_factor": 1.0}]}}),
     ("regimes", {"regimes": {"cells": [{"omega_factor": 1.0},     # after a cell marched
                                        {"omega_factor": 100.0, "coupling_factor": 0.0}]}}),
+    ("validate", {"k": {"constant": 1.0e300}}),     # floor(K) cast to negative counts
+    ("validate", {"k": {"name": "linear_axis", "scale": 1.0e300}}),
 ])
 def test_config_values_that_crashed_exit_two(tmp_path, monkeypatch, stage, raw, capsys):
     # each of these ended in a traceback (exit 1) or ran on a meaningless

@@ -174,6 +174,15 @@ class TestPlacement:
         with pytest.raises(ConfigError):
             place_bubbles(pw, bad, eps=1e-3, seed=0)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 2.0 ** 62])
+    def test_k_beyond_the_counts_rejected(self, disk, value):
+        # floor(K) + 1 once cast inf and nan to negative int64 counts, and
+        # placement died on np.repeat
+        pw = partition(disk, 0.125)
+        bad = KFunction(lambda pts: np.full(len(np.atleast_2d(pts)), value))
+        with pytest.raises(ConfigError, match=r"finite and in \[0, 2\*\*62\)"):
+            bad.counts_at(pw.centers)
+
 
 class TestInverseDistanceSums:
     def test_two_points(self):

@@ -15,8 +15,8 @@ from bubblescreen.errors import ConfigError, DivergenceError, SolverError, Usage
 from bubblescreen.experiments import build_scene
 from bubblescreen.foldy import DelaySystem, scattered_series
 from bubblescreen.laplace_cq import assemble_operator
-from oracles import (dense_distances, int64_stage_pairs, reference_march, split_stage_plan,
-                     stage_pairs, two_sum_near_pairs)
+from oracles import (SIGMAS, dense_distances, half_cell_near_weights, int64_stage_pairs,
+                     reference_march, split_stage_plan, stage_pairs, two_sum_near_pairs)
 
 FIELDS = ("value", "rate", "acc")
 ROOT = Path(__file__).resolve().parent.parent
@@ -231,10 +231,16 @@ def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
     else:
         network, grid = _networks(params, disk, disk_scene)["jittered"]
     near = _near_pairs(network, grid)
-    solve, contraction, sweeps = two_sum_near_pairs(network, grid)
-    # the bound comes from the premultiplied weights bitwise
+    # the weights on the plan's half cells, pair by pair, bitwise, and the
+    # bound from the premultiplied weights bitwise
+    weights, contraction, sweeps = half_cell_near_weights(network, grid)
+    assert len(near.weights) == len(weights) == 3
+    for got, want in zip(near.weights, weights):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert (near.contraction, near.sweeps) == (contraction, sweeps)
     assert 0.0 < contraction < 1.0 and sweeps > 0
+    # the full cells' weights, summed twice a sweep, to rounding
+    solve = two_sum_near_pairs(network, grid)[0]
     rng = np.random.default_rng(2)
     steps = np.flatnonzero(near.live)
     for ns in sorted({*steps[:3].tolist(), int(steps[len(steps) // 2]), int(steps[-1])}):
@@ -247,7 +253,7 @@ def test_one_pass_near_sweeps_match_two_sums(params, disk, disk_scene, kind):
 def test_radix_split_matches_the_int64_sort(params, disk, disk_scene, kind):
     # clipping the first live steps to the grid moves only entries that are
     # never live: the live counts, the live prefix and the near entries keep
-    # their order, the live entries their cells and the near ones their shifts
+    # their order, the live entries their cells and the near ones their rows
     if kind.startswith("short"):
         network, grid = _small_network(9, seed=3, onset=kind.endswith("onset"))
         grid = TimeGrid(T=8 * grid.h, h=grid.h, steps=8)
@@ -275,10 +281,15 @@ def test_radix_split_matches_the_int64_sort(params, disk, disk_scene, kind):
     shift = -2.0 * (network.delay.ravel()[e] / grid.h)
     assert np.array_equal(plan.idx.ravel()[e],
                           (lead + np.floor(shift).astype(np.int64)) * n + e % n)
-    near_key, near_shift, near_live = plan.near
+    near_key, near_row, near_live = plan.near
     near = np.flatnonzero(want_shift > -1.0)
     assert np.array_equal(near_key, want_key[near])
-    assert np.array_equal(near_shift, want_shift[near])
+    # the stage-s cell's first half-row, 2 step + 1 + s + floor(-2 tau/h),
+    # less 2 step - 2
+    stage, e = np.divmod(want_key[near], n ** 2)
+    half = np.floor(-2.0 * (network.delay.ravel()[e] / grid.h)).astype(np.int64)
+    assert np.array_equal(near_row, 3 + stage + half)
+    assert np.all((near_row >= 0) & (near_row <= 3))
     assert np.array_equal(near_live, np.searchsorted(near, want_live))
     assert np.array_equal(np.sort(key), np.sort(want_key))
     if kind.startswith("short"):
@@ -732,7 +743,7 @@ def test_first_live_query_is_the_earlier_stage_s(params, disk_scene, kind):
     coupled = network.coupling != 0
     tau = np.where(coupled, network.delay, 0.0)
     f = []
-    for sigma, stage_t in zip(stepping.SIGMAS, grid.stage_times):
+    for sigma, stage_t in zip(SIGMAS, grid.stage_times):
         # a stage's first live step: the first time past the arrival onset_j + tau
         live = np.maximum(np.searchsorted(stage_t, network.onset + tau, side="right"),
                           -np.floor(sigma - tau / h).astype(np.int64))
@@ -761,7 +772,7 @@ def test_mid_rows_reproduce_the_full_cells_cubic(h):
     # step 2 of the march, queries 5 and 6: delays reach back to node 0
     x = rng.uniform(0.0, 2.0, m)
     cols = np.arange(m)
-    for sigma in stepping.SIGMAS:
+    for sigma in SIGMAS:
         shift = sigma - x
         o = np.floor(shift).astype(int)
         w = stepping._hermite_weights(shift - o, h)

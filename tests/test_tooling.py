@@ -349,6 +349,18 @@ def test_distance_kernel_has_two_callers():
     assert calls == 2
 
 
+def test_hermite_weights_has_two_callers():
+    # one Hermite formula per kind of read: the trace's interpolation on the
+    # full cells and the march's delayed reads on the plan's half cells,
+    # which the plan's activation and the near pairs both take from
+    # _entry_weights
+    callers = []
+    for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers += [f"{path.stem}.{name}" for name in _callers(tree, "_hermite_weights")]
+    assert sorted(callers) == ["stepping.Trace._interp", "stepping._entry_weights"]
+
+
 def test_sphere_partition_and_placement_visit_no_patch_in_turn():
     # both build every patch or bubble from arrays: neither holds a loop or
     # a comprehension (the collar counts' carry runs in _collar_counts)
