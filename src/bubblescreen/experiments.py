@@ -11,11 +11,15 @@ A stage times its blocks with ``session.timed(label)``: ``scene`` for building
 the scene, ``solve`` for its solves, except that compare and sweep time each
 model under ``foldy`` and ``effective`` and sweep each eps under
 ``eps_<eps>``.  Runtimes are recorded in the manifest only, keeping the CSVs
-bitwise reproducible for a fixed config and seed.  Every seeded draw, the
-bubbles' jitter (``place_bubbles``) and cq's probes (``run_cq``), is the
-``random()`` sequence of ``random.Random(seed)``, which Python keeps the same
-across versions; numpy makes no such promise for its generators (NEP 19), so
-a numpy upgrade moves no draw behind a CSV.
+bitwise reproducible for a fixed config and seed on the same BLAS build, CPU
+kernel and BLAS thread count: the march's row dots, slope stencils and
+history products, the sphere partition's norms and cq's dense solves are
+BLAS or LAPACK calls, whose rounding may change with any of the three (a
+DYNAMIC_ARCH OpenBLAS picks its kernel by CPU when it loads).  Every seeded
+draw, the bubbles' jitter (``place_bubbles``) and cq's probes (``run_cq``),
+is the ``random()`` sequence of ``random.Random(seed)``, which Python keeps
+the same across versions; numpy makes no such promise for its generators
+(NEP 19), so a numpy upgrade moves no draw behind a CSV.
 
 CSVs are written column-wise: a stage hands ``OutputSession.write_csv`` one
 array per column, and each column is converted to text once per block of
@@ -47,7 +51,7 @@ from .laplace_cq import cq_memory, cq_solve, resolvent_sweep
 from .materials import (PhysicalParams, RawMaterials, ShapeDescriptor,
                         derive_params, validate_conditions)
 from .sources import PointSource, SourcePulse
-from .stepping import TimeGrid, march_memory
+from .stepping import DelayNetwork, TimeGrid, march_memory
 
 OUTPUT_ROOT_ENV = "BUBBLESCREEN_OUT_ROOT"
 
@@ -328,7 +332,9 @@ def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
     uniform in [-1, 1] (node by node, real part first).  So the stage loads
     no ``numpy.random``.  Its dense solves are checked by ``cq_memory``
     before the network is built, and the manifest's ``march`` block records
-    the estimate and the budget under ``cq``.
+    the estimate and the budget under ``cq``.  Both solvers read one matrix
+    ``DelayNetwork``, built once from the screen's couplings and delays, so
+    no frequency computes the distances again.
     """
     with session.timed("scene"):
         scene = build_scene(config)
@@ -340,7 +346,9 @@ def run_cq(config: ExperimentConfig, session: OutputSession) -> None:
         grid = effective_grid(scene.rule, scene.params, config.horizon,
                               _run_opts(config)["h_max"])
         session.march["cq"] = cq_memory(scene.rule.m, grid)
-        network = EffectiveSystem(scene.rule, scene.params, scene.source)
+        screen = EffectiveSystem(scene.rule, scene.params, scene.source)
+        network = DelayNetwork(screen.masses, *screen.block(0, screen.n),
+                               screen.forcing, screen.onset)
         y = cq_solve(network, scene.rule.weights, grid)
         diag = resolvent_sweep(network, scene.rule.weights, s_vals, rhs)
     session.write_csv("cq_traces.csv", ["time", "node_id", "y"],

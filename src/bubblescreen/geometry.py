@@ -372,33 +372,53 @@ class BubbleCluster:
         return len(self.centers)
 
 
-def pairwise_distances(points: np.ndarray):
-    """The package's one distance kernel: |p_i - p_j| over all pairs, one
-    block of rows at a time.
+def distance_rows(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The package's one distance kernel: rows lo to hi of |p_i - p_j|, as
+    a C-contiguous (rows, n) array whose entries (i, i) are +inf, so a row's
+    minimum and its sums of inverse powers skip the point itself.
 
-    Yields ``(lo, block)``, ``block[r, j]`` = |p_{lo+r} - p_j|, for blocks of
-    ``max(1, DISTANCE_BLOCK // n)`` consecutive rows in order, so no block
-    holds more than ``DISTANCE_BLOCK`` cells once n <= ``DISTANCE_BLOCK``;
-    block (i, i) entries are +inf, so a row's minimum and its sums of
-    inverse powers skip the point itself.  Each distance is accumulated one
-    coordinate at a time, with no (rows, n, 3) difference array, and each
-    block is a C-contiguous (rows, n) array, so any elementwise map or row
-    reduction of the blocks is bitwise equal to the same one over the whole
-    n x n matrix.  The off-diagonal entries are exactly symmetric, since
-    (a - b)^2 == (b - a)^2 in floating point.
+    Each distance is accumulated one coordinate at a time, with no
+    (rows, n, 3) difference array, so any elementwise map or row reduction
+    of the rows is bitwise equal to the same one over the whole n x n
+    matrix, and ``pair_distances`` gives the same bits pair by pair.  The
+    off-diagonal entries are exactly symmetric, since (a - b)^2 == (b - a)^2
+    in floating point.
+    """
+    n, part = len(points), points[lo:hi]
+    block = np.subtract.outer(part[:, 0], points[:, 0]) ** 2
+    for k in range(1, points.shape[1]):
+        block += np.subtract.outer(part[:, k], points[:, k]) ** 2
+    np.sqrt(block, out=block)
+    # entry (r, lo + r) sits at flat index lo + r * (n + 1)
+    block.reshape(-1)[lo::n + 1] = np.inf
+    return block
+
+
+def pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|p_i - p_j| for the index arrays i and j, bitwise ``distance_rows``'
+    entries (i, j), +inf where i == j."""
+    diff = points[i] - points[j]
+    r = diff[:, 0] ** 2
+    for k in range(1, points.shape[1]):
+        r += diff[:, k] ** 2
+    np.sqrt(r, out=r)
+    r[i == j] = np.inf
+    return r
+
+
+def pairwise_distances(points: np.ndarray):
+    """|p_i - p_j| over all pairs, one block of rows at a time.
+
+    Yields ``(lo, block)``, ``block`` = ``distance_rows(points, lo, lo +
+    rows)``, for blocks of ``max(1, DISTANCE_BLOCK // n)`` consecutive rows
+    in order, so no block holds more than ``DISTANCE_BLOCK`` cells once
+    n <= ``DISTANCE_BLOCK``.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     rows = max(1, DISTANCE_BLOCK // max(n, 1))
     for lo in range(0, n, rows):
-        part = pts[lo:lo + rows]
-        block = np.subtract.outer(part[:, 0], pts[:, 0]) ** 2
-        for k in range(1, pts.shape[1]):
-            block += np.subtract.outer(part[:, k], pts[:, k]) ** 2
-        np.sqrt(block, out=block)
-        # entry (r, lo + r) sits at flat index lo + r * (n + 1)
-        block.reshape(-1)[lo::n + 1] = np.inf
-        yield lo, block
+        yield lo, distance_rows(pts, lo, lo + rows)
 
 
 _JITTER = 0.15  # fraction of a sub-cell; keeps the packing floor at 0.3*d/sqrt(n)
@@ -534,13 +554,23 @@ def counting_scaling_check(surface: SurfaceDescriptor, d_list: Sequence[float],
 
     Each d builds one scene and one blocked distance pass, shared by every
     exponent in ``k_list``; rows are k-major (every d of the first k, then
-    the next k).
+    the next k).  Every d and k must be positive, and every bound finite and
+    positive, which is checked before any scene is built.
     """
     d_list, k_list = list(d_list), list(k_list)
     if any(b >= a for a, b in zip(d_list[:-1], d_list[1:])):
         raise UsageError("d_list must be strictly decreasing")
     if not k_list:
         raise UsageError("k_list must name at least one exponent")
+    for d, k in itertools.product(d_list, k_list):
+        try:
+            # k <= 0 would sum the anchor's own infinite distance
+            ok = d > 0 and k > 0 and 0.0 < counting_bound(d, k) < np.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise UsageError(f"counting.d_list value {d!r} and counting.k_exponents value "
+                             f"{k!r} must be positive and give a finite, positive bound")
     sums = []
     for d in d_list:
         pw = partition(surface, d)

@@ -8,10 +8,13 @@ variable s (Re s = sigma > 0, the operational-calculus half-plane) into
     A(s) Yhat = s^2 fhat,   A(s) = diag(m s^2 + 1) + s^2 C(s),
     C_ij(s) = c_ij exp(-s tau_ij),
 
-for the accelerations Y = x'', with C the network's coupling matrix times the
-phases of its delay matrix; an uncoupled entry's zero coupling zeroes its
-term, and its delay, finite and non-negative, gives a phase of modulus at
-most 1, so no entry needs masking.
+for the accelerations Y = x'', with C the network's couplings times the
+phases of its delays, both read as one ``block`` of all n rows; an uncoupled
+entry's zero coupling zeroes its term, and its delay, finite and
+non-negative, gives a phase of modulus at most 1, so no entry needs masking.
+A ``RetardedNetwork`` computes that block from its nodes at every call, so a
+caller that solves at many frequencies hands the solver a matrix
+``DelayNetwork`` built once from it, as the cq stage does.
 For the collocated screen (``EffectiveSystem``) this is the transformed screen
 equation (hbar s^2 + 1) Yhat + s^2 Shat_s[Yhat] = s^2 uhat_in: the network's
 masses hold the equal-area-disk self terms, its couplings the column weights
@@ -44,11 +47,12 @@ from .stepping import DelayNetwork, TimeGrid, check_memory
 
 def assemble_operator(network: DelayNetwork, s: complex) -> np.ndarray:
     """A(s) = diag(m s^2 + 1) + s^2 C(s), C_ij = c_ij exp(-s tau_ij) from the
-    network's coupling and delay matrices."""
+    network's couplings and delays, one ``block`` of all its rows."""
     if s.real <= 0:
         raise ParameterError("Laplace frequency must have positive real part")
     s2 = s * s
-    a = s2 * network.coupling * np.exp(-s * network.delay)
+    coupling, delay = network.block(0, network.n)
+    a = s2 * coupling * np.exp(-s * delay)
     np.fill_diagonal(a, network.masses * s2 + 1.0)
     if not np.all(np.isfinite(a)):
         raise SolverError("non-finite operator entries")
@@ -102,8 +106,8 @@ def cq_memory(n: int, grid: TimeGrid) -> dict:
     """The peak bytes of ``cq_solve`` on a network of n oscillators over
     ``grid``, checked by ``check_memory`` before the network is built.
 
-    The estimate counts the network's coupling and delay (16 B per n x n
-    entry), ``assemble_operator``'s three complex n x n arrays (48 B) and
+    The estimate counts the matrix network's coupling and delay (16 B per
+    n x n entry), ``assemble_operator``'s three complex n x n arrays (48 B) and
     LAPACK's copy of the operator (16 B), and about 40 B per transform
     point and oscillator, at L = 2 (steps + 1) points.
     """

@@ -124,13 +124,24 @@ def geometric_constant(shape: ShapeDescriptor) -> float:
 
 
 def derive_params(raw: RawMaterials, shape: ShapeDescriptor | None = None) -> PhysicalParams:
-    """Derive wave speeds and resonance quantities from raw materials."""
+    """Derive wave speeds and resonance quantities from raw materials.
+
+    Every derived quantity must be finite and positive: finite, positive
+    inputs whose products leave the float range raise ``ParameterError``."""
     shape = shape or ShapeDescriptor()
+    try:
+        area, volume = geometric_constant(shape), shape.volume
+    except OverflowError:   # radius**2 of a huge radius
+        area = volume = np.inf
     c0 = float(np.sqrt(raw.rho_c / raw.kappa_c))
-    omega_m_sq = raw.rho_c * geometric_constant(shape) / (2.0 * raw.kappa_b_bar)
-    c_bar = shape.volume * raw.rho_c / raw.kappa_b_bar
-    return PhysicalParams(c0=c0, omega_m_sq=omega_m_sq, c_bar=c_bar,
-                          c_eps=c_bar * raw.eps, vol_b=shape.volume, raw=raw)
+    omega_m_sq = raw.rho_c * area / (2.0 * raw.kappa_b_bar)
+    c_bar = volume * raw.rho_c / raw.kappa_b_bar
+    derived = {"c0": c0, "omega_m_sq": omega_m_sq, "c_bar": c_bar,
+               "c_eps": c_bar * raw.eps, "vol_b": volume}
+    if not all(0.0 < value < np.inf for value in derived.values()):
+        raise ParameterError(f"the materials, bubble_shape.radius and eps give {derived}: "
+                             f"each must be finite and positive")
+    return PhysicalParams(**derived, raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +187,9 @@ def validate_conditions(params: PhysicalParams, cluster) -> ValidationReport:
     cond_res = float(params.c_eps / (4.0 * np.pi) * largest)
     # a single bubble has d_min = inf, so ratio 0
     ratio = raw.eps / d_min
+    if not 0.0 < raw.lambda1_mag * raw.lambda1_mag < np.inf:
+        raise ParameterError(f"materials.lambda1_mag = {raw.lambda1_mag!r} squares "
+                             f"outside the float range")
     cond_inv = (raw.rho_c / (4.0 * np.pi)) * params.vol_b * ratio**6 / raw.lambda1_mag**2
 
     return ValidationReport(

@@ -35,18 +35,22 @@ otherwise: its half cell starts at one of the four half-rows 2n - 2 to
 2n + 1 and reads the final S[n], the mid row of [n-1, n] built from it, or
 the new node n + 1 and the mid row before it.
 
-A network is its two n x n matrices, the couplings c_ij and the delays
-tau_ij; a zero coupling leaves the pair uncoupled.  ``DelayNetwork.solve``
-builds one plan per grid for both stages: an n x n array of gather offsets
-whose row i holds oscillator i's pairs, their premultiplied Hermite weights,
-n x n x 4 and interleaved like the cells, and each entry's first live query.
-One pass over blocks of plan rows reads the two matrices and writes the
-offsets, the first live queries (one byte an entry up to 126 steps) and the
-near entries, the one list of coupled entries it makes; no array holds one
-element per coupled pair.  The half-rows' accelerations and slopes live in
-one window of 32-byte cells: cell (r, j) holds A and S of half-rows r and
-r + 1 at column j, the four values a query in that half cell reads.  The
-window holds the deepest lag's half-rows and a few steps more, and is shifted
+A network answers two questions about its pairs: the couplings c_ij and
+delays tau_ij of a block of rows (``block``), and those of a set of flat keys
+i*n + j (``entries``); a zero coupling leaves the pair uncoupled.  The matrix
+``DelayNetwork`` answers from its two n x n matrices; ``RetardedNetwork``, the
+network of both models, from its nodes, column weights and c0 in closed
+form, and holds no n x n array.  No other code reads how a network stores
+its pairs.  ``DelayNetwork.solve`` builds one plan per grid for both stages:
+an n x n array of gather offsets whose row i holds oscillator i's pairs,
+their premultiplied Hermite weights, n x n x 4 and interleaved like the
+cells, and each entry's first live query.  One pass over blocks of plan rows
+reads the network's ``block`` of each and writes the offsets, the first live
+queries (one byte an entry up to 126 steps) and the near entries, the one
+list of coupled entries it makes; no array holds one element per coupled
+pair.  The half-rows' accelerations and slopes live in one window of 32-byte
+cells: cell (r, j) holds A and S of half-rows r and r + 1 at column j, the
+four values a query in that half cell reads.  The window holds the deepest lag's half-rows and a few steps more, and is shifted
 back every few steps; its rows start at zero, so every offset reads a row
 that exists and rows ahead of the newest node read zero, and its one trailing
 zero row is what uncoupled entries read.  Each stage's sum gathers the cells
@@ -114,7 +118,7 @@ import numpy as np
 
 from .errors import (ConfigError, DivergenceError, EvaluationPointError,
                      ResolutionError, SolverError, UsageError)
-from .geometry import pairwise_distances
+from .geometry import distance_rows, pair_distances
 from .sources import incident_eval
 
 # Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
@@ -358,8 +362,8 @@ def _entry_weights(network: "DelayNetwork", key: np.ndarray, h: float) -> list:
     entries ``key`` (flat indices i*n + j) on their half cells of h/2, theta
     being -2 tau/h less its floor: the weights of the cell's A and S of its
     first half-row, then A and S of the next."""
-    shift = -2.0 * (network.delay.take(key) / h)
-    c = network.coupling.take(key)
+    c, tau = network.entries(key)
+    shift = -2.0 * (tau / h)
     return [c * w for w in _hermite_weights(shift - np.floor(shift), h / 2)]
 
 
@@ -384,8 +388,8 @@ class _StagePlan:
 
     The plan is built in one pass over blocks of rows, at most
     ``GATHER_BLOCK`` cells each (one row when n exceeds it), that reads the
-    network's two matrices and writes ``idx``, ``first`` and the near
-    entries.  ``first[i, j]``, of the smallest unsigned type that holds
+    network's ``block`` of those rows and writes ``idx``, ``first`` and the
+    near entries.  ``first[i, j]``, of the smallest unsigned type that holds
     2 steps + 2, is the entry's first live query: the first q, over the half
     and the full stage times interleaved, whose time lies past the read's
     arrival onset_j + tau and that reads no row before the first node, by
@@ -395,7 +399,7 @@ class _StagePlan:
     those never live), and ``live[q]`` those live at query q, their running
     sum.  The weights start at zero; at its first
     live query an entry's weights c * w_k(theta), c and tau read from the
-    network's matrices, are written (``activate``, which ``delayed_sum``
+    network's ``entries``, are written (``activate``, which ``delayed_sum``
     calls before each stage's gather at a query that opens entries), so an
     entry not yet live contributes exactly zero, even at the half stage of
     the step whose full stage makes it live, a row with no live entry sums
@@ -429,9 +433,10 @@ class _StagePlan:
         query_t, near = grid.stage_times.T.ravel(), ([], [])
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            coupled = network.coupling[lo:hi] != 0
+            coupling, tau = network.block(lo, hi)
+            coupled = coupling != 0
             # an uncoupled entry's delay is never read: it counts as zero
-            tau = np.where(coupled, network.delay[lo:hi], 0.0)
+            tau = np.where(coupled, tau, 0.0)
             # the half-row shift -2 tau/h, clamped where its cell lies before
             # the leading rows anyway, so the cast stays in range
             shift = np.maximum(-2.0 * (tau / h), -lead - 1.0)
@@ -584,71 +589,94 @@ class _NearPairs:
 class DelayNetwork:
     """mass_i x_i'' + x_i + sum_j c_ij x_j''(t - tau_ij) = f_i(t).
 
-    ``coupling`` and ``delay`` are n x n matrices: entry (i, j) adds
-    coupling[i, j] x_j''(t - delay[i, j]) to row i, and a zero coupling leaves
-    the pair uncoupled and its delay unread.  The couplings are finite, with a
-    zero diagonal; the delays are finite and non-negative, and positive
-    wherever the coupling is not zero.  They are the network's only coupling
-    data.
+    A network answers for its pairs through two methods: ``block(lo, hi)``
+    gives the couplings and delays of rows lo to hi, as two (hi - lo, n)
+    arrays, and ``entries(key)`` the same two at the flat keys i*n + j.
+    This one answers from its ``coupling`` and ``delay``, two n x n
+    matrices: entry (i, j) adds coupling[i, j] x_j''(t - delay[i, j]) to
+    row i, and a zero coupling leaves the pair uncoupled and its delay
+    unread.  Whatever answers, the couplings are finite, with a zero
+    diagonal; the delays are finite and non-negative, and positive wherever
+    the coupling is not zero.
 
     ``onset`` gives, per oscillator, the finite, non-negative time before
     which its forcing vanishes (zero by default).  The delayed terms then
     cannot wake x_i earlier either, provided onset_i <= onset_j + tau_ij for
-    every coupled pair, which is checked here; the marched ``Trace`` returns
-    exact zeros up to each onset.
+    every coupled pair; the marched ``Trace`` returns exact zeros up to each
+    onset.  One pass over ``block``s of at most ``GATHER_BLOCK`` cells
+    checks the masses, onsets, couplings and delays and that order, and
+    counts the coupled pairs ``pairs`` and their least and largest delays
+    ``min_delay`` and ``max_delay`` (inf and 0 with no pair), with no
+    n x n temporary.
 
     ``forcing(t)`` returns f(t).  ``solve`` calls it once per block of k
     steps with one (2k, 1) column of stage times, the k half-stage times
     then the k full-stage ones, and expects (2k, n) forces or an array that
     broadcasts to them; ``accel_all`` calls it with a scalar t and expects
-    (n,).  A network holds its two matrices, masses, onsets and forcing,
-    and from the one mask of coupled entries that its checks build, their
-    count ``pairs`` and least and largest delays ``min_delay`` and
-    ``max_delay`` (inf and 0 with no pair); each ``solve`` builds what its
-    march needs and keeps none of it.
+    (n,).  Each ``solve`` builds what its march needs and keeps none of it.
     """
 
     def __init__(self, masses: np.ndarray, coupling, delay,
                  forcing: Callable[[np.ndarray], np.ndarray], onset=None):
+        self.coupling = np.asarray(coupling, dtype=float)
+        self.delay = np.asarray(delay, dtype=float)
+        n = len(masses)
+        if self.coupling.shape != (n, n) or self.delay.shape != (n, n):
+            raise ConfigError("coupling and delay must be n x n matrices")
+        self._checked(masses, forcing, onset)
+
+    def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The couplings and delays of rows lo to hi, as (hi - lo, n)."""
+        return self.coupling[lo:hi], self.delay[lo:hi]
+
+    def entries(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The couplings and delays at the flat keys i*n + j."""
+        return self.coupling.take(key), self.delay.take(key)
+
+    def _checked(self, masses, forcing, onset) -> None:
+        """Keep the masses, forcing and onsets, and check them and the pairs
+        of every ``block`` in one pass."""
         self.masses = np.asarray(masses, dtype=float)
         self.forcing = forcing
         self.n = n = len(self.masses)
         self.onset = np.zeros(n) if onset is None else np.asarray(onset, dtype=float)
         if not np.all((self.masses > 0) & (self.masses < np.inf)):
             raise ConfigError("all oscillator masses must be positive and finite")
-        self.coupling = np.asarray(coupling, dtype=float)
-        self.delay = np.asarray(delay, dtype=float)
-        if self.coupling.shape != (n, n) or self.delay.shape != (n, n):
-            raise ConfigError("coupling and delay must be n x n matrices")
-        if np.any(self.coupling.diagonal()) or not np.all(np.isfinite(self.coupling)):
-            raise ConfigError("couplings must be finite, with a zero diagonal")
-        coupled = self.coupling != 0
-        self.pairs = int(np.count_nonzero(coupled))
-        self.min_delay = float(np.min(self.delay, where=coupled, initial=np.inf))
-        self.max_delay = float(np.max(self.delay, where=coupled, initial=0.0))
-        if not (np.min(self.delay, initial=0.0) >= 0 and np.max(self.delay, initial=0.0) < np.inf
-                and self.min_delay > 0):
-            raise ConfigError("delays must be finite, non-negative, and positive where coupled")
         if self.onset.shape != (n,) or not np.all((self.onset >= 0) & (self.onset < np.inf)):
             raise ConfigError("onsets must be n finite, non-negative times")
-        # onset_j + tau_ij, scaled in place: the checks' one n x n float temporary
-        reach = np.add(self.onset, self.delay)
-        reach *= 1 + 8 * np.finfo(float).eps
-        if np.any(self.onset[:, None] > reach, where=coupled):
-            raise ConfigError("onsets violate onset_i <= onset_j + tau_ij: a "
-                              "delayed term would arrive before the forcing")
+        self.pairs, self.min_delay, self.max_delay = 0, np.inf, 0.0
+        rows = max(1, GATHER_BLOCK // max(n, 1))
+        for lo in range(0, n, rows):
+            coupling, delay = self.block(lo, lo + rows)
+            coupled = coupling != 0
+            # entry (r, lo + r) sits at flat index lo + r * (n + 1)
+            if not np.all(np.isfinite(coupling)) or np.any(coupling.reshape(-1)[lo::n + 1]):
+                raise ConfigError("couplings must be finite, with a zero diagonal")
+            least = float(np.min(delay, where=coupled, initial=np.inf))
+            if not (np.min(delay) >= 0 and np.max(delay) < np.inf and least > 0):   # NaN fails
+                raise ConfigError("delays must be finite, non-negative, and positive where coupled")
+            # onset_j + tau_ij with 8 ulp of slack, in place
+            reach = np.add(self.onset, delay)
+            reach *= 1 + 8 * np.finfo(float).eps
+            if np.any(self.onset[lo:lo + rows, None] > reach, where=coupled):
+                raise ConfigError("onsets violate onset_i <= onset_j + tau_ij: a "
+                                  "delayed term would arrive before the forcing")
+            self.pairs += int(np.count_nonzero(coupled))
+            self.min_delay = min(self.min_delay, least)
+            self.max_delay = max(self.max_delay, float(np.max(delay, where=coupled, initial=0.0)))
 
     def accel_all(self, t: float, y: np.ndarray, trace: Trace) -> np.ndarray:
         """All accelerations at time t from the state y and the trace's history."""
-        delayed = (self.coupling * trace.accel_at(t, np.arange(self.n), self.delay)).sum(1)
+        coupling, delay = self.block(0, self.n)
+        delayed = (coupling * trace.accel_at(t, np.arange(self.n), delay)).sum(1)
         return (self.forcing(t) - y - delayed) / self.masses
 
     def solve(self, grid: TimeGrid) -> Trace:
         """Classical RK4 on (x, x') with delayed accelerations from the history.
 
         Any step h > 0 is allowed.  One pass over the n rows of the history
-        plan reads the coupling and delay matrices a block of rows at a time
-        and builds, once per solve, the plan's gather offsets, each entry's
+        plan reads the network's couplings and delays a ``block`` of rows at
+        a time and builds, once per solve, the plan's gather offsets, each entry's
         first live query and the near pairs, for both stage offsets (h/2
         and h) at once; it lists no other pair, and each entry's weights are
         written at its first live query, the first stage time past the
@@ -777,11 +805,11 @@ def march_memory(nodes: np.ndarray, c0: float, grid: TimeGrid) -> dict:
     ``memory_budget_bytes``; an estimate over the budget raises
     ``ResolutionError`` naming n, both numbers, before any n x n array exists.
 
-    The estimate counts, per n x n entry, the network's coupling and delay
-    (16 B), the plan's gather offset (8 B), weights (32 B) and first live
-    query (the smallest type holding 2 steps + 2), then the history window's
-    rows of 32 B cells and the trace's values, rates, accelerations and
-    slopes.  The lag is taken at the longest distance the nodes' bounding
+    The estimate counts, per n x n entry, the plan's gather offset (8 B),
+    weights (32 B) and first live query (the smallest type holding
+    2 steps + 2), then the history window's rows of 32 B cells and the
+    trace's values, rates, accelerations and slopes; the network itself
+    holds no n x n array.  The lag is taken at the longest distance the nodes' bounding
     box allows, so it is never below the march's ``lag_max``.  The near
     pairs' arrays, a few dozen bytes per pair with a delay below 2h, are
     left out.
@@ -790,7 +818,7 @@ def march_memory(nodes: np.ndarray, c0: float, grid: TimeGrid) -> dict:
     reach = float(np.linalg.norm(np.ptp(nodes, axis=0))) if n else 0.0
     rows = _Window.rows(_window_lead(_lag_max(reach / c0, grid.h), steps))
     first = np.min_scalar_type(2 * steps + 2).itemsize
-    estimate = (56 + first) * n * n + rows * n * 32 + 4 * (steps + 1) * n * 8
+    estimate = (40 + first) * n * n + rows * n * 32 + 4 * (steps + 1) * n * 8
     return check_memory(estimate, f"a march of n = {n} oscillators over {steps} steps")
 
 
@@ -814,29 +842,42 @@ class RetardedNetwork(DelayNetwork):
     w_j / (4 pi r_ij) for column weight w_j and delay r_ij / c0; forcing the
     incident wave u_in at the nodes (``incident_eval``), and onset r_i / c0
     at distance r_i from the point source.  Each model marches its unknown U
-    on it, and its amplitude Y = U'' is the trace's acceleration.  Each row
-    block of ``pairwise_distances``, at most ``DISTANCE_BLOCK`` cells with an
-    infinite diagonal, is written straight into both matrices, so every entry
-    is bitwise the dense distance matrix's and the coupling's diagonal is
-    w_i / inf = 0; the delay's diagonal is then set to zero.
+    on it, and its amplitude Y = U'' is the trace's acceleration.  It keeps
+    its nodes, column weights ``col_weight`` and ``c0`` and holds no n x n
+    array: ``block`` computes r by ``distance_rows`` and ``entries`` by
+    ``pair_distances``, one coordinate at a time, so every coupling and
+    delay is bitwise the dense distance matrix's, in any block.  r_ii is
+    +inf, so the coupling's diagonal is w_i / inf = +0.0; the delay's is set
+    to +0.0.
     """
 
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
                  params, source):
-        nodes = np.asarray(nodes, dtype=float)
-        n = len(nodes)
-        w = np.broadcast_to(np.asarray(col_weight, dtype=float), (n,))
-        coupling, delay = np.empty((n, n)), np.empty((n, n))
-        for lo, r in pairwise_distances(nodes):
-            np.divide(w, 4.0 * np.pi * r, out=coupling[lo:lo + len(r)])
-            np.divide(r, params.c0, out=delay[lo:lo + len(r)])
-        np.fill_diagonal(delay, 0.0)
+        self.nodes = nodes = np.asarray(nodes, dtype=float)
+        self.col_weight = np.broadcast_to(np.asarray(col_weight, dtype=float), (len(nodes),))
+        self.c0 = params.c0
 
         def forcing(t):
             return incident_eval(source, nodes, t)
 
         onset = np.linalg.norm(nodes - source.x0, axis=1) / source.c0
-        super().__init__(masses, coupling, delay, forcing, onset)
+        self._checked(masses, forcing, onset)
+
+    def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        diagonal = slice(lo, None, self.n + 1)   # entry (r, lo + r) of the flat rows
+        return self._closed_form(distance_rows(self.nodes, lo, hi), self.col_weight, diagonal)
+
+    def entries(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i, j = np.divmod(key, self.n)
+        return self._closed_form(pair_distances(self.nodes, i, j), self.col_weight[j], i == j)
+
+    def _closed_form(self, r, w, diagonal) -> tuple[np.ndarray, np.ndarray]:
+        """w / (4 pi r) and r / c0, in r's place, with the delay's
+        ``diagonal`` entries of the flat r set to +0.0."""
+        coupling = np.divide(w, 4.0 * np.pi * r)
+        delay = np.divide(r, self.c0, out=r)
+        delay.reshape(-1)[diagonal] = 0.0
+        return coupling, delay
 
 
 def retarded_superposition(trace: Trace, anchors: np.ndarray, coeffs: np.ndarray,

@@ -26,9 +26,10 @@ exceptions use package code:
   replaced, kept as its reference;
 - ``dense_distances`` and its consumers ``dense_min_distance``,
   ``dense_anchor_sums`` and ``dense_retarded_matrices``: the one-piece n x n
-  distance matrix that the row blocks of ``pairwise_distances`` replaced, and
+  distance matrix that the row blocks of ``distance_rows`` replaced, and
   the least distance, anchor sums and retarded couplings and delays read
-  from it, kept as the blocked kernels' bitwise references;
+  from it, kept as the bitwise references of the blocked kernels and of a
+  ``RetardedNetwork``'s ``block`` and ``entries``;
 - ``loop_place_bubbles``, the placement that visited every patch in turn,
   one bubble at its center, a jittered sub-grid of several one point at a
   time (``loop_subgrid_disk`` and ``loop_subgrid_sphere``) or a polar cap's
@@ -492,8 +493,9 @@ def stage_pairs(network, grid):
     stably, so in key order within a step, and the first ``live[m]`` are
     live at step m.
     """
-    e = np.flatnonzero(network.coupling)
-    tau, onset = network.delay.take(e), network.onset[e % network.n]
+    coupling, delay = network.block(0, network.n)
+    e = np.flatnonzero(coupling)
+    tau, onset = delay.take(e), network.onset[e % network.n]
     shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
     first = np.concatenate([np.searchsorted(stage_t, onset + tau, side="right")
                             for stage_t in grid.stage_times])
@@ -510,8 +512,9 @@ def int64_stage_pairs(network, grid):
     """``stage_pairs`` with the entries sorted on their int64 first live
     steps, unclipped, so entries never live on the grid sort by the step
     at which they would be."""
-    e = np.flatnonzero(network.coupling)
-    tau, onset = network.delay.take(e), network.onset[e % network.n]
+    coupling, delay = network.block(0, network.n)
+    e = np.flatnonzero(coupling)
+    tau, onset = delay.take(e), network.onset[e % network.n]
     shift = (np.array(SIGMAS)[:, None] - tau / grid.h).ravel()
     first = np.concatenate([np.searchsorted(stage_t, onset + tau, side="right")
                             for stage_t in grid.stage_times])
@@ -547,24 +550,25 @@ def split_stage_plan(network, grid, lead, clear, chunk=4096):
     query_t = np.empty(2 * steps)
     query_t[0::2], query_t[1::2] = grid.times[:-1] + 0.5 * h, grid.times[1:]
     q = np.arange(1, 2 * steps + 1)
-    coupled = np.flatnonzero(network.coupling)
+    coupling, delay = network.block(0, n)
+    coupled = np.flatnonzero(coupling)
     for lo in range(0, len(coupled), chunk):
         e = coupled[lo:lo + chunk]
         i, j = np.divmod(e, n)
-        x = network.delay[i, j] / h
+        x = delay[i, j] / h
         o = np.floor(-2.0 * x).astype(np.int64)
-        live = ((query_t > (network.onset[j] + network.delay[i, j])[:, None])
+        live = ((query_t > (network.onset[j] + delay[i, j])[:, None])
                 & (q + o[:, None] >= 0))
         first[i, j] = np.where(live.any(axis=1), q[live.argmax(axis=1)], never)
         cell = (lead + o) * n + j
         idx[i, j] = np.where(cell < 0, clear, cell)
         w = np.stack(_hermite_weights(-2.0 * x - o, h / 2), axis=1)
         on = first[i, j] <= 2 * steps
-        weights[i[on], j[on]] = network.coupling[i, j][on, None] * w[on]
+        weights[i[on], j[on]] = coupling[i, j][on, None] * w[on]
     i, j = np.divmod(coupled, n)
     entries = []
     for s, sigma in enumerate(SIGMAS):
-        x = network.delay[i, j] / h
+        x = delay[i, j] / h
         sel = sigma - x > -1.0
         row = 2 * sigma + 2 + np.floor(-2.0 * x[sel]).astype(np.int64)
         entries += [(int(s * n * n + e), int(r), int((first[a, b] - s) // 2))
@@ -645,7 +649,7 @@ def two_sum_near_pairs(network, grid):
     offset = np.floor(shift)
     _, w10, w01, w11 = _hermite_weights(shift - offset, h)
     zero = np.zeros(len(sel))
-    w = network.coupling[i, j] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
+    w = network.block(0, n)[0][i, j] * np.where(offset == 0, (w10, w01, w11), (w11, zero, zero))
     tgt, cols = stage * n + i, j
     # weights of the new row A[mn] in the final slope S[mn-1] and the
     # provisional S[mn], for mn = 1, 2 and 3 or more
@@ -696,6 +700,7 @@ def half_cell_near_weights(network, grid):
     n, h = network.n, grid.h
     key, shift, _ = stage_pairs(network, grid)
     near = [(int(k), float(sh)) for k, sh in zip(key, shift) if sh > -1.0]
+    coupling, delay = network.block(0, n)
     masses = [float(m) for m in network.masses]
     k3 = h * h / 3.0
     weights, contraction = [], 0.0
@@ -705,7 +710,7 @@ def half_cell_near_weights(network, grid):
         column, sums = [], [0.0] * n
         for k, _ in near:
             s, i, j = k // (n * n), k // n % n, k % n
-            tau, c = float(network.delay[i, j]), float(network.coupling[i, j])
+            tau, c = float(delay[i, j]), float(coupling[i, j])
             x = tau / h
             o = math.floor(-2.0 * x)
             w = _hermite_weights(-2.0 * x - o, h / 2)

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import os
 import re
 import resource
@@ -9,8 +12,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bubblescreen import experiments, stepping
+from bubblescreen import cli, experiments, stepping
 from bubblescreen.cli import run_cli
+from bubblescreen.config import _DEFAULTS, ExperimentConfig
+from bubblescreen.errors import ConfigError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -113,6 +118,18 @@ def test_config_errors_exit_two(tmp_path, raw, capsys):
     assert all(flag in err for flag in flags[1:])
 
 
+# finite, positive values whose derived numbers leave the float range: each
+# ended in a ZeroDivisionError or OverflowError traceback
+_FLOAT_RANGE = [
+    ("validate", {"materials": {"lambda1_mag": 1.0e-300}}),   # its square underflows to 0
+    ("foldy", {"materials": {"lambda1_mag": 1.0e300}}),       # its square overflows
+    ("cq", {"bubble_shape": {"radius": 1.0e-300}}),           # omega_m underflows to 0
+    ("validate", {"bubble_shape": {"radius": 1.0e300}}),      # the ball's area overflows
+    ("counting", {"counting": {"d_list": [1.0e-300]}}),       # d^2 underflows to 0
+    ("counting", {"counting": {"k_exponents": [1.0e300]}}),   # d^-k overflows
+]
+
+
 @pytest.mark.parametrize("stage, raw", [
     ("regimes", {"regimes": {"cells": []}}),            # max() of no factors
     ("counting", {"counting": {"d_list": []}}),         # rows[0] of no rows
@@ -131,6 +148,8 @@ def test_config_errors_exit_two(tmp_path, raw, capsys):
                                        {"omega_factor": 100.0, "coupling_factor": 0.0}]}}),
     ("validate", {"k": {"constant": 1.0e300}}),     # floor(K) cast to negative counts
     ("validate", {"k": {"name": "linear_axis", "scale": 1.0e300}}),
+    *_FLOAT_RANGE,
+    ("counting", {"counting": {"k_exponents": [-1.0]}}),   # inf anchor sums, exit 0
 ])
 def test_config_values_that_crashed_exit_two(tmp_path, monkeypatch, stage, raw, capsys):
     # each of these ended in a traceback (exit 1) or ran on a meaningless
@@ -140,6 +159,76 @@ def test_config_values_that_crashed_exit_two(tmp_path, monkeypatch, stage, raw, 
     assert run_cli([stage, "--config", _config(tmp_path, raw)]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert list(tmp_path.rglob("run_manifest.json")) == []
+
+
+@pytest.mark.parametrize("stage, raw", _FLOAT_RANGE)
+def test_values_out_of_the_float_range_name_their_key(tmp_path, stage, raw, capsys):
+    ((section, values),) = raw.items()
+    ((key, _),) = values.items()
+    assert run_cli([stage, "--config", _config(tmp_path, raw), "--outdir",
+                    str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+# The schema walk: every number of the schema at each of these values, a
+# list's first entry and a list of numbers also whole, through these stages.
+# The base is the defaults at T = 1 with 11 output times and one counting
+# spacing, so that its few hundred runs take a few seconds.
+_WALK_VALUES = (0, -1, 1.0e-300, 1.0e300, 1.0e-9, 1.0e9)
+_WALK_STAGES = ("validate", "foldy", "cq", "counting")
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _schema_numbers(node, path=()):
+    """The paths of the schema's numbers; a path to a list of numbers
+    stands for the whole list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _schema_numbers(value, (*path, key))
+    elif isinstance(node, list):
+        if isinstance(node[0], (int, float)):
+            yield path
+        yield from _schema_numbers(node[0], (*path, 0))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+@pytest.mark.filterwarnings("ignore")   # extreme values warn by design
+def test_schema_walk_exits_zero_two_or_three(tmp_path, monkeypatch, capsys):
+    # the CLI promises exit 0, 2 or 3; a traceback (exit 1) is a bug of the
+    # program, so it is recorded here rather than raised.  A config that
+    # does not load exits 2 at load in every stage, so one stage runs it.
+    # The runs share one argument parser and write their configs with
+    # libyaml's emitter, which halves the walk's time
+    monkeypatch.setattr(cli, "_build_parser", functools.lru_cache(cli._build_parser))
+    config = tmp_path / "config.yaml"
+    base = copy.deepcopy(_DEFAULTS)
+    base["run"].update(T=1.0, n_out=11, h_max=0.25)
+    base["counting"]["d_list"] = [0.125]
+    paths = list(_schema_numbers(_DEFAULTS))
+    exits, runs = {}, 0
+    for path in paths:
+        for value in _WALK_VALUES:
+            raw = copy.deepcopy(base)
+            *keys, last = path
+            node = functools.reduce(operator.getitem, keys, raw)
+            node[last] = [value] if isinstance(node[last], list) else value
+            config.write_text(yaml.dump(raw, Dumper=_DUMPER))
+            try:
+                ExperimentConfig.load(config)
+                stages = _WALK_STAGES
+            except ConfigError:
+                stages = _WALK_STAGES[:1]
+            for stage in stages:
+                try:
+                    code = run_cli([stage, "--config", str(config), "--outdir",
+                                    str(tmp_path / "out")])
+                except Exception as exc:   # what the CLI would exit 1 on
+                    code = f"1: {exc!r}"
+                exits[stage, path, value], runs = code, runs + 1
+    capsys.readouterr()
+    assert len(paths) > 25 and runs > 400, runs
+    assert {run: code for run, code in exits.items() if code not in (0, 2, 3)} == {}
 
 
 def test_out_root_prefixes_relative_outdirs_only(tmp_path, monkeypatch):

@@ -122,23 +122,34 @@ def test_sphere_screen_does_not_depend_on_placement(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
-# distance passes per stage: one per validation, one per network built
-DISTANCE_PASSES = {"validate": 1, "foldy": 2, "effective": 1, "cq": 1, "compare": 3}
+# distance passes per stage: one per validation and two per network marched,
+# its check pass and its plan pass; cq's screen has its check pass and one
+# block of all rows for the matrix network that both CQ solvers read
+DISTANCE_PASSES = {"validate": 1, "foldy": 3, "effective": 2, "cq": 2, "compare": 5}
 
 
 @pytest.fixture
 def distance_passes(monkeypatch):
-    """The point counts of every ``pairwise_distances`` pass, as made."""
-    passes = []
-    kernel = geometry.pairwise_distances
+    """The point counts of every pass of ``distance_rows``, as made: a pass
+    is one call from row 0 on, or several that follow each other, and each
+    pass must reach the last row before the next starts."""
+    passes, reached = [], [0]
+    kernel = geometry.distance_rows
 
-    def counted(points):
-        passes.append(len(points))
-        return kernel(points)
+    def counted(points, lo, hi):
+        n = len(points)
+        if lo == 0:
+            assert not passes or reached[0] == passes[-1]
+            passes.append(n)
+        else:
+            assert lo == reached[0] and passes[-1] == n
+        reached[0] = min(hi, n)
+        return kernel(points, lo, hi)
 
-    monkeypatch.setattr(geometry, "pairwise_distances", counted)
-    monkeypatch.setattr(stepping, "pairwise_distances", counted)
-    return passes
+    monkeypatch.setattr(geometry, "distance_rows", counted)
+    monkeypatch.setattr(stepping, "distance_rows", counted)
+    yield passes
+    assert not passes or reached[0] == passes[-1]
 
 
 @pytest.mark.parametrize("stage", [*DISTANCE_PASSES, "counting"])

@@ -26,7 +26,8 @@ class TestAssemble:
     def test_single_bubble_no_coupling(self, params):
         system = assemble(make_cluster([[0, 0, 0]]), params, make_source(params))
         assert system.n == 1
-        assert np.array_equal(system.coupling, [[0.0]]) and np.array_equal(system.delay, [[0.0]])
+        coupling, delay = system.block(0, system.n)
+        assert np.array_equal(coupling, [[0.0]]) and np.array_equal(delay, [[0.0]])
         assert system.min_delay == np.inf
 
     def test_two_bubble_entries(self, params):
@@ -34,18 +35,20 @@ class TestAssemble:
         system = assemble(make_cluster([[0, 0, 0], [r, 0, 0]]), params,
                           make_source(params))
         # pairs (0, 1) and (1, 0) only: no self-coupling
-        assert np.array_equal(system.coupling != 0, [[False, True], [True, False]])
-        assert np.array_equal(np.diagonal(system.delay), [0.0, 0.0])
-        assert system.coupling[0, 1] == pytest.approx(params.c_eps / (4 * np.pi * r), rel=1e-14)
-        assert system.delay[0, 1] == pytest.approx(r / params.c0, rel=1e-14)
+        coupling, delay = system.block(0, system.n)
+        assert np.array_equal(coupling != 0, [[False, True], [True, False]])
+        assert np.array_equal(np.diagonal(delay), [0.0, 0.0])
+        assert coupling[0, 1] == pytest.approx(params.c_eps / (4 * np.pi * r), rel=1e-14)
+        assert delay[0, 1] == pytest.approx(r / params.c0, rel=1e-14)
 
     def test_grid_matrices_symmetric(self, params):
         system = assemble(make_cluster(planar_grid(4, 0.2)), params,
                           make_source(params))
         # every pair i != j coupled, and (i, j) and (j, i) bitwise equal
-        assert np.array_equal(system.coupling != 0, ~np.eye(system.n, dtype=bool))
-        assert np.array_equal(system.coupling, system.coupling.T)
-        assert np.array_equal(system.delay, system.delay.T)
+        coupling, delay = system.block(0, system.n)
+        assert np.array_equal(coupling != 0, ~np.eye(system.n, dtype=bool))
+        assert np.array_equal(coupling, coupling.T)
+        assert np.array_equal(delay, delay.T)
 
     def test_condition_violation_strict_and_warn(self, params):
         tight = make_cluster(planar_grid(8, 0.01), eps=1.0 / 64.0)
@@ -197,7 +200,7 @@ class TestSolve:
         cluster, source = disk_scene["cluster"], disk_scene["source"]
         system = assemble(cluster, params, source)
         amplitudes = DelayNetwork(
-            system.masses, system.coupling, system.delay,
+            system.masses, *system.block(0, system.n),
             lambda t: incident_second_derivative(source, cluster.centers, t), system.onset)
         grid = TimeGrid.fit(8.0, 0.00625)
         y, u = amplitudes.solve(grid).value, system.solve(grid).acc

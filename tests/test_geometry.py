@@ -10,7 +10,7 @@ from bubblescreen import (KFunction, build_surface, counting_scaling_check,
 from bubblescreen.errors import ConfigError, GeometryError, ResolutionError, UsageError
 from bubblescreen.geometry import (_GRID_SHIFT, DISTANCE_BLOCK, MAX_PATCHES, _partition_disk,
                                    circle_rect_area, max_anchor_sums, pairwise_distances)
-from bubblescreen.stepping import RetardedNetwork
+from bubblescreen.stepping import GATHER_BLOCK, RetardedNetwork
 
 from oracles import (argsort_partition_disk, brute_inverse_distance_sum, dense_anchor_sums,
                      dense_min_distance, dense_retarded_matrices, loop_circle_rect_area,
@@ -289,18 +289,25 @@ def test_distance_blocks_cover_rows_in_order_within_the_bound(n):
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_blocked_consumers_match_the_dense_matrix_bitwise(n, params, disk_scene):
     # placement minimum, counting sums at k = 1, 2, 3 and the retarded
-    # network's couplings and delays, each against its one-piece reference
+    # network's couplings and delays, each against its one-piece reference:
+    # every block of rows, at one row, at the network's own check and plan
+    # blocks and at all rows, and random entries, the diagonal's among them
     rng = np.random.default_rng(n)
     pts = rng.uniform(-1.0, 1.0, (n, 3))
     assert max_anchor_sums(pts, [1.0, 2.0, 3.0]) == (
         dense_min_distance(pts), dense_anchor_sums(pts, [1.0, 2.0, 3.0]))
     w = rng.uniform(0.5, 1.5, n)
     network = RetardedNetwork(pts, w, np.ones(n), params, disk_scene["source"])
-    coupling, delay = dense_retarded_matrices(pts, w, params.c0)
-    assert np.array_equal(network.coupling, coupling) and np.array_equal(network.delay, delay)
     # bitwise, the signs of the zero diagonals included
-    assert not np.diagonal(network.coupling).view(np.int64).any()
-    assert not np.diagonal(network.delay).view(np.int64).any()
+    dense = [m.view(np.int64) for m in dense_retarded_matrices(pts, w, params.c0)]
+    assert not np.diagonal(dense[0]).any() and not np.diagonal(dense[1]).any()
+    for rows in sorted({1, max(1, GATHER_BLOCK // n), n}):
+        for lo in range(0, n, rows):
+            for got, want in zip(network.block(lo, lo + rows), dense):
+                assert np.array_equal(got.view(np.int64), want[lo:lo + rows])
+    key = np.concatenate((rng.integers(0, n * n, 500), np.arange(n) * (n + 1)))
+    for got, want in zip(network.entries(key), dense):
+        assert np.array_equal(got.view(np.int64), want.take(key))
 
 
 def test_anchor_sums_peak_below_a_quarter_of_the_dense_matrix():

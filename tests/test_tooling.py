@@ -53,9 +53,11 @@ def test_counter_readers_read_real_objects(params, disk_scene):
     network = DelaySystem(disk_scene["cluster"], params, disk_scene["source"])
     grid = TimeGrid.fit(1.0, 0.05)
     trace = network.solve(grid)
+    coupling, delay = network.block(0, network.n)
     assert traced_stage._march_extra((network, grid), trace) == {
         "n": len(network.masses), "steps": len(trace.times) - 1, "h": trace.h,
-        "min_delay": network.delay[network.coupling != 0].min()}
+        "min_delay": delay[coupling != 0].min()}
+    assert type(network.min_delay) is float
 
     rule = disk_scene["rule"]
     screen = EffectiveSystem(rule, params, disk_scene["source"])
@@ -265,12 +267,12 @@ def _pairwise_differences(tree):
 
 
 def test_only_the_distance_kernel_builds_pairwise_differences():
-    # geometry.pairwise_distances yields bounded row blocks; any other
+    # geometry.distance_rows computes the rows it is asked for; any other
     # function that builds the differences of all pairs holds an n x n array
     package = ROOT / "src" / "bubblescreen"
     tree = ast.parse((package / "geometry.py").read_text())
     kernel = next(node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "pairwise_distances")
+                  if isinstance(node, ast.FunctionDef) and node.name == "distance_rows")
     inside = range(kernel.lineno, kernel.end_lineno + 1)
     assert [line for line in _pairwise_differences(tree) if line in inside]
     stray = []
@@ -296,8 +298,8 @@ def _coupled_listings(tree):
 
 
 def test_only_the_stage_split_lists_the_coupled_pairs():
-    # a network is its coupling and delay matrices: the plan's one pass over
-    # its rows, stepping._StagePlan.__init__, which collects the near
+    # a network answers for blocks of rows and sets of keys: the plan's one
+    # pass over its rows, stepping._StagePlan.__init__, which collects the near
     # entries, is the one function that lists coupled entries, and no code
     # reads a pair list's i, j, c or tau from a network
     package = ROOT / "src" / "bubblescreen"
@@ -337,16 +339,37 @@ def _callers(tree, name, scope=""):
 
 
 def test_distance_kernel_has_two_callers():
-    # one distance pass per validation (max_anchor_sums) and one per network
-    # (RetardedNetwork): placement and everything else measure nothing
-    callers, calls = [], 0
+    # the row kernel serves the validation's blocks (pairwise_distances, for
+    # max_anchor_sums alone) and the retarded network's blocks; its per-pair
+    # form serves the network's entries: placement and everything else
+    # measure nothing
+    callers = {"distance_rows": [], "pairwise_distances": [], "pair_distances": []}
     for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        callers += [f"{path.stem}.{name}" for name in _callers(tree, "pairwise_distances")]
-        calls += len(_calls(tree, "pairwise_distances"))
-    assert sorted(callers) == ["geometry.max_anchor_sums",
-                               "stepping.RetardedNetwork.__init__"]
-    assert calls == 2
+        for kernel, found in callers.items():
+            found += [f"{path.stem}.{name}" for name in _callers(tree, kernel)]
+    assert callers == {"distance_rows": ["geometry.pairwise_distances",
+                                         "stepping.RetardedNetwork.block"],
+                       "pairwise_distances": ["geometry.max_anchor_sums"],
+                       "pair_distances": ["stepping.RetardedNetwork.entries"]}
+
+
+def test_only_the_network_classes_read_how_a_network_stores_its_pairs():
+    # every other reader asks a network for a block of rows or a set of
+    # keys, so a network that holds no matrix serves them all
+    methods = {"stepping.DelayNetwork", "stepping.RetardedNetwork"}
+    stray = []
+    for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and f"{path.stem}.{node.name}" in methods:
+                inside |= {sub for item in node.body if isinstance(item, ast.FunctionDef)
+                           for sub in ast.walk(item)}
+        stray += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in {"coupling", "delay"}
+                  and node not in inside]
+    assert stray == []
 
 
 def test_hermite_weights_has_two_callers():
