@@ -4,7 +4,9 @@ A stage is ``run_<stage>(config, session) -> None``, listed in ``STAGES``
 under its command name.  ``run_stage`` is the only code that opens an
 ``OutputSession``: it hands the stage the session, and when the stage returns
 it writes the JSON run manifest (config hash, seed, versions, output list,
-timings, march counters and the warnings raised).  If the stage fails, it
+timings, march counters and the warnings raised); its versions include
+numpy's BLAS build, name and version, and the ``BLAS_ENV`` settings in
+effect, null where unset.  If the stage fails, it
 deletes the stage's partial outputs and writes no manifest.
 
 A stage times its blocks with ``session.timed(label)``: ``scene`` for building
@@ -54,6 +56,10 @@ from .sources import PointSource, SourcePulse
 from .stepping import DelayNetwork, TimeGrid, march_memory
 
 OUTPUT_ROOT_ENV = "BUBBLESCREEN_OUT_ROOT"
+# The settings that pick the BLAS's thread count and OpenBLAS's CPU kernel,
+# on which the CSVs' last bits depend; every manifest records them.
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "OPENBLAS_CORETYPE")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +175,7 @@ class OutputSession:
         return path
 
     def _write_manifest(self) -> None:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
         manifest = {
             "command": self.command,
             "config_hash": self.config.config_hash(),
@@ -176,6 +183,8 @@ class OutputSession:
             "versions": {
                 "bubblescreen": __version__,
                 "numpy": np.__version__,
+                "blas": {"name": blas.get("name"), "version": blas.get("version")},
+                "blas_env": {name: os.environ.get(name) for name in BLAS_ENV},
             },
             "outputs": self.outputs,
             "timings_s": {k: round(v, 3) for k, v in self.timings.items()},

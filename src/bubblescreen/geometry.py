@@ -380,9 +380,8 @@ def distance_rows(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
     Each distance is accumulated one coordinate at a time, with no
     (rows, n, 3) difference array, so any elementwise map or row reduction
     of the rows is bitwise equal to the same one over the whole n x n
-    matrix, and ``pair_distances`` gives the same bits pair by pair.  The
-    off-diagonal entries are exactly symmetric, since (a - b)^2 == (b - a)^2
-    in floating point.
+    matrix.  The off-diagonal entries are exactly symmetric, since
+    (a - b)^2 == (b - a)^2 in floating point.
     """
     n, part = len(points), points[lo:hi]
     block = np.subtract.outer(part[:, 0], points[:, 0]) ** 2
@@ -392,18 +391,6 @@ def distance_rows(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
     # entry (r, lo + r) sits at flat index lo + r * (n + 1)
     block.reshape(-1)[lo::n + 1] = np.inf
     return block
-
-
-def pair_distances(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """|p_i - p_j| for the index arrays i and j, bitwise ``distance_rows``'
-    entries (i, j), +inf where i == j."""
-    diff = points[i] - points[j]
-    r = diff[:, 0] ** 2
-    for k in range(1, points.shape[1]):
-        r += diff[:, k] ** 2
-    np.sqrt(r, out=r)
-    r[i == j] = np.inf
-    return r
 
 
 def pairwise_distances(points: np.ndarray):

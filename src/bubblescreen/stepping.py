@@ -35,29 +35,32 @@ otherwise: its half cell starts at one of the four half-rows 2n - 2 to
 2n + 1 and reads the final S[n], the mid row of [n-1, n] built from it, or
 the new node n + 1 and the mid row before it.
 
-A network answers two questions about its pairs: the couplings c_ij and
-delays tau_ij of a block of rows (``block``), and those of a set of flat keys
-i*n + j (``entries``); a zero coupling leaves the pair uncoupled.  The matrix
-``DelayNetwork`` answers from its two n x n matrices; ``RetardedNetwork``, the
-network of both models, from its nodes, column weights and c0 in closed
-form, and holds no n x n array.  No other code reads how a network stores
-its pairs.  ``DelayNetwork.solve`` builds one plan per grid for both stages:
-an n x n array of gather offsets whose row i holds oscillator i's pairs,
-their premultiplied Hermite weights, n x n x 4 and interleaved like the
-cells, and each entry's first live query.  One pass over blocks of plan rows
-reads the network's ``block`` of each and writes the offsets, the first live
-queries (one byte an entry up to 126 steps) and the near entries, the one
-list of coupled entries it makes; no array holds one element per coupled
-pair.  The half-rows' accelerations and slopes live in one window of 32-byte
-cells: cell (r, j) holds A and S of half-rows r and r + 1 at column j, the
-four values a query in that half cell reads.  The window holds the deepest lag's half-rows and a few steps more, and is shifted
-back every few steps; its rows start at zero, so every offset reads a row
-that exists and rows ahead of the newest node read zero, and its one trailing
-zero row is what uncoupled entries read.  Each stage's sum gathers the cells
-of a block of plan rows at a time into one small buffer and reduces each row
-against the weights by one dot over 4n values straight into its n sums; the
-full stage's gather is the half stage's, one half-row later, with no per-step
-index arithmetic.  The ``Trace`` keeps the nodes' accelerations and slopes in
+A network answers one question about its pairs: the couplings c_ij and
+delays tau_ij of a block of rows (``block``); a zero coupling leaves the
+pair uncoupled.  The matrix ``DelayNetwork`` answers from its two n x n
+matrices; ``RetardedNetwork``, the network of both models, from its nodes,
+column weights and c0 in closed form, and holds no n x n array.  No other
+code reads how a network stores its pairs.  ``DelayNetwork.solve`` builds
+one plan per grid for both stages: an n x n array of gather offsets whose
+row i holds oscillator i's pairs, their premultiplied Hermite weights,
+n x n x 4 and interleaved like the cells, and each entry's first live
+query.  One pass over blocks of plan rows reads the network's ``block`` of
+each and writes the first live queries (one byte an entry up to 126
+steps), the near entries, the one list of coupled entries it makes, and
+each entry's coupling c and half-row shift -2 tau/h into its first two
+weight slots: the march reads nothing else of a pair, and no array holds
+one element per coupled pair.  The half-rows' accelerations and slopes
+live in one window of 32-byte cells: cell (r, j) holds A and S of
+half-rows r and r + 1 at column j, the four values a query in that half
+cell reads.  The window holds the deepest lag's half-rows and a few steps
+more, and is shifted back every few steps; its rows start at zero, so
+every offset reads a row that exists and rows ahead of the newest node
+read zero, and its one trailing zero cell is what every entry reads until
+it goes live.  Each stage's sum gathers the cells of a block of plan rows
+at a time into one small buffer and reduces each row against the weights
+by one dot over 4n values straight into its n sums; the full stage's
+gather is the half stage's, one half-row later, with no per-step index
+arithmetic.  The ``Trace`` keeps the nodes' accelerations and slopes in
 arrays of its own.
 
 The RK4 step of m x'' + x = g, g = f - d the force less the delayed sum, is
@@ -81,24 +84,26 @@ from the near pairs only.  It is solved by fixed-point sweeps over the near
 pairs, one ``bincount`` on weights premultiplied by G's row factors per
 sweep, as many as the map's contraction bound needs to reach rounding level;
 a bound of 1 or more is refused.  The solved share enters the step through
-the same map's columns of g, so the step is still taken once.  This is the method of steps with an implicit new
-node (Bellen & Zennaro, below).  The forcing does not depend on the state
-either, so it is tabulated once per block of steps at both stage offsets:
-``forcing`` maps a (2k, 1) column of stage times to (2k, n) forces, or to
-anything that broadcasts to (2k, n).
+the same map's columns of g, so the step is still taken once.  This is the
+method of steps with an implicit new node (Bellen & Zennaro, below).  The
+forcing does not depend on the state either, so it is tabulated once per
+block of steps at both stage offsets: ``forcing`` maps a (2k, 1) column of
+stage times to (2k, n) forces, or to anything that broadcasts to (2k, n).
 
 Each oscillator carries an onset time, the first arrival of its forcing.
 Liveness is one rule by arrival time: a read of column j through delay tau at
 time t is live iff t > onset_j + tau, and a read that is not live returns
 exactly zero, so neither the march nor a field evaluated from the trace picks
-up the interpolant's pre-onset leakage.  An entry's weights stay zero until
-its first live query, the first of the two stages' times interleaved that
-lies past onset_j + tau and reads no row before the first node; they are
-written at that query, by one scan for the entries whose first live query
-equals it, before that stage's gather, and the near pairs are sorted by their
-first live step, so a pair contributes exactly zero before it.  Fixed-step
-method of steps with breaking-point tracking follows Bellen & Zennaro,
-*Numerical Methods for Delay Differential Equations* (2003).
+up the interpolant's pre-onset leakage.  An entry gathers the trailing zero
+cell until its first live query, the first of the two stages' times
+interleaved that lies past onset_j + tau and reads no row before the first
+node, so its stashed c and shift multiply zeros; at that query, found by
+one scan for the entries whose first live query equals it, before that
+stage's gather, its cell and weights are written from the stash, and the
+near pairs are sorted by their first live step, so a pair contributes
+exactly zero before it.  Fixed-step method of steps with breaking-point
+tracking follows Bellen & Zennaro, *Numerical Methods for Delay
+Differential Equations* (2003).
 
 A network keeps nothing between marches: ``solve`` builds the plan, the
 near pairs and the window for its grid and returns, with the ``Trace``, the
@@ -118,7 +123,7 @@ import numpy as np
 
 from .errors import (ConfigError, DivergenceError, EvaluationPointError,
                      ResolutionError, SolverError, UsageError)
-from .geometry import distance_rows, pair_distances
+from .geometry import distance_rows
 from .sources import incident_eval
 
 # Forcing values tabulated per block of steps: max(1, FORCING_BLOCK // n)
@@ -308,8 +313,8 @@ class _Window:
     first ``lead`` rows are copied back in chunks that do not overlap and the
     rest are zeroed, so the rows ahead of the newest node read zero.  The
     last row is never written: it is the zero cell that ``mode="clip"``
-    gives uncoupled entries.  The first ``base`` is 1 - lead, so rows
-    before the first node read zero too.
+    gives every entry not yet live.  The first ``base`` is 1 - lead, so
+    rows before the first node read zero too.
     """
 
     def __init__(self, n: int, lead: int, h: float):
@@ -357,13 +362,11 @@ class _Window:
         return self.cells[(2 * ns + 1 - self.lead - self.base) * self.n:]
 
 
-def _entry_weights(network: "DelayNetwork", key: np.ndarray, h: float) -> list:
-    """The coupled Hermite weights c * w_k(theta), k = 0 to 3, of the
-    entries ``key`` (flat indices i*n + j) on their half cells of h/2, theta
-    being -2 tau/h less its floor: the weights of the cell's A and S of its
-    first half-row, then A and S of the next."""
-    c, tau = network.entries(key)
-    shift = -2.0 * (tau / h)
+def _entry_weights(c: np.ndarray, shift: np.ndarray, h: float) -> list:
+    """The coupled Hermite weights c * w_k(theta), k = 0 to 3, of entries
+    with couplings c and half-row shifts -2 tau/h on their half cells of
+    h/2, theta being the shift less its floor: the weights of the cell's A
+    and S of its first half-row, then A and S of the next."""
     return [c * w for w in _hermite_weights(shift - np.floor(shift), h / 2)]
 
 
@@ -375,39 +378,40 @@ class _StagePlan:
     Entry (i, j) is the pair (i, j), and its flat index, the key i*n + j,
     orders the entries.  Its cell shift -2 tau/h in half-rows puts its query
     at stage s (q = 2n + 1 + s) in the half cell of half-rows q + o and
-    q + o + 1, o = floor(shift), the shift clamped at -``lead`` - 1, past
-    which every cell lies before the leading rows; ``idx[i, j]`` is that
-    cell's offset from the row ``lead`` half-rows before the query, where
-    the gather's cells start.  A stage's sum gathers the cells of
-    ``len(buf)`` plan rows at a time into the one ``buf`` with one
-    unbuffered ``take`` and reduces each row against the interleaved
-    weights by one dot over 4n values straight into its output:
-    ``weights[i, j, k]`` is the pair's Hermite weight, on the half cell, of
-    its cell's k-th value (``_entry_weights``).  The full stage gathers the
-    same ``idx`` from the cells one half-row (n cells) on.
+    q + o + 1, o = floor(shift); once the entry is live, ``idx[i, j]`` is
+    that cell's offset (lead + o)*n + j from the row ``lead`` half-rows
+    before the query, where the gather's cells start.  A stage's sum
+    gathers the cells of ``len(buf)`` plan rows at a time into the one
+    ``buf`` with one unbuffered ``take`` and reduces each row against the
+    interleaved weights by one dot over 4n values straight into its output:
+    ``weights[i, j, k]`` is the live pair's Hermite weight, on the half
+    cell, of its cell's k-th value (``_entry_weights``).  The full stage
+    gathers the same ``idx`` from the cells one half-row (n cells) on.
 
     The plan is built in one pass over blocks of rows, at most
     ``GATHER_BLOCK`` cells each (one row when n exceeds it), that reads the
-    network's ``block`` of those rows and writes ``idx``, ``first`` and the
-    near entries.  ``first[i, j]``, of the smallest unsigned type that holds
-    2 steps + 2, is the entry's first live query: the first q, over the half
-    and the full stage times interleaved, whose time lies past the read's
-    arrival onset_j + tau and that reads no row before the first node, by
-    one ``searchsorted`` on onset_j + tau, clipped to 2 steps + 1, at which
-    uncoupled entries sit too, so no query makes them live.  ``opens[q]``
-    counts the entries whose first live query is q (``opens[2 steps + 1]``
-    those never live), and ``live[q]`` those live at query q, their running
-    sum.  The weights start at zero; at its first
-    live query an entry's weights c * w_k(theta), c and tau read from the
-    network's ``entries``, are written (``activate``, which ``delayed_sum``
-    calls before each stage's gather at a query that opens entries), so an
-    entry not yet live contributes exactly zero, even at the half stage of
-    the step whose full stage makes it live, a row with no live entry sums
-    to exactly +0.0, and a stage with none sums nothing.  Uncoupled
-    entries, the diagonal and entries whose cell lies before the leading
-    rows (delays longer than the whole grid) point past the end of the
-    window, which ``mode="clip"`` maps to its trailing zero cell, and are
-    never activated.
+    network's ``block`` of those rows and writes ``first``, the near
+    entries and each entry's stash: its coupling c and shift in weight
+    slots 0 and 1 (the shift clamped at -``lead`` - 1, past which every
+    cell lies before the leading rows, so it stays finite).  Every offset
+    starts at the window's end, which ``mode="clip"`` maps to its trailing
+    zero cell.  ``first[i, j]``, of the smallest unsigned type that holds
+    2 steps + 2, is the entry's first live query: the first q, over the
+    half and the full stage times interleaved, whose time lies past the
+    read's arrival onset_j + tau and that reads no row before the first
+    node, by one ``searchsorted`` on onset_j + tau, clipped to 2 steps + 1,
+    at which uncoupled entries and those whose cell lies before the leading
+    rows (delays longer than the whole grid) sit too, so no query makes
+    them live.  ``opens[q]`` counts the entries whose first live query is q
+    (``opens[2 steps + 1]`` those never live), and ``live[q]`` those live at
+    query q, their running sum.  At its first live query an entry is
+    activated (``activate``, which ``delayed_sum`` calls before each
+    stage's gather at a query that opens entries): its cell and its
+    weights c * w_k(theta) are written from its stash.  Until then it
+    multiplies its finite stash by the zero cell, so each product is +0.0
+    or -0.0, even at the half stage of the step whose full stage makes it
+    live; a row with no live entry sums to exactly +0.0, since the dot
+    accumulates from +0.0, and a stage with none sums nothing.
 
     A far pair's cell ends at node n - 1 or earlier, or gives the rows past
     it weight zero, so it reads final values only.  A near pair, a coupled
@@ -424,11 +428,13 @@ class _StagePlan:
 
     def __init__(self, network: "DelayNetwork", grid: TimeGrid, lead: int):
         n, h, steps = network.n, grid.h, grid.steps
-        clear, never = _Window.rows(lead) * n, 2 * steps + 1
+        never = 2 * steps + 1
         rows = min(n, max(1, GATHER_BLOCK // n))
-        self.idx = np.empty((n, n), dtype=np.int64)
+        # past the window's end: clipped to its trailing zero cell
+        self.idx = np.full((n, n), _Window.rows(lead) * n, dtype=np.int64)
         self.first = np.empty((n, n), dtype=np.min_scalar_type(never + 1))
         self.opens = np.zeros(never + 1, dtype=np.int64)
+        self.weights = np.zeros((n, n, 4))
         # the stage times in query order: t_0 + h/2, t_1, t_1 + h/2, t_2, ...
         query_t, near = grid.stage_times.T.ravel(), ([], [])
         for lo in range(0, n, rows):
@@ -445,11 +451,8 @@ class _StagePlan:
             first = np.searchsorted(query_t, network.onset + tau, side="right") + 1
             self.first[lo:hi] = np.where(coupled, np.clip(first, -offset, never), never)
             self.opens += np.bincount(self.first[lo:hi].ravel(), minlength=never + 1)
-            cell = (lead + offset) * n + np.arange(n)
-            # a cell before the leading rows belongs to an entry no query of
-            # this grid makes live: it reads the trailing zero cell instead
-            cell[~coupled | (cell < 0)] = clear
-            self.idx[lo:hi] = cell
+            # the stash that activation and the near pairs read
+            self.weights[lo:hi, :, 0], self.weights[lo:hi, :, 1] = coupling, shift
             for s, part in enumerate(near):
                 # near: the stage-s cell, from half-row 2 step + 1 + s + offset,
                 # reads past node step - 1 (half-row 2 step - 2) with a nonzero
@@ -464,7 +467,6 @@ class _StagePlan:
         self.near = (key[order], row[order],
                      np.searchsorted(step[order], np.arange(steps), side="right"))
         self.live = np.cumsum(self.opens)
-        self.weights = np.zeros((n, n, 4))
         self.buf = np.empty((rows, n, 4))
         # per block of rows: its sums, the buffer it fills, and the buffer,
         # offsets and weights of its rows flat, 4n values a row
@@ -472,23 +474,27 @@ class _StagePlan:
                         self.idx[lo:lo + len(buf)],
                         self.weights[lo:lo + len(buf)].reshape(len(buf), -1))
                        for lo in range(0, n, rows) for buf in [self.buf[:n - lo]]]
-        self.network, self.h, self.n = network, h, n
+        self.h, self.n, self.lead = h, n, lead
 
     def activate(self, q: int) -> None:
-        """Write the weights of every entry whose first live query is q.
+        """Write the cells and weights of every entry whose first live
+        query is q from its stashed coupling and shift.
 
         One scan of ``first == q``, 32 buffers of rows at a time, so its
         one-byte mask stays within the buffer's bytes and the keys it finds
         within eight buffers'; they are written at most half a buffer of
         entries at a time, so the weights' temporaries stay within about two
         buffers'."""
-        net, n, weights = self.network, self.n, self.weights.reshape(-1, 4)
+        n, idx, weights = self.n, self.idx.reshape(-1), self.weights.reshape(-1, 4)
         rows, most = 32 * len(self.buf), self.buf.size // 8
         for lo in range(0, n, rows):
             found = lo * n + np.flatnonzero(self.first[lo:lo + rows] == q)
             for at in range(0, len(found), most):
                 key = found[at:at + most]
-                for k, w in enumerate(_entry_weights(net, key, self.h)):
+                # the stash, read before its slots are overwritten
+                c, shift = weights[:, 0][key], weights[:, 1][key]
+                idx[key] = (self.lead + np.floor(shift).astype(np.int64)) * n + key % n
+                for k, w in enumerate(_entry_weights(c, shift, self.h)):
                     # one weight of every entry, through a strided view
                     weights[:, k][key] = w
 
@@ -517,12 +523,14 @@ class _NearPairs:
     """The new node's share of both stages' near sums on one grid.
 
     Built from the plan's ``near`` entries (key, cell row r, live counts),
-    over both stages at once, in the plan's order.  A near entry reads the
-    plan's half cell from half-row 2n - 2 + r, with the plan's weights
-    w_k (``_entry_weights``) on its four values, which depend on the final
-    slope S[n] and, for r >= 2, on the new node's A[n+1] and its
-    provisional slope S[n+1], directly or through the mid rows built from
-    them.  Both slopes, and the mid rows built from them, are affine in
+    over both stages at once, in the plan's order, before the plan
+    activates any entry, so each entry's coupling and shift are still the
+    stash in its weight slots 0 and 1.  A near entry reads the plan's half
+    cell from half-row 2n - 2 + r, with the weights w_k that the plan's
+    activation writes (``_entry_weights``) on its four values, which depend
+    on the final slope S[n] and, for r >= 2, on the new node's A[n+1] and
+    its provisional slope S[n+1], directly or through the mid rows built
+    from them.  Both slopes, and the mid rows built from them, are affine in
     a = A[n+1] through ``_slope_stencils`` and ``_half_row_map``, so each
     near value is a history part, summed by the plan with the new row at
     zero, plus g * a_j, g = sum_k w_k d_k with d_k the derivative in a of
@@ -545,11 +553,12 @@ class _NearPairs:
     below 1 the map contracts, and ``sweeps`` passes bring a to rounding level.
     """
 
-    def __init__(self, network: "DelayNetwork", grid: TimeGrid, near):
+    def __init__(self, network: "DelayNetwork", grid: TimeGrid, plan: _StagePlan):
         n, h = network.n, grid.h
-        key, row, self.live = near
+        key, row, self.live = plan.near
         self.tgt, self.cols = np.divmod(key, n)
-        w = _entry_weights(network, key % (n * n), h)
+        c, shift = plan.weights.reshape(-1, 4)[key % (n * n), :2].T
+        w = _entry_weights(c, shift, h)
         self.rows = self.tgt % n
         # a pair near at the half stage is near at the full one
         self.pairs = int(np.count_nonzero(self.tgt >= n))
@@ -589,10 +598,9 @@ class _NearPairs:
 class DelayNetwork:
     """mass_i x_i'' + x_i + sum_j c_ij x_j''(t - tau_ij) = f_i(t).
 
-    A network answers for its pairs through two methods: ``block(lo, hi)``
+    A network answers for its pairs through one method: ``block(lo, hi)``
     gives the couplings and delays of rows lo to hi, as two (hi - lo, n)
-    arrays, and ``entries(key)`` the same two at the flat keys i*n + j.
-    This one answers from its ``coupling`` and ``delay``, two n x n
+    arrays.  This one answers from its ``coupling`` and ``delay``, two n x n
     matrices: entry (i, j) adds coupling[i, j] x_j''(t - delay[i, j]) to
     row i, and a zero coupling leaves the pair uncoupled and its delay
     unread.  Whatever answers, the couplings are finite, with a zero
@@ -628,10 +636,6 @@ class DelayNetwork:
     def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The couplings and delays of rows lo to hi, as (hi - lo, n)."""
         return self.coupling[lo:hi], self.delay[lo:hi]
-
-    def entries(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The couplings and delays at the flat keys i*n + j."""
-        return self.coupling.take(key), self.delay.take(key)
 
     def _checked(self, masses, forcing, onset) -> None:
         """Keep the masses, forcing and onsets, and check them and the pairs
@@ -676,11 +680,12 @@ class DelayNetwork:
 
         Any step h > 0 is allowed.  One pass over the n rows of the history
         plan reads the network's couplings and delays a ``block`` of rows at
-        a time and builds, once per solve, the plan's gather offsets, each entry's
-        first live query and the near pairs, for both stage offsets (h/2
-        and h) at once; it lists no other pair, and each entry's weights are
-        written at its first live query, the first stage time past the
-        read's arrival onset_j + tau_ij, as ``Trace.accel_at`` tests it.
+        a time and builds, once per solve, each entry's first live query,
+        its stashed coupling and shift and the near pairs, for both stage
+        offsets (h/2 and h) at once; it lists no other pair, and each
+        entry's gather offset and weights are written from its stash at its
+        first live query, the first stage time past the read's arrival
+        onset_j + tau_ij, as ``Trace.accel_at`` tests it.
         Near pairs and far ones read the same half cells with the same
         weights.
         Each step takes both stages' sums, as (2, n), from one
@@ -719,7 +724,7 @@ class DelayNetwork:
         lead = _window_lead(lag_max, steps)
         window = _Window(n, lead, h)
         plan = _StagePlan(self, grid, lead)
-        near = _NearPairs(self, grid, plan.near)
+        near = _NearPairs(self, grid, plan)
         if near.contraction >= 1.0:
             raise SolverError(
                 f"near pairs at step h={h} do not contract (bound "
@@ -807,18 +812,21 @@ def march_memory(nodes: np.ndarray, c0: float, grid: TimeGrid) -> dict:
 
     The estimate counts, per n x n entry, the plan's gather offset (8 B),
     weights (32 B) and first live query (the smallest type holding
-    2 steps + 2), then the history window's rows of 32 B cells and the
-    trace's values, rates, accelerations and slopes; the network itself
-    holds no n x n array.  The lag is taken at the longest distance the nodes' bounding
-    box allows, so it is never below the march's ``lag_max``.  The near
-    pairs' arrays, a few dozen bytes per pair with a delay below 2h, are
-    left out.
+    2 steps + 2), then the plan's gather buffer, a block of at most
+    ``GATHER_BLOCK`` cells of 32 B (one row when n exceeds it), the history
+    window's rows of 32 B cells and the trace's values, rates,
+    accelerations and slopes; the network itself holds no n x n array.  The
+    lag is taken at the longest distance the nodes' bounding box allows, so
+    it is never below the march's ``lag_max``.  The near pairs' arrays, a
+    few dozen bytes per pair with a delay below 2h, and the temporaries of
+    the plan pass and of each activation are left out.
     """
     n, steps = len(nodes), grid.steps
     reach = float(np.linalg.norm(np.ptp(nodes, axis=0))) if n else 0.0
     rows = _Window.rows(_window_lead(_lag_max(reach / c0, grid.h), steps))
     first = np.min_scalar_type(2 * steps + 2).itemsize
-    estimate = (40 + first) * n * n + rows * n * 32 + 4 * (steps + 1) * n * 8
+    block = min(n, max(1, GATHER_BLOCK // max(n, 1))) * n
+    estimate = (40 + first) * n * n + (block + rows * n) * 32 + 4 * (steps + 1) * n * 8
     return check_memory(estimate, f"a march of n = {n} oscillators over {steps} steps")
 
 
@@ -844,11 +852,11 @@ class RetardedNetwork(DelayNetwork):
     at distance r_i from the point source.  Each model marches its unknown U
     on it, and its amplitude Y = U'' is the trace's acceleration.  It keeps
     its nodes, column weights ``col_weight`` and ``c0`` and holds no n x n
-    array: ``block`` computes r by ``distance_rows`` and ``entries`` by
-    ``pair_distances``, one coordinate at a time, so every coupling and
-    delay is bitwise the dense distance matrix's, in any block.  r_ii is
-    +inf, so the coupling's diagonal is w_i / inf = +0.0; the delay's is set
-    to +0.0.
+    array: ``block`` computes r by ``distance_rows``, one coordinate at a
+    time, and returns w_j / (4 pi r) and r / c0, the delay in r's place, so
+    every coupling and delay is bitwise the dense distance matrix's, in any
+    block.  r_ii is +inf, so the coupling's diagonal is w_i / inf = +0.0;
+    the delay's is set to +0.0.
     """
 
     def __init__(self, nodes: np.ndarray, col_weight, masses: np.ndarray,
@@ -864,19 +872,11 @@ class RetardedNetwork(DelayNetwork):
         self._checked(masses, forcing, onset)
 
     def block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        diagonal = slice(lo, None, self.n + 1)   # entry (r, lo + r) of the flat rows
-        return self._closed_form(distance_rows(self.nodes, lo, hi), self.col_weight, diagonal)
-
-    def entries(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i, j = np.divmod(key, self.n)
-        return self._closed_form(pair_distances(self.nodes, i, j), self.col_weight[j], i == j)
-
-    def _closed_form(self, r, w, diagonal) -> tuple[np.ndarray, np.ndarray]:
-        """w / (4 pi r) and r / c0, in r's place, with the delay's
-        ``diagonal`` entries of the flat r set to +0.0."""
-        coupling = np.divide(w, 4.0 * np.pi * r)
+        r = distance_rows(self.nodes, lo, hi)
+        coupling = np.divide(self.col_weight, 4.0 * np.pi * r)
         delay = np.divide(r, self.c0, out=r)
-        delay.reshape(-1)[diagonal] = 0.0
+        # row k's diagonal entry (k, lo + k) sits at flat index lo + k (n + 1)
+        delay.reshape(-1)[lo::self.n + 1] = 0.0
         return coupling, delay
 
 

@@ -29,7 +29,7 @@ exceptions use package code:
   distance matrix that the row blocks of ``distance_rows`` replaced, and
   the least distance, anchor sums and retarded couplings and delays read
   from it, kept as the bitwise references of the blocked kernels and of a
-  ``RetardedNetwork``'s ``block`` and ``entries``;
+  ``RetardedNetwork``'s ``block``, the one question a network answers;
 - ``loop_place_bubbles``, the placement that visited every patch in turn,
   one bubble at its center, a jittered sub-grid of several one point at a
   time (``loop_subgrid_disk`` and ``loop_subgrid_sphere``) or a polar cap's
@@ -50,11 +50,15 @@ exceptions use package code:
   lattice window of each sliver replaced, kept as its bitwise reference;
 - ``stage_pairs`` and ``split_stage_plan``, the split of every coupled pair
   over both stage offsets, sorted by first live step, and the history plan
-  and near entries built from it, which the one pass over the plan rows
-  replaced, kept as their bitwise references; and ``int64_stage_pairs``,
-  the split sorted on unclipped int64 first live steps, which the radix
-  sort on clipped small unsigned steps replaced, kept as its reference for
-  the live prefix and the near entries;
+  and near entries built from it, every entry live on the grid activated
+  with its cell and weights computed pair by pair from the network's whole
+  ``block``, which the one pass over the plan rows replaced, kept as their
+  bitwise references: the plan's activation writes each live entry's cell
+  and weights from the coupling and shift that pass stashed, and they
+  match the split plan's at every query; and ``int64_stage_pairs``, the
+  split sorted on unclipped int64 first live steps, which the radix sort
+  on clipped small unsigned steps replaced, kept as its reference for the
+  live prefix and the near entries;
 - the transmission-law oracles ``memory_convolution``,
   ``kernel_identity_residual`` and ``jump_residual``, which check the paper's
   central claim on a screen solution: the jump of dW/dn across the surface

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from bubblescreen import ExperimentConfig, experiments, geometry, stepping
 from bubblescreen.errors import ConfigError, UsageError
-from bubblescreen.experiments import (CSV_BLOCK_ROWS, STAGES, OutputSession,
+from bubblescreen.experiments import (BLAS_ENV, CSV_BLOCK_ROWS, STAGES, OutputSession,
                                       _long_columns, build_scene, compare_at,
                                       run_stage)
 
@@ -35,9 +36,12 @@ STAGE_PROMISES = {
 
 
 @pytest.mark.parametrize("stage", list(STAGES))
-def test_stage_csvs_reproducible_and_manifest_keys(tmp_path, stage):
+def test_stage_csvs_reproducible_and_manifest_keys(tmp_path, stage, monkeypatch):
     outputs, timings, marches = STAGE_PROMISES[stage]
     config = ExperimentConfig.from_dict(SMALL)
+    # one BLAS setting set, one unset: the manifest records what it finds
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     for name in ("a", "b"):
         run_stage(stage, config, tmp_path / name)
     manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
@@ -49,6 +53,17 @@ def test_stage_csvs_reproducible_and_manifest_keys(tmp_path, stage):
     assert set(manifest["timings_s"]) == timings
     assert set(manifest["march"]) == marches
     assert manifest["warnings"] == []
+    # the BLAS numpy was built with, and the settings that pick its threads
+    # and kernel as this process has them
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    versions = manifest["versions"]
+    assert versions["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert versions["blas"]["name"] and versions["blas"]["version"]
+    assert versions["blas_env"] == {name: os.environ.get(name) for name in BLAS_ENV}
+    assert versions["blas_env"]["OPENBLAS_CORETYPE"] == "Haswell"
+    assert versions["blas_env"]["MKL_NUM_THREADS"] is None
+    assert set(versions["blas_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                         "MKL_NUM_THREADS", "OPENBLAS_CORETYPE"}
     if stage != "foldy":
         return
     march = manifest["march"]["foldy"]

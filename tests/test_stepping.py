@@ -42,9 +42,9 @@ def _networks(params, disk, disk_scene):
 
 def _near_pairs(network, grid):
     """The near-pair system of a march of ``network`` on ``grid``, built
-    from the near entries of its plan."""
+    from the near entries of its plan and their stashed couplings and shifts."""
     plan = stepping._StagePlan(network, grid, stepping._window_lead(grid.steps, grid.steps))
-    return stepping._NearPairs(network, grid, plan.near)
+    return stepping._NearPairs(network, grid, plan)
 
 
 @pytest.mark.parametrize("kind", ["screen", "foldy", "jittered", "coarse"])
@@ -278,9 +278,13 @@ def test_radix_split_matches_the_int64_sort(params, disk, disk_scene, kind):
     key = coupled[np.argsort(step.ravel()[coupled], kind="stable")]
     m = want_live[-1]
     assert np.array_equal(key[:m], want_key[:m])
-    # the live entries' cells, from their half-row shifts -2 tau/h
+    # the live entries' stashed half-row shifts -2 tau/h, and the cells
+    # their activation writes from them
     e = key[:m] % n ** 2
     shift = -2.0 * (delay.ravel()[e] / grid.h)
+    assert np.array_equal(plan.weights.reshape(-1, 4)[e, 1], shift)
+    for q in np.flatnonzero(plan.opens[:2 * grid.steps + 1]):
+        plan.activate(q)
     assert np.array_equal(plan.idx.ravel()[e],
                           (lead + np.floor(shift).astype(np.int64)) * n + e % n)
     near_key, near_row, near_live = plan.near
@@ -474,20 +478,24 @@ def test_march_shorter_than_its_deepest_lag_is_the_long_marchs_prefix(onset):
     assert np.array_equal(short.acc_slope[:steps], full.acc_slope[:steps])
 
 
-@pytest.mark.parametrize("gather_block", [4, stepping.GATHER_BLOCK], ids=["row", "default"])
-def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block):
+@pytest.mark.parametrize("gather_block, c", [(4, 0.05), (stepping.GATHER_BLOCK, 0.05),
+                                              (4, -0.05)], ids=["row", "default", "negative"])
+def test_rows_without_live_pairs_sum_to_positive_zero(monkeypatch, gather_block, c):
     # two groups whose forcing arrives 1.0 apart: while only the first group's
-    # pairs are live, the second group's rows hold zero weights only
+    # pairs are live, the second group's rows gather the trailing zero cell
+    # against their stashed couplings and shifts only
     monkeypatch.setattr(stepping, "GATHER_BLOCK", gather_block)
     group = np.array([0, 0, 1, 1])
     tau = np.where(group[:, None] == group, 0.25, 1.0)
-    network = stepping.DelayNetwork(np.full(4, 2.0), 0.05 * (1.0 - np.eye(4)), tau,
+    network = stepping.DelayNetwork(np.full(4, 2.0), c * (1.0 - np.eye(4)), tau,
                                     lambda t: np.zeros(4), onset=group.astype(float))
     grid = TimeGrid.fit(3.0, 0.05)
     lead = stepping._window_lead(network.solve(grid).counters["lag_max"], grid.steps)
     plan = stepping._StagePlan(network, grid, lead)
-    # every cell negative, so a zero weight times a value gives -0.0
+    # every cell negative but the trailing one, zero as the window keeps it,
+    # so a stash of either sign times it gives +0.0 or -0.0
     cells = np.full((stepping._Window.rows(lead) * network.n, 4), -1.0)
+    cells[-1] = 0.0
     mixed = 0
     for ns in range(grid.steps):
         # the rows with an entry live at the step's half stage (query
@@ -601,6 +609,54 @@ def test_history_cells_hold_consecutive_rows(coarse, monkeypatch):
     assert not got[window.base + np.arange(len(held)) > 2 * steps].any()
 
 
+def test_entries_not_yet_live_gather_the_zero_cell_at_every_query(monkeypatch):
+    # a march with onsets and near pairs live from the first step: at every
+    # query, each entry whose first live query lies past it gathers the
+    # window's trailing zero cell, and that cell is +0.0, so its stashed
+    # coupling and shift add +0.0 or -0.0 only
+    base, grid = _small_network(9, seed=3)
+    # onsets a distance from node 0 less its median, clipped at zero: half
+    # the oscillators start at once, and onset_i <= onset_j + tau_ij holds
+    # by the triangle inequality
+    onset = np.maximum(base.delay[:, 0] - np.median(base.delay[:, 0]), 0.0)
+    network = stepping.DelayNetwork(base.masses, base.coupling, base.delay,
+                                    lambda t: base.forcing(np.subtract(t, onset)), onset)
+    grid = TimeGrid.fit(grid.T, 1.2 * network.min_delay)
+    assert np.any(onset == 0.0) and np.any(onset > 0.0)
+    assert _near_pairs(network, grid).live[0] > 0
+    # the window's end, which mode="clip" maps to its last cell
+    lead = stepping._window_lead(network.solve(grid).counters["lag_max"], grid.steps)
+    clear = stepping._Window.rows(lead) * network.n
+    checked = []
+
+    class Checked(stepping._StagePlan):
+        def check(self, q):
+            assert clear >= len(self.cells)
+            assert np.all(self.idx[self.first > q] == clear), q
+            assert not self.cells[-1].view(np.int64).any(), q
+            checked.append(q)
+
+        def activate(self, q):
+            super().activate(q)
+            self.check(q)
+
+        def delayed_sum(self, ns, cells):
+            # each query checked once, as its stage gathers: after its
+            # activation, or as the query before left the plan
+            self.cells = cells
+            if not self.opens[2 * ns + 1]:
+                self.check(2 * ns + 1)
+            out = super().delayed_sum(ns, cells)
+            if not self.opens[2 * ns + 2]:
+                self.check(2 * ns + 2)
+            return out
+
+    monkeypatch.setattr(stepping, "_StagePlan", Checked)
+    trace = network.solve(grid)
+    assert trace.counters["near_pairs"] > 0
+    assert checked == list(range(1, 2 * grid.steps + 1))
+
+
 def test_divergence_names_the_first_non_finite_node():
     # a forcing that turns NaN after t = 1.03 reaches the stages of step 10,
     # whose half stage is t = 1.05: node 11 is the first non-finite one, in
@@ -697,15 +753,25 @@ def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
     plan = stepping._StagePlan(network, grid, lead)
     clear = stepping._Window.rows(lead) * network.n
     idx, first, weights, near = split_stage_plan(network, grid, lead, clear)
-    assert np.array_equal(plan.idx, idx)
+    coupling, delay = network.block(0, network.n)
+    coupled, never = coupling != 0, 2 * grid.steps + 1
+    # at build every entry gathers the trailing zero cell, and its weight
+    # slots 0 and 1 hold its coupling and half-row shift, finite for every
+    # entry and -2 tau/h bitwise for those that go live
+    assert np.all(plan.idx == clear)
+    stash = plan.weights
+    assert np.array_equal(stash[..., 0].view(np.int64), coupling.view(np.int64))
+    on = coupled & (first < never)
+    assert np.array_equal(stash[..., 1][on], -2.0 * (delay[on] / grid.h))
+    assert np.all(np.isfinite(stash)) and not stash[..., 2:].any()
     assert np.array_equal(plan.first, first)
     assert plan.first.dtype == np.min_scalar_type(2 * grid.steps + 2)
     assert np.array_equal(plan.live[1:2 * grid.steps + 1],
                           np.count_nonzero(first.ravel() <= np.arange(1, 2 * grid.steps + 1)[:, None],
                                            axis=1))
     # every stage's sum activates the entries that go live at its query,
-    # and no other
-    coupled = network.block(0, network.n)[0] != 0
+    # and no other: after it, the live entries' cells and weights are the
+    # split plan's bitwise, and every other entry still gathers the zero cell
     cells = np.zeros((clear, 4))
     activated = []
     activate = plan.activate
@@ -717,10 +783,12 @@ def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
     monkeypatch.setattr(plan, "activate", recorded)
     for ns in range(grid.steps):
         plan.delayed_sum(ns, cells)
-        assert np.array_equal(np.any(plan.weights != 0, axis=2),
-                              coupled & (plan.first <= 2 * ns + 2)), ns
-    assert activated == np.flatnonzero(plan.opens[:2 * grid.steps + 1]).tolist()
-    assert np.array_equal(plan.weights.view(np.int64), weights.view(np.int64))
+        live = plan.first <= 2 * ns + 2
+        assert np.array_equal(plan.idx[live], idx[live]), ns
+        assert np.all(plan.idx[~live] == clear), ns
+        assert np.array_equal(plan.weights[live].view(np.int64),
+                              weights[live].view(np.int64)), ns
+    assert activated == np.flatnonzero(plan.opens[:never]).tolist()
     assert len(plan.near) == len(near)
     for got, want in zip(plan.near, near):
         assert np.array_equal(got, want)
@@ -729,8 +797,8 @@ def test_plan_matches_the_split_plan(params, disk_scene, kind, monkeypatch):
     if kind == "short":
         # coupled entries that never go live, some with cells before the
         # leading rows, read the trailing zero cell
-        assert np.any(coupled & (plan.first == 2 * grid.steps + 1))
-        assert np.any(coupled & (plan.idx == clear))
+        assert np.any(coupled & (plan.first == never))
+        assert np.any(coupled & (idx == clear))
 
 
 @pytest.mark.parametrize("kind", ["n1", "n2", "n48", "n222", "short"])
@@ -844,11 +912,12 @@ def test_sphere_foldy_march_peaks_within_its_plan_window_and_trace():
 
 @pytest.mark.parametrize("eps, T", [(1.0 / 350.0, 4.0), (1.0 / 512.0, 20.0)])
 def test_march_memory_estimates_the_network_and_its_march(eps, T):
-    # the estimate counts the plan, the history and the trace, the network
-    # holding no n x n array; what it leaves out (near pairs, block
-    # temporaries) stays below 15% of the peak of building the network and
-    # marching it (87% and 92% at this estimate, with 2,296 and 8,416 near
-    # pairs)
+    # the estimate counts the plan, its gather buffer, the history and the
+    # trace, the network holding no n x n array; what it leaves out (near
+    # pairs, the temporaries of the plan pass and of the activation, where
+    # the traced peak falls) stays below 15% of the peak of building the
+    # network and marching it (91.7% and 93.5% at this estimate, with 2,296
+    # and 8,416 near pairs)
     config = ExperimentConfig.load(CONFIG)
     scene = build_scene(config, eps)
     grid = TimeGrid.fit(T, 0.05)

@@ -340,25 +340,26 @@ def _callers(tree, name, scope=""):
 
 def test_distance_kernel_has_two_callers():
     # the row kernel serves the validation's blocks (pairwise_distances, for
-    # max_anchor_sums alone) and the retarded network's blocks; its per-pair
-    # form serves the network's entries: placement and everything else
-    # measure nothing
-    callers = {"distance_rows": [], "pairwise_distances": [], "pair_distances": []}
+    # max_anchor_sums alone) and the retarded network's blocks: placement and
+    # everything else measure nothing
+    callers = {"distance_rows": [], "pairwise_distances": []}
     for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for kernel, found in callers.items():
             found += [f"{path.stem}.{name}" for name in _callers(tree, kernel)]
     assert callers == {"distance_rows": ["geometry.pairwise_distances",
                                          "stepping.RetardedNetwork.block"],
-                       "pairwise_distances": ["geometry.max_anchor_sums"],
-                       "pair_distances": ["stepping.RetardedNetwork.entries"]}
+                       "pairwise_distances": ["geometry.max_anchor_sums"]}
 
 
 def test_only_the_network_classes_read_how_a_network_stores_its_pairs():
-    # every other reader asks a network for a block of rows or a set of
-    # keys, so a network that holds no matrix serves them all
+    # every other reader asks a network for a block of rows, so a network
+    # that holds no matrix serves them all; block is the one question a
+    # network answers, and the plan keeps what it learns from it: its
+    # activation and the near pairs read each pair's coupling and shift from
+    # the plan's stash and call no network method
     methods = {"stepping.DelayNetwork", "stepping.RetardedNetwork"}
-    stray = []
+    stray, asked = [], []
     for path in sorted((ROOT / "src" / "bubblescreen").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         inside = set()
@@ -366,10 +367,25 @@ def test_only_the_network_classes_read_how_a_network_stores_its_pairs():
             if isinstance(node, ast.ClassDef) and f"{path.stem}.{node.name}" in methods:
                 inside |= {sub for item in node.body if isinstance(item, ast.FunctionDef)
                            for sub in ast.walk(item)}
+                asked += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
         stray += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr in {"coupling", "delay"}
                   and node not in inside]
+        stray += [f"{path.name}:{node.lineno}: {node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in {"entries", "pair_distances"}]
+        stray += [f"{path.name}:{node.lineno}: entries()" for node in _calls(tree, "entries")]
     assert stray == []
+    assert {"block", "solve", "accel_all"} <= set(asked)
+    tree = ast.parse((ROOT / "src" / "bubblescreen" / "stepping.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    activate = next(item for item in classes["_StagePlan"].body
+                    if isinstance(item, ast.FunctionDef) and item.name == "activate")
+    for reader in (activate, classes["_NearPairs"]):
+        assert [node.lineno for name in set(asked) for node in _calls(reader, name)] == []
+    geometry = ast.parse((ROOT / "src" / "bubblescreen" / "geometry.py").read_text())
+    assert "pair_distances" not in {getattr(node, "id", getattr(node, "name", None))
+                                    for node in ast.walk(geometry)}
 
 
 def test_hermite_weights_has_two_callers():
